@@ -16,7 +16,7 @@ BENCH_TELEMETRY = BenchmarkTelemetryObserve|BenchmarkDistributorRelayTraced|Benc
 # decision, which must stay at 0 allocs/op.
 BENCH_ADMISSION = BenchmarkAdmissionDecision
 
-.PHONY: all vet lint build test race chaos sim bench allocguard ci
+.PHONY: all vet lint build test race stress chaos sim bench allocguard ci
 
 all: ci
 
@@ -50,6 +50,12 @@ test:
 # (`go test -race ./...`) without -short.
 race:
 	$(GO) test -race -short ./...
+
+# Lifecycle stress: the networked packages five times over on two
+# threads, where shutdown races (a connection registering after Close has
+# swept the set) show up as a hung Close instead of passing by luck.
+stress:
+	GOMAXPROCS=2 $(GO) test -count=5 ./internal/backend ./internal/distributor ./internal/conntrack
 
 # Just the chaos suite. Override the scenario seeds with
 # CHAOS_SEED=<n> make chaos to replay a failing schedule.

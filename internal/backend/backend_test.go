@@ -459,6 +459,37 @@ func TestCloseUnblocksOpenConnections(t *testing.T) {
 	}
 }
 
+// TestCloseRacingAccept pins the register-after-sweep hang: a connection
+// accepted just before Close must not register itself after Close has
+// swept the connection set, or it idles in its read forever and Close
+// never joins it. Each round races Close against a freshly dialed idle
+// keep-alive connection.
+func TestCloseRacingAccept(t *testing.T) {
+	testutil.NoLeaks(t)
+	for i := 0; i < 300; i++ {
+		srv, err := NewServer(ServerOptions{Spec: testSpec("t1"), Store: &MemStore{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", startServer(t, srv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			_ = srv.Close()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			_ = conn.Close() // lets the stuck reader go, so only this test fails
+			t.Fatalf("round %d: Close hung on a connection accepted during shutdown", i)
+		}
+		_ = conn.Close()
+	}
+}
+
 func TestConcurrentClients(t *testing.T) {
 	store := &MemStore{}
 	for i := 0; i < 10; i++ {

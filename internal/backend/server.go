@@ -14,7 +14,6 @@ import (
 	"webcluster/internal/content"
 	"webcluster/internal/faults"
 	"webcluster/internal/httpx"
-	"webcluster/internal/metrics"
 	"webcluster/internal/telemetry"
 )
 
@@ -80,8 +79,8 @@ type Server struct {
 
 	// active tracks in-flight requests, the L4 routers' "connections"
 	// load signal.
-	active metrics.Counter
-	done   metrics.Counter
+	active telemetry.Counter
+	done   telemetry.Counter
 
 	// Deadline enforcement (in-band X-Dist-Deadline): requests already
 	// overdue on arrival are rejected before any work; requests whose
@@ -388,7 +387,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	conn = s.faults.Conn("backend.conn/"+string(s.spec.ID), conn)
+	// Register under the lock Close sweeps under, re-checking closed: a
+	// connection accepted just before Close would otherwise register after
+	// the sweep and sit in ReadRequestInto forever, hanging Close's wait.
 	s.mu.Lock()
+	select {
+	case <-s.closed:
+		s.mu.Unlock()
+		_ = conn.Close()
+		return
+	default:
+	}
 	s.conns[conn] = struct{}{}
 	s.mu.Unlock()
 	defer func() {

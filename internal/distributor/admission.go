@@ -14,46 +14,13 @@ package distributor
 // build.
 
 import (
-	"net"
-	"time"
-
 	"webcluster/internal/admission"
-	"webcluster/internal/conntrack"
-	"webcluster/internal/httpx"
 	"webcluster/internal/journal"
-	"webcluster/internal/respcache"
-	"webcluster/internal/telemetry"
 )
 
 // Admission returns the distributor's admission controller, nil when
 // overload control is disabled.
 func (d *Distributor) Admission() *admission.Controller { return d.adm }
-
-// admitRequest runs the admission decision for req. It reports the
-// verdict's class (for the later Release) and, for shed verdicts,
-// writes the degraded response itself: handled=true means a response
-// went out and relayRequest must not continue; connOK then mirrors the
-// usual keep-alive contract.
-func (d *Distributor) admitRequest(client net.Conn, key conntrack.ClientKey, req *httpx.Request, sp *telemetry.Span) (class admission.Class, handled, connOK bool) {
-	class = d.adm.Classify(req.Header.Get("X-Dist-Class"), req.Path)
-	verdict := d.adm.Admit(class)
-	d.journalAdmission(class, verdict)
-	switch verdict {
-	case admission.Admitted:
-		if b := d.adm.DeadlineBudget(class); b > 0 {
-			// In-band deadline: the client's propagated deadline (if any)
-			// only ever tightens; back ends compare against their own
-			// clock and cancel overdue work.
-			req.TightenDeadline(time.Now().Add(b))
-		}
-		return class, false, true
-	case admission.ShedStale:
-		h, ok := d.shedToStale(client, key, req, sp)
-		return class, h, ok
-	default: // admission.ShedReject
-		return class, true, d.writeShed(client, key, req, sp)
-	}
-}
 
 // journalAdmission records admission-ladder *shifts*: the first shed
 // verdict for a class after a quiet period (the ladder engaged) and the
@@ -83,37 +50,4 @@ func (d *Distributor) journalAdmission(class admission.Class, verdict admission.
 			Detail: name,
 		})
 	}
-}
-
-// shedToStale degrades an interactive request under overload: answer
-// from the response cache if any copy — fresh or expired-but-within-
-// stale-window — exists, else reject. No back-end work happens on this
-// path; that is the point of shedding.
-func (d *Distributor) shedToStale(client net.Conn, key conntrack.ClientKey, req *httpx.Request, sp *telemetry.Span) (handled, connOK bool) {
-	if d.cache != nil && cacheEligible(req) {
-		start := time.Now()
-		e, state := d.cache.Get(req.Path)
-		sp.MarkCache()
-		switch state {
-		case respcache.Fresh:
-			return true, d.writeCached(client, key, req, e, "HIT", start, sp)
-		case respcache.Stale:
-			if served, ok := d.serveStaleIfAllowed(client, key, req, e, start, sp); served {
-				return true, ok
-			}
-		}
-	}
-	return true, d.writeShed(client, key, req, sp)
-}
-
-// writeShed emits the bottom rung of the ladder: 503 with a Retry-After
-// hint, logged and traced like any other terminal verdict.
-func (d *Distributor) writeShed(client net.Conn, key conntrack.ClientKey, req *httpx.Request, sp *telemetry.Span) bool {
-	sp.MarkRoute()
-	sp.SetStatus(503)
-	sp.SetOutcome("shed")
-	resp := httpx.NewResponse(req.Proto, 503, []byte("overloaded\n"))
-	resp.Header.Set("Retry-After", d.adm.RetryAfter())
-	d.logAccess(key, req, 503, len(resp.Body))
-	return httpx.WriteResponse(client, resp) == nil && req.KeepAlive()
 }

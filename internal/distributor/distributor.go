@@ -16,8 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"webcluster/internal/trace"
-
 	"webcluster/internal/admission"
 	"webcluster/internal/config"
 	"webcluster/internal/conntrack"
@@ -413,13 +411,10 @@ func clientKey(conn net.Conn) conntrack.ClientKey {
 
 // serveClient runs the §2.2 lifecycle for one client connection: install a
 // mapping entry at "SYN" (accept), walk the state machine through request
-// binding and teardown, and release pre-forked connections after each
-// relayed exchange. The connection is pinned to the accepting shard: its
-// buffers come from the shard's pools and its back-end checkouts prefer
-// the shard's idle stripe. Pipelined HTTP/1.1 requests drain in-loop —
-// buffered bytes from the same read feed the next iteration directly,
-// and the per-connection route hint answers repeat lookups with one
-// pointer compare instead of re-entering the shared router state.
+// binding and teardown, and run every request the connection carries
+// through the pipeline in exchange.go. Pipelined HTTP/1.1 requests drain
+// in-loop — buffered bytes from the same read feed the next iteration
+// directly.
 func (d *Distributor) serveClient(s *shard, client net.Conn) {
 	key := clientKey(client)
 	// The accept completing stands in for the SYN/ACK exchange; Go hands
@@ -430,8 +425,6 @@ func (d *Distributor) serveClient(s *shard, client net.Conn) {
 	if _, err := d.mapping.Advance(key, conntrack.EventHandshakeDone); err != nil {
 		return
 	}
-	reset := func() { _, _ = d.mapping.Advance(key, conntrack.EventReset) }
-
 	// Reader and request come from the shard's pools and are reused across
 	// every keep-alive request on this connection, so steady-state parsing
 	// allocates nothing.
@@ -439,201 +432,41 @@ func (d *Distributor) serveClient(s *shard, client net.Conn) {
 	defer s.pools.ReleaseReader(br)
 	req := s.pools.AcquireRequest()
 	defer s.pools.ReleaseRequest(req)
-	var hint urltable.Hint
+	x := exchange{d: d, s: s, client: client, key: key, req: req}
+	clean := false
 	for {
-		// Tracing starts after the first request byte is visible, so
-		// keep-alive idle time between requests is never charged to the
-		// parse phase. A failed Peek falls through: ReadRequestInto hits
-		// the same condition and classifies it (clean FIN vs. torn read).
-		// A pipelined follow-up request already sits in the read buffer,
-		// so Peek returns without touching the socket.
-		var sp *telemetry.Span
-		if d.tel != nil {
-			if _, perr := br.Peek(1); perr == nil {
-				sp = d.tel.StartSpan(0)
-			}
+		err := x.parse(br)
+		if errors.Is(err, io.EOF) {
+			// Client FIN with no request in flight.
+			x.closeSpan("client-fin")
+			clean = true
+			break
 		}
-		err := httpx.ReadRequestInto(br, req)
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				d.finishSpan(sp, "client-fin")
-				// Client FIN with no request in flight: run teardown.
-				if _, err := d.mapping.Advance(key, conntrack.EventClientFin); err == nil {
-					_, _ = d.mapping.Advance(key, conntrack.EventFinAcked)
-					_, _ = d.mapping.Advance(key, conntrack.EventLastAck)
-				}
-				return
-			}
-			sp.MarkParse()
-			sp.SetStatus(400)
-			d.finishSpan(sp, "parse-error")
-			resp := httpx.NewResponse(httpx.Proto10, 400, []byte("bad request\n"))
-			_ = httpx.WriteResponse(client, resp)
-			reset()
-			return
+			// What the client meant is unknown; answer in the one protocol
+			// every client reads.
+			req.Proto = httpx.Proto10
+			x.replyError(400, "bad request\n", outParseError)
+			break
 		}
-		sp.AdoptTrace(req.TraceID)
-		sp.MarkParse()
-		sp.SetRequest(req.Method, req.Path)
-		ok := d.relayRequest(s, client, key, req, &hint, sp)
-		d.tel.FinishSpan(sp)
-		if !ok {
-			reset()
-			return
+		if !x.serve() {
+			break
 		}
 		if !req.KeepAlive() {
 			// HTTP/1.0 close: distributor sets FIN toward the client
 			// after the last relayed packet (§2.2).
-			if _, err := d.mapping.Advance(key, conntrack.EventClientFin); err == nil {
-				_, _ = d.mapping.Advance(key, conntrack.EventFinAcked)
-				_, _ = d.mapping.Advance(key, conntrack.EventLastAck)
-			}
-			return
+			clean = true
+			break
 		}
 	}
-}
-
-// finishSpan stamps a terminal outcome and closes the span (nil-safe).
-func (d *Distributor) finishSpan(sp *telemetry.Span, outcome string) {
-	if sp == nil {
+	if !clean {
+		_, _ = d.mapping.Advance(key, conntrack.EventReset)
 		return
 	}
-	sp.SetOutcome(outcome)
-	d.tel.FinishSpan(sp)
-}
-
-// relayRequest routes one parsed request and relays the response. It
-// reports whether the client connection remains usable. sp is the
-// request's span (nil when tracing is off); relayRequest marks phases and
-// outcomes but the caller finishes it.
-func (d *Distributor) relayRequest(s *shard, client net.Conn, key conntrack.ClientKey, req *httpx.Request, hint *urltable.Hint, sp *telemetry.Span) bool {
-	if sp != nil {
-		// Propagate the trace in-band: every forwarded exchange below
-		// carries X-Dist-Trace, and the chosen back end echoes it with its
-		// own span ID.
-		req.TraceID = sp.ID()
+	if _, err := d.mapping.Advance(key, conntrack.EventClientFin); err == nil {
+		_, _ = d.mapping.Advance(key, conntrack.EventFinAcked)
+		_, _ = d.mapping.Advance(key, conntrack.EventLastAck)
 	}
-	if d.adm != nil {
-		// Overload control runs before any routing or cache work: a shed
-		// request must cost nothing downstream. An admitted request holds
-		// its class slot for the full relay (including the cache path —
-		// the slot bounds front-end concurrency, not just back-end load).
-		class, handled, ok := d.admitRequest(client, key, req, sp)
-		if handled {
-			return ok
-		}
-		defer d.adm.Release(class)
-	}
-	if d.cache != nil && cacheEligible(req) {
-		// Cache hits (and cache-led fetches) never bind a back-end
-		// connection, so the mapping entry stays ESTABLISHED; a miss the
-		// cache declines falls through to the ordinary relay below.
-		if handled, ok := d.serveFromCache(s, client, key, req, sp); handled {
-			return ok
-		}
-	}
-	start := time.Now()
-	rec, err := d.table.RouteHinted(req.Path, hint)
-	if err != nil {
-		d.noRoute.Add(1)
-		sp.MarkRoute()
-		sp.SetStatus(404)
-		sp.SetOutcome("no-route")
-		resp := httpx.NewResponse(req.Proto, 404, []byte("no route: "+req.Path+"\n"))
-		d.logAccess(key, req, 404, len(resp.Body))
-		return httpx.WriteResponse(client, resp) == nil && req.KeepAlive()
-	}
-	node, err := d.pickReplica(rec, "")
-	routeCost := time.Since(start)
-	sp.MarkRoute()
-	if err != nil {
-		d.noRoute.Add(1)
-		sp.SetStatus(503)
-		sp.SetOutcome("no-replica")
-		resp := httpx.NewResponse(req.Proto, 503, []byte("no backend available\n"))
-		d.logAccess(key, req, 503, len(resp.Body))
-		return httpx.WriteResponse(client, resp) == nil && req.KeepAlive()
-	}
-	if err := d.mapping.Bind(key, node); err != nil {
-		return false
-	}
-	if _, err := d.mapping.Advance(key, conntrack.EventRequestBound); err != nil {
-		return false
-	}
-
-	counter := d.active[node]
-	counter.Add(1)
-	pc, resp, err := d.exchangeStart(s, node, req)
-	counter.Add(-1)
-	if err != nil && idempotent(req) {
-		// The chosen back end failed before any response header arrived:
-		// fail over to another replica once before giving up. Only safe
-		// for idempotent methods — re-sending a POST could apply its
-		// effect twice. Nothing has been written to the client yet.
-		if alt, altErr := d.pickReplica(rec, node); altErr == nil {
-			if bindErr := d.mapping.Bind(key, alt); bindErr != nil {
-				return false
-			}
-			if d.jnl != nil {
-				// The failover decision itself is journal-worthy: which
-				// node failed, which replica took over, and the incident
-				// trace that links this to the fault and the monitor's
-				// down transition.
-				failed := string(node)
-				tr := d.jnl.Incident(failed)
-				d.jnl.Record(journal.Event{
-					Actor:  journal.ActorDistributor,
-					Kind:   journal.KindFailover,
-					Trace:  tr,
-					Node:   failed,
-					Path:   req.Path,
-					Detail: string(alt),
-				})
-			}
-			altCounter := d.active[alt]
-			altCounter.Add(1)
-			pc, resp, err = d.exchangeStart(s, alt, req)
-			altCounter.Add(-1)
-			node = alt
-		}
-	}
-	if err != nil {
-		sp.MarkBackend()
-		sp.SetStatus(502)
-		sp.SetOutcome("bad-gateway")
-		if d.jnl != nil {
-			failed := string(node)
-			tr := d.jnl.Incident(failed)
-			detail := err.Error()
-			d.jnl.Record(journal.Event{
-				Actor:  journal.ActorDistributor,
-				Kind:   journal.KindRetryExhausted,
-				Trace:  tr,
-				Node:   failed,
-				Path:   req.Path,
-				Detail: detail,
-			})
-		}
-		out := httpx.NewResponse(req.Proto, 502, []byte("backend error\n"))
-		d.logAccess(key, req, 502, len(out.Body))
-		_ = httpx.WriteResponse(client, out)
-		return false
-	}
-	sp.MarkBackend()
-	sp.SetBackend(string(node), resp.SpanID)
-
-	// Response header is parsed; the body still sits on the back-end
-	// connection. streamResponse copies it to the client through a pooled
-	// buffer and records the exchange. The exchange deadline stays armed
-	// across the copy so a back end that stalls mid-body cannot pin this
-	// goroutine.
-	if !d.streamResponse(s, client, key, req, node, pc, resp, start, routeCost, sp) {
-		return false
-	}
-	if _, err := d.mapping.Advance(key, conntrack.EventRequestDone); err != nil {
-		return false
-	}
-	return true
 }
 
 // idempotent reports whether req may be re-sent after a failed attempt.
@@ -656,6 +489,11 @@ func idempotent(req *httpx.Request) bool {
 // On success the exchange deadline is still armed; the caller clears it
 // after relaying the body.
 func (d *Distributor) exchangeStart(s *shard, node config.NodeID, req *httpx.Request) (*conntrack.PooledConn, *httpx.Response, error) {
+	// In flight against node for as long as the header exchange runs; the
+	// pickers and the admission pressure signal read this.
+	active := d.active[node]
+	active.Add(1)
+	defer active.Add(-1)
 	var lastErr error
 	backoff := d.retryBackoff
 	for attempt := 0; attempt <= d.exchangeRetries; attempt++ {
@@ -701,25 +539,6 @@ func (d *Distributor) attemptStart(s *shard, pc *conntrack.PooledConn, req *http
 		return nil, fmt.Errorf("reading: %w", err)
 	}
 	return resp, nil
-}
-
-// logAccess appends one CLF line to the access log, if configured.
-func (d *Distributor) logAccess(key conntrack.ClientKey, req *httpx.Request, status int, respBytes int) {
-	if d.accessLog == nil {
-		return
-	}
-	entry := trace.Entry{
-		ClientIP: key.IP,
-		Time:     time.Now(),
-		Method:   req.Method,
-		Path:     req.Target,
-		Proto:    req.Proto,
-		Status:   status,
-		Bytes:    int64(respBytes),
-	}
-	d.logMu.Lock()
-	defer d.logMu.Unlock()
-	_, _ = fmt.Fprintln(d.accessLog, entry.String())
 }
 
 // SetAvailable marks a node up or down for routing. The monitor calls

@@ -130,9 +130,9 @@ func TestRoutesToHoldingNode(t *testing.T) {
 			t.Fatalf("served by %s, want n2", got)
 		}
 	}
-	if tc.dist.Routed() != 5 {
-		t.Fatalf("routed = %d", tc.dist.Routed())
-	}
+	// counters move in finish, after the reply is on the wire
+	testutil.Eventually(t, 2*time.Second, func() bool { return tc.dist.Routed() == 5 },
+		"routed = %d, want 5", tc.dist.Routed())
 }
 
 func TestUnknownPath404(t *testing.T) {
@@ -141,9 +141,8 @@ func TestUnknownPath404(t *testing.T) {
 	if resp.StatusCode != 404 {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if tc.dist.NoRoute() != 1 {
-		t.Fatalf("noRoute = %d", tc.dist.NoRoute())
-	}
+	testutil.Eventually(t, 2*time.Second, func() bool { return tc.dist.NoRoute() == 1 },
+		"noRoute = %d, want 1", tc.dist.NoRoute())
 }
 
 func TestUnknownLocation503(t *testing.T) {
@@ -276,10 +275,11 @@ func TestTrackerRecordsLoad(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		_ = fetch(t, tc.front, "/a.html", httpx.Proto11)
 	}
-	reqs := tc.dist.Tracker().Requests()
-	if reqs["n1"] != 3 {
-		t.Fatalf("tracker requests = %v", reqs)
-	}
+	// The charge follows the last body byte, so the client can see the
+	// response before the tracker does.
+	testutil.Eventually(t, 2*time.Second, func() bool {
+		return tc.dist.Tracker().Requests()["n1"] == 3
+	}, "tracker requests = %v, want n1:3", tc.dist.Tracker().Requests())
 	loads := tc.dist.Tracker().IntervalLoads(tc.spec.Nodes)
 	if loads["n1"] <= 0 {
 		t.Fatalf("loads = %v", loads)
@@ -344,6 +344,8 @@ func TestMeanRouteOverheadMeasured(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		_ = fetch(t, tc.front, "/a.html", httpx.Proto11)
 	}
+	testutil.Eventually(t, 2*time.Second, func() bool { return tc.dist.Routed() == 10 },
+		"routed = %d, want 10", tc.dist.Routed())
 	if d := tc.dist.MeanRouteOverhead(); d <= 0 || d > 10*time.Millisecond {
 		t.Fatalf("route overhead = %v", d)
 	}

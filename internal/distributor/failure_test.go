@@ -12,8 +12,11 @@ import (
 	"webcluster/internal/config"
 	"webcluster/internal/content"
 	"webcluster/internal/httpx"
+	"webcluster/internal/journal"
 	"webcluster/internal/loadbal"
 	"webcluster/internal/nfs"
+	"webcluster/internal/respcache"
+	"webcluster/internal/testutil"
 	"webcluster/internal/trace"
 	"webcluster/internal/urltable"
 )
@@ -49,7 +52,17 @@ func TestAllReplicasDown503(t *testing.T) {
 }
 
 func TestFailoverToSecondReplicaOnDeadBackend(t *testing.T) {
-	tc := startCluster(t, 2)
+	t.Run("relay", func(t *testing.T) { failoverToSecondReplica(t, nil) })
+	// The cache-led fetch is the same back-end leg: it fails over and
+	// journals the decision exactly as the relay does.
+	t.Run("cache-led", func(t *testing.T) {
+		failoverToSecondReplica(t, respcache.New(respcache.Options{FreshTTL: time.Nanosecond}))
+	})
+}
+
+func failoverToSecondReplica(t *testing.T, rc *respcache.Cache) {
+	jnl := journal.New(journal.Options{})
+	tc := startClusterOpts(t, 2, func(o *Options) { o.Cache, o.Journal = rc, jnl })
 	tc.place(t, "/dual.html", []byte("survivor"), "n1", "n2")
 	// Kill n1's web server outright: the distributor's pooled
 	// connections to it break mid-exchange.
@@ -59,7 +72,8 @@ func TestFailoverToSecondReplicaOnDeadBackend(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		resp := fetch(t, tc.front, "/dual.html", httpx.Proto11)
 		if resp.StatusCode == 200 {
-			if got := resp.Header.Get("X-Served-By"); got != "n2" {
+			// (a cached reply carries no X-Served-By)
+			if got := resp.Header.Get("X-Served-By"); rc == nil && got != "n2" {
 				t.Fatalf("served by %s after n1 died", got)
 			}
 			ok++
@@ -70,6 +84,12 @@ func TestFailoverToSecondReplicaOnDeadBackend(t *testing.T) {
 	if ok != 10 {
 		t.Fatalf("only %d/10 requests survived the node failure", ok)
 	}
+	for _, ev := range jnl.Snapshot(0) {
+		if ev.Kind == journal.KindFailover && ev.Node == "n1" && ev.Detail == "n2" && ev.Path == "/dual.html" {
+			return
+		}
+	}
+	t.Fatalf("no failover n1→n2 in the journal: %v", jnl.Snapshot(0))
 }
 
 func TestDeadSoleReplica502(t *testing.T) {
@@ -159,12 +179,14 @@ func TestAccessLogRecordsAndReplays(t *testing.T) {
 	}
 	_ = fetch(t, front, "/missing.html", httpx.Proto11) // a 404 line
 
+	// A line is written after its response, so the last ones can trail the
+	// client.
+	testutil.Eventually(t, 2*time.Second, func() bool {
+		return strings.Count(logBuf.String(), "\n") == 6
+	}, "access log never reached 6 lines:\n%s", logBuf.String())
 	entries, err := trace.Read(strings.NewReader(logBuf.String()))
 	if err != nil {
 		t.Fatalf("parsing access log: %v\nlog:\n%s", err, logBuf.String())
-	}
-	if len(entries) != 6 {
-		t.Fatalf("log entries = %d, want 6", len(entries))
 	}
 	okCount, notFound := 0, 0
 	for _, e := range entries {

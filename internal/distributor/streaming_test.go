@@ -23,35 +23,13 @@ import (
 // through EventReset rather than leaking.
 func TestRelayTruncationOnContentLengthMismatch(t *testing.T) {
 	testutil.NoLeaks(t)
-	// A liar back end: correct header, 100-byte promise, 5-byte body.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l.Close() }()
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer func() { _ = c.Close() }()
-				if _, err := httpx.ReadRequest(bufio.NewReader(c)); err != nil {
-					return
-				}
-				_, _ = io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nshort")
-			}(conn)
-		}
-	}()
-
 	table := urltable.New(urltable.Options{CacheEntries: 8})
 	spec := config.ClusterSpec{
 		DistributorCPUMHz: 350,
 		Nodes: []config.NodeSpec{{
 			ID: "liar", CPUMHz: 350, MemoryMB: 64,
 			Disk: config.DiskSCSI, Platform: config.LinuxApache,
-			Addr: l.Addr().String(),
+			Addr: liarBackend(t),
 		}},
 	}
 	obj := content.Object{Path: "/x.html", Size: 100, Class: content.Classify("/x.html")}

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -295,11 +296,11 @@ type faultConn struct {
 	point string
 
 	mu       sync.Mutex
-	gen      uint64 // generation of the cached roll/budget
-	subject  bool   // probability roll outcome for this generation
-	carried  int64  // bytes carried under this generation
-	written  int64  // bytes written lifetime (corruption phase)
-	dropped  bool   // DropAfterBytes tripped; connection is dead
+	gen      uint64    // generation of the cached roll/budget
+	subject  bool      // probability roll outcome for this generation
+	carried  int64     // bytes carried under this generation
+	written  int64     // bytes written lifetime (corruption phase)
+	dropped  bool      // DropAfterBytes tripped; connection is dead
 	deadline time.Time // read deadline, mirrored for stall bounding
 
 	closeOnce sync.Once
@@ -328,25 +329,27 @@ func (fc *faultConn) rule() Rule {
 }
 
 // wait sleeps for d, but returns early when the connection closes or the
-// mirrored read deadline passes (the caller then hits the real deadline
-// error on the underlying operation).
-func (fc *faultConn) wait(d time.Duration) {
+// mirrored read deadline passes; it reports whether the deadline cut the
+// sleep short.
+func (fc *faultConn) wait(d time.Duration) (timedOut bool) {
 	fc.mu.Lock()
 	dl := fc.deadline
 	fc.mu.Unlock()
 	if !dl.IsZero() {
 		if until := time.Until(dl); until < d {
-			d = until
+			d, timedOut = until, true
 		}
 	}
 	if d <= 0 {
-		return
+		return timedOut
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
+		return timedOut
 	case <-fc.done:
+		return false
 	}
 }
 
@@ -381,7 +384,12 @@ func (fc *faultConn) Read(p []byte) (int, error) {
 	}
 	if r.ReadStall > 0 {
 		fc.in.note(fc.point)
-		fc.wait(r.ReadStall)
+		if fc.wait(r.ReadStall) {
+			// Fail here rather than in the underlying read: this timer can
+			// fire a moment before the poller's own deadline timer, and a
+			// read in that gap would deliver the bytes the stall withholds.
+			return 0, os.ErrDeadlineExceeded
+		}
 	}
 	if r.Latency > 0 {
 		fc.wait(r.Latency)

@@ -22,7 +22,7 @@ import (
 
 	"webcluster/internal/backend"
 	"webcluster/internal/faults"
-	"webcluster/internal/metrics"
+	"webcluster/internal/telemetry"
 )
 
 // Verbs of the file-access protocol.
@@ -54,9 +54,9 @@ type Server struct {
 	closeOne sync.Once
 
 	// Requests counts protocol operations served (bottleneck telemetry).
-	Requests metrics.Counter
+	Requests telemetry.Counter
 	// BytesOut counts payload bytes served.
-	BytesOut metrics.Counter
+	BytesOut telemetry.Counter
 }
 
 // NewServer returns a file server exporting store.

@@ -10,7 +10,7 @@ import (
 
 	"webcluster/internal/content"
 	"webcluster/internal/httpx"
-	"webcluster/internal/metrics"
+	"webcluster/internal/telemetry"
 )
 
 // ClientPoolOptions configures a WebBench-style closed-loop client pool
@@ -96,7 +96,7 @@ func RunClientPool(opts ClientPoolOptions) (Report, error) {
 		opts.Duration = time.Second
 	}
 
-	var reg metrics.Registry
+	reg := telemetry.NewRegistry("workload")
 	var wg sync.WaitGroup
 	deadline := time.Now().Add(opts.Duration)
 	start := time.Now()
@@ -109,7 +109,7 @@ func RunClientPool(opts ClientPoolOptions) (Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runClient(opts, gen, &reg, deadline)
+			runClient(opts, gen, reg, deadline)
 		}()
 	}
 	wg.Wait()
@@ -134,7 +134,7 @@ func RunClientPool(opts ClientPoolOptions) (Report, error) {
 }
 
 // runClient is one closed-loop client: request, read, repeat.
-func runClient(opts ClientPoolOptions, gen *Generator, reg *metrics.Registry, deadline time.Time) {
+func runClient(opts ClientPoolOptions, gen *Generator, reg *telemetry.Registry, deadline time.Time) {
 	var (
 		conn net.Conn
 		br   *bufio.Reader

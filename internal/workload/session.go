@@ -11,7 +11,7 @@ import (
 
 	"webcluster/internal/content"
 	"webcluster/internal/httpx"
-	"webcluster/internal/metrics"
+	"webcluster/internal/telemetry"
 )
 
 // Session-model workload (Barford & Crovella's SURGE structure): a user
@@ -168,7 +168,7 @@ func RunSessionPool(opts SessionPoolOptions) (SessionReport, error) {
 		visits    int64
 		requests  int64
 		errCount  int64
-		pageTimes metrics.Histogram
+		pageTimes telemetry.Histogram
 	)
 	deadline := time.Now().Add(opts.Duration)
 	start := time.Now()
