@@ -16,6 +16,10 @@ BENCH_TELEMETRY = BenchmarkTelemetryObserve|BenchmarkDistributorRelayTraced|Benc
 # decision, which must stay at 0 allocs/op.
 BENCH_ADMISSION = BenchmarkAdmissionDecision
 
+# Management-plane benchmark (BENCH_mgmt.json): one console insert on two
+# nodes through both wire hops; its MB/s is what the frame codec bought.
+BENCH_MGMT = BenchmarkMgmtInsert
+
 .PHONY: all vet lint build test race stress chaos sim bench allocguard ci
 
 all: ci
@@ -84,12 +88,20 @@ bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_ADMISSION)' -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_admission.json
 	@cat BENCH_admission.json
+	$(GO) test -run '^$$' -bench '$(BENCH_MGMT)' -benchmem . \
+		| $(GO) run ./cmd/benchjson > BENCH_mgmt.json
+	@cat BENCH_mgmt.json
 
 # Regression gates. A fast -benchtime=100x pass is enough for the
 # allocs/op gate because allocation counts are deterministic; the
 # throughput (MB/s) gate on the large-body relay runs at the default
 # benchtime so the number is meaningful, and fails when mb_per_sec drops
-# more than 10% below the archived snapshot.
+# more than 10% below the archived snapshot. The management insert
+# crosses six sockets and two more goroutine hand-offs per operation,
+# so on a shared box its MB/s swings 3x between a quiet minute and a
+# busy one; its gate is therefore wide (fail below 15% of the
+# snapshot). What it exists to catch — file bytes going back into the
+# JSON envelope — is a 13x drop at 1 MiB.
 allocguard:
 	$(GO) test -run '^$$' -bench 'BenchmarkDistributorRelay$$' -benchtime=100x -benchmem . \
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_relay.json
@@ -101,5 +113,7 @@ allocguard:
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_admission.json -tolerance 0
 	$(GO) test -run '^$$' -bench 'BenchmarkJournalRecord$$' -benchtime=100x -benchmem . \
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_telemetry.json -tolerance 0
+	$(GO) test -run '^$$' -bench '$(BENCH_MGMT)' -benchmem . \
+		| $(GO) run ./cmd/benchguard -snapshot BENCH_mgmt.json -tolerance 8 -mbps-tolerance 0.85
 
 ci: vet lint build test race allocguard

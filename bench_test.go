@@ -33,6 +33,7 @@ import (
 	"webcluster/internal/journal"
 	"webcluster/internal/l4router"
 	"webcluster/internal/loadbal"
+	"webcluster/internal/mgmt"
 	"webcluster/internal/respcache"
 	"webcluster/internal/sim"
 	"webcluster/internal/telemetry"
@@ -722,6 +723,64 @@ func BenchmarkL4RouterRelay(b *testing.B) {
 			b.Fatalf("resp %v %v", resp, err)
 		}
 		_ = conn.Close()
+	}
+}
+
+// BenchmarkMgmtInsert measures the management plane's byte path (§3.1–3.2):
+// one console insert of an object on two nodes, Console → ConsoleServer →
+// Controller → two Brokers over loopback. MB/s counts the object once,
+// however many hops and replicas carry it. The delete that makes room for
+// the next iteration is untimed.
+func BenchmarkMgmtInsert(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		size int
+	}{{"4KiB", 4 << 10}, {"1MiB", 1 << 20}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ctl := mgmt.NewController(urltable.New(urltable.Options{}))
+			nodes := []config.NodeID{"n1", "n2"}
+			for _, id := range nodes {
+				broker := mgmt.NewBroker(mgmt.Env{Node: id, Store: &backend.MemStore{}})
+				addr, err := broker.Start("127.0.0.1:0")
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer func() { _ = broker.Close() }()
+				if err := ctl.AddNode(id, addr); err != nil {
+					b.Fatal(err)
+				}
+				defer ctl.RemoveNode(id)
+			}
+			server := mgmt.NewConsoleServer(ctl, nil)
+			addr, err := server.Start("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { _ = server.Close() }()
+			console, err := mgmt.DialConsole(addr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { _ = console.Close() }()
+			insert := mgmt.ConsoleRequest{
+				Op: "insert", Path: "/bench/object.bin", Size: int64(bc.size),
+				Data: backend.SynthesizeBody("/bench/object.bin", int64(bc.size)), Nodes: nodes,
+			}
+			remove := mgmt.ConsoleRequest{Op: "delete", Path: insert.Path}
+			b.SetBytes(int64(bc.size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := console.Do(insert); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if _, err := console.Do(remove); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }
 

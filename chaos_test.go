@@ -6,7 +6,9 @@ package webcluster
 // Invariants asserted throughout:
 //   - no request is silently lost: every client request either succeeds
 //     or is a counted error, and where a healthy replica exists the
-//     failover path absorbs the fault (zero errors);
+//     failover path absorbs the fault (zero errors, bar the exchanges whose
+//     response header had reached the client when the fault began — see
+//     TestChaosSlowReplicaFailover);
 //   - takeover completes under replication-stream truncation/corruption;
 //   - the mapping table drains to CLOSED after traffic stops;
 //   - no goroutine outlives its test (testutil.NoLeaks).
@@ -44,6 +46,14 @@ type chaosCluster struct {
 	backends map[config.NodeID]*backend.Server
 	stores   map[config.NodeID]backend.Store
 }
+
+// chaosExchangeTimeout is the distributor's back-end exchange deadline in
+// every chaos cluster; chaosClients is how many closed-loop connections
+// driveWorkloadA keeps open against it.
+const (
+	chaosExchangeTimeout = 250 * time.Millisecond
+	chaosClients         = 4
+)
 
 // startChaosCluster boots n backend nodes and a distributor with tight
 // exchange deadlines, all wired to in. mods adjust the distributor
@@ -88,7 +98,7 @@ func startChaosCluster(t *testing.T, in *faults.Injector, n int, mods ...func(*d
 		Table:           cc.table,
 		Cluster:         cc.spec,
 		PreforkPerNode:  2,
-		ExchangeTimeout: 250 * time.Millisecond,
+		ExchangeTimeout: chaosExchangeTimeout,
 		RetryBackoff:    time.Millisecond,
 		Faults:          in,
 	}
@@ -150,7 +160,7 @@ func driveWorkloadA(t *testing.T, front string, site *content.Site, d time.Durat
 	t.Helper()
 	report, err := workload.RunClientPool(workload.ClientPoolOptions{
 		Addr:      front,
-		Clients:   4,
+		Clients:   chaosClients,
 		Duration:  d,
 		Site:      site,
 		Seed:      seed,
@@ -175,39 +185,62 @@ func assertMappingDrains(t *testing.T, d *distributor.Distributor) {
 }
 
 // TestChaosSlowReplicaFailover: mid-run, every distributor connection to
-// n1 becomes a slow-loris (reads stall past the exchange deadline). With
-// all content replicated on n2, the exchange-deadline + failover path
-// must absorb the fault: zero request errors. Reverting the deadline in
-// attemptExchange leaves relay goroutines stuck and this test fails on
-// errors/timeouts.
+// n1 becomes a slow-loris (reads stall past the exchange deadline) and
+// stays one. With all content replicated on n2, the exchange-deadline +
+// failover path must absorb the fault — up to the documented contract of
+// exchange.stream: a relay whose response header had already reached the
+// client when its back-end connection stalled cannot be failed over, it
+// is cut at the exchange deadline and counted as a relay truncation. So:
+//
+//   - across the flip, at most one request per client connection is lost
+//     (one exchange in flight on each), and every loss is a counted
+//     truncation;
+//   - once the flip is one exchange deadline old, nothing is lost: every
+//     exchange that was in flight has been cut, and a new one that lands
+//     on stalled n1 fails over before a byte reaches the client.
+//
+// Reverting the deadline in attemptStart leaves relay goroutines stuck
+// behind the stall and this test fails on errors/timeouts.
 func TestChaosSlowReplicaFailover(t *testing.T) {
 	h := faults.NewHarness(faults.Seed(101), t.Logf)
 	cc := startChaosCluster(t, h.In, 2)
 	site := chaosSite(t, cc, 60, 101)
 
 	stall := &faults.Rule{ReadStall: time.Minute}
+	flipped := make(chan time.Time, 1)
 	join, stop := h.Go(faults.Scenario{
 		Name: "slow-replica",
 		Steps: []faults.Step{
 			{At: 150 * time.Millisecond, Point: "pool.conn/n1", Rule: stall,
-				Note: "n1 relay connections become slow-loris"},
-			{At: 500 * time.Millisecond, Point: "pool.conn/n1",
-				Note: "n1 recovers"},
+				Action: func() { flipped <- time.Now() },
+				Note:   "n1 relay connections become slow-loris"},
 		},
 	})
 	defer stop()
 
-	report := driveWorkloadA(t, cc.front, site, 800*time.Millisecond, 1)
+	across := driveWorkloadA(t, cc.front, site, 500*time.Millisecond, 1)
 	if err := join(); err != nil {
 		t.Fatal(err)
 	}
-	if report.Errors != 0 {
-		t.Fatalf("lost %d of %d requests under slow-replica fault (seed %d)",
-			report.Errors, report.Requests, h.In.Seed())
+	flipAt := <-flipped
+	cut := cc.dist.RelayTruncations()
+	if across.Errors > chaosClients || across.Errors > cut {
+		t.Fatalf("lost %d of %d requests across the flip with %d relay truncations; want at most one per client (%d), each a truncation (seed %d)",
+			across.Errors, across.Requests, cut, chaosClients, h.In.Seed())
+	}
+
+	// pacing: the second window must open a full exchange deadline after
+	// the flip, whenever the scheduler let the flip happen
+	time.Sleep(time.Until(flipAt.Add(chaosExchangeTimeout)))
+	after := driveWorkloadA(t, cc.front, site, 300*time.Millisecond, 2)
+	if after.Errors != 0 || cc.dist.RelayTruncations() != cut {
+		t.Fatalf("lost %d of %d requests (%d new truncations) with the fault a full exchange deadline old (seed %d)",
+			after.Errors, after.Requests, cc.dist.RelayTruncations()-cut, h.In.Seed())
 	}
 	if h.In.Fired("pool.conn/n1") == 0 {
 		t.Fatal("schedule never hit the fault point — scenario exercised nothing")
 	}
+	h.In.Clear("pool.conn/n1")
 	assertMappingDrains(t, cc.dist)
 }
 

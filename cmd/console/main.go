@@ -24,6 +24,12 @@
 //	console -addr host:7070 journal -node n1      # one node's journal only
 //	console -addr host:7070 explain /docs/a.html  # where is it, which decision placed it
 //	console -addr host:7070 dump "why is n2 slow" # snapshot a flight-recorder bundle
+//
+// Commands and replies travel as length-prefixed frames (internal/mgmt
+// wire.go): a JSON envelope, then — for insert and update — the object's
+// bytes raw, not encoded into the JSON. A distributor built before that
+// format refuses this console (and the reverse) with an error naming the
+// protocol mismatch.
 package main
 
 import (

@@ -82,6 +82,10 @@ const (
 	// KindSnapshot is the flight recorder dumping a bundle.
 	// Detail = trigger reason.
 	KindSnapshot
+	// KindBrokerRedial is the controller dialing a node's broker again
+	// after a management call lost the connection. Node = the node,
+	// Detail = "reconnected" or the dial error.
+	KindBrokerRedial
 )
 
 // String returns the kind's wire label.
@@ -115,6 +119,8 @@ func (k Kind) String() string {
 		return "agent-op"
 	case KindSnapshot:
 		return "snapshot"
+	case KindBrokerRedial:
+		return "broker-redial"
 	}
 	return "unknown"
 }

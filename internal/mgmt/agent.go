@@ -17,7 +17,6 @@ package mgmt
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -109,16 +108,19 @@ func BuiltinSpecs() []Spec {
 // Args carries an agent invocation's parameters.
 type Args struct {
 	Path string `json:"path,omitempty"`
-	// Data is the object payload for store-file (base64 on the wire).
-	Data []byte `json:"data,omitempty"`
+	// Data is the object's bytes for store-file and replace-file. It
+	// travels as the frame's payload, never inside the JSON envelope.
+	Data []byte `json:"-"`
 	// Size requests synthetic placement of Size bytes when Data is nil.
 	Size int64 `json:"size,omitempty"`
 }
 
 // Result carries an agent's outcome.
 type Result struct {
-	Message   string              `json:"message,omitempty"`
-	Data      []byte              `json:"data,omitempty"`
+	Message string `json:"message,omitempty"`
+	// Data is fetch-file's answer; like Args.Data it rides as the frame's
+	// payload.
+	Data      []byte              `json:"-"`
 	Paths     []string            `json:"paths,omitempty"`
 	Status    *monitor.NodeStatus `json:"status,omitempty"`
 	Telemetry *telemetry.Report   `json:"telemetry,omitempty"`
@@ -313,7 +315,7 @@ func ExecuteOp(op Op, env Env, args Args) (Result, error) {
 	}
 }
 
-// Wire protocol: newline-delimited JSON over TCP.
+// Broker envelopes (the JSON header of a wire.go frame).
 
 // request is one broker-bound message: either an agent invocation or an
 // agent installation.
@@ -322,6 +324,8 @@ type request struct {
 	Agent   string `json:"agent,omitempty"`
 	Args    *Args  `json:"args,omitempty"`
 	Install *Spec  `json:"install,omitempty"`
+	// Payload says the frame's payload is Args.Data (which may be empty).
+	Payload bool `json:"payload,omitempty"`
 }
 
 // response is the broker's reply.
@@ -332,12 +336,6 @@ type response struct {
 	Result *Result `json:"result,omitempty"`
 	// NeedCode signals the broker lacks the agent and wants its spec.
 	NeedCode bool `json:"needCode,omitempty"`
-}
-
-// encode writes v as one JSON line.
-func encode(enc *json.Encoder, v any) error {
-	if err := enc.Encode(v); err != nil {
-		return fmt.Errorf("mgmt: encoding message: %w", err)
-	}
-	return nil
+	// Payload says the frame's payload is Result.Data.
+	Payload bool `json:"payload,omitempty"`
 }

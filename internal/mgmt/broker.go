@@ -1,7 +1,8 @@
 package mgmt
 
 import (
-	"encoding/json"
+	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -101,15 +102,24 @@ func (b *Broker) Start(addr string) (string, error) {
 
 // serveConn handles one controller connection's request stream.
 func (b *Broker) serveConn(conn net.Conn) {
-	dec := json.NewDecoder(conn)
-	enc := json.NewEncoder(conn)
+	br := bufio.NewReader(conn)
 	for {
 		var req request
-		if err := dec.Decode(&req); err != nil {
+		payload, err := readFrame(br, &req)
+		if err != nil {
+			refuseMismatch(conn, err)
 			return
 		}
+		if req.Payload && req.Args != nil {
+			req.Args.Data = payload
+		}
 		resp := b.handle(req)
-		if err := encode(enc, resp); err != nil {
+		var data []byte
+		if resp.Result != nil {
+			data = resp.Result.Data
+			resp.Payload = data != nil
+		}
+		if err := writeFrame(conn, resp, data); err != nil {
 			return
 		}
 	}
@@ -173,14 +183,23 @@ func (b *Broker) Close() error {
 const DefaultBrokerTimeout = 10 * time.Second
 
 // BrokerClient is the controller's connection to one broker. Construct
-// with DialBroker. Calls are serialized per client.
+// with DialBroker. Calls are serialized per client. A call that fails in
+// transport or framing (deadline, short read, reset, broker restart)
+// leaves the stream at an unknown offset, so the client drops the
+// connection and the next call redials the remembered address.
 type BrokerClient struct {
-	mu      sync.Mutex
+	mu   sync.Mutex
+	addr string
+	// conn and br are nil between a failed call and the next call's
+	// redial, and after Close.
 	conn    net.Conn
-	enc     *json.Encoder
-	dec     *json.Decoder
+	br      *bufio.Reader
+	closed  bool
 	nextID  int64
 	timeout time.Duration
+	// onRedial, when set (Controller.AddNode), hears the outcome of
+	// every redial so the controller can journal it.
+	onRedial func(err error)
 }
 
 // DialBroker connects to a broker at addr.
@@ -190,9 +209,9 @@ func DialBroker(addr string) (*BrokerClient, error) {
 		return nil, fmt.Errorf("mgmt: dialing broker %s: %w", addr, err)
 	}
 	return &BrokerClient{
+		addr:    addr,
 		conn:    conn,
-		enc:     json.NewEncoder(conn),
-		dec:     json.NewDecoder(conn),
+		br:      bufio.NewReader(conn),
 		timeout: DefaultBrokerTimeout,
 	}, nil
 }
@@ -204,27 +223,75 @@ func (c *BrokerClient) SetTimeout(d time.Duration) {
 	c.timeout = d
 }
 
-// call performs one request/response exchange.
+// call performs one request/response exchange under one deadline, which
+// also covers the redial when the previous call lost the connection.
 func (c *BrokerClient) call(req request) (response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var deadline time.Time // zero: no deadline
+	if c.timeout > 0 {
+		deadline = time.Now().Add(c.timeout)
+	}
+	if c.conn == nil {
+		if err := c.redial(deadline); err != nil {
+			return response{}, err
+		}
+	}
 	c.nextID++
 	req.ID = c.nextID
-	if c.timeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-			return response{}, fmt.Errorf("mgmt: arming deadline: %w", err)
-		}
-		defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
+	resp, err := c.exchange(req, deadline)
+	if err != nil {
+		_ = c.conn.Close()
+		c.conn, c.br = nil, nil
+		return response{}, err
 	}
-	if err := encode(c.enc, req); err != nil {
+	return resp, nil
+}
+
+// redial replaces a dropped connection: one attempt, within the call's
+// deadline.
+func (c *BrokerClient) redial(deadline time.Time) error {
+	if c.closed {
+		return errors.New("mgmt: broker client is closed")
+	}
+	timeout := DefaultBrokerTimeout
+	if !deadline.IsZero() {
+		timeout = time.Until(deadline)
+	}
+	conn, err := net.DialTimeout("tcp", c.addr, timeout)
+	if c.onRedial != nil {
+		c.onRedial(err)
+	}
+	if err != nil {
+		return fmt.Errorf("mgmt: redialing broker %s: %w", c.addr, err)
+	}
+	c.conn, c.br = conn, bufio.NewReader(conn)
+	return nil
+}
+
+// exchange sends req and reads its reply on the current connection.
+func (c *BrokerClient) exchange(req request, deadline time.Time) (response, error) {
+	if err := c.conn.SetDeadline(deadline); err != nil {
+		return response{}, fmt.Errorf("mgmt: arming deadline: %w", err)
+	}
+	var data []byte
+	if req.Args != nil {
+		data = req.Args.Data
+		req.Payload = data != nil
+	}
+	if err := writeFrame(c.conn, req, data); err != nil {
 		return response{}, err
 	}
 	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
+	payload, err := readFrame(c.br, &resp)
+	if err != nil {
 		return response{}, fmt.Errorf("mgmt: reading broker response: %w", err)
 	}
 	if resp.ID != req.ID {
 		return response{}, fmt.Errorf("mgmt: response id %d for request %d", resp.ID, req.ID)
+	}
+	if resp.Payload && resp.Result != nil {
+		resp.Result.Data = payload
 	}
 	return resp, nil
 }
@@ -260,9 +327,16 @@ func (c *BrokerClient) Install(spec Spec) error {
 	return nil
 }
 
-// Close closes the underlying connection.
+// Close closes the underlying connection; later calls fail without
+// redialing.
 func (c *BrokerClient) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.conn.Close()
+	c.closed = true
+	if c.conn == nil {
+		return nil
+	}
+	err := c.conn.Close()
+	c.conn, c.br = nil, nil
+	return err
 }

@@ -1,7 +1,7 @@
 package mgmt
 
 import (
-	"encoding/json"
+	"bufio"
 	"fmt"
 	"net"
 	"sort"
@@ -18,10 +18,11 @@ import (
 )
 
 // The remote console (§3.1/§3.2). The paper ships a Java-applet GUI; this
-// reproduction exposes the same operations over a JSON line protocol so
-// cmd/console (and tests) can drive the controller remotely, preserving
-// the property that administration happens against a single system image
-// from anywhere on the network.
+// reproduction exposes the same operations over framed messages (wire.go:
+// a JSON envelope, file bytes raw behind it) so cmd/console (and tests)
+// can drive the controller remotely, preserving the property that
+// administration happens against a single system image from anywhere on
+// the network.
 
 // ConsoleRequest is one console command.
 type ConsoleRequest struct {
@@ -34,7 +35,9 @@ type ConsoleRequest struct {
 	Source   config.NodeID   `json:"source,omitempty"`
 	Target   config.NodeID   `json:"target,omitempty"`
 	Nodes    []config.NodeID `json:"nodes,omitempty"`
-	Data     []byte          `json:"data,omitempty"`
+	// Data is the file's bytes for insert and update. It travels as the
+	// frame's payload, never inside the JSON envelope.
+	Data []byte `json:"-"`
 	// loadsite parameters.
 	Objects  int    `json:"objects,omitempty"`
 	Seed     int64  `json:"seed,omitempty"`
@@ -42,6 +45,13 @@ type ConsoleRequest struct {
 	Policy   string `json:"policy,omitempty"`
 	// Limit caps list-shaped replies (traces); 0 means the default.
 	Limit int `json:"limit,omitempty"`
+}
+
+// consoleEnvelope is a ConsoleRequest as it crosses the wire: its JSON
+// fields plus the flag that the frame's payload is Data.
+type consoleEnvelope struct {
+	ConsoleRequest
+	Payload bool `json:"payload,omitempty"`
 }
 
 // ConsoleResponse is the controller's reply.
@@ -148,15 +158,18 @@ func (s *ConsoleServer) Start(addr string) (string, error) {
 
 // serveConn handles one console session.
 func (s *ConsoleServer) serveConn(conn net.Conn) {
-	dec := json.NewDecoder(conn)
-	enc := json.NewEncoder(conn)
+	br := bufio.NewReader(conn)
 	for {
-		var req ConsoleRequest
-		if err := dec.Decode(&req); err != nil {
+		var env consoleEnvelope
+		payload, err := readFrame(br, &env)
+		if err != nil {
+			refuseMismatch(conn, err)
 			return
 		}
-		resp := s.handle(req)
-		if err := encode(enc, resp); err != nil {
+		if env.Payload {
+			env.Data = payload
+		}
+		if err := writeFrame(conn, s.handle(env.ConsoleRequest), nil); err != nil {
 			return
 		}
 	}
@@ -377,8 +390,7 @@ const DefaultConsoleTimeout = 5 * time.Second
 type Console struct {
 	mu      sync.Mutex
 	conn    net.Conn
-	enc     *json.Encoder
-	dec     *json.Decoder
+	br      *bufio.Reader
 	timeout time.Duration
 }
 
@@ -390,8 +402,7 @@ func DialConsole(addr string) (*Console, error) {
 	}
 	return &Console{
 		conn:    conn,
-		enc:     json.NewEncoder(conn),
-		dec:     json.NewDecoder(conn),
+		br:      bufio.NewReader(conn),
 		timeout: DefaultConsoleTimeout,
 	}, nil
 }
@@ -415,12 +426,16 @@ func (c *Console) Do(req ConsoleRequest) (ConsoleResponse, error) {
 		return ConsoleResponse{}, fmt.Errorf("console: arming deadline: %w", err)
 	}
 	defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
-	if err := encode(c.enc, req); err != nil {
-		return ConsoleResponse{}, err
-	}
 	var resp ConsoleResponse
-	if err := c.dec.Decode(&resp); err != nil {
-		return ConsoleResponse{}, fmt.Errorf("console: reading response: %w", err)
+	err := writeFrame(c.conn, consoleEnvelope{req, req.Data != nil}, req.Data)
+	if err == nil {
+		_, err = readFrame(c.br, &resp)
+	}
+	if err != nil {
+		// A frame cut short leaves the stream at an unknown offset:
+		// every later command fails rather than misreads it.
+		_ = c.conn.Close()
+		return ConsoleResponse{}, fmt.Errorf("console: exchange failed, connection closed: %w", err)
 	}
 	if !resp.OK {
 		return resp, fmt.Errorf("console: %s", resp.Error)

@@ -42,11 +42,14 @@ type Controller struct {
 	mu      sync.Mutex
 	brokers map[config.NodeID]*BrokerClient
 	repo    map[string]Spec
-	audit   []string
-	cache   CacheView
-	tel     *telemetry.Telemetry
-	jnl     *journal.Journal
-	dumper  func(reason string) (string, error)
+	// audit is a ring of the newest auditKeep lines; once full,
+	// auditHead is the oldest.
+	audit     []string
+	auditHead int
+	cache     CacheView
+	tel       *telemetry.Telemetry
+	jnl       *journal.Journal
+	dumper    func(reason string) (string, error)
 
 	installsSent int64
 }
@@ -74,23 +77,45 @@ func (c *Controller) AddNode(node config.NodeID, brokerAddr string) error {
 	if err != nil {
 		return fmt.Errorf("controller: %w", err)
 	}
+	client.onRedial = func(err error) { c.journalRedial(node, err) }
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if old, ok := c.brokers[node]; ok {
+	old := c.brokers[node]
+	c.brokers[node] = client
+	c.mu.Unlock()
+	// Closed outside c.mu: a call in flight on old holds old's lock and
+	// may be journaling a redial, which takes c.mu.
+	if old != nil {
 		_ = old.Close()
 	}
-	c.brokers[node] = client
 	return nil
 }
 
 // RemoveNode disconnects node's broker.
 func (c *Controller) RemoveNode(node config.NodeID) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if client, ok := c.brokers[node]; ok {
+	client := c.brokers[node]
+	delete(c.brokers, node)
+	c.mu.Unlock()
+	if client != nil {
 		_ = client.Close()
-		delete(c.brokers, node)
 	}
+}
+
+// journalRedial records that node's broker connection was lost and
+// dialed again; err is the dial's outcome.
+func (c *Controller) journalRedial(node config.NodeID, err error) {
+	detail := "reconnected"
+	if err != nil {
+		detail = err.Error()
+	}
+	c.logf("REDIAL broker %s: %s", node, detail)
+	name := string(node)
+	c.journalView().Record(journal.Event{
+		Actor:  journal.ActorController,
+		Kind:   journal.KindBrokerRedial,
+		Node:   name,
+		Detail: detail,
+	})
 }
 
 // Nodes returns the managed node IDs, sorted.
@@ -353,18 +378,33 @@ func (c *Controller) CacheStats() (stats respcache.Stats, ok bool) {
 	return v.Stats(), true
 }
 
-// logf appends to the audit log.
+// auditKeep is how many audit lines the controller retains: enough to
+// read back the last minutes of a busy console session, small enough
+// that a long-lived distributor's memory does not grow with its uptime
+// and that `console audit` fits one reply.
+const auditKeep = 1024
+
+// logf appends to the audit log, overwriting the oldest line once
+// auditKeep are held.
 func (c *Controller) logf(format string, args ...any) {
+	line := fmt.Sprintf(format, args...)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.audit = append(c.audit, fmt.Sprintf(format, args...))
+	if len(c.audit) < auditKeep {
+		c.audit = append(c.audit, line)
+		return
+	}
+	c.audit[c.auditHead] = line
+	c.auditHead = (c.auditHead + 1) % auditKeep
 }
 
-// AuditLog returns a copy of the audit entries.
+// AuditLog returns a copy of the retained audit entries, oldest first.
 func (c *Controller) AuditLog() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]string(nil), c.audit...)
+	out := make([]string, 0, len(c.audit))
+	out = append(out, c.audit[c.auditHead:]...)
+	return append(out, c.audit[:c.auditHead]...)
 }
 
 // broker returns the client for node.

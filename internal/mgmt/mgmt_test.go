@@ -2,6 +2,7 @@ package mgmt
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -686,6 +687,48 @@ func TestControllerSurvivesBrokerDeath(t *testing.T) {
 	}
 }
 
+// TestAuditLogKeepsNewestLines: the audit log is a ring, not a leak — a
+// long-lived controller holds the newest 1024 lines, oldest first, and
+// the console can still fetch them in one reply.
+func TestAuditLogKeepsNewestLines(t *testing.T) {
+	ctl, _ := newController(t, "n1")
+	obj := content.Object{Path: "/a.html", Size: 1, Class: content.ClassHTML}
+	if err := ctl.Insert(obj, []byte("a"), "n1"); err != nil {
+		t.Fatal(err)
+	}
+	const ops, keep = 10000, 1024
+	for i := 0; i < ops; i++ {
+		if err := ctl.SetPriority("/a.html", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log := ctl.AuditLog()
+	if len(log) != keep {
+		t.Fatalf("audit log holds %d lines after %d operations, want %d", len(log), ops, keep)
+	}
+	for i, line := range log {
+		if want := fmt.Sprintf("OK set priority %d on /a.html", ops-keep+i); line != want {
+			t.Fatalf("audit line %d = %q, want %q", i, line, want)
+		}
+	}
+
+	server := NewConsoleServer(ctl, nil)
+	addr, err := server.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = server.Close() }()
+	console, err := DialConsole(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = console.Close() }()
+	resp, err := console.Do(ConsoleRequest{Op: "audit"})
+	if err != nil || len(resp.Audit) != keep || resp.Audit[keep-1] != log[keep-1] {
+		t.Fatalf("console audit: %d lines, err %v", len(resp.Audit), err)
+	}
+}
+
 // journaledController mirrors the production wiring in cmd/distributor
 // and cmd/backend: a front-end journal attached to the controller plus
 // one journal per node, scraped over OpJournal.
@@ -803,9 +846,11 @@ func TestConsoleJournalDumpExplain(t *testing.T) {
 		Actor: journal.ActorDistributor, Kind: journal.KindFailover,
 		Node: "n1", Path: "/doc.html", Detail: "n2",
 	})
-	var dumpedReason string
+	// a channel, not a shared variable: the reply crossing a socket is an
+	// ordering the race detector cannot see
+	dumped := make(chan string, 1)
 	ctl.SetDumper(func(reason string) (string, error) {
-		dumpedReason = reason
+		dumped <- reason
 		return "/tmp/flight-test.json", nil
 	})
 	srv := NewConsoleServer(ctl, nil)
@@ -851,8 +896,8 @@ func TestConsoleJournalDumpExplain(t *testing.T) {
 	if err != nil || !strings.Contains(resp.Message, "flight-test.json") {
 		t.Fatalf("dump = %+v, %v", resp, err)
 	}
-	if dumpedReason != "operator drill" {
-		t.Fatalf("dump reason = %q", dumpedReason)
+	if reason := <-dumped; reason != "operator drill" {
+		t.Fatalf("dump reason = %q", reason)
 	}
 
 	// explain over the wire.
