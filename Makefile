@@ -20,7 +20,7 @@ BENCH_ADMISSION = BenchmarkAdmissionDecision
 # nodes through both wire hops; its MB/s is what the frame codec bought.
 BENCH_MGMT = BenchmarkMgmtInsert
 
-.PHONY: all vet lint build test race stress chaos sim bench allocguard ci
+.PHONY: all vet lint build test race stress chaos sim bench bench-check allocguard ci
 
 all: ci
 
@@ -116,4 +116,13 @@ allocguard:
 	$(GO) test -run '^$$' -bench '$(BENCH_MGMT)' -benchmem . \
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_mgmt.json -tolerance 8 -mbps-tolerance 0.85
 
-ci: vet lint build test race allocguard
+# The end-to-end harness in bench/ is its own module and compiles against
+# this one's packages, so nothing above builds it. Vet and test it with
+# the build cache and temporary files where bench/run.sh keeps them.
+bench-check: export GOCACHE = $(CURDIR)/.bench_build/gocache
+bench-check: export GOTMPDIR = $(CURDIR)/.bench_build/tmp
+bench-check:
+	mkdir -p $(GOCACHE) $(GOTMPDIR)
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+ci: vet lint build test bench-check race allocguard

@@ -42,14 +42,14 @@ import (
 )
 
 // buildTable loads the §5.2-scale site (≈8700 objects) into a URL table.
-func buildTable(b *testing.B, cacheEntries int) (*urltable.Table, []string) {
+func buildTable(b *testing.B) (*urltable.Table, []string) {
 	b.Helper()
 	gen := content.DefaultGenParams()
 	site, err := content.GenerateSite(gen)
 	if err != nil {
 		b.Fatal(err)
 	}
-	table := urltable.New(urltable.Options{CacheEntries: cacheEntries})
+	table := urltable.New(urltable.Options{})
 	for _, obj := range site.Objects() {
 		if err := table.Insert(obj, "n1"); err != nil {
 			b.Fatal(err)
@@ -67,10 +67,10 @@ func buildTable(b *testing.B, cacheEntries int) (*urltable.Table, []string) {
 }
 
 // BenchmarkURLTableLookup measures the §5.2 routing decision — multi-level
-// hash walk with the entry cache disabled (paper reports 4.32 µs on a
-// 350 MHz distributor for ~8700 objects).
+// hash walk (paper reports 4.32 µs on a 350 MHz distributor for ~8700
+// objects).
 func BenchmarkURLTableLookup(b *testing.B) {
-	table, paths := buildTable(b, 0)
+	table, paths := buildTable(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -81,45 +81,27 @@ func BenchmarkURLTableLookup(b *testing.B) {
 	b.ReportMetric(float64(table.MemoryBytes())/1024, "table-KB")
 }
 
-// BenchmarkURLTableLookupCached is the same with the recently-accessed
-// entry cache enabled (the Mogul demultiplexing-speedup ablation).
-func BenchmarkURLTableLookupCached(b *testing.B) {
-	table, paths := buildTable(b, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := table.Route(paths[i&0xffff]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	st := table.Stats()
-	b.ReportMetric(100*float64(st.CacheHits)/float64(st.Lookups), "cache-hit-%")
-}
-
 // BenchmarkURLTableLookupParallel drives the routing decision from every
 // CPU at once — the distributor's real shape, where each client connection
 // goroutine calls Route concurrently. With the copy-on-write read path
 // this must scale with GOMAXPROCS instead of serialising on a table lock.
+// The one sub-benchmark keeps the name its BENCH_relay.json record was
+// archived under.
 func BenchmarkURLTableLookupParallel(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		entries int
-	}{{"nocache", 0}, {"cached", 1024}} {
-		b.Run(bc.name, func(b *testing.B) {
-			table, paths := buildTable(b, bc.entries)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, err := table.Route(paths[i&0xffff]); err != nil {
-						b.Fatal(err)
-					}
-					i++
+	b.Run("nocache", func(b *testing.B) {
+		table, paths := buildTable(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				if _, err := table.Route(paths[i&0xffff]); err != nil {
+					b.Fatal(err)
 				}
-			})
+				i++
+			}
 		})
-	}
+	})
 }
 
 // BenchmarkURLTableInsert measures table construction cost.
@@ -268,7 +250,7 @@ func liveCluster(b *testing.B, mods ...func(*distributor.Options)) (front string
 		})
 		closers = append(closers, func() { _ = srv.Close() })
 	}
-	table := urltable.New(urltable.Options{CacheEntries: 64})
+	table := urltable.New(urltable.Options{})
 	for path, size := range benchObjects {
 		obj := content.Object{Path: path, Size: int64(size), Class: content.ClassHTML}
 		if err := table.Insert(obj, "n1", "n2"); err != nil {
@@ -481,74 +463,59 @@ func BenchmarkDistributorRelayLarge(b *testing.B) {
 }
 
 // BenchmarkDistributorRelayParallel drives at least GOMAXPROCS (and at
-// least 4) concurrent keep-alive clients through the front end at once —
-// the shape where per-core sharding pays. Bodies are small (4 KiB) so
-// per-request overhead (accept locality, mapping-table stripes, pool
-// checkout, buffer pools) dominates over raw byte-moving; MB/s is the
-// aggregate across all clients. The sharded/unsharded pair quantifies
-// the win: sharded runs one shard per core (REUSEPORT accept, private
-// pools and idle stripes, at least 4 so the sharded layout is exercised
-// even on small machines), unsharded is the single-shard layout. The
-// speedup scales with cores — on a single-core host the two layouts
-// bound each other (the benchmark then only proves sharding costs
-// nothing), so judge the ratio together with GOMAXPROCS.
+// least 4) concurrent keep-alive clients through the front end at once.
+// Bodies are small (4 KiB) so per-request overhead (accept, mapping
+// table, pool checkout, buffer pools) dominates over raw byte-moving;
+// MB/s is the aggregate across all clients. The one sub-benchmark keeps
+// the name its BENCH_relay.json record was archived under.
 func BenchmarkDistributorRelayParallel(b *testing.B) {
 	procs := runtime.GOMAXPROCS(0)
-	shards := procs
-	if shards < 4 {
-		shards = 4
+	clients := procs
+	if clients < 4 {
+		clients = 4
 	}
-	for _, bc := range []struct {
-		name   string
-		shards int
-	}{
-		{"sharded", shards},
-		{"unsharded", 1},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			front, cleanup := liveCluster(b, func(o *distributor.Options) {
-				o.Shards = bc.shards
-				o.MaxConnsPerNode = 4 * shards
-			})
-			defer cleanup()
-			if procs < 4 {
-				// ≥4 concurrent clients even on small machines.
-				b.SetParallelism((4 + procs - 1) / procs)
+	b.Run("unsharded", func(b *testing.B) {
+		front, cleanup := liveCluster(b, func(o *distributor.Options) {
+			o.MaxConnsPerNode = 4 * clients
+		})
+		defer cleanup()
+		if procs < 4 {
+			// ≥4 concurrent clients even on small machines.
+			b.SetParallelism((4 + procs - 1) / procs)
+		}
+		b.SetBytes(4096)
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			conn, err := net.Dial("tcp", front)
+			if err != nil {
+				b.Error(err)
+				return
 			}
-			b.SetBytes(4096)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				conn, err := net.Dial("tcp", front)
-				if err != nil {
+			defer func() { _ = conn.Close() }()
+			br := httpx.AcquireReader(conn)
+			defer httpx.ReleaseReader(br)
+			req := &httpx.Request{
+				Method: "GET", Target: "/bench.html", Path: "/bench.html",
+				Proto: httpx.Proto11, Header: httpx.NewHeader("Host", "c"),
+			}
+			for pb.Next() {
+				if err := httpx.WriteRequest(conn, req); err != nil {
 					b.Error(err)
 					return
 				}
-				defer func() { _ = conn.Close() }()
-				br := httpx.AcquireReader(conn)
-				defer httpx.ReleaseReader(br)
-				req := &httpx.Request{
-					Method: "GET", Target: "/bench.html", Path: "/bench.html",
-					Proto: httpx.Proto11, Header: httpx.NewHeader("Host", "c"),
+				resp, err := httpx.ReadResponseHeader(br)
+				if err != nil || resp.StatusCode != 200 {
+					b.Errorf("resp %v %v", resp, err)
+					return
 				}
-				for pb.Next() {
-					if err := httpx.WriteRequest(conn, req); err != nil {
-						b.Error(err)
-						return
-					}
-					resp, err := httpx.ReadResponseHeader(br)
-					if err != nil || resp.StatusCode != 200 {
-						b.Errorf("resp %v %v", resp, err)
-						return
-					}
-					if _, err := httpx.CopyBody(io.Discard, br, resp.ContentLength); err != nil {
-						b.Error(err)
-						return
-					}
+				if _, err := httpx.CopyBody(io.Discard, br, resp.ContentLength); err != nil {
+					b.Error(err)
+					return
 				}
-			})
+			}
 		})
-	}
+	})
 }
 
 // BenchmarkDistributorCacheHit measures one keep-alive request answered

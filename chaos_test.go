@@ -93,7 +93,7 @@ func startChaosCluster(t *testing.T, in *faults.Injector, n int, mods ...func(*d
 		cc.stores[id] = store
 		t.Cleanup(func() { _ = srv.Close() })
 	}
-	cc.table = urltable.New(urltable.Options{CacheEntries: 256})
+	cc.table = urltable.New(urltable.Options{})
 	opts := distributor.Options{
 		Table:           cc.table,
 		Cluster:         cc.spec,

@@ -1,6 +1,6 @@
 // Command distlint runs the repo's analyzer suite (see internal/lint)
 // over the module: pooledescape, cowdiscipline, deadlinecheck,
-// faulthook, leakcheck, lockscope, queuewait, and shardaffinity — the
+// faulthook, journalsafe, leakcheck, lockscope, and queuewait — the
 // checks that machine-enforce the concurrency and data-path invariants
 // of the hot paths.
 //

@@ -17,7 +17,6 @@ import (
 	_ "net/http/pprof" // registered on the -pprof server's mux only
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -46,7 +45,6 @@ func main() {
 	replAddr := flag.String("repl", "", "state-replication listen address (for backups)")
 	backupOf := flag.String("backup-of", "", "run as backup of the primary replicating at this address")
 	prefork := flag.Int("prefork", 4, "pre-forked connections per node")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "accept/relay shards (per-core data-plane partitions; 1 = unsharded)")
 	balanceEvery := flag.Duration("balance", 0, "auto-balance interval (0 = off)")
 	cacheMB := flag.Int64("cache-mb", 0, "front-end response cache budget in MiB (0 = off)")
 	cacheFresh := flag.Duration("cache-fresh", 5*time.Second, "response-cache freshness TTL")
@@ -90,7 +88,7 @@ func main() {
 	if *admit {
 		admCfg = &admission.Options{MaxConcurrent: *admitMax, QueueTarget: *admitTarget}
 	}
-	if err := run(*clusterFile, *listen, *consoleAddr, *replAddr, *backupOf, *tableFile, *accessLog, *prefork, *shards, *balanceEvery, cacheOpts, telCfg, admCfg); err != nil {
+	if err := run(*clusterFile, *listen, *consoleAddr, *replAddr, *backupOf, *tableFile, *accessLog, *prefork, *balanceEvery, cacheOpts, telCfg, admCfg); err != nil {
 		fmt.Fprintln(os.Stderr, "distributor:", err)
 		os.Exit(1)
 	}
@@ -144,7 +142,7 @@ func parseBudgets(s string) ([]journal.Budget, error) {
 	return out, nil
 }
 
-func run(clusterFile, listen, consoleAddr, replAddr, backupOf, tableFile, accessLog string, prefork, shards int, balanceEvery time.Duration, cacheCfg cacheConfig, telCfg telConfig, admCfg *admission.Options) error {
+func run(clusterFile, listen, consoleAddr, replAddr, backupOf, tableFile, accessLog string, prefork int, balanceEvery time.Duration, cacheCfg cacheConfig, telCfg telConfig, admCfg *admission.Options) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
@@ -159,10 +157,10 @@ func run(clusterFile, listen, consoleAddr, replAddr, backupOf, tableFile, access
 		return err
 	}
 
-	table := urltable.New(urltable.Options{CacheEntries: 4096})
+	table := urltable.New(urltable.Options{})
 	if tableFile != "" {
 		if _, statErr := os.Stat(tableFile); statErr == nil {
-			restored, lerr := urltable.LoadFile(tableFile, urltable.Options{CacheEntries: 4096})
+			restored, lerr := urltable.LoadFile(tableFile, urltable.Options{})
 			if lerr != nil {
 				return lerr
 			}
@@ -191,7 +189,6 @@ func run(clusterFile, listen, consoleAddr, replAddr, backupOf, tableFile, access
 		Table:          table,
 		Cluster:        spec,
 		PreforkPerNode: prefork,
-		Shards:         shards,
 		Telemetry:      tel,
 		Journal:        jnl,
 	}

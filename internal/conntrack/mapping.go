@@ -27,22 +27,6 @@ type ClientKey struct {
 // String formats the key as ip:port.
 func (k ClientKey) String() string { return fmt.Sprintf("%s:%d", k.IP, k.Port) }
 
-// hash folds the key FNV-1a style for stripe selection. Client ports
-// dominate the entropy on a busy distributor (many connections from few
-// proxy IPs), so the port is mixed in byte-wise after the address.
-func (k ClientKey) hash() uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(k.IP); i++ {
-		h ^= uint32(k.IP[i])
-		h *= 16777619
-	}
-	h ^= uint32(k.Port & 0xff)
-	h *= 16777619
-	h ^= uint32(k.Port >> 8 & 0xff)
-	h *= 16777619
-	return h
-}
-
 // Entry is one mapping-table row: the tracked connection's state, TCP
 // bookkeeping, and — once bound — the chosen back end.
 type Entry struct {
@@ -62,74 +46,34 @@ type Entry struct {
 	Created time.Time
 }
 
-// mappingStripe is one lock domain of the table. Connections hash to a
-// stripe by client key, so a connection's Install/Advance/Bind traffic
-// never contends with connections on other stripes.
-type mappingStripe struct {
+// MappingTable tracks all live client connections. The zero value is not
+// usable; construct with NewMappingTable.
+type MappingTable struct {
 	mu      sync.RWMutex
 	entries map[ClientKey]*Entry
+	now     func() time.Time
 
 	installed int64
 	deleted   int64
 }
 
-// MappingTable tracks all live client connections, partitioned into
-// power-of-two lock stripes keyed by client address. The zero value is
-// not usable; construct with NewMappingTable (one stripe) or
-// NewMappingTableStriped.
-type MappingTable struct {
-	stripes []*mappingStripe
-	mask    uint32
-	now     func() time.Time
-}
-
-// NewMappingTable returns an empty single-stripe table using the wall
-// clock.
+// NewMappingTable returns an empty table using the wall clock.
 func NewMappingTable() *MappingTable {
 	return NewMappingTableAt(time.Now)
 }
 
-// NewMappingTableAt returns an empty single-stripe table reading time
-// from now.
+// NewMappingTableAt returns an empty table reading time from now.
 func NewMappingTableAt(now func() time.Time) *MappingTable {
-	return newMappingTable(1, now)
-}
-
-// NewMappingTableStriped returns an empty table with at least n lock
-// stripes (rounded up to a power of two), for sharded front ends where a
-// single table mutex would serialize every request.
-func NewMappingTableStriped(n int) *MappingTable {
-	return newMappingTable(n, time.Now)
-}
-
-func newMappingTable(n int, now func() time.Time) *MappingTable {
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	t := &MappingTable{
-		stripes: make([]*mappingStripe, size),
-		mask:    uint32(size - 1),
-		now:     now,
-	}
-	for i := range t.stripes {
-		t.stripes[i] = &mappingStripe{entries: make(map[ClientKey]*Entry)}
-	}
-	return t
-}
-
-func (t *MappingTable) stripe(key ClientKey) *mappingStripe {
-	return t.stripes[key.hash()&t.mask]
+	return &MappingTable{entries: make(map[ClientKey]*Entry), now: now}
 }
 
 // Install creates the entry for a new connection in SYN_RECEIVED state,
 // recording the client's initial sequence number as the paper's distributor
 // does on SYN receipt.
 func (t *MappingTable) Install(key ClientKey, seq, ack uint32) (*Entry, error) {
-	s := t.stripe(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.entries[key]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrEntryExists, key)
 	}
 	e := &Entry{
@@ -139,18 +83,17 @@ func (t *MappingTable) Install(key ClientKey, seq, ack uint32) (*Entry, error) {
 		Ack:     ack,
 		Created: t.now(),
 	}
-	s.entries[key] = e
-	s.installed++
+	t.entries[key] = e
+	t.installed++
 	return e, nil
 }
 
 // Advance applies ev to the entry for key, deleting it when it reaches
 // CLOSED. It returns the post-event state.
 func (t *MappingTable) Advance(key ClientKey, ev Event) (State, error) {
-	s := t.stripe(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.entries[key]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrEntryNotFound, key)
 	}
@@ -163,18 +106,17 @@ func (t *MappingTable) Advance(key ClientKey, ev Event) (State, error) {
 		e.Requests++
 	}
 	if next == StateClosed {
-		delete(s.entries, key)
-		s.deleted++
+		delete(t.entries, key)
+		t.deleted++
 	}
 	return next, nil
 }
 
 // Bind records the back end chosen for key's current request.
 func (t *MappingTable) Bind(key ClientKey, backend config.NodeID) error {
-	s := t.stripe(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e, ok := t.entries[key]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrEntryNotFound, key)
 	}
@@ -184,10 +126,9 @@ func (t *MappingTable) Bind(key ClientKey, backend config.NodeID) error {
 
 // Get returns a copy of the entry for key.
 func (t *MappingTable) Get(key ClientKey) (Entry, bool) {
-	s := t.stripe(key)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.entries[key]
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	e, ok := t.entries[key]
 	if !ok {
 		return Entry{}, false
 	}
@@ -196,26 +137,19 @@ func (t *MappingTable) Get(key ClientKey) (Entry, bool) {
 
 // Len returns the number of live entries.
 func (t *MappingTable) Len() int {
-	n := 0
-	for _, s := range t.stripes {
-		s.mu.RLock()
-		n += len(s.entries)
-		s.mu.RUnlock()
-	}
-	return n
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.entries)
 }
 
 // Snapshot returns copies of all live entries (state-replication input for
-// the backup distributor). Stripes are snapshotted one at a time; each
-// stripe is internally consistent.
+// the backup distributor).
 func (t *MappingTable) Snapshot() []Entry {
-	out := make([]Entry, 0, t.Len())
-	for _, s := range t.stripes {
-		s.mu.RLock()
-		for _, e := range s.entries {
-			out = append(out, *e)
-		}
-		s.mu.RUnlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]Entry, 0, len(t.entries))
+	for _, e := range t.entries {
+		out = append(out, *e)
 	}
 	return out
 }
@@ -223,23 +157,17 @@ func (t *MappingTable) Snapshot() []Entry {
 // Restore installs entries wholesale (backup takeover path). Existing
 // entries with the same key are overwritten.
 func (t *MappingTable) Restore(entries []Entry) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for _, e := range entries {
-		s := t.stripe(e.Key)
-		s.mu.Lock()
 		copied := e
-		s.entries[e.Key] = &copied
-		s.mu.Unlock()
+		t.entries[e.Key] = &copied
 	}
 }
 
 // Counts reports lifetime install/delete totals and the live count.
 func (t *MappingTable) Counts() (installed, deleted int64, live int) {
-	for _, s := range t.stripes {
-		s.mu.RLock()
-		installed += s.installed
-		deleted += s.deleted
-		live += len(s.entries)
-		s.mu.RUnlock()
-	}
-	return installed, deleted, live
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.installed, t.deleted, len(t.entries)
 }

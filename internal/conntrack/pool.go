@@ -29,21 +29,14 @@ type PooledConn struct {
 	Reader *bufio.Reader
 	// Uses counts requests relayed over this connection.
 	Uses int
-	// shard is the idle stripe this connection is homed to; Release
-	// routes it back there so a front-end shard keeps reusing the same
-	// back-end connections (cache-warm sockets, no cross-CPU bouncing).
-	shard int
 }
 
-// nodePool is the per-node idle state plus dial accounting. Idle
-// connections are striped by front-end shard; all stripes share one
-// mutex and condition (dial capacity is a per-node property), so shard
-// affinity never introduces a second lock order.
+// nodePool is the per-node idle list plus dial accounting.
 type nodePool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	idle   [][]*PooledConn // indexed by shard
-	total  int             // idle + checked out
+	idle   []*PooledConn
+	total  int // idle + checked out
 	max    int
 	closed bool
 }
@@ -58,7 +51,6 @@ type Pool struct {
 	dial     Dialer
 	prefork  int
 	max      int
-	shards   int
 	faults   *faults.Injector
 	mu       sync.Mutex
 	nodes    map[config.NodeID]*nodePool
@@ -70,16 +62,6 @@ type Pool struct {
 // allows up to max concurrent connections per node (max < prefork is
 // raised to prefork).
 func NewPool(dial Dialer, prefork, max int) *Pool {
-	return NewPoolSharded(dial, prefork, max, 1)
-}
-
-// NewPoolSharded is NewPool with the idle lists striped across shards
-// (values < 1 mean one stripe). AcquireShard(node, s) prefers stripe s
-// and Release homes connections back to the stripe they were acquired
-// for, so each front-end shard converges on a private set of back-end
-// sockets; stripes steal from each other before dialing, so striping
-// never increases the connection count.
-func NewPoolSharded(dial Dialer, prefork, max, shards int) *Pool {
 	if prefork < 0 {
 		prefork = 0
 	}
@@ -89,14 +71,10 @@ func NewPoolSharded(dial Dialer, prefork, max, shards int) *Pool {
 	if max == 0 {
 		max = 1
 	}
-	if shards < 1 {
-		shards = 1
-	}
 	return &Pool{
 		dial:    dial,
 		prefork: prefork,
 		max:     max,
-		shards:  shards,
 		nodes:   make(map[config.NodeID]*nodePool),
 	}
 }
@@ -127,7 +105,7 @@ func (p *Pool) nodeFor(node config.NodeID) (*nodePool, error) {
 	}
 	np, ok := p.nodes[node]
 	if !ok {
-		np = &nodePool{max: p.max, idle: make([][]*PooledConn, p.shards)}
+		np = &nodePool{max: p.max}
 		np.cond = sync.NewCond(&np.mu)
 		p.nodes[node] = np
 	}
@@ -150,9 +128,8 @@ func (p *Pool) Prefork(nodes []config.NodeID) error {
 				errs = append(errs, fmt.Errorf("prefork %s: %w", node, err))
 				break
 			}
-			pc.shard = i % p.shards
 			np.mu.Lock()
-			np.idle[pc.shard] = append(np.idle[pc.shard], pc)
+			np.idle = append(np.idle, pc)
 			np.total++
 			np.mu.Unlock()
 		}
@@ -187,14 +164,6 @@ func releaseReader(pc *PooledConn) {
 // one, dialing a fresh one when under the per-node maximum, and otherwise
 // blocking until a connection is released.
 func (p *Pool) Acquire(node config.NodeID) (*PooledConn, error) {
-	return p.AcquireShard(node, 0)
-}
-
-// AcquireShard is Acquire with stripe affinity: it prefers the caller
-// shard's idle stripe, steals from a sibling stripe (re-homing the
-// connection to shard) before dialing, and blocks only when the node is
-// at its connection maximum with nothing idle anywhere.
-func (p *Pool) AcquireShard(node config.NodeID, shard int) (*PooledConn, error) {
 	if err := p.injector().Fail("pool.checkout/" + string(node)); err != nil {
 		return nil, fmt.Errorf("checkout %s: %w", node, err)
 	}
@@ -202,28 +171,18 @@ func (p *Pool) AcquireShard(node config.NodeID, shard int) (*PooledConn, error) 
 	if err != nil {
 		return nil, err
 	}
-	if shard < 0 || shard >= p.shards {
-		shard = 0
-	}
 	np.mu.Lock()
 	for {
 		if np.closed {
 			np.mu.Unlock()
 			return nil, ErrPoolClosed
 		}
-		for i := 0; i < p.shards; i++ {
-			s := shard + i
-			if s >= p.shards {
-				s -= p.shards
-			}
-			if n := len(np.idle[s]); n > 0 {
-				pc := np.idle[s][n-1]
-				np.idle[s][n-1] = nil
-				np.idle[s] = np.idle[s][:n-1]
-				pc.shard = shard
-				np.mu.Unlock()
-				return pc, nil
-			}
+		if n := len(np.idle); n > 0 {
+			pc := np.idle[n-1]
+			np.idle[n-1] = nil
+			np.idle = np.idle[:n-1]
+			np.mu.Unlock()
+			return pc, nil
 		}
 		if np.total < np.max {
 			np.total++
@@ -236,7 +195,6 @@ func (p *Pool) AcquireShard(node config.NodeID, shard int) (*PooledConn, error) 
 				np.mu.Unlock()
 				return nil, err
 			}
-			pc.shard = shard
 			p.mu.Lock()
 			p.overflow++
 			p.mu.Unlock()
@@ -246,7 +204,7 @@ func (p *Pool) AcquireShard(node config.NodeID, shard int) (*PooledConn, error) 
 	}
 }
 
-// Release returns a healthy connection to its home stripe's idle list.
+// Release returns a healthy connection to the idle list.
 func (p *Pool) Release(pc *PooledConn) {
 	np, err := p.nodeFor(pc.Node)
 	if err != nil {
@@ -262,7 +220,7 @@ func (p *Pool) Release(pc *PooledConn) {
 		return
 	}
 	pc.Uses++
-	np.idle[pc.shard] = append(np.idle[pc.shard], pc)
+	np.idle = append(np.idle, pc)
 	np.cond.Signal()
 }
 
@@ -290,11 +248,7 @@ func (p *Pool) IdleCount(node config.NodeID) int {
 	}
 	np.mu.Lock()
 	defer np.mu.Unlock()
-	n := 0
-	for _, s := range np.idle {
-		n += len(s)
-	}
-	return n
+	return len(np.idle)
 }
 
 // OverflowDials returns how many connections were dialed beyond the
@@ -324,15 +278,13 @@ func (p *Pool) Close() error {
 	for _, np := range nodes {
 		np.mu.Lock()
 		np.closed = true
-		for s := range np.idle {
-			for _, pc := range np.idle[s] {
-				if err := pc.Conn.Close(); err != nil {
-					errs = append(errs, err)
-				}
-				releaseReader(pc)
+		for _, pc := range np.idle {
+			if err := pc.Conn.Close(); err != nil {
+				errs = append(errs, err)
 			}
-			np.idle[s] = nil
+			releaseReader(pc)
 		}
+		np.idle = nil
 		np.cond.Broadcast()
 		np.mu.Unlock()
 	}

@@ -138,11 +138,6 @@ type Options struct {
 	// PreforkPerNode is the distributor's persistent-connection count
 	// per node.
 	PreforkPerNode int
-	// DistributorShards is the distributor's per-core accept/relay shard
-	// count (SO_REUSEPORT listeners where available); 0 means unsharded.
-	DistributorShards int
-	// TableCacheEntries sizes the URL table's entry cache.
-	TableCacheEntries int
 	// BalanceInterval enables the auto-balancer loop when positive.
 	BalanceInterval time.Duration
 	// BalanceOptions tunes the §3.3 planner.
@@ -261,11 +256,7 @@ func Launch(opts Options) (cluster *Cluster, err error) {
 		}
 	}()
 
-	cacheEntries := opts.TableCacheEntries
-	if cacheEntries == 0 {
-		cacheEntries = 1024
-	}
-	c.Table = urltable.New(urltable.Options{CacheEntries: cacheEntries})
+	c.Table = urltable.New(urltable.Options{})
 	c.Controller = mgmt.NewController(c.Table)
 	c.Journal = journal.New(journal.Options{Node: "front", Size: opts.JournalSize})
 	c.Controller.SetJournal(c.Journal)
@@ -339,7 +330,6 @@ func Launch(opts Options) (cluster *Cluster, err error) {
 		Cluster:        spec,
 		Picker:         opts.Picker,
 		PreforkPerNode: opts.PreforkPerNode,
-		Shards:         opts.DistributorShards,
 		Faults:         opts.Faults,
 		Cache:          c.Cache,
 		Telemetry:      c.Telemetry,

@@ -95,23 +95,6 @@ type Options struct {
 	// disables admission entirely — the request path is then identical
 	// to a build without the subsystem.
 	Admission *admission.Options
-	// Shards is the number of accept/relay shards (per-core data-plane
-	// partitions). Each shard gets its own SO_REUSEPORT listener where
-	// the platform supports it (striped accept goroutines on one
-	// listener otherwise), its own httpx buffer pools, a private
-	// conntrack idle stripe per back end, and a mapping-table lock
-	// stripe count to match, so hot connections stop bouncing between
-	// CPUs. Default 1 (the unsharded layout).
-	Shards int
-}
-
-// shard is one data-plane partition of the distributor: a listener (or
-// accept stripe), private buffer pools, and an id selecting the
-// conntrack idle stripe. Every connection is served start-to-finish by
-// the shard that accepted it.
-type shard struct {
-	id    int
-	pools *httpx.Pools
 }
 
 // Distributor is the content-aware front end. Construct with New.
@@ -121,6 +104,9 @@ type Distributor struct {
 	picker  loadbal.Picker
 	pool    *conntrack.Pool
 	mapping *conntrack.MappingTable
+	// pools holds the data plane's reusable readers, requests and relay
+	// buffers.
+	pools   *httpx.Pools
 	tracker *loadbal.Tracker
 	cache   *respcache.Cache
 	adm     *admission.Controller
@@ -137,14 +123,12 @@ type Distributor struct {
 	exchangeRetries int
 	retryBackoff    time.Duration
 
-	shards []*shard
-
-	mu        sync.Mutex
-	listeners []net.Listener
-	conns     map[net.Conn]struct{}
-	closed    chan struct{}
-	closeOne  sync.Once
-	wg        sync.WaitGroup
+	mu       sync.Mutex
+	listener net.Listener
+	conns    map[net.Conn]struct{}
+	closed   chan struct{}
+	closeOne sync.Once
+	wg       sync.WaitGroup
 
 	tel *telemetry.Telemetry
 	jnl *journal.Journal
@@ -220,15 +204,12 @@ func New(opts Options) (*Distributor, error) {
 	if opts.Cache != nil {
 		registerCacheMetrics(stats, opts.Cache)
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = 1
-	}
 	d := &Distributor{
 		table:     opts.Table,
 		cluster:   opts.Cluster,
 		picker:    picker,
-		mapping:   conntrack.NewMappingTableStriped(shards),
+		mapping:   conntrack.NewMappingTable(),
+		pools:     httpx.NewPools(),
 		cache:     opts.Cache,
 		tel:       opts.Telemetry,
 		jnl:       opts.Journal,
@@ -243,22 +224,18 @@ func New(opts Options) (*Distributor, error) {
 		exchangeRetries: exchangeRetries,
 		retryBackoff:    retryBackoff,
 	}
-	d.shards = make([]*shard, shards)
-	for i := range d.shards {
-		d.shards[i] = &shard{id: i, pools: httpx.NewPools()}
-	}
 	addrs := make(map[config.NodeID]string, len(opts.Cluster.Nodes))
 	for _, n := range opts.Cluster.Nodes {
 		addrs[n.ID] = n.Addr
 		d.active[n.ID] = &atomic.Int64{}
 	}
-	d.pool = conntrack.NewPoolSharded(func(node config.NodeID) (net.Conn, error) {
+	d.pool = conntrack.NewPool(func(node config.NodeID) (net.Conn, error) {
 		addr, ok := addrs[node]
 		if !ok {
 			return nil, fmt.Errorf("%w: unknown node %s", ErrNoBackend, node)
 		}
 		return net.DialTimeout("tcp", addr, 2*time.Second)
-	}, prefork, maxConns, shards)
+	}, prefork, maxConns)
 	d.pool.SetFaults(opts.Faults)
 	if opts.Admission != nil {
 		admOpts := *opts.Admission
@@ -327,48 +304,29 @@ func (d *Distributor) MeanRouteOverhead() time.Duration {
 
 // Start pre-forks connections to every node, then listens on addr (":0"
 // for ephemeral) and serves in the background, returning the bound
-// address. With Shards > 1 each shard accepts on its own SO_REUSEPORT
-// listener bound to the same address where the platform supports it (the
-// kernel then spreads incoming connections across shards); otherwise all
-// shards run striped accept loops on one shared listener.
+// address.
 func (d *Distributor) Start(addr string) (string, error) {
 	if err := d.pool.Prefork(d.cluster.NodeIDs()); err != nil {
 		return "", fmt.Errorf("distributor: prefork: %w", err)
 	}
-	listeners, err := listenShards(addr, len(d.shards))
+	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("distributor: listen: %w", err)
 	}
 	d.mu.Lock()
-	d.listeners = listeners
+	d.listener = l
 	d.mu.Unlock()
-	for i, s := range d.shards {
-		l := listeners[0]
-		if len(listeners) == len(d.shards) {
-			l = listeners[i]
-		}
-		d.wg.Add(1)
-		go func(l net.Listener, s *shard) {
-			defer d.wg.Done()
-			d.acceptLoop(l, s)
-		}(l, s)
-	}
-	return listeners[0].Addr().String(), nil
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		d.acceptLoop(l)
+	}()
+	return l.Addr().String(), nil
 }
 
-// listenSingle is the one-shared-listener shape of listenShards: the
-// unsharded layout, and the fallback when a REUSEPORT group can't be
-// assembled.
-func listenSingle(addr string) ([]net.Listener, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return []net.Listener{l}, nil
-}
-
-// acceptLoop accepts client connections for one shard until Close.
-func (d *Distributor) acceptLoop(l net.Listener, s *shard) {
+// acceptLoop accepts client connections until Close, serving each on its
+// own goroutine.
+func (d *Distributor) acceptLoop(l net.Listener) {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -393,7 +351,7 @@ func (d *Distributor) acceptLoop(l net.Listener, s *shard) {
 				delete(d.conns, conn)
 				d.mu.Unlock()
 			}()
-			d.serveClient(s, conn)
+			d.serveClient(conn)
 		}()
 	}
 }
@@ -415,7 +373,7 @@ func clientKey(conn net.Conn) conntrack.ClientKey {
 // through the pipeline in exchange.go. Pipelined HTTP/1.1 requests drain
 // in-loop — buffered bytes from the same read feed the next iteration
 // directly.
-func (d *Distributor) serveClient(s *shard, client net.Conn) {
+func (d *Distributor) serveClient(client net.Conn) {
 	key := clientKey(client)
 	// The accept completing stands in for the SYN/ACK exchange; Go hands
 	// us the connection post-handshake, so install then mark established.
@@ -425,14 +383,14 @@ func (d *Distributor) serveClient(s *shard, client net.Conn) {
 	if _, err := d.mapping.Advance(key, conntrack.EventHandshakeDone); err != nil {
 		return
 	}
-	// Reader and request come from the shard's pools and are reused across
+	// Reader and request come from the pools and are reused across
 	// every keep-alive request on this connection, so steady-state parsing
 	// allocates nothing.
-	br := s.pools.AcquireReader(client)
-	defer s.pools.ReleaseReader(br)
-	req := s.pools.AcquireRequest()
-	defer s.pools.ReleaseRequest(req)
-	x := exchange{d: d, s: s, client: client, key: key, req: req}
+	br := d.pools.AcquireReader(client)
+	defer d.pools.ReleaseReader(br)
+	req := d.pools.AcquireRequest()
+	defer d.pools.ReleaseRequest(req)
+	x := exchange{d: d, client: client, key: key, req: req}
 	clean := false
 	for {
 		err := x.parse(br)
@@ -440,6 +398,12 @@ func (d *Distributor) serveClient(s *shard, client net.Conn) {
 			// Client FIN with no request in flight.
 			x.closeSpan("client-fin")
 			clean = true
+			break
+		}
+		if errors.Is(err, httpx.ErrBodyTooLarge) {
+			// The request line and headers parsed; the body was refused
+			// unread, so the stream cannot carry another request.
+			x.replyError(413, "request body too large\n", outTooLarge)
 			break
 		}
 		if err != nil {
@@ -488,7 +452,7 @@ func idempotent(req *httpx.Request) bool {
 //
 // On success the exchange deadline is still armed; the caller clears it
 // after relaying the body.
-func (d *Distributor) exchangeStart(s *shard, node config.NodeID, req *httpx.Request) (*conntrack.PooledConn, *httpx.Response, error) {
+func (d *Distributor) exchangeStart(node config.NodeID, req *httpx.Request) (*conntrack.PooledConn, *httpx.Response, error) {
 	// In flight against node for as long as the header exchange runs; the
 	// pickers and the admission pressure signal read this.
 	active := d.active[node]
@@ -506,11 +470,11 @@ func (d *Distributor) exchangeStart(s *shard, node config.NodeID, req *httpx.Req
 				backoff *= 2
 			}
 		}
-		pc, err := d.pool.AcquireShard(node, s.id)
+		pc, err := d.pool.Acquire(node)
 		if err != nil {
 			return nil, nil, fmt.Errorf("acquiring connection to %s: %w", node, err)
 		}
-		resp, err := d.attemptStart(s, pc, req)
+		resp, err := d.attemptStart(pc, req)
 		if err != nil {
 			d.pool.Discard(pc)
 			lastErr = fmt.Errorf("exchange with %s: %w", node, err)
@@ -525,13 +489,13 @@ func (d *Distributor) exchangeStart(s *shard, node config.NodeID, req *httpx.Req
 // Connection dropped on the wire — no clone; head and body leave in one
 // vectored write) and parses the response header. The deadline is left
 // armed: it also bounds the body relay.
-func (d *Distributor) attemptStart(s *shard, pc *conntrack.PooledConn, req *httpx.Request) (*httpx.Response, error) {
+func (d *Distributor) attemptStart(pc *conntrack.PooledConn, req *httpx.Request) (*httpx.Response, error) {
 	if d.exchangeTimeout > 0 {
 		if err := pc.Conn.SetDeadline(time.Now().Add(d.exchangeTimeout)); err != nil {
 			return nil, fmt.Errorf("arming deadline: %w", err)
 		}
 	}
-	if err := s.pools.WriteProxyRequest(pc.Conn, req); err != nil {
+	if err := d.pools.WriteProxyRequest(pc.Conn, req); err != nil {
 		return nil, fmt.Errorf("forwarding: %w", err)
 	}
 	resp, err := httpx.ReadResponseHeader(pc.Reader)
@@ -626,8 +590,8 @@ func (d *Distributor) Close() error {
 	d.closeOne.Do(func() {
 		close(d.closed)
 		d.mu.Lock()
-		for _, l := range d.listeners {
-			errs = append(errs, l.Close())
+		if d.listener != nil {
+			errs = append(errs, d.listener.Close())
 		}
 		for conn := range d.conns {
 			_ = conn.Close()

@@ -62,7 +62,7 @@ func startClusterOpts(t *testing.T, n int, tweak func(*Options)) *testCluster {
 		backends[id] = srv
 		t.Cleanup(func() { _ = srv.Close() })
 	}
-	table := urltable.New(urltable.Options{CacheEntries: 64})
+	table := urltable.New(urltable.Options{})
 	opts := Options{Table: table, Cluster: spec, PreforkPerNode: 2}
 	if tweak != nil {
 		tweak(&opts)

@@ -27,7 +27,6 @@ import (
 	"webcluster/internal/respcache"
 	"webcluster/internal/telemetry"
 	"webcluster/internal/trace"
-	"webcluster/internal/urltable"
 )
 
 // errNoRoute is fetch's error for a path the URL table does not resolve.
@@ -43,6 +42,7 @@ const (
 	outShed       = "shed"
 	outRelayError = "relay-error"
 	outParseError = "parse-error"
+	outTooLarge   = "body-too-large"
 )
 
 // exchange is the state of one client connection's current request. It
@@ -50,17 +50,11 @@ const (
 // each request — so carrying a request through the stages allocates
 // nothing.
 type exchange struct {
-	// Fixed for the connection. The connection is pinned to the shard
-	// that accepted it: buffers come from the shard's pools and back-end
-	// checkouts prefer the shard's idle stripe. hint memoises the last
-	// route, so a pipelined repeat lookup is one pointer compare instead
-	// of re-entering the shared router state.
+	// Fixed for the connection.
 	d      *Distributor
-	s      *shard
 	client net.Conn
 	key    conntrack.ClientKey
 	req    *httpx.Request
-	hint   urltable.Hint
 
 	requestState
 }
@@ -99,9 +93,11 @@ func (x *exchange) parse(br *bufio.Reader) error {
 	err := httpx.ReadRequestInto(br, x.req)
 	x.start = time.Now()
 	x.span.MarkParse()
-	if err != nil {
+	if err != nil && !errors.Is(err, httpx.ErrBodyTooLarge) {
 		return err
 	}
+	// A refused body leaves the request line and headers parsed, so its
+	// records name the request like any other's.
 	x.span.AdoptTrace(x.req.TraceID)
 	x.span.SetRequest(x.req.Method, x.req.Path)
 	if x.span != nil {
@@ -110,7 +106,7 @@ func (x *exchange) parse(br *bufio.Reader) error {
 		// span ID.
 		x.req.TraceID = x.span.ID()
 	}
-	return nil
+	return err
 }
 
 // serve runs one parsed request through admit → cache → fetch → reply and
@@ -240,8 +236,8 @@ func (x *exchange) lookup() (*respcache.Entry, string) {
 // revalidate is fetch for an expired entry: a conditional GET carrying the
 // stored validator, so a 304 means the body never moves again.
 func (x *exchange) revalidate() (*conntrack.PooledConn, *httpx.Response, error) {
-	rr := x.s.pools.AcquireRequest()
-	defer x.s.pools.ReleaseRequest(rr)
+	rr := x.d.pools.AcquireRequest()
+	defer x.d.pools.ReleaseRequest(rr)
 	rr.Method = "GET"
 	rr.Target = x.req.Target
 	rr.Path = x.req.Path
@@ -259,7 +255,7 @@ func (x *exchange) revalidate() (*conntrack.PooledConn, *httpx.Response, error) 
 // error is errNoRoute or wraps ErrNoBackend when no exchange was attempted.
 func (x *exchange) fetch(req *httpx.Request) (*conntrack.PooledConn, *httpx.Response, error) {
 	d := x.d
-	rec, err := d.table.RouteHinted(req.Path, &x.hint)
+	rec, err := d.table.Route(req.Path)
 	if err != nil {
 		x.span.MarkRoute()
 		return nil, nil, errNoRoute
@@ -270,7 +266,7 @@ func (x *exchange) fetch(req *httpx.Request) (*conntrack.PooledConn, *httpx.Resp
 	if err != nil {
 		return nil, nil, err
 	}
-	pc, resp, err := d.exchangeStart(x.s, node, req)
+	pc, resp, err := d.exchangeStart(node, req)
 	if err != nil && idempotent(req) {
 		// The chosen back end failed before any response header arrived:
 		// fail over to another replica once before giving up. Only safe
@@ -283,7 +279,7 @@ func (x *exchange) fetch(req *httpx.Request) (*conntrack.PooledConn, *httpx.Resp
 			// down transition.
 			x.journalBackend(journal.KindFailover, node, string(alt))
 			node = alt
-			pc, resp, err = d.exchangeStart(x.s, alt, req)
+			pc, resp, err = d.exchangeStart(alt, req)
 		}
 	}
 	x.span.MarkBackend()
@@ -388,7 +384,7 @@ func (x *exchange) stream(pc *conntrack.PooledConn, resp *httpx.Response) bool {
 	// advances it, so the bookkeeping transitions cannot fail here.
 	_ = d.mapping.Bind(x.key, x.node)
 	_, _ = d.mapping.Advance(x.key, conntrack.EventRequestBound)
-	relayed, err := x.s.pools.RelayResponse(x.client, resp, pc.Reader, req.Proto, !req.KeepAlive())
+	relayed, err := d.pools.RelayResponse(x.client, resp, pc.Reader, req.Proto, !req.KeepAlive())
 	if err != nil {
 		// The header already reached the client, so the exchange cannot
 		// be retried; the back-end connection has lost framing either
@@ -451,7 +447,7 @@ func (x *exchange) replyCached(e *respcache.Entry, verdict string) bool {
 	return err == nil && req.KeepAlive()
 }
 
-// replyError writes a locally generated answer — the 400/404/502/503
+// replyError writes a locally generated answer — the 400/404/413/502/503
 // family — and reports whether the client connection remains usable.
 func (x *exchange) replyError(status int, body, outcome string) bool {
 	resp := httpx.NewResponse(x.req.Proto, status, []byte(body))

@@ -137,6 +137,8 @@ func TestEveryExitEmitsOneRecord(t *testing.T) {
 			status: 503, outcome: outShed},
 		{name: "relay-error", path: "/liar.gif", status: 200, outcome: outRelayError},
 		{name: "parse-error", raw: "NOT HTTP AT ALL\r\n\r\n", status: 400, outcome: outParseError},
+		{name: "body-too-large", raw: "POST " + path + " HTTP/1.1\r\nHost: c\r\nContent-Length: 9223372036854775807\r\n\r\n",
+			status: 413, outcome: outTooLarge},
 	}
 	for _, c := range cases {
 		c := c
@@ -236,6 +238,30 @@ func TestEveryExitEmitsOneRecord(t *testing.T) {
 				t.Fatalf("class Errors = %d, want %d", got, wantErrs)
 			}
 		})
+	}
+}
+
+// TestOversizedBodyRefused: a Content-Length over httpx.MaxRequestBody is
+// answered 413 before any of it is allocated or read (unchecked, the
+// first length below panics the process in makeslice and the second asks
+// for 4 GB), the connection is closed, and the distributor keeps serving.
+func TestOversizedBodyRefused(t *testing.T) {
+	tc := startCluster(t, 1)
+	tc.place(t, "/a.html", []byte("still here"), "n1")
+	for _, length := range []string{"9223372036854775807", "4000000000", strconv.Itoa(httpx.MaxRequestBody + 1)} {
+		raw := "POST /a.html HTTP/1.1\r\nHost: c\r\nContent-Length: " + length + "\r\n\r\n"
+		if status, _, _ := rawExchange(t, tc.front, raw); status != 413 {
+			t.Fatalf("Content-Length %s: status %d, want 413", length, status)
+		}
+		if resp := fetch(t, tc.front, "/a.html", httpx.Proto11); resp.StatusCode != 200 || string(resp.Body) != "still here" {
+			t.Fatalf("after Content-Length %s: %d %q", length, resp.StatusCode, resp.Body)
+		}
+	}
+	// The bound itself is still a body the distributor reads and relays.
+	raw := "POST /a.html HTTP/1.1\r\nHost: c\r\nConnection: close\r\nContent-Length: " + strconv.Itoa(httpx.MaxRequestBody) + "\r\n\r\n" +
+		strings.Repeat("x", httpx.MaxRequestBody)
+	if status, _, _ := rawExchange(t, tc.front, raw); status == 413 {
+		t.Fatal("a body of exactly MaxRequestBody bytes was refused")
 	}
 }
 

@@ -359,7 +359,7 @@ func (b *Backup) takeover() {
 		b.setErr(errors.New("backup: no replicated state at takeover"))
 		return
 	}
-	table := urltable.New(urltable.Options{CacheEntries: 1024})
+	table := urltable.New(urltable.Options{})
 	if err := RestoreTable(table, state); err != nil {
 		b.setErr(fmt.Errorf("backup: restoring table: %w", err))
 		return

@@ -23,7 +23,7 @@ import (
 // through EventReset rather than leaking.
 func TestRelayTruncationOnContentLengthMismatch(t *testing.T) {
 	testutil.NoLeaks(t)
-	table := urltable.New(urltable.Options{CacheEntries: 8})
+	table := urltable.New(urltable.Options{})
 	spec := config.ClusterSpec{
 		DistributorCPUMHz: 350,
 		Nodes: []config.NodeSpec{{
@@ -191,7 +191,7 @@ func TestNonIdempotentRequestNotRetried(t *testing.T) {
 		}
 	}()
 
-	table := urltable.New(urltable.Options{CacheEntries: 8})
+	table := urltable.New(urltable.Options{})
 	node := func(id config.NodeID) config.NodeSpec {
 		return config.NodeSpec{
 			ID: id, CPUMHz: 350, MemoryMB: 64,

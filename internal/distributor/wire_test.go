@@ -86,7 +86,7 @@ func TestRestoreTableFromWire(t *testing.T) {
 	if err := json.Unmarshal([]byte(raw), &msg); err != nil {
 		t.Fatal(err)
 	}
-	table := urltable.New(urltable.Options{CacheEntries: 16})
+	table := urltable.New(urltable.Options{})
 	if err := RestoreTable(table, msg); err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,20 @@ var (
 	ErrUnsupportedProto = errors.New("httpx: unsupported protocol version")
 	// ErrHeaderTooLarge reports a header section beyond the size limit.
 	ErrHeaderTooLarge = errors.New("httpx: header section too large")
+	// ErrBodyTooLarge reports a Content-Length beyond the bound for its
+	// kind of message. Nothing of the body has been read.
+	ErrBodyTooLarge = errors.New("httpx: body too large")
+)
+
+// Body bounds, checked before a declared length sizes an allocation.
+const (
+	// MaxRequestBody bounds a request body: the content model's largest
+	// object is 1 MiB and CGI/ASP posts are far smaller.
+	MaxRequestBody = 1 << 20
+	// maxBufferedResponse bounds a body ReadResponse buffers whole: no
+	// back end holds a file larger than the management plane can place
+	// (mgmt's frame payload bound).
+	maxBufferedResponse = 256 << 20
 )
 
 // maxHeaderLines bounds the header section to keep a malicious client from
@@ -463,6 +477,9 @@ func ReadRequestInto(br *bufio.Reader, req *Request) error {
 		if err != nil || n < 0 {
 			return fmt.Errorf("%w: content-length %q", ErrMalformedRequest, cl)
 		}
+		if n > MaxRequestBody {
+			return fmt.Errorf("%w: request declares %d bytes, over the %d-byte bound", ErrBodyTooLarge, n, MaxRequestBody)
+		}
 		req.Body = grow(req.Body, n)
 		if _, err := io.ReadFull(br, req.Body); err != nil {
 			return fmt.Errorf("reading body: %w", err)
@@ -553,6 +570,8 @@ func statusText(code int) string {
 		return "Bad Request"
 	case 404:
 		return "Not Found"
+	case 413:
+		return "Content Too Large"
 	case 500:
 		return "Internal Server Error"
 	case 502:
@@ -774,6 +793,9 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 		return nil, err
 	}
 	if cl := resp.Header.Get("Content-Length"); cl != "" {
+		if resp.ContentLength > maxBufferedResponse {
+			return nil, fmt.Errorf("%w: response declares %d bytes, over the %d-byte bound", ErrBodyTooLarge, resp.ContentLength, maxBufferedResponse)
+		}
 		resp.Body = make([]byte, resp.ContentLength)
 		if _, err := io.ReadFull(br, resp.Body); err != nil {
 			return nil, fmt.Errorf("reading body: %w", err)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -324,5 +325,60 @@ func TestPropertyBodyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBodyBoundsCheckedBeforeAllocation: a declared length over the bound
+// is refused from the header alone — no body storage is sized from it and
+// none of the body is read. Without the check the 2⁶³-1 case panics in
+// make and the others allocate what the peer asked for.
+func TestBodyBoundsCheckedBeforeAllocation(t *testing.T) {
+	for _, length := range []string{"9223372036854775807", "4000000000", "1048577"} {
+		raw := "POST /cgi-bin/f.cgi HTTP/1.1\r\nContent-Length: " + length + "\r\n\r\nbody"
+		src := strings.NewReader(raw)
+		br := bufio.NewReader(src)
+		req := &Request{Header: make(Header, 0, 8)}
+		var err error
+		allocs := testing.AllocsPerRun(100, func() {
+			src.Reset(raw)
+			br.Reset(src)
+			err = ReadRequestInto(br, req)
+		})
+		if !errors.Is(err, ErrBodyTooLarge) {
+			t.Fatalf("Content-Length %s: err = %v, want ErrBodyTooLarge", length, err)
+		}
+		if cap(req.Body) != 0 {
+			t.Fatalf("Content-Length %s: refusal sized a %d-byte body", length, cap(req.Body))
+		}
+		// the request target, the header value and the error itself
+		if allocs > 8 {
+			t.Fatalf("Content-Length %s: refusal made %.0f allocations", length, allocs)
+		}
+		if req.Method != "POST" || req.Path != "/cgi-bin/f.cgi" {
+			t.Fatalf("refused request lost its request line: %+v", req)
+		}
+		if rest, _ := io.ReadAll(br); string(rest) != "body" {
+			t.Fatalf("refusal consumed body bytes: %q left", rest)
+		}
+	}
+	// at the bound itself the length passes and the missing bytes fail
+	atBound := "POST / HTTP/1.1\r\nContent-Length: 1048576\r\n\r\n"
+	if _, err := ReadRequest(bufio.NewReader(strings.NewReader(atBound))); err == nil || errors.Is(err, ErrBodyTooLarge) {
+		t.Fatalf("length at the bound: err = %v, want a short-body error", err)
+	}
+
+	// ReadResponse hands back no storage to inspect, so count the bytes
+	for _, length := range []string{"9223372036854775807", "268435457"} {
+		raw := "HTTP/1.1 200 OK\r\nContent-Length: " + length + "\r\n\r\n"
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadResponse(bufio.NewReader(strings.NewReader(raw)))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBodyTooLarge) {
+			t.Fatalf("response Content-Length %s: err = %v, want ErrBodyTooLarge", length, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Fatalf("response Content-Length %s: refusal allocated %d bytes", length, grew)
+		}
 	}
 }

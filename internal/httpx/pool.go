@@ -25,13 +25,11 @@ const (
 
 // Pools is one independent set of the buffer pools the message fast path
 // draws from: bufio readers/writers, reusable Requests, relay copy
-// buffers, header staging buffers and writev vectors. The distributor
-// gives each accept shard its own Pools so buffers stay core-local
-// instead of bouncing between CPUs; everything else uses the package
-// default via the package-level Acquire/Release functions. A Pools value
-// is owned by exactly one shard — values acquired from it must be
-// released back to the same Pools (distlint:pershard, enforced by the
-// shardaffinity analyzer).
+// buffers, header staging buffers and writev vectors. The distributor owns
+// one for its data plane (sync.Pool is already per-P, so one set serves
+// every connection); everything else uses the package default via the
+// package-level Acquire/Release functions. Values acquired from a Pools
+// are released back to the same Pools.
 type Pools struct {
 	readers  sync.Pool
 	writers  sync.Pool
@@ -40,12 +38,6 @@ type Pools struct {
 	headers  sync.Pool
 	bufvecs  sync.Pool
 }
-
-// PerShardMarker marks Pools as a per-shard type for the shardaffinity
-// analyzer, which only sees doc-comment markers in the package it is
-// analyzing; an empty marker method is visible through the type checker
-// everywhere (the same convention as cowdiscipline's COWMarker).
-func (*Pools) PerShardMarker() {}
 
 // NewPools returns an independent pool set.
 func NewPools() *Pools {
@@ -69,7 +61,7 @@ func NewPools() *Pools {
 }
 
 // defaultPools backs the package-level Acquire/Release functions: the
-// shared pool set for callers without a shard of their own (backends,
+// shared pool set for callers without one of their own (backends,
 // management plane, tests).
 var defaultPools = NewPools()
 

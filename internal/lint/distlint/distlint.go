@@ -1,4 +1,4 @@
-// Package distlint assembles the repo's analyzer suite: the nine checks
+// Package distlint assembles the repo's analyzer suite: the eight checks
 // that machine-enforce the concurrency and data-path invariants the
 // fast-path PRs introduced (see DESIGN.md §10 and §15), the per-package
 // scoping rules, and the one sanctioned suppression form
@@ -37,7 +37,6 @@ import (
 	"webcluster/internal/lint/lockscope"
 	"webcluster/internal/lint/pooledescape"
 	"webcluster/internal/lint/queuewait"
-	"webcluster/internal/lint/shardaffinity"
 )
 
 // Finding is one reported (unsuppressed) diagnostic.
@@ -62,7 +61,6 @@ func Suite() []*analysis.Analyzer {
 		leakcheck.Analyzer,
 		lockscope.Analyzer,
 		queuewait.Analyzer,
-		shardaffinity.Analyzer,
 	}
 }
 
@@ -71,11 +69,8 @@ func Suite() []*analysis.Analyzer {
 // scoped to the layers that own outbound connections: the paper's data
 // plane (distributor/conntrack/backend/nfs/l4router) plus, for
 // deadlines, the management plane and monitor whose wedged calls the
-// chaos suite exercises. shardaffinity is scoped to the sharded data
-// plane; httpx itself is exempt so its process-wide defaultPools (the
-// pool set for callers without a shard) stays legal. queuewait is
-// scoped to the admission subsystem, whose parked waiters must always
-// have a timed way out.
+// chaos suite exercises. queuewait is scoped to the admission
+// subsystem, whose parked waiters must always have a timed way out.
 var scopes = map[string][]string{
 	"deadlinecheck": {
 		"internal/distributor",
@@ -84,12 +79,6 @@ var scopes = map[string][]string{
 		"internal/conntrack",
 		"internal/l4router",
 		"internal/nfs",
-		"internal/core",
-	},
-	"shardaffinity": {
-		"internal/distributor",
-		"internal/conntrack",
-		"internal/l4router",
 		"internal/core",
 	},
 	"faulthook": {

@@ -639,7 +639,8 @@ func (c *Controller) SetPriority(path string, priority int) error {
 // Update replaces an object's content on every node holding it — the
 // consistency operation for replicated mutable content: one controller-
 // driven propagation updates all copies and invalidates their page caches.
-// The URL-table size is refreshed afterwards.
+// The URL-table size is refreshed once every copy is replaced; a failed
+// replica leaves the old size.
 func (c *Controller) Update(path string, data []byte) error {
 	rec, err := c.table.Lookup(path)
 	if err != nil {
@@ -650,6 +651,12 @@ func (c *Controller) Update(path string, data []byte) error {
 			c.logf("FAILED update %s on %s: %v", path, node, err)
 			return fmt.Errorf("updating %s on %s: %w", path, node, err)
 		}
+	}
+	// Every replica holds the new bytes, so the table may report their
+	// length. It fails only if the path left the table meanwhile, and then
+	// the delete's own purge covers the cache.
+	if err := c.table.SetSize(path, int64(len(data))); err != nil {
+		return fmt.Errorf("recording new size of %s: %w", path, err)
 	}
 	c.logf("OK update %s on %v (%d bytes)", path, rec.Locations, len(data))
 	// purge only after every replica holds the new content: a fetch that

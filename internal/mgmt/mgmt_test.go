@@ -610,6 +610,33 @@ func TestControllerUpdatePropagatesToAllReplicas(t *testing.T) {
 	}
 }
 
+// The table's size follows an update — console explain, the doctree view
+// and the backup's table snapshots read it — but only once every replica
+// holds the new bytes.
+func TestControllerUpdateRefreshesTableSize(t *testing.T) {
+	ctl, brokers := newController(t, "n1", "n2")
+	obj := content.Object{Path: "/cat.html", Size: 2, Class: content.ClassHTML}
+	if err := ctl.Insert(obj, []byte("v1"), "n1", "n2"); err != nil {
+		t.Fatal(err)
+	}
+	fresh := []byte("fresh catalogue")
+	if err := ctl.Update("/cat.html", fresh); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ctl.Table().Lookup("/cat.html")
+	if err != nil || rec.Size != int64(len(fresh)) {
+		t.Fatalf("size after update = %d, %v; want %d", rec.Size, err, len(fresh))
+	}
+	_ = brokers["n2"].Close()
+	if err := ctl.Update("/cat.html", []byte("longer than the catalogue before it")); err == nil {
+		t.Fatal("update with a dead replica succeeded")
+	}
+	rec, err = ctl.Table().Lookup("/cat.html")
+	if err != nil || rec.Size != int64(len(fresh)) {
+		t.Fatalf("size after failed update = %d, %v; want the old %d", rec.Size, err, len(fresh))
+	}
+}
+
 func TestControllerVerifyConsistency(t *testing.T) {
 	ctl, brokers := newController(t, "n1", "n2")
 	obj := content.Object{Path: "/v.html", Size: 3, Class: content.ClassHTML}

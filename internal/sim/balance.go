@@ -106,7 +106,7 @@ func AutoBalanceExperiment(p BalanceParams) (BalanceData, error) {
 
 	// Skewed initial placement: everything on the first HotNodes nodes,
 	// round-robin single copy.
-	table := urltable.New(urltable.Options{CacheEntries: 4096})
+	table := urltable.New(urltable.Options{})
 	for rank := 0; rank < site.Len(); rank++ {
 		obj := site.ByRank(rank)
 		node := p.Spec.Nodes[rank%p.HotNodes].ID

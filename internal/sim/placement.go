@@ -276,7 +276,7 @@ func PartitionSite(site *content.Site, spec config.ClusterSpec, opts PlacementOp
 	}
 	videoNodes = sorted[:nVideo]
 
-	table := urltable.New(urltable.Options{CacheEntries: 4096})
+	table := urltable.New(urltable.Options{})
 
 	// Static spreading: weighted round-robin by memory.
 	staticWeight := make([]float64, len(staticNodes))

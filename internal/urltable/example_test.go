@@ -12,7 +12,7 @@ import (
 // multi-level hash table with placed content, then resolve request URLs
 // to replica sets.
 func Example() {
-	table := urltable.New(urltable.Options{CacheEntries: 128})
+	table := urltable.New(urltable.Options{})
 
 	// The administrator partitions content across the cluster.
 	pages := []struct {

@@ -6,9 +6,9 @@
 //
 // Per §5.2 the table is a multi-level hash: each level of the structure
 // corresponds to one level of the content tree, so a lookup walks the URL's
-// path segments through nested hash maps. A small LRU cache of recently
-// resolved full paths fronts the walk, the "proven technique for
-// demultiplexing speedup" the paper borrows from Mogul.
+// path segments through nested hash maps. The paper fronts the walk with a
+// cache of recently accessed entries; here the walk itself is ~0.2 µs, so
+// there is none (DESIGN.md §2).
 //
 // Reads are lock-free: the trie is copy-on-write behind an atomic root
 // pointer. Management mutations (§3: insert/delete/rename/replicate) build
@@ -17,10 +17,8 @@
 // mutex. Route therefore takes no lock and scales with distributor cores.
 // Published nodes, entries and their location slices are immutable; the
 // only mutable cell an entry carries is its hit counter, an atomic shared
-// across copies of the same logical entry. The entry cache stores (root,
-// entry) pairs and treats a cached pair under a different root as a miss,
-// so a root swap soft-invalidates the whole cache at zero cost. See
-// DESIGN.md §2 ("fast path") for the invariants.
+// across copies of the same logical entry. See DESIGN.md §2 ("fast path")
+// for the invariants.
 package urltable
 
 import (
@@ -80,7 +78,7 @@ func (r Record) HasLocation(node config.NodeID) bool {
 // entry is the stored form of a record. Published entries are immutable:
 // mutations clone the entry (and the trie spine above it) and swap the
 // root. The hit counter is a shared pointer so every copy of the same
-// logical entry — including ones cached before a mutation — counts into
+// logical entry — including ones read before a mutation — counts into
 // the same accumulator.
 type entry struct {
 	path      string
@@ -142,67 +140,6 @@ func cloneNode(n *node) *node {
 	return nn
 }
 
-// cachedEntry pairs a resolved entry with the root it was resolved under.
-// A cached pair whose root is no longer current is treated as a miss, so
-// one atomic root comparison revalidates the cache after any mutation.
-type cachedEntry struct {
-	root *node
-	path string
-	e    *entry
-}
-
-// entryCache is a lock-free direct-mapped path → (root, entry) cache.
-// Relay v3 note: the first generation of this cache was an LRU behind
-// sharded mutexes, and BENCH_relay.json caught it red-handed — a cached
-// lookup cost 473 ns and 1 alloc against 324 ns and 0 allocs for the
-// uncached trie walk, because two mutex hops plus recency-list
-// maintenance dwarf a walk over 2-3 trie levels. A direct-mapped table
-// of atomic pointers has no lock, no recency bookkeeping and no
-// per-hit allocation: a hit is one atomic load, one root-pointer
-// compare and one path compare. Collisions simply evict (last write
-// wins) — for a routing cache, rebuilding an evicted pair costs one
-// trie walk, so approximate retention is the right trade.
-type entryCache struct {
-	slots []atomic.Pointer[cachedEntry]
-	mask  uint32
-}
-
-// newEntryCache returns a cache sized for n hot entries. Slots are
-// over-provisioned 4× (rounded up to a power of two): a slot is one
-// 8-byte pointer, so the headroom costs 24n bytes and roughly halves
-// direct-mapped collisions between popular paths under Zipf traffic.
-func newEntryCache(n int) *entryCache {
-	size := 1
-	for size < 4*n {
-		size <<= 1
-	}
-	return &entryCache{slots: make([]atomic.Pointer[cachedEntry], size), mask: uint32(size - 1)}
-}
-
-// get returns the cached pair for path (any root), or nil.
-func (c *entryCache) get(path string, h uint32) *cachedEntry {
-	ce := c.slots[h&c.mask].Load()
-	if ce == nil || ce.path != path {
-		return nil
-	}
-	return ce
-}
-
-// put publishes a freshly resolved pair, evicting whatever shared the
-// slot. The one allocation per fill is the cachedEntry itself.
-func (c *entryCache) put(path string, h uint32, root *node, e *entry) {
-	c.slots[h&c.mask].Store(&cachedEntry{root: root, path: path, e: e})
-}
-
-// remove eagerly frees path's slot (the root swap that accompanies every
-// mutation already soft-invalidates it).
-func (c *entryCache) remove(path string, h uint32) {
-	i := h & c.mask
-	if ce := c.slots[i].Load(); ce != nil && ce.path == path {
-		c.slots[i].CompareAndSwap(ce, nil)
-	}
-}
-
 // Per-entry and per-node bookkeeping constants for the memory footprint
 // estimate reported by the §5.2 experiment. The constants approximate Go
 // runtime overheads: map header+bucket share, string headers, slice
@@ -261,28 +198,24 @@ type Table struct {
 	size     atomic.Int64
 	memBytes atomic.Int64
 
-	// entryCache maps full path → (root, entry) for recently routed URLs.
-	entryCache *entryCache
-
 	lookups    stripedCounter
-	cacheHits  stripedCounter
 	walkDepths stripedCounter // summed segment counts, for diagnostics
 }
 
 // Options configures table construction.
 type Options struct {
-	// CacheEntries bounds the recently-accessed-entry cache; 0 disables
-	// caching (useful for the ablation benchmark).
+	// CacheEntries is ignored.
+	//
+	// Deprecated: it sized the recently-accessed-entry cache, which was
+	// deleted (parity single-threaded, 2.3× slower in parallel). The field
+	// stays because the frozen benchmark harness (bench/walk.go) sets it.
 	CacheEntries int
 }
 
-// New returns an empty table. cacheEntries ≤ 0 disables the entry cache.
-func New(opts Options) *Table {
+// New returns an empty table.
+func New(Options) *Table {
 	t := &Table{}
 	t.root.Store(&node{})
-	if opts.CacheEntries > 0 {
-		t.entryCache = newEntryCache(opts.CacheEntries)
-	}
 	return t
 }
 
@@ -460,73 +393,36 @@ func (t *Table) Insert(obj content.Object, locations ...config.NodeID) error {
 	return nil
 }
 
-// lookupEntry resolves path to its stored entry via the cache, falling back
-// to the lock-free trie walk and populating the cache on success. The root
-// is loaded once; the cache only serves entries resolved under that same
-// root, so a concurrent mutation can never surface a stale entry.
+// lookupEntry resolves path to its stored entry by a lock-free walk of
+// the current root, so a mutation that has returned is visible to the very
+// next lookup.
 func (t *Table) lookupEntry(path string) (*entry, error) {
-	e, _, err := t.lookupEntryRoot(path)
-	return e, err
-}
-
-// lookupEntryRoot is lookupEntry, additionally returning the root the
-// entry was resolved under (the validity token for hint revalidation).
-func (t *Table) lookupEntryRoot(path string) (*entry, *node, error) {
 	h := fnv32(path)
 	t.lookups.add(h, 1)
-	root := t.root.Load()
-	if t.entryCache != nil {
-		if ce := t.entryCache.get(path, h); ce != nil && ce.root == root {
-			t.cacheHits.add(h, 1)
-			return ce.e, root, nil
-		}
-	}
-	e, depth, err := findPath(root, path)
+	e, depth, err := findPath(t.root.Load(), path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	t.walkDepths.add(h, int64(depth))
 	if e == nil {
-		return nil, nil, fmt.Errorf("%w: %q", ErrNotFound, path)
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, path)
 	}
-	if t.entryCache != nil {
-		t.entryCache.put(path, h, root, e)
-	}
-	return e, root, nil
+	return e, nil
 }
 
-// Hint is a per-caller route memo: the last resolved (path, entry) pair
-// and the root it was resolved under. A keep-alive or pipelined client
-// hammering one URL revalidates with a single pointer compare instead of
-// re-entering the shared cache. The zero value is an empty hint; a Hint
-// must not be shared between goroutines.
-type Hint struct {
-	root *node
-	path string
-	e    *entry
-}
+// Hint is an empty placeholder.
+//
+// Deprecated: it was a per-connection memo of the last route, which almost
+// never hit and cost more than the walk it saved. The type stays because
+// the frozen benchmark harness (bench/walk.go) declares one.
+type Hint struct{}
 
-// RouteHinted is Route with a caller-held hint. The hint is consulted
-// before the shared entry cache and refreshed on every successful
-// resolution; it only serves an entry resolved under the current root, so
-// it can never return state from before a table mutation.
-func (t *Table) RouteHinted(path string, hint *Hint) (Record, error) {
-	if hint != nil && hint.e != nil && hint.path == path && hint.root == t.root.Load() {
-		h := fnv32(path)
-		t.lookups.add(h, 1)
-		t.cacheHits.add(h, 1)
-		hint.e.hits.Add(1)
-		return hint.e.record(), nil
-	}
-	e, root, err := t.lookupEntryRoot(path)
-	if err != nil {
-		return Record{}, err
-	}
-	if hint != nil {
-		hint.root, hint.path, hint.e = root, path, e
-	}
-	e.hits.Add(1)
-	return e.record(), nil
+// RouteHinted is Route; the hint is unused.
+//
+// Deprecated: call Route. The method stays because the frozen benchmark
+// harness (bench/walk.go) times it.
+func (t *Table) RouteHinted(path string, _ *Hint) (Record, error) {
+	return t.Route(path)
 }
 
 // Lookup returns the record for path without counting a hit.
@@ -565,11 +461,6 @@ func (t *Table) Remove(path string) error {
 	t.root.Store(newRoot)
 	t.size.Add(-1)
 	t.memBytes.Add(memDelta)
-	if t.entryCache != nil {
-		// The root swap already invalidates the cached pair; dropping it
-		// eagerly just frees the slot.
-		t.entryCache.remove(path, fnv32(path))
-	}
 	return nil
 }
 
@@ -607,9 +498,6 @@ func (t *Table) Rename(oldPath, newPath string) error {
 		int64(len(ne.locations))*locationBytes
 	t.root.Store(r2)
 	t.memBytes.Add(insDelta + remDelta)
-	if t.entryCache != nil {
-		t.entryCache.remove(oldPath, fnv32(oldPath))
-	}
 	return nil
 }
 
@@ -675,6 +563,15 @@ func (t *Table) RemoveLocation(path string, node config.NodeID) error {
 		locs = append(locs, ne.locations[idx+1:]...)
 		ne.locations = locs
 		t.memBytes.Add(-locationBytes)
+		return nil
+	})
+}
+
+// SetSize updates the content length recorded for path's entry, after an
+// update has replaced the bytes on every replica.
+func (t *Table) SetSize(path string, size int64) error {
+	return t.mutateEntry(path, func(ne *entry) error {
+		ne.size = size
 		return nil
 	})
 }
@@ -749,9 +646,14 @@ func (t *Table) MemoryBytes() int64 {
 	return t.memBytes.Load()
 }
 
-// Stats reports lookup-path effectiveness.
+// Stats reports table counters.
 type Stats struct {
-	Lookups   int64
+	Lookups int64
+	// CacheHits is always 0.
+	//
+	// Deprecated: it counted entry-cache hits; the cache was deleted. The
+	// field stays because the frozen benchmark harness (bench/walk.go)
+	// reads it.
 	CacheHits int64
 	Entries   int
 	MemBytes  int64
@@ -760,9 +662,8 @@ type Stats struct {
 // Stats returns a snapshot of table counters.
 func (t *Table) Stats() Stats {
 	return Stats{
-		Lookups:   t.lookups.load(),
-		CacheHits: t.cacheHits.load(),
-		Entries:   int(t.size.Load()),
-		MemBytes:  t.memBytes.Load(),
+		Lookups:  t.lookups.load(),
+		Entries:  int(t.size.Load()),
+		MemBytes: t.memBytes.Load(),
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 func newTable(t *testing.T) *Table {
 	t.Helper()
-	return New(Options{CacheEntries: 16})
+	return New(Options{})
 }
 
 func obj(path string, size int64) content.Object {
@@ -278,41 +278,51 @@ func TestEntriesAtSortedByHits(t *testing.T) {
 	}
 }
 
-func TestEntryCacheHits(t *testing.T) {
-	tbl := New(Options{CacheEntries: 8})
+func TestStatsCountLookups(t *testing.T) {
+	tbl := newTable(t)
 	_ = tbl.Insert(obj("/a", 1), "n1")
 	for i := 0; i < 10; i++ {
-		_, _ = tbl.Route("/a")
-	}
-	st := tbl.Stats()
-	if st.Lookups != 10 {
-		t.Fatalf("lookups = %d", st.Lookups)
-	}
-	if st.CacheHits < 8 {
-		t.Fatalf("cache hits = %d, want ≥8", st.CacheHits)
-	}
-}
-
-func TestNoCacheMode(t *testing.T) {
-	tbl := New(Options{})
-	_ = tbl.Insert(obj("/a", 1), "n1")
-	for i := 0; i < 5; i++ {
 		if _, err := tbl.Route("/a"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := tbl.Stats(); st.CacheHits != 0 {
-		t.Fatalf("cache hits with cache disabled = %d", st.CacheHits)
+	if st := tbl.Stats(); st.Lookups != 10 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 10 lookups of 1 entry", st)
 	}
 }
 
-func TestCacheInvalidatedOnRemove(t *testing.T) {
-	tbl := New(Options{CacheEntries: 8})
+// A mutation that has returned is visible to the very next Route: nothing
+// sits between the caller and the current root.
+func TestMutationVisibleToNextRoute(t *testing.T) {
+	tbl := newTable(t)
 	_ = tbl.Insert(obj("/a", 1), "n1")
-	_, _ = tbl.Route("/a") // populates cache
+	route := func() (Record, error) { return tbl.Route("/a") }
+	if rec, err := route(); err != nil || len(rec.Locations) != 1 {
+		t.Fatalf("route = %+v, %v", rec, err)
+	}
+	_ = tbl.AddLocation("/a", "n2")
+	if rec, _ := route(); !rec.HasLocation("n2") {
+		t.Fatalf("added location not routed to: %v", rec.Locations)
+	}
+	_ = tbl.RemoveLocation("/a", "n1")
+	if rec, _ := route(); rec.HasLocation("n1") {
+		t.Fatalf("removed location still routed to: %v", rec.Locations)
+	}
+	_ = tbl.SetSize("/a", 99)
+	if rec, _ := route(); rec.Size != 99 {
+		t.Fatalf("size = %d after SetSize(99)", rec.Size)
+	}
+	_ = tbl.Rename("/a", "/b")
+	if _, err := route(); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("renamed-away path still routes: %v", err)
+	}
+	_ = tbl.Rename("/b", "/a")
 	_ = tbl.Remove("/a")
-	if _, err := tbl.Route("/a"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("stale cache served a removed entry: %v", err)
+	if _, err := route(); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("removed path still routes: %v", err)
+	}
+	if err := tbl.SetSize("/a", 1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("SetSize on a removed path = %v", err)
 	}
 }
 
@@ -341,7 +351,7 @@ func TestMemoryScalesWithObjects(t *testing.T) {
 }
 
 func TestConcurrentRouteAndMutate(t *testing.T) {
-	tbl := New(Options{CacheEntries: 64})
+	tbl := New(Options{})
 	for i := 0; i < 50; i++ {
 		_ = tbl.Insert(obj(fmt.Sprintf("/p/%d.html", i), 1), "n1")
 	}
@@ -371,7 +381,7 @@ func TestConcurrentRouteAndMutate(t *testing.T) {
 func TestPropertyInsertedAlwaysFound(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tbl := New(Options{CacheEntries: 4})
+		tbl := New(Options{})
 		n := rng.Intn(60) + 1
 		paths := make(map[string]bool, n)
 		for i := 0; i < n; i++ {
@@ -407,7 +417,7 @@ func TestPropertyInsertedAlwaysFound(t *testing.T) {
 func TestPropertyInsertRemoveRestoresMemory(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tbl := New(Options{CacheEntries: 4})
+		tbl := New(Options{})
 		base := tbl.MemoryBytes()
 		n := rng.Intn(40) + 1
 		paths := make([]string, 0, n)
@@ -477,7 +487,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := tbl.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(&buf, Options{CacheEntries: 8})
+	restored, err := Load(&buf, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
