@@ -1,5 +1,6 @@
 // Command backend runs one back-end node: a web server plus its
 // management broker, the pair that lives on every machine of the cluster.
+// It parses flags into core.NodeOptions; core.StartNode does the wiring.
 //
 // Usage:
 //
@@ -16,11 +17,8 @@ import (
 
 	"webcluster/internal/backend"
 	"webcluster/internal/config"
-	"webcluster/internal/httpx"
-	"webcluster/internal/journal"
-	"webcluster/internal/mgmt"
+	"webcluster/internal/core"
 	"webcluster/internal/nfs"
-	"webcluster/internal/telemetry"
 )
 
 func main() {
@@ -37,84 +35,60 @@ func main() {
 	adminAddr := flag.String("admin", "", "serve /metrics, /debug/traces, /debug/vars, /healthz on this address; empty = off")
 	journalSize := flag.Int("journal-size", 0, "node decision-journal capacity in events (0 = default 4096)")
 	flag.Parse()
-	if err := run(*id, *cpu, *mem, *diskGB, *disk, *platform, *listen, *brokerAddr, *nfsAddr, *docroot, *adminAddr, *journalSize); err != nil {
+
+	opts := core.NodeOptions{
+		Spec: config.NodeSpec{
+			ID:       config.NodeID(*id),
+			CPUMHz:   *cpu,
+			MemoryMB: *mem,
+			DiskGB:   *diskGB,
+			Disk:     config.DiskSCSI,
+			Platform: config.LinuxApache,
+		},
+		Listen:       *listen,
+		BrokerListen: *brokerAddr,
+		AdminAddr:    *adminAddr,
+		JournalSize:  *journalSize,
+	}
+	if strings.EqualFold(*disk, "ide") {
+		opts.Spec.Disk = config.DiskIDE
+	}
+	if strings.EqualFold(*platform, "nt") {
+		opts.Spec.Platform = config.WindowsNTIIS
+	}
+	if err := run(opts, *nfsAddr, *docroot); err != nil {
 		fmt.Fprintln(os.Stderr, "backend:", err)
 		os.Exit(1)
 	}
 }
 
-func run(id string, cpu, mem, diskGB int, disk, platform, listen, brokerAddr, nfsAddr, docroot, adminAddr string, journalSize int) error {
-	spec := config.NodeSpec{
-		ID:       config.NodeID(id),
-		CPUMHz:   cpu,
-		MemoryMB: mem,
-		DiskGB:   diskGB,
-		Disk:     config.DiskSCSI,
-		Platform: config.LinuxApache,
-	}
-	if strings.EqualFold(disk, "ide") {
-		spec.Disk = config.DiskIDE
-	}
-	if strings.EqualFold(platform, "nt") {
-		spec.Platform = config.WindowsNTIIS
-	}
-
-	var store backend.Store = &backend.MemStore{}
-	var nfsClient *nfs.Client
+// run picks the store the flags name, starts the node and waits for the
+// signal.
+func run(opts core.NodeOptions, nfsAddr, docroot string) error {
 	switch {
 	case nfsAddr != "":
-		nfsClient = nfs.Dial(nfsAddr)
-		store = nfs.NewRemoteStore(nfsClient)
-		defer func() { _ = nfsClient.Close() }()
+		client := nfs.Dial(nfsAddr)
+		defer func() { _ = client.Close() }()
+		opts.Store = nfs.NewRemoteStore(client)
 	case docroot != "":
 		ds, err := backend.NewDirStore(docroot)
 		if err != nil {
 			return err
 		}
-		store = ds
+		opts.Store = ds
 	}
-
-	srv, err := backend.NewServer(backend.ServerOptions{Spec: spec, Store: store})
+	node, err := core.StartNode(opts)
 	if err != nil {
 		return err
 	}
-	// Synthetic dynamic handlers matching the generated sites' layout.
-	dyn := func(kind string) backend.DynamicHandler {
-		return func(req *httpx.Request) ([]byte, float64, error) {
-			body := fmt.Sprintf("<html>%s from %s: %s?%s</html>\n", kind, id, req.Path, req.Query)
-			return []byte(body), 1.0, nil
-		}
-	}
-	srv.HandlePrefix("/cgi-bin/", dyn("cgi"))
-	srv.HandlePrefix("/asp/", dyn("asp"))
+	defer func() { _ = node.Close() }()
 
-	webAddr, err := srv.Start(listen)
-	if err != nil {
-		return err
+	if node.Admin != nil {
+		fmt.Printf("admin at http://%s/metrics\n", node.AdminAddr)
 	}
-	defer func() { _ = srv.Close() }()
-
-	jnl := journal.New(journal.Options{Node: id, Size: journalSize})
-	broker := mgmt.NewBroker(mgmt.Env{Node: spec.ID, Store: store, Server: srv, Journal: jnl})
-	bAddr, err := broker.Start(brokerAddr)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = broker.Close() }()
-
-	if adminAddr != "" {
-		admin := telemetry.NewAdmin(srv.Telemetry())
-		admin.SetJournal(jnl)
-		aAddr, aerr := admin.Start(adminAddr)
-		if aerr != nil {
-			return aerr
-		}
-		defer func() { _ = admin.Close() }()
-		fmt.Printf("admin at http://%s/metrics\n", aAddr)
-	}
-
+	spec := node.Spec
 	fmt.Printf("node %s up: web %s broker %s (%d MHz, %d MB, %s, %s)\n",
-		id, webAddr, bAddr, cpu, mem, spec.Disk, spec.Platform)
+		spec.ID, node.Addr, node.BrokerAddr, spec.CPUMHz, spec.MemoryMB, spec.Disk, spec.Platform)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -1,44 +1,52 @@
 // Command distributor runs the cluster front end: the content-aware
 // distributor, the management controller with its console endpoint, the
 // §3.3 auto-balancer, and optionally a replication server for a backup
-// distributor (or backup mode itself).
+// distributor (or backup mode itself). It parses flags into core.Options;
+// core.Attach does the wiring, for the primary and for a promoted backup
+// alike.
 //
 // The cluster is described by a JSON file (config.ClusterSpec) whose nodes
 // carry addr and brokerAddr of running cmd/backend processes:
 //
 //	distributor -cluster cluster.json -listen :8080 -console :7070 -repl :6060
 //	distributor -backup-of host:6060 -listen :8080   # standby mode
+//
+// A -backup-of process honours every other flag once it takes over: the
+// successor is the same front end, serving the replicated table and spec.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	_ "net/http/pprof" // registered on the -pprof server's mux only
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
-	"sort"
-	"strconv"
-	"strings"
-
 	"webcluster/internal/admission"
 	"webcluster/internal/config"
-	"webcluster/internal/content"
 	"webcluster/internal/core"
 	"webcluster/internal/distributor"
 	"webcluster/internal/journal"
-	"webcluster/internal/loadbal"
-	"webcluster/internal/mgmt"
 	"webcluster/internal/respcache"
-	"webcluster/internal/telemetry"
 	"webcluster/internal/urltable"
-	"webcluster/internal/workload"
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "distributor:", err)
+		os.Exit(1)
+	}
+}
+
+// run turns the flags into core.Options and hands them to the primary or
+// the backup loop.
+func run() error {
 	clusterFile := flag.String("cluster", "", "cluster spec JSON (required unless -backup-of)")
 	listen := flag.String("listen", "127.0.0.1:8080", "client-facing listen address")
 	consoleAddr := flag.String("console", "", "management console listen address")
@@ -75,39 +83,42 @@ func main() {
 	}
 	budgets, err := parseBudgets(*flightBudgets)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "distributor:", err)
-		os.Exit(1)
+		return err
 	}
-	cacheOpts := cacheConfig{mb: *cacheMB, fresh: *cacheFresh, stale: *cacheStale}
-	telCfg := telConfig{
-		admin: *adminAddr, slow: *slowMs,
-		journalSize: *journalSize,
-		flightDir:   *flightDir, flightWindow: *flightWindow, flightBudgets: budgets,
+	opts := core.Options{
+		Listen:          *listen,
+		ConsoleAddr:     *consoleAddr,
+		ReplAddr:        *replAddr,
+		AdminAddr:       *adminAddr,
+		PreforkPerNode:  *prefork,
+		BalanceInterval: *balanceEvery,
+		CacheBytes:      *cacheMB << 20,
+		CacheOptions:    respcache.Options{FreshTTL: *cacheFresh, StaleTTL: *cacheStale},
+		JournalSize:     *journalSize,
+		FlightDir:       *flightDir,
+		FlightWindow:    *flightWindow,
+		FlightBudgets:   budgets,
 	}
-	var admCfg *admission.Options
+	if *slowMs > 0 {
+		opts.TelemetryOptions.SlowThreshold = *slowMs
+		opts.TelemetryOptions.SlowLog = os.Stderr
+	}
 	if *admit {
-		admCfg = &admission.Options{MaxConcurrent: *admitMax, QueueTarget: *admitTarget}
+		opts.Admission = &admission.Options{MaxConcurrent: *admitMax, QueueTarget: *admitTarget}
 	}
-	if err := run(*clusterFile, *listen, *consoleAddr, *replAddr, *backupOf, *tableFile, *accessLog, *prefork, *balanceEvery, cacheOpts, telCfg, admCfg); err != nil {
-		fmt.Fprintln(os.Stderr, "distributor:", err)
-		os.Exit(1)
+	if *accessLog != "" {
+		f, ferr := os.OpenFile(*accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if ferr != nil {
+			return fmt.Errorf("opening access log: %w", ferr)
+		}
+		defer func() { _ = f.Close() }()
+		opts.AccessLog = f
+		fmt.Printf("access log → %s\n", *accessLog)
 	}
-}
-
-// cacheConfig carries the -cache-* flags.
-type cacheConfig struct {
-	mb           int64
-	fresh, stale time.Duration
-}
-
-// telConfig carries the observability flags.
-type telConfig struct {
-	admin         string
-	slow          time.Duration
-	journalSize   int
-	flightDir     string
-	flightWindow  time.Duration
-	flightBudgets []journal.Budget
+	if *backupOf != "" {
+		return runBackup(opts, *backupOf)
+	}
+	return runPrimary(opts, *clusterFile, *tableFile)
 }
 
 // parseBudgets decodes the -flight-budgets flag: comma-separated
@@ -142,13 +153,9 @@ func parseBudgets(s string) ([]journal.Budget, error) {
 	return out, nil
 }
 
-func run(clusterFile, listen, consoleAddr, replAddr, backupOf, tableFile, accessLog string, prefork int, balanceEvery time.Duration, cacheCfg cacheConfig, telCfg telConfig, admCfg *admission.Options) error {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-
-	if backupOf != "" {
-		return runBackup(backupOf, listen, sig)
-	}
+// runPrimary loads the spec and the table checkpoint, attaches the front
+// end and serves until the signal, then checkpoints the table.
+func runPrimary(opts core.Options, clusterFile, tableFile string) error {
 	if clusterFile == "" {
 		return fmt.Errorf("-cluster is required (or use -backup-of)")
 	}
@@ -156,172 +163,61 @@ func run(clusterFile, listen, consoleAddr, replAddr, backupOf, tableFile, access
 	if err != nil {
 		return err
 	}
-
-	table := urltable.New(urltable.Options{})
+	opts.Spec = spec
 	if tableFile != "" {
 		if _, statErr := os.Stat(tableFile); statErr == nil {
-			restored, lerr := urltable.LoadFile(tableFile, urltable.Options{})
-			if lerr != nil {
-				return lerr
+			opts.Table, err = urltable.LoadFile(tableFile, urltable.Options{})
+			if err != nil {
+				return err
 			}
-			table = restored
-			fmt.Printf("restored URL table from %s (%d entries)\n", tableFile, table.Len())
+			fmt.Printf("restored URL table from %s (%d entries)\n", tableFile, opts.Table.Len())
 		}
 	}
-	var logWriter *os.File
-	if accessLog != "" {
-		f, ferr := os.OpenFile(accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if ferr != nil {
-			return fmt.Errorf("opening access log: %w", ferr)
-		}
-		logWriter = f
-		defer func() { _ = f.Close() }()
-		fmt.Printf("access log → %s\n", accessLog)
-	}
-	telOpts := telemetry.Options{Node: "distributor"}
-	if telCfg.slow > 0 {
-		telOpts.SlowThreshold = telCfg.slow
-		telOpts.SlowLog = os.Stderr
-	}
-	tel := telemetry.New(telOpts)
-	jnl := journal.New(journal.Options{Node: "front", Size: telCfg.journalSize})
-	distOpts := distributor.Options{
-		Table:          table,
-		Cluster:        spec,
-		PreforkPerNode: prefork,
-		Telemetry:      tel,
-		Journal:        jnl,
-	}
-	if logWriter != nil {
-		distOpts.AccessLog = logWriter
-	}
-	var respCache *respcache.Cache
-	if cacheCfg.mb > 0 {
-		respCache = respcache.New(respcache.Options{
-			MaxBytes: cacheCfg.mb << 20,
-			FreshTTL: cacheCfg.fresh,
-			StaleTTL: cacheCfg.stale,
-		})
-		distOpts.Cache = respCache
-		fmt.Printf("response cache: %d MiB, fresh %v, stale window %v\n",
-			cacheCfg.mb, cacheCfg.fresh, cacheCfg.stale)
-	}
-	if admCfg != nil {
-		distOpts.Admission = admCfg
-		fmt.Println("admission control: SLO-class shedding enabled")
-	}
-	dist, err := distributor.New(distOpts)
+	sig := signals()
+	cluster, err := core.Attach(opts)
 	if err != nil {
 		return err
 	}
-	front, err := dist.Start(listen)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = dist.Close() }()
-	fmt.Printf("distributor serving at %s over %d nodes\n", front, len(spec.Nodes))
-
-	controller := mgmt.NewController(table)
-	controller.SetTelemetry(tel)
-	controller.SetJournal(jnl)
-	if telCfg.flightDir != "" {
-		rec, rerr := journal.NewRecorder(journal.RecorderOptions{
-			Journal: jnl,
-			Dir:     telCfg.flightDir,
-			Window:  telCfg.flightWindow,
-			Budgets: telCfg.flightBudgets,
-			Stats:   func() []journal.ClassStats { return classStats(tel) },
-		})
-		if rerr != nil {
-			return rerr
-		}
-		rec.AddSource("telemetry", func() any { return tel.Report(32) })
-		rec.AddSource("placement", func() any { return placementState(table) })
-		controller.SetDumper(rec.Dump)
-		rec.Start()
-		defer rec.Close()
-		// Turn a crash of this goroutine into a flight bundle before the
-		// panic surfaces.
-		defer rec.RecoverAndDump()
-		fmt.Printf("flight recorder → %s\n", telCfg.flightDir)
-	}
-	if respCache != nil {
-		// management mutations purge the front-end cache synchronously
-		controller.SetCache(respCache)
-	}
-	for _, n := range spec.Nodes {
-		if n.BrokerAddr == "" {
-			return fmt.Errorf("node %s has no brokerAddr", n.ID)
-		}
-		if err := controller.AddNode(n.ID, n.BrokerAddr); err != nil {
-			return err
-		}
-	}
-
-	balancer := mgmt.NewAutoBalancer(controller, dist.Tracker(), spec.Nodes,
-		loadbal.DefaultPlannerOptions(), balanceEvery)
-	if balanceEvery > 0 {
-		balancer.Start()
-		defer balancer.Close()
-		fmt.Printf("auto-balancer running every %v\n", balanceEvery)
-	}
-
-	if consoleAddr != "" {
-		console := mgmt.NewConsoleServer(controller, balancer)
-		console.SetSiteLoader(siteLoader(controller, spec))
-		caddr, err := console.Start(consoleAddr)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = console.Close() }()
-		fmt.Printf("console at %s\n", caddr)
-	}
-
-	if telCfg.admin != "" {
-		admin := telemetry.NewAdmin(tel)
-		admin.SetJournal(jnl)
-		aaddr, aerr := admin.Start(telCfg.admin)
-		if aerr != nil {
-			return aerr
-		}
-		defer func() { _ = admin.Close() }()
-		fmt.Printf("admin at http://%s/metrics\n", aaddr)
-	}
-
-	if replAddr != "" {
-		repl := distributor.NewReplicationServer(dist, 200*time.Millisecond)
-		raddr, err := repl.Start(replAddr)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = repl.Close() }()
-		fmt.Printf("replicating state at %s\n", raddr)
-	}
-
-	<-sig
-	if tableFile != "" {
-		if err := table.SaveFile(tableFile); err != nil {
-			fmt.Fprintln(os.Stderr, "saving table:", err)
-		} else {
-			fmt.Printf("checkpointed URL table to %s (%d entries)\n", tableFile, table.Len())
-		}
-	}
-	fmt.Println("shutting down")
+	announce(cluster, opts)
+	serve(cluster, sig, tableFile)
 	return nil
 }
 
-// runBackup monitors a primary and takes over its service address.
-func runBackup(primaryRepl, listen string, sig chan os.Signal) error {
-	fmt.Printf("backup mode: monitoring %s, will bind %s on takeover\n", primaryRepl, listen)
-	promote := func(table *urltable.Table, spec config.ClusterSpec) (*distributor.Distributor, error) {
-		d, err := distributor.New(distributor.Options{Table: table, Cluster: spec})
-		if err != nil {
-			return nil, err
+// serve holds the front end until the signal, checkpoints the URL table
+// when given a file for it, and shuts everything down.
+func serve(c *core.Cluster, sig <-chan os.Signal, tableFile string) {
+	defer func() { _ = c.Close() }()
+	if c.Recorder != nil {
+		// Turn a crash of this goroutine into a flight bundle before the
+		// panic surfaces.
+		defer c.Recorder.RecoverAndDump()
+	}
+	<-sig
+	if tableFile != "" {
+		if err := c.Table.SaveFile(tableFile); err != nil {
+			fmt.Fprintln(os.Stderr, "saving table:", err)
+		} else {
+			fmt.Printf("checkpointed URL table to %s (%d entries)\n", tableFile, c.Table.Len())
 		}
-		var addr string
+	}
+	fmt.Println("shutting down")
+}
+
+// runBackup monitors a primary and, when it falls silent, attaches the
+// same front end the flags describe over the replicated table and spec,
+// on the primary's service address.
+func runBackup(opts core.Options, primaryRepl string) error {
+	fmt.Printf("backup mode: monitoring %s, will bind %s on takeover\n", primaryRepl, opts.Listen)
+	sig := signals()
+	var successor *core.Cluster
+	promote := func(table *urltable.Table, spec config.ClusterSpec) (*distributor.Distributor, error) {
+		opts.Table, opts.Spec = table, spec
+		var err error
+		// The service address may need a beat to free after the primary
+		// dies; any other failure is final.
 		for i := 0; i < 100; i++ {
-			addr, err = d.Start(listen)
-			if err == nil {
+			successor, err = core.Attach(opts)
+			if !errors.Is(err, syscall.EADDRINUSE) {
 				break
 			}
 			time.Sleep(50 * time.Millisecond)
@@ -329,8 +225,9 @@ func runBackup(primaryRepl, listen string, sig chan os.Signal) error {
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("TOOK OVER: serving at %s\n", addr)
-		return d, nil
+		fmt.Printf("TOOK OVER: serving at %s\n", successor.FrontAddr)
+		announce(successor, opts)
+		return successor.Distributor, nil
 	}
 	backup := distributor.NewBackup(primaryRepl, time.Second, promote)
 	if err := backup.Start(); err != nil {
@@ -345,117 +242,49 @@ func runBackup(primaryRepl, listen string, sig chan os.Signal) error {
 			return nil
 		default:
 		}
-		successor, err := backup.Promoted(500 * time.Millisecond)
+		d, err := backup.Promoted(500 * time.Millisecond)
 		if err != nil {
 			return err
 		}
-		if successor != nil {
-			defer func() { _ = successor.Close() }()
-			<-sig
-			fmt.Println("shutting down")
+		if d != nil {
+			// Promoted returned after promote did, so successor is set.
+			serve(successor, sig, "")
 			return nil
 		}
 	}
 }
 
-// siteLoader backs the console's loadsite command: generate a workload
-// site and place it by policy through the controller.
-func siteLoader(controller *mgmt.Controller, spec config.ClusterSpec) mgmt.SiteLoader {
-	return func(req mgmt.ConsoleRequest) (string, error) {
-		objects := req.Objects
-		if objects <= 0 {
-			objects = 500
-		}
-		kind := workload.KindA
-		if req.Workload == "B" || req.Workload == "b" {
-			kind = workload.KindB
-		}
-		site, err := workload.BuildSite(kind, objects, req.Seed+1)
-		if err != nil {
-			return "", err
-		}
-		var place core.PlacementFunc
-		switch req.Policy {
-		case "", "type":
-			place = core.PlaceByType()
-		case "all":
-			place = core.PlaceAll
-		case "rr":
-			place = core.NewPlaceRoundRobin().Place
-		default:
-			return "", fmt.Errorf("unknown policy %q", req.Policy)
-		}
-		for _, obj := range site.Objects() {
-			nodes := place(obj, spec)
-			var data []byte
-			if obj.Class.Dynamic() {
-				data = []byte("#!script " + obj.Path + "\n")
-			} else {
-				data = synthesize(obj)
-			}
-			if err := controller.Insert(obj, data, nodes...); err != nil {
-				return "", fmt.Errorf("placing %s: %w", obj.Path, err)
-			}
-		}
-		return fmt.Sprintf("placed %d objects (workload %s, policy %s)",
-			site.Len(), kind, req.Policy), nil
-	}
+func signals() <-chan os.Signal {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	return sig
 }
 
-// classStats adapts the telemetry registry's per-class counters to the
-// flight recorder's burn-rate watcher.
-func classStats(tel *telemetry.Telemetry) []journal.ClassStats {
-	snap := tel.Registry().Snapshot()
-	names := make([]string, 0, len(snap.Classes))
-	for name := range snap.Classes {
-		names = append(names, name)
+// announce prints the start-up lines. The addresses in them are the
+// contract with whoever spawned the process: bench/ and the deployment
+// test read the front, console and admin listeners from here.
+func announce(c *core.Cluster, opts core.Options) {
+	if c.Cache != nil {
+		fmt.Printf("response cache: %d MiB, fresh %v, stale window %v\n",
+			opts.CacheBytes>>20, opts.CacheOptions.FreshTTL, opts.CacheOptions.StaleTTL)
 	}
-	sort.Strings(names)
-	out := make([]journal.ClassStats, 0, len(names))
-	for _, name := range names {
-		cs := snap.Classes[name]
-		out = append(out, journal.ClassStats{
-			Class:    name,
-			Requests: cs.Requests,
-			Errors:   cs.Errors,
-			P99Ns:    int64(cs.Latency.Quantile(0.99)),
-		})
+	if opts.Admission != nil {
+		fmt.Println("admission control: SLO-class shedding enabled")
 	}
-	return out
-}
-
-// placementState captures the URL table for flight bundles.
-func placementState(table *urltable.Table) any {
-	type placement struct {
-		Path      string   `json:"path"`
-		Locations []string `json:"locations"`
-		Hits      int64    `json:"hits"`
-		Pinned    bool     `json:"pinned,omitempty"`
-		Priority  int      `json:"priority,omitempty"`
+	fmt.Printf("distributor serving at %s over %d nodes\n", c.FrontAddr, len(c.Spec.Nodes))
+	if c.Recorder != nil {
+		fmt.Printf("flight recorder → %s\n", opts.FlightDir)
 	}
-	var out []placement
-	table.Walk(func(r urltable.Record) {
-		locs := make([]string, len(r.Locations))
-		for i, id := range r.Locations {
-			locs[i] = string(id)
-		}
-		out = append(out, placement{
-			Path:      r.Path,
-			Locations: locs,
-			Hits:      r.Hits,
-			Pinned:    r.Pinned,
-			Priority:  r.Priority,
-		})
-	})
-	return out
-}
-
-// synthesize produces deterministic object bytes.
-func synthesize(obj content.Object) []byte {
-	body := make([]byte, obj.Size)
-	pattern := []byte(obj.Path + "\n")
-	for off := 0; off < len(body); off += len(pattern) {
-		copy(body[off:], pattern)
+	if opts.BalanceInterval > 0 {
+		fmt.Printf("auto-balancer running every %v\n", opts.BalanceInterval)
 	}
-	return body
+	if c.Console != nil {
+		fmt.Printf("console at %s\n", c.ConsoleAddr)
+	}
+	if c.Admin != nil {
+		fmt.Printf("admin at http://%s/metrics\n", c.AdminAddr)
+	}
+	if c.Repl != nil {
+		fmt.Printf("replicating state at %s\n", c.ReplAddr)
+	}
 }

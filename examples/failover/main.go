@@ -24,9 +24,9 @@ func main() {
 }
 
 func run() error {
-	// Back-end pool via core.Launch; we will manage the front end by
-	// hand to demonstrate takeover.
-	cluster, err := core.Launch(core.Options{})
+	// The primary: back-end pool plus front end via core.Launch, with the
+	// state-replication server a backup follows.
+	cluster, err := core.Launch(core.Options{ReplAddr: "127.0.0.1:0"})
 	if err != nil {
 		return err
 	}
@@ -42,41 +42,28 @@ func run() error {
 			return err
 		}
 	}
-
-	// The primary in core.Launch is cluster.Distributor. Attach a
-	// replication server to it.
-	repl := distributor.NewReplicationServer(cluster.Distributor, 50*time.Millisecond)
-	replAddr, err := repl.Start("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
 	fmt.Printf("primary serving at %s, replicating state at %s\n",
-		cluster.FrontAddr, replAddr)
+		cluster.FrontAddr, cluster.ReplAddr)
 
-	// The backup monitors the primary. On takeover it binds the
-	// primary's old service address (the "virtual IP" migrating).
+	// The backup monitors the primary. On takeover it attaches the whole
+	// front end — distributor, controller and its own replication server
+	// — over the replicated table and spec, on the primary's old service
+	// address (the "virtual IP" migrating).
 	serviceAddr := cluster.FrontAddr
+	var successor *core.Cluster
 	promote := func(table *urltable.Table, spec config.ClusterSpec) (*distributor.Distributor, error) {
-		d, err := distributor.New(distributor.Options{Table: table, Cluster: spec})
+		c, err := core.Attach(core.Options{
+			Table: table, Spec: spec,
+			Listen: serviceAddr, ReplAddr: "127.0.0.1:0",
+		})
 		if err != nil {
 			return nil, err
 		}
-		// The address may need a beat to free after the primary dies.
-		var addr string
-		for i := 0; i < 50; i++ {
-			addr, err = d.Start(serviceAddr)
-			if err == nil {
-				break
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("backup promoted: serving at %s\n", addr)
-		return d, nil
+		successor = c
+		fmt.Printf("backup promoted: serving at %s\n", c.FrontAddr)
+		return c.Distributor, nil
 	}
-	backup := distributor.NewBackup(replAddr, 300*time.Millisecond, promote)
+	backup := distributor.NewBackup(cluster.ReplAddr, time.Second, promote)
 	if err := backup.Start(); err != nil {
 		return err
 	}
@@ -92,14 +79,16 @@ func run() error {
 	// Let a snapshot replicate, then kill the primary.
 	time.Sleep(300 * time.Millisecond)
 	fmt.Println("killing primary distributor...")
-	_ = repl.Close()
+	// The listener goes first: the backup promotes the moment the
+	// replication stream breaks, and binds the address it frees.
 	_ = cluster.Distributor.Close()
+	_ = cluster.Repl.Close()
 
-	successor, err := backup.Promoted(5 * time.Second)
+	d, err := backup.Promoted(5 * time.Second)
 	if err != nil {
 		return fmt.Errorf("takeover failed: %w", err)
 	}
-	if successor == nil {
+	if d == nil {
 		return fmt.Errorf("backup did not take over in time")
 	}
 	defer func() { _ = successor.Close() }()
@@ -111,22 +100,22 @@ func run() error {
 	}
 	fmt.Printf("via successor: GET /site/page0.html → %d (served-by %s)\n",
 		resp2.StatusCode, resp2.Header.Get("X-Served-By"))
-	fmt.Printf("successor URL table: %d entries (replicated)\n", successor.Table().Len())
+	fmt.Printf("successor URL table: %d entries (replicated)\n", successor.Table.Len())
 
-	// The promoted distributor creates its own backup (§2.3: "the
-	// backup takes over the job of the primary and creates its own
-	// backup").
-	repl2 := distributor.NewReplicationServer(successor, 50*time.Millisecond)
-	repl2Addr, err := repl2.Start("127.0.0.1:0")
-	if err != nil {
-		return err
+	// The promoted front end has a controller of its own: management
+	// keeps working after the takeover.
+	obj := content.Object{Path: "/site/after.html", Size: 19, Class: content.ClassHTML}
+	if err := successor.Controller.Insert(obj, []byte("<html>after</html>"), successor.Spec.Nodes[0].ID); err != nil {
+		return fmt.Errorf("insert through the successor: %w", err)
 	}
-	defer func() { _ = repl2.Close() }()
-	backup2 := distributor.NewBackup(repl2Addr, 300*time.Millisecond, promote)
+
+	// And it creates its own backup (§2.3: "the backup takes over the job
+	// of the primary and creates its own backup").
+	backup2 := distributor.NewBackup(successor.ReplAddr, time.Second, promote)
 	if err := backup2.Start(); err != nil {
 		return err
 	}
 	defer backup2.Stop()
-	fmt.Printf("successor now replicating to its own backup at %s\n", repl2Addr)
+	fmt.Printf("successor now replicating to its own backup at %s\n", successor.ReplAddr)
 	return nil
 }

@@ -216,13 +216,16 @@ var defaultMaxWait = [NumClasses]time.Duration{100 * time.Millisecond, 50 * time
 // defaultBudgets are the per-class downstream deadlines.
 var defaultBudgets = [NumClasses]time.Duration{2 * time.Second, 5 * time.Second, 10 * time.Second}
 
-// New builds a Controller.
-func New(opts Options) *Controller {
-	total := opts.MaxConcurrent
+// Limits splits a concurrency budget of total slots across the classes in
+// proportion to shares, by integer division: a non-positive total means
+// 256, all-zero shares mean 3:2:1, a non-positive share counts as 1, and
+// no class gets fewer than one slot. New sizes the live gates with it and
+// the simulator's front-end model (internal/sim) sizes its own, so a
+// scenario and the deployed controller agree on every class limit.
+func Limits(total int, shares [NumClasses]int) [NumClasses]int64 {
 	if total <= 0 {
 		total = 256
 	}
-	shares := opts.Shares
 	if shares == ([NumClasses]int{}) {
 		shares = defaultShares
 	}
@@ -233,6 +236,19 @@ func New(opts Options) *Controller {
 		}
 		sum += shares[i]
 	}
+	var limits [NumClasses]int64
+	for i := range limits {
+		limits[i] = int64(total * shares[i] / sum)
+		if limits[i] < 1 {
+			limits[i] = 1
+		}
+	}
+	return limits
+}
+
+// New builds a Controller.
+func New(opts Options) *Controller {
+	limits := Limits(opts.MaxConcurrent, opts.Shares)
 	target := opts.QueueTarget
 	if target <= 0 {
 		target = 5 * time.Millisecond
@@ -261,10 +277,7 @@ func New(opts Options) *Controller {
 	for i := range c.classes {
 		cs := &c.classes[i]
 		class := Class(i)
-		cs.limit = int64(total * shares[i] / sum)
-		if cs.limit < 1 {
-			cs.limit = 1
-		}
+		cs.limit = limits[i]
 		cs.maxQueue = opts.MaxQueue[i]
 		if cs.maxQueue <= 0 {
 			cs.maxQueue = int(2 * cs.limit)
@@ -562,10 +575,4 @@ func (c *Controller) Dropping(class Class) bool {
 func (c *Controller) ClassCounters(class Class) (offered, admitted, shed, stale int64) {
 	cs := &c.classes[class]
 	return cs.offered.Value(), cs.admitted.Value(), cs.shed.Value(), cs.stale.Value()
-}
-
-// QueueDelay exposes the class's queue-sojourn histogram (the pressure
-// signal's raw series).
-func (c *Controller) QueueDelay(class Class) *telemetry.Histogram {
-	return &c.classes[class].queueDelay
 }

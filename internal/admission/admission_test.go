@@ -85,6 +85,14 @@ func TestSharesSplitLimits(t *testing.T) {
 			t.Fatalf("class %v got zero slots", cl)
 		}
 	}
+	// The split itself, as the simulator calls it: defaults for a zero
+	// budget, a non-positive share counted as one.
+	if got := Limits(0, [NumClasses]int{}); got != [NumClasses]int64{128, 85, 42} {
+		t.Fatalf("Limits(0, default) = %v", got)
+	}
+	if got := Limits(12, [NumClasses]int{0, -1, 2}); got != [NumClasses]int64{3, 3, 6} {
+		t.Fatalf("Limits(12, {0,-1,2}) = %v", got)
+	}
 }
 
 func TestAdmitFastPathUpToLimit(t *testing.T) {

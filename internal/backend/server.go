@@ -130,9 +130,6 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	}, nil
 }
 
-// ID returns the node's identity.
-func (s *Server) ID() config.NodeID { return s.spec.ID }
-
 // Spec returns the node's hardware description.
 func (s *Server) Spec() config.NodeSpec { return s.spec }
 

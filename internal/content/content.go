@@ -151,15 +151,6 @@ func (s *Site) ClassBytes() map[Class]int64 {
 	return out
 }
 
-// Paths returns all object paths in rank order.
-func (s *Site) Paths() []string {
-	out := make([]string, len(s.objects))
-	for i, o := range s.objects {
-		out[i] = o.Path
-	}
-	return out
-}
-
 // Directories returns the sorted set of directories containing at least one
 // object (used by the single-system-image tree view).
 func (s *Site) Directories() []string {

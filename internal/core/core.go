@@ -1,16 +1,20 @@
-// Package core is the public façade of the content placement and
-// management system: it assembles a complete live cluster — back-end web
-// servers with brokers on every node, the content-aware distributor in
-// front, the controller with its agent repository, and the §3.3
-// auto-balancer — inside one process, over real TCP sockets on loopback.
-// Examples, integration tests and the cmd/ tools are thin wrappers around
-// this package.
+// Package core is the one assembly of the content placement and
+// management system. The paper's deployment has two kinds of process and
+// each is wired here exactly once: StartNode builds a back-end node (web
+// server plus management broker), Attach builds a front end (the
+// content-aware distributor with the controller, its agent repository and
+// the §3.3 auto-balancer co-located) over running nodes. Launch is
+// StartNode per node plus Attach inside one process, over real TCP sockets
+// on loopback, for examples and tests; cmd/backend and cmd/distributor
+// parse flags into NodeOptions and Options and call the same two
+// functions, so the system the tests run is the binary that is deployed.
 package core
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"strings"
@@ -113,31 +117,35 @@ func PlaceByType() PlacementFunc {
 	}
 }
 
-// NodeHandle bundles one live node's components.
-type NodeHandle struct {
-	Spec       config.NodeSpec
-	Server     *backend.Server
-	Broker     *mgmt.Broker
-	Store      backend.Store
-	Addr       string // web server address
-	BrokerAddr string
-}
-
-// Options configures Launch.
+// Options configures Launch and Attach: one struct describes a front end
+// (and, for Launch, the nodes behind it); cmd/distributor only fills it
+// from flags.
 type Options struct {
-	// Spec describes the nodes; Addr fields are ignored (Launch assigns
-	// loopback addresses). Defaults to a small 3-node cluster.
+	// Spec describes the nodes. Launch ignores the Addr fields (it starts
+	// the nodes on loopback and fills them in) and defaults to a small
+	// 3-node cluster; Attach requires Addr and BrokerAddr of running
+	// nodes on every entry.
 	Spec config.ClusterSpec
 	// StoreFor supplies each node's store; nil means a fresh MemStore.
+	// Launch only.
 	StoreFor func(spec config.NodeSpec) backend.Store
 	// DelayFor supplies per-node service-delay models for hardware
-	// emulation; nil for none.
+	// emulation; nil for none. Launch only.
 	DelayFor func(spec config.NodeSpec) backend.DelayFunc
+	// Table is the URL table to serve from — a restored checkpoint or a
+	// backup's replicated copy; nil means a fresh, empty table.
+	Table *urltable.Table
+	// Listen is the client-facing listen address; empty means an
+	// ephemeral loopback port.
+	Listen string
 	// Picker selects among replicas in the distributor.
 	Picker loadbal.Picker
 	// PreforkPerNode is the distributor's persistent-connection count
 	// per node.
 	PreforkPerNode int
+	// AccessLog, when non-nil, receives one Common Log Format line per
+	// request.
+	AccessLog io.Writer
 	// BalanceInterval enables the auto-balancer loop when positive.
 	BalanceInterval time.Duration
 	// BalanceOptions tunes the §3.3 planner.
@@ -145,6 +153,12 @@ type Options struct {
 	// ConsoleAddr starts a remote-console endpoint when non-empty
 	// (":0" for ephemeral).
 	ConsoleAddr string
+	// AdminAddr, when non-empty, serves the front end's /metrics,
+	// /debug/* and /healthz there.
+	AdminAddr string
+	// ReplAddr, when non-empty, starts the §2.3 state-replication server
+	// a backup distributor follows.
+	ReplAddr string
 	// MonitorInterval enables broker health probing when positive:
 	// nodes whose broker stops answering are taken out of routing until
 	// they recover.
@@ -201,10 +215,14 @@ func DefaultSpec() config.ClusterSpec {
 	}
 }
 
-// Cluster is a running in-process deployment.
+// Cluster is a running front end — distributor, controller, balancer and
+// the optional console, monitor, recorder, admin and replication
+// endpoints — plus, after Launch, the in-process nodes behind it.
 type Cluster struct {
-	Spec        config.ClusterSpec
-	Table       *urltable.Table
+	Spec  config.ClusterSpec
+	Table *urltable.Table
+	// Nodes holds the nodes Launch started; empty after a bare Attach,
+	// whose nodes run elsewhere.
 	Nodes       map[config.NodeID]*NodeHandle
 	Distributor *distributor.Distributor
 	Controller  *mgmt.Controller
@@ -223,10 +241,17 @@ type Cluster struct {
 	// Recorder is the flight recorder, nil unless Options.FlightDir was
 	// set.
 	Recorder *journal.Recorder
+	// Admin is the front end's admin endpoint, nil unless
+	// Options.AdminAddr was set.
+	Admin *telemetry.AdminServer
+	// Repl is the state-replication server, nil unless Options.ReplAddr
+	// was set.
+	Repl *distributor.ReplicationServer
 	// FrontAddr is the distributor's client-facing address.
 	FrontAddr string
-	// ConsoleAddr is the console endpoint ("" when disabled).
-	ConsoleAddr string
+	// ConsoleAddr, AdminAddr and ReplAddr are the bound addresses of the
+	// optional endpoints ("" when disabled).
+	ConsoleAddr, AdminAddr, ReplAddr string
 	// GetTimeout bounds each Get round trip (dial plus exchange);
 	// zero means DefaultGetTimeout.
 	GetTimeout time.Duration
@@ -235,9 +260,14 @@ type Cluster struct {
 // DefaultGetTimeout bounds Cluster.Get when GetTimeout is unset.
 const DefaultGetTimeout = 5 * time.Second
 
-// Launch starts every component and returns the running cluster. On error
-// everything already started is shut down.
-func Launch(opts Options) (cluster *Cluster, err error) {
+// replInterval is how often the replication server sends a snapshot or
+// heartbeat to its backups.
+const replInterval = 200 * time.Millisecond
+
+// Launch starts a node per Spec entry on loopback and attaches a front end
+// to them, all in this process. On error everything already started is
+// shut down.
+func Launch(opts Options) (*Cluster, error) {
 	spec := opts.Spec
 	if len(spec.Nodes) == 0 {
 		spec = DefaultSpec()
@@ -245,87 +275,76 @@ func Launch(opts Options) (cluster *Cluster, err error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-
-	c := &Cluster{
-		Spec:  spec,
-		Nodes: make(map[config.NodeID]*NodeHandle, len(spec.Nodes)),
+	// The bound addresses go into a copy; the caller's spec is not written.
+	spec.Nodes = append([]config.NodeSpec(nil), spec.Nodes...)
+	// started owns the nodes until Attach's cluster takes them over.
+	started := &Cluster{Nodes: make(map[config.NodeID]*NodeHandle, len(spec.Nodes))}
+	for i, ns := range spec.Nodes {
+		no := NodeOptions{Spec: ns, Faults: opts.Faults, JournalSize: opts.JournalSize}
+		if opts.StoreFor != nil {
+			no.Store = opts.StoreFor(ns)
+		}
+		if opts.DelayFor != nil {
+			no.Delay = opts.DelayFor(ns)
+		}
+		nh, err := StartNode(no)
+		if err != nil {
+			_ = started.Close()
+			return nil, err
+		}
+		started.Nodes[ns.ID] = nh
+		spec.Nodes[i] = nh.Spec
 	}
+	opts.Spec = spec
+	c, err := Attach(opts)
+	if err != nil {
+		_ = started.Close()
+		return nil, err
+	}
+	c.Nodes = started.Nodes
+	return c, nil
+}
+
+// Attach starts a front end over nodes that are already running — the
+// distributor with the controller co-located (§2, §3.1) and every optional
+// endpoint Options names. It is the one place a front end is wired:
+// Launch, cmd/distributor and a promoted backup all come through here. On
+// error everything already started is shut down.
+func Attach(opts Options) (cluster *Cluster, err error) {
+	spec := opts.Spec
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	for _, n := range spec.Nodes {
+		if n.Addr == "" || n.BrokerAddr == "" {
+			return nil, fmt.Errorf("core: node %s needs both addr and brokerAddr", n.ID)
+		}
+	}
+	c := &Cluster{Spec: spec, Table: opts.Table, Nodes: map[config.NodeID]*NodeHandle{}}
 	defer func() {
 		if err != nil {
 			_ = c.Close()
 		}
 	}()
-
-	c.Table = urltable.New(urltable.Options{})
-	c.Controller = mgmt.NewController(c.Table)
-	c.Journal = journal.New(journal.Options{Node: "front", Size: opts.JournalSize})
-	c.Controller.SetJournal(c.Journal)
-	// Injected faults become journal events too, so a chaos bundle shows
-	// the fault alongside the failover it provoked (nil-safe).
-	opts.Faults.SetJournal(c.Journal)
-
-	for i := range spec.Nodes {
-		ns := spec.Nodes[i]
-		var store backend.Store
-		if opts.StoreFor != nil {
-			store = opts.StoreFor(ns)
-		} else {
-			store = &backend.MemStore{}
-		}
-		var delay backend.DelayFunc
-		if opts.DelayFor != nil {
-			delay = opts.DelayFor(ns)
-		}
-		srv, serr := backend.NewServer(backend.ServerOptions{
-			Spec:   ns,
-			Store:  store,
-			Delay:  delay,
-			Faults: opts.Faults,
-		})
-		if serr != nil {
-			return nil, fmt.Errorf("core: node %s: %w", ns.ID, serr)
-		}
-		registerDefaultDynamic(srv, ns)
-		addr, serr := srv.Start("127.0.0.1:0")
-		if serr != nil {
-			return nil, fmt.Errorf("core: node %s: %w", ns.ID, serr)
-		}
-		nodeJnl := journal.New(journal.Options{Node: string(ns.ID), Size: opts.JournalSize})
-		broker := mgmt.NewBroker(mgmt.Env{Node: ns.ID, Store: store, Server: srv, Journal: nodeJnl})
-		brokerAddr, serr := broker.Start("127.0.0.1:0")
-		if serr != nil {
-			return nil, fmt.Errorf("core: broker %s: %w", ns.ID, serr)
-		}
-		spec.Nodes[i].Addr = addr
-		c.Nodes[ns.ID] = &NodeHandle{
-			Spec:       spec.Nodes[i],
-			Server:     srv,
-			Broker:     broker,
-			Store:      store,
-			Addr:       addr,
-			BrokerAddr: brokerAddr,
-		}
-		if cerr := c.Controller.AddNode(ns.ID, brokerAddr); cerr != nil {
-			return nil, fmt.Errorf("core: %w", cerr)
-		}
-	}
-	c.Spec = spec
-
-	if opts.CacheBytes > 0 {
-		copts := opts.CacheOptions
-		copts.MaxBytes = opts.CacheBytes
-		c.Cache = respcache.New(copts)
-		// the controller purges this cache synchronously on every
-		// content/placement mutation — the coherence half of the design
-		c.Controller.SetCache(c.Cache)
+	if c.Table == nil {
+		c.Table = urltable.New(urltable.Options{})
 	}
 	telOpts := opts.TelemetryOptions
 	if telOpts.Node == "" {
 		telOpts.Node = "distributor"
 	}
 	c.Telemetry = telemetry.New(telOpts)
-	c.Controller.SetTelemetry(c.Telemetry)
-	dist, derr := distributor.New(distributor.Options{
+	c.Journal = journal.New(journal.Options{Node: "front", Size: opts.JournalSize})
+	// Injected faults become journal events too, so a chaos bundle shows
+	// the fault alongside the failover it provoked (nil-safe).
+	opts.Faults.SetJournal(c.Journal)
+	if opts.CacheBytes > 0 {
+		copts := opts.CacheOptions
+		copts.MaxBytes = opts.CacheBytes
+		c.Cache = respcache.New(copts)
+	}
+
+	c.Distributor, err = distributor.New(distributor.Options{
 		Table:          c.Table,
 		Cluster:        spec,
 		Picker:         opts.Picker,
@@ -335,23 +354,35 @@ func Launch(opts Options) (cluster *Cluster, err error) {
 		Telemetry:      c.Telemetry,
 		Journal:        c.Journal,
 		Admission:      opts.Admission,
+		AccessLog:      opts.AccessLog,
 	})
-	if derr != nil {
-		return nil, fmt.Errorf("core: %w", derr)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	c.Distributor = dist
-	front, derr := dist.Start("127.0.0.1:0")
-	if derr != nil {
-		return nil, fmt.Errorf("core: %w", derr)
+	if c.FrontAddr, err = c.Distributor.Start(orEphemeral(opts.Listen)); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	c.FrontAddr = front
+
+	c.Controller = mgmt.NewController(c.Table)
+	c.Controller.SetJournal(c.Journal)
+	c.Controller.SetTelemetry(c.Telemetry)
+	if c.Cache != nil {
+		// the controller purges this cache synchronously on every
+		// content/placement mutation — the coherence half of the design
+		c.Controller.SetCache(c.Cache)
+	}
+	for _, n := range spec.Nodes {
+		if err = c.Controller.AddNode(n.ID, n.BrokerAddr); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
 
 	balOpts := opts.BalanceOptions
 	if balOpts == (loadbal.PlannerOptions{}) {
 		balOpts = loadbal.DefaultPlannerOptions()
 	}
-	c.Balancer = mgmt.NewAutoBalancer(c.Controller, dist.Tracker(), spec.Nodes, balOpts, opts.BalanceInterval)
-	c.Balancer.SetOnLoads(dist.UpdateLoads)
+	c.Balancer = mgmt.NewAutoBalancer(c.Controller, c.Distributor.Tracker(), spec.Nodes, balOpts, opts.BalanceInterval)
+	c.Balancer.SetOnLoads(c.Distributor.UpdateLoads)
 	if opts.BalanceInterval > 0 {
 		c.Balancer.Start()
 	}
@@ -359,11 +390,9 @@ func Launch(opts Options) (cluster *Cluster, err error) {
 	if opts.ConsoleAddr != "" {
 		c.Console = mgmt.NewConsoleServer(c.Controller, c.Balancer)
 		c.Console.SetSiteLoader(c.consoleSiteLoader)
-		caddr, cerr := c.Console.Start(opts.ConsoleAddr)
-		if cerr != nil {
-			return nil, fmt.Errorf("core: %w", cerr)
+		if c.ConsoleAddr, err = c.Console.Start(opts.ConsoleAddr); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		c.ConsoleAddr = caddr
 	}
 
 	if opts.MonitorInterval > 0 {
@@ -384,21 +413,35 @@ func Launch(opts Options) (cluster *Cluster, err error) {
 	}
 
 	if opts.FlightDir != "" {
-		rec, rerr := journal.NewRecorder(journal.RecorderOptions{
+		c.Recorder, err = journal.NewRecorder(journal.RecorderOptions{
 			Journal: c.Journal,
 			Dir:     opts.FlightDir,
 			Window:  opts.FlightWindow,
 			Budgets: opts.FlightBudgets,
 			Stats:   c.classStats,
 		})
-		if rerr != nil {
-			return nil, fmt.Errorf("core: %w", rerr)
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
 		}
-		rec.AddSource("telemetry", func() any { return c.Telemetry.Report(32) })
-		rec.AddSource("placement", func() any { return c.placementState() })
-		c.Recorder = rec
-		c.Controller.SetDumper(rec.Dump)
-		rec.Start()
+		c.Recorder.AddSource("telemetry", func() any { return c.Telemetry.Report(32) })
+		c.Recorder.AddSource("placement", func() any { return c.placementState() })
+		c.Controller.SetDumper(c.Recorder.Dump)
+		c.Recorder.Start()
+	}
+
+	if opts.AdminAddr != "" {
+		c.Admin = telemetry.NewAdmin(c.Telemetry)
+		c.Admin.SetJournal(c.Journal)
+		if c.AdminAddr, err = c.Admin.Start(opts.AdminAddr); err != nil {
+			return nil, fmt.Errorf("core: admin: %w", err)
+		}
+	}
+
+	if opts.ReplAddr != "" {
+		c.Repl = distributor.NewReplicationServer(c.Distributor, replInterval)
+		if c.ReplAddr, err = c.Repl.Start(opts.ReplAddr); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 	}
 	return c, nil
 }
@@ -450,21 +493,6 @@ func (c *Cluster) placementState() any {
 		})
 	})
 	return out
-}
-
-// registerDefaultDynamic installs synthetic CGI/ASP handlers matching the
-// path conventions of the generated sites: the response embeds the node ID
-// and query, and the reported CPU cost drives the load metric.
-func registerDefaultDynamic(srv *backend.Server, ns config.NodeSpec) {
-	handler := func(kind string) backend.DynamicHandler {
-		return func(req *httpx.Request) ([]byte, float64, error) {
-			body := fmt.Sprintf("<html>%s output from %s for %s q=%s</html>\n",
-				kind, ns.ID, req.Path, req.Query)
-			return []byte(body), 1.0, nil
-		}
-	}
-	srv.HandlePrefix("/cgi-bin/", handler("cgi"))
-	srv.HandlePrefix("/asp/", handler("asp"))
 }
 
 // PlaceSite loads a site through the controller using the placement
@@ -559,9 +587,17 @@ func (c *Cluster) Get(path string) (*httpx.Response, error) {
 	return resp, nil
 }
 
-// Close shuts every component down, last-started first.
+// Close shuts every component down, last-started first: the front end's
+// endpoints, the controller's broker connections, the distributor, then
+// the nodes Launch started.
 func (c *Cluster) Close() error {
 	var errs []error
+	if c.Repl != nil {
+		errs = append(errs, c.Repl.Close())
+	}
+	if c.Admin != nil {
+		errs = append(errs, c.Admin.Close())
+	}
 	if c.Recorder != nil {
 		c.Recorder.Close()
 	}
@@ -574,16 +610,16 @@ func (c *Cluster) Close() error {
 	if c.Balancer != nil {
 		c.Balancer.Close()
 	}
+	if c.Controller != nil {
+		for _, id := range c.Controller.Nodes() {
+			c.Controller.RemoveNode(id)
+		}
+	}
 	if c.Distributor != nil {
 		errs = append(errs, c.Distributor.Close())
 	}
 	for _, nh := range c.Nodes {
-		if nh.Broker != nil {
-			errs = append(errs, nh.Broker.Close())
-		}
-		if nh.Server != nil {
-			errs = append(errs, nh.Server.Close())
-		}
+		errs = append(errs, nh.Close())
 	}
 	return errors.Join(errs...)
 }

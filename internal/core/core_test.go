@@ -158,7 +158,7 @@ func TestDynamicHandlerResponds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != 200 || !strings.Contains(string(resp.Body), "cgi output from fast-1") {
+	if resp.StatusCode != 200 || !strings.Contains(string(resp.Body), "cgi from fast-1: ") {
 		t.Fatalf("resp = %d %q", resp.StatusCode, resp.Body)
 	}
 }

@@ -22,9 +22,6 @@ import (
 	"webcluster/internal/telemetry"
 )
 
-// Cache returns the distributor's response cache, nil when disabled.
-func (d *Distributor) Cache() *respcache.Cache { return d.cache }
-
 // registerCacheMetrics exposes the response cache's counters through the
 // telemetry registry so /metrics, /debug/vars and the cluster stats plane
 // include cache behaviour (hit/miss/stale/coalesce rates, residency).

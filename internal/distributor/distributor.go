@@ -273,14 +273,8 @@ func (d *Distributor) Tracker() *loadbal.Tracker { return d.tracker }
 // Mapping returns the connection mapping table.
 func (d *Distributor) Mapping() *conntrack.MappingTable { return d.mapping }
 
-// Cluster returns the node specifications.
-func (d *Distributor) Cluster() config.ClusterSpec { return d.cluster }
-
 // Stats returns per-class statistics observed at the front end.
 func (d *Distributor) Stats() *telemetry.Registry { return d.stats }
-
-// Telemetry returns the tracing layer, nil when tracing is off.
-func (d *Distributor) Telemetry() *telemetry.Telemetry { return d.tel }
 
 // Routed returns the number of successfully routed requests.
 func (d *Distributor) Routed() int64 { return d.routed.Load() }
@@ -572,15 +566,6 @@ func (d *Distributor) pickReplica(rec urltable.Record, exclude config.NodeID) (c
 		return "", fmt.Errorf("%w: %s", ErrNoBackend, rec.Path)
 	}
 	return d.picker.Pick(candidates)
-}
-
-// ActiveRequests returns in-flight requests bound to node.
-func (d *Distributor) ActiveRequests(node config.NodeID) int64 {
-	c, ok := d.active[node]
-	if !ok {
-		return 0
-	}
-	return c.Load()
 }
 
 // Close stops the listener, closes all client connections and the

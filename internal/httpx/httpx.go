@@ -10,7 +10,8 @@
 // The package is written for the distributor's fast path: parsing interns
 // common methods, header keys and values instead of allocating, headers are
 // insertion-ordered slices rather than maps (no sort on write, no clone on
-// forward), serialization runs through pooled bufio.Writers, and response
+// forward), every message is serialized into a pooled staging buffer and
+// leaves with its body in one vectored write (writev.go), and response
 // bodies can be streamed (ReadResponseHeader + CopyBody) instead of
 // buffered. See DESIGN.md §2 for the pooling and aliasing invariants.
 package httpx
@@ -168,49 +169,6 @@ func (h Header) Clone() Header {
 		return nil
 	}
 	return append(make(Header, 0, len(h)), h...)
-}
-
-// writeFields emits every field in insertion order, skipping the given
-// canonical keys (hop-by-hop or recomputed fields).
-func (h Header) writeFields(bw *bufio.Writer, skip1, skip2 string) {
-	for i := range h {
-		if h[i].Key == skip1 || h[i].Key == skip2 {
-			continue
-		}
-		writeField(bw, h[i].Key, h[i].Value)
-	}
-}
-
-// writeField emits one "Key: value\r\n" line.
-func writeField(bw *bufio.Writer, key, value string) {
-	_, _ = bw.WriteString(key)
-	_, _ = bw.WriteString(": ")
-	_, _ = bw.WriteString(value)
-	_, _ = bw.WriteString("\r\n")
-}
-
-// writeInt emits n in decimal without allocating. Digits go out through
-// WriteByte: handing bw a slice of a stack buffer would force the buffer
-// to the heap (bufio may pass large writes straight to the underlying
-// writer, so the slice escapes).
-func writeInt(bw *bufio.Writer, n int64) {
-	if n < 0 {
-		_ = bw.WriteByte('-')
-		n = -n
-	}
-	var scratch [20]byte
-	i := len(scratch)
-	for {
-		i--
-		scratch[i] = byte('0' + n%10)
-		n /= 10
-		if n == 0 {
-			break
-		}
-	}
-	for ; i < len(scratch); i++ {
-		_ = bw.WriteByte(scratch[i])
-	}
 }
 
 // Request is a parsed HTTP request.
@@ -501,14 +459,7 @@ func grow(b []byte, n int64) []byte {
 // staged into a pooled buffer and goes out together with the body as one
 // vectored write.
 func (p *Pools) WriteRequest(w io.Writer, req *Request) error {
-	hb := p.acquireHeaderBuf()
-	defer p.releaseHeaderBuf(hb)
-	head := appendRequestHead((*hb)[:0], req, req.Proto)
-	*hb = head[:0]
-	if _, err := p.writeVectored(w, head, req.Body); err != nil {
-		return fmt.Errorf("writing request: %w", err)
-	}
-	return nil
+	return p.writeRequest(w, req, req.Proto, "writing request")
 }
 
 // WriteRequest is Pools.WriteRequest on the default pool set.
@@ -522,19 +473,23 @@ func WriteRequest(w io.Writer, req *Request) error {
 // no header clone, no mutation of req. Head and body leave in one
 // vectored write.
 func (p *Pools) WriteProxyRequest(w io.Writer, req *Request) error {
-	hb := p.acquireHeaderBuf()
-	defer p.releaseHeaderBuf(hb)
-	head := appendRequestHead((*hb)[:0], req, Proto11)
-	*hb = head[:0]
-	if _, err := p.writeVectored(w, head, req.Body); err != nil {
-		return fmt.Errorf("forwarding request: %w", err)
-	}
-	return nil
+	return p.writeRequest(w, req, Proto11, "forwarding request")
 }
 
 // WriteProxyRequest is Pools.WriteProxyRequest on the default pool set.
 func WriteProxyRequest(w io.Writer, req *Request) error {
 	return defaultPools.WriteProxyRequest(w, req)
+}
+
+func (p *Pools) writeRequest(w io.Writer, req *Request, proto, doing string) error {
+	hb := p.acquireHeaderBuf()
+	defer p.releaseHeaderBuf(hb)
+	head := appendRequestHead((*hb)[:0], req, proto)
+	*hb = head[:0]
+	if _, err := p.writeVectored(w, head, req.Body); err != nil {
+		return fmt.Errorf("%s: %w", doing, err)
+	}
+	return nil
 }
 
 // Response is a parsed or to-be-written HTTP response.
@@ -625,74 +580,22 @@ func NewResponse(proto string, code int, body []byte) *Response {
 	return resp
 }
 
-// writeStatusLine emits "proto code status\r\n".
-func writeStatusLine(bw *bufio.Writer, proto string, code int, status string) {
-	if status == "" {
-		status = statusText(code)
-	}
-	_, _ = bw.WriteString(proto)
-	_ = bw.WriteByte(' ')
-	writeInt(bw, int64(code))
-	_ = bw.WriteByte(' ')
-	_, _ = bw.WriteString(status)
-	_, _ = bw.WriteString("\r\n")
-}
-
 // WriteResponse serializes resp to w, forcing a correct Content-Length.
 // Headers go out in insertion order (any stale Content-Length field is
 // skipped, not cloned around), and the body — typically an aliased slice
 // of the backend's page cache — is written without copying.
 func WriteResponse(w io.Writer, resp *Response) error {
-	bw := acquireWriter(w)
-	defer releaseWriter(bw)
-	writeStatusLine(bw, resp.Proto, resp.StatusCode, resp.Status)
-	resp.Header.writeFields(bw, "Content-Length", "")
-	writeTraceFields(bw, resp)
-	_, _ = bw.WriteString("Content-Length: ")
-	writeInt(bw, int64(len(resp.Body)))
-	_, _ = bw.WriteString("\r\n\r\n")
-	_, _ = bw.Write(resp.Body)
-	if err := bw.Flush(); err != nil {
+	hb := defaultPools.acquireHeaderBuf()
+	defer defaultPools.releaseHeaderBuf(hb)
+	head := appendStatusLine((*hb)[:0], resp.Proto, resp.StatusCode, resp.Status)
+	head = resp.Header.appendFields(head, "Content-Length", "")
+	head = appendTraceFields(head, resp)
+	head = appendContentLength(head, int64(len(resp.Body)))
+	*hb = head[:0]
+	if _, err := defaultPools.writeVectored(w, head, resp.Body); err != nil {
 		return fmt.Errorf("writing response: %w", err)
 	}
 	return nil
-}
-
-// writeTraceFields emits the in-band tracing headers from resp's fields.
-func writeTraceFields(bw *bufio.Writer, resp *Response) {
-	if resp.TraceID != 0 {
-		_, _ = bw.WriteString("X-Dist-Trace: ")
-		writeHex(bw, resp.TraceID)
-		_, _ = bw.WriteString("\r\n")
-	}
-	if resp.SpanID != 0 {
-		_, _ = bw.WriteString("X-Dist-Span: ")
-		writeHex(bw, resp.SpanID)
-		_, _ = bw.WriteString("\r\n")
-	}
-}
-
-// writeHex emits v as lowercase hex without allocating, digits routed
-// through WriteByte for the same escape-analysis reason as writeInt.
-func writeHex(bw *bufio.Writer, v uint64) {
-	var scratch [16]byte
-	i := len(scratch)
-	for {
-		i--
-		d := byte(v & 0xf)
-		if d < 10 {
-			scratch[i] = '0' + d
-		} else {
-			scratch[i] = 'a' + d - 10
-		}
-		v >>= 4
-		if v == 0 {
-			break
-		}
-	}
-	for ; i < len(scratch); i++ {
-		_ = bw.WriteByte(scratch[i])
-	}
 }
 
 // parseHex parses an unsigned hex value from wire bytes without

@@ -7,13 +7,12 @@ import (
 	"sync"
 )
 
-// Pool sizing. Reader/writer buffers are sized for this system's messages
+// Pool sizing. Reader buffers are sized for this system's messages
 // (request lines plus a handful of headers fit in 4 KiB); copy buffers are
 // 256 KiB so a large body relay moves data in a handful of syscalls
 // without large per-request allocations.
 const (
 	readerBufSize = 4 << 10
-	writerBufSize = 4 << 10
 	// CopyBufSize is the size of the pooled buffers CopyBody relays with.
 	CopyBufSize = 256 << 10
 	// headerBufSize is the staging capacity for a serialized header
@@ -24,7 +23,7 @@ const (
 )
 
 // Pools is one independent set of the buffer pools the message fast path
-// draws from: bufio readers/writers, reusable Requests, relay copy
+// draws from: bufio readers, reusable Requests, relay copy
 // buffers, header staging buffers and writev vectors. The distributor owns
 // one for its data plane (sync.Pool is already per-P, so one set serves
 // every connection); everything else uses the package default via the
@@ -32,7 +31,6 @@ const (
 // are released back to the same Pools.
 type Pools struct {
 	readers  sync.Pool
-	writers  sync.Pool
 	requests sync.Pool
 	copyBufs sync.Pool
 	headers  sync.Pool
@@ -43,7 +41,6 @@ type Pools struct {
 func NewPools() *Pools {
 	p := &Pools{}
 	p.readers.New = func() any { return bufio.NewReaderSize(nil, readerBufSize) }
-	p.writers.New = func() any { return bufio.NewWriterSize(nil, writerBufSize) }
 	p.requests.New = func() any { return &Request{Header: make(Header, 0, 8)} }
 	p.copyBufs.New = func() any {
 		b := make([]byte, CopyBufSize)
@@ -105,20 +102,6 @@ func (p *Pools) ReleaseRequest(req *Request) {
 	p.requests.Put(req)
 }
 
-// acquireWriter returns a pooled bufio.Writer targeting w.
-func (p *Pools) acquireWriter(w io.Writer) *bufio.Writer {
-	bw := p.writers.Get().(*bufio.Writer)
-	bw.Reset(w)
-	return bw
-}
-
-// releaseWriter returns bw to the pool, dropping any unflushed bytes from
-// a failed write (Reset discards them).
-func (p *Pools) releaseWriter(bw *bufio.Writer) {
-	bw.Reset(nil)
-	p.writers.Put(bw)
-}
-
 // acquireCopyBuf returns a pooled CopyBufSize relay buffer.
 func (p *Pools) acquireCopyBuf() *[]byte {
 	return p.copyBufs.Get().(*[]byte)
@@ -156,9 +139,3 @@ func AcquireRequest() *Request { return defaultPools.AcquireRequest() }
 
 // ReleaseRequest returns req to the default pool set.
 func ReleaseRequest(req *Request) { defaultPools.ReleaseRequest(req) }
-
-// acquireWriter returns a pooled bufio.Writer targeting w.
-func acquireWriter(w io.Writer) *bufio.Writer { return defaultPools.acquireWriter(w) }
-
-// releaseWriter returns bw to the default pool set.
-func releaseWriter(bw *bufio.Writer) { defaultPools.releaseWriter(bw) }

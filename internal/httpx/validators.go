@@ -12,6 +12,7 @@ package httpx
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -191,51 +192,52 @@ type ServeOptions struct {
 	ForceClose bool
 }
 
-// ServeStored writes one replay of s to w. Every byte comes from s's
-// pre-rendered strings or stack scratch, so the steady-state hit path of a
-// response cache performs zero allocations here.
+// ServeStored writes one replay of s to w. Every header byte comes from
+// s's pre-rendered strings or is formatted in place in a pooled staging
+// buffer, so the steady-state hit path of a response cache performs zero
+// allocations here.
 func ServeStored(w io.Writer, s *Stored, o ServeOptions) error {
-	bw := acquireWriter(w)
-	defer releaseWriter(bw)
+	hb := defaultPools.acquireHeaderBuf()
+	defer defaultPools.releaseHeaderBuf(hb)
 	code := s.StatusCode
 	if o.NotModified {
 		code = 304
 	}
-	writeStatusLine(bw, o.Proto, code, "")
+	head := appendStatusLine((*hb)[:0], o.Proto, code, "")
 	if !o.NotModified && s.ContentType != "" {
-		writeField(bw, "Content-Type", s.ContentType)
+		head = appendField(head, "Content-Type", s.ContentType)
 	}
 	if s.ETag != "" {
-		writeField(bw, "Etag", s.ETag)
+		head = appendField(head, "Etag", s.ETag)
 	}
 	if s.LastModified != "" {
-		writeField(bw, "Last-Modified", s.LastModified)
+		head = appendField(head, "Last-Modified", s.LastModified)
 	}
 	if s.Date != "" {
-		writeField(bw, "Date", s.Date)
+		head = appendField(head, "Date", s.Date)
 	}
 	if o.AgeSeconds >= 0 {
-		_, _ = bw.WriteString("Age: ")
-		writeInt(bw, o.AgeSeconds)
-		_, _ = bw.WriteString("\r\n")
+		head = append(head, "Age: "...)
+		head = strconv.AppendInt(head, o.AgeSeconds, 10)
+		head = append(head, "\r\n"...)
 	}
 	if o.CacheStatus != "" {
-		writeField(bw, "X-Dist-Cache", o.CacheStatus)
+		head = appendField(head, "X-Dist-Cache", o.CacheStatus)
 	}
 	if o.ForceClose {
-		_, _ = bw.WriteString("Connection: close\r\n")
+		head = append(head, "Connection: close\r\n"...)
+	}
+	body := s.Body
+	if o.Head || o.NotModified {
+		body = nil
 	}
 	cl := int64(len(s.Body))
 	if o.NotModified {
 		cl = 0
 	}
-	_, _ = bw.WriteString("Content-Length: ")
-	writeInt(bw, cl)
-	_, _ = bw.WriteString("\r\n\r\n")
-	if !o.Head && !o.NotModified {
-		_, _ = bw.Write(s.Body)
-	}
-	if err := bw.Flush(); err != nil {
+	head = appendContentLength(head, cl)
+	*hb = head[:0]
+	if _, err := defaultPools.writeVectored(w, head, body); err != nil {
 		return fmt.Errorf("serving stored response: %w", err)
 	}
 	return nil

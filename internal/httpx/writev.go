@@ -6,15 +6,11 @@ import (
 	"strconv"
 )
 
-// This file is the vectored-write half of the relay fast path (relay v3):
-// instead of pushing the status line, each header field and the first body
-// chunk through a bufio.Writer (3-4 small write syscalls per exchange), the
-// header section is staged into a pooled byte slice with append helpers and
-// handed to the kernel together with the first body chunk as one writev(2)
-// via net.Buffers. The append helpers mirror the bufio-based writeInt/
-// writeHex/writeStatusLine exactly; strconv's Append functions write into
-// the staging buffer's existing capacity, so the hot path allocates
-// nothing.
+// This file is the package's one serializer: every message's header
+// section is staged into a pooled byte slice with the append helpers below
+// and handed to the kernel together with the body (or its first chunk) as
+// one writev(2) via net.Buffers. strconv's Append functions write into the
+// staging buffer's existing capacity, so the hot path allocates nothing.
 
 // appendField appends one "Key: value\r\n" line.
 func appendField(b []byte, key, value string) []byte {
@@ -50,7 +46,7 @@ func appendStatusLine(b []byte, proto string, code int, status string) []byte {
 }
 
 // appendTraceFields appends the in-band tracing headers from resp's
-// fields, the staging twin of writeTraceFields.
+// fields.
 func appendTraceFields(b []byte, resp *Response) []byte {
 	if resp.TraceID != 0 {
 		b = append(b, "X-Dist-Trace: "...)
@@ -78,8 +74,14 @@ func appendResponseHeader(b []byte, resp *Response, clientProto string, forceClo
 		b = appendField(b, "Connection", c)
 	}
 	b = appendTraceFields(b, resp)
+	return appendContentLength(b, resp.ContentLength)
+}
+
+// appendContentLength appends the recomputed Content-Length field and the
+// blank line that ends a response's header section.
+func appendContentLength(b []byte, n int64) []byte {
 	b = append(b, "Content-Length: "...)
-	b = strconv.AppendInt(b, resp.ContentLength, 10)
+	b = strconv.AppendInt(b, n, 10)
 	return append(b, "\r\n\r\n"...)
 }
 

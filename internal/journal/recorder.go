@@ -158,14 +158,6 @@ func (r *Recorder) AddSource(name string, fn Source) {
 	r.mu.Unlock()
 }
 
-// Dir returns the bundle directory.
-func (r *Recorder) Dir() string {
-	if r == nil {
-		return ""
-	}
-	return r.dir
-}
-
 // Dump writes a bundle now and returns its path. The reason is stored
 // in the bundle and sanitized into the file name. Nil-safe (returns
 // an error).

@@ -94,11 +94,3 @@ func (m *Module) Run(a *Analyzer, pkg *load.Package) ([]Diagnostic, error) {
 	}
 	return pass.diagnostics, nil
 }
-
-// Run executes a on a single package in a fresh one-package module.
-// Kept for callers that analyze packages in isolation; interprocedural
-// context (cross-package facts, lazily pulled dependencies) requires
-// building a Module and using its Run.
-func Run(a *Analyzer, pkg *load.Package) ([]Diagnostic, error) {
-	return NewModule().Run(a, pkg)
-}

@@ -17,7 +17,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strings"
 
 	"webcluster/internal/lint/load"
 )
@@ -90,13 +89,6 @@ type GoSite struct {
 	Body   *ast.BlockStmt
 	Callee *FuncNode
 }
-
-// Packages returns the added packages in insertion order.
-func (m *Module) Packages() []*load.Package { return m.pkgs }
-
-// Package returns the added package with the given import path, nil if
-// absent.
-func (m *Module) Package(path string) *load.Package { return m.byPath[path] }
 
 // Node returns the call-graph node for fn, or nil when fn's declaring
 // package has not been added (stdlib, unresolved).
@@ -266,10 +258,4 @@ func (m *Module) DepOrder() []*load.Package {
 		visit(p)
 	}
 	return order
-}
-
-// PathHasPrefix reports whether the slash-separated import path has the
-// given prefix as a path segment boundary.
-func PathHasPrefix(path, prefix string) bool {
-	return path == prefix || strings.HasPrefix(path, prefix+"/")
 }

@@ -63,12 +63,6 @@ func (s *factStore) lookup(a *Analyzer, key any, f Fact) bool {
 	return true
 }
 
-// ObjectFact is one exported (object, fact) pair, for AllObjectFacts.
-type ObjectFact struct {
-	Object types.Object
-	Fact   Fact
-}
-
 // ExportObjectFact associates fact with obj for downstream passes of
 // the same analyzer. obj should belong to the package being analyzed.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
@@ -99,19 +93,4 @@ func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
 		return false
 	}
 	return p.Module.facts.lookup(p.Analyzer, pkg, fact)
-}
-
-// AllObjectFacts returns every object fact this analyzer has exported
-// so far, across all packages processed in the run.
-func (p *Pass) AllObjectFacts() []ObjectFact {
-	var out []ObjectFact
-	for k, f := range p.Module.facts.m {
-		if k.analyzer != p.Analyzer {
-			continue
-		}
-		if obj, ok := k.key.(types.Object); ok {
-			out = append(out, ObjectFact{Object: obj, Fact: f})
-		}
-	}
-	return out
 }

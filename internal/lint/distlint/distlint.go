@@ -22,7 +22,6 @@ package distlint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -286,33 +285,4 @@ func (r *Runner) auditIgnores(pkgs []*load.Package, ignores map[string][]*ignore
 		}
 	}
 	return out
-}
-
-// Run executes the given analyzers (respecting scope) over one package
-// in isolation and returns the unsuppressed findings, sorted by
-// position. Cross-package context is limited to what the package's own
-// loader cache holds; the whole-module runs use a Runner.
-func Run(pkg *load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	return NewRunner(nil, analyzers).Run(pkg)
-}
-
-// RunUnscoped executes a single analyzer over pkg ignoring the package
-// scope map, applying only suppression directives. The fixture runner
-// uses it: fixtures live under testdata import paths that would never
-// match a scope entry, but still need //distlint:ignore honored so the
-// allowed-pattern fixtures can exercise the suppression form.
-func RunUnscoped(pkg *load.Package, a *analysis.Analyzer) ([]Finding, error) {
-	r := NewRunner(nil, []*analysis.Analyzer{a})
-	r.Unscoped = true
-	return r.Run(pkg)
-}
-
-// FuncFor returns the enclosing named function of pos, for diagnostics.
-func FuncFor(f *ast.File, pos token.Pos) string {
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Pos() <= pos && pos <= fd.End() {
-			return fd.Name.Name
-		}
-	}
-	return ""
 }

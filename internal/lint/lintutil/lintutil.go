@@ -175,31 +175,3 @@ func ObjectOf(info *types.Info, id *ast.Ident) types.Object {
 	}
 	return info.Defs[id]
 }
-
-// FuncBodies yields every function body in f with its declaration name:
-// declared functions and methods. Function literals are contained in
-// those bodies; analyzers that need them walk explicitly.
-func FuncBodies(f *ast.File) map[*ast.FuncDecl]*ast.BlockStmt {
-	out := make(map[*ast.FuncDecl]*ast.BlockStmt)
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-			out[fd] = fd.Body
-		}
-	}
-	return out
-}
-
-// UsesIdent reports whether obj is referenced anywhere inside e.
-func UsesIdent(info *types.Info, e ast.Node, obj types.Object) bool {
-	if e == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && ObjectOf(info, id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}

@@ -98,9 +98,6 @@ func FindModule(dir string) (root, modulePath string, err error) {
 	}
 }
 
-// Fset returns the loader's shared FileSet.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Cached returns the already-loaded package for path, nil when the
 // loader has not seen it. The analysis module uses this as its lazy
 // dependency source: any module package pulled in transitively by the

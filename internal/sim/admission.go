@@ -1,8 +1,7 @@
 package sim
 
 import (
-	"fmt"
-
+	"webcluster/internal/admission"
 	"webcluster/internal/content"
 )
 
@@ -14,46 +13,9 @@ import (
 // controller: batch beyond its share is rejected outright, interactive
 // beyond its share degrades to a front-end "stale" answer (the NIC
 // relays a cached body, no back-end work), and critical borrows up to a
-// headroom multiple of its share before anything is refused.
-
-// SLOClass is a simulated request's service-level class.
-type SLOClass uint8
-
-// The classes, in shedding-priority order (mirrors admission.Class).
-const (
-	SLOCritical SLOClass = iota
-	SLOInteractive
-	SLOBatch
-)
-
-// NumSLOClasses is the number of SLO classes.
-const NumSLOClasses = 3
-
-// String names the class with the wire/spec names.
-func (c SLOClass) String() string {
-	switch c {
-	case SLOCritical:
-		return "critical"
-	case SLOBatch:
-		return "batch"
-	default:
-		return "interactive"
-	}
-}
-
-// ParseSLOClass maps a workload spec's sloClass value to a class; the
-// empty string is the interactive default.
-func ParseSLOClass(s string) (SLOClass, error) {
-	switch s {
-	case "critical":
-		return SLOCritical, nil
-	case "interactive", "":
-		return SLOInteractive, nil
-	case "batch":
-		return SLOBatch, nil
-	}
-	return SLOInteractive, fmt.Errorf("sim: unknown SLO class %q", s)
-}
+// headroom multiple of its share before anything is refused. The class
+// vocabulary and the per-class split of the budget are the live
+// controller's own (admission.Class, admission.Limits).
 
 // RouteOutcome is the terminal disposition of one simulated request.
 type RouteOutcome uint8
@@ -78,7 +40,7 @@ type AdmissionParams struct {
 	MaxConcurrent int
 	// Shares split the budget per class (critical, interactive, batch);
 	// default 3:2:1.
-	Shares [NumSLOClasses]int
+	Shares [admission.NumClasses]int
 	// CriticalHeadroom lets the critical class borrow beyond its share
 	// up to headroom x share before shedding; default 2.
 	CriticalHeadroom float64
@@ -87,82 +49,39 @@ type AdmissionParams struct {
 // frontAdmission is the per-class gate state (engine-driven, so plain
 // ints — no concurrency inside a simulation run).
 type frontAdmission struct {
-	limit    [NumSLOClasses]int
-	critMax  int
-	inflight [NumSLOClasses]int
-	shed     [NumSLOClasses]uint64
-	stale    uint64
+	limit    [admission.NumClasses]int64
+	critMax  int64
+	inflight [admission.NumClasses]int64
 }
 
 // EnableAdmission arms SLO-class admission control on the front end.
 // Call before traffic starts.
 func (f *Frontend) EnableAdmission(p AdmissionParams) {
-	total := p.MaxConcurrent
-	if total <= 0 {
-		total = 256
-	}
-	shares := p.Shares
-	if shares == ([NumSLOClasses]int{}) {
-		shares = [NumSLOClasses]int{3, 2, 1}
-	}
-	sum := 0
-	for i, s := range shares {
-		if s <= 0 {
-			shares[i] = 1
-		}
-		sum += shares[i]
-	}
 	headroom := p.CriticalHeadroom
 	if headroom < 1 {
 		headroom = 2
 	}
-	adm := &frontAdmission{}
-	for i := range adm.limit {
-		adm.limit[i] = total * shares[i] / sum
-		if adm.limit[i] < 1 {
-			adm.limit[i] = 1
-		}
-	}
-	adm.critMax = int(float64(adm.limit[SLOCritical]) * headroom)
+	adm := &frontAdmission{limit: admission.Limits(p.MaxConcurrent, p.Shares)}
+	adm.critMax = int64(float64(adm.limit[admission.Critical]) * headroom)
 	f.adm = adm
-}
-
-// Shed returns how many requests of the class were refused by admission.
-func (f *Frontend) Shed(c SLOClass) uint64 {
-	if f.adm == nil {
-		return 0
-	}
-	return f.adm.shed[c]
-}
-
-// StaleServed returns how many interactive requests were degraded to
-// front-end stale answers.
-func (f *Frontend) StaleServed() uint64 {
-	if f.adm == nil {
-		return 0
-	}
-	return f.adm.stale
 }
 
 // admit runs the admission ladder for one arrival; called from the CPU
 // resource's completion (the front end has paid the parse/route cost
 // either way). Returns the verdict; an admitted request holds a class
 // slot until its back-end service completes.
-func (a *frontAdmission) admit(c SLOClass) RouteOutcome {
+func (a *frontAdmission) admit(c admission.Class) RouteOutcome {
 	switch c {
-	case SLOBatch:
+	case admission.Batch:
 		if a.inflight[c] >= a.limit[c] {
-			a.shed[c]++
 			return RouteShed
 		}
-	case SLOInteractive:
+	case admission.Interactive:
 		if a.inflight[c] >= a.limit[c] {
-			a.stale++
 			return RouteStale
 		}
-	default: // SLOCritical borrows up to its headroom before refusing.
+	default: // Critical borrows up to its headroom before refusing.
 		if a.inflight[c] >= a.critMax {
-			a.shed[c]++
 			return RouteShed
 		}
 	}
@@ -176,7 +95,7 @@ func (a *frontAdmission) admit(c SLOClass) RouteOutcome {
 // served and stale answers) or at the shed decision (nothing is relayed
 // for a reject). With admission disabled every request takes the exact
 // pre-admission path and only RouteOK/RouteError occur.
-func (f *Frontend) RouteSLO(obj content.Object, slo SLOClass, done func(RouteOutcome)) {
+func (f *Frontend) RouteSLO(obj content.Object, slo admission.Class, done func(RouteOutcome)) {
 	var decisionCost = f.hw.L4ForwardCPU
 	if f.kind == FrontContentAware {
 		decisionCost = f.hw.RouteLookupCPU
@@ -201,12 +120,10 @@ func (f *Frontend) RouteSLO(obj content.Object, slo SLOClass, done func(RouteOut
 		}
 		node, err := f.pick(obj)
 		if err != nil {
-			f.noRoute++
 			f.releaseSLO(slo)
 			done(RouteError)
 			return
 		}
-		f.routed++
 		started := f.eng.Now()
 		node.Serve(obj, func(ok bool) {
 			// The admission slot covers the back-end service; the relay
@@ -231,7 +148,7 @@ func (f *Frontend) RouteSLO(obj content.Object, slo SLOClass, done func(RouteOut
 }
 
 // releaseSLO returns an admitted request's class slot.
-func (f *Frontend) releaseSLO(c SLOClass) {
+func (f *Frontend) releaseSLO(c admission.Class) {
 	if f.adm != nil {
 		f.adm.inflight[c]--
 	}

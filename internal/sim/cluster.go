@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"webcluster/internal/admission"
 	"webcluster/internal/config"
 	"webcluster/internal/content"
 	"webcluster/internal/loadbal"
@@ -52,9 +53,6 @@ type Frontend struct {
 	table  *urltable.Table
 	picker loadbal.Picker
 
-	routed  uint64
-	noRoute uint64
-
 	// observer, when set, sees each completed request with its node and
 	// processing time — the simulation's stand-in for the distributor's
 	// §3.3 load tracking.
@@ -101,18 +99,12 @@ func NewFrontend(eng *Engine, hw HardwareParams, kind FrontendKind, nodes []*Nod
 // traffic starts.
 func (f *Frontend) SetObserver(fn RequestObserver) { f.observer = fn }
 
-// Routed returns successfully routed requests.
-func (f *Frontend) Routed() uint64 { return f.routed }
-
-// NoRoute returns requests that could not be routed.
-func (f *Frontend) NoRoute() uint64 { return f.noRoute }
-
 // Route sends one request through the front end to a back end and calls
 // done(ok) after the response has been relayed back through the front
 // end. Requests routed this way are interactive-class; a stale-degraded
 // answer still counts as ok (the client got bytes).
 func (f *Frontend) Route(obj content.Object, done func(ok bool)) {
-	f.RouteSLO(obj, SLOInteractive, func(o RouteOutcome) {
+	f.RouteSLO(obj, admission.Interactive, func(o RouteOutcome) {
 		done(o == RouteOK || o == RouteStale)
 	})
 }

@@ -45,7 +45,6 @@ type Node struct {
 	// requests drain normally.
 	down bool
 
-	served    uint64
 	notFound  uint64
 	classReqs map[content.Class]uint64
 }
@@ -108,9 +107,6 @@ func (n *Node) Down() bool { return n.down }
 // CacheStats exposes the page-cache counters.
 func (n *Node) CacheStats() cache.Stats { return n.pageCache.Stats() }
 
-// Served returns completed requests.
-func (n *Node) Served() uint64 { return n.served }
-
 // NotFound returns requests for content the node did not hold and could
 // not fetch (misrouting indicator).
 func (n *Node) NotFound() uint64 { return n.notFound }
@@ -126,7 +122,6 @@ func (n *Node) Serve(obj content.Object, done func(ok bool)) {
 		chunk := bytesTime(64<<10, n.hw.NICBytesPerSec)
 		n.NIC.EnqueueChunked(bytesTime(respBytes, n.hw.NICBytesPerSec), chunk, func() {
 			n.Active--
-			n.served++
 			n.classReqs[obj.Class]++
 			if !ok {
 				n.notFound++

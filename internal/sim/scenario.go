@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"webcluster/internal/admission"
 	"webcluster/internal/config"
 	"webcluster/internal/content"
 	"webcluster/internal/loadbal"
@@ -215,8 +216,8 @@ type scenarioRun struct {
 	lat           []time.Duration
 	// Per-SLO-class accumulators: latency over served (OK or stale)
 	// requests, admission sheds, and stale-degraded serves.
-	classLat  [NumSLOClasses][]time.Duration
-	classShed [NumSLOClasses]int64
+	classLat  [admission.NumClasses][]time.Duration
+	classShed [admission.NumClasses]int64
 	staleSrv  int64
 
 	lastHits, lastMisses int64
@@ -235,7 +236,7 @@ type classDriver struct {
 	sampler workload.Sampler
 	zipf    *workload.Zipf
 	mult    float64
-	slo     SLOClass
+	slo     admission.Class
 }
 
 // startClass builds and schedules the class at index i.
@@ -252,9 +253,12 @@ func (r *scenarioRun) startClass(i int) error {
 	if err != nil {
 		return fmt.Errorf("sim: classes[%d]: %w", i, err)
 	}
-	slo, err := ParseSLOClass(cs.SloClass)
-	if err != nil {
-		return fmt.Errorf("sim: classes[%d]: %w", i, err)
+	slo := admission.Interactive // what a spec that names no sloClass gets
+	if cs.SloClass != "" {
+		var ok bool
+		if slo, ok = admission.ParseClass(cs.SloClass); !ok {
+			return fmt.Errorf("sim: classes[%d]: unknown SLO class %q", i, cs.SloClass)
+		}
 	}
 	c := &classDriver{run: r, spec: cs, zipf: z, mult: 1, slo: slo}
 	if cs.Arrival.Process == workload.ProcessClosed {
@@ -329,7 +333,7 @@ func (c *classDriver) draw() content.Object {
 // shed or unroutable request counts as an error. Per-class latency only
 // accumulates over served requests — a shed costs the client a refusal,
 // not a latency sample.
-func (r *scenarioRun) record(started, finished time.Duration, slo SLOClass, o RouteOutcome) {
+func (r *scenarioRun) record(started, finished time.Duration, slo admission.Class, o RouteOutcome) {
 	if r.finished {
 		return
 	}
@@ -407,7 +411,7 @@ func (r *scenarioRun) closeInterval(at time.Duration) {
 	for i := range r.classLat {
 		r.classLat[i] = r.classLat[i][:0]
 	}
-	r.classShed = [NumSLOClasses]int64{}
+	r.classShed = [admission.NumClasses]int64{}
 	r.staleSrv = 0
 
 	if at >= r.end {

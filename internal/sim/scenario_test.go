@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"webcluster/internal/admission"
 	"webcluster/internal/workload"
 )
 
@@ -120,10 +121,10 @@ func TestTimelineCSVGolden(t *testing.T) {
 			{Index: 1, Start: 2 * time.Minute, End: 4 * time.Minute, Requests: 1180, Errors: 3,
 				RPS: 9.8333, P50: 2 * time.Millisecond, P99: 35*time.Millisecond + 400*time.Microsecond,
 				LoadCV: 1.5, Replicas: 2301, CacheHitRate: 0.9997, DownNodes: 1,
-				ClassP99: [NumSLOClasses]time.Duration{
+				ClassP99: [admission.NumClasses]time.Duration{
 					12 * time.Millisecond, 35 * time.Millisecond, 80 * time.Millisecond,
 				},
-				ClassShed:   [NumSLOClasses]int64{0, 2, 41},
+				ClassShed:   [admission.NumClasses]int64{0, 2, 41},
 				StaleServed: 17},
 		},
 	}

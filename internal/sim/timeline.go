@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"time"
+
+	"webcluster/internal/admission"
 )
 
 // TimelinePoint is one aggregation interval of a scenario replay.
@@ -30,11 +32,11 @@ type TimelinePoint struct {
 	// DownNodes is how many nodes were out of service at interval close.
 	DownNodes int
 	// ClassP99 holds per-SLO-class p99 latency over served requests
-	// (indexed by SLOClass: critical, interactive, batch). Zero for a
+	// (indexed by admission.Class: critical, interactive, batch). Zero for a
 	// class with no traffic in the interval.
-	ClassP99 [NumSLOClasses]time.Duration
+	ClassP99 [admission.NumClasses]time.Duration
 	// ClassShed counts requests refused by admission control per class.
-	ClassShed [NumSLOClasses]int64
+	ClassShed [admission.NumClasses]int64
 	// StaleServed counts interactive requests degraded to front-end
 	// stale answers during the interval.
 	StaleServed int64
@@ -114,12 +116,12 @@ func (t *Timeline) WriteCSV(w io.Writer) error {
 			p.Replicas,
 			p.CacheHitRate,
 			p.DownNodes,
-			float64(p.ClassP99[SLOCritical])/float64(time.Millisecond),
-			float64(p.ClassP99[SLOInteractive])/float64(time.Millisecond),
-			float64(p.ClassP99[SLOBatch])/float64(time.Millisecond),
-			p.ClassShed[SLOCritical],
-			p.ClassShed[SLOInteractive],
-			p.ClassShed[SLOBatch],
+			float64(p.ClassP99[admission.Critical])/float64(time.Millisecond),
+			float64(p.ClassP99[admission.Interactive])/float64(time.Millisecond),
+			float64(p.ClassP99[admission.Batch])/float64(time.Millisecond),
+			p.ClassShed[admission.Critical],
+			p.ClassShed[admission.Interactive],
+			p.ClassShed[admission.Batch],
 			p.StaleServed,
 		)
 	}

@@ -50,10 +50,6 @@ func (a *AdminServer) SetJournal(j *journal.Journal) {
 	a.jmu.Unlock()
 }
 
-// Mux exposes the underlying mux so a command can mount extra handlers
-// (the pprof index, for one) on the same listener.
-func (a *AdminServer) Mux() *http.ServeMux { return a.mux }
-
 // Start listens on addr and serves in the background; returns the bound
 // address. Read/write timeouts bound every accepted connection so a
 // wedged scraper can't pin a goroutine.
@@ -74,14 +70,6 @@ func (a *AdminServer) Start(addr string) (string, error) {
 		_ = a.srv.Serve(ln)
 	}()
 	return ln.Addr().String(), nil
-}
-
-// Addr returns the bound address ("" before Start).
-func (a *AdminServer) Addr() string {
-	if a.ln == nil {
-		return ""
-	}
-	return a.ln.Addr().String()
 }
 
 // Close stops the listener and any in-flight handlers, then waits for

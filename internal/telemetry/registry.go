@@ -80,9 +80,6 @@ func NewRegistryAt(node string, clock func() time.Time) *Registry {
 	return &Registry{node: node, clock: clock, start: clock()}
 }
 
-// Node returns the registry's node label.
-func (r *Registry) Node() string { return r.node }
-
 // Uptime returns time elapsed since the registry was created.
 func (r *Registry) Uptime() time.Duration { return r.clock().Sub(r.start) }
 
@@ -127,17 +124,6 @@ func (r *Registry) Classes() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Summary formats one line per class: "class: N reqs, mean latency".
-func (r *Registry) Summary() string {
-	var out string
-	for _, name := range r.Classes() {
-		cs := r.Class(name)
-		out += fmt.Sprintf("%s: %d reqs, %d errors, mean %v\n",
-			name, cs.Requests.Value(), cs.Errors.Value(), cs.Latency.Mean())
-	}
-	return out
 }
 
 // Counter returns the named counter, creating it on first use. Callers

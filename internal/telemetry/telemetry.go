@@ -66,14 +66,6 @@ func New(o Options) *Telemetry {
 	return t
 }
 
-// Node returns the node label ("" on nil).
-func (t *Telemetry) Node() string {
-	if t == nil {
-		return ""
-	}
-	return t.node
-}
-
 // Registry returns the node's metrics registry (nil on nil telemetry).
 func (t *Telemetry) Registry() *Registry {
 	if t == nil {

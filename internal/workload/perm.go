@@ -38,9 +38,6 @@ func NewPermutation(n int, seed int64) (*Permutation, error) {
 // Apply maps a drawn rank to the object index currently holding it.
 func (p *Permutation) Apply(rank int) int { return p.fwd[rank] }
 
-// Len returns the rank-space size.
-func (p *Permutation) Len() int { return len(p.fwd) }
-
 // swap exchanges the objects holding ranks a and b.
 func (p *Permutation) swap(a, b int) {
 	p.fwd[a], p.fwd[b] = p.fwd[b], p.fwd[a]

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"webcluster/internal/admission"
 	"webcluster/internal/sim"
 	"webcluster/internal/workload"
 )
@@ -198,23 +199,23 @@ func TestChaosSurgeGracefulDegradation(t *testing.T) {
 	var surgeBatchShed, surgeStale int64
 	for _, p := range tl.Points {
 		// Never, anywhere: critical requests must not be refused.
-		if p.ClassShed[sim.SLOCritical] != 0 {
+		if p.ClassShed[admission.Critical] != 0 {
 			t.Fatalf("interval %d shed %d critical requests; critical must never be refused",
-				p.Index, p.ClassShed[sim.SLOCritical])
+				p.Index, p.ClassShed[admission.Critical])
 		}
 		switch {
 		case p.Index < surgeFrom:
-			if p.ClassP99[sim.SLOCritical] > preCritP99 {
-				preCritP99 = p.ClassP99[sim.SLOCritical]
+			if p.ClassP99[admission.Critical] > preCritP99 {
+				preCritP99 = p.ClassP99[admission.Critical]
 			}
 		case p.Index < surgeTo:
-			if p.ClassP99[sim.SLOCritical] > surgeCritP99 {
-				surgeCritP99 = p.ClassP99[sim.SLOCritical]
+			if p.ClassP99[admission.Critical] > surgeCritP99 {
+				surgeCritP99 = p.ClassP99[admission.Critical]
 			}
-			if p.ClassShed[sim.SLOBatch] == 0 {
+			if p.ClassShed[admission.Batch] == 0 {
 				t.Errorf("surge interval %d shed no batch traffic — admission control is not engaging", p.Index)
 			}
-			surgeBatchShed += p.ClassShed[sim.SLOBatch]
+			surgeBatchShed += p.ClassShed[admission.Batch]
 			surgeStale += p.StaleServed
 		}
 	}

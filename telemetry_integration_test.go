@@ -12,6 +12,7 @@ import (
 	"webcluster/internal/httpx"
 	"webcluster/internal/mgmt"
 	"webcluster/internal/telemetry"
+	"webcluster/internal/testutil"
 )
 
 // launchTelemetryCluster starts a 3-node cluster with a console endpoint
@@ -78,14 +79,23 @@ func TestTracedRequestSpansMatch(t *testing.T) {
 		t.Fatalf("response trace ID = %x, want %x", resp.TraceID, clientTrace)
 	}
 
-	var distSpan *telemetry.Span
-	for _, sp := range cluster.Telemetry.Spans(0) {
-		if sp.TraceID == clientTrace {
-			cp := sp
-			distSpan = &cp
-			break
-		}
+	// Both sides finish their span after the reply is on the wire, so a
+	// span may trail the response the client has already read.
+	awaitSpan := func(tel *telemetry.Telemetry, match func(telemetry.Span) bool) *telemetry.Span {
+		var found *telemetry.Span
+		testutil.EventuallyTrue(2*time.Second, func() bool {
+			for _, sp := range tel.Spans(0) {
+				if match(sp) {
+					cp := sp
+					found = &cp
+					return true
+				}
+			}
+			return false
+		})
+		return found
 	}
+	distSpan := awaitSpan(cluster.Telemetry, func(sp telemetry.Span) bool { return sp.TraceID == clientTrace })
 	if distSpan == nil {
 		t.Fatalf("no span with trace %x in distributor ring", clientTrace)
 	}
@@ -102,14 +112,7 @@ func TestTracedRequestSpansMatch(t *testing.T) {
 	if nh == nil {
 		t.Fatalf("unknown backend node %q", distSpan.Backend)
 	}
-	var backendSpan *telemetry.Span
-	for _, sp := range nh.Server.Telemetry().Spans(0) {
-		if sp.SpanID == distSpan.BackendSpan {
-			cp := sp
-			backendSpan = &cp
-			break
-		}
-	}
+	backendSpan := awaitSpan(nh.Server.Telemetry(), func(sp telemetry.Span) bool { return sp.SpanID == distSpan.BackendSpan })
 	if backendSpan == nil {
 		t.Fatalf("backend %s has no span with ID %x", distSpan.Backend, distSpan.BackendSpan)
 	}
@@ -146,14 +149,23 @@ func TestConsoleClusterStats(t *testing.T) {
 	}
 	defer func() { _ = console.Close() }()
 
-	resp, err := console.Do(mgmt.ConsoleRequest{Op: "stats"})
-	if err != nil {
-		t.Fatal(err)
+	// 9 front-end requests + 9 backend services, all class html. Both
+	// sides record after the reply is on the wire, so the last request's
+	// records may trail its response: ask until they have landed.
+	var st *telemetry.ClusterStats
+	htmlRequests := func() int64 {
+		resp, err := console.Do(mgmt.ConsoleRequest{Op: "stats"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Stats == nil {
+			t.Fatal("stats verb returned no Stats")
+		}
+		st = resp.Stats
+		return st.Merged.Classes["html"].Requests
 	}
-	if resp.Stats == nil {
-		t.Fatal("stats verb returned no Stats")
-	}
-	st := resp.Stats
+	testutil.Eventually(t, 2*time.Second, func() bool { return htmlRequests() == 18 },
+		"merged html requests never reached 18")
 	wantSources := map[string]bool{"distributor": false, "fast-1": false, "mid-1": false, "slow-1": false}
 	for _, s := range st.Sources {
 		if _, ok := wantSources[s]; ok {
@@ -174,7 +186,6 @@ func TestConsoleClusterStats(t *testing.T) {
 	if html == nil {
 		t.Fatalf("no html class in cluster stats: %+v", st.Classes)
 	}
-	// 9 front-end requests + 9 backend services, all class html.
 	if html.Requests != 18 {
 		t.Fatalf("merged html requests = %d, want 18", html.Requests)
 	}
