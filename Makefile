@@ -16,9 +16,10 @@ BENCH_TELEMETRY = BenchmarkTelemetryObserve|BenchmarkDistributorRelayTraced|Benc
 # decision, which must stay at 0 allocs/op.
 BENCH_ADMISSION = BenchmarkAdmissionDecision
 
-# Management-plane benchmark (BENCH_mgmt.json): one console insert on two
-# nodes through both wire hops; its MB/s is what the frame codec bought.
-BENCH_MGMT = BenchmarkMgmtInsert
+# Management-plane benchmarks (BENCH_mgmt.json): one console insert on two
+# nodes through both wire hops, and one replica move between two nodes;
+# their MB/s is what the frame codec and the copy-once data path bought.
+BENCH_MGMT = BenchmarkMgmtInsert|BenchmarkMgmtReplicate
 
 .PHONY: all vet lint build test race stress chaos sim bench bench-check allocguard loc ci
 
@@ -59,9 +60,10 @@ race:
 # threads, where shutdown races (a connection registering after Close has
 # swept the set) show up as a hung Close instead of passing by luck.
 # internal/core is in because Cluster.Close and NodeHandle.Close are the
-# shutdown order of the deployed binaries.
+# shutdown order of the deployed binaries; internal/mgmt because a broker
+# now holds client connections to its peers as well as serving its own.
 stress:
-	GOMAXPROCS=2 $(GO) test -count=5 ./internal/backend ./internal/distributor ./internal/conntrack ./internal/core
+	GOMAXPROCS=2 $(GO) test -count=5 ./internal/backend ./internal/distributor ./internal/conntrack ./internal/core ./internal/mgmt
 
 # Non-test Go outside bench/ and testdata/: the figure the ROADMAP's
 # deletion target and every simplicity PR's before/after are quoted in.
@@ -104,11 +106,12 @@ bench:
 # throughput (MB/s) gate on the large-body relay runs at the default
 # benchtime so the number is meaningful, and fails when mb_per_sec drops
 # more than 10% below the archived snapshot. The management insert
-# crosses six sockets and two more goroutine hand-offs per operation,
-# so on a shared box its MB/s swings 3x between a quiet minute and a
-# busy one; its gate is therefore wide (fail below 15% of the
-# snapshot). What it exists to catch — file bytes going back into the
-# JSON envelope — is a 13x drop at 1 MiB.
+# crosses six sockets and two more goroutine hand-offs per operation
+# (the replica move, four and two), so on a shared box their MB/s
+# swings 3x between a quiet minute and a busy one; the gate is
+# therefore wide (fail below 15% of the snapshot). What it exists to
+# catch — file bytes going back into the JSON envelope — is a 13x drop
+# at 1 MiB.
 allocguard:
 	$(GO) test -run '^$$' -bench 'BenchmarkDistributorRelay$$' -benchtime=100x -benchmem . \
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_relay.json

@@ -66,14 +66,107 @@ func TestMemStoreCRUD(t *testing.T) {
 	}
 }
 
-func TestMemStoreCopiesData(t *testing.T) {
+// TestMemStoreKeepsTheSliceItIsGiven: Put and Replace take ownership, so
+// the bytes a broker read off the wire are the stored object, not a
+// source to copy from.
+func TestMemStoreKeepsTheSliceItIsGiven(t *testing.T) {
 	var s MemStore
-	buf := []byte("abc")
-	_ = s.Put("/a", buf)
-	buf[0] = 'Z'
-	data, _ := s.Fetch("/a")
-	if string(data) != "abc" {
-		t.Fatal("store aliases caller's buffer")
+	first, second := []byte("abc"), []byte("defgh")
+	if err := s.Put("/a", first); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := s.Fetch("/a"); &data[0] != &first[0] {
+		t.Fatal("Put copied the slice it was given")
+	}
+	if err := s.Replace("/a", second); err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := s.Fetch("/a"); &data[0] != &second[0] || s.UsedBytes() != 5 {
+		t.Fatalf("after Replace: %q, used %d", data, s.UsedBytes())
+	}
+}
+
+// TestReplaceNeverUnstoresThePath: Replace swaps the bytes in one step, so
+// a Fetch beside 500 replaces sees some version of the file every time.
+// Delete-then-Put let it see ErrNotStored, which a GET that missed the
+// page cache turned into a 404 for content that exists.
+func TestReplaceNeverUnstoresThePath(t *testing.T) {
+	dir, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]Store{"mem": &MemStore{}, "synthetic": &SyntheticStore{}, "dir": dir} {
+		t.Run(name, func(t *testing.T) {
+			if err := s.Replace("/p", []byte("x")); !errors.Is(err, ErrNotStored) {
+				t.Fatalf("replace of an absent path = %v, want ErrNotStored", err)
+			}
+			if err := s.Put("/p", []byte("version 0")); err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			missed := make(chan error, 1)
+			go func() {
+				defer close(missed)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := s.Fetch("/p"); err != nil {
+						missed <- err
+						return
+					}
+				}
+			}()
+			for i := 1; i <= 500; i++ {
+				if err := s.Replace("/p", []byte(fmt.Sprintf("version %d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(stop)
+			if err := <-missed; err != nil {
+				t.Fatalf("a Fetch beside the replaces failed: %v", err)
+			}
+			if got := s.UsedBytes(); got != int64(len("version 500")) {
+				t.Errorf("used = %d bytes after the last replace, want %d", got, len("version 500"))
+			}
+			if got := s.List(); len(got) != 1 || got[0] != "/p" {
+				t.Errorf("store lists %v, want only /p (no staging file left behind)", got)
+			}
+		})
+	}
+}
+
+// TestDirStoreHidesStagingFiles: the file Replace stages beside its target
+// lives inside the served tree, so one left by a crash between CreateTemp
+// and Rename (or seen mid-replace) must not count as stored content.
+func TestDirStoreHidesStagingFiles(t *testing.T) {
+	s, err := NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("/d/p", []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	left := stagingPrefix + "123"
+	if err := os.WriteFile(filepath.Join(s.Root(), "d", left), []byte("half a replace"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.List(); len(got) != 1 || got[0] != "/d/p" {
+		t.Errorf("store lists %v, want only /d/p", got)
+	}
+	if got := s.UsedBytes(); got != int64(len("kept")) {
+		t.Errorf("used = %d bytes, want %d", got, len("kept"))
+	}
+	if s.Has("/d/" + left) {
+		t.Error("Has reports the staging file as stored")
+	}
+	if _, err := s.Fetch("/d/" + left); err == nil {
+		t.Error("the staging file can be fetched")
+	}
+	if err := s.Put("/d/"+stagingPrefix+"x", []byte("y")); err == nil {
+		t.Error("a path under the staging prefix can be stored")
 	}
 }
 

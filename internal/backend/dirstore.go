@@ -38,6 +38,12 @@ func NewDirStore(dir string) (*DirStore, error) {
 	return &DirStore{root: abs}, nil
 }
 
+// stagingPrefix starts the name of the file Replace writes beside its
+// target. The prefix is reserved: resolve refuses a path whose last element
+// carries it, and List and UsedBytes pass such files over, so a replace in
+// progress — or one a crash cut short — never shows up as stored content.
+const stagingPrefix = ".replace-"
+
 // Root returns the absolute docroot.
 func (s *DirStore) Root() string { return s.root }
 
@@ -55,7 +61,7 @@ func (s *DirStore) resolve(urlPath string) (string, error) {
 		}
 	}
 	clean := path.Clean(urlPath)
-	if clean == "/" {
+	if clean == "/" || strings.HasPrefix(path.Base(clean), stagingPrefix) {
 		return "", fmt.Errorf("backend: unsafe path %q", urlPath)
 	}
 	return filepath.Join(s.root, filepath.FromSlash(clean)), nil
@@ -107,6 +113,39 @@ func (s *DirStore) Put(urlPath string, data []byte) error {
 	return nil
 }
 
+// Replace implements Store: the new bytes are written beside the file and
+// renamed over it, so a reader opens the old file or the new one.
+func (s *DirStore) Replace(urlPath string, data []byte) error {
+	fsPath, err := s.resolve(urlPath)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if info, err := os.Stat(fsPath); err != nil || !info.Mode().IsRegular() {
+		return fmt.Errorf("%w: %q", ErrNotStored, urlPath)
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(fsPath), stagingPrefix+"*")
+	if err != nil {
+		return fmt.Errorf("backend: staging %q: %w", urlPath, err)
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), fsPath)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name()) // best effort: the write's error is the one to report
+		return fmt.Errorf("backend: replacing %q: %w", urlPath, err)
+	}
+	return nil
+}
+
 // Delete implements Store, pruning directories left empty.
 func (s *DirStore) Delete(urlPath string) error {
 	fsPath, err := s.resolve(urlPath)
@@ -136,7 +175,7 @@ func (s *DirStore) Delete(urlPath string) error {
 func (s *DirStore) List() []string {
 	var out []string
 	_ = filepath.WalkDir(s.root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
+		if err != nil || d.IsDir() || strings.HasPrefix(d.Name(), stagingPrefix) {
 			return nil
 		}
 		rel, err := filepath.Rel(s.root, p)
@@ -154,7 +193,7 @@ func (s *DirStore) List() []string {
 func (s *DirStore) UsedBytes() int64 {
 	var total int64
 	_ = filepath.WalkDir(s.root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
+		if err != nil || d.IsDir() || strings.HasPrefix(d.Name(), stagingPrefix) {
 			return nil
 		}
 		if info, err := d.Info(); err == nil {

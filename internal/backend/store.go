@@ -23,13 +23,23 @@ var (
 
 // Store is a node's local content repository. Implementations must be safe
 // for concurrent use.
+//
+// Stored bytes are immutable. Put and Replace take ownership of data: a
+// store may keep the slice itself, so the caller must never write to it
+// again (reading it, or handing it to another store, stays safe). Fetch may
+// return the stored slice; its caller must not write to it either.
 type Store interface {
 	// Fetch returns the full object bytes.
 	Fetch(path string) ([]byte, error)
 	// Has reports whether path is stored without fetching it.
 	Has(path string) bool
-	// Put stores data at path, failing if already present.
+	// Put stores data at path, failing with ErrAlreadyStored if already
+	// present. Ownership of data passes to the store.
 	Put(path string, data []byte) error
+	// Replace swaps the bytes of a stored path for data, failing with
+	// ErrNotStored if absent. A concurrent Fetch returns the old bytes or
+	// the new, never ErrNotStored. Ownership of data passes to the store.
+	Replace(path string, data []byte) error
 	// Delete removes path.
 	Delete(path string) error
 	// List returns all stored paths, sorted.
@@ -67,7 +77,7 @@ func (s *MemStore) Has(path string) bool {
 	return ok
 }
 
-// Put implements Store.
+// Put implements Store, keeping data itself.
 func (s *MemStore) Put(path string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -77,8 +87,21 @@ func (s *MemStore) Put(path string, data []byte) error {
 	if _, ok := s.data[path]; ok {
 		return fmt.Errorf("%w: %q", ErrAlreadyStored, path)
 	}
-	s.data[path] = append([]byte(nil), data...)
+	s.data[path] = data
 	s.used += int64(len(data))
+	return nil
+}
+
+// Replace implements Store, keeping data itself.
+func (s *MemStore) Replace(path string, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old, ok := s.data[path]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNotStored, path)
+	}
+	s.data[path] = data
+	s.used += int64(len(data) - len(old))
 	return nil
 }
 
@@ -182,6 +205,21 @@ func (s *SyntheticStore) Has(path string) bool {
 // Put implements Store by registering the path with the data's length.
 func (s *SyntheticStore) Put(path string, data []byte) error {
 	return s.PlaceSized(path, int64(len(data)))
+}
+
+// Replace implements Store by re-registering the path with the data's
+// length.
+func (s *SyntheticStore) Replace(path string, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old, ok := s.sizes[path]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNotStored, path)
+	}
+	size := int64(len(data))
+	s.sizes[path] = size
+	s.used += size - old
+	return nil
 }
 
 // Delete implements Store.

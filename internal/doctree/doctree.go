@@ -57,7 +57,9 @@ type Step struct {
 	// from Path (rename); empty means copy under the same path.
 	DestPath string
 	// Data is the object bytes for StepStore; nil means synthesize
-	// SyntheticSize bytes (placement without transfer).
+	// SyntheticSize bytes (placement without transfer). On a StepCopy
+	// SyntheticSize is the size the table lists, which the target checks
+	// the copy against.
 	Data          []byte
 	SyntheticSize int64
 }

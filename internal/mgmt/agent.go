@@ -41,12 +41,13 @@ const (
 	OpDeleteFile
 	// OpStoreFile places a file (bytes or synthetic size) on the node.
 	OpStoreFile
-	// OpFetchFile returns a file's bytes (the controller's copy source).
+	// OpFetchFile returns a file's bytes (what a pulling broker asks its
+	// source for).
 	OpFetchFile
 	// OpListFiles returns all stored paths.
 	OpListFiles
 	// OpReplaceFile atomically replaces a file's contents (the update
-	// path for mutable content: delete + store + cache invalidation).
+	// path for mutable content: Store.Replace + cache invalidation).
 	OpReplaceFile
 	// OpChecksum returns the SHA-256 of a stored file, letting the
 	// controller audit replica consistency without transferring bytes.
@@ -57,6 +58,11 @@ const (
 	// OpJournal returns the node's recent decision-journal events for
 	// the controller's merged cluster journal.
 	OpJournal
+	// OpPullFile makes the node fetch a file from the source broker named
+	// in Args (or copy it locally when none is) and store it, provided it
+	// has the length Args.Size expects: a replica moves node to node and
+	// the controller sees an envelope.
+	OpPullFile
 )
 
 // String names the op.
@@ -82,6 +88,8 @@ func (o Op) String() string {
 		return "telemetry"
 	case OpJournal:
 		return "journal"
+	case OpPullFile:
+		return "pull-file"
 	default:
 		return fmt.Sprintf("Op(%d)", int(o))
 	}
@@ -97,7 +105,7 @@ type Spec struct {
 // BuiltinSpecs returns the standard agent repository contents: one agent
 // per management function, named as the controller dispatches them.
 func BuiltinSpecs() []Spec {
-	ops := []Op{OpPing, OpStatus, OpDeleteFile, OpStoreFile, OpFetchFile, OpListFiles, OpReplaceFile, OpChecksum, OpTelemetry, OpJournal}
+	ops := []Op{OpPing, OpStatus, OpDeleteFile, OpStoreFile, OpFetchFile, OpListFiles, OpReplaceFile, OpChecksum, OpTelemetry, OpJournal, OpPullFile}
 	specs := make([]Spec, len(ops))
 	for i, op := range ops {
 		specs[i] = Spec{Name: op.String(), Op: op}
@@ -111,8 +119,15 @@ type Args struct {
 	// Data is the object's bytes for store-file and replace-file. It
 	// travels as the frame's payload, never inside the JSON envelope.
 	Data []byte `json:"-"`
-	// Size requests synthetic placement of Size bytes when Data is nil.
+	// Size requests synthetic placement of Size bytes when Data is nil. To
+	// pull-file it is the length the table lists for Path: a file of any
+	// other length is not stored (zero: not checked).
 	Size int64 `json:"size,omitempty"`
+	// Dest is the path pull-file stores under when it is not Path (rename).
+	Dest string `json:"dest,omitempty"`
+	// Source is the address of the broker pull-file fetches Path from;
+	// empty means Path is on this node already.
+	Source string `json:"source,omitempty"`
 }
 
 // Result carries an agent's outcome.
@@ -142,6 +157,9 @@ type Env struct {
 	// are nil-safe).
 	Journal *journal.Journal
 	Now     func() time.Time
+	// peers is the owning broker's clients to other brokers, what
+	// pull-file fetches through; NewBroker sets it.
+	peers *peerClients
 }
 
 // telemetryReportSpans caps how many spans one OpTelemetry scrape ships
@@ -263,17 +281,11 @@ func ExecuteOp(op Op, env Env, args Args) (Result, error) {
 		if env.Store == nil {
 			return Result{}, fmt.Errorf("mgmt: node %s has no store", env.Node)
 		}
-		if !env.Store.Has(args.Path) {
-			return Result{}, fmt.Errorf("mgmt: replace %q: %w", args.Path, backend.ErrNotStored)
-		}
-		if err := env.Store.Delete(args.Path); err != nil {
-			return Result{}, fmt.Errorf("mgmt: replace %q: %w", args.Path, err)
-		}
 		data := args.Data
 		if data == nil && args.Size > 0 {
 			data = backend.SynthesizeBody(args.Path, args.Size)
 		}
-		if err := env.Store.Put(args.Path, data); err != nil {
+		if err := env.Store.Replace(args.Path, data); err != nil {
 			return Result{}, fmt.Errorf("mgmt: replace %q: %w", args.Path, err)
 		}
 		if env.Server != nil {
@@ -281,6 +293,38 @@ func ExecuteOp(op Op, env Env, args Args) (Result, error) {
 		}
 		journalAgentOp(env, "replace-file", args.Path)
 		return Result{Message: "replaced " + args.Path}, nil
+
+	case OpPullFile:
+		if env.Store == nil {
+			return Result{}, fmt.Errorf("mgmt: node %s has no store", env.Node)
+		}
+		dest := args.Dest
+		if dest == "" {
+			dest = args.Path
+		}
+		var data []byte
+		var err error
+		if args.Source == "" {
+			// Stored bytes are immutable, so on a store that keeps slices
+			// both names share one: a rename copies nothing.
+			data, err = env.Store.Fetch(args.Path)
+		} else {
+			data, err = env.peers.fetch(args.Source, args.Path)
+		}
+		if err != nil {
+			return Result{}, fmt.Errorf("mgmt: pull %q: %w", args.Path, err)
+		}
+		if args.Size > 0 && int64(len(data)) != args.Size {
+			return Result{}, fmt.Errorf("mgmt: pull %q: source holds %d bytes, the table lists %d", args.Path, len(data), args.Size)
+		}
+		if err := env.Store.Put(dest, data); err != nil {
+			return Result{}, fmt.Errorf("mgmt: pull %q: %w", args.Path, err)
+		}
+		if env.Server != nil {
+			env.Server.InvalidateCache(dest)
+		}
+		journalAgentOp(env, "pull-file", dest)
+		return Result{Message: fmt.Sprintf("pulled %s (%d bytes)", dest, len(data))}, nil
 
 	case OpChecksum:
 		if env.Store == nil {

@@ -29,6 +29,7 @@ type Broker struct {
 
 // NewBroker returns a broker for env.
 func NewBroker(env Env) *Broker {
+	env.peers = &peerClients{clients: make(map[string]*BrokerClient)}
 	return &Broker{
 		env:    env,
 		agents: make(map[string]Spec),
@@ -173,7 +174,57 @@ func (b *Broker) Close() error {
 		b.mu.Unlock()
 	})
 	b.wg.Wait()
+	// No handler is left to use them.
+	b.env.peers.close()
 	return err
+}
+
+// peerClients is a broker's connections to the brokers it has pulled files
+// from: one BrokerClient per address, connected by its first call and kept,
+// dropped and redialed by the rules every BrokerClient follows.
+type peerClients struct {
+	mu      sync.Mutex
+	clients map[string]*BrokerClient
+}
+
+// peerTimeout bounds one fetch from a peer. It is shorter than
+// DefaultBrokerTimeout so that a source that stops answering fails the pull
+// at the target, which names it, before the controller's own deadline on
+// the target drops that connection and the reason with it. That ordering
+// holds for the default only: a controller whose SetTimeout is below
+// peerTimeout gives up on the target first and reports its own deadline,
+// not the source. Either way the whole pull — fetch and store — has to fit
+// inside the controller's one deadline on the target.
+const peerTimeout = DefaultBrokerTimeout / 2
+
+// fetch returns path's bytes from the broker at addr, installing the
+// fetch-file agent there first if that broker has never served one.
+func (p *peerClients) fetch(addr, path string) ([]byte, error) {
+	if p == nil {
+		return nil, errors.New("no broker to fetch through")
+	}
+	p.mu.Lock()
+	client := p.clients[addr]
+	if client == nil {
+		client = &BrokerClient{addr: addr, timeout: peerTimeout}
+		p.clients[addr] = client
+	}
+	p.mu.Unlock()
+	spec := Spec{Name: OpFetchFile.String(), Op: OpFetchFile}
+	res, _, err := client.run(spec.Name, Args{Path: path}, func() (Spec, bool) { return spec, true })
+	if err != nil {
+		return nil, fmt.Errorf("from broker %s: %w", addr, err)
+	}
+	return res.Data, nil
+}
+
+// close disconnects every peer.
+func (p *peerClients) close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, client := range p.clients {
+		_ = client.Close()
+	}
 }
 
 // DefaultBrokerTimeout bounds one broker call (send + response) unless
@@ -313,6 +364,28 @@ func (c *BrokerClient) Invoke(agent string, args Args) (Result, bool, error) {
 		return Result{}, false, nil
 	}
 	return *resp.Result, false, nil
+}
+
+// run invokes agent with the download-on-demand retry: when the broker
+// lacks the agent, the spec repo returns for it is installed and the
+// invocation repeated once. installed reports that a spec was shipped.
+func (c *BrokerClient) run(agent string, args Args, repo func() (Spec, bool)) (res Result, installed bool, err error) {
+	res, needCode, err := c.Invoke(agent, args)
+	if err == nil || !needCode {
+		return res, false, err
+	}
+	spec, ok := repo()
+	if !ok {
+		return Result{}, false, errors.New("agent not in repository")
+	}
+	if err := c.Install(spec); err != nil {
+		return Result{}, false, err
+	}
+	res, _, err = c.Invoke(agent, args)
+	if err != nil {
+		return Result{}, true, fmt.Errorf("after install: %w", err)
+	}
+	return res, true, nil
 }
 
 // Install ships an agent spec to the broker.

@@ -156,23 +156,44 @@ func (s *ConsoleServer) Start(addr string) (string, error) {
 	return l.Addr().String(), nil
 }
 
+// staging recycles the buffers console payloads are read into. A file is
+// staged only while its request runs: the controller writes the slice to
+// each target broker's socket and keeps no reference, so the buffer goes
+// back once the reply is written. It is not kept on the connection — an
+// idle console session must pin no file-sized memory in the distributor's
+// process.
+var staging sync.Pool // of *[]byte
+
 // serveConn handles one console session.
 func (s *ConsoleServer) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
-	for {
-		var env consoleEnvelope
-		payload, err := readFrame(br, &env)
-		if err != nil {
-			refuseMismatch(conn, err)
-			return
-		}
-		if env.Payload {
-			env.Data = payload
-		}
-		if err := writeFrame(conn, s.handle(env.ConsoleRequest), nil); err != nil {
-			return
-		}
+	for s.serveRequest(conn, br) {
 	}
+}
+
+// serveRequest reads one command, executes it and writes the reply; false
+// ends the session.
+func (s *ConsoleServer) serveRequest(conn net.Conn, br *bufio.Reader) bool {
+	var env consoleEnvelope
+	var buf *[]byte
+	payload, err := readFrameInto(br, &env, func(n int) []byte {
+		if buf, _ = staging.Get().(*[]byte); buf == nil || cap(*buf) < n {
+			fresh := make([]byte, n)
+			buf = &fresh
+		}
+		return (*buf)[:n]
+	})
+	if buf != nil {
+		defer staging.Put(buf)
+	}
+	if err != nil {
+		refuseMismatch(conn, err)
+		return false
+	}
+	if env.Payload {
+		env.Data = payload
+	}
+	return writeFrame(conn, s.handle(env.ConsoleRequest), nil) == nil
 }
 
 // handle executes one console command.

@@ -426,28 +426,19 @@ func (c *Controller) Dispatch(node config.NodeID, agent string, args Args) (Resu
 	if err != nil {
 		return Result{}, err
 	}
-	result, needCode, err := client.Invoke(agent, args)
-	if err == nil {
-		return result, nil
+	result, installed, err := client.run(agent, args, func() (Spec, bool) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		spec, ok := c.repo[agent]
+		return spec, ok
+	})
+	if installed {
+		c.mu.Lock()
+		c.installsSent++
+		c.mu.Unlock()
 	}
-	if !needCode {
-		return Result{}, fmt.Errorf("dispatch %s to %s: %w", agent, node, err)
-	}
-	c.mu.Lock()
-	spec, ok := c.repo[agent]
-	c.mu.Unlock()
-	if !ok {
-		return Result{}, fmt.Errorf("dispatch %s to %s: agent not in repository", agent, node)
-	}
-	if err := client.Install(spec); err != nil {
-		return Result{}, fmt.Errorf("dispatch %s to %s: %w", agent, node, err)
-	}
-	c.mu.Lock()
-	c.installsSent++
-	c.mu.Unlock()
-	result, _, err = client.Invoke(agent, args)
 	if err != nil {
-		return Result{}, fmt.Errorf("dispatch %s to %s after install: %w", agent, node, err)
+		return Result{}, fmt.Errorf("dispatch %s to %s: %w", agent, node, err)
 	}
 	return result, nil
 }
@@ -466,28 +457,53 @@ func (c *Controller) runStep(step doctree.Step) error {
 		_, err := c.Dispatch(step.Node, OpDeleteFile.String(), Args{Path: step.Path})
 		return err
 	case doctree.StepCopy:
-		fetched, err := c.Dispatch(step.Source, OpFetchFile.String(), Args{Path: step.Path})
+		// The target pulls the file from the source broker itself; a copy
+		// within one node (rename) names no source and opens no socket.
+		args := Args{Path: step.Path, Dest: step.DestPath, Size: step.SyntheticSize}
+		if step.Source != step.Node {
+			source, err := c.broker(step.Source)
+			if err != nil {
+				return err
+			}
+			args.Source = source.addr
+		}
+		res, err := c.Dispatch(step.Node, OpPullFile.String(), args)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", step, err)
 		}
-		dest := step.DestPath
-		if dest == "" {
-			dest = step.Path
-		}
-		_, err = c.Dispatch(step.Node, OpStoreFile.String(), Args{
-			Path: dest,
-			Data: fetched.Data,
-			Size: step.SyntheticSize,
-		})
-		return err
+		c.logf("OK %s: %s", step, res.Message)
+		return nil
 	default:
 		return fmt.Errorf("controller: unknown step kind %v", step.Kind)
 	}
 }
 
+// rollBack deletes, best effort, the copies that done — the steps of a plan
+// that succeeded before one failed — landed on their nodes, so the aborted
+// plan leaves no file the table does not list. It returns the nodes it
+// cleaned. It walks back from the failure and stops at the first delete: a
+// delete cannot be undone, and a copy made before it may by now be the only
+// one left (assign copies to the new holders, then deletes from the old; a
+// rename's copy is its node's only one once the old name is gone).
+func (c *Controller) rollBack(done []doctree.Step) []config.NodeID {
+	var cleaned []config.NodeID
+	for i := len(done) - 1; i >= 0 && done[i].Kind != doctree.StepDelete; i-- {
+		step := done[i]
+		path := step.Path
+		if step.Kind == doctree.StepCopy && step.DestPath != "" {
+			path = step.DestPath
+		}
+		if _, err := c.Dispatch(step.Node, OpDeleteFile.String(), Args{Path: path}); err == nil {
+			cleaned = append(cleaned, step.Node)
+		}
+	}
+	return cleaned
+}
+
 // Execute runs a plan: all file steps, then the table update. A failed
 // step aborts before the table changes, so the distributor never routes to
-// content that was not actually placed.
+// content that was not actually placed, and the copies the earlier steps
+// placed are removed again.
 func (c *Controller) Execute(plan doctree.Plan) error {
 	return c.execute(plan, 0)
 }
@@ -496,10 +512,13 @@ func (c *Controller) Execute(plan doctree.Plan) error {
 // repairs triggered by an open incident stay causally linked to it.
 func (c *Controller) execute(plan doctree.Plan, trace uint64) error {
 	j := c.journalView()
-	for _, step := range plan.Steps {
+	for i, step := range plan.Steps {
 		if err := c.runStep(step); err != nil {
-			c.logf("FAILED %s: %v", plan.Describe, err)
 			detail := plan.Describe + ": " + err.Error()
+			if cleaned := c.rollBack(plan.Steps[:i]); len(cleaned) > 0 {
+				detail += fmt.Sprintf("; rolled back on %v", cleaned)
+			}
+			c.logf("FAILED %s", detail)
 			j.Record(journal.Event{
 				Actor:  journal.ActorController,
 				Kind:   journal.KindApplyFail,

@@ -92,13 +92,7 @@ func TestBrokerClientDeadlineClearedOnSuccess(t *testing.T) {
 
 // redials returns the broker-redial events journaled so far.
 func redials(j *journal.Journal) []journal.Event {
-	var out []journal.Event
-	for _, ev := range j.Snapshot(0) {
-		if ev.Kind == journal.KindBrokerRedial {
-			out = append(out, ev)
-		}
-	}
-	return out
+	return eventsOfKind(j, journal.KindBrokerRedial)
 }
 
 // TestControllerRedialsRestartedBroker: a node whose broker restarts

@@ -99,7 +99,7 @@ func TestExecuteUnknownOp(t *testing.T) {
 
 func TestBuiltinSpecsCoverOps(t *testing.T) {
 	specs := BuiltinSpecs()
-	if len(specs) != 10 {
+	if len(specs) != 11 {
 		t.Fatalf("specs = %d", len(specs))
 	}
 	for _, s := range specs {

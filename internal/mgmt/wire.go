@@ -46,10 +46,13 @@ const (
 	// the paper's site.
 	maxFrameHeader = 16 << 20
 
-	// maxFramePayload bounds one file. Console server, controller and
-	// broker each stage a file whole in memory (and MemStore keeps it
-	// there), so this is the most one management connection may make its
-	// peer buffer; the content model's largest object is 1 MiB.
+	// maxFramePayload bounds one file, and so the most one management
+	// connection may make its peer buffer: the console server stages an
+	// inserted or updated file whole in a pooled buffer until the brokers
+	// have it, a broker receives a file whole into the slice its store then
+	// keeps, and a pulling broker holds the file it fetched from its peer
+	// the same way. The controller stages nothing on a copy — it sends the
+	// target an envelope. The content model's largest object is 1 MiB.
 	maxFramePayload = 256 << 20
 )
 
@@ -97,12 +100,19 @@ func writeFrame(w io.Writer, header any, payload []byte) error {
 	return nil
 }
 
-// readFrame reads one frame, decodes its envelope into header and
-// returns the payload in a slice of exactly its length (empty, not nil,
-// when the frame has none). Both lengths are checked against their
-// bounds before anything is allocated. A clean close between frames
-// returns io.EOF bare; a close inside a frame is io.ErrUnexpectedEOF.
+// readFrame reads one frame into a payload slice of its own, which the
+// caller may keep or give away (a broker gives it to its store).
 func readFrame(r io.Reader, header any) ([]byte, error) {
+	return readFrameInto(r, header, func(n int) []byte { return make([]byte, n) })
+}
+
+// readFrameInto reads one frame, decodes its envelope into header and
+// returns the payload in a slice of exactly its length: empty, not nil,
+// when the frame has none, else alloc(length) filled. Both lengths are
+// checked against their bounds before anything is allocated. A clean
+// close between frames returns io.EOF bare; a close inside a frame is
+// io.ErrUnexpectedEOF.
+func readFrameInto(r io.Reader, header any, alloc func(n int) []byte) ([]byte, error) {
 	prefix := make([]byte, framePrefixLen)
 	if _, err := io.ReadFull(r, prefix[:len(wireMagic)]); err != nil {
 		if err == io.EOF {
@@ -131,7 +141,10 @@ func readFrame(r io.Reader, header any) ([]byte, error) {
 	if err := json.Unmarshal(hdr, header); err != nil {
 		return nil, fmt.Errorf("mgmt: decoding frame header: %w", err)
 	}
-	payload := make([]byte, plen)
+	if plen == 0 {
+		return []byte{}, nil
+	}
+	payload := alloc(int(plen))
 	if err := readFull(r, payload, "payload"); err != nil {
 		return nil, err
 	}

@@ -42,6 +42,15 @@ var goldenFrames = []struct {
 			"hello",
 	},
 	{
+		name: "broker pull-file request",
+		header: request{
+			ID: 8, Agent: "pull-file",
+			Args: &Args{Path: "/old.html", Size: 4096, Dest: "/new.html", Source: "10.0.0.7:7071"},
+		},
+		wire: "WCM\x02" + "\x00\x00\x00\x70" + "\x00\x00\x00\x00\x00\x00\x00\x00" +
+			`{"id":8,"agent":"pull-file","args":{"path":"/old.html","size":4096,"dest":"/new.html","source":"10.0.0.7:7071"}}`,
+	},
+	{
 		name: "broker response",
 		header: response{
 			ID: 7, OK: true, Payload: true,
@@ -367,15 +376,21 @@ func TestV1PeerRefusedByClients(t *testing.T) {
 	<-done
 }
 
-// countingConn counts the bytes written through it.
+// countingConn counts the bytes written through it and read from it.
 type countingConn struct {
 	net.Conn
-	wrote atomic.Int64
+	wrote, read atomic.Int64
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
 	c.wrote.Add(int64(n))
+	return n, err
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read.Add(int64(n))
 	return n, err
 }
 
@@ -449,9 +464,10 @@ func (s *spyStore) Put(path string, data []byte) error {
 	s.puts[path] = data
 	return nil
 }
-func (s *spyStore) Delete(string) error { return nil }
-func (s *spyStore) List() []string      { return nil }
-func (s *spyStore) UsedBytes() int64    { return 0 }
+func (s *spyStore) Replace(path string, data []byte) error { return s.Put(path, data) }
+func (s *spyStore) Delete(string) error                    { return nil }
+func (s *spyStore) List() []string                         { return nil }
+func (s *spyStore) UsedBytes() int64                       { return 0 }
 
 // put returns what Put received for path.
 func (s *spyStore) put(path string) ([]byte, bool) {

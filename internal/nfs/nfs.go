@@ -460,6 +460,19 @@ func (r *RemoteStore) Put(path string, data []byte) error {
 	return r.client.Put(path, data)
 }
 
+// Replace implements backend.Store as Delete then Put: the protocol has no
+// replace verb, so unlike the local stores this one is not atomic — a
+// Fetch between the two round trips reports the path absent.
+func (r *RemoteStore) Replace(path string, data []byte) error {
+	if err := r.client.Delete(path); err != nil {
+		if errors.Is(err, ErrRemote) {
+			return fmt.Errorf("%w: %q", backend.ErrNotStored, path)
+		}
+		return err
+	}
+	return r.client.Put(path, data)
+}
+
 // Delete implements backend.Store.
 func (r *RemoteStore) Delete(path string) error {
 	return r.client.Delete(path)
