@@ -59,11 +59,14 @@ race:
 # Lifecycle stress: the networked packages five times over on two
 # threads, where shutdown races (a connection registering after Close has
 # swept the set) show up as a hung Close instead of passing by luck.
+# internal/lifecycle is the one accept loop and connection set, and
+# TestServerLifecycle (root) holds its seven users to its contract;
 # internal/core is in because Cluster.Close and NodeHandle.Close are the
 # shutdown order of the deployed binaries; internal/mgmt because a broker
-# now holds client connections to its peers as well as serving its own.
+# holds client connections to its peers as well as serving its own.
 stress:
-	GOMAXPROCS=2 $(GO) test -count=5 ./internal/backend ./internal/distributor ./internal/conntrack ./internal/core ./internal/mgmt
+	GOMAXPROCS=2 $(GO) test -count=5 ./internal/lifecycle ./internal/backend ./internal/distributor ./internal/conntrack ./internal/core ./internal/mgmt ./internal/nfs ./internal/l4router ./internal/monitor
+	GOMAXPROCS=2 $(GO) test -count=5 -run TestServerLifecycle .
 
 # Non-test Go outside bench/ and testdata/: the figure the ROADMAP's
 # deletion target and every simplicity PR's before/after are quoted in.

@@ -16,6 +16,7 @@ import (
 
 	"webcluster/internal/config"
 	"webcluster/internal/content"
+	"webcluster/internal/faults"
 	"webcluster/internal/httpx"
 	"webcluster/internal/testutil"
 )
@@ -552,34 +553,28 @@ func TestCloseUnblocksOpenConnections(t *testing.T) {
 	}
 }
 
-// TestCloseRacingAccept pins the register-after-sweep hang: a connection
-// accepted just before Close must not register itself after Close has
-// swept the connection set, or it idles in its read forever and Close
-// never joins it. Each round races Close against a freshly dialed idle
-// keep-alive connection.
-func TestCloseRacingAccept(t *testing.T) {
+// TestCloseWakesFaultStalledReader: a handler held inside an injected read
+// stall is released only by the fault wrapper's own Close, so Close must
+// sweep the connection the handler reads, not the socket under it.
+func TestCloseWakesFaultStalledReader(t *testing.T) {
 	testutil.NoLeaks(t)
-	for i := 0; i < 300; i++ {
-		srv, err := NewServer(ServerOptions{Spec: testSpec("t1"), Store: &MemStore{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn, err := net.Dial("tcp", startServer(t, srv))
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() {
-			_ = srv.Close()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			_ = conn.Close() // lets the stuck reader go, so only this test fails
-			t.Fatalf("round %d: Close hung on a connection accepted during shutdown", i)
-		}
-		_ = conn.Close()
+	in := faults.New(1)
+	in.Set("backend.conn/t1", faults.Rule{ReadStall: 30 * time.Second})
+	srv, err := NewServer(ServerOptions{Spec: testSpec("t1"), Store: &MemStore{}, Faults: in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", startServer(t, srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	testutil.Eventually(t, 5*time.Second, func() bool { return in.Fired("backend.conn/t1") > 0 },
+		"handler never entered the stall")
+	start := time.Now()
+	_ = srv.Close()
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("Close took %v with a handler in a 30s read stall", elapsed)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"webcluster/internal/content"
 	"webcluster/internal/faults"
 	"webcluster/internal/httpx"
+	"webcluster/internal/lifecycle"
 	"webcluster/internal/telemetry"
 )
 
@@ -67,15 +68,11 @@ type Server struct {
 	mu       sync.Mutex
 	handlers map[string]DynamicHandler // keyed by exact path
 	prefixes []prefixHandler           // checked in registration order
-	conns    map[net.Conn]struct{}
 
 	tel   *telemetry.Telemetry
 	stats *telemetry.Registry
 
-	listener net.Listener
-	wg       sync.WaitGroup
-	closed   chan struct{}
-	closeOne sync.Once
+	life lifecycle.Group
 
 	// active tracks in-flight requests, the L4 routers' "connections"
 	// load signal.
@@ -113,7 +110,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		tel = telemetry.New(telemetry.Options{Node: string(opts.Spec.ID)})
 	}
 	stats := tel.Registry()
-	return &Server{
+	s := &Server{
 		spec:      opts.Spec,
 		store:     opts.Store,
 		pageCache: cache.NewLRU(cacheBytes),
@@ -122,12 +119,12 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		tel:       tel,
 		stats:     stats,
 		handlers:  make(map[string]DynamicHandler),
-		conns:     make(map[net.Conn]struct{}),
-		closed:    make(chan struct{}),
 
 		deadlineRejected: stats.Counter("backend_deadline_rejected"),
 		deadlineCanceled: stats.Counter("backend_deadline_canceled"),
-	}, nil
+	}
+	s.life.Wrap = func(c net.Conn) net.Conn { return s.faults.Conn("backend.conn/"+string(s.spec.ID), c) }
+	return s, nil
 }
 
 // Spec returns the node's hardware description.
@@ -330,79 +327,21 @@ func (s *Server) deadlineExceeded(req *httpx.Request) *httpx.Response {
 	return resp
 }
 
-// Serve accepts connections on l until Close. Each connection runs a
-// keep-alive loop. Serve blocks; run it in a goroutine and join via Close.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	select {
-	case <-s.closed:
-		// Close ran before this goroutine registered the listener;
-		// shut it here so Close's wait terminates.
-		s.mu.Unlock()
-		return l.Close()
-	default:
-	}
-	s.listener = l
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return nil
-			default:
-				return fmt.Errorf("backend %s: accept: %w", s.spec.ID, err)
-			}
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-		}()
-	}
-}
-
 // Start listens on addr and serves in the background, returning the bound
 // address (use ":0" to pick a free port).
 func (s *Server) Start(addr string) (string, error) {
-	l, err := net.Listen("tcp", addr)
+	bound, err := s.life.Listen(addr, s.serveConn)
 	if err != nil {
 		return "", fmt.Errorf("backend %s: listen: %w", s.spec.ID, err)
 	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		_ = s.Serve(l)
-	}()
-	return l.Addr().String(), nil
+	return bound, nil
 }
 
 // serveConn runs the keep-alive request loop for one connection.
 func (s *Server) serveConn(conn net.Conn) {
-	if err := s.faults.Fail("backend.accept/" + string(s.spec.ID)); err != nil {
-		_ = conn.Close()
-		return
+	if s.faults.Fail("backend.accept/"+string(s.spec.ID)) != nil {
+		return // refused: the peer sees an immediate close
 	}
-	conn = s.faults.Conn("backend.conn/"+string(s.spec.ID), conn)
-	// Register under the lock Close sweeps under, re-checking closed: a
-	// connection accepted just before Close would otherwise register after
-	// the sweep and sit in ReadRequestInto forever, hanging Close's wait.
-	s.mu.Lock()
-	select {
-	case <-s.closed:
-		s.mu.Unlock()
-		_ = conn.Close()
-		return
-	default:
-	}
-	s.conns[conn] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	// Pooled reader and request: the keep-alive loop parses every request
 	// on this connection without allocating, and response bodies are
 	// aliased slices of the page cache / store (WriteResponse does not
@@ -458,23 +397,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // Close stops accepting, closes the listener and joins the connection
 // goroutines. Safe to call multiple times.
-func (s *Server) Close() error {
-	var err error
-	s.closeOne.Do(func() {
-		close(s.closed)
-		s.mu.Lock()
-		l := s.listener
-		for conn := range s.conns {
-			_ = conn.Close()
-		}
-		s.mu.Unlock()
-		if l != nil {
-			err = l.Close()
-		}
-	})
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.life.Close() }
 
 // isClosedConn reports whether err is the use-of-closed-connection error
 // raised when the listener or a peer shuts mid-read.

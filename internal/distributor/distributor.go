@@ -22,6 +22,7 @@ import (
 	"webcluster/internal/faults"
 	"webcluster/internal/httpx"
 	"webcluster/internal/journal"
+	"webcluster/internal/lifecycle"
 	"webcluster/internal/loadbal"
 	"webcluster/internal/respcache"
 	"webcluster/internal/telemetry"
@@ -123,12 +124,7 @@ type Distributor struct {
 	exchangeRetries int
 	retryBackoff    time.Duration
 
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   chan struct{}
-	closeOne sync.Once
-	wg       sync.WaitGroup
+	life lifecycle.Group
 
 	tel *telemetry.Telemetry
 	jnl *journal.Journal
@@ -216,8 +212,6 @@ func New(opts Options) (*Distributor, error) {
 		stats:     stats,
 		tracker:   loadbal.NewTracker(weights),
 		active:    make(map[config.NodeID]*atomic.Int64, len(opts.Cluster.Nodes)),
-		conns:     make(map[net.Conn]struct{}),
-		closed:    make(chan struct{}),
 		accessLog: opts.AccessLog,
 
 		exchangeTimeout: exchangeTimeout,
@@ -303,51 +297,11 @@ func (d *Distributor) Start(addr string) (string, error) {
 	if err := d.pool.Prefork(d.cluster.NodeIDs()); err != nil {
 		return "", fmt.Errorf("distributor: prefork: %w", err)
 	}
-	l, err := net.Listen("tcp", addr)
+	bound, err := d.life.Listen(addr, d.serveClient)
 	if err != nil {
 		return "", fmt.Errorf("distributor: listen: %w", err)
 	}
-	d.mu.Lock()
-	d.listener = l
-	d.mu.Unlock()
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		d.acceptLoop(l)
-	}()
-	return l.Addr().String(), nil
-}
-
-// acceptLoop accepts client connections until Close, serving each on its
-// own goroutine.
-func (d *Distributor) acceptLoop(l net.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		d.mu.Lock()
-		select {
-		case <-d.closed:
-			d.mu.Unlock()
-			_ = conn.Close()
-			return
-		default:
-		}
-		d.conns[conn] = struct{}{}
-		d.mu.Unlock()
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			defer func() {
-				_ = conn.Close()
-				d.mu.Lock()
-				delete(d.conns, conn)
-				d.mu.Unlock()
-			}()
-			d.serveClient(conn)
-		}()
-	}
+	return bound, nil
 }
 
 // clientKey derives the mapping-table key from the connection's remote
@@ -571,19 +525,5 @@ func (d *Distributor) pickReplica(rec urltable.Record, exclude config.NodeID) (c
 // Close stops the listener, closes all client connections and the
 // connection pool, and joins every goroutine.
 func (d *Distributor) Close() error {
-	var errs []error
-	d.closeOne.Do(func() {
-		close(d.closed)
-		d.mu.Lock()
-		if d.listener != nil {
-			errs = append(errs, d.listener.Close())
-		}
-		for conn := range d.conns {
-			_ = conn.Close()
-		}
-		d.mu.Unlock()
-	})
-	d.wg.Wait()
-	errs = append(errs, d.pool.Close())
-	return errors.Join(errs...)
+	return errors.Join(d.life.Close(), d.pool.Close())
 }

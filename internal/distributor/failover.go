@@ -13,6 +13,7 @@ import (
 	"webcluster/internal/conntrack"
 	"webcluster/internal/content"
 	"webcluster/internal/faults"
+	"webcluster/internal/lifecycle"
 	"webcluster/internal/urltable"
 )
 
@@ -68,14 +69,8 @@ type ReplicationServer struct {
 	// writeTimeout bounds each stream write so one stalled backup
 	// cannot pin its feed goroutine (and its connection slot) forever.
 	writeTimeout time.Duration
-	faults       *faults.Injector
 
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   chan struct{}
-	closeOne sync.Once
-	wg       sync.WaitGroup
+	life lifecycle.Group
 }
 
 // NewReplicationServer returns a replication source for d snapshotting at
@@ -92,59 +87,24 @@ func NewReplicationServer(d *Distributor, interval time.Duration) *ReplicationSe
 		d:            d,
 		interval:     interval,
 		writeTimeout: writeTimeout,
-		conns:        make(map[net.Conn]struct{}),
-		closed:       make(chan struct{}),
 	}
 }
 
 // SetFaults attaches a fault injector to the replication stream (point
 // "repl.feed": truncation, corruption, stalls on the feed toward
 // backups). Call before Start.
-func (rs *ReplicationServer) SetFaults(in *faults.Injector) { rs.faults = in }
+func (rs *ReplicationServer) SetFaults(in *faults.Injector) {
+	rs.life.Wrap = func(c net.Conn) net.Conn { return in.Conn("repl.feed", c) }
+}
 
 // Start listens for backups on addr (":0" for ephemeral), returning the
 // bound address.
 func (rs *ReplicationServer) Start(addr string) (string, error) {
-	l, err := net.Listen("tcp", addr)
+	bound, err := rs.life.Listen(addr, rs.feed)
 	if err != nil {
 		return "", fmt.Errorf("replication: listen: %w", err)
 	}
-	rs.mu.Lock()
-	rs.listener = l
-	rs.mu.Unlock()
-	rs.wg.Add(1)
-	go func() {
-		defer rs.wg.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			conn = rs.faults.Conn("repl.feed", conn)
-			rs.mu.Lock()
-			select {
-			case <-rs.closed:
-				rs.mu.Unlock()
-				_ = conn.Close()
-				return
-			default:
-			}
-			rs.conns[conn] = struct{}{}
-			rs.mu.Unlock()
-			rs.wg.Add(1)
-			go func() {
-				defer rs.wg.Done()
-				defer func() {
-					_ = conn.Close()
-					rs.mu.Lock()
-					delete(rs.conns, conn)
-					rs.mu.Unlock()
-				}()
-				rs.feed(conn)
-			}()
-		}
-	}()
-	return l.Addr().String(), nil
+	return bound, nil
 }
 
 // snapshot captures the distributor's replicable state.
@@ -200,9 +160,10 @@ func (rs *ReplicationServer) feed(conn net.Conn) {
 		return
 	}
 	hb := 0
+	closed := rs.life.Done()
 	for {
 		select {
-		case <-rs.closed:
+		case <-closed:
 			return
 		case <-ticker.C:
 			var msg replMessage
@@ -222,22 +183,7 @@ func (rs *ReplicationServer) feed(conn net.Conn) {
 }
 
 // Close stops replication and joins all goroutines.
-func (rs *ReplicationServer) Close() error {
-	var err error
-	rs.closeOne.Do(func() {
-		close(rs.closed)
-		rs.mu.Lock()
-		if rs.listener != nil {
-			err = rs.listener.Close()
-		}
-		for conn := range rs.conns {
-			_ = conn.Close()
-		}
-		rs.mu.Unlock()
-	})
-	rs.wg.Wait()
-	return err
-}
+func (rs *ReplicationServer) Close() error { return rs.life.Close() }
 
 // PromoteFunc builds and starts the successor distributor during takeover.
 // It receives the replicated URL table and cluster spec and must return

@@ -7,12 +7,14 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"webcluster/internal/lifecycle"
 )
 
 // Source produces one named section of a flight bundle — the telemetry
 // report, the URL-table placement walk, the cluster stats. Sources are
-// plain closures so the recorder depends on no other package; whatever
-// they return is JSON-encoded into the bundle.
+// plain closures so the recorder imports none of the packages it reports
+// on; whatever they return is JSON-encoded into the bundle.
 type Source func() any
 
 // ClassStats is the per-class reading the burn-rate watcher polls:
@@ -98,9 +100,7 @@ type Recorder struct {
 	lastAuto time.Time
 	dumps    int
 
-	closed   chan struct{}
-	closeOne sync.Once
-	wg       sync.WaitGroup
+	life lifecycle.Group
 }
 
 type namedSource struct {
@@ -130,7 +130,6 @@ func NewRecorder(o RecorderOptions) (*Recorder, error) {
 		cooldown: o.Cooldown,
 		clock:    o.Clock,
 		last:     make(map[string]ClassStats),
-		closed:   make(chan struct{}),
 	}
 	if r.window <= 0 {
 		r.window = 30 * time.Second
@@ -230,20 +229,7 @@ func (r *Recorder) Start() {
 	if r == nil || r.stats == nil || len(r.budgets) == 0 {
 		return
 	}
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		ticker := time.NewTicker(r.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-r.closed:
-				return
-			case <-ticker.C:
-				r.check()
-			}
-		}
-	}()
+	r.life.Every(r.interval, r.check)
 }
 
 // check samples the stats feed and dumps on the first budget breach.
@@ -296,8 +282,7 @@ func (r *Recorder) Close() {
 	if r == nil {
 		return
 	}
-	r.closeOne.Do(func() { close(r.closed) })
-	r.wg.Wait()
+	_ = r.life.Close()
 }
 
 // ReadBundle loads a bundle file, for tests and tooling.

@@ -18,6 +18,7 @@ import (
 	"webcluster/internal/config"
 	"webcluster/internal/conntrack"
 	"webcluster/internal/faults"
+	"webcluster/internal/lifecycle"
 	"webcluster/internal/loadbal"
 )
 
@@ -39,11 +40,8 @@ type Router struct {
 	mu       sync.Mutex
 	backends []Backend
 	active   map[config.NodeID]*atomic.Int64
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   chan struct{}
-	closeOne sync.Once
-	wg       sync.WaitGroup
+
+	life lifecycle.Group
 
 	routed atomic.Int64
 	failed atomic.Int64
@@ -64,8 +62,6 @@ func New(picker loadbal.Picker, backends []Backend) (*Router, error) {
 		picker:   picker,
 		backends: append([]Backend(nil), backends...),
 		active:   make(map[config.NodeID]*atomic.Int64, len(backends)),
-		conns:    make(map[net.Conn]struct{}),
-		closed:   make(chan struct{}),
 	}
 	for _, b := range backends {
 		if b.Addr == "" {
@@ -84,34 +80,11 @@ func (r *Router) SetFaults(in *faults.Injector) { r.faults = in }
 // Start listens on addr (":0" for ephemeral) and proxies in the
 // background, returning the bound address.
 func (r *Router) Start(addr string) (string, error) {
-	l, err := net.Listen("tcp", addr)
+	bound, err := r.life.Listen(addr, r.proxy)
 	if err != nil {
 		return "", fmt.Errorf("l4router: listen: %w", err)
 	}
-	r.mu.Lock()
-	r.listener = l
-	r.mu.Unlock()
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		r.acceptLoop(l)
-	}()
-	return l.Addr().String(), nil
-}
-
-// acceptLoop proxies until Close.
-func (r *Router) acceptLoop(l net.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			r.proxy(conn)
-		}()
-	}
+	return bound, nil
 }
 
 // pick chooses a back end for a new connection.
@@ -144,8 +117,6 @@ func (r *Router) pick() (Backend, error) {
 // connection — the layer-4 semantics: one back-end connection per client
 // connection, no reuse, no request inspection.
 func (r *Router) proxy(client net.Conn) {
-	defer func() { _ = client.Close() }()
-
 	backend, err := r.pick()
 	if err != nil {
 		r.failed.Add(1)
@@ -161,24 +132,18 @@ func (r *Router) proxy(client net.Conn) {
 		return
 	}
 	server = r.faults.Conn("l4router.server", server)
-	defer func() { _ = server.Close() }()
-
-	r.mu.Lock()
-	select {
-	case <-r.closed:
-		r.mu.Unlock()
+	// The splice is intentionally deadline-free: an idle but healthy
+	// client may hold its connection open indefinitely, and lifetime
+	// is bounded by Close/CloseWrite propagation from either side.
+	// (Audited for relay v3: the suppression covers only this dialed
+	// conn's deadline-before-I/O rule; the dial itself stays behind
+	// DialTimeout and the l4router.dial fault point above.)
+	//distlint:ignore deadlinecheck L4 splice lifetime is bounded by peer close, not deadlines
+	release, ok := r.life.Track(server)
+	if !ok {
 		return
-	default:
 	}
-	r.conns[client] = struct{}{}
-	r.conns[server] = struct{}{}
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		delete(r.conns, client)
-		delete(r.conns, server)
-		r.mu.Unlock()
-	}()
+	defer release()
 
 	counter := r.active[backend.ID]
 	counter.Add(1)
@@ -193,13 +158,6 @@ func (r *Router) proxy(client net.Conn) {
 	// so injected faults stay observable.
 	done := make(chan struct{}, 2)
 	go func() {
-		// The splice is intentionally deadline-free: an idle but healthy
-		// client may hold its connection open indefinitely, and lifetime
-		// is bounded by Close/CloseWrite propagation from either side.
-		// (Audited for relay v3: the suppression covers only this dialed
-		// conn's deadline-before-I/O rule; the dial itself stays behind
-		// DialTimeout and the l4router.dial fault point above.)
-		//distlint:ignore deadlinecheck L4 splice lifetime is bounded by peer close, not deadlines
 		_, _ = conntrack.SpliceStreams(server, client)
 		if tc, ok := server.(*net.TCPConn); ok {
 			_ = tc.CloseWrite()
@@ -234,19 +192,4 @@ func (r *Router) Routed() int64 { return r.routed.Load() }
 func (r *Router) Failed() int64 { return r.failed.Load() }
 
 // Close stops the router and joins all goroutines.
-func (r *Router) Close() error {
-	var err error
-	r.closeOne.Do(func() {
-		close(r.closed)
-		r.mu.Lock()
-		if r.listener != nil {
-			err = r.listener.Close()
-		}
-		for conn := range r.conns {
-			_ = conn.Close()
-		}
-		r.mu.Unlock()
-	})
-	r.wg.Wait()
-	return err
-}
+func (r *Router) Close() error { return r.life.Close() }

@@ -7,6 +7,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"webcluster/internal/lifecycle"
 )
 
 // Broker is the per-node management daemon (§3.1): it executes agents
@@ -20,11 +22,7 @@ type Broker struct {
 	agents   map[string]Spec
 	installs int64 // agent installations ("code downloads") served
 
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   chan struct{}
-	closeOne sync.Once
-	wg       sync.WaitGroup
+	life lifecycle.Group
 }
 
 // NewBroker returns a broker for env.
@@ -33,8 +31,6 @@ func NewBroker(env Env) *Broker {
 	return &Broker{
 		env:    env,
 		agents: make(map[string]Spec),
-		conns:  make(map[net.Conn]struct{}),
-		closed: make(chan struct{}),
 	}
 }
 
@@ -60,45 +56,11 @@ func (b *Broker) InstalledAgents() []string {
 // Start listens on addr (":0" for ephemeral) and serves in the background,
 // returning the bound address.
 func (b *Broker) Start(addr string) (string, error) {
-	l, err := net.Listen("tcp", addr)
+	bound, err := b.life.Listen(addr, b.serveConn)
 	if err != nil {
 		return "", fmt.Errorf("broker %s: listen: %w", b.env.Node, err)
 	}
-	b.mu.Lock()
-	b.listener = l
-	b.mu.Unlock()
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			b.mu.Lock()
-			select {
-			case <-b.closed:
-				b.mu.Unlock()
-				_ = conn.Close()
-				return
-			default:
-			}
-			b.conns[conn] = struct{}{}
-			b.mu.Unlock()
-			b.wg.Add(1)
-			go func() {
-				defer b.wg.Done()
-				defer func() {
-					_ = conn.Close()
-					b.mu.Lock()
-					delete(b.conns, conn)
-					b.mu.Unlock()
-				}()
-				b.serveConn(conn)
-			}()
-		}
-	}()
-	return l.Addr().String(), nil
+	return bound, nil
 }
 
 // serveConn handles one controller connection's request stream.
@@ -161,19 +123,7 @@ func (b *Broker) handle(req request) response {
 
 // Close stops the broker and joins all goroutines.
 func (b *Broker) Close() error {
-	var err error
-	b.closeOne.Do(func() {
-		close(b.closed)
-		b.mu.Lock()
-		if b.listener != nil {
-			err = b.listener.Close()
-		}
-		for conn := range b.conns {
-			_ = conn.Close()
-		}
-		b.mu.Unlock()
-	})
-	b.wg.Wait()
+	err := b.life.Close()
 	// No handler is left to use them.
 	b.env.peers.close()
 	return err

@@ -12,6 +12,7 @@ import (
 	"webcluster/internal/content"
 	"webcluster/internal/doctree"
 	"webcluster/internal/journal"
+	"webcluster/internal/lifecycle"
 	"webcluster/internal/monitor"
 	"webcluster/internal/respcache"
 	"webcluster/internal/telemetry"
@@ -91,12 +92,7 @@ type ConsoleServer struct {
 	// siteLoader, when set, backs the loadsite command.
 	siteLoader SiteLoader
 
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   chan struct{}
-	closeOne sync.Once
-	wg       sync.WaitGroup
+	life lifecycle.Group
 }
 
 // NewConsoleServer returns a console endpoint for controller; balancer may
@@ -105,8 +101,6 @@ func NewConsoleServer(controller *Controller, balancer *AutoBalancer) *ConsoleSe
 	return &ConsoleServer{
 		controller: controller,
 		balancer:   balancer,
-		conns:      make(map[net.Conn]struct{}),
-		closed:     make(chan struct{}),
 	}
 }
 
@@ -115,45 +109,11 @@ func (s *ConsoleServer) SetSiteLoader(fn SiteLoader) { s.siteLoader = fn }
 
 // Start listens on addr (":0" for ephemeral), returning the bound address.
 func (s *ConsoleServer) Start(addr string) (string, error) {
-	l, err := net.Listen("tcp", addr)
+	bound, err := s.life.Listen(addr, s.serveConn)
 	if err != nil {
 		return "", fmt.Errorf("console: listen: %w", err)
 	}
-	s.mu.Lock()
-	s.listener = l
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			select {
-			case <-s.closed:
-				s.mu.Unlock()
-				_ = conn.Close()
-				return
-			default:
-			}
-			s.conns[conn] = struct{}{}
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				defer func() {
-					_ = conn.Close()
-					s.mu.Lock()
-					delete(s.conns, conn)
-					s.mu.Unlock()
-				}()
-				s.serveConn(conn)
-			}()
-		}
-	}()
-	return l.Addr().String(), nil
+	return bound, nil
 }
 
 // staging recycles the buffers console payloads are read into. A file is
@@ -386,22 +346,7 @@ func (s *ConsoleServer) handle(req ConsoleRequest) ConsoleResponse {
 }
 
 // Close stops the console server and joins its goroutines.
-func (s *ConsoleServer) Close() error {
-	var err error
-	s.closeOne.Do(func() {
-		close(s.closed)
-		s.mu.Lock()
-		if s.listener != nil {
-			err = s.listener.Close()
-		}
-		for conn := range s.conns {
-			_ = conn.Close()
-		}
-		s.mu.Unlock()
-	})
-	s.wg.Wait()
-	return err
-}
+func (s *ConsoleServer) Close() error { return s.life.Close() }
 
 // DefaultConsoleTimeout bounds console dials and round trips until
 // overridden with SetTimeout.

@@ -12,6 +12,7 @@ import (
 	"webcluster/internal/content"
 	"webcluster/internal/doctree"
 	"webcluster/internal/journal"
+	"webcluster/internal/lifecycle"
 	"webcluster/internal/loadbal"
 	"webcluster/internal/monitor"
 	"webcluster/internal/respcache"
@@ -821,9 +822,7 @@ type AutoBalancer struct {
 	applied int
 	onLoads func(map[config.NodeID]float64)
 
-	closed   chan struct{}
-	closeOne sync.Once
-	wg       sync.WaitGroup
+	life lifecycle.Group
 }
 
 // NewAutoBalancer wires the balancing loop. interval defaults to 2s when
@@ -838,7 +837,6 @@ func NewAutoBalancer(controller *Controller, tracker *loadbal.Tracker, specs []c
 		specs:      append([]config.NodeSpec(nil), specs...),
 		opts:       opts,
 		interval:   interval,
-		closed:     make(chan struct{}),
 	}
 }
 
@@ -852,22 +850,7 @@ func (ab *AutoBalancer) SetOnLoads(fn func(map[config.NodeID]float64)) {
 }
 
 // Start launches the periodic loop.
-func (ab *AutoBalancer) Start() {
-	ab.wg.Add(1)
-	go func() {
-		defer ab.wg.Done()
-		ticker := time.NewTicker(ab.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ab.closed:
-				return
-			case <-ticker.C:
-				ab.RunOnce()
-			}
-		}
-	}()
-}
+func (ab *AutoBalancer) Start() { ab.life.Every(ab.interval, func() { ab.RunOnce() }) }
 
 // RunOnce closes the current interval and applies the planned actions,
 // returning them (tests and the console's balance-now command call this
@@ -905,7 +888,4 @@ func (ab *AutoBalancer) Rounds() (rounds, applied int) {
 }
 
 // Close stops the loop and joins it.
-func (ab *AutoBalancer) Close() {
-	ab.closeOne.Do(func() { close(ab.closed) })
-	ab.wg.Wait()
-}
+func (ab *AutoBalancer) Close() { _ = ab.life.Close() }

@@ -11,6 +11,7 @@ import (
 
 	"webcluster/internal/faults"
 	"webcluster/internal/journal"
+	"webcluster/internal/lifecycle"
 )
 
 // NodeStatus is one node's health/load snapshot.
@@ -58,9 +59,7 @@ type Watcher struct {
 	alive  map[string]bool
 	status map[string]NodeStatus
 
-	closed   chan struct{}
-	closeOne sync.Once
-	wg       sync.WaitGroup
+	life lifecycle.Group
 }
 
 // NewWatcher builds a watcher probing nodes at interval (default 500ms),
@@ -80,7 +79,6 @@ func NewWatcher(nodes []string, probe Prober, interval time.Duration, onEvent fu
 		nodes:    append([]string(nil), nodes...),
 		alive:    alive,
 		status:   make(map[string]NodeStatus, len(nodes)),
-		closed:   make(chan struct{}),
 	}
 }
 
@@ -105,22 +103,7 @@ func (w *Watcher) SetJournal(j *journal.Journal) {
 }
 
 // Start launches the probe loop in the background.
-func (w *Watcher) Start() {
-	w.wg.Add(1)
-	go func() {
-		defer w.wg.Done()
-		ticker := time.NewTicker(w.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-w.closed:
-				return
-			case <-ticker.C:
-				w.probeAll()
-			}
-		}
-	}()
-}
+func (w *Watcher) Start() { w.life.Every(w.interval, w.probeAll) }
 
 // probeAll probes every node once and records transitions.
 func (w *Watcher) probeAll() {
@@ -210,7 +193,4 @@ func (w *Watcher) AliveNodes() []string {
 }
 
 // Close stops the loop and joins it.
-func (w *Watcher) Close() {
-	w.closeOne.Do(func() { close(w.closed) })
-	w.wg.Wait()
-}
+func (w *Watcher) Close() { _ = w.life.Close() }

@@ -14,7 +14,9 @@ import (
 // TestClientTimeoutOnStalledServer: a file server whose connections stall
 // (slow-loris) must fail the client's operation at its deadline instead
 // of wedging the web node's request goroutine. Reverting the deadline in
-// roundTrip turns this test into a 30s hang.
+// roundTrip turns this test into a 30s hang. The server's handler is left
+// inside the injected stall, which only the fault wrapper's own Close
+// releases: Close must sweep the connection the handler reads.
 func TestClientTimeoutOnStalledServer(t *testing.T) {
 	testutil.NoLeaks(t)
 	store := &backend.MemStore{}
@@ -49,6 +51,11 @@ func TestClientTimeoutOnStalledServer(t *testing.T) {
 	}
 	if in.Fired("nfs.conn") == 0 {
 		t.Fatal("stall rule never fired")
+	}
+	start = time.Now()
+	_ = srv.Close()
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("Close took %v with a handler in a 30s read stall", elapsed)
 	}
 }
 

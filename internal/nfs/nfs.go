@@ -22,6 +22,7 @@ import (
 
 	"webcluster/internal/backend"
 	"webcluster/internal/faults"
+	"webcluster/internal/lifecycle"
 	"webcluster/internal/telemetry"
 )
 
@@ -43,15 +44,8 @@ var ErrRemote = errors.New("nfs: remote error")
 
 // Server exports a Store over the network. Construct with NewServer.
 type Server struct {
-	store  backend.Store
-	faults *faults.Injector
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
-	closed   chan struct{}
-	closeOne sync.Once
+	store backend.Store
+	life  lifecycle.Group
 
 	// Requests counts protocol operations served (bottleneck telemetry).
 	Requests telemetry.Counter
@@ -61,57 +55,22 @@ type Server struct {
 
 // NewServer returns a file server exporting store.
 func NewServer(store backend.Store) *Server {
-	return &Server{
-		store:  store,
-		conns:  make(map[net.Conn]struct{}),
-		closed: make(chan struct{}),
-	}
+	return &Server{store: store}
 }
 
 // SetFaults attaches a fault injector to served connections (point
 // "nfs.conn"). Call before Start.
-func (s *Server) SetFaults(in *faults.Injector) { s.faults = in }
+func (s *Server) SetFaults(in *faults.Injector) {
+	s.life.Wrap = func(c net.Conn) net.Conn { return in.Conn("nfs.conn", c) }
+}
 
 // Start listens on addr (":0" for ephemeral) and serves in the background.
 func (s *Server) Start(addr string) (string, error) {
-	l, err := net.Listen("tcp", addr)
+	bound, err := s.life.Listen(addr, s.serveConn)
 	if err != nil {
 		return "", fmt.Errorf("nfs: listen: %w", err)
 	}
-	s.mu.Lock()
-	s.listener = l
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.acceptLoop(l)
-	}()
-	return l.Addr().String(), nil
-}
-
-// acceptLoop accepts and serves connections until Close.
-func (s *Server) acceptLoop(l net.Listener) {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		conn = s.faults.Conn("nfs.conn", conn)
-		s.mu.Lock()
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				_ = conn.Close()
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-			s.serveConn(conn)
-		}()
-	}
+	return bound, nil
 }
 
 // serveConn handles a sequence of operations on one connection.
@@ -197,22 +156,7 @@ func (s *Server) dispatch(br *bufio.Reader, bw *bufio.Writer, verb, arg string) 
 }
 
 // Close shuts the server down and joins all goroutines.
-func (s *Server) Close() error {
-	var err error
-	s.closeOne.Do(func() {
-		close(s.closed)
-		s.mu.Lock()
-		if s.listener != nil {
-			err = s.listener.Close()
-		}
-		for conn := range s.conns {
-			_ = conn.Close()
-		}
-		s.mu.Unlock()
-	})
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.life.Close() }
 
 // Client accesses a remote file server. It holds one connection per
 // concurrent caller via a small free list. Construct with Dial.
