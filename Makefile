@@ -21,7 +21,7 @@ BENCH_ADMISSION = BenchmarkAdmissionDecision
 # their MB/s is what the frame codec and the copy-once data path bought.
 BENCH_MGMT = BenchmarkMgmtInsert|BenchmarkMgmtReplicate
 
-.PHONY: all vet lint build test race stress chaos sim bench bench-check allocguard loc ci
+.PHONY: all vet lint lint-audit build test race stress chaos sim bench bench-check allocguard loc ci
 
 all: ci
 
@@ -43,6 +43,13 @@ lint:
 	else \
 		echo "lint: govulncheck not installed, skipping"; \
 	fi
+
+# The lint audit (DESIGN.md §15): every analyzer distlint keeps must still
+# report the mutations that earned it its place. A bar for the next
+# analyzer proposed, too: it joins the suite with rows of its own that no
+# test, -race, stress or allocguard run catches.
+lint-audit:
+	$(GO) test -count=1 -run TestLintAudit ./internal/lint/distlint
 
 build:
 	$(GO) build ./...
@@ -138,4 +145,4 @@ bench-check:
 	mkdir -p $(GOCACHE) $(GOTMPDIR)
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-ci: vet lint build test bench-check race allocguard
+ci: vet lint lint-audit build test bench-check race allocguard

@@ -1,8 +1,8 @@
 // Command distlint runs the repo's analyzer suite (see internal/lint)
-// over the module: pooledescape, cowdiscipline, deadlinecheck,
-// faulthook, journalsafe, leakcheck, lockscope, and queuewait — the
-// checks that machine-enforce the concurrency and data-path invariants
-// of the hot paths.
+// over the module: pooledescape, cowdiscipline, deadlinecheck, faulthook
+// and lockscope — the checks that machine-enforce data-path invariants no
+// test would notice breaking. Each kept its place in a mutation audit
+// (DESIGN.md §15, `make lint-audit`).
 //
 // Usage:
 //
@@ -14,10 +14,9 @@
 // Exits non-zero when any finding is reported.
 //
 // All packages of one invocation share a single analysis module, so
-// the interprocedural analyzers see the whole call graph, analyzer
-// facts flow between packages, and every //distlint:ignore directive
-// is audited: one that names an unknown analyzer or no longer
-// suppresses anything is itself a finding.
+// the analyzers' call summaries reach across packages, and every
+// //distlint:ignore directive is audited: one that names an unknown
+// analyzer or no longer suppresses anything is itself a finding.
 //
 // -json emits the findings as a JSON array on stdout (one object per
 // finding: analyzer, file, line, col, message) for tooling; the

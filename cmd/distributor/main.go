@@ -71,7 +71,7 @@ func run() error {
 	flightBudgets := flag.String("flight-budgets", "", "SLO burn-rate triggers as class:errRate:p99 (p99 a duration, either limit may be empty), comma-separated, e.g. html:0.05:250ms")
 	flag.Parse()
 	if *pprofAddr != "" {
-		//distlint:ignore leakcheck pprof listener is process-lifetime by design; it dies with main
+		// Process-lifetime by design: the pprof listener dies with main.
 		go func() {
 			// DefaultServeMux carries the pprof handlers from the blank
 			// import; nothing else registers on it in this process.

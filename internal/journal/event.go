@@ -127,9 +127,8 @@ func (k Kind) String() string {
 
 // Event is one journal entry. It is a flat value type — no pointers, no
 // interfaces — so recording is a single struct copy into a ring slot
-// and a snapshot is a memcpy out. Strings must be prepared by the
-// caller before Record (the journalsafe lint rule enforces this at call
-// sites): the journal itself never formats, concatenates, or allocates.
+// and a snapshot is a memcpy out. Strings are prepared by the caller:
+// the journal itself never formats, concatenates, or allocates.
 type Event struct {
 	// Seq is the journal-local monotonic sequence number, stamped by
 	// Record. Merged streams order by (Time, Src, Seq).

@@ -12,6 +12,7 @@ import (
 	"webcluster/internal/config"
 	"webcluster/internal/httpx"
 	"webcluster/internal/loadbal"
+	"webcluster/internal/testutil"
 )
 
 // startBackends launches n identical backends all holding the same file.
@@ -260,7 +261,10 @@ func TestConcurrentProxying(t *testing.T) {
 	}
 }
 
+// TestCloseUnblocksConnections also holds both splice goroutines of the
+// open connection to the no-leak rule.
 func TestCloseUnblocksConnections(t *testing.T) {
+	testutil.NoLeaks(t)
 	backends := startBackends(t, 1)
 	r, addr := startRouter(t, loadbal.WeightedLeastConn{}, backends)
 	conn, err := net.Dial("tcp", addr)

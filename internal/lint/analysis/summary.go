@@ -1,11 +1,11 @@
-// Per-function dataflow summaries, computed bottom-up over the call
-// graph and memoized. A summary condenses what a callee does to the
-// values that cross its boundary — which results carry pooled values,
-// which parameters get released or deadline-armed, whether a dial (or a
-// dial hidden arbitrarily deep in helpers) is reachable, whether the
-// fault injector is consulted, and how the function terminates — so a
-// caller's analyzer can reason about `v := helper()` without
-// re-walking helper's body, across package boundaries.
+// Per-function effect summaries, computed on demand and memoized. A
+// summary condenses what a callee does to the values that cross its
+// boundary — which results carry pooled values, which parameters get
+// released or deadline-armed, whether a dial (or a dial hidden
+// arbitrarily deep in helpers) is reachable without the fault injector
+// being consulted — so a caller's analyzer can reason about
+// `v := helper()` without re-walking helper's body, across package
+// boundaries.
 //
 // Summaries are deliberately presence-based ("releases the parameter on
 // some path") rather than path-sensitive; the per-function checkers
@@ -18,7 +18,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -26,36 +25,8 @@ import (
 	"webcluster/internal/lint/load"
 )
 
-// TermClass classifies how a function or goroutine body terminates.
-type TermClass int
-
-const (
-	// TermBounded bodies run to completion: no unbounded loops, no
-	// known-blocking calls.
-	TermBounded TermClass = iota
-	// TermSignal bodies loop or block, but have a reachable exit: a
-	// return/break inside every unconditional loop, a range over a
-	// channel (ends at close), or a receive of a signal channel.
-	TermSignal
-	// TermUnbounded bodies can run forever with no reachable exit.
-	TermUnbounded
-)
-
-func (t TermClass) String() string {
-	switch t {
-	case TermBounded:
-		return "bounded"
-	case TermSignal:
-		return "signal-terminated"
-	default:
-		return "unbounded"
-	}
-}
-
 // Summary is the interprocedural digest of one declared function.
 type Summary struct {
-	Func *types.Func
-
 	// ReturnsPooled: some return path hands the caller a value acquired
 	// from a sync.Pool inside this function (directly or via a callee),
 	// transferring the release obligation to the caller.
@@ -75,32 +46,12 @@ type Summary struct {
 	// so it arrives at the caller already bounded.
 	ArmsResult bool
 
-	// ConsultsInjector: the body calls a method on *faults.Injector.
-	ConsultsInjector bool
 	// DialsUnhooked: a net.Dial* site is reachable from this function
 	// (through any chain of module callees) with no injector consult in
 	// any body along the path. UnhookedVia names the chain for the
 	// diagnostic.
 	DialsUnhooked bool
 	UnhookedVia   string
-	// NetDialPos are direct net.Dial* sites in this body.
-	NetDialPos []token.Pos
-
-	// Body classification for goroutine-lifecycle checks.
-	Body BodyClass
-}
-
-// BodyClass is the goroutine-lifecycle digest of one body.
-type BodyClass struct {
-	Term TermClass
-	// Why explains a TermUnbounded classification for the diagnostic.
-	Why string
-	// JoinsWaitGroup: the body calls Done on a sync.WaitGroup, meaning
-	// an owner can Wait for it.
-	JoinsWaitGroup bool
-	// CallsNoLeaks: the body calls testutil.NoLeaks, scoping every
-	// goroutine spawned in it to the test's leak check.
-	CallsNoLeaks bool
 }
 
 // Summary computes (and caches) fn's summary. Returns nil for functions
@@ -112,8 +63,8 @@ func (m *Module) Summary(fn *types.Func) *Summary {
 	if s, ok := m.summaries[fn]; ok {
 		return s
 	}
-	node := m.Node(fn)
-	if node == nil || node.Decl == nil || node.Decl.Body == nil {
+	d, ok := m.declOf(fn)
+	if !ok || d.fd.Body == nil {
 		m.summaries[fn] = nil
 		return nil
 	}
@@ -121,7 +72,7 @@ func (m *Module) Summary(fn *types.Func) *Summary {
 		return nil // cycle: contribute nothing, never invent findings
 	}
 	m.inFlight[fn] = true
-	s := m.computeSummary(node)
+	s := m.computeSummary(fn, d)
 	delete(m.inFlight, fn)
 	m.summaries[fn] = s
 	return s
@@ -146,11 +97,10 @@ func qualified(fn *types.Func) string {
 	return name
 }
 
-func (m *Module) computeSummary(node *FuncNode) *Summary {
-	fd, pkg := node.Decl, node.Pkg
-	sig := node.Func.Type().(*types.Signature)
+func (m *Module) computeSummary(fn *types.Func, d decl) *Summary {
+	fd, pkg := d.fd, d.pkg
+	sig := fn.Type().(*types.Signature)
 	s := &Summary{
-		Func:          node.Func,
 		ReleasesParam: make([]bool, sig.Params().Len()),
 		ArmsParam:     make([]bool, sig.Params().Len()),
 	}
@@ -178,6 +128,7 @@ func (m *Module) computeSummary(node *FuncNode) *Summary {
 	// dialedVars: locals holding a freshly dialed connection.
 	dialedVars := make(map[types.Object]bool)
 	armedDialed := false
+	dialsNet, chainVia := false, ""
 
 	isPooledAcquire := func(e ast.Expr) bool {
 		e = ast.Unparen(e)
@@ -197,7 +148,7 @@ func (m *Module) computeSummary(node *FuncNode) *Summary {
 				return true
 			}
 		}
-		if callee := m.CalleeFunc(pkg.Info, call); callee != nil && callee != node.Func {
+		if callee := CalleeFunc(pkg.Info, call); callee != nil && callee != fn {
 			if cs := m.Summary(callee); cs != nil && cs.ReturnsPooled {
 				return true
 			}
@@ -206,7 +157,7 @@ func (m *Module) computeSummary(node *FuncNode) *Summary {
 	}
 
 	isDial := func(call *ast.CallExpr) bool {
-		if isNetDialCall(pkg.Info, call) {
+		if lintutil.IsNetDial(pkg.Info, call) {
 			return true
 		}
 		name := lintutil.CalleeName(call)
@@ -216,7 +167,7 @@ func (m *Module) computeSummary(node *FuncNode) *Summary {
 				return true
 			}
 		}
-		if callee := m.CalleeFunc(pkg.Info, call); callee != nil && callee != node.Func {
+		if callee := CalleeFunc(pkg.Info, call); callee != nil && callee != fn {
 			if cs := m.Summary(callee); cs != nil && cs.DialsConn {
 				return true
 			}
@@ -253,7 +204,18 @@ func (m *Module) computeSummary(node *FuncNode) *Summary {
 				}
 			}
 		case *ast.CallExpr:
-			m.recordCallEffects(s, pkg, v, paramAt, recvObj, rootOf, dialedVars, &armedDialed)
+			m.recordCallEffects(s, fn, pkg, v, paramAt, recvObj, rootOf, dialedVars, &armedDialed)
+			// Fault-hook digest: a dial in this body, or the first callee
+			// whose own chain reaches an unhooked one.
+			if lintutil.IsNetDial(pkg.Info, v) {
+				dialsNet = true
+			} else if chainVia == "" {
+				if callee := CalleeFunc(pkg.Info, v); callee != nil && callee != fn {
+					if cs := m.Summary(callee); cs != nil && cs.DialsUnhooked {
+						chainVia = fmt.Sprintf("%s → %s", qualified(fn), cs.UnhookedVia)
+					}
+				}
+			}
 		case *ast.ReturnStmt:
 			// Only direct returns count: `return v` / `return acquire()`.
 			// Wrapping the value in a composite literal transfers ownership
@@ -290,33 +252,20 @@ func (m *Module) computeSummary(node *FuncNode) *Summary {
 		return true
 	})
 
-	// Fault-hook digest: own dial sites, injector consults, and the
-	// transitive unhooked-dial reachability.
-	s.ConsultsInjector = consultsInjector(pkg, fd.Body, fd.Body)
-	s.NetDialPos = netDialSites(pkg, fd.Body)
-	if !s.ConsultsInjector {
-		if len(s.NetDialPos) > 0 {
-			s.DialsUnhooked = true
-			s.UnhookedVia = qualified(node.Func)
-		} else {
-			for _, cs := range node.Calls {
-				callee := m.Summary(cs.Callee.Func)
-				if callee != nil && callee.DialsUnhooked {
-					s.DialsUnhooked = true
-					s.UnhookedVia = fmt.Sprintf("%s → %s", qualified(node.Func), callee.UnhookedVia)
-					break
-				}
-			}
+	// A consult anywhere in the body (Fail before the dial, Conn on the
+	// result) guards every dial it reaches.
+	if (dialsNet || chainVia != "") && !lintutil.CallsInjector(pkg.Info, fd.Body) {
+		s.DialsUnhooked, s.UnhookedVia = true, chainVia
+		if dialsNet {
+			s.UnhookedVia = qualified(fn)
 		}
 	}
-
-	s.Body = m.ClassifyBody(pkg, fd.Body)
 	return s
 }
 
 // recordCallEffects updates s for one call: releases of parameters,
 // deadline arming on parameters/receiver, arming of dialed locals.
-func (m *Module) recordCallEffects(s *Summary, pkg *load.Package, call *ast.CallExpr,
+func (m *Module) recordCallEffects(s *Summary, fn *types.Func, pkg *load.Package, call *ast.CallExpr,
 	paramAt map[types.Object]int, recvObj types.Object,
 	rootOf func(ast.Expr) types.Object, dialedVars map[types.Object]bool, armedDialed *bool) {
 
@@ -360,8 +309,8 @@ func (m *Module) recordCallEffects(s *Summary, pkg *load.Package, call *ast.Call
 
 	// Delegation: handing a parameter to a callee that releases or arms
 	// it transfers the effect up.
-	callee := m.CalleeFunc(pkg.Info, call)
-	if callee == nil || callee == s.Func {
+	callee := CalleeFunc(pkg.Info, call)
+	if callee == nil || callee == fn {
 		return
 	}
 	cs := m.Summary(callee)
@@ -404,25 +353,6 @@ func (m *Module) recordCallEffects(s *Summary, pkg *load.Package, call *ast.Call
 	}
 }
 
-// isNetDialCall reports a direct net.Dial/DialTimeout/DialContext/DialTCP.
-func isNetDialCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	switch sel.Sel.Name {
-	case "Dial", "DialTimeout", "DialContext", "DialTCP", "DialUDP", "DialIP":
-	default:
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := lintutil.ObjectOf(info, id).(*types.PkgName)
-	return ok && pn.Imported().Path() == "net"
-}
-
 // returnsConn reports whether call's (first) result implements net.Conn.
 func returnsConn(pkg *load.Package, call *ast.CallExpr) bool {
 	conn := lintutil.NetConnIface(pkg.Types)
@@ -441,254 +371,4 @@ func returnsConn(pkg *load.Package, call *ast.CallExpr) bool {
 		rt = tuple.At(0).Type()
 	}
 	return lintutil.IsNetConn(rt, conn)
-}
-
-// netDialSites returns the direct net.Dial* positions in body, skipping
-// nested function literals (their dials are attributed to the literal's
-// own walk by faulthook).
-func netDialSites(pkg *load.Package, body *ast.BlockStmt) []token.Pos {
-	var out []token.Pos
-	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isNetDialCall(pkg.Info, call) {
-			out = append(out, call.Pos())
-		}
-		return true
-	})
-	return out
-}
-
-// consultsInjector reports whether scope contains a method call on
-// *faults.Injector, not counting nested function literals.
-func consultsInjector(pkg *load.Package, scope ast.Node, self ast.Node) bool {
-	found := false
-	ast.Inspect(scope, func(x ast.Node) bool {
-		if found {
-			return false
-		}
-		if fl, ok := x.(*ast.FuncLit); ok && x != self {
-			_ = fl
-			return false
-		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		recv := lintutil.Receiver(call)
-		if recv == nil {
-			return true
-		}
-		t := lintutil.TypeOf(pkg.Info, recv)
-		if t != nil && lintutil.IsNamed(t, "webcluster/internal/faults", "Injector") {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-// blockingExternals are well-known stdlib calls that block until an
-// owner-side shutdown (server loops). A goroutine whose body reaches
-// one needs join evidence; "the call returns eventually" is not
-// something the analyzer can see.
-func blockingExternal(fn *types.Func) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	if fn.Pkg().Path() != "net/http" {
-		return false
-	}
-	switch fn.Name() {
-	case "Serve", "ServeTLS", "ListenAndServe", "ListenAndServeTLS":
-		return true
-	}
-	return false
-}
-
-// ClassifyBody computes the goroutine-lifecycle digest of one body
-// (either a declared function's or a go-statement literal's).
-func (m *Module) ClassifyBody(pkg *load.Package, body *ast.BlockStmt) BodyClass {
-	bc := BodyClass{Term: TermBounded}
-	sawSignal := false
-	var inspect func(n ast.Node) bool
-	inspect = func(n ast.Node) bool {
-		if bc.Term == TermUnbounded {
-			return false
-		}
-		switch v := n.(type) {
-		case *ast.FuncLit:
-			// A nested literal runs in its own context (it may be a
-			// callback invoked elsewhere); its loops are not this body's.
-			// Its go statements are collected by the graph walk.
-			return false
-		case *ast.GoStmt:
-			// The spawned body's termination is the spawned goroutine's
-			// problem (checked at its own site); only walk the arguments.
-			for _, arg := range v.Call.Args {
-				ast.Inspect(arg, inspect)
-			}
-			if _, ok := v.Call.Fun.(*ast.FuncLit); !ok {
-				ast.Inspect(v.Call.Fun, inspect)
-			}
-			return false
-		case *ast.ForStmt:
-			if v.Cond == nil {
-				if !loopHasExit(v.Body) {
-					bc.Term = TermUnbounded
-					bc.Why = "`for {}` loop with no reachable return or break"
-					return false
-				}
-				sawSignal = true
-			}
-		case *ast.RangeStmt:
-			if isChanType(lintutil.TypeOf(pkg.Info, v.X)) {
-				// Ends when the channel is closed by the sender.
-				sawSignal = true
-			}
-		case *ast.SelectStmt:
-			if len(v.Body.List) == 0 {
-				bc.Term = TermUnbounded
-				bc.Why = "empty select blocks forever"
-				return false
-			}
-		case *ast.UnaryExpr:
-			if v.Op == token.ARROW && isSignalChan(lintutil.TypeOf(pkg.Info, v.X)) {
-				sawSignal = true
-			}
-		case *ast.CallExpr:
-			name := lintutil.CalleeName(v)
-			if name == "Done" {
-				if recv := lintutil.Receiver(v); recv != nil && lintutil.IsNamed(lintutil.TypeOf(pkg.Info, recv), "sync", "WaitGroup") {
-					bc.JoinsWaitGroup = true
-				}
-			}
-			if name == "NoLeaks" {
-				if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
-					if id, ok := sel.X.(*ast.Ident); ok {
-						if pn, ok := lintutil.ObjectOf(pkg.Info, id).(*types.PkgName); ok && strings.HasSuffix(pn.Imported().Path(), "testutil") {
-							bc.CallsNoLeaks = true
-						}
-					}
-				}
-			}
-			callee := m.CalleeFunc(pkg.Info, v)
-			if callee != nil {
-				if blockingExternal(callee) {
-					bc.Term = TermUnbounded
-					bc.Why = fmt.Sprintf("blocks in %s.%s until server shutdown", callee.Pkg().Name(), callee.Name())
-					return false
-				}
-				if cs := m.Summary(callee); cs != nil {
-					if cs.Body.JoinsWaitGroup {
-						bc.JoinsWaitGroup = true
-					}
-					switch cs.Body.Term {
-					case TermUnbounded:
-						bc.Term = TermUnbounded
-						bc.Why = fmt.Sprintf("calls %s, which %s", qualified(callee), cs.Body.Why)
-						return false
-					case TermSignal:
-						sawSignal = true
-					}
-				}
-			}
-		}
-		return true
-	}
-	ast.Inspect(body, inspect)
-	if bc.Term == TermBounded && sawSignal {
-		bc.Term = TermSignal
-	}
-	return bc
-}
-
-// loopHasExit reports whether an unconditional for body contains a
-// reachable syntactic exit: a return, a break, or a call to a
-// terminating runtime exit. Nested function literals are skipped (a
-// return inside a closure does not exit the loop), and breaks belonging
-// to nested loops/switches still count — they step toward this loop's
-// own exit only when unlabeled at this level, but the approximation
-// "some exit statement exists" is deliberately permissive: leakcheck
-// flags loops with provably no way out.
-func loopHasExit(body *ast.BlockStmt) bool {
-	found := false
-	depth := 0
-	var walk func(n ast.Node) bool
-	walk = func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch v := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ReturnStmt:
-			found = true
-			return false
-		case *ast.BranchStmt:
-			if v.Tok == token.BREAK && depth == 0 || v.Tok == token.GOTO || v.Label != nil && v.Tok == token.BREAK {
-				found = true
-				return false
-			}
-		case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			// break inside these binds to them, not to our loop.
-			depth++
-			switch s := n.(type) {
-			case *ast.ForStmt:
-				ast.Inspect(s.Body, walk)
-			case *ast.RangeStmt:
-				ast.Inspect(s.Body, walk)
-			case *ast.SwitchStmt:
-				ast.Inspect(s.Body, walk)
-			case *ast.TypeSwitchStmt:
-				ast.Inspect(s.Body, walk)
-			case *ast.SelectStmt:
-				ast.Inspect(s.Body, walk)
-			}
-			depth--
-			return false
-		case *ast.CallExpr:
-			if isRuntimeExit(v) {
-				found = true
-				return false
-			}
-		}
-		return true
-	}
-	ast.Inspect(body, walk)
-	return found
-}
-
-// isRuntimeExit matches os.Exit, log.Fatal*, panic — calls that end the
-// goroutine (or process) abruptly but definitively.
-func isRuntimeExit(call *ast.CallExpr) bool {
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		return fn.Name == "panic"
-	case *ast.SelectorExpr:
-		name := fn.Sel.Name
-		return name == "Exit" || strings.HasPrefix(name, "Fatal") || name == "Goexit"
-	}
-	return false
-}
-
-func isChanType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Chan)
-	return ok
-}
-
-// isSignalChan matches the done-channel shapes: chan struct{} (any
-// direction) — the conventional close-to-signal type — and context
-// Done channels (<-chan struct{}).
-func isSignalChan(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	ch, ok := t.Underlying().(*types.Chan)
-	if !ok {
-		return false
-	}
-	st, ok := ch.Elem().Underlying().(*types.Struct)
-	return ok && st.NumFields() == 0
 }

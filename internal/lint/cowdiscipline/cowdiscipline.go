@@ -22,7 +22,6 @@ package cowdiscipline
 import (
 	"go/ast"
 	"go/types"
-	"sort"
 	"strings"
 
 	"webcluster/internal/lint/analysis"
@@ -34,19 +33,8 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "check that no value reached from atomic.Pointer.Load (or marked " +
 		"distlint:cow) is written through — copy-on-write structures are " +
 		"mutated via clones and republished with Store",
-	Run:       run,
-	FactTypes: []analysis.Fact{new(CowTypesFact)},
+	Run: run,
 }
-
-// CowTypesFact is a package fact listing the qualified names
-// (pkgpath.Type) of types whose declarations carry the `distlint:cow`
-// doc marker. Doc comments are only visible in the declaring package's
-// syntax; the fact makes the marker enforceable in every downstream
-// package, where previously only the COWMarker-method form crossed
-// package boundaries.
-type CowTypesFact struct{ Names []string }
-
-func (*CowTypesFact) AFact() {}
 
 func run(pass *analysis.Pass) error {
 	marked := markedTypes(pass)
@@ -62,76 +50,54 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// markedTypes collects named types whose declaration doc contains a
-// `distlint:cow` marker, across this package and its module imports.
+// markedTypes collects the named types whose declaration doc carries a
+// `distlint:cow` marker, in this package and in every module package it
+// imports. A doc comment lives only in the declaring package's syntax, so
+// each import's is read from the analysis module: a snapshot type defined
+// in urltable is protected when a caller in the distributor writes
+// through it.
 func markedTypes(pass *analysis.Pass) map[string]bool {
 	marked := make(map[string]bool)
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
+	collect := func(pkgPath string, files []*ast.File) {
+		for _, file := range files {
+			for _, decl := range file.Decls {
+				gd, ok := decl.(*ast.GenDecl)
 				if !ok {
 					continue
 				}
-				doc := ts.Doc
-				if doc == nil {
-					doc = gd.Doc
-				}
-				if doc != nil && strings.Contains(doc.Text(), "distlint:cow") {
-					marked[pass.Pkg.Path()+"."+ts.Name.Name] = true
+				for _, spec := range gd.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					doc := ts.Doc
+					if doc == nil {
+						doc = gd.Doc
+					}
+					if doc != nil && strings.Contains(doc.Text(), "distlint:cow") {
+						marked[pkgPath+"."+ts.Name.Name] = true
+					}
 				}
 			}
 		}
 	}
-	// Publish this package's markers and pull in those of every import,
-	// so a snapshot type defined in urltable is protected when a caller
-	// in the distributor writes through it.
-	if len(marked) > 0 {
-		names := make([]string, 0, len(marked))
-		for name := range marked {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		pass.ExportPackageFact(&CowTypesFact{Names: names})
-	}
+	collect(pass.Pkg.Path(), pass.Files)
 	for _, imp := range pass.Pkg.Imports() {
-		var f CowTypesFact
-		if pass.ImportPackageFact(imp, &f) {
-			for _, name := range f.Names {
-				marked[name] = true
-			}
+		if lp := pass.Module.Package(imp.Path()); lp != nil {
+			collect(imp.Path(), lp.Files)
 		}
 	}
 	return marked
 }
 
-// cowMarked reports whether t is a type carrying the distlint:cow
-// marker. The doc-comment form is only visible when the declaring
-// package is the one being analyzed; for cross-package enforcement a
-// type may instead declare an empty method named COWMarker, which is
-// visible through the type checker everywhere.
+// cowMarked reports whether t (or *t) is a type carrying the
+// distlint:cow marker.
 func cowMarked(t types.Type, marked map[string]bool) bool {
 	n, ok := lintutil.Deref(t).(*types.Named)
-	if !ok {
+	if !ok || n.Obj().Pkg() == nil {
 		return false
 	}
-	obj := n.Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	if marked[obj.Pkg().Path()+"."+obj.Name()] {
-		return true
-	}
-	for i := 0; i < n.NumMethods(); i++ {
-		if n.Method(i).Name() == "COWMarker" {
-			return true
-		}
-	}
-	return false
+	return marked[n.Obj().Pkg().Path()+"."+n.Obj().Name()]
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, marked map[string]bool) {
@@ -226,7 +192,7 @@ func taintedExpr(pass *analysis.Pass, e ast.Expr, tainted map[*ast.Object]bool) 
 	if call, ok := e.(*ast.CallExpr); ok {
 		if lintutil.CalleeName(call) == "Load" {
 			if recv := lintutil.Receiver(call); recv != nil {
-				if _, ok := lintutil.IsAtomicPointer(lintutil.TypeOf(pass.TypesInfo, recv)); ok {
+				if lintutil.IsAtomicPointer(lintutil.TypeOf(pass.TypesInfo, recv)) {
 					return true
 				}
 			}

@@ -11,9 +11,8 @@ func TestCOWDiscipline(t *testing.T) {
 	linttest.Run(t, "testdata/a", cowdiscipline.Analyzer)
 }
 
-// TestCOWDisciplineCrossPackage pins the CowTypesFact upgrade: the
-// distlint:cow doc marker declared in testdata/shared is enforced in a
-// downstream package via the exported package fact.
+// TestCOWDisciplineCrossPackage: the distlint:cow doc marker declared in
+// testdata/shared is enforced in a downstream package.
 func TestCOWDisciplineCrossPackage(t *testing.T) {
 	linttest.RunDirs(t, cowdiscipline.Analyzer, "testdata/shared", "testdata/e")
 }

@@ -1,8 +1,6 @@
 // Cross-package fixture for cowdiscipline: shared.Entry's distlint:cow
-// marker is a doc comment in the helper package, invisible to the
-// pre-v2 engine from here — it collected markers only from the syntax
-// of the package being analyzed, so the write below was provably
-// unreportable. v2 imports the CowTypesFact the shared package exports.
+// marker is a doc comment in the helper package, read from that
+// package's syntax when this one is analyzed.
 package fixture
 
 import "webcluster/internal/lint/cowdiscipline/testdata/shared"

@@ -1,10 +1,8 @@
 // Package shared is the helper side of the cowdiscipline cross-package
 // fixture: Entry's distlint:cow marker lives in this package's doc
-// comments, which only this package's syntax contains. Pre-v2 the
-// analyzer read markers from the package under analysis alone, so a
-// write through an Entry in another package was provably unflagged
-// (unless the type grew a COWMarker method). v2 publishes the marker
-// set as a CowTypesFact package fact that downstream packages import.
+// comments, which only this package's syntax contains. The analyzer
+// reads the markers of every imported module package from its syntax,
+// so a write through an Entry in another package is flagged.
 package shared
 
 // Entry is a published copy-on-write snapshot: readers traverse it

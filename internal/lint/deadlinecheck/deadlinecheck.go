@@ -8,6 +8,7 @@
 //
 //  1. A bare net.Dial call is always flagged — use net.DialTimeout or a
 //     dialer that arms a deadline on the result.
+//
 //  2. A connection dialed locally (any call whose first result is a
 //     net.Conn, except Accept) must have SetDeadline /
 //     SetReadDeadline / SetWriteDeadline called on it — or be handed to
@@ -24,6 +25,7 @@
 //     satisfies the obligation wherever it lives, and a dial helper
 //     that arms the result before returning hands back a connection
 //     that is already bounded.
+//
 //  3. A method on a type with a direct net.Conn field that performs
 //     I/O rooted at the receiver must contain a Set*Deadline call.
 //     Methods named Close*, or named like I/O primitives (thin
@@ -382,7 +384,7 @@ func (t *connTracker) isConnDial(call *ast.CallExpr) (dial, armed bool) {
 	if name == "Accept" || name == "AcceptTCP" {
 		return false, false
 	}
-	if fn := t.pass.Module.CalleeFunc(t.pass.TypesInfo, call); fn != nil {
+	if fn := analysis.CalleeFunc(t.pass.TypesInfo, call); fn != nil {
 		if s := t.pass.Module.Summary(fn); s != nil && s.DialsConn {
 			return true, s.ArmsResult
 		}
@@ -424,7 +426,7 @@ func (t *connTracker) handleCall(call *ast.CallExpr, deferred bool) {
 			default:
 				// A method that arms a deadline on its own receiver
 				// (wherever it is declared) satisfies the obligation.
-				if fn := t.pass.Module.CalleeFunc(t.pass.TypesInfo, call); fn != nil {
+				if fn := analysis.CalleeFunc(t.pass.TypesInfo, call); fn != nil {
 					if s := t.pass.Module.Summary(fn); s != nil && s.ArmsRecv {
 						cs.armed = true
 						return
@@ -465,7 +467,7 @@ func (t *connTracker) handleCall(call *ast.CallExpr, deferred bool) {
 			t.drop(cs)
 			continue
 		}
-		if fn := t.pass.Module.CalleeFunc(t.pass.TypesInfo, call); fn != nil {
+		if fn := analysis.CalleeFunc(t.pass.TypesInfo, call); fn != nil {
 			if s := t.pass.Module.Summary(fn); s != nil && t.armsArg(call, cs, s.ArmsParam) {
 				t.drop(cs)
 				continue

@@ -1,7 +1,9 @@
-// Package distlint assembles the repo's analyzer suite: the eight checks
-// that machine-enforce the concurrency and data-path invariants the
-// fast-path PRs introduced (see DESIGN.md §10 and §15), the per-package
-// scoping rules, and the one sanctioned suppression form
+// Package distlint assembles the repo's analyzer suite: the checks that
+// machine-enforce the data-path invariants no test in the tree would
+// notice breaking (pooled values, copy-on-write snapshots, I/O deadlines,
+// fault-injector reach, blocking under a lock; see DESIGN.md §10 and
+// §15, whose mutation audit is why these five and no others), the
+// per-package scoping rules, and the one sanctioned suppression form
 //
 //	//distlint:ignore <analyzer> <reason>
 //
@@ -9,15 +11,13 @@
 // suppression without a reason is itself reported, so every silenced
 // finding carries an explanation in the tree.
 //
-// Since distlint v2 the suite runs through a Runner holding one
-// analysis.Module for the whole invocation: packages are analyzed in
-// dependency order so analyzer facts flow from callee packages to their
-// callers, and call-graph summaries give every analyzer interprocedural
-// reach. In audit mode (the whole-module `make lint` run) the Runner
-// also verifies every suppression directive: it must name a known
-// analyzer, carry a reason, and actually suppress a diagnostic — a
-// stale directive is itself a finding, so suppressions cannot outlive
-// the code they excuse.
+// The suite runs through a Runner holding one analysis.Module for the
+// whole invocation, so per-function summaries give every analyzer
+// interprocedural reach. In audit mode (the whole-module `make lint`
+// run) the Runner also verifies every suppression directive: it must
+// name a known analyzer, carry a reason, and actually suppress a
+// diagnostic — a stale directive is itself a finding, so suppressions
+// cannot outlive the code they excuse.
 package distlint
 
 import (
@@ -30,12 +30,9 @@ import (
 	"webcluster/internal/lint/cowdiscipline"
 	"webcluster/internal/lint/deadlinecheck"
 	"webcluster/internal/lint/faulthook"
-	"webcluster/internal/lint/journalsafe"
-	"webcluster/internal/lint/leakcheck"
 	"webcluster/internal/lint/load"
 	"webcluster/internal/lint/lockscope"
 	"webcluster/internal/lint/pooledescape"
-	"webcluster/internal/lint/queuewait"
 )
 
 // Finding is one reported (unsuppressed) diagnostic.
@@ -56,10 +53,7 @@ func Suite() []*analysis.Analyzer {
 		cowdiscipline.Analyzer,
 		deadlinecheck.Analyzer,
 		faulthook.Analyzer,
-		journalsafe.Analyzer,
-		leakcheck.Analyzer,
 		lockscope.Analyzer,
-		queuewait.Analyzer,
 	}
 }
 
@@ -68,8 +62,7 @@ func Suite() []*analysis.Analyzer {
 // scoped to the layers that own outbound connections: the paper's data
 // plane (distributor/conntrack/backend/nfs/l4router) plus, for
 // deadlines, the management plane and monitor whose wedged calls the
-// chaos suite exercises. queuewait is scoped to the admission
-// subsystem, whose parked waiters must always have a timed way out.
+// chaos suite exercises.
 var scopes = map[string][]string{
 	"deadlinecheck": {
 		"internal/distributor",
@@ -86,9 +79,6 @@ var scopes = map[string][]string{
 		"internal/backend",
 		"internal/nfs",
 		"internal/l4router",
-	},
-	"queuewait": {
-		"internal/admission",
 	},
 }
 
@@ -174,10 +164,9 @@ func suppression(name string, pos token.Position, ignores map[string][]*ignoreDi
 }
 
 // Runner executes analyzers over a set of packages with one shared
-// analysis.Module: a single call graph, fact store, and summary cache
-// for the whole invocation.
+// analysis.Module: one summary cache for the whole invocation.
 type Runner struct {
-	Module    *analysis.Module
+	module    *analysis.Module
 	Analyzers []*analysis.Analyzer
 	// Unscoped ignores the per-analyzer package scope map; the fixture
 	// runner sets it because fixtures live under testdata import paths
@@ -191,39 +180,27 @@ type Runner struct {
 	Audit bool
 }
 
-// NewRunner builds a Runner over a fresh Module. When l is non-nil its
-// package cache backs the Module's lazy dependency resolution, so
-// summaries can chase helpers into packages that were only pulled in as
-// imports.
+// NewRunner builds a Runner over a fresh Module. l's package cache backs
+// the Module's lazy dependency resolution, so summaries can chase helpers
+// into packages that were only pulled in as imports.
 func NewRunner(l *load.Loader, analyzers []*analysis.Analyzer) *Runner {
-	m := analysis.NewModule()
-	if l != nil {
-		m.Source = l.Cached
-	}
-	return &Runner{Module: m, Analyzers: analyzers}
+	return &Runner{module: analysis.NewModule(l.Cached), Analyzers: analyzers}
 }
 
-// Run analyzes pkgs in dependency order (so facts flow from callee
-// packages to their callers) and returns the unsuppressed findings plus
-// any malformed/stale-suppression findings, sorted by position.
+// Run analyzes pkgs and returns the unsuppressed findings plus any
+// malformed/stale-suppression findings, sorted by position.
 func (r *Runner) Run(pkgs ...*load.Package) ([]Finding, error) {
-	requested := make(map[string]bool, len(pkgs))
 	ignores := make(map[string][]*ignoreDirective)
 	var findings []Finding
 	for _, p := range pkgs {
-		r.Module.Add(p)
-		requested[p.Path] = true
 		findings = append(findings, collectIgnores(p, ignores)...)
 	}
-	for _, p := range r.Module.DepOrder() {
-		if !requested[p.Path] {
-			continue // lazily pulled-in dependency, not asked for
-		}
+	for _, p := range pkgs {
 		for _, a := range r.Analyzers {
 			if !r.Unscoped && !InScope(a.Name, p.Path) {
 				continue
 			}
-			diags, err := r.Module.Run(a, p)
+			diags, err := r.module.Run(a, p)
 			if err != nil {
 				return nil, err
 			}

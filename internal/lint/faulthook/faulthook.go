@@ -34,10 +34,6 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-var dialNames = map[string]bool{
-	"Dial": true, "DialTimeout": true, "DialContext": true, "DialTCP": true,
-}
-
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
@@ -64,7 +60,7 @@ func check(pass *analysis.Pass, body *ast.BlockStmt) {
 		return
 	}
 	for _, d := range dials {
-		if callsInjector(pass, d.scope) {
+		if lintutil.CallsInjector(pass.TypesInfo, d.scope) {
 			continue
 		}
 		if d.via != "" {
@@ -79,7 +75,7 @@ func check(pass *analysis.Pass, body *ast.BlockStmt) {
 // summary carries an unhooked reachable dial. Same-package helpers are
 // skipped: their own bodies are checked directly by this pass, so the
 // dial is already reported where it lives.
-func helperDialSites(pass *analysis.Pass, n ast.Node, scope ast.Node, dialerLits map[*ast.FuncLit]bool) []dialSite {
+func helperDialSites(pass *analysis.Pass, n ast.Node, scope *ast.BlockStmt, dialerLits map[*ast.FuncLit]bool) []dialSite {
 	var out []dialSite
 	ast.Inspect(n, func(x ast.Node) bool {
 		switch v := x.(type) {
@@ -91,7 +87,7 @@ func helperDialSites(pass *analysis.Pass, n ast.Node, scope ast.Node, dialerLits
 				return false
 			}
 		case *ast.CallExpr:
-			fn := pass.Module.CalleeFunc(pass.TypesInfo, v)
+			fn := analysis.CalleeFunc(pass.TypesInfo, v)
 			if fn == nil || fn.Pkg() == pass.Pkg {
 				return true
 			}
@@ -160,7 +156,7 @@ type dialSite struct {
 	call *ast.CallExpr
 	// scope is the innermost function body containing the dial; the
 	// injector consult must happen within it.
-	scope ast.Node
+	scope *ast.BlockStmt
 	// via, when non-empty, names the helper chain the dial hides behind
 	// (pkg.f → pkg.g); empty for direct net.Dial* sites.
 	via string
@@ -168,7 +164,7 @@ type dialSite struct {
 
 // dialSites finds net dial calls under n, tracking the innermost
 // function scope and skipping literals that serve as conntrack dialers.
-func dialSites(pass *analysis.Pass, n ast.Node, scope ast.Node, dialerLits map[*ast.FuncLit]bool) []dialSite {
+func dialSites(pass *analysis.Pass, n ast.Node, scope *ast.BlockStmt, dialerLits map[*ast.FuncLit]bool) []dialSite {
 	var out []dialSite
 	ast.Inspect(n, func(x ast.Node) bool {
 		switch v := x.(type) {
@@ -180,7 +176,7 @@ func dialSites(pass *analysis.Pass, n ast.Node, scope ast.Node, dialerLits map[*
 				return false
 			}
 		case *ast.CallExpr:
-			if isNetDial(pass, v) {
+			if lintutil.IsNetDial(pass.TypesInfo, v) {
 				out = append(out, dialSite{call: v, scope: scope})
 			}
 		}
@@ -189,50 +185,7 @@ func dialSites(pass *analysis.Pass, n ast.Node, scope ast.Node, dialerLits map[*
 	return out
 }
 
-func isNetDial(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || !dialNames[sel.Sel.Name] {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := lintutil.ObjectOf(pass.TypesInfo, id).(*types.PkgName)
-	return ok && pn.Imported().Path() == "net"
-}
-
 func isDialerType(t types.Type) bool {
 	n, ok := t.(*types.Named)
 	return ok && n.Obj().Name() == "Dialer"
-}
-
-// callsInjector reports whether scope contains a method call on an
-// *faults.Injector value (Fail, Conn, Listener, ...), not counting
-// nested function literals (their dials are checked separately, and an
-// injector consult inside a callback does not guard this dial).
-func callsInjector(pass *analysis.Pass, scope ast.Node) bool {
-	found := false
-	ast.Inspect(scope, func(x ast.Node) bool {
-		if found {
-			return false
-		}
-		if fl, ok := x.(*ast.FuncLit); ok && fl != scope {
-			return false
-		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		recv := lintutil.Receiver(call)
-		if recv == nil {
-			return true
-		}
-		t := lintutil.TypeOf(pass.TypesInfo, recv)
-		if t != nil && lintutil.IsNamed(t, "webcluster/internal/faults", "Injector") {
-			found = true
-		}
-		return true
-	})
-	return found
 }

@@ -76,10 +76,9 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 
 // RunDirs loads one fixture package per directory (dependency packages
 // first) and applies a to all of them in a single interprocedural run:
-// one module, shared facts and summaries, packages analyzed in
-// dependency order. Want comments are honored in every package, so a
-// cross-package fixture can pin both the helper-side and caller-side
-// diagnostics.
+// one module, shared summaries. Want comments are honored in every
+// package, so a cross-package fixture can pin both the helper-side and
+// caller-side diagnostics.
 func RunDirs(t *testing.T, a *analysis.Analyzer, dirs ...string) {
 	t.Helper()
 	l, err := sharedLoader()

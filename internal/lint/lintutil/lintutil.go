@@ -1,7 +1,8 @@
 // Package lintutil holds the small AST/type helpers the distlint
 // analyzers share: callee naming, receiver typing, selector roots, and
-// recognizers for the std types the invariants are phrased in terms of
-// (sync.Pool, sync.Mutex, sync.Cond, net.Conn, atomic.Pointer).
+// recognizers for the calls and std types the invariants are phrased in
+// terms of (net dials, fault-injector consults, sync.Pool, sync.Mutex,
+// sync.Cond, net.Conn, atomic.Pointer).
 package lintutil
 
 import (
@@ -62,11 +63,11 @@ func Deref(t types.Type) types.Type {
 	return t
 }
 
-// IsNamed reports whether t (after stripping pointers) is the named
+// isNamed reports whether t (after stripping pointers) is the named
 // type pkgPath.name. The path match accepts both exact equality and a
 // suffix match so module-local packages compare the same whether the
 // loader saw them under their full or relative import path.
-func IsNamed(t types.Type, pkgPath, name string) bool {
+func isNamed(t types.Type, pkgPath, name string) bool {
 	n, ok := Deref(t).(*types.Named)
 	if !ok {
 		return false
@@ -80,32 +81,25 @@ func IsNamed(t types.Type, pkgPath, name string) bool {
 }
 
 // IsSyncPool reports whether t is sync.Pool (or *sync.Pool).
-func IsSyncPool(t types.Type) bool { return IsNamed(t, "sync", "Pool") }
+func IsSyncPool(t types.Type) bool { return isNamed(t, "sync", "Pool") }
 
 // IsSyncCond reports whether t is sync.Cond (or *sync.Cond).
-func IsSyncCond(t types.Type) bool { return IsNamed(t, "sync", "Cond") }
+func IsSyncCond(t types.Type) bool { return isNamed(t, "sync", "Cond") }
 
 // IsMutex reports whether t is sync.Mutex or sync.RWMutex.
 func IsMutex(t types.Type) bool {
-	return IsNamed(t, "sync", "Mutex") || IsNamed(t, "sync", "RWMutex")
+	return isNamed(t, "sync", "Mutex") || isNamed(t, "sync", "RWMutex")
 }
 
 // IsAtomicPointer reports whether t is sync/atomic.Pointer[T] (or a
-// pointer to one), returning the element type when it is.
-func IsAtomicPointer(t types.Type) (types.Type, bool) {
+// pointer to one).
+func IsAtomicPointer(t types.Type) bool {
 	n, ok := Deref(t).(*types.Named)
 	if !ok {
-		return nil, false
+		return false
 	}
 	obj := n.Obj()
-	if obj.Name() != "Pointer" || obj.Pkg() == nil || obj.Pkg().Path() != "sync/atomic" {
-		return nil, false
-	}
-	args := n.TypeArgs()
-	if args == nil || args.Len() != 1 {
-		return nil, false
-	}
-	return args.At(0), true
+	return obj.Name() == "Pointer" && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
 }
 
 // NetConnIface returns the net.Conn interface type if pkg (or one of
@@ -174,4 +168,45 @@ func ObjectOf(info *types.Info, id *ast.Ident) types.Object {
 		return o
 	}
 	return info.Defs[id]
+}
+
+// IsNetDial reports a direct call of one of package net's dial functions.
+func IsNetDial(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	switch sel.Sel.Name {
+	case "Dial", "DialTimeout", "DialContext", "DialTCP", "DialUDP", "DialIP":
+	default:
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return false
+	}
+	pn, ok := ObjectOf(info, id).(*types.PkgName)
+	return ok && pn.Imported().Path() == "net"
+}
+
+// CallsInjector reports whether body calls a method on an
+// *faults.Injector (Fail, Conn, Listener, ...), not counting nested
+// function literals: a consult inside a callback guards nothing here.
+func CallsInjector(info *types.Info, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(x ast.Node) bool {
+		if found {
+			return false
+		}
+		if _, ok := x.(*ast.FuncLit); ok {
+			return false
+		}
+		if call, ok := x.(*ast.CallExpr); ok {
+			if t := TypeOf(info, Receiver(call)); t != nil && isNamed(t, "webcluster/internal/faults", "Injector") {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }

@@ -24,8 +24,6 @@ import (
 type Package struct {
 	// Path is the import path the package was loaded under.
 	Path string
-	// Dir is the directory the source files came from.
-	Dir  string
 	Fset *token.FileSet
 	// Files holds the parsed syntax trees, sorted by file name.
 	Files []*ast.File
@@ -42,9 +40,6 @@ type Loader struct {
 	moduleRoot string
 	pkgs       map[string]*Package
 	stdCache   map[string]*types.Package
-	// IncludeTests adds *_test.go files that belong to the package under
-	// its own name (external _test packages are never loaded).
-	IncludeTests bool
 }
 
 // NewLoader returns a loader for the module rooted at moduleRoot with
@@ -101,7 +96,7 @@ func FindModule(dir string) (root, modulePath string, err error) {
 // Cached returns the already-loaded package for path, nil when the
 // loader has not seen it. The analysis module uses this as its lazy
 // dependency source: any module package pulled in transitively by the
-// type-checker is available to the call graph without a second load.
+// type-checker is available to the summaries without a second load.
 func (l *Loader) Cached(path string) *Package { return l.pkgs[path] }
 
 // Import implements types.Importer.
@@ -150,7 +145,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		if !l.IncludeTests && strings.HasSuffix(name, "_test.go") {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		// Respect build constraints (//go:build lines and _GOOS/_GOARCH
@@ -167,22 +162,14 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 		return nil, fmt.Errorf("load: no Go files in %s", dir)
 	}
 	var files []*ast.File
-	pkgName := ""
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("load: %w", err)
 		}
-		// External test packages (package foo_test) type-check against
-		// the package under test, which a single-pass loader cannot do;
-		// they carry no production invariants, so skip them.
-		if strings.HasSuffix(f.Name.Name, "_test") && pkgName != "" && f.Name.Name != pkgName {
-			continue
-		}
-		if pkgName == "" {
-			pkgName = f.Name.Name
-		}
-		if f.Name.Name != pkgName {
+		// Files of another package in the same directory (a stray main,
+		// an ignored generator) are not part of this one.
+		if len(files) > 0 && f.Name.Name != files[0].Name.Name {
 			continue
 		}
 		files = append(files, f)
@@ -201,7 +188,6 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	}
 	p := &Package{
 		Path:  importPath,
-		Dir:   dir,
 		Fset:  l.fset,
 		Files: files,
 		Types: tpkg,

@@ -31,10 +31,6 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-var dialNames = map[string]bool{
-	"Dial": true, "DialTimeout": true, "DialContext": true, "DialTCP": true,
-}
-
 // connSafe are net.Conn methods that do not block on the peer.
 var connSafe = map[string]bool{
 	"Close": true, "CloseRead": true, "CloseWrite": true,
@@ -353,7 +349,7 @@ func (w *walker) handleCall(call *ast.CallExpr) {
 	// name, not a value, in receiver position.
 	if id, ok := recv.(*ast.Ident); ok {
 		if _, isPkg := lintutil.ObjectOf(w.pass.TypesInfo, id).(*types.PkgName); isPkg {
-			if dialNames[name] && isNetPkgCall(w.pass, call) {
+			if lintutil.IsNetDial(w.pass.TypesInfo, call) {
 				if lock, held := w.heldAny(); held {
 					w.pass.Reportf(call.Pos(), "dial while %s is held; release the lock before network I/O (the conntrack Acquire pattern)", lock)
 				}
@@ -382,8 +378,6 @@ func (w *walker) handleCall(call *ast.CallExpr) {
 
 	// Blocking shapes.
 	switch {
-	case dialNames[name] && isNetPkgCall(w.pass, call):
-		w.pass.Reportf(call.Pos(), "dial while %s is held; release the lock before network I/O (the conntrack Acquire pattern)", lock)
 	case name == "Wait":
 		if recv != nil && lintutil.IsSyncCond(recvType) {
 			return // Cond.Wait releases the lock while parked
@@ -392,17 +386,4 @@ func (w *walker) handleCall(call *ast.CallExpr) {
 	case recv != nil && lintutil.IsNetConn(recvType, w.conn) && !connSafe[name]:
 		w.pass.Reportf(call.Pos(), "network I/O (%s) while %s is held; a wedged peer stalls every caller queued on the lock", name, lock)
 	}
-}
-
-func isNetPkgCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := lintutil.ObjectOf(pass.TypesInfo, id).(*types.PkgName)
-	return ok && pn.Imported().Path() == "net"
 }

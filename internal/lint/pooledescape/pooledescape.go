@@ -8,15 +8,10 @@
 // allowed — that is how conntrack hands a pooled bufio.Reader to
 // PooledConn.
 //
-// Since distlint v2 the lifecycle is tracked across call boundaries:
-// the analyzer exports a ReturnsPooledFact for every function whose
-// result carries a pooled value and a ReleasesParamFact for every
-// function that releases one of its parameters, and consults those
-// facts (plus call-graph summaries for packages in the same run) at
-// acquire and release sites. `v := helperThatReturnsPooled()` starts
-// the same obligation as a direct Get, and `releaseHelper(v)`
-// discharges it, no matter which package the helper lives in or what
-// it is named.
+// The lifecycle is tracked across call boundaries through the analysis
+// module's summaries: `v := helperThatReturnsPooled()` starts the same
+// obligation as a direct Get, and `releaseHelper(v)` discharges it, no
+// matter which package the helper lives in or what it is named.
 package pooledescape
 
 import (
@@ -34,22 +29,8 @@ var Analyzer = &analysis.Analyzer{
 		"return path, never used after release, and never stored into " +
 		"long-lived structs; tracked across call boundaries via escape " +
 		"summaries",
-	Run:       run,
-	FactTypes: []analysis.Fact{new(ReturnsPooledFact), new(ReleasesParamFact)},
+	Run: run,
 }
-
-// ReturnsPooledFact marks a function whose result carries a pooled
-// value, transferring the release obligation to its callers.
-type ReturnsPooledFact struct{}
-
-func (*ReturnsPooledFact) AFact() {}
-
-// ReleasesParamFact marks which parameters of a function are released
-// inside it; a call passing a tracked value at such a position
-// discharges the caller's obligation.
-type ReleasesParamFact struct{ Params []bool }
-
-func (*ReleasesParamFact) AFact() {}
 
 // status is the per-variable lattice. Order matters: merge takes the
 // minimum, so a variable live on either branch stays live (leaks are
@@ -92,7 +73,6 @@ type tracked struct {
 }
 
 func run(pass *analysis.Pass) error {
-	exportFacts(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -448,39 +428,9 @@ func (c *checker) escapingStore(lhs ast.Expr) bool {
 	return false
 }
 
-// exportFacts publishes this package's escape summaries as facts so
-// downstream packages see them without access to this package's syntax.
-func exportFacts(pass *analysis.Pass) {
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			node := pass.Module.NodeForDecl(pass.Unit, fd)
-			if node == nil {
-				continue
-			}
-			s := pass.Module.Summary(node.Func)
-			if s == nil {
-				continue
-			}
-			if s.ReturnsPooled {
-				pass.ExportObjectFact(node.Func, &ReturnsPooledFact{})
-			}
-			for _, rel := range s.ReleasesParam {
-				if rel {
-					pass.ExportObjectFact(node.Func, &ReleasesParamFact{Params: s.ReleasesParam})
-					break
-				}
-			}
-		}
-	}
-}
-
 // isAcquire reports whether e acquires a pooled value: a call to an
 // Acquire*/acquire* helper, sync.Pool.Get (possibly type-asserted), or
-// any function whose fact/summary says it returns a pooled value.
+// any function whose summary says it returns a pooled value.
 func (c *checker) isAcquire(e ast.Expr) (token.Pos, bool) {
 	e = ast.Unparen(e)
 	if ta, ok := e.(*ast.TypeAssertExpr); ok {
@@ -501,21 +451,15 @@ func (c *checker) isAcquire(e ast.Expr) (token.Pos, bool) {
 			}
 		}
 	}
-	if fn := c.pass.Module.CalleeFunc(c.pass.TypesInfo, call); fn != nil {
-		var rp ReturnsPooledFact
-		if c.pass.ImportObjectFact(fn, &rp) {
-			return call.Pos(), true
-		}
-		if s := c.pass.Module.Summary(fn); s != nil && s.ReturnsPooled {
-			return call.Pos(), true
-		}
+	if s := c.pass.Module.Summary(analysis.CalleeFunc(c.pass.TypesInfo, call)); s != nil && s.ReturnsPooled {
+		return call.Pos(), true
 	}
 	return token.NoPos, false
 }
 
 // releaseTarget returns the tracked object a call releases, if any:
 // Release*(v), release*(v), pool.Put(v), or helper(…, v, …) where the
-// helper's fact/summary says it releases that parameter.
+// helper's summary says it releases that parameter.
 func (c *checker) releaseTarget(call *ast.CallExpr) (*ast.Object, bool) {
 	name := lintutil.CalleeName(call)
 	isRel := strings.HasPrefix(name, "Release") || strings.HasPrefix(name, "release")
@@ -532,15 +476,8 @@ func (c *checker) releaseTarget(call *ast.CallExpr) (*ast.Object, bool) {
 	}
 	// Delegated release: the callee's escape summary says it releases
 	// the parameter our tracked value is passed as.
-	if fn := c.pass.Module.CalleeFunc(c.pass.TypesInfo, call); fn != nil {
-		var params []bool
-		var rf ReleasesParamFact
-		if c.pass.ImportObjectFact(fn, &rf) {
-			params = rf.Params
-		} else if s := c.pass.Module.Summary(fn); s != nil {
-			params = s.ReleasesParam
-		}
-		for i, rel := range params {
+	if s := c.pass.Module.Summary(analysis.CalleeFunc(c.pass.TypesInfo, call)); s != nil {
+		for i, rel := range s.ReleasesParam {
 			if !rel || i >= len(call.Args) {
 				continue
 			}
@@ -686,11 +623,4 @@ func usesObj(n ast.Node, obj *ast.Object) bool {
 		return !found
 	})
 	return found
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

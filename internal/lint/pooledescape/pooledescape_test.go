@@ -13,7 +13,7 @@ func TestPooledEscape(t *testing.T) {
 
 // TestPooledEscapeCrossPackage runs the helper and caller fixtures in
 // one interprocedural pass: the caller's obligations exist only because
-// the helper package's facts say Lease returns a pooled value and
+// the helper package's summaries say Lease returns a pooled value and
 // Recycle releases its parameter.
 func TestPooledEscapeCrossPackage(t *testing.T) {
 	linttest.RunDirs(t, pooledescape.Analyzer, "testdata/pool", "testdata/b")

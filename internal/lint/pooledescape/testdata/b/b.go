@@ -3,8 +3,8 @@
 // naming. The pre-v2 engine matched only those spellings in the body
 // being analyzed, so neither the acquisition via pool.Lease nor the
 // discharge via pool.Recycle was visible from this package — the leak
-// below was provably unreportable. v2 resolves both through exported
-// facts.
+// below was provably unreportable. v2 resolves both through the
+// helpers' summaries.
 package fixture
 
 import "webcluster/internal/lint/pooledescape/testdata/pool"

@@ -4,8 +4,8 @@
 // acquisitions written Acquire*/pool.Get and releases written
 // Release*/pool.Put inside the body under analysis, so a pooled value
 // obtained through pool.Lease from another package was provably
-// untracked. v2 publishes this package's escape summaries as
-// ReturnsPooledFact/ReleasesParamFact, which callers consult.
+// untracked. v2 computes this package's escape summaries, which callers
+// consult.
 package pool
 
 import "sync"

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"sort"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"webcluster/internal/journal"
+	"webcluster/internal/lifecycle"
 )
 
 // AdminServer is the node-local observability endpoint: GET /metrics
@@ -21,8 +24,13 @@ import (
 type AdminServer struct {
 	tel *Telemetry
 	mux *http.ServeMux
-	srv *http.Server
-	ln  net.Listener
+
+	// mu orders Start against Close: a server starts at most once and
+	// never after Close, the lifecycle.Group contract every other
+	// listener in the tree keeps. net/http owns the connections.
+	mu     sync.Mutex
+	srv    *http.Server
+	closed bool
 	// wg joins the serve goroutine so Close does not return while it is
 	// still running (it previously leaked past Close).
 	wg sync.WaitGroup
@@ -52,33 +60,46 @@ func (a *AdminServer) SetJournal(j *journal.Journal) {
 
 // Start listens on addr and serves in the background; returns the bound
 // address. Read/write timeouts bound every accepted connection so a
-// wedged scraper can't pin a goroutine.
+// wedged scraper can't pin a goroutine. Start after Close, or a second
+// Start, fails and leaves no listener.
 func (a *AdminServer) Start(addr string) (string, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.closed {
+		return "", fmt.Errorf("admin: listen: %w", lifecycle.ErrClosed)
+	}
+	if a.srv != nil {
+		return "", errors.New("admin: listen: already listening")
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	a.ln = ln
-	a.srv = &http.Server{
+	srv := &http.Server{
 		Handler:      a.mux,
 		ReadTimeout:  10 * time.Second,
 		WriteTimeout: 30 * time.Second,
 	}
+	a.srv = srv
 	a.wg.Add(1)
 	go func() {
 		defer a.wg.Done()
-		_ = a.srv.Serve(ln)
+		_ = srv.Serve(ln)
 	}()
 	return ln.Addr().String(), nil
 }
 
 // Close stops the listener and any in-flight handlers, then waits for
-// the serve goroutine to exit.
+// the serve goroutine to exit. It is idempotent and safe before Start.
 func (a *AdminServer) Close() error {
-	if a.srv == nil {
+	a.mu.Lock()
+	a.closed = true
+	srv := a.srv
+	a.mu.Unlock()
+	if srv == nil {
 		return nil
 	}
-	err := a.srv.Close()
+	err := srv.Close()
 	a.wg.Wait()
 	return err
 }

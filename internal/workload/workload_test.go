@@ -9,6 +9,7 @@ import (
 	"webcluster/internal/backend"
 	"webcluster/internal/config"
 	"webcluster/internal/content"
+	"webcluster/internal/testutil"
 )
 
 func TestZipfValidation(t *testing.T) {
@@ -391,7 +392,10 @@ func TestSessionGeneratorNoPages(t *testing.T) {
 	}
 }
 
+// TestRunSessionPool also holds RunSessionPool's user goroutines to the
+// no-leak rule: every one has returned by the time the pool does.
 func TestRunSessionPool(t *testing.T) {
+	testutil.NoLeaks(t)
 	site := smallStaticSite(t)
 	addr := startBackend(t, site)
 	report, err := RunSessionPool(SessionPoolOptions{

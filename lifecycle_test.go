@@ -11,11 +11,12 @@ import (
 	"webcluster/internal/l4router"
 	"webcluster/internal/mgmt"
 	"webcluster/internal/nfs"
+	"webcluster/internal/telemetry"
 	"webcluster/internal/testutil"
 	"webcluster/internal/urltable"
 )
 
-// listener is what the seven networked components have in common.
+// listener is what the eight networked components have in common.
 type listener interface {
 	Start(addr string) (string, error)
 	Close() error
@@ -72,7 +73,9 @@ func closes(s listener) bool {
 }
 
 // TestServerLifecycle holds every networked component to the contract
-// written on lifecycle.Group. The racing rounds pin the register-after-sweep
+// written on lifecycle.Group — the admin server too, which keeps it
+// without a Group because net/http owns its connections. The racing
+// rounds pin the register-after-sweep
 // hang: a connection accepted just before Close must not enter the
 // connection set after Close has swept it, or it idles in its read forever
 // and Close never joins it.
@@ -101,6 +104,9 @@ func TestServerLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			return r
+		}},
+		{"admin", func(*testing.T, string) listener {
+			return telemetry.NewAdmin(telemetry.New(telemetry.Options{Node: "front"}))
 		}},
 	}
 	for _, row := range rows {
