@@ -30,6 +30,7 @@ import (
 	"webcluster/internal/httpx"
 	"webcluster/internal/journal"
 	"webcluster/internal/loadbal"
+	"webcluster/internal/mgmt"
 	"webcluster/internal/respcache"
 	"webcluster/internal/testutil"
 	"webcluster/internal/urltable"
@@ -261,28 +262,15 @@ func TestChaosReplicationStreamTakeover(t *testing.T) {
 			cc := startChaosCluster(t, h.In, 2)
 			site := chaosSite(t, cc, 20, 202)
 
-			repl := distributor.NewReplicationServer(cc.dist, 25*time.Millisecond)
+			repl := mgmt.NewReplicationServer(cc.table, cc.spec, 25*time.Millisecond)
 			repl.SetFaults(h.In)
 			replAddr, err := repl.Start("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
 			serviceAddr := cc.front
-			promote := func(table *urltable.Table, spec config.ClusterSpec) (*distributor.Distributor, error) {
-				d, err := distributor.New(distributor.Options{Table: table, Cluster: spec})
-				if err != nil {
-					return nil, err
-				}
-				// The failed primary's port may linger briefly.
-				for i := 0; i < 100; i++ {
-					if _, err = d.Start(serviceAddr); err == nil {
-						return d, nil
-					}
-					time.Sleep(10 * time.Millisecond)
-				}
-				return nil, err
-			}
-			b := distributor.NewBackup(replAddr, 150*time.Millisecond, promote)
+			var successor *distributor.Distributor
+			b := mgmt.NewBackup(replAddr, 150*time.Millisecond, promoteDistributor(serviceAddr, &successor))
 			if err := b.Start(); err != nil {
 				t.Fatal(err)
 			}
@@ -311,11 +299,11 @@ func TestChaosReplicationStreamTakeover(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			successor, err := b.Promoted(5 * time.Second)
+			promoted, err := b.Promoted(5 * time.Second)
 			if err != nil {
 				t.Fatalf("takeover under %s failed (seed %d): %v", tc.name, h.In.Seed(), err)
 			}
-			if successor == nil {
+			if !promoted {
 				t.Fatalf("no takeover under %s (seed %d)", tc.name, h.In.Seed())
 			}
 			defer func() { _ = successor.Close() }()
@@ -333,6 +321,78 @@ func TestChaosReplicationStreamTakeover(t *testing.T) {
 			}
 		})
 	}
+}
+
+// promoteDistributor returns a PromoteFunc that starts a bare distributor
+// over the replicated state on addr — retrying while the failed
+// primary's port lingers — and leaves it in *successor.
+func promoteDistributor(addr string, successor **distributor.Distributor) mgmt.PromoteFunc {
+	return func(table *urltable.Table, spec config.ClusterSpec) error {
+		d, err := distributor.New(distributor.Options{Table: table, Cluster: spec})
+		if err != nil {
+			return err
+		}
+		for i := 0; i < 100; i++ {
+			if _, err = d.Start(addr); err == nil {
+				*successor = d
+				return nil
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		_ = d.Close()
+		return err
+	}
+}
+
+// TestTakeoverCarriesNoDeadConnections: a keep-alive client connected to
+// the primary while a snapshot replicates is not carried over to the
+// successor. Its TCP connection died with the primary; a restored entry
+// for it would never reach CLOSED, and the client reconnecting from the
+// same ip:port would be refused as a duplicate. The successor's mapping
+// table drains to empty.
+func TestTakeoverCarriesNoDeadConnections(t *testing.T) {
+	cc := startChaosCluster(t, nil, 1)
+	site := chaosSite(t, cc, 5, 404)
+
+	// One exchange done, the connection kept open.
+	client, err := net.Dial("tcp", cc.front)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = client.Close() }()
+	_ = client.SetDeadline(time.Now().Add(5 * time.Second))
+	path := site.ByRank(0).Path
+	req := &httpx.Request{Method: "GET", Target: path, Path: path, Proto: httpx.Proto11, Header: httpx.NewHeader("Host", "chaos")}
+	if err := httpx.WriteRequest(client, req); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := httpx.ReadResponse(bufio.NewReader(client)); err != nil || resp.StatusCode != 200 {
+		t.Fatalf("keep-alive GET = %v, %v", resp, err)
+	}
+	if n := cc.dist.Mapping().Len(); n != 1 {
+		t.Fatalf("primary tracks %d connections, want the keep-alive client", n)
+	}
+
+	repl := mgmt.NewReplicationServer(cc.table, cc.spec, 25*time.Millisecond)
+	replAddr, err := repl.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var successor *distributor.Distributor
+	b := mgmt.NewBackup(replAddr, 150*time.Millisecond, promoteDistributor(cc.front, &successor))
+	if err := b.Start(); err != nil {
+		t.Fatal(err)
+	}
+	testutil.Eventually(t, 3*time.Second, b.StateReceived, "no snapshot replicated")
+	_ = repl.Close()
+	_ = cc.dist.Close()
+
+	promoted, err := b.Promoted(5 * time.Second)
+	if err != nil || !promoted {
+		t.Fatalf("takeover = %v, %v", promoted, err)
+	}
+	defer func() { _ = successor.Close() }()
+	assertMappingDrains(t, successor)
 }
 
 // TestChaosBackendCrashRestartUnderLoad: one node crashes mid-run and
@@ -649,8 +709,13 @@ func TestChaosFlightRecorderCausalChain(t *testing.T) {
 	if purge.Path != "/critical.html" {
 		t.Fatalf("purge path = %q, want /critical.html", purge.Path)
 	}
-	if len(bundle.Sources) == 0 {
-		t.Fatal("bundle carries no telemetry/placement sources")
+	// The placement section is the URL table in its one serialized form.
+	placed, err := urltable.Load(bytes.NewReader(bundle.Sources["placement"]), urltable.Options{})
+	if err != nil {
+		t.Fatalf("bundle placement section does not load as a URL table: %v", err)
+	}
+	if _, err := placed.Lookup("/critical.html"); err != nil || placed.Len() != cluster.Table.Len() {
+		t.Fatalf("bundle placement holds %d entries (lookup: %v), the table %d", placed.Len(), err, cluster.Table.Len())
 	}
 }
 

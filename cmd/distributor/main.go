@@ -31,8 +31,8 @@ import (
 	"webcluster/internal/admission"
 	"webcluster/internal/config"
 	"webcluster/internal/core"
-	"webcluster/internal/distributor"
 	"webcluster/internal/journal"
+	"webcluster/internal/mgmt"
 	"webcluster/internal/respcache"
 	"webcluster/internal/urltable"
 )
@@ -116,7 +116,7 @@ func run() error {
 		fmt.Printf("access log → %s\n", *accessLog)
 	}
 	if *backupOf != "" {
-		return runBackup(opts, *backupOf)
+		return runBackup(opts, *backupOf, *tableFile)
 	}
 	return runPrimary(opts, *clusterFile, *tableFile)
 }
@@ -205,12 +205,13 @@ func serve(c *core.Cluster, sig <-chan os.Signal, tableFile string) {
 
 // runBackup monitors a primary and, when it falls silent, attaches the
 // same front end the flags describe over the replicated table and spec,
-// on the primary's service address.
-func runBackup(opts core.Options, primaryRepl string) error {
+// on the primary's service address, and serves it as runPrimary would —
+// checkpointing to tableFile on the signal.
+func runBackup(opts core.Options, primaryRepl, tableFile string) error {
 	fmt.Printf("backup mode: monitoring %s, will bind %s on takeover\n", primaryRepl, opts.Listen)
 	sig := signals()
 	var successor *core.Cluster
-	promote := func(table *urltable.Table, spec config.ClusterSpec) (*distributor.Distributor, error) {
+	promote := func(table *urltable.Table, spec config.ClusterSpec) error {
 		opts.Table, opts.Spec = table, spec
 		var err error
 		// The service address may need a beat to free after the primary
@@ -223,13 +224,13 @@ func runBackup(opts core.Options, primaryRepl string) error {
 			time.Sleep(50 * time.Millisecond)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		fmt.Printf("TOOK OVER: serving at %s\n", successor.FrontAddr)
 		announce(successor, opts)
-		return successor.Distributor, nil
+		return nil
 	}
-	backup := distributor.NewBackup(primaryRepl, time.Second, promote)
+	backup := mgmt.NewBackup(primaryRepl, time.Second, promote)
 	if err := backup.Start(); err != nil {
 		return err
 	}
@@ -242,13 +243,13 @@ func runBackup(opts core.Options, primaryRepl string) error {
 			return nil
 		default:
 		}
-		d, err := backup.Promoted(500 * time.Millisecond)
+		promoted, err := backup.Promoted(500 * time.Millisecond)
 		if err != nil {
 			return err
 		}
-		if d != nil {
+		if promoted {
 			// Promoted returned after promote did, so successor is set.
-			serve(successor, sig, "")
+			serve(successor, sig, tableFile)
 			return nil
 		}
 	}

@@ -1,8 +1,11 @@
-// Failover: the §2.3 primary/backup mechanism. A primary distributor
-// serves traffic while replicating its state (URL table, mapping table,
-// cluster spec) to a backup. When the primary dies, the backup detects the
-// silence, rebuilds the distributor from replicated state, binds the same
-// service address, and keeps serving — then recruits its own backup.
+// Failover: the §2.3 primary/backup mechanism. A primary front end serves
+// traffic while its replication server (internal/mgmt) streams its
+// placement state — the URL table and the cluster spec, as wire.go frames
+// — to a backup. When the primary dies, the backup detects the silence,
+// attaches a front end over the last replicated table, binds the same
+// service address, and keeps serving — then recruits its own backup. The
+// connection mapping table is not replicated: the primary's client
+// connections die with it, and clients reconnect to the successor.
 package main
 
 import (
@@ -13,7 +16,7 @@ import (
 	"webcluster/internal/config"
 	"webcluster/internal/content"
 	"webcluster/internal/core"
-	"webcluster/internal/distributor"
+	"webcluster/internal/mgmt"
 	"webcluster/internal/urltable"
 )
 
@@ -51,19 +54,19 @@ func run() error {
 	// address (the "virtual IP" migrating).
 	serviceAddr := cluster.FrontAddr
 	var successor *core.Cluster
-	promote := func(table *urltable.Table, spec config.ClusterSpec) (*distributor.Distributor, error) {
+	promote := func(table *urltable.Table, spec config.ClusterSpec) error {
 		c, err := core.Attach(core.Options{
 			Table: table, Spec: spec,
 			Listen: serviceAddr, ReplAddr: "127.0.0.1:0",
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		successor = c
 		fmt.Printf("backup promoted: serving at %s\n", c.FrontAddr)
-		return c.Distributor, nil
+		return nil
 	}
-	backup := distributor.NewBackup(cluster.ReplAddr, time.Second, promote)
+	backup := mgmt.NewBackup(cluster.ReplAddr, time.Second, promote)
 	if err := backup.Start(); err != nil {
 		return err
 	}
@@ -84,11 +87,11 @@ func run() error {
 	_ = cluster.Distributor.Close()
 	_ = cluster.Repl.Close()
 
-	d, err := backup.Promoted(5 * time.Second)
+	promoted, err := backup.Promoted(5 * time.Second)
 	if err != nil {
 		return fmt.Errorf("takeover failed: %w", err)
 	}
-	if d == nil {
+	if !promoted {
 		return fmt.Errorf("backup did not take over in time")
 	}
 	defer func() { _ = successor.Close() }()
@@ -111,7 +114,7 @@ func run() error {
 
 	// And it creates its own backup (§2.3: "the backup takes over the job
 	// of the primary and creates its own backup").
-	backup2 := distributor.NewBackup(successor.ReplAddr, time.Second, promote)
+	backup2 := mgmt.NewBackup(successor.ReplAddr, time.Second, promote)
 	if err := backup2.Start(); err != nil {
 		return err
 	}

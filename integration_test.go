@@ -10,12 +10,14 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"webcluster/internal/config"
 	"webcluster/internal/mgmt"
 	"webcluster/internal/testutil"
+	"webcluster/internal/urltable"
 )
 
 // The start-up lines of cmd/backend and cmd/distributor, in the shapes
@@ -142,33 +144,14 @@ func TestProcessLevelDeployment(t *testing.T) {
 // TestPromotedBackupHasManagementPlane: §2.3's backup "takes over the job
 // of the primary" — all of it. After the primary is killed, the
 // -backup-of process must be serving the console it was given a flag for,
-// an insert through that console must be routable, and an update must
-// purge the response cache the -cache-mb flag asked for. (The backup used
-// to promote a bare distributor and ignore every flag but -listen.)
+// an insert through that console must be routable, an update must purge
+// the response cache the -cache-mb flag asked for, and -table must be
+// checkpointed on the signal as a primary's is. (The backup used to
+// promote a bare distributor and ignore every flag but -listen, and then
+// every flag but -table.)
 func TestPromotedBackupHasManagementPlane(t *testing.T) {
 	bin := binaries(t)
-	specFile := writeSpec(t, startBackends(t, bin, "n1", "n2"))
-	primary := startProcess(t, exec.Command(filepath.Join(bin, "distributor"),
-		"-cluster", specFile, "-listen", "127.0.0.1:0", "-console", "127.0.0.1:0", "-repl", "127.0.0.1:0"))
-	frontAddr := primary.await(t, servingLine)[1]
-	primaryConsole := primary.await(t, consoleLine)[1]
-	replAddr := primary.await(t, regexp.MustCompile(`^replicating state at (\S+)$`))[1]
-
-	insert := func(consoleAddr, op, path, body string) {
-		t.Helper()
-		console, err := mgmt.DialConsole(consoleAddr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = console.Close() }()
-		req := mgmt.ConsoleRequest{Op: op, Path: path, Data: []byte(body)}
-		if op == "insert" {
-			req.Nodes = []config.NodeID{"n1"}
-		}
-		if _, err := console.Do(req); err != nil {
-			t.Fatalf("%s %s at %s: %v", op, path, consoleAddr, err)
-		}
-	}
+	_, frontAddr, backupConsole := takeOver(t, bin, "-cache-mb", "8", "-cache-fresh", "1m")
 	get := func(path string) (body, cache string) {
 		t.Helper()
 		resp, err := getOnce(frontAddr, path)
@@ -178,34 +161,87 @@ func TestPromotedBackupHasManagementPlane(t *testing.T) {
 		return string(resp.Body), resp.Header.Get("X-Dist-Cache")
 	}
 
-	// Placed before the backup connects, so its first snapshot has it.
-	insert(primaryConsole, "insert", "/docs/before.html", "placed at the primary\n")
-	backup := startProcess(t, exec.Command(filepath.Join(bin, "distributor"),
-		"-backup-of", replAddr, "-listen", frontAddr, "-console", "127.0.0.1:0",
-		"-cache-mb", "8", "-cache-fresh", "1m"))
-	backup.await(t, regexp.MustCompile(`^backup mode: monitoring `))
-	time.Sleep(500 * time.Millisecond) // let the first snapshot land
-	primary.kill()
-
-	backup.await(t, regexp.MustCompile(`^TOOK OVER: serving at `))
-	if got := backup.await(t, servingLine)[1]; got != frontAddr {
-		t.Fatalf("successor serves at %s, want the primary's %s", got, frontAddr)
-	}
-	backupConsole := backup.await(t, consoleLine)[1]
-
 	if body, _ := get("/docs/before.html"); body != "placed at the primary\n" {
 		t.Fatalf("replicated object = %q", body)
 	}
-	insert(backupConsole, "insert", "/docs/after.html", "version 1\n")
+	consoleOp(t, backupConsole, "insert", "/docs/after.html", "version 1\n")
 	if body, cache := get("/docs/after.html"); body != "version 1\n" || cache != "MISS" {
 		t.Fatalf("first GET = %q, X-Dist-Cache %q", body, cache)
 	}
 	if body, cache := get("/docs/after.html"); body != "version 1\n" || cache != "HIT" {
 		t.Fatalf("second GET = %q, X-Dist-Cache %q; the successor has no cache", body, cache)
 	}
-	insert(backupConsole, "update", "/docs/after.html", "version 2\n")
+	consoleOp(t, backupConsole, "update", "/docs/after.html", "version 2\n")
 	if body, _ := get("/docs/after.html"); body != "version 2\n" {
 		t.Fatalf("GET after update = %q: the purge did not reach the successor's cache", body)
+	}
+
+	t.Run("-table", func(t *testing.T) {
+		tableFile := filepath.Join(t.TempDir(), "table.json")
+		backup, _, console := takeOver(t, bin, "-table", tableFile)
+		consoleOp(t, console, "insert", "/docs/after.html", "inserted at the successor\n")
+		if err := backup.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := backup.cmd.Process.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		table, err := urltable.LoadFile(tableFile, urltable.Options{})
+		if err != nil {
+			t.Fatalf("successor left no checkpoint: %v", err)
+		}
+		for _, path := range []string{"/docs/before.html", "/docs/after.html"} {
+			if _, err := table.Lookup(path); err != nil {
+				t.Errorf("checkpoint lacks %s: %v", path, err)
+			}
+		}
+	})
+}
+
+// takeOver starts two back ends and a primary with a console and a
+// replication port, inserts /docs/before.html through the primary, starts
+// a -backup-of process with backupFlags, kills the primary and returns
+// the promoted backup with the service address it took over and its
+// console address.
+func takeOver(t *testing.T, bin string, backupFlags ...string) (backup *process, front, console string) {
+	t.Helper()
+	specFile := writeSpec(t, startBackends(t, bin, "n1", "n2"))
+	primary := startProcess(t, exec.Command(filepath.Join(bin, "distributor"),
+		"-cluster", specFile, "-listen", "127.0.0.1:0", "-console", "127.0.0.1:0", "-repl", "127.0.0.1:0"))
+	front = primary.await(t, servingLine)[1]
+	primaryConsole := primary.await(t, consoleLine)[1]
+	replAddr := primary.await(t, regexp.MustCompile(`^replicating state at (\S+)$`))[1]
+
+	// Placed before the backup connects, so its first snapshot has it.
+	consoleOp(t, primaryConsole, "insert", "/docs/before.html", "placed at the primary\n")
+	args := append([]string{"-backup-of", replAddr, "-listen", front, "-console", "127.0.0.1:0"}, backupFlags...)
+	backup = startProcess(t, exec.Command(filepath.Join(bin, "distributor"), args...))
+	backup.await(t, regexp.MustCompile(`^backup mode: monitoring `))
+	time.Sleep(500 * time.Millisecond) // let the first snapshot land
+	primary.kill()
+
+	backup.await(t, regexp.MustCompile(`^TOOK OVER: serving at `))
+	if got := backup.await(t, servingLine)[1]; got != front {
+		t.Fatalf("successor serves at %s, want the primary's %s", got, front)
+	}
+	return backup, front, backup.await(t, consoleLine)[1]
+}
+
+// consoleOp runs one insert (on n1) or update of path with body through
+// the console server at addr.
+func consoleOp(t *testing.T, addr, op, path, body string) {
+	t.Helper()
+	console, err := mgmt.DialConsole(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = console.Close() }()
+	req := mgmt.ConsoleRequest{Op: op, Path: path, Data: []byte(body)}
+	if op == "insert" {
+		req.Nodes = []config.NodeID{"n1"}
+	}
+	if _, err := console.Do(req); err != nil {
+		t.Fatalf("%s %s at %s: %v", op, path, addr, err)
 	}
 }
 

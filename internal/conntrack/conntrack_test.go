@@ -190,30 +190,6 @@ func TestMappingBadTransitionKeepsEntry(t *testing.T) {
 	}
 }
 
-func TestMappingSnapshotRestore(t *testing.T) {
-	mt := NewMappingTable()
-	for i := 0; i < 5; i++ {
-		key := ClientKey{IP: "10.0.0.1", Port: 1000 + i}
-		_, _ = mt.Install(key, uint32(i), 0)
-		_, _ = mt.Advance(key, EventHandshakeDone)
-	}
-	snap := mt.Snapshot()
-	if len(snap) != 5 {
-		t.Fatalf("snapshot size = %d", len(snap))
-	}
-	restored := NewMappingTable()
-	restored.Restore(snap)
-	if restored.Len() != 5 {
-		t.Fatalf("restored len = %d", restored.Len())
-	}
-	for _, e := range snap {
-		got, ok := restored.Get(e.Key)
-		if !ok || got.State != e.State || got.Seq != e.Seq {
-			t.Fatalf("restored entry %+v vs %+v", got, e)
-		}
-	}
-}
-
 func TestClientKeyString(t *testing.T) {
 	k := ClientKey{IP: "1.2.3.4", Port: 80}
 	if k.String() != "1.2.3.4:80" {

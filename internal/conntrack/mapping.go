@@ -32,8 +32,10 @@ func (k ClientKey) String() string { return fmt.Sprintf("%s:%d", k.IP, k.Port) }
 type Entry struct {
 	Key   ClientKey
 	State State
-	// Seq and Ack capture the TCP state the paper records at SYN time so
-	// a backup distributor can resume relaying (sequence-number deltas).
+	// Seq and Ack capture the TCP state the paper records at SYN time
+	// (sequence-number deltas for its in-kernel splice). Nothing here is
+	// replicated to a backup: a user-space distributor's client
+	// connections die with its process.
 	Seq uint32
 	Ack uint32
 	// Backend is the node this connection is currently bound to; empty
@@ -140,29 +142,6 @@ func (t *MappingTable) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.entries)
-}
-
-// Snapshot returns copies of all live entries (state-replication input for
-// the backup distributor).
-func (t *MappingTable) Snapshot() []Entry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]Entry, 0, len(t.entries))
-	for _, e := range t.entries {
-		out = append(out, *e)
-	}
-	return out
-}
-
-// Restore installs entries wholesale (backup takeover path). Existing
-// entries with the same key are overwritten.
-func (t *MappingTable) Restore(entries []Entry) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, e := range entries {
-		copied := e
-		t.entries[e.Key] = &copied
-	}
 }
 
 // Counts reports lifetime install/delete totals and the live count.

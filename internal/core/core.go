@@ -246,7 +246,7 @@ type Cluster struct {
 	Admin *telemetry.AdminServer
 	// Repl is the state-replication server, nil unless Options.ReplAddr
 	// was set.
-	Repl *distributor.ReplicationServer
+	Repl *mgmt.ReplicationServer
 	// FrontAddr is the distributor's client-facing address.
 	FrontAddr string
 	// ConsoleAddr, AdminAddr and ReplAddr are the bound addresses of the
@@ -424,7 +424,10 @@ func Attach(opts Options) (cluster *Cluster, err error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 		c.Recorder.AddSource("telemetry", func() any { return c.Telemetry.Report(32) })
-		c.Recorder.AddSource("placement", func() any { return c.placementState() })
+		// The URL table marshals to its one serialized form: the placement
+		// the cluster was running when the incident fired, readable by
+		// urltable.Load.
+		c.Recorder.AddSource("placement", func() any { return c.Table })
 		c.Controller.SetDumper(c.Recorder.Dump)
 		c.Recorder.Start()
 	}
@@ -438,7 +441,7 @@ func Attach(opts Options) (cluster *Cluster, err error) {
 	}
 
 	if opts.ReplAddr != "" {
-		c.Repl = distributor.NewReplicationServer(c.Distributor, replInterval)
+		c.Repl = mgmt.NewReplicationServer(c.Table, spec, replInterval)
 		if c.ReplAddr, err = c.Repl.Start(opts.ReplAddr); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -465,33 +468,6 @@ func (c *Cluster) classStats() []journal.ClassStats {
 			P99Ns:    int64(cs.Latency.Quantile(0.99)),
 		})
 	}
-	return out
-}
-
-// placementState captures the URL table for flight-recorder bundles: the
-// placement the cluster was actually running when the incident fired.
-func (c *Cluster) placementState() any {
-	type placement struct {
-		Path      string   `json:"path"`
-		Locations []string `json:"locations"`
-		Hits      int64    `json:"hits"`
-		Pinned    bool     `json:"pinned,omitempty"`
-		Priority  int      `json:"priority,omitempty"`
-	}
-	var out []placement
-	c.Table.Walk(func(r urltable.Record) {
-		locs := make([]string, len(r.Locations))
-		for i, id := range r.Locations {
-			locs[i] = string(id)
-		}
-		out = append(out, placement{
-			Path:      r.Path,
-			Locations: locs,
-			Hits:      r.Hits,
-			Pinned:    r.Pinned,
-			Priority:  r.Priority,
-		})
-	})
 	return out
 }
 

@@ -2,8 +2,10 @@
 // (§2.2): the layer-7 front end that completes the client's TCP handshake,
 // reads the HTTP request, consults the URL table for the nodes holding the
 // requested content, binds the client connection to a pre-forked
-// persistent back-end connection, and relays the exchange. It also hosts
-// the primary/backup fault-tolerance mechanism (§2.3).
+// persistent back-end connection, and relays the exchange. The §2.3
+// primary/backup mechanism replicates control-plane state and lives in
+// internal/mgmt; a successor is a fresh Distributor over the replicated
+// table.
 package distributor
 
 import (

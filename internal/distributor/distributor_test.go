@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -362,120 +361,5 @@ func TestOptionsValidation(t *testing.T) {
 	spec := config.ClusterSpec{Nodes: []config.NodeSpec{{ID: "n", CPUMHz: 1, MemoryMB: 1}}}
 	if _, err := New(Options{Table: table, Cluster: spec}); err == nil {
 		t.Fatal("node without address accepted")
-	}
-}
-
-func TestFailoverReplicationAndTakeover(t *testing.T) {
-	tc := startCluster(t, 2)
-	tc.place(t, "/page.html", []byte("survives"), "n1", "n2")
-
-	repl := NewReplicationServer(tc.dist, 30*time.Millisecond)
-	replAddr, err := repl.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	serviceAddr := tc.front
-	promoted := make(chan *Distributor, 1)
-	promote := func(table *urltable.Table, spec config.ClusterSpec) (*Distributor, error) {
-		d, err := New(Options{Table: table, Cluster: spec})
-		if err != nil {
-			return nil, err
-		}
-		var addr string
-		for i := 0; i < 100; i++ {
-			addr, err = d.Start(serviceAddr)
-			if err == nil {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		if err != nil {
-			return nil, err
-		}
-		_ = addr
-		return d, nil
-	}
-	b := NewBackup(replAddr, 200*time.Millisecond, promote)
-	if err := b.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Let at least one snapshot land, then kill the primary.
-	testutil.Eventually(t, 2*time.Second, b.StateReceived,
-		"backup never received a snapshot")
-	_ = repl.Close()
-	_ = tc.dist.Close()
-
-	successor, err := b.Promoted(5 * time.Second)
-	if err != nil {
-		t.Fatalf("takeover: %v", err)
-	}
-	if successor == nil {
-		t.Fatal("no takeover")
-	}
-	defer func() { _ = successor.Close() }()
-
-	if successor.Table().Len() != 1 {
-		t.Fatalf("replicated table has %d entries", successor.Table().Len())
-	}
-	resp := fetch(t, serviceAddr, "/page.html", httpx.Proto11)
-	if resp.StatusCode != 200 || string(resp.Body) != "survives" {
-		t.Fatalf("post-takeover fetch = %d %q", resp.StatusCode, resp.Body)
-	}
-	select {
-	case promoted <- successor:
-	default:
-	}
-}
-
-func TestBackupStopWithoutFailure(t *testing.T) {
-	tc := startCluster(t, 1)
-	repl := NewReplicationServer(tc.dist, 20*time.Millisecond)
-	replAddr, err := repl.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = repl.Close() }()
-	b := NewBackup(replAddr, 500*time.Millisecond, func(*urltable.Table, config.ClusterSpec) (*Distributor, error) {
-		t.Error("promote called on healthy primary")
-		return nil, nil
-	})
-	if err := b.Start(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond)
-	b.Stop()
-	// Monitoring healthy: Promoted times out with nil, nil.
-	d, err := b.Promoted(50 * time.Millisecond)
-	if d != nil || err != nil {
-		t.Fatalf("promoted = %v, %v", d, err)
-	}
-}
-
-func TestReplicationStreamContents(t *testing.T) {
-	tc := startCluster(t, 1)
-	tc.place(t, "/a.html", []byte("x"), "n1")
-	repl := NewReplicationServer(tc.dist, 20*time.Millisecond)
-	replAddr, err := repl.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = repl.Close() }()
-
-	conn, err := net.Dial("tcp", replAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 1<<16)
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := string(buf[:n])
-	if !strings.Contains(raw, `"snapshot"`) || !strings.Contains(raw, "/a.html") {
-		t.Fatalf("first replication message = %q", raw)
 	}
 }

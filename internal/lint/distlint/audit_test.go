@@ -129,7 +129,7 @@ var auditMutations = []auditMutation{
 `,
 		`	defer func() { _ = conn.Close() }()
 `},
-	{"FH2", "faulthook", "internal/distributor/failover.go",
+	{"FH2", "faulthook", "internal/mgmt/replication.go",
 		`	if err := b.faults.Fail("backup.dial"); err != nil {
 		return fmt.Errorf("backup: connecting to primary: %w", err)
 	}
@@ -215,7 +215,7 @@ var auditMutations = []auditMutation{
 		c.conn, c.br = conn, bufio.NewReader(conn)
 	}
 `},
-	{"LS3", "lockscope", "internal/distributor/failover.go",
+	{"LS3", "lockscope", "internal/mgmt/replication.go",
 		`func (b *Backup) Stop() {
 	b.stopOnce.Do(func() { close(b.stopped) })
 `,

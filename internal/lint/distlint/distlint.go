@@ -23,6 +23,8 @@ package distlint
 import (
 	"fmt"
 	"go/token"
+	"path"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -57,12 +59,14 @@ func Suite() []*analysis.Analyzer {
 	}
 }
 
-// scopes maps analyzer name → the internal packages it applies to. An
-// empty list means every package. deadlinecheck and faulthook are
-// scoped to the layers that own outbound connections: the paper's data
-// plane (distributor/conntrack/backend/nfs/l4router) plus, for
-// deadlines, the management plane and monitor whose wedged calls the
-// chaos suite exercises.
+// scopes maps analyzer name → the internal packages (or single files of
+// one, "pkg/file.go") it applies to; an analyzer with no entry applies
+// everywhere. deadlinecheck and faulthook are scoped to the layers that
+// own outbound connections: the paper's data plane
+// (distributor/conntrack/backend/nfs/l4router) plus, for deadlines, the
+// management plane and monitor whose wedged calls the chaos suite
+// exercises, and for fault points the backup's dial to its primary — the
+// one management dial the chaos suite breaks.
 var scopes = map[string][]string{
 	"deadlinecheck": {
 		"internal/distributor",
@@ -79,12 +83,14 @@ var scopes = map[string][]string{
 		"internal/backend",
 		"internal/nfs",
 		"internal/l4router",
+		"internal/mgmt/replication.go",
 	},
 }
 
-// InScope reports whether the named analyzer applies to pkgPath.
+// InScope reports whether the named analyzer applies to file, a source
+// file of package pkgPath; an empty file asks about any file of it.
 // Analyzer fixtures and the lint framework itself are never analyzed.
-func InScope(name, pkgPath string) bool {
+func InScope(name, pkgPath, file string) bool {
 	if strings.Contains(pkgPath, "internal/lint") {
 		return false
 	}
@@ -93,7 +99,11 @@ func InScope(name, pkgPath string) bool {
 		return true
 	}
 	for _, s := range scope {
-		if strings.HasSuffix(pkgPath, s) {
+		pkg, only := s, ""
+		if strings.HasSuffix(s, ".go") {
+			pkg, only = path.Dir(s), path.Base(s)
+		}
+		if strings.HasSuffix(pkgPath, pkg) && (only == "" || file == "" || filepath.Base(file) == only) {
 			return true
 		}
 	}
@@ -197,7 +207,7 @@ func (r *Runner) Run(pkgs ...*load.Package) ([]Finding, error) {
 	}
 	for _, p := range pkgs {
 		for _, a := range r.Analyzers {
-			if !r.Unscoped && !InScope(a.Name, p.Path) {
+			if !r.Unscoped && !InScope(a.Name, p.Path, "") {
 				continue
 			}
 			diags, err := r.module.Run(a, p)
@@ -206,6 +216,9 @@ func (r *Runner) Run(pkgs ...*load.Package) ([]Finding, error) {
 			}
 			for _, d := range diags {
 				pos := p.Fset.Position(d.Pos)
+				if !r.Unscoped && !InScope(a.Name, p.Path, pos.Filename) {
+					continue
+				}
 				if ig := suppression(a.Name, pos, ignores); ig != nil {
 					ig.used = true
 					continue

@@ -92,3 +92,24 @@ func TestAuditOffHonorsSuppressions(t *testing.T) {
 		}
 	}
 }
+
+// TestInScopeNamesOneFileOfAPackage: a scope entry ending in .go admits
+// that file of its package and no other, and the package itself when
+// the Runner asks before looking at files.
+func TestInScopeNamesOneFileOfAPackage(t *testing.T) {
+	cases := []struct {
+		pkg, file string
+		want      bool
+	}{
+		{"webcluster/internal/mgmt", "", true},
+		{"webcluster/internal/mgmt", "/src/internal/mgmt/replication.go", true},
+		{"webcluster/internal/mgmt", "/src/internal/mgmt/broker.go", false},
+		{"webcluster/internal/distributor", "/src/internal/distributor/exchange.go", true},
+		{"webcluster/internal/core", "", false},
+	}
+	for _, tc := range cases {
+		if got := distlint.InScope("faulthook", tc.pkg, tc.file); got != tc.want {
+			t.Errorf("faulthook in scope of %s %q = %v, want %v", tc.pkg, tc.file, got, tc.want)
+		}
+	}
+}

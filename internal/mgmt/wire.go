@@ -10,8 +10,9 @@ import (
 	"time"
 )
 
-// Management-plane wire format, version 2. Both management hops — console
-// ↔ console server and controller ↔ broker — exchange frames:
+// Management-plane wire format, version 2. All three management hops —
+// console ↔ console server, controller ↔ broker, and primary → backup
+// front end (replication.go) — exchange frames:
 //
 //	offset  size  field
 //	0       3     magic "WCM"
@@ -19,7 +20,7 @@ import (
 //	4       4     header length h, big-endian
 //	8       8     payload length p, big-endian
 //	16      h     header: one JSON object, the control envelope
-//	16+h    p     payload: the file's raw bytes
+//	16+h    p     payload: the file's raw bytes, or a snapshot's URL table
 //
 // The envelope stays JSON because it carries the structured replies
 // (status, stats, traces, journal, explain) and must stay readable in a

@@ -21,9 +21,10 @@ import (
 	"webcluster/internal/testutil"
 )
 
-// goldenFrames pins the wire format: a console, a controller and a
-// broker from different builds must agree on it, so a renamed envelope
-// field, a changed length width or a moved payload fails here first.
+// goldenFrames pins the wire format: a console, a controller, a broker
+// and a backup front end from different builds must agree on it, so a
+// renamed envelope field, a changed length width or a moved payload fails
+// here first.
 var goldenFrames = []struct {
 	name    string
 	header  any
@@ -81,7 +82,36 @@ var goldenFrames = []struct {
 		wire: "WCM\x02" + "\x00\x00\x00\x28" + "\x00\x00\x00\x00\x00\x00\x00\x00" +
 			`{"ok":true,"message":"inserted /a.html"}`,
 	},
+	{
+		name:   "replication heartbeat",
+		header: replHeader{Type: "hb"},
+		wire: "WCM\x02" + "\x00\x00\x00\x0d" + "\x00\x00\x00\x00\x00\x00\x00\x00" +
+			`{"type":"hb"}`,
+	},
+	{
+		name:    "replication snapshot",
+		header:  replHeader{Type: "snapshot", Cluster: &goldenReplCluster},
+		payload: []byte(goldenReplTable),
+		wire: "WCM\x02" + "\x00\x00\x00\xd1" + "\x00\x00\x00\x00\x00\x00\x00\x64" +
+			`{"type":"snapshot","cluster":{"distributorCPUMHz":350,"nodes":[{"id":"n1","cpuMHz":350,"memoryMB":64,"diskGB":8,"disk":"SCSI","platform":"Linux/Apache","addr":"127.0.0.1:9001","brokerAddr":"127.0.0.1:7001"}]}}` +
+			goldenReplTable,
+	},
 }
+
+// goldenReplCluster and goldenReplTable are the replication snapshot's
+// two halves: the spec in the envelope, and as the payload the bytes
+// urltable writes for one pinned /a.html on n1 with 7 hits
+// (TestReplicationStreamContents holds a live feed to them).
+var goldenReplCluster = config.ClusterSpec{
+	DistributorCPUMHz: 350,
+	Nodes: []config.NodeSpec{{
+		ID: "n1", CPUMHz: 350, MemoryMB: 64, DiskGB: 8,
+		Disk: config.DiskSCSI, Platform: config.LinuxApache,
+		Addr: "127.0.0.1:9001", BrokerAddr: "127.0.0.1:7001",
+	}},
+}
+
+const goldenReplTable = `[{"path":"/a.html","size":12,"class":"html","priority":2,"pinned":true,"hits":7,"locations":["n1"]}]`
 
 func TestFrameGoldenWireFormat(t *testing.T) {
 	for _, g := range goldenFrames {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
@@ -182,31 +181,10 @@ func AutoBalanceExperiment(p BalanceParams) (BalanceData, error) {
 		data.Points = append(data.Points, BalancePoint{
 			At:         end,
 			Throughput: float64(intervalReqs) / p.Interval.Seconds(),
-			LoadCV:     coefficientOfVariation(loads),
+			LoadCV:     loadbal.LoadCV(loads),
 			Actions:    applied,
 			Replicas:   replicas,
 		})
 	}
 	return data, nil
-}
-
-// coefficientOfVariation computes stddev/mean over the load map.
-func coefficientOfVariation(loads map[config.NodeID]float64) float64 {
-	if len(loads) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, l := range loads {
-		sum += l
-	}
-	mean := sum / float64(len(loads))
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, l := range loads {
-		d := l - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss/float64(len(loads))) / mean
 }

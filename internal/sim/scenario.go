@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -391,7 +390,7 @@ func (r *scenarioRun) closeInterval(at time.Duration) {
 		Errors:       r.errs,
 		P50:          p50,
 		P99:          p99,
-		LoadCV:       loadCV(loads),
+		LoadCV:       loadbal.LoadCV(loads),
 		Replicas:     r.replicaCount(),
 		CacheHitRate: hitRate,
 		DownNodes:    r.downNodes,
@@ -550,34 +549,6 @@ func (r *scenarioRun) replicaCount() int {
 		return r.site.Len()
 	}
 	return len(r.cluster.Nodes) * r.site.Len()
-}
-
-// loadCV computes the coefficient of variation over loads in sorted node
-// order, so float summation order — and therefore the emitted CSV — is
-// identical across runs.
-func loadCV(loads map[config.NodeID]float64) float64 {
-	if len(loads) == 0 {
-		return 0
-	}
-	ids := make([]config.NodeID, 0, len(loads))
-	for id := range loads {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var sum float64
-	for _, id := range ids {
-		sum += loads[id]
-	}
-	mean := sum / float64(len(ids))
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, id := range ids {
-		d := loads[id] - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss/float64(len(ids))) / mean
 }
 
 // latQuantile returns the q-quantile of lat by nearest rank; lat is

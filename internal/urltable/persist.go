@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"webcluster/internal/config"
@@ -12,11 +13,12 @@ import (
 )
 
 // Persistence: the URL table is the distributor's authoritative routing
-// state. Alongside live replication to a backup (§2.3), the table can be
-// checkpointed to disk so a restarted distributor resumes routing without
-// replaying management history.
+// state, and it has one serialized form. The -table checkpoint, the
+// snapshot a primary replicates to its backup (§2.3) and the "placement"
+// section of a flight bundle are all the bytes MarshalJSON writes, and
+// Load reads any of them back.
 
-// persistRecord is the stable on-disk form of one entry.
+// persistRecord is the stable serialized form of one entry.
 type persistRecord struct {
 	Path      string          `json:"path"`
 	Size      int64           `json:"size"`
@@ -37,10 +39,11 @@ func classFromName(name string) (content.Class, error) {
 	return 0, fmt.Errorf("urltable: unknown content class %q", name)
 }
 
-// Save writes the table as a deterministic JSON document (entries sorted
-// by path).
-func (t *Table) Save(w io.Writer) error {
-	var records []persistRecord
+// MarshalJSON encodes the table as a deterministic JSON array, entries
+// sorted by path, so a *Table embedded in any JSON document is written in
+// the one form Load reads.
+func (t *Table) MarshalJSON() ([]byte, error) {
+	records := []persistRecord{}
 	t.Walk(func(r Record) {
 		records = append(records, persistRecord{
 			Path:      r.Path,
@@ -53,19 +56,23 @@ func (t *Table) Save(w io.Writer) error {
 		})
 	})
 	sort.Slice(records, func(i, j int) bool { return records[i].Path < records[j].Path })
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(records); err != nil {
-		return fmt.Errorf("urltable: encoding: %w", err)
+	data, err := json.Marshal(records)
+	if err != nil {
+		return nil, fmt.Errorf("urltable: encoding: %w", err)
 	}
-	return nil
+	return data, nil
 }
 
-// Load reads a table previously written by Save, restoring entries, pins
-// and hit counters.
+// Load reads a table MarshalJSON wrote, restoring entries, pins and hit
+// counters. Anything after the encoded table is an error, so a damaged
+// copy is refused rather than half-read.
 func Load(r io.Reader, opts Options) (*Table, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("urltable: reading: %w", err)
+	}
 	var records []persistRecord
-	if err := json.NewDecoder(r).Decode(&records); err != nil {
+	if err := json.Unmarshal(data, &records); err != nil {
 		return nil, fmt.Errorf("urltable: decoding: %w", err)
 	}
 	t := New(opts)
@@ -107,18 +114,35 @@ func (t *Table) restoreHits(path string, hits int64) {
 	}
 }
 
-// SaveFile checkpoints the table to a file.
+// SaveFile checkpoints the table to a file without ever leaving it
+// partly written: the table goes to a synced temporary file in the same
+// directory, which is then renamed over path. A crash mid-save leaves the
+// previous checkpoint, and a reader that opened it reads it whole.
 func (t *Table) SaveFile(path string) error {
-	f, err := os.Create(path)
+	data, err := t.MarshalJSON()
 	if err != nil {
-		return fmt.Errorf("urltable: creating %s: %w", path, err)
-	}
-	if err := t.Save(f); err != nil {
-		_ = f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("urltable: closing %s: %w", path, err)
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("urltable: staging %s: %w", path, err)
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name()) // best effort: the write's error is the one to report
+		return fmt.Errorf("urltable: checkpointing %s: %w", path, err)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -483,11 +484,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		_, _ = tbl.Route("/docs/a.html")
 	}
 
-	var buf bytes.Buffer
-	if err := tbl.Save(&buf); err != nil {
+	data, err := tbl.MarshalJSON()
+	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Load(&buf, Options{})
+	restored, err := Load(bytes.NewReader(data), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,10 +516,9 @@ func TestSaveDeterministic(t *testing.T) {
 	tbl := newTable(t)
 	_ = tbl.Insert(obj("/b.html", 1), "n1")
 	_ = tbl.Insert(obj("/a.html", 1), "n1")
-	var buf1, buf2 bytes.Buffer
-	_ = tbl.Save(&buf1)
-	_ = tbl.Save(&buf2)
-	if buf1.String() != buf2.String() {
+	data1, _ := tbl.MarshalJSON()
+	data2, _ := tbl.MarshalJSON()
+	if !bytes.Equal(data1, data2) {
 		t.Fatal("save output not deterministic")
 	}
 }
@@ -539,6 +539,49 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "absent.json"), Options{}); err == nil {
 		t.Fatal("loading absent file succeeded")
+	}
+}
+
+// TestSaveFileNeverRewritesInPlace: a checkpoint is replaced, never
+// truncated and rewritten, so a reader that opened the old one (or a
+// restart after a save killed half-way) still finds it whole.
+func TestSaveFileNeverRewritesInPlace(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "table.json")
+	old := newTable(t)
+	_ = old.Insert(obj("/old.html", 1), "n1")
+	if err := old.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+
+	grown := newTable(t)
+	for i := 0; i < 50; i++ {
+		_ = grown.Insert(obj(fmt.Sprintf("/new/%d.html", i), 1), "n2")
+	}
+	if err := grown.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	reread, err := Load(f, Options{})
+	if err != nil {
+		t.Fatalf("the open checkpoint no longer loads: %v", err)
+	}
+	if _, err := reread.Lookup("/old.html"); err != nil || reread.Len() != 1 {
+		t.Fatalf("the open checkpoint now holds %d entries: rewritten in place", reread.Len())
+	}
+	restored, err := LoadFile(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Len() != 50 {
+		t.Fatalf("new checkpoint holds %d entries, want 50", restored.Len())
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("the save left %d files behind, want only the checkpoint", len(entries))
 	}
 }
 

@@ -87,8 +87,8 @@ func TestServerLifecycle(t *testing.T) {
 		make func(t *testing.T, web string) listener
 	}{
 		{"distributor", func(t *testing.T, web string) listener { return lifecycleDistributor(t, web) }},
-		{"replication", func(t *testing.T, web string) listener {
-			return distributor.NewReplicationServer(lifecycleDistributor(t, web), time.Millisecond)
+		{"replication", func(*testing.T, string) listener {
+			return mgmt.NewReplicationServer(urltable.New(urltable.Options{}), config.ClusterSpec{Nodes: []config.NodeSpec{lifecycleNode}}, time.Millisecond)
 		}},
 		{"backend", func(t *testing.T, _ string) listener { return lifecycleBackend(t) }},
 		{"broker", func(*testing.T, string) listener {
