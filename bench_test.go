@@ -366,9 +366,9 @@ func BenchmarkTelemetryObserve(b *testing.B) {
 }
 
 // BenchmarkJournalRecord measures one structured event append on the
-// decision journal's lock-striped ring — the cost every control-plane
-// actor pays per recorded decision, and the overhead bound for journal
-// calls that do land on a data path (failover, retry exhaustion).
+// decision journal's ring — the cost every control-plane actor pays per
+// recorded decision, and the overhead bound for journal calls that do
+// land on a data path (failover, retry exhaustion).
 // Must stay at 0 allocs/op (gated by `make allocguard` against
 // BENCH_telemetry.json with zero tolerance).
 func BenchmarkJournalRecord(b *testing.B) {

@@ -621,7 +621,7 @@ func TestChaosFlightRecorderCausalChain(t *testing.T) {
 	// incident trace.
 	h.In.Set("pool.conn/mid-1", faults.Rule{Refuse: true})
 	hasEvent := func(kind journal.Kind) bool {
-		for _, ev := range cluster.Journal.Snapshot(0) {
+		for _, ev := range cluster.Journal.Snapshot("", 0) {
 			if ev.Kind == kind {
 				return true
 			}

@@ -32,8 +32,7 @@ func main() {
 	brokerAddr := flag.String("broker", "127.0.0.1:0", "broker listen address")
 	nfsAddr := flag.String("nfs", "", "shared file server address (configuration 2)")
 	docroot := flag.String("docroot", "", "serve content from this directory instead of memory")
-	adminAddr := flag.String("admin", "", "serve /metrics, /debug/traces, /debug/vars, /healthz on this address; empty = off")
-	journalSize := flag.Int("journal-size", 0, "node decision-journal capacity in events (0 = default 4096)")
+	adminAddr := flag.String("admin", "", "serve /metrics, /debug/traces, /healthz on this address; empty = off")
 	flag.Parse()
 
 	opts := core.NodeOptions{
@@ -48,7 +47,6 @@ func main() {
 		Listen:       *listen,
 		BrokerListen: *brokerAddr,
 		AdminAddr:    *adminAddr,
-		JournalSize:  *journalSize,
 	}
 	if strings.EqualFold(*disk, "ide") {
 		opts.Spec.Disk = config.DiskIDE

@@ -18,8 +18,7 @@
 //	console -addr host:7070 cache-stats
 //	console -addr host:7070 stats                 # cluster-wide per-class latency/throughput
 //	console -addr host:7070 traces -limit 10      # slowest recent requests across all nodes
-//	console -addr host:7070 audit
-//	console -addr host:7070 journal -limit 50     # merged cluster decision journal
+//	console -addr host:7070 journal -limit 50     # merged cluster decision journal: every mutation and why
 //	console -addr host:7070 journal -follow       # tail it live
 //	console -addr host:7070 journal -node n1      # one node's journal only
 //	console -addr host:7070 explain /docs/a.html  # where is it, which decision placed it
@@ -99,7 +98,7 @@ func run(addr string, args []string) error {
 
 	req := mgmt.ConsoleRequest{Op: args[0]}
 	switch args[0] {
-	case "tree", "nodes", "audit", "balance", "cache-stats", "stats":
+	case "tree", "nodes", "balance", "cache-stats", "stats":
 	case "traces":
 		req.Limit = *limit
 	case "journal":
@@ -219,10 +218,6 @@ func run(addr string, args []string) error {
 			st.StoreObjects, st.StoreBytes, 100*st.CacheHitRate)
 		if st.LatencyP50Ns > 0 || st.LatencyP99Ns > 0 {
 			fmt.Printf("latency p50=%s p99=%s\n", fmtNs(st.LatencyP50Ns), fmtNs(st.LatencyP99Ns))
-		}
-	case len(resp.Audit) > 0:
-		for _, line := range resp.Audit {
-			fmt.Println(line)
 		}
 	case len(resp.Actions) > 0:
 		for _, a := range resp.Actions {

@@ -60,14 +60,11 @@ func run() error {
 	tableFile := flag.String("table", "", "URL-table checkpoint: loaded at start if present, saved on shutdown")
 	accessLog := flag.String("accesslog", "", "append Common Log Format access log to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6061); empty = off")
-	adminAddr := flag.String("admin", "", "serve /metrics, /debug/traces, /debug/vars, /healthz on this address; empty = off")
-	slowMs := flag.Duration("slow", 0, "log requests slower than this to stderr (0 = off)")
+	adminAddr := flag.String("admin", "", "serve /metrics, /debug/traces, /healthz on this address; empty = off")
 	admit := flag.Bool("admit", false, "enable SLO-class admission control (overload shedding + deadline propagation)")
 	admitMax := flag.Int("admit-max", 0, "admission concurrency budget across classes (0 = default 256)")
 	admitTarget := flag.Duration("admit-target", 0, "admission queue-delay target before shedding engages (0 = default 5ms)")
-	journalSize := flag.Int("journal-size", 0, "decision-journal capacity in events (0 = default 4096)")
 	flightDir := flag.String("flight-dir", "", "write flight-recorder bundles to this directory; empty = recorder off")
-	flightWindow := flag.Duration("flight-window", 0, "journal window a flight bundle reaches back (0 = default 30s)")
 	flightBudgets := flag.String("flight-budgets", "", "SLO burn-rate triggers as class:errRate:p99 (p99 a duration, either limit may be empty), comma-separated, e.g. html:0.05:250ms")
 	flag.Parse()
 	if *pprofAddr != "" {
@@ -94,14 +91,8 @@ func run() error {
 		BalanceInterval: *balanceEvery,
 		CacheBytes:      *cacheMB << 20,
 		CacheOptions:    respcache.Options{FreshTTL: *cacheFresh, StaleTTL: *cacheStale},
-		JournalSize:     *journalSize,
 		FlightDir:       *flightDir,
-		FlightWindow:    *flightWindow,
 		FlightBudgets:   budgets,
-	}
-	if *slowMs > 0 {
-		opts.TelemetryOptions.SlowThreshold = *slowMs
-		opts.TelemetryOptions.SlowLog = os.Stderr
 	}
 	if *admit {
 		opts.Admission = &admission.Options{MaxConcurrent: *admitMax, QueueTarget: *admitTarget}

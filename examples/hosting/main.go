@@ -115,9 +115,9 @@ func run() error {
 	}
 	fmt.Printf("budget page0 upgraded: now on %v\n", rec.Locations)
 
-	fmt.Println("\naudit log:")
-	for _, line := range ctl.AuditLog() {
-		fmt.Println(" ", line)
+	fmt.Println("\ndecision journal:")
+	for _, ev := range cluster.Journal.Snapshot("", 0) {
+		fmt.Printf("  %-10s %-9s %s %s\n", ev.Actor, ev.Kind, ev.Path, ev.Detail)
 	}
 	return nil
 }

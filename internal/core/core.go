@@ -154,7 +154,7 @@ type Options struct {
 	// (":0" for ephemeral).
 	ConsoleAddr string
 	// AdminAddr, when non-empty, serves the front end's /metrics,
-	// /debug/* and /healthz there.
+	// /debug/traces and /healthz there.
 	AdminAddr string
 	// ReplAddr, when non-empty, starts the §2.3 state-replication server
 	// a backup distributor follows.
@@ -175,20 +175,11 @@ type Options struct {
 	// (TTLs, shard count, clock). MaxBytes inside it is overridden by
 	// CacheBytes. Ignored when CacheBytes <= 0.
 	CacheOptions respcache.Options
-	// TelemetryOptions tunes the distributor's telemetry layer (ring
-	// size, slow-request log). Node defaults to "distributor". Telemetry
-	// itself is always on — it is the observability plane of the system.
-	TelemetryOptions telemetry.Options
 	// Admission, when non-nil, enables SLO-class overload control at the
 	// distributor (per-class weighted admission, progressive shedding,
 	// in-band deadline propagation). Nil leaves the request path exactly
 	// as without the subsystem.
 	Admission *admission.Options
-	// JournalSize sizes each decision journal's ring (one on the front
-	// end, one per node); 0 means journal.DefaultSize. The journal is
-	// always on — like telemetry, it is fixed memory and its record path
-	// allocates nothing.
-	JournalSize int
 	// FlightDir, when non-empty, enables the flight recorder: incident
 	// bundles (recent journal window + telemetry + placement state) are
 	// written there on SLO burn-rate breaches, console dumps, and
@@ -198,9 +189,6 @@ type Options struct {
 	// burn-rate watcher monitors; empty disables the watcher (manual and
 	// crash dumps still work).
 	FlightBudgets []journal.Budget
-	// FlightWindow bounds how much journal history one bundle carries;
-	// 0 means the recorder's default (30s).
-	FlightWindow time.Duration
 }
 
 // DefaultSpec returns a 3-node heterogeneous development cluster.
@@ -280,7 +268,7 @@ func Launch(opts Options) (*Cluster, error) {
 	// started owns the nodes until Attach's cluster takes them over.
 	started := &Cluster{Nodes: make(map[config.NodeID]*NodeHandle, len(spec.Nodes))}
 	for i, ns := range spec.Nodes {
-		no := NodeOptions{Spec: ns, Faults: opts.Faults, JournalSize: opts.JournalSize}
+		no := NodeOptions{Spec: ns, Faults: opts.Faults}
 		if opts.StoreFor != nil {
 			no.Store = opts.StoreFor(ns)
 		}
@@ -329,12 +317,10 @@ func Attach(opts Options) (cluster *Cluster, err error) {
 	if c.Table == nil {
 		c.Table = urltable.New(urltable.Options{})
 	}
-	telOpts := opts.TelemetryOptions
-	if telOpts.Node == "" {
-		telOpts.Node = "distributor"
-	}
-	c.Telemetry = telemetry.New(telOpts)
-	c.Journal = journal.New(journal.Options{Node: "front", Size: opts.JournalSize})
+	// Telemetry and the journal are always on: both are fixed memory and
+	// their record paths allocate nothing.
+	c.Telemetry = telemetry.New(telemetry.Options{Node: "distributor"})
+	c.Journal = journal.New(journal.Options{Node: "front"})
 	// Injected faults become journal events too, so a chaos bundle shows
 	// the fault alongside the failover it provoked (nil-safe).
 	opts.Faults.SetJournal(c.Journal)
@@ -416,7 +402,6 @@ func Attach(opts Options) (cluster *Cluster, err error) {
 		c.Recorder, err = journal.NewRecorder(journal.RecorderOptions{
 			Journal: c.Journal,
 			Dir:     opts.FlightDir,
-			Window:  opts.FlightWindow,
 			Budgets: opts.FlightBudgets,
 			Stats:   c.classStats,
 		})
@@ -434,7 +419,6 @@ func Attach(opts Options) (cluster *Cluster, err error) {
 
 	if opts.AdminAddr != "" {
 		c.Admin = telemetry.NewAdmin(c.Telemetry)
-		c.Admin.SetJournal(c.Journal)
 		if c.AdminAddr, err = c.Admin.Start(opts.AdminAddr); err != nil {
 			return nil, fmt.Errorf("core: admin: %w", err)
 		}

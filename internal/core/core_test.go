@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"webcluster/internal/backend"
 	"webcluster/internal/config"
 	"webcluster/internal/content"
+	"webcluster/internal/journal"
 	"webcluster/internal/loadbal"
 	"webcluster/internal/mgmt"
 	"webcluster/internal/testutil"
@@ -337,4 +340,30 @@ func TestAutoBalanceLiveLoop(t *testing.T) {
 		_, _ = cluster.Get(site.ByRank(0).Path)
 		return false
 	}, "background balancer never replicated the hot object")
+}
+
+// TestBurnRateWatcherAsDeployed: the flight recorder's burn-rate watcher
+// reads the distributor's telemetry registry through classStats, so 404s
+// for .html paths burn an html error budget and leave a slo-burn bundle.
+func TestBurnRateWatcherAsDeployed(t *testing.T) {
+	dir := t.TempDir()
+	cluster := launch(t, Options{
+		FlightDir:     dir,
+		FlightBudgets: []journal.Budget{{Class: "html", MaxErrorRate: 0.5}},
+	})
+	for i := 0; i < 20; i++ {
+		resp, err := cluster.Get(fmt.Sprintf("/missing/%d.html", i))
+		if err != nil || resp.StatusCode != 404 {
+			t.Fatalf("GET of an unplaced page = %v, %v; want 404", resp, err)
+		}
+	}
+	var bundles []string
+	testutil.Eventually(t, 5*time.Second, func() bool {
+		bundles, _ = filepath.Glob(filepath.Join(dir, "flight-*-slo-burn-html-*.json"))
+		return len(bundles) > 0
+	}, "no slo-burn html bundle after 20 html 404s")
+	b, err := journal.ReadBundle(bundles[0])
+	if err != nil || !strings.HasPrefix(b.Reason, "slo-burn html errors") {
+		t.Fatalf("bundle = %+v, %v; want an html error-budget burn", b, err)
+	}
 }

@@ -30,12 +30,9 @@ type NodeOptions struct {
 	// Listen and BrokerListen are the web server's and the broker's
 	// listen addresses; empty means an ephemeral loopback port.
 	Listen, BrokerListen string
-	// AdminAddr, when non-empty, serves /metrics, /debug/* and /healthz
-	// for this node there.
+	// AdminAddr, when non-empty, serves /metrics, /debug/traces and
+	// /healthz for this node there.
 	AdminAddr string
-	// JournalSize sizes the node's decision journal; 0 means
-	// journal.DefaultSize.
-	JournalSize int
 }
 
 // NodeHandle bundles one live node's components.
@@ -94,7 +91,7 @@ func StartNode(opts NodeOptions) (node *NodeHandle, err error) {
 		return nil, fmt.Errorf("core: node %s: %w", ns.ID, err)
 	}
 
-	jnl := journal.New(journal.Options{Node: string(ns.ID), Size: opts.JournalSize})
+	jnl := journal.New(journal.Options{Node: string(ns.ID)})
 	nh.Broker = mgmt.NewBroker(mgmt.Env{Node: ns.ID, Store: store, Server: nh.Server, Journal: jnl})
 	if nh.BrokerAddr, err = nh.Broker.Start(orEphemeral(opts.BrokerListen)); err != nil {
 		return nil, fmt.Errorf("core: broker %s: %w", ns.ID, err)
@@ -102,7 +99,6 @@ func StartNode(opts NodeOptions) (node *NodeHandle, err error) {
 
 	if opts.AdminAddr != "" {
 		nh.Admin = telemetry.NewAdmin(nh.Server.Telemetry())
-		nh.Admin.SetJournal(jnl)
 		if nh.AdminAddr, err = nh.Admin.Start(opts.AdminAddr); err != nil {
 			return nil, fmt.Errorf("core: admin %s: %w", ns.ID, err)
 		}

@@ -23,7 +23,7 @@ import (
 )
 
 // registerCacheMetrics exposes the response cache's counters through the
-// telemetry registry so /metrics, /debug/vars and the cluster stats plane
+// telemetry registry so /metrics and the cluster stats plane
 // include cache behaviour (hit/miss/stale/coalesce rates, residency).
 func registerCacheMetrics(reg *telemetry.Registry, cache *respcache.Cache) {
 	views := map[string]func(respcache.Stats) float64{

@@ -84,12 +84,12 @@ func failoverToSecondReplica(t *testing.T, rc *respcache.Cache) {
 	if ok != 10 {
 		t.Fatalf("only %d/10 requests survived the node failure", ok)
 	}
-	for _, ev := range jnl.Snapshot(0) {
+	for _, ev := range jnl.Snapshot("", 0) {
 		if ev.Kind == journal.KindFailover && ev.Node == "n1" && ev.Detail == "n2" && ev.Path == "/dual.html" {
 			return
 		}
 	}
-	t.Fatalf("no failover n1→n2 in the journal: %v", jnl.Snapshot(0))
+	t.Fatalf("no failover n1→n2 in the journal: %v", jnl.Snapshot("", 0))
 }
 
 func TestDeadSoleReplica502(t *testing.T) {

@@ -79,7 +79,10 @@ func (s Step) String() string {
 // must succeed before Apply runs, so a failed agent never leaves the table
 // pointing at content that is not there.
 type Plan struct {
-	// Describe summarizes the operation for the console/audit log.
+	// Path is the document the plan changes — after a rename, its new
+	// name — and Describe summarizes the operation; both go into the
+	// journal.
+	Path     string
 	Describe string
 	Steps    []Step
 	// Apply publishes the change in the URL table.
@@ -110,6 +113,7 @@ func InsertPlan(obj content.Object, data []byte, nodes ...config.NodeID) (Plan, 
 	}
 	targets := append([]config.NodeID(nil), nodes...)
 	return Plan{
+		Path:     obj.Path,
 		Describe: fmt.Sprintf("insert %s on %v", obj.Path, nodes),
 		Steps:    steps,
 		Apply: func(t *urltable.Table) error {
@@ -130,6 +134,7 @@ func DeletePlan(t *urltable.Table, p string) (Plan, error) {
 		steps = append(steps, Step{Kind: StepDelete, Node: n, Path: p})
 	}
 	return Plan{
+		Path:     p,
 		Describe: fmt.Sprintf("delete %s from %v", p, rec.Locations),
 		Steps:    steps,
 		Apply: func(t *urltable.Table) error {
@@ -159,6 +164,7 @@ func RenamePlan(t *urltable.Table, oldPath, newPath string) (Plan, error) {
 		steps = append(steps, Step{Kind: StepDelete, Node: n, Path: oldPath})
 	}
 	return Plan{
+		Path:     newPath,
 		Describe: fmt.Sprintf("rename %s → %s on %v", oldPath, newPath, rec.Locations),
 		Steps:    steps,
 		Apply: func(t *urltable.Table) error {
@@ -186,6 +192,7 @@ func ReplicatePlan(t *urltable.Table, p string, source, target config.NodeID) (P
 		return Plan{}, fmt.Errorf("doctree: %s already holds %s", target, p)
 	}
 	return Plan{
+		Path:     p,
 		Describe: fmt.Sprintf("replicate %s %s→%s", p, source, target),
 		Steps: []Step{{
 			Kind:          StepCopy,
@@ -214,6 +221,7 @@ func OffloadPlan(t *urltable.Table, p string, node config.NodeID) (Plan, error) 
 		return Plan{}, fmt.Errorf("doctree: refusing to remove the last copy of %s", p)
 	}
 	return Plan{
+		Path:     p,
 		Describe: fmt.Sprintf("offload %s from %s", p, node),
 		Steps:    []Step{{Kind: StepDelete, Node: node, Path: p}},
 		Apply: func(t *urltable.Table) error {
@@ -268,6 +276,7 @@ func AssignPlan(t *urltable.Table, p string, nodes ...config.NodeID) (Plan, erro
 		}
 	}
 	return Plan{
+		Path:     p,
 		Describe: fmt.Sprintf("assign %s to %v", p, nodes),
 		Steps:    steps,
 		Apply: func(t *urltable.Table) error {

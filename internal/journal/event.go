@@ -53,11 +53,15 @@ const (
 	// KindPlanOffload is a planner decision to drop a copy.
 	// A = interval hits, F = load CV.
 	KindPlanOffload
-	// KindApply is a controller plan executed against the cluster.
+	// KindApply is a controller mutation that took effect: a placement
+	// plan, or a priority, pin or content update. Path = the document,
+	// Detail = the plan or the op.
 	KindApply
-	// KindApplyFail is a controller plan that failed mid-execution.
+	// KindApplyFail is a controller mutation that failed part-way.
+	// Path = the document, Detail = what failed and why.
 	KindApplyFail
-	// KindPurge is a coherence invalidation after a mutation.
+	// KindPurge is a response-cache invalidation, after a mutation or
+	// on a console purge (Detail = the op, or "console").
 	// A = cache entries dropped.
 	KindPurge
 	// KindFailover is the distributor re-routing a request off a dead
@@ -78,6 +82,7 @@ const (
 	// point under the current rule generation. A = rule generation.
 	KindFault
 	// KindAgentOp is a node-side broker executing a mutating op.
+	// Detail = the op, A = bytes stored (0 for a delete).
 	KindAgentOp
 	// KindSnapshot is the flight recorder dumping a bundle.
 	// Detail = trigger reason.

@@ -1,20 +1,19 @@
 // Package journal is the cluster's structured decision journal: a
-// fixed-memory, lock-striped ring of flat Event values that every
-// control-plane actor — planner, controller, distributor, monitor,
-// fault injector, node agents — records into. It answers "why does the
-// cluster look like this": which decision placed a document, what the
-// planner saw when it decided, which fault started an incident and
-// what the repair chain did about it.
+// fixed-memory ring of flat Event values that every control-plane actor —
+// planner, controller, distributor, monitor, fault injector, node agents
+// — records into, and the management plane's only record of what it did.
+// It answers "why does the cluster look like this": which decision placed
+// a document, what the planner saw when it decided, which fault started
+// an incident and what the repair chain did about it.
 //
-// Memory model: the journal owns a fixed set of ring stripes sized at
-// construction; recording never allocates (events are value structs
-// copied into pre-allocated slots) and never blocks beyond one brief
-// per-slot mutex. A global atomic sequence both orders events and
-// picks the stripe, so concurrent recorders from different goroutines
-// spread across stripes instead of contending on one lock. Drop policy
-// under overflow: each stripe overwrites its oldest slot — the journal
-// keeps the newest Size events and silently forgets the past, which is
-// the right trade for an always-on flight recorder.
+// Memory model: the journal is one ring.Ring of capacity events, the
+// store the telemetry span ring uses too; recording never allocates
+// (events are value structs copied into pre-allocated slots) and never
+// blocks beyond one brief per-slot mutex. Events are recorded on error
+// and control-plane paths only, so one ring needs no striping. Drop
+// policy under overflow: the oldest event is overwritten — the journal
+// keeps the newest capacity events and forgets the past, which is the
+// right trade for an always-on flight recorder.
 //
 // Causality: Incident(node) opens (or joins) a trace for a node's
 // ongoing incident; every actor that touches the incident records with
@@ -23,47 +22,24 @@
 package journal
 
 import (
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"webcluster/internal/ring"
 )
 
 // Options configures a Journal.
 type Options struct {
 	// Node labels every event's Src field ("front", "n3").
 	Node string
-	// Size is the total event capacity across stripes; rounded up so
-	// each stripe is a power of two, minimum 16 per stripe. 0 means
-	// DefaultSize.
-	Size int
-	// Stripes is the number of independent rings; 0 means
-	// DefaultStripes. More stripes means less lock contention between
-	// concurrent recorders.
-	Stripes int
 	// Clock overrides time.Now, for deterministic tests.
 	Clock func() time.Time
 }
 
-// DefaultSize is the journal capacity when Options.Size is zero.
-const DefaultSize = 4096
-
-// DefaultStripes is the stripe count when Options.Stripes is zero.
-const DefaultStripes = 4
-
-// stripe is one ring. Same discipline as telemetry's span ring: the
-// owning Journal's atomic sequence claims a slot index, the slot mutex
-// only guards the struct copy, and snapshots lock one slot at a time.
-type stripe struct {
-	mask  uint64
-	slots []slot
-}
-
-type slot struct {
-	mu   sync.Mutex
-	used bool
-	ev   Event
-}
+// capacity is how many events a journal keeps.
+const capacity = 4096
 
 // Journal is a fixed-memory structured event log. The zero value is
 // not usable; a nil *Journal is: every method no-ops (Record drops,
@@ -72,59 +48,26 @@ type slot struct {
 type Journal struct {
 	node  string
 	clock func() time.Time
+	// ring's sequence numbers are the events' Seq.
+	ring *ring.Ring[Event]
+	ids  ring.IDs
 
-	// seq is the global monotonic sequence; it orders events and
-	// selects the stripe (seq % stripes) so writers interleave across
-	// rings.
-	seq         atomic.Uint64
-	stripeMask  uint64
-	stripeShift uint
-	stripes     []stripe
-
-	// mu guards the incident table and the trace-ID generator state.
-	// Never held while recording.
+	// mu guards the incident table. Never held while recording.
 	mu        sync.Mutex
 	incidents map[string]uint64
 	lastTrace uint64
-	idc       uint64
-	idseed    uint64
 }
 
-// New builds a journal. See Options for defaults.
+// New builds a journal.
 func New(o Options) *Journal {
-	size := o.Size
-	if size <= 0 {
-		size = DefaultSize
-	}
-	stripes := o.Stripes
-	if stripes <= 0 {
-		stripes = DefaultStripes
-	}
-	// Power-of-two stripe count so selection is a mask.
-	n, shift := 1, uint(0)
-	for n < stripes {
-		n <<= 1
-		shift++
-	}
-	stripes = n
-	per := 16
-	for per < (size+stripes-1)/stripes {
-		per <<= 1
-	}
 	j := &Journal{
-		node:        o.Node,
-		clock:       o.Clock,
-		stripeMask:  uint64(stripes - 1),
-		stripeShift: shift,
-		stripes:     make([]stripe, stripes),
-		incidents:   make(map[string]uint64),
-		idseed:      uint64(0x9e3779b97f4a7c15),
+		node:      o.Node,
+		clock:     o.Clock,
+		ring:      ring.New[Event](capacity),
+		incidents: make(map[string]uint64),
 	}
 	if j.clock == nil {
 		j.clock = time.Now
-	}
-	for i := range j.stripes {
-		j.stripes[i] = stripe{mask: uint64(per - 1), slots: make([]slot, per)}
 	}
 	return j
 }
@@ -137,67 +80,40 @@ func (j *Journal) Node() string {
 	return j.node
 }
 
-// Cap returns the total event capacity.
-func (j *Journal) Cap() int {
-	if j == nil {
-		return 0
-	}
-	return len(j.stripes) * len(j.stripes[0].slots)
-}
-
-// Record stamps ev's Seq, Time, and Src and copies it into a ring
-// slot, overwriting the stripe's oldest entry when full. It performs
-// no allocation and no blocking call — safe on the relay fast path —
-// and is a no-op on a nil journal.
+// Record stamps ev's Seq, Time, and Src and copies it into the ring,
+// overwriting the oldest entry when full. It performs no allocation and
+// no blocking call — safe on the relay fast path — and is a no-op on a
+// nil journal.
 func (j *Journal) Record(ev Event) {
 	if j == nil {
 		return
 	}
-	seq := j.seq.Add(1)
-	ev.Seq = seq
+	ev.Seq = j.ring.Next()
 	ev.Time = j.clock().UnixNano()
 	ev.Src = j.node
-	st := &j.stripes[seq&j.stripeMask]
-	s := &st.slots[(seq>>j.stripeShift)&st.mask]
-	s.mu.Lock()
-	s.ev = ev
-	s.used = true
-	s.mu.Unlock()
+	j.ring.Put(ev.Seq, &ev)
 }
 
 // Recorded returns the number of events ever recorded (including ones
-// the rings have since overwritten).
+// the ring has since overwritten).
 func (j *Journal) Recorded() uint64 {
 	if j == nil {
 		return 0
 	}
-	return j.seq.Load()
+	return j.ring.Claimed()
 }
 
-// Dropped estimates how many events have been overwritten: recorded
-// minus capacity, floored at zero. Per-stripe overwrite makes the true
-// count depend on interleaving; this is the upper bound the /debug
-// surfaces report.
+// Dropped returns how many events have been overwritten: recorded minus
+// capacity, floored at zero.
 func (j *Journal) Dropped() uint64 {
 	if j == nil {
 		return 0
 	}
-	n := j.seq.Load()
-	c := uint64(j.Cap())
+	n, c := j.ring.Claimed(), uint64(j.ring.Cap())
 	if n <= c {
 		return 0
 	}
 	return n - c
-}
-
-// splitmix64 mixes a counter into a well-distributed 64-bit ID —
-// same generator the telemetry span IDs use.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // Incident returns the trace ID of node's open incident, opening one
@@ -214,11 +130,7 @@ func (j *Journal) Incident(node string) uint64 {
 	if t, ok := j.incidents[node]; ok {
 		return t
 	}
-	j.idc++
-	t := splitmix64(j.idseed + j.idc)
-	if t == 0 {
-		t = 1
-	}
+	t := j.ids.Next()
 	j.incidents[node] = t
 	j.lastTrace = t
 	return t
@@ -274,41 +186,23 @@ func (j *Journal) AnyIncident() uint64 {
 	return 0
 }
 
-// Snapshot returns up to limit of the newest events in sequence order
-// (oldest of the kept window first). limit <= 0 means everything still
-// in the rings.
-func (j *Journal) Snapshot(limit int) []Event {
-	return j.collect(limit, 0)
-}
-
-// Since returns events with Seq > seq in sequence order, newest-capped
-// at limit (<= 0 means no cap). It is the admin listener's incremental
-// poll primitive.
-func (j *Journal) Since(seq uint64, limit int) []Event {
-	return j.collect(limit, seq)
-}
-
-func (j *Journal) collect(limit int, after uint64) []Event {
+// Snapshot returns up to limit of the newest events about path — every
+// event when path is empty — in sequence order, oldest first; limit <= 0
+// means no cap. The path filter runs before the cap, so a document's
+// history is not crowded out by newer events about other documents.
+func (j *Journal) Snapshot(path string, limit int) []Event {
 	if j == nil {
 		return nil
 	}
-	var out []Event
-	for si := range j.stripes {
-		st := &j.stripes[si]
-		for i := range st.slots {
-			s := &st.slots[i]
-			s.mu.Lock()
-			if s.used && s.ev.Seq > after {
-				out = append(out, s.ev)
-			}
-			s.mu.Unlock()
-		}
+	evs := j.ring.Snapshot(0)
+	if path != "" {
+		evs = slices.DeleteFunc(evs, func(ev Event) bool { return ev.Path != path })
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	if limit > 0 && len(out) > limit {
-		out = out[len(out)-limit:]
+	if limit > 0 && len(evs) > limit {
+		evs = evs[:limit]
 	}
-	return out
+	slices.Reverse(evs)
+	return evs
 }
 
 // Merge interleaves several journals' event lists into one stream

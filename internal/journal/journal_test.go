@@ -11,11 +11,11 @@ import (
 )
 
 func TestRecordSnapshotOrder(t *testing.T) {
-	j := New(Options{Node: "front", Size: 64})
+	j := New(Options{Node: "front"})
 	for i := 0; i < 10; i++ {
 		j.Record(Event{Actor: ActorController, Kind: KindApply, A: int64(i)})
 	}
-	evs := j.Snapshot(0)
+	evs := j.Snapshot("", 0)
 	if len(evs) != 10 {
 		t.Fatalf("snapshot len = %d, want 10", len(evs))
 	}
@@ -33,26 +33,25 @@ func TestRecordSnapshotOrder(t *testing.T) {
 			t.Fatalf("event %d: Time not stamped", i)
 		}
 	}
-	if got := j.Snapshot(3); len(got) != 3 || got[0].A != 7 {
+	if got := j.Snapshot("", 3); len(got) != 3 || got[0].A != 7 {
 		t.Fatalf("Snapshot(3) = %v, want newest 3 (A=7,8,9)", got)
 	}
 }
 
 func TestOverflowKeepsNewest(t *testing.T) {
-	// 2 stripes × 16 slots = 32 capacity.
-	j := New(Options{Size: 32, Stripes: 2})
-	const total = 100
+	j := New(Options{})
+	const total = capacity + 100
 	for i := 0; i < total; i++ {
 		j.Record(Event{Kind: KindPurge, A: int64(i)})
 	}
-	evs := j.Snapshot(0)
-	if len(evs) != j.Cap() {
-		t.Fatalf("snapshot len = %d, want full capacity %d", len(evs), j.Cap())
+	evs := j.Snapshot("", 0)
+	if len(evs) != capacity {
+		t.Fatalf("snapshot len = %d, want full capacity %d", len(evs), capacity)
 	}
-	// Drop policy: each stripe overwrites its oldest, so the survivors
-	// are exactly the newest Cap() events.
+	// Drop policy: the oldest is overwritten, so the survivors are
+	// exactly the newest capacity events.
 	for i, ev := range evs {
-		want := int64(total - j.Cap() + i)
+		want := int64(total - capacity + i)
 		if ev.A != want {
 			t.Fatalf("event %d: A = %d, want %d (oldest overwritten)", i, ev.A, want)
 		}
@@ -60,22 +59,26 @@ func TestOverflowKeepsNewest(t *testing.T) {
 	if j.Recorded() != total {
 		t.Fatalf("Recorded = %d, want %d", j.Recorded(), total)
 	}
-	if j.Dropped() != total-uint64(j.Cap()) {
-		t.Fatalf("Dropped = %d, want %d", j.Dropped(), total-uint64(j.Cap()))
+	if j.Dropped() != total-capacity {
+		t.Fatalf("Dropped = %d, want %d", j.Dropped(), total-capacity)
 	}
 }
 
-func TestSince(t *testing.T) {
-	j := New(Options{Size: 64})
-	for i := 0; i < 8; i++ {
-		j.Record(Event{Kind: KindApply, A: int64(i)})
+// A document's history survives any number of newer events about other
+// documents: Snapshot filters by path before it caps.
+func TestSnapshotFiltersPathBeforeCap(t *testing.T) {
+	j := New(Options{})
+	j.Record(Event{Kind: KindApply, Path: "/a.html", A: 1})
+	for i := 0; i < 300; i++ {
+		j.Record(Event{Kind: KindApply, Path: "/other.html"})
 	}
-	evs := j.Since(5, 0)
-	if len(evs) != 3 || evs[0].Seq != 6 {
-		t.Fatalf("Since(5) = %+v, want seq 6,7,8", evs)
+	j.Record(Event{Kind: KindPurge, Path: "/a.html", A: 2})
+	evs := j.Snapshot("/a.html", 256)
+	if len(evs) != 2 || evs[0].A != 1 || evs[1].A != 2 {
+		t.Fatalf("history of /a.html = %+v, want both its events, oldest first", evs)
 	}
-	if got := j.Since(100, 0); len(got) != 0 {
-		t.Fatalf("Since(100) = %+v, want empty", got)
+	if evs := j.Snapshot("/a.html", 1); len(evs) != 1 || evs[0].A != 2 {
+		t.Fatalf("Snapshot(/a.html, 1) = %+v, want the newest", evs)
 	}
 }
 
@@ -102,7 +105,7 @@ func TestMergeOrdersByTimeThenSrcSeq(t *testing.T) {
 }
 
 func TestIncidentLifecycle(t *testing.T) {
-	j := New(Options{Size: 64})
+	j := New(Options{})
 	t1 := j.Incident("n2")
 	if t1 == 0 {
 		t.Fatal("Incident returned 0")
@@ -141,19 +144,19 @@ func TestIncidentLifecycle(t *testing.T) {
 func TestNilJournalIsSafe(t *testing.T) {
 	var j *Journal
 	j.Record(Event{Kind: KindApply})
-	if j.Snapshot(0) != nil || j.Since(0, 0) != nil {
+	if j.Snapshot("", 0) != nil {
 		t.Fatal("nil journal returned events")
 	}
 	if j.Incident("n1") != 0 || j.EndIncident("n1") != 0 || j.AnyIncident() != 0 {
 		t.Fatal("nil journal returned a trace")
 	}
-	if j.Recorded() != 0 || j.Dropped() != 0 || j.Cap() != 0 || j.Node() != "" {
+	if j.Recorded() != 0 || j.Dropped() != 0 || j.Node() != "" {
 		t.Fatal("nil journal returned non-zero accounting")
 	}
 }
 
 func TestRecordZeroAlloc(t *testing.T) {
-	j := New(Options{Node: "bench", Size: 1024})
+	j := New(Options{Node: "bench"})
 	ev := Event{Actor: ActorDistributor, Kind: KindFailover, Node: "n1", Path: "/a.html", Detail: "n2"}
 	allocs := testing.AllocsPerRun(1000, func() { j.Record(ev) })
 	if allocs != 0 {
@@ -162,7 +165,7 @@ func TestRecordZeroAlloc(t *testing.T) {
 }
 
 func TestConcurrentRecord(t *testing.T) {
-	j := New(Options{Size: 4096, Stripes: 8})
+	j := New(Options{})
 	var wg sync.WaitGroup
 	const workers, per = 8, 200
 	for w := 0; w < workers; w++ {
@@ -178,7 +181,7 @@ func TestConcurrentRecord(t *testing.T) {
 	if j.Recorded() != workers*per {
 		t.Fatalf("Recorded = %d, want %d", j.Recorded(), workers*per)
 	}
-	evs := j.Snapshot(0)
+	evs := j.Snapshot("", 0)
 	if len(evs) != workers*per {
 		t.Fatalf("snapshot len = %d, want %d", len(evs), workers*per)
 	}
@@ -192,12 +195,12 @@ func TestConcurrentRecord(t *testing.T) {
 func TestRecorderManualDump(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(1000, 0)
-	j := New(Options{Node: "front", Size: 256, Clock: func() time.Time { return now }})
+	j := New(Options{Node: "front", Clock: func() time.Time { return now }})
 	j.Record(Event{Actor: ActorFaults, Kind: KindFault, Node: "n2"})
 	now = now.Add(40 * time.Second)
 	j.Record(Event{Actor: ActorDistributor, Kind: KindFailover, Node: "n2", Detail: "n1"})
 	r, err := NewRecorder(RecorderOptions{
-		Journal: j, Dir: dir, Window: 30 * time.Second,
+		Journal: j, Dir: dir,
 		Clock: func() time.Time { return now },
 	})
 	if err != nil {
@@ -227,7 +230,7 @@ func TestRecorderManualDump(t *testing.T) {
 		t.Fatalf("bundle name %q lacks sanitized reason", path)
 	}
 	// The dump itself left a snapshot marker in the journal.
-	evs := j.Snapshot(0)
+	evs := j.Snapshot("", 0)
 	if evs[len(evs)-1].Kind != KindSnapshot {
 		t.Fatalf("last journal event = %v, want snapshot marker", evs[len(evs)-1].Kind)
 	}
@@ -235,7 +238,7 @@ func TestRecorderManualDump(t *testing.T) {
 
 func TestRecorderBurnRateTrigger(t *testing.T) {
 	dir := t.TempDir()
-	j := New(Options{Node: "front", Size: 256})
+	j := New(Options{Node: "front"})
 	var mu sync.Mutex
 	stats := ClassStats{Class: "critical", Requests: 0, Errors: 0}
 	r, err := NewRecorder(RecorderOptions{
@@ -280,7 +283,7 @@ func TestRecorderBurnRateTrigger(t *testing.T) {
 
 func TestRecorderCrashDump(t *testing.T) {
 	dir := t.TempDir()
-	j := New(Options{Node: "front", Size: 64})
+	j := New(Options{Node: "front"})
 	r, err := NewRecorder(RecorderOptions{Journal: j, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -304,6 +307,34 @@ func TestRecorderCrashDump(t *testing.T) {
 	}
 	if !strings.Contains(b.Reason, "crash") || !strings.Contains(b.Reason, "boom") {
 		t.Fatalf("crash bundle reason = %q", b.Reason)
+	}
+}
+
+// A restarted distributor, or a promoted backup, numbers its bundles from
+// 1 again in the directory the one before it wrote to: a dump must take
+// the next free name, not overwrite an earlier bundle.
+func TestRecorderNeverOverwritesABundle(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 2; i++ {
+		r, err := NewRecorder(RecorderOptions{Journal: New(Options{Node: "front"}), Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Dump("console dump"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 {
+		t.Fatalf("bundles after two processes dumped = %d, want 2", len(files))
+	}
+	for _, f := range files {
+		if b, err := ReadBundle(filepath.Join(dir, f.Name())); err != nil || b.Reason != "console dump" {
+			t.Fatalf("bundle %s = %+v, %v", f.Name(), b, err)
+		}
 	}
 }
 

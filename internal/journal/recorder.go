@@ -2,7 +2,9 @@ package journal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -61,9 +63,6 @@ type RecorderOptions struct {
 	Journal *Journal
 	// Dir is where bundles are written. Required.
 	Dir string
-	// Window bounds how far back in time a bundle's journal slice
-	// reaches; 0 means 30s.
-	Window time.Duration
 	// Budgets are the per-class SLOs the burn-rate watcher enforces;
 	// empty disables the watcher.
 	Budgets []Budget
@@ -72,26 +71,28 @@ type RecorderOptions struct {
 	Stats func() []ClassStats
 	// Interval is the watcher poll period; 0 means 1s.
 	Interval time.Duration
-	// Cooldown is the minimum spacing between automatic dumps so a
-	// sustained burn cannot flood the disk; 0 means 30s. Manual dumps
-	// ignore it.
-	Cooldown time.Duration
 	// Clock overrides time.Now, for tests.
 	Clock func() time.Time
 }
 
-// Recorder is the flight recorder: it snapshots the last Window of
+// bundleWindow bounds how far back in time a bundle's journal slice
+// reaches.
+const bundleWindow = 30 * time.Second
+
+// dumpCooldown is the minimum spacing between automatic dumps, so a
+// sustained burn cannot flood the disk. Manual dumps ignore it.
+const dumpCooldown = 30 * time.Second
+
+// Recorder is the flight recorder: it snapshots the last bundleWindow of
 // journal plus every registered source into a bundle file when
 // triggered — manually (console dump), by the SLO burn-rate watcher,
 // or by a crash via RecoverAndDump.
 type Recorder struct {
 	jnl      *Journal
 	dir      string
-	window   time.Duration
 	budgets  []Budget
 	stats    func() []ClassStats
 	interval time.Duration
-	cooldown time.Duration
 	clock    func() time.Time
 
 	mu       sync.Mutex
@@ -123,22 +124,14 @@ func NewRecorder(o RecorderOptions) (*Recorder, error) {
 	r := &Recorder{
 		jnl:      o.Journal,
 		dir:      o.Dir,
-		window:   o.Window,
 		budgets:  o.Budgets,
 		stats:    o.Stats,
 		interval: o.Interval,
-		cooldown: o.Cooldown,
 		clock:    o.Clock,
 		last:     make(map[string]ClassStats),
 	}
-	if r.window <= 0 {
-		r.window = 30 * time.Second
-	}
 	if r.interval <= 0 {
 		r.interval = time.Second
-	}
-	if r.cooldown <= 0 {
-		r.cooldown = 30 * time.Second
 	}
 	if r.clock == nil {
 		r.clock = time.Now
@@ -165,8 +158,8 @@ func (r *Recorder) Dump(reason string) (string, error) {
 		return "", fmt.Errorf("journal: no recorder configured")
 	}
 	now := r.clock()
-	events := r.jnl.Snapshot(0)
-	cutoff := now.Add(-r.window).UnixNano()
+	events := r.jnl.Snapshot("", 0)
+	cutoff := now.Add(-bundleWindow).UnixNano()
 	for len(events) > 0 && events[0].Time < cutoff {
 		events = events[1:]
 	}
@@ -181,8 +174,6 @@ func (r *Recorder) Dump(reason string) (string, error) {
 	r.mu.Lock()
 	sources := make([]namedSource, len(r.sources))
 	copy(sources, r.sources)
-	r.dumps++
-	n := r.dumps
 	r.mu.Unlock()
 	if len(sources) > 0 {
 		b.Sources = make(map[string]json.RawMessage, len(sources))
@@ -194,18 +185,42 @@ func (r *Recorder) Dump(reason string) (string, error) {
 			b.Sources[s.name] = raw
 		}
 	}
-	name := fmt.Sprintf("flight-%03d-%s.json", n, sanitize(reason))
-	path := filepath.Join(r.dir, name)
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		return "", err
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	path, err := r.write(sanitize(reason), data)
+	if err != nil {
 		return "", err
 	}
-	detail := reason
-	r.jnl.Record(Event{Actor: ActorRecorder, Kind: KindSnapshot, Detail: detail, A: int64(len(events))})
+	r.jnl.Record(Event{Actor: ActorRecorder, Kind: KindSnapshot, Detail: reason, A: int64(len(events))})
 	return path, nil
+}
+
+// write stores a bundle under the first flight-NNN-<name>.json not yet
+// in the directory. The counter starts at 1 in every process, and a
+// restarted distributor or a promoted backup shares the directory of the
+// one before it, so a taken name is skipped, never overwritten.
+func (r *Recorder) write(name string, data []byte) (string, error) {
+	for {
+		r.mu.Lock()
+		r.dumps++
+		n := r.dumps
+		r.mu.Unlock()
+		path := filepath.Join(r.dir, fmt.Sprintf("flight-%03d-%s.json", n, name))
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if errors.Is(err, fs.ErrExist) {
+			continue
+		}
+		if err != nil {
+			return "", err
+		}
+		_, err = f.Write(data)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return path, err
+	}
 }
 
 // RecoverAndDump is the crash trigger: deferred at the top of a
@@ -241,7 +256,7 @@ func (r *Recorder) check() {
 	r.mu.Lock()
 	prev := r.last
 	r.last = cur
-	cooling := r.clock().Sub(r.lastAuto) < r.cooldown && !r.lastAuto.IsZero()
+	cooling := r.clock().Sub(r.lastAuto) < dumpCooldown && !r.lastAuto.IsZero()
 	r.mu.Unlock()
 	if cooling {
 		return

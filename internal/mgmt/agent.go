@@ -55,8 +55,9 @@ const (
 	// OpTelemetry returns the node's telemetry report (metrics snapshot
 	// plus slowest recent spans) for the single-system-image stats plane.
 	OpTelemetry
-	// OpJournal returns the node's recent decision-journal events for
-	// the controller's merged cluster journal.
+	// OpJournal returns the node's recent decision-journal events — only
+	// those about Args.Path when it is set — for the controller's merged
+	// cluster journal.
 	OpJournal
 	// OpPullFile makes the node fetch a file from the source broker named
 	// in Args (or copy it locally when none is) and store it, provided it
@@ -167,19 +168,21 @@ type Env struct {
 const telemetryReportSpans = 32
 
 // journalReportEvents caps how many events one OpJournal scrape ships
-// (the newest ones; the controller merges across nodes).
+// (the newest ones about Args.Path, or about anything when it is empty;
+// the controller merges across nodes).
 const journalReportEvents = 256
 
-// journalAgentOp records one successful mutating agent op into the
-// node's journal (a no-op when the node has none).
-func journalAgentOp(env Env, opName, path string) {
-	node := string(env.Node)
+// journalAgentOp records one successful mutating agent op, and the
+// bytes it stored, into the node's journal (a no-op when the node has
+// none).
+func journalAgentOp(env Env, opName, path string, stored int64) {
 	env.Journal.Record(journal.Event{
 		Actor:  journal.ActorAgent,
 		Kind:   journal.KindAgentOp,
-		Node:   node,
+		Node:   string(env.Node),
 		Path:   path,
 		Detail: opName,
+		A:      stored,
 	})
 }
 
@@ -231,7 +234,7 @@ func ExecuteOp(op Op, env Env, args Args) (Result, error) {
 		if env.Server != nil {
 			env.Server.InvalidateCache(args.Path)
 		}
-		journalAgentOp(env, "delete-file", args.Path)
+		journalAgentOp(env, "delete-file", args.Path, 0)
 		return Result{Message: "deleted " + args.Path}, nil
 
 	case OpStoreFile:
@@ -246,7 +249,7 @@ func ExecuteOp(op Op, env Env, args Args) (Result, error) {
 				if env.Server != nil {
 					env.Server.InvalidateCache(args.Path)
 				}
-				journalAgentOp(env, "store-file", args.Path)
+				journalAgentOp(env, "store-file", args.Path, args.Size)
 				return Result{Message: "placed " + args.Path}, nil
 			}
 			// Materialize synthetic bytes for stores that keep data.
@@ -258,7 +261,7 @@ func ExecuteOp(op Op, env Env, args Args) (Result, error) {
 		if env.Server != nil {
 			env.Server.InvalidateCache(args.Path)
 		}
-		journalAgentOp(env, "store-file", args.Path)
+		journalAgentOp(env, "store-file", args.Path, int64(len(args.Data)))
 		return Result{Message: "stored " + args.Path}, nil
 
 	case OpFetchFile:
@@ -291,7 +294,7 @@ func ExecuteOp(op Op, env Env, args Args) (Result, error) {
 		if env.Server != nil {
 			env.Server.InvalidateCache(args.Path)
 		}
-		journalAgentOp(env, "replace-file", args.Path)
+		journalAgentOp(env, "replace-file", args.Path, int64(len(data)))
 		return Result{Message: "replaced " + args.Path}, nil
 
 	case OpPullFile:
@@ -323,7 +326,7 @@ func ExecuteOp(op Op, env Env, args Args) (Result, error) {
 		if env.Server != nil {
 			env.Server.InvalidateCache(dest)
 		}
-		journalAgentOp(env, "pull-file", dest)
+		journalAgentOp(env, "pull-file", dest, int64(len(data)))
 		return Result{Message: fmt.Sprintf("pulled %s (%d bytes)", dest, len(data))}, nil
 
 	case OpChecksum:
@@ -352,7 +355,7 @@ func ExecuteOp(op Op, env Env, args Args) (Result, error) {
 		if env.Journal == nil {
 			return Result{}, fmt.Errorf("mgmt: node %s has no journal", env.Node)
 		}
-		return Result{Journal: env.Journal.Snapshot(journalReportEvents)}, nil
+		return Result{Journal: env.Journal.Snapshot(args.Path, journalReportEvents)}, nil
 
 	default:
 		return Result{}, fmt.Errorf("mgmt: unknown op %v", op)

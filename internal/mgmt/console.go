@@ -61,7 +61,6 @@ type ConsoleResponse struct {
 	Error   string              `json:"error,omitempty"`
 	Tree    string              `json:"tree,omitempty"`
 	Status  *monitor.NodeStatus `json:"status,omitempty"`
-	Audit   []string            `json:"audit,omitempty"`
 	Nodes   []config.NodeID     `json:"nodes,omitempty"`
 	Actions []string            `json:"actions,omitempty"`
 	Message string              `json:"message,omitempty"`
@@ -289,7 +288,7 @@ func (s *ConsoleServer) handle(req ConsoleRequest) ConsoleResponse {
 				events = events[len(events)-req.Limit:]
 			}
 		} else {
-			events, missing = s.controller.ClusterJournal(req.Limit)
+			events, missing = s.controller.ClusterJournal("", req.Limit)
 		}
 		resp := ConsoleResponse{OK: true, Journal: events}
 		if len(missing) > 0 {
@@ -319,8 +318,6 @@ func (s *ConsoleServer) handle(req ConsoleRequest) ConsoleResponse {
 			resp.Message = fmt.Sprintf("unreachable: %v", missing)
 		}
 		return resp
-	case "audit":
-		return ConsoleResponse{OK: true, Audit: s.controller.AuditLog()}
 	case "loadsite":
 		if s.siteLoader == nil {
 			return fail(fmt.Errorf("console: no site loader configured"))

@@ -43,20 +43,16 @@ type Controller struct {
 	mu      sync.Mutex
 	brokers map[config.NodeID]*BrokerClient
 	repo    map[string]Spec
-	// audit is a ring of the newest auditKeep lines; once full,
-	// auditHead is the oldest.
-	audit     []string
-	auditHead int
-	cache     CacheView
-	tel       *telemetry.Telemetry
-	jnl       *journal.Journal
-	dumper    func(reason string) (string, error)
+	cache   CacheView
+	tel     *telemetry.Telemetry
+	jnl     *journal.Journal
+	dumper  func(reason string) (string, error)
 
 	installsSent int64
 }
 
 // NewController returns a controller managing table, with the built-in
-// agent repository loaded.
+// agent repository loaded and a journal of its own.
 func NewController(table *urltable.Table) *Controller {
 	repo := make(map[string]Spec)
 	for _, spec := range BuiltinSpecs() {
@@ -66,6 +62,7 @@ func NewController(table *urltable.Table) *Controller {
 		table:   table,
 		brokers: make(map[config.NodeID]*BrokerClient),
 		repo:    repo,
+		jnl:     journal.New(journal.Options{Node: "front"}),
 	}
 }
 
@@ -109,14 +106,7 @@ func (c *Controller) journalRedial(node config.NodeID, err error) {
 	if err != nil {
 		detail = err.Error()
 	}
-	c.logf("REDIAL broker %s: %s", node, detail)
-	name := string(node)
-	c.journalView().Record(journal.Event{
-		Actor:  journal.ActorController,
-		Kind:   journal.KindBrokerRedial,
-		Node:   name,
-		Detail: detail,
-	})
+	c.record(journal.Event{Kind: journal.KindBrokerRedial, Node: string(node), Detail: detail})
 }
 
 // Nodes returns the managed node IDs, sorted.
@@ -169,21 +159,28 @@ func (c *Controller) telemetryView() *telemetry.Telemetry {
 	return c.tel
 }
 
-// SetJournal attaches the front end's decision journal. The controller
-// records planner decisions, plan applications, and cache purges into
-// it, and merges it with per-node scrapes in ClusterJournal.
+// SetJournal replaces the controller's journal with the front end's,
+// which the distributor and the monitor record into too. The journal is
+// the only record of what the controller did: planner decisions, every
+// mutation and its outcome, cache purges and broker redials. It is
+// merged with the per-node scrapes in ClusterJournal.
 func (c *Controller) SetJournal(j *journal.Journal) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.jnl = j
 }
 
-// journalView returns the attached journal; nil (which is safe to
-// record into) when none.
+// journalView returns the controller's journal.
 func (c *Controller) journalView() *journal.Journal {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.jnl
+}
+
+// record journals ev as the controller's.
+func (c *Controller) record(ev journal.Event) {
+	ev.Actor = journal.ActorController
+	c.journalView().Record(ev)
 }
 
 // SetDumper attaches the flight recorder's manual trigger so the
@@ -253,19 +250,17 @@ func (c *Controller) ClusterTraces(limit int) ([]telemetry.Span, []config.NodeID
 
 // ClusterJournal merges the front end's journal with every node's
 // OpJournal scrape into one time-ordered stream capped at limit (<=0
-// for the default 256). Nodes that fail to answer are returned so the
-// caller can surface the gap.
-func (c *Controller) ClusterJournal(limit int) ([]journal.Event, []config.NodeID) {
+// for the default 256). A non-empty path keeps only the events about
+// that document, in every journal before anything is capped. Nodes that
+// fail to answer are returned so the caller can surface the gap.
+func (c *Controller) ClusterJournal(path string, limit int) ([]journal.Event, []config.NodeID) {
 	if limit <= 0 {
 		limit = journalReportEvents
 	}
-	var lists [][]journal.Event
-	if j := c.journalView(); j != nil {
-		lists = append(lists, j.Snapshot(0))
-	}
+	lists := [][]journal.Event{c.journalView().Snapshot(path, 0)}
 	var missing []config.NodeID
 	for _, node := range c.Nodes() {
-		res, err := c.Dispatch(node, OpJournal.String(), Args{})
+		res, err := c.Dispatch(node, OpJournal.String(), Args{Path: path})
 		if err != nil {
 			missing = append(missing, node)
 			continue
@@ -305,7 +300,7 @@ func (c *Controller) Explain(path string, limit int) (*ExplainReport, []config.N
 	if err != nil {
 		return nil, nil, err
 	}
-	events, missing := c.ClusterJournal(0)
+	events, missing := c.ClusterJournal(path, 0)
 	rep := &ExplainReport{
 		Path:      rec.Path,
 		Locations: rec.Locations,
@@ -313,15 +308,11 @@ func (c *Controller) Explain(path string, limit int) (*ExplainReport, []config.N
 		Priority:  rec.Priority,
 		Hits:      rec.Hits,
 		Size:      rec.Size,
+		History:   events,
 	}
-	for _, ev := range events {
-		if ev.Path != path {
-			continue
-		}
-		rep.History = append(rep.History, ev)
-		if ev.Kind == journal.KindPlanReplicate || ev.Kind == journal.KindPlanOffload {
-			e := ev
-			rep.Decision = &e
+	for i := range events {
+		if k := events[i].Kind; k == journal.KindPlanReplicate || k == journal.KindPlanOffload {
+			rep.Decision = &events[i]
 		}
 	}
 	if limit > 0 && len(rep.History) > limit {
@@ -331,25 +322,17 @@ func (c *Controller) Explain(path string, limit int) (*ExplainReport, []config.N
 }
 
 // purgeCache synchronously invalidates path in the front-end cache after
-// the op mutation committed, auditing and journaling the purge (under
-// the incident trace when the mutation repairs one). Called with the
-// mutation already applied on every node and in the table, so a fetch
-// racing the purge can only observe post-mutation content.
+// the op mutation committed, journaling the purge (under the incident
+// trace when the mutation repairs one). Called with the mutation already
+// applied on every node and in the table, so a fetch racing the purge
+// can only observe post-mutation content.
 func (c *Controller) purgeCache(op, path string, trace uint64) {
 	v := c.cacheView()
 	if v == nil {
 		return
 	}
 	n := v.Invalidate(path)
-	c.logf("OK purge %s after %s (%d entries)", path, op, n)
-	c.journalView().Record(journal.Event{
-		Actor:  journal.ActorController,
-		Kind:   journal.KindPurge,
-		Trace:  trace,
-		Path:   path,
-		Detail: op,
-		A:      int64(n),
-	})
+	c.record(journal.Event{Kind: journal.KindPurge, Trace: trace, Path: path, Detail: op, A: int64(n)})
 }
 
 // Purge drops path from the front-end cache on demand (console
@@ -365,7 +348,7 @@ func (c *Controller) Purge(path string) (int, error) {
 	} else {
 		n = v.Invalidate(path)
 	}
-	c.logf("OK purge %s by console (%d entries)", path, n)
+	c.record(journal.Event{Kind: journal.KindPurge, Path: path, Detail: "console", A: int64(n)})
 	return n, nil
 }
 
@@ -377,35 +360,6 @@ func (c *Controller) CacheStats() (stats respcache.Stats, ok bool) {
 		return respcache.Stats{}, false
 	}
 	return v.Stats(), true
-}
-
-// auditKeep is how many audit lines the controller retains: enough to
-// read back the last minutes of a busy console session, small enough
-// that a long-lived distributor's memory does not grow with its uptime
-// and that `console audit` fits one reply.
-const auditKeep = 1024
-
-// logf appends to the audit log, overwriting the oldest line once
-// auditKeep are held.
-func (c *Controller) logf(format string, args ...any) {
-	line := fmt.Sprintf(format, args...)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.audit) < auditKeep {
-		c.audit = append(c.audit, line)
-		return
-	}
-	c.audit[c.auditHead] = line
-	c.auditHead = (c.auditHead + 1) % auditKeep
-}
-
-// AuditLog returns a copy of the retained audit entries, oldest first.
-func (c *Controller) AuditLog() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.audit))
-	out = append(out, c.audit[c.auditHead:]...)
-	return append(out, c.audit[:c.auditHead]...)
 }
 
 // broker returns the client for node.
@@ -468,11 +422,9 @@ func (c *Controller) runStep(step doctree.Step) error {
 			}
 			args.Source = source.addr
 		}
-		res, err := c.Dispatch(step.Node, OpPullFile.String(), args)
-		if err != nil {
+		if _, err := c.Dispatch(step.Node, OpPullFile.String(), args); err != nil {
 			return fmt.Errorf("%s: %w", step, err)
 		}
-		c.logf("OK %s: %s", step, res.Message)
 		return nil
 	default:
 		return fmt.Errorf("controller: unknown step kind %v", step.Kind)
@@ -512,43 +464,24 @@ func (c *Controller) Execute(plan doctree.Plan) error {
 // execute is Execute with an incident trace for the journal record, so
 // repairs triggered by an open incident stay causally linked to it.
 func (c *Controller) execute(plan doctree.Plan, trace uint64) error {
-	j := c.journalView()
 	for i, step := range plan.Steps {
 		if err := c.runStep(step); err != nil {
 			detail := plan.Describe + ": " + err.Error()
 			if cleaned := c.rollBack(plan.Steps[:i]); len(cleaned) > 0 {
 				detail += fmt.Sprintf("; rolled back on %v", cleaned)
 			}
-			c.logf("FAILED %s", detail)
-			j.Record(journal.Event{
-				Actor:  journal.ActorController,
-				Kind:   journal.KindApplyFail,
-				Trace:  trace,
-				Detail: detail,
-			})
+			c.record(journal.Event{Kind: journal.KindApplyFail, Trace: trace, Path: plan.Path, Detail: detail})
 			return fmt.Errorf("executing %q: %w", plan.Describe, err)
 		}
 	}
 	if plan.Apply != nil {
 		if err := plan.Apply(c.table); err != nil {
-			c.logf("FAILED table update for %s: %v", plan.Describe, err)
-			detail := plan.Describe + ": " + err.Error()
-			j.Record(journal.Event{
-				Actor:  journal.ActorController,
-				Kind:   journal.KindApplyFail,
-				Trace:  trace,
-				Detail: detail,
-			})
+			detail := plan.Describe + ": table update: " + err.Error()
+			c.record(journal.Event{Kind: journal.KindApplyFail, Trace: trace, Path: plan.Path, Detail: detail})
 			return fmt.Errorf("updating table for %q: %w", plan.Describe, err)
 		}
 	}
-	c.logf("OK %s", plan.Describe)
-	j.Record(journal.Event{
-		Actor:  journal.ActorController,
-		Kind:   journal.KindApply,
-		Trace:  trace,
-		Detail: plan.Describe,
-	})
+	c.record(journal.Event{Kind: journal.KindApply, Trace: trace, Path: plan.Path, Detail: plan.Describe})
 	return nil
 }
 
@@ -652,7 +585,7 @@ func (c *Controller) SetPriority(path string, priority int) error {
 	if err := c.table.SetPriority(path, priority); err != nil {
 		return err
 	}
-	c.logf("OK set priority %d on %s", priority, path)
+	c.record(journal.Event{Kind: journal.KindApply, Path: path, Detail: fmt.Sprintf("priority %d", priority)})
 	return nil
 }
 
@@ -668,7 +601,7 @@ func (c *Controller) Update(path string, data []byte) error {
 	}
 	for _, node := range rec.Locations {
 		if _, err := c.Dispatch(node, OpReplaceFile.String(), Args{Path: path, Data: data}); err != nil {
-			c.logf("FAILED update %s on %s: %v", path, node, err)
+			c.record(journal.Event{Kind: journal.KindApplyFail, Node: string(node), Path: path, Detail: "update: " + err.Error()})
 			return fmt.Errorf("updating %s on %s: %w", path, node, err)
 		}
 	}
@@ -678,7 +611,7 @@ func (c *Controller) Update(path string, data []byte) error {
 	if err := c.table.SetSize(path, int64(len(data))); err != nil {
 		return fmt.Errorf("recording new size of %s: %w", path, err)
 	}
-	c.logf("OK update %s on %v (%d bytes)", path, rec.Locations, len(data))
+	c.record(journal.Event{Kind: journal.KindApply, Path: path, Detail: fmt.Sprintf("update on %v", rec.Locations), A: int64(len(data))})
 	// purge only after every replica holds the new content: a fetch that
 	// starts after this point reads post-mutation bytes from any node
 	c.purgeCache("update", path, 0)
@@ -708,7 +641,6 @@ func (c *Controller) Verify(path string) (consistent bool, sums map[config.NodeI
 			consistent = false
 		}
 	}
-	c.logf("OK verify %s: consistent=%v over %d copies", path, consistent, len(sums))
 	return consistent, sums, nil
 }
 
@@ -719,11 +651,11 @@ func (c *Controller) Pin(path string, pinned bool) error {
 	if err := c.table.SetPinned(path, pinned); err != nil {
 		return err
 	}
-	verb := "pinned"
+	op := "pin"
 	if !pinned {
-		verb = "unpinned"
+		op = "unpin"
 	}
-	c.logf("OK %s %s", verb, path)
+	c.record(journal.Event{Kind: journal.KindApply, Path: path, Detail: op})
 	return nil
 }
 
@@ -749,7 +681,7 @@ func (c *Controller) Ping(node config.NodeID) error {
 }
 
 // ApplyActions executes the load balancer's placement actions (§3.3),
-// returning how many succeeded. Individual failures are audited and
+// returning how many succeeded. Individual failures are journaled and
 // skipped: a missed rebalance is recoverable next interval.
 func (c *Controller) ApplyActions(actions []loadbal.Action) (int, error) {
 	decs := make([]loadbal.Decision, len(actions))
@@ -764,7 +696,7 @@ func (c *Controller) ApplyActions(actions []loadbal.Action) (int, error) {
 // rejected alternatives) before applying it, all under trace so
 // repairs planned during an incident stay linked to the fault that
 // started it. Returns how many applied; individual failures are
-// audited and skipped.
+// journaled and skipped.
 func (c *Controller) ApplyDecisions(decs []loadbal.Decision, trace uint64) (int, error) {
 	j := c.journalView()
 	applied := 0

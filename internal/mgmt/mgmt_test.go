@@ -3,6 +3,7 @@ package mgmt
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"webcluster/internal/doctree"
 	"webcluster/internal/journal"
 	"webcluster/internal/loadbal"
+	"webcluster/internal/respcache"
 	"webcluster/internal/urltable"
 )
 
@@ -296,14 +298,8 @@ func TestControllerFailedStepLeavesTableUnchanged(t *testing.T) {
 	if _, err := ctl.Table().Lookup("/x.html"); err == nil {
 		t.Fatal("table updated despite failed step")
 	}
-	found := false
-	for _, line := range ctl.AuditLog() {
-		if strings.HasPrefix(line, "FAILED") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("failure not audited")
+	if fails := eventsOfKind(ctl.journalView(), journal.KindApplyFail); len(fails) != 1 || fails[0].Path != "/x.html" {
+		t.Fatalf("apply-fail records = %+v, want one for /x.html", fails)
 	}
 }
 
@@ -485,10 +481,19 @@ func TestConsoleEndToEnd(t *testing.T) {
 	if _, err := console.Do(ConsoleRequest{Op: "delete", Path: "/docs/y.html"}); err != nil {
 		t.Fatal(err)
 	}
-	// audit trail accumulated.
-	resp, err = console.Do(ConsoleRequest{Op: "audit"})
-	if err != nil || len(resp.Audit) < 4 {
-		t.Fatalf("audit = %+v, %v", resp, err)
+	// every mutation is in the journal.
+	resp, err = console.Do(ConsoleRequest{Op: "journal"})
+	if err != nil {
+		t.Fatalf("journal: %v", err)
+	}
+	applied := 0
+	for _, ev := range resp.Journal {
+		if ev.Kind == journal.KindApply {
+			applied++
+		}
+	}
+	if applied != 5 {
+		t.Fatalf("journal holds %d apply events, want insert, replicate, priority, rename and delete: %+v", applied, resp.Journal)
 	}
 	// errors surface.
 	if _, err := console.Do(ConsoleRequest{Op: "delete", Path: "/absent"}); err == nil {
@@ -635,6 +640,9 @@ func TestControllerUpdateRefreshesTableSize(t *testing.T) {
 	if err != nil || rec.Size != int64(len(fresh)) {
 		t.Fatalf("size after failed update = %d, %v; want the old %d", rec.Size, err, len(fresh))
 	}
+	if fails := eventsOfKind(ctl.journalView(), journal.KindApplyFail); len(fails) != 1 || fails[0].Path != "/cat.html" || fails[0].Node != "n2" {
+		t.Fatalf("apply-fail records = %+v, want the update of /cat.html failing on n2", fails)
+	}
 }
 
 func TestControllerVerifyConsistency(t *testing.T) {
@@ -698,7 +706,7 @@ func TestControllerSurvivesBrokerDeath(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = b.Close() })
 	// Plans have no rollback: the failed delete already removed n1's
-	// copy before aborting at n2 (the audit records the failure and the
+	// copy before aborting at n2 (the journal records the failure and the
 	// table is untouched). Re-seed both stores so the retried plan can
 	// complete.
 	_ = b.env.Store.Put("/x.html", []byte("x"))
@@ -714,31 +722,17 @@ func TestControllerSurvivesBrokerDeath(t *testing.T) {
 	}
 }
 
-// TestAuditLogKeepsNewestLines: the audit log is a ring, not a leak — a
-// long-lived controller holds the newest 1024 lines, oldest first, and
-// the console can still fetch them in one reply.
-func TestAuditLogKeepsNewestLines(t *testing.T) {
-	ctl, _ := newController(t, "n1")
-	obj := content.Object{Path: "/a.html", Size: 1, Class: content.ClassHTML}
-	if err := ctl.Insert(obj, []byte("a"), "n1"); err != nil {
+// TestConsoleJournalRecordsEveryMutation: the journal is the management
+// plane's only record, so the mutations that are not placement plans — a
+// console purge, a priority change, a pin and an update — are in
+// `console journal` too, each under its path.
+func TestConsoleJournalRecordsEveryMutation(t *testing.T) {
+	ctl, _ := journaledController(t, "n1")
+	ctl.SetCache(respcache.New(respcache.Options{MaxBytes: 1 << 20}))
+	obj := content.Object{Path: "/doc.html", Size: 1, Class: content.ClassHTML}
+	if err := ctl.Insert(obj, []byte("x"), "n1"); err != nil {
 		t.Fatal(err)
 	}
-	const ops, keep = 10000, 1024
-	for i := 0; i < ops; i++ {
-		if err := ctl.SetPriority("/a.html", i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	log := ctl.AuditLog()
-	if len(log) != keep {
-		t.Fatalf("audit log holds %d lines after %d operations, want %d", len(log), ops, keep)
-	}
-	for i, line := range log {
-		if want := fmt.Sprintf("OK set priority %d on /a.html", ops-keep+i); line != want {
-			t.Fatalf("audit line %d = %q, want %q", i, line, want)
-		}
-	}
-
 	server := NewConsoleServer(ctl, nil)
 	addr, err := server.Start("127.0.0.1:0")
 	if err != nil {
@@ -750,9 +744,31 @@ func TestAuditLogKeepsNewestLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = console.Close() }()
-	resp, err := console.Do(ConsoleRequest{Op: "audit"})
-	if err != nil || len(resp.Audit) != keep || resp.Audit[keep-1] != log[keep-1] {
-		t.Fatalf("console audit: %d lines, err %v", len(resp.Audit), err)
+	for _, req := range []ConsoleRequest{
+		{Op: "purge", Path: "/doc.html"},
+		{Op: "priority", Path: "/doc.html", Priority: 2},
+		{Op: "pin", Path: "/doc.html"},
+		{Op: "update", Path: "/doc.html", Data: []byte("v2")},
+	} {
+		if _, err := console.Do(req); err != nil {
+			t.Fatalf("%s: %v", req.Op, err)
+		}
+	}
+	resp, err := console.Do(ConsoleRequest{Op: "journal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]journal.Kind{
+		"console": journal.KindPurge, "priority 2": journal.KindApply,
+		"pin": journal.KindApply, "update on [n1]": journal.KindApply,
+	}
+	for _, ev := range resp.Journal {
+		if kind, ok := want[ev.Detail]; ok && kind == ev.Kind && ev.Path == "/doc.html" && ev.Src == "front" {
+			delete(want, ev.Detail)
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("console journal lacks %v: %+v", want, resp.Journal)
 	}
 }
 
@@ -857,6 +873,48 @@ func TestExplainPlannerDecision(t *testing.T) {
 	limited, _, err := ctl.Explain("/hot.html", 1)
 	if err != nil || len(limited.History) != 1 {
 		t.Fatalf("limited history = %d events, %v; want 1", len(limited.History), err)
+	}
+}
+
+// TestExplainKeepsAPathsHistory: a document's history is filtered out of
+// each journal before anything is capped, so 300 later inserts of other
+// documents do not crowd it out, and the controller's own apply events are
+// in it beside the nodes' agent ops. Explain used to keep the newest 256
+// events of the merged stream, and of each node's scrape, and only then
+// look for the path.
+func TestExplainKeepsAPathsHistory(t *testing.T) {
+	ctl, _ := journaledController(t, "n1", "n2")
+	obj := content.Object{Path: "/a.html", Size: 1, Class: content.ClassHTML}
+	if err := ctl.Insert(obj, []byte("a"), "n1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Replicate("/a.html", "n1", "n2"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		obj := content.Object{Path: fmt.Sprintf("/f%d.html", i), Size: 1, Class: content.ClassHTML}
+		if err := ctl.Insert(obj, []byte("f"), "n1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, missing, err := ctl.Explain("/a.html", 0)
+	if err != nil || len(missing) != 0 {
+		t.Fatalf("explain: %v (unreachable %v)", err, missing)
+	}
+	var got []string
+	for _, ev := range rep.History {
+		got = append(got, ev.Src+" "+ev.Kind.String()+" "+ev.Detail)
+	}
+	want := []string{
+		"front apply insert /a.html on [n1]",
+		"n1 agent-op store-file",
+		"n2 agent-op pull-file",
+		"front apply replicate /a.html n1→n2",
+	}
+	for _, w := range want {
+		if !slices.Contains(got, w) {
+			t.Fatalf("history of /a.html = %q, want %q in it", got, w)
+		}
 	}
 }
 

@@ -11,16 +11,14 @@ import (
 	"sync"
 	"time"
 
-	"webcluster/internal/journal"
 	"webcluster/internal/lifecycle"
 )
 
 // AdminServer is the node-local observability endpoint: GET /metrics
-// (Prometheus text exposition), /debug/vars (JSON registry snapshot),
-// /debug/traces (recent spans oldest-first by start time, ?limit=N),
-// /debug/journal (decision-journal events when a journal is attached,
-// ?limit=N&since=SEQ), and /healthz. It serves read-only views —
-// mutation stays on the management console.
+// (Prometheus text exposition), /debug/traces (recent spans oldest-first
+// by start time, ?limit=N), and /healthz. It serves read-only views —
+// the node's decision journal and the merged cluster statistics are on
+// the management console.
 type AdminServer struct {
 	tel *Telemetry
 	mux *http.ServeMux
@@ -34,28 +32,15 @@ type AdminServer struct {
 	// wg joins the serve goroutine so Close does not return while it is
 	// still running (it previously leaked past Close).
 	wg sync.WaitGroup
-
-	jmu sync.Mutex
-	jnl *journal.Journal
 }
 
 // NewAdmin builds an admin server over t.
 func NewAdmin(t *Telemetry) *AdminServer {
 	a := &AdminServer{tel: t, mux: http.NewServeMux()}
 	a.mux.HandleFunc("/metrics", a.handleMetrics)
-	a.mux.HandleFunc("/debug/vars", a.handleVars)
 	a.mux.HandleFunc("/debug/traces", a.handleTraces)
-	a.mux.HandleFunc("/debug/journal", a.handleJournal)
 	a.mux.HandleFunc("/healthz", a.handleHealthz)
 	return a
-}
-
-// SetJournal attaches the node's decision journal so /debug/journal
-// serves it. May be called before or after Start; nil detaches.
-func (a *AdminServer) SetJournal(j *journal.Journal) {
-	a.jmu.Lock()
-	a.jnl = j
-	a.jmu.Unlock()
 }
 
 // Start listens on addr and serves in the background; returns the bound
@@ -109,13 +94,6 @@ func (a *AdminServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = a.tel.Registry().WritePrometheus(w)
 }
 
-func (a *AdminServer) handleVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(a.tel.Registry().Snapshot())
-}
-
 func (a *AdminServer) handleTraces(w http.ResponseWriter, r *http.Request) {
 	limit := 0
 	if s := r.URL.Query().Get("limit"); s != "" {
@@ -137,44 +115,6 @@ func (a *AdminServer) handleTraces(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(spans)
-}
-
-func (a *AdminServer) handleJournal(w http.ResponseWriter, r *http.Request) {
-	a.jmu.Lock()
-	jnl := a.jnl
-	a.jmu.Unlock()
-	if jnl == nil {
-		http.Error(w, "no journal attached", http.StatusNotFound)
-		return
-	}
-	limit := 0
-	if s := r.URL.Query().Get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		limit = n
-	}
-	var since uint64
-	if s := r.URL.Query().Get("since"); s != "" {
-		n, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			http.Error(w, "bad since", http.StatusBadRequest)
-			return
-		}
-		since = n
-	}
-	var evs []journal.Event
-	if since > 0 {
-		evs = jnl.Since(since, limit)
-	} else {
-		evs = jnl.Snapshot(limit)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(evs)
 }
 
 func (a *AdminServer) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"testing"
 	"time"
-
-	"webcluster/internal/journal"
 )
 
 // Close must not return while the serve goroutine is still running: the
@@ -21,7 +19,7 @@ import (
 // about half the time; twenty rounds, always.
 func TestAdminCloseJoinsServeGoroutine(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		admin := NewAdmin(New(Options{Node: "front", RingSize: 16}))
+		admin := NewAdmin(New(Options{Node: "front"}))
 		addr, err := admin.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -64,7 +62,7 @@ func adminGet(t *testing.T, addr, path string, out any) {
 // the regression this test pins.
 func TestAdminTracesSortedByStartTime(t *testing.T) {
 	now := time.Unix(1000, 0)
-	tel := New(Options{Node: "front", RingSize: 16, Clock: func() time.Time { return now }})
+	tel := New(Options{Node: "front", Clock: func() time.Time { return now }})
 	admin := NewAdmin(tel)
 	addr, err := admin.Start("127.0.0.1:0")
 	if err != nil {
@@ -90,47 +88,5 @@ func TestAdminTracesSortedByStartTime(t *testing.T) {
 			t.Fatalf("spans out of start order: [%d]=%d after [%d]=%d",
 				i, spans[i].StartUnixNano, i-1, spans[i-1].StartUnixNano)
 		}
-	}
-}
-
-func TestAdminJournalEndpoint(t *testing.T) {
-	tel := New(Options{Node: "front", RingSize: 16})
-	admin := NewAdmin(tel)
-	addr, err := admin.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = admin.Close() }()
-
-	// Without a journal the endpoint 404s rather than serving nothing.
-	resp, err := http.Get("http://" + addr + "/debug/journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("no-journal status = %d, want 404", resp.StatusCode)
-	}
-
-	jnl := journal.New(journal.Options{Node: "front", Size: 64})
-	for i := 0; i < 5; i++ {
-		jnl.Record(journal.Event{Actor: journal.ActorController, Kind: journal.KindApply, A: int64(i)})
-	}
-	admin.SetJournal(jnl)
-
-	var evs []journal.Event
-	adminGet(t, addr, "/debug/journal", &evs)
-	if len(evs) != 5 {
-		t.Fatalf("events = %d, want 5", len(evs))
-	}
-	var tail []journal.Event
-	adminGet(t, addr, "/debug/journal?since=3", &tail)
-	if len(tail) != 2 || tail[0].Seq != 4 {
-		t.Fatalf("since=3 events = %+v, want seq 4,5", tail)
-	}
-	var limited []journal.Event
-	adminGet(t, addr, "/debug/journal?limit=2", &limited)
-	if len(limited) != 2 || limited[0].A != 3 {
-		t.Fatalf("limit=2 events = %+v, want newest two (A=3,4)", limited)
 	}
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -176,71 +175,3 @@ func (s *Span) ID() uint64 {
 }
 
 var spanPool = sync.Pool{New: func() any { return new(Span) }}
-
-// SpanRing is a fixed-size lock-striped ring of completed spans. Writers
-// claim a slot with one atomic increment and copy the span in under that
-// slot's mutex; a concurrent Snapshot copies out under the same mutex, so
-// readers never observe a torn span. Capacity rounds up to a power of
-// two.
-type SpanRing struct {
-	mask  uint64
-	seq   atomic.Uint64
-	slots []ringSlot
-}
-
-type ringSlot struct {
-	mu   sync.Mutex
-	used bool
-	span Span
-}
-
-// NewSpanRing returns a ring holding the most recent n spans (rounded up
-// to a power of two, minimum 16).
-func NewSpanRing(n int) *SpanRing {
-	size := 16
-	for size < n {
-		size <<= 1
-	}
-	return &SpanRing{mask: uint64(size - 1), slots: make([]ringSlot, size)}
-}
-
-// record copies sp by value into the next slot.
-func (r *SpanRing) record(sp *Span) {
-	i := (r.seq.Add(1) - 1) & r.mask
-	slot := &r.slots[i]
-	slot.mu.Lock()
-	slot.span = *sp
-	slot.span.clock = nil
-	slot.used = true
-	slot.mu.Unlock()
-}
-
-// Snapshot returns up to limit captured spans, newest first (limit <= 0
-// means all).
-func (r *SpanRing) Snapshot(limit int) []Span {
-	n := len(r.slots)
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	out := make([]Span, 0, limit)
-	seq := r.seq.Load()
-	for k := 0; k < n && len(out) < limit; k++ {
-		i := (seq - 1 - uint64(k)) & r.mask
-		slot := &r.slots[i]
-		slot.mu.Lock()
-		if slot.used {
-			out = append(out, slot.span)
-		}
-		slot.mu.Unlock()
-	}
-	return out
-}
-
-// splitmix64 is the SplitMix64 output function — one multiply-xor-shift
-// chain turning a sequential counter into well-distributed span IDs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}

@@ -42,7 +42,7 @@ func TestNilTelemetryIsInert(t *testing.T) {
 
 func TestSpanLifecycle(t *testing.T) {
 	clock, advance := fixedClock(time.Unix(1700000000, 0))
-	tel := New(Options{Node: "front", Clock: clock, RingSize: 16})
+	tel := New(Options{Node: "front", Clock: clock})
 
 	sp := tel.StartSpan(0)
 	if sp == nil || sp.ID() == 0 || sp.TraceID == 0 {
@@ -98,18 +98,19 @@ func TestAdoptTracePropagatesInboundID(t *testing.T) {
 }
 
 func TestRingWrapsAndSnapshotsNewestFirst(t *testing.T) {
-	tel := New(Options{Node: "front", RingSize: 16})
-	for i := 0; i < 40; i++ {
+	tel := New(Options{Node: "front"})
+	const total = spanRingCap + 24
+	for i := 0; i < total; i++ {
 		sp := tel.StartSpan(0)
 		sp.SetRequest("GET", fmt.Sprintf("/f%d", i))
 		tel.FinishSpan(sp)
 	}
 	spans := tel.Spans(0)
-	if len(spans) != 16 {
-		t.Fatalf("ring snapshot has %d spans, want 16 (ring size)", len(spans))
+	if len(spans) != spanRingCap {
+		t.Fatalf("ring snapshot has %d spans, want %d (ring size)", len(spans), spanRingCap)
 	}
-	if spans[0].Path != "/f39" {
-		t.Fatalf("newest span = %s, want /f39", spans[0].Path)
+	if want := fmt.Sprintf("/f%d", total-1); spans[0].Path != want {
+		t.Fatalf("newest span = %s, want %s", spans[0].Path, want)
 	}
 	if limited := tel.Spans(4); len(limited) != 4 {
 		t.Fatalf("limited snapshot has %d spans, want 4", len(limited))
@@ -117,7 +118,7 @@ func TestRingWrapsAndSnapshotsNewestFirst(t *testing.T) {
 }
 
 func TestRingConcurrentRecord(t *testing.T) {
-	tel := New(Options{Node: "front", RingSize: 32})
+	tel := New(Options{Node: "front"})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -141,34 +142,9 @@ func TestRingConcurrentRecord(t *testing.T) {
 	}
 }
 
-func TestSlowLogThreshold(t *testing.T) {
-	clock, advance := fixedClock(time.Unix(1700000000, 0))
-	var buf strings.Builder
-	tel := New(Options{
-		Node: "front", Clock: clock,
-		SlowThreshold: 10 * time.Millisecond, SlowLog: &buf,
-	})
-	fast := tel.StartSpan(0)
-	advance(time.Millisecond)
-	fast.MarkReply()
-	tel.FinishSpan(fast)
-	if buf.Len() != 0 {
-		t.Fatalf("fast request logged: %q", buf.String())
-	}
-	slow := tel.StartSpan(0)
-	slow.SetRequest("GET", "/big.bin")
-	advance(50 * time.Millisecond)
-	slow.MarkBackend()
-	tel.FinishSpan(slow)
-	line := buf.String()
-	if !strings.Contains(line, "/big.bin") || !strings.Contains(line, "trace=") {
-		t.Fatalf("slow log line missing fields: %q", line)
-	}
-}
-
 func TestReportAndMergeSpans(t *testing.T) {
 	clock, advance := fixedClock(time.Unix(1700000000, 0))
-	tel := New(Options{Node: "front", Clock: clock, RingSize: 16})
+	tel := New(Options{Node: "front", Clock: clock})
 	durs := []time.Duration{3, 9, 1, 7, 5}
 	for i, d := range durs {
 		sp := tel.StartSpan(0)
@@ -199,7 +175,7 @@ func TestReportAndMergeSpans(t *testing.T) {
 }
 
 func TestAdminEndpoints(t *testing.T) {
-	tel := New(Options{Node: "front", RingSize: 16})
+	tel := New(Options{Node: "front"})
 	tel.Registry().Class("html").Requests.Inc()
 	sp := tel.StartSpan(0)
 	sp.SetRequest("GET", "/a")
@@ -229,18 +205,7 @@ func TestAdminEndpoints(t *testing.T) {
 		!strings.Contains(body, `webcluster_class_requests_total{node="front",class="html"} 1`) {
 		t.Fatalf("/metrics = %d %q", code, body)
 	}
-	code, body := get("/debug/vars")
-	if code != 200 {
-		t.Fatalf("/debug/vars = %d", code)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(body), &snap); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	if snap.Node != "front" {
-		t.Fatalf("/debug/vars node = %q", snap.Node)
-	}
-	code, body = get("/debug/traces?limit=5")
+	code, body := get("/debug/traces?limit=5")
 	if code != 200 {
 		t.Fatalf("/debug/traces = %d", code)
 	}

@@ -1,45 +1,33 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"webcluster/internal/ring"
 )
 
 // Options configures a node's telemetry layer.
 type Options struct {
 	// Node labels every metric sample and span with the owning node.
 	Node string
-	// RingSize is the span ring capacity (rounded up to a power of two;
-	// default 256).
-	RingSize int
-	// SlowThreshold triggers the slow-request log for spans at or above
-	// this total duration; zero disables the log.
-	SlowThreshold time.Duration
-	// SlowLog receives one line per slow request. Nil disables the log
-	// even with a threshold set.
-	SlowLog io.Writer
 	// Clock overrides time.Now (tests pin it for deterministic spans).
 	Clock func() time.Time
 }
 
+// spanRingCap is how many finished spans a node keeps.
+const spanRingCap = 256
+
 // Telemetry bundles a node's live observability state: the metrics
-// registry, the span ring, the slow-request log, and the span ID source.
-// A nil *Telemetry is a valid "tracing off" value — StartSpan returns a
-// nil span and every span method is a no-op — so the distributor's
-// untraced configuration pays one branch, not an interface call.
+// registry, the span ring, and the span ID source. A nil *Telemetry is a
+// valid "tracing off" value — StartSpan returns a nil span and every span
+// method is a no-op — so the distributor's untraced configuration pays
+// one branch, not an interface call.
 type Telemetry struct {
-	node    string
-	clock   func() time.Time
-	reg     *Registry
-	ring    *SpanRing
-	slowNs  int64
-	slowMu  sync.Mutex
-	slowLog io.Writer
-	seed    uint64
-	idc     atomic.Uint64
+	node  string
+	clock func() time.Time
+	reg   *Registry
+	ring  *ring.Ring[Span]
+	ids   ring.IDs
 }
 
 // New builds a telemetry layer from o.
@@ -48,22 +36,13 @@ func New(o Options) *Telemetry {
 	if clock == nil {
 		clock = time.Now
 	}
-	ringSize := o.RingSize
-	if ringSize <= 0 {
-		ringSize = 256
+	return &Telemetry{
+		node:  o.Node,
+		clock: clock,
+		reg:   NewRegistryAt(o.Node, clock),
+		ring:  ring.New[Span](spanRingCap),
+		ids:   ring.IDs{Seed: uint64(clock().UnixNano())},
 	}
-	t := &Telemetry{
-		node:    o.Node,
-		clock:   clock,
-		reg:     NewRegistryAt(o.Node, clock),
-		ring:    NewSpanRing(ringSize),
-		slowLog: o.SlowLog,
-		seed:    uint64(clock().UnixNano()),
-	}
-	if o.SlowLog != nil && o.SlowThreshold > 0 {
-		t.slowNs = int64(o.SlowThreshold)
-	}
-	return t
 }
 
 // Registry returns the node's metrics registry (nil on nil telemetry).
@@ -72,15 +51,6 @@ func (t *Telemetry) Registry() *Registry {
 		return nil
 	}
 	return t.reg
-}
-
-// nextID returns a non-zero well-distributed 64-bit ID.
-func (t *Telemetry) nextID() uint64 {
-	id := splitmix64(t.seed + t.idc.Add(1))
-	if id == 0 {
-		id = 1
-	}
-	return id
 }
 
 // StartSpan begins a request span, drawing from the span pool. traceID
@@ -94,10 +64,10 @@ func (t *Telemetry) StartSpan(traceID uint64) *Span {
 	sp := spanPool.Get().(*Span)
 	sp.reset()
 	if traceID == 0 {
-		traceID = t.nextID()
+		traceID = t.ids.Next()
 	}
 	sp.TraceID = traceID
-	sp.SpanID = t.nextID()
+	sp.SpanID = t.ids.Next()
 	sp.Node = t.node
 	sp.clock = t.clock
 	now := t.clock()
@@ -107,34 +77,17 @@ func (t *Telemetry) StartSpan(traceID uint64) *Span {
 }
 
 // FinishSpan closes the span: stamps the total duration, copies it into
-// the ring, emits a slow-log line past the threshold, and recycles the
-// span. sp must not be used afterwards. Nil t or sp is a no-op.
+// the ring, and recycles the span. sp must not be used afterwards. Nil t
+// or sp is a no-op.
 func (t *Telemetry) FinishSpan(sp *Span) {
 	if t == nil || sp == nil {
 		return
 	}
 	sp.StartUnixNano = sp.begin.UnixNano()
 	sp.TotalNs = int64(t.clock().Sub(sp.begin))
-	t.ring.record(sp)
-	if t.slowNs > 0 && sp.TotalNs >= t.slowNs {
-		t.logSlow(sp)
-	}
+	t.ring.Put(t.ring.Next(), sp)
 	sp.reset()
 	spanPool.Put(sp)
-}
-
-// logSlow writes one human-readable line for a span past the slow
-// threshold. Rare by construction, so the formatting allocations are
-// acceptable.
-func (t *Telemetry) logSlow(sp *Span) {
-	t.slowMu.Lock()
-	defer t.slowMu.Unlock()
-	fmt.Fprintf(t.slowLog,
-		"slow request trace=%016x node=%s %s %s class=%s status=%d total=%v parse=%v route=%v cache=%v backend=%v reply=%v via=%s\n",
-		sp.TraceID, sp.Node, sp.Method, sp.Path, sp.Class, sp.Status,
-		time.Duration(sp.TotalNs), time.Duration(sp.ParseNs), time.Duration(sp.RouteNs),
-		time.Duration(sp.CacheNs), time.Duration(sp.BackendNs), time.Duration(sp.ReplyNs),
-		sp.Backend)
 }
 
 // Spans returns up to limit recent spans, newest first (nil telemetry
@@ -169,7 +122,7 @@ func (t *Telemetry) Report(maxSpans int) Report {
 
 // sortSpansBySlowest orders spans by descending total duration.
 func sortSpansBySlowest(spans []Span) {
-	// Insertion sort: rings are small (<=1024) and scrapes are rare.
+	// Insertion sort: the ring holds 256 spans and scrapes are rare.
 	for i := 1; i < len(spans); i++ {
 		for j := i; j > 0 && spans[j].TotalNs > spans[j-1].TotalNs; j-- {
 			spans[j], spans[j-1] = spans[j-1], spans[j]

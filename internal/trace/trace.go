@@ -53,7 +53,9 @@ func (e Entry) String() string {
 // ErrMalformedLine reports an unparsable log line.
 var ErrMalformedLine = errors.New("trace: malformed log line")
 
-// ParseLine parses one CLF line.
+// ParseLine parses one CLF line. The request line is read as String
+// writes it: a Go-quoted string, so a target holding a quote, a backslash
+// or a control byte comes back as the bytes the client sent.
 func ParseLine(line string) (Entry, error) {
 	// host ident user [time] "request" status bytes
 	openBracket := strings.IndexByte(line, '[')
@@ -73,16 +75,18 @@ func ParseLine(line string) (Entry, error) {
 	if len(rest) == 0 || rest[0] != '"' {
 		return Entry{}, fmt.Errorf("%w: no request in %q", ErrMalformedLine, line)
 	}
-	endQuote := strings.IndexByte(rest[1:], '"')
-	if endQuote < 0 {
+	quoted, err := strconv.QuotedPrefix(rest)
+	if err != nil {
 		return Entry{}, fmt.Errorf("%w: unterminated request in %q", ErrMalformedLine, line)
 	}
-	reqLine := rest[1 : 1+endQuote]
-	parts := strings.Fields(reqLine)
-	if len(parts) != 3 {
+	reqLine, _ := strconv.Unquote(quoted) // cannot fail: QuotedPrefix accepted it
+	// httpx splits the request line on single spaces, so the method and
+	// the target may hold any other byte, a tab included.
+	parts := strings.Split(reqLine, " ")
+	if len(parts) != 3 || parts[0] == "" || parts[1] == "" || parts[2] == "" {
 		return Entry{}, fmt.Errorf("%w: request line %q", ErrMalformedLine, reqLine)
 	}
-	tail := strings.Fields(rest[endQuote+2:])
+	tail := strings.Fields(rest[len(quoted):])
 	if len(tail) < 2 {
 		return Entry{}, fmt.Errorf("%w: missing status/bytes in %q", ErrMalformedLine, line)
 	}

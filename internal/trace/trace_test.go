@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"net/netip"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -86,6 +87,51 @@ func TestParseLineMalformed(t *testing.T) {
 			t.Errorf("ParseLine(%q) err = %v", line, err)
 		}
 	}
+}
+
+// FuzzParseLine: every line the distributor's access log can hold parses
+// back to the entry that wrote it. httpx ends the method and the target at
+// a space and the line at a line feed, and takes any other byte in them —
+// a quote, a backslash, a control byte, invalid UTF-8.
+func FuzzParseLine(f *testing.F) {
+	f.Add("GET", "/docs/a.html", true, 200, int64(4096), int64(955000000), int16(0), []byte{10, 1, 2, 3})
+	f.Add("GET", `/a"b`, true, 404, int64(0), int64(0), int16(-420), []byte{127, 0, 0, 1})
+	f.Add("GET", "/a\x01b", false, 200, int64(1), int64(1), int16(60), []byte{127, 0, 0, 1})
+	f.Add("P\"T", "/\\?q=\xff\t", true, 502, int64(-1), int64(253402214399), int16(1439), netip.MustParseAddr("2001:db8::1").AsSlice())
+	f.Fuzz(func(t *testing.T, method, target string, http11 bool, status int, n, unix int64, offMin int16, ip []byte) {
+		addr, ok := netip.AddrFromSlice(ip)
+		if !ok || !requestWord(method) || !requestWord(target) ||
+			unix < 0 || unix >= 253402214400 || offMin <= -24*60 || offMin >= 24*60 {
+			t.Skip()
+		}
+		proto := "HTTP/1.0"
+		if http11 {
+			proto = "HTTP/1.1"
+		}
+		e := Entry{
+			ClientIP: addr.String(),
+			Time:     time.Unix(unix, 0).In(time.FixedZone("", int(offMin)*60)),
+			Method:   method, Path: target, Proto: proto,
+			Status: status, Bytes: n,
+		}
+		line := e.String()
+		got, err := ParseLine(line)
+		if err != nil {
+			t.Fatalf("ParseLine(%q): %v", line, err)
+		}
+		if !got.Time.Equal(e.Time) {
+			t.Fatalf("ParseLine(%q).Time = %v, want %v", line, got.Time, e.Time)
+		}
+		got.Time = e.Time
+		if got != e {
+			t.Fatalf("ParseLine(%q) = %+v, want %+v", line, got, e)
+		}
+	})
+}
+
+// requestWord reports whether s can be a method or target httpx accepts.
+func requestWord(s string) bool {
+	return s != "" && !strings.ContainsAny(s, " \n")
 }
 
 func TestReadWriteRoundTrip(t *testing.T) {

@@ -150,23 +150,23 @@ const (
 	interiorOverheadBytes = 64
 )
 
-// counterStripes is the number of cache-line-padded stripes in the hot
+// stripeCount is the number of cache-line-padded stripes in the hot
 // counters; must be a power of two.
-const counterStripes = 16
+const stripeCount = 16
 
 // stripedCounter spreads increments across padded stripes indexed by the
 // request's path hash, so the counters the read path bumps on every route
 // don't put every core on one contended cache line. load sums the stripes
 // and is exact once concurrent writers quiesce.
 type stripedCounter struct {
-	stripes [counterStripes]struct {
+	stripes [stripeCount]struct {
 		v atomic.Int64
 		_ [56]byte // pad to a cache line so stripes don't false-share
 	}
 }
 
 func (c *stripedCounter) add(h uint32, d int64) {
-	c.stripes[h&(counterStripes-1)].v.Add(d)
+	c.stripes[h&(stripeCount-1)].v.Add(d)
 }
 
 func (c *stripedCounter) load() int64 {
