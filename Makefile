@@ -112,7 +112,8 @@ bench:
 	@cat BENCH_mgmt.json
 
 # Regression gates. A fast -benchtime=100x pass is enough for the
-# allocs/op gate because allocation counts are deterministic; the
+# allocs/op gate because allocation counts are deterministic (the cache
+# hit's are all the benchmark client's own, so its gate has no slack); the
 # throughput (MB/s) gate on the large-body relay runs at the default
 # benchtime so the number is meaningful, and fails when mb_per_sec drops
 # more than 10% below the archived snapshot. The management insert
@@ -129,6 +130,10 @@ allocguard:
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_telemetry.json
 	$(GO) test -run '^$$' -bench 'BenchmarkDistributorRelayLarge' -benchmem . \
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_relay.json
+	$(GO) test -run '^$$' -bench 'BenchmarkDistributorCacheHit$$' -benchtime=100x -benchmem . \
+		| $(GO) run ./cmd/benchguard -snapshot BENCH_cache.json -tolerance 0
+	$(GO) test -run '^$$' -bench 'BenchmarkDistributorCacheColdMiss$$' -benchtime=100x -benchmem . \
+		| $(GO) run ./cmd/benchguard -snapshot BENCH_cache.json
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmissionDecision$$' -benchtime=100x -benchmem . \
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_admission.json -tolerance 0
 	$(GO) test -run '^$$' -bench 'BenchmarkJournalRecord$$' -benchtime=100x -benchmem . \

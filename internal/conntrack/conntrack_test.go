@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"webcluster/internal/config"
+	"webcluster/internal/faults"
 	"webcluster/internal/testutil"
 )
 
@@ -452,6 +453,59 @@ func TestPoolUseAfterClose(t *testing.T) {
 	}
 	if err := p.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+// A checkout of an idle connection builds nothing on the heap: the node's
+// fault-point names are made once, with its pool.
+func TestPoolAcquireReleaseAllocFree(t *testing.T) {
+	addr, _, cleanup := poolServer(t)
+	defer cleanup()
+	p := NewPool(testDialer(addr), 1, 1)
+	defer func() { _ = p.Close() }()
+	if err := p.Prefork([]config.NodeID{"n1"}); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		pc, err := p.Acquire("n1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release(pc)
+	})
+	if allocs != 0 {
+		t.Fatalf("Acquire+Release allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// The per-node fault points keep their names: pool.checkout/<node> and
+// pool.dial/<node> refuse exactly that node.
+func TestPoolFaultPoints(t *testing.T) {
+	addr, _, cleanup := poolServer(t)
+	defer cleanup()
+	in := faults.New(1)
+	p := NewPool(testDialer(addr), 0, 2)
+	p.SetFaults(in)
+	defer func() { _ = p.Close() }()
+	in.Set("pool.checkout/n1", faults.Rule{Refuse: true})
+	if _, err := p.Acquire("n1"); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("checkout under a refuse rule: %v", err)
+	}
+	if got := in.Fired("pool.checkout/n1"); got != 1 {
+		t.Fatalf("pool.checkout/n1 fired %d times, want 1", got)
+	}
+	pc, err := p.Acquire("n2")
+	if err != nil {
+		t.Fatalf("checkout of another node: %v", err)
+	}
+	p.Release(pc)
+	in.Clear("pool.checkout/n1")
+	in.Set("pool.dial/n1", faults.Rule{Refuse: true})
+	if _, err := p.Acquire("n1"); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("dial under a refuse rule: %v", err)
+	}
+	if got := in.Fired("pool.dial/n1"); got != 1 {
+		t.Fatalf("pool.dial/n1 fired %d times, want 1", got)
 	}
 }
 

@@ -33,6 +33,11 @@ type PooledConn struct {
 
 // nodePool is the per-node idle list plus dial accounting.
 type nodePool struct {
+	node config.NodeID
+	// The node's fault points, named once here so a checkout builds no
+	// string whether or not an injector is attached.
+	dialPoint, connPoint, checkoutPoint string
+
 	mu     sync.Mutex
 	cond   *sync.Cond
 	idle   []*PooledConn
@@ -105,7 +110,13 @@ func (p *Pool) nodeFor(node config.NodeID) (*nodePool, error) {
 	}
 	np, ok := p.nodes[node]
 	if !ok {
-		np = &nodePool{max: p.max}
+		np = &nodePool{
+			node:          node,
+			dialPoint:     "pool.dial/" + string(node),
+			connPoint:     "pool.conn/" + string(node),
+			checkoutPoint: "pool.checkout/" + string(node),
+			max:           p.max,
+		}
 		np.cond = sync.NewCond(&np.mu)
 		p.nodes[node] = np
 	}
@@ -123,7 +134,7 @@ func (p *Pool) Prefork(nodes []config.NodeID) error {
 			return err
 		}
 		for i := 0; i < p.prefork; i++ {
-			pc, err := p.dialNode(node)
+			pc, err := p.dialNode(np)
 			if err != nil {
 				errs = append(errs, fmt.Errorf("prefork %s: %w", node, err))
 				break
@@ -137,18 +148,18 @@ func (p *Pool) Prefork(nodes []config.NodeID) error {
 	return errors.Join(errs...)
 }
 
-// dialNode opens one new connection to node.
-func (p *Pool) dialNode(node config.NodeID) (*PooledConn, error) {
+// dialNode opens one new connection to np's node.
+func (p *Pool) dialNode(np *nodePool) (*PooledConn, error) {
 	in := p.injector()
-	if err := in.Fail("pool.dial/" + string(node)); err != nil {
-		return nil, fmt.Errorf("dialing %s: %w", node, err)
+	if err := in.Fail(np.dialPoint); err != nil {
+		return nil, fmt.Errorf("dialing %s: %w", np.node, err)
 	}
-	conn, err := p.dial(node)
+	conn, err := p.dial(np.node)
 	if err != nil {
-		return nil, fmt.Errorf("dialing %s: %w", node, err)
+		return nil, fmt.Errorf("dialing %s: %w", np.node, err)
 	}
-	conn = in.Conn("pool.conn/"+string(node), conn)
-	return &PooledConn{Node: node, Conn: conn, Reader: httpx.AcquireReader(conn)}, nil
+	conn = in.Conn(np.connPoint, conn)
+	return &PooledConn{Node: np.node, Conn: conn, Reader: httpx.AcquireReader(conn)}, nil
 }
 
 // releaseReader returns pc's buffered reader to the shared pool. Only safe
@@ -164,12 +175,12 @@ func releaseReader(pc *PooledConn) {
 // one, dialing a fresh one when under the per-node maximum, and otherwise
 // blocking until a connection is released.
 func (p *Pool) Acquire(node config.NodeID) (*PooledConn, error) {
-	if err := p.injector().Fail("pool.checkout/" + string(node)); err != nil {
-		return nil, fmt.Errorf("checkout %s: %w", node, err)
-	}
 	np, err := p.nodeFor(node)
 	if err != nil {
 		return nil, err
+	}
+	if err := p.injector().Fail(np.checkoutPoint); err != nil {
+		return nil, fmt.Errorf("checkout %s: %w", node, err)
 	}
 	np.mu.Lock()
 	for {
@@ -187,7 +198,7 @@ func (p *Pool) Acquire(node config.NodeID) (*PooledConn, error) {
 		if np.total < np.max {
 			np.total++
 			np.mu.Unlock()
-			pc, err := p.dialNode(node)
+			pc, err := p.dialNode(np)
 			if err != nil {
 				np.mu.Lock()
 				np.total--

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -13,7 +14,9 @@ import (
 
 	"webcluster/internal/backend"
 	"webcluster/internal/httpx"
+	"webcluster/internal/journal"
 	"webcluster/internal/respcache"
+	"webcluster/internal/telemetry"
 )
 
 // withCache returns a startClusterOpts tweak enabling the response cache.
@@ -90,6 +93,90 @@ func TestCacheHitSkipsBackend(t *testing.T) {
 	if st := rc.Stats(); st.Hits < 5 || st.Fills != 1 {
 		t.Fatalf("cache stats = %+v", st)
 	}
+}
+
+// One request counts once: the cold GET that leads the fill is one miss
+// (the leader's double-check records nothing), the next GET one hit.
+func TestCacheCountsEachRequestOnce(t *testing.T) {
+	rc := respcache.New(respcache.Options{FreshTTL: time.Hour})
+	tc := startClusterOpts(t, 1, withCache(rc))
+	tc.place(t, "/once.html", []byte("<html>once</html>"), "n1")
+	if v := fetch(t, tc.front, "/once.html", httpx.Proto11).Header.Get("X-Dist-Cache"); v != "MISS" {
+		t.Fatalf("cold fetch verdict = %q, want MISS", v)
+	}
+	if st := rc.Stats(); st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("after one cold GET: misses=%d hits=%d, want 1 and 0", st.Misses, st.Hits)
+	}
+	if v := fetch(t, tc.front, "/once.html", httpx.Proto11).Header.Get("X-Dist-Cache"); v != "HIT" {
+		t.Fatalf("warm fetch verdict = %q, want HIT", v)
+	}
+	if st := rc.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("after a hit: misses=%d hits=%d, want 1 and 1", st.Misses, st.Hits)
+	}
+}
+
+// A keep-alive cache hit allocates nothing in the distributor, parse to
+// finish, with telemetry and the journal attached as core.Attach wires
+// them: the target adopts the URL table's path string and the repeated
+// header lines reuse the previous request's strings. The client writes a
+// pre-rendered request and reads the known-length response into a fixed
+// buffer, so it allocates nothing either.
+func TestCacheHitAllocFree(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector makes sync.Pool drop Puts, so pooled state is reallocated")
+	}
+	epoch := time.Unix(1_700_000_000, 0)
+	rc := respcache.New(respcache.Options{FreshTTL: time.Hour, Clock: func() time.Time { return epoch }})
+	tc := startClusterOpts(t, 1, func(o *Options) {
+		o.Cache = rc
+		o.Telemetry = telemetry.New(telemetry.Options{Node: "distributor"})
+		o.Journal = journal.New(journal.Options{Node: "front"})
+	})
+	tc.place(t, "/docs/hot.html", bytes.Repeat([]byte("h"), 4096), "n1")
+	conn, err := net.Dial("tcp", tc.front)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	get := []byte("GET /docs/hot.html HTTP/1.1\r\nHost: cluster.example\r\nUser-Agent: webbench\r\n\r\n")
+	var raw bytes.Buffer
+	for _, want := range []string{"MISS", "HIT"} {
+		raw.Reset()
+		if _, err := conn.Write(get); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := httpx.ReadResponse(bufio.NewReader(io.TeeReader(conn, &raw)))
+		if err != nil || resp.Header.Get("X-Dist-Cache") != want {
+			t.Fatalf("warm-up: %v, verdict %q, want %s", err, resp.Header.Get("X-Dist-Cache"), want)
+		}
+	}
+	buf := make([]byte, raw.Len())
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := conn.Write(get); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(buf, raw.Bytes()) {
+		t.Fatalf("a measured hit answered differently:\n%q\nwant\n%q", buf, raw.Bytes())
+	}
+	if allocs != 0 {
+		t.Fatalf("cache hit: %.1f allocations, want 0", allocs)
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }
 
 func TestCacheClientConditional(t *testing.T) {

@@ -220,6 +220,9 @@ func New(opts Options) (*Distributor, error) {
 		exchangeRetries: exchangeRetries,
 		retryBackoff:    retryBackoff,
 	}
+	// A request for a placed path adopts the table entry's path string
+	// instead of copying its target: a cache hit then leaves no garbage.
+	d.pools.Targets = d.table.PlacedPath
 	addrs := make(map[config.NodeID]string, len(opts.Cluster.Nodes))
 	for _, n := range opts.Cluster.Nodes {
 		addrs[n.ID] = n.Addr

@@ -90,7 +90,7 @@ func (x *exchange) parse(br *bufio.Reader) error {
 			x.span = x.d.tel.StartSpan(0)
 		}
 	}
-	err := httpx.ReadRequestInto(br, x.req)
+	err := x.d.pools.ReadRequestInto(br, x.req)
 	x.start = time.Now()
 	x.span.MarkParse()
 	if err != nil && !errors.Is(err, httpx.ErrBodyTooLarge) {
@@ -223,8 +223,9 @@ func (x *exchange) lookup() (*respcache.Entry, string) {
 	}
 	if state == respcache.Miss {
 		// double-check after winning the flight: a previous leader may have
-		// filled the entry between our Get miss and BeginFlight
-		if e, st := c.Get(path); st == respcache.Fresh {
+		// filled the entry between our Get miss and BeginFlight; Peek, so
+		// the miss is counted (and the sketch bumped) once
+		if e := c.Peek(path); e != nil {
 			f.Finish(e, nil)
 			return e, "HIT"
 		}

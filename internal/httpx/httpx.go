@@ -281,8 +281,9 @@ func internValue(b []byte) string {
 }
 
 // canonFieldKey canonicalizes a wire header name and interns the keys this
-// system sees on every message, so steady-state parsing allocates nothing.
-func canonFieldKey(b []byte) string {
+// system sees on every message, or reuses prev when the name repeats it, so
+// steady-state parsing allocates nothing.
+func canonFieldKey(b []byte, prev string) string {
 	var tmp [64]byte
 	if len(b) > len(tmp) {
 		return CanonicalKey(string(b))
@@ -339,6 +340,9 @@ func canonFieldKey(b []byte) string {
 	case "X-Dist-Class":
 		return "X-Dist-Class"
 	}
+	if string(s) == prev {
+		return prev
+	}
 	return string(s)
 }
 
@@ -363,7 +367,8 @@ func readHeaderInto(br *bufio.Reader, h *Header, trace, span *uint64, deadline *
 		if idx <= 0 {
 			return fmt.Errorf("%w: header %q", ErrMalformedRequest, line)
 		}
-		key := canonFieldKey(line[:idx])
+		prev := h.next()
+		key := canonFieldKey(line[:idx], prev.Key)
 		if key == "X-Dist-Trace" && trace != nil {
 			*trace, _ = parseHex(bytes.TrimSpace(line[idx+1:]))
 			continue
@@ -376,9 +381,24 @@ func readHeaderInto(br *bufio.Reader, h *Header, trace, span *uint64, deadline *
 			*deadline, _ = ParseDeadline(bytes.TrimSpace(line[idx+1:]))
 			continue
 		}
-		val := internValue(bytes.TrimSpace(line[idx+1:]))
-		h.setCanonical(key, val)
+		val := bytes.TrimSpace(line[idx+1:])
+		if key == prev.Key && string(val) == prev.Value {
+			h.setCanonical(key, prev.Value)
+		} else {
+			h.setCanonical(key, internValue(val))
+		}
 	}
+}
+
+// next returns the field in the slot past h's end: on a reused Request, the
+// previous request's field at this index (reset keeps the backing array).
+// A keep-alive client repeats its header lines, so a field whose key and
+// value bytes equal it reuses its strings instead of copying.
+func (h Header) next() Field {
+	if n := len(h); n < cap(h) {
+		return h[:n+1][n]
+	}
+	return Field{}
 }
 
 // ReadRequest parses one request from br. io.EOF is returned unwrapped when
@@ -391,11 +411,19 @@ func ReadRequest(br *bufio.Reader) (*Request, error) {
 	return req, nil
 }
 
+// ReadRequestInto is Pools.ReadRequestInto on the default pool set, which
+// resolves no targets.
+func ReadRequestInto(br *bufio.Reader, req *Request) error {
+	return defaultPools.ReadRequestInto(br, req)
+}
+
 // ReadRequestInto parses one request from br into req, reusing req's
 // header and body storage — the allocation-free path for keep-alive loops.
+// A target p.Targets resolves becomes the resolver's string; a header
+// field repeating the previous request's on req reuses its strings.
 // io.EOF is returned unwrapped when the connection closes cleanly before
 // any byte of a new request.
-func ReadRequestInto(br *bufio.Reader, req *Request) error {
+func (p *Pools) ReadRequestInto(br *bufio.Reader, req *Request) error {
 	req.reset()
 	line, err := readLineBytes(br)
 	if err != nil {
@@ -423,7 +451,7 @@ func ReadRequestInto(br *bufio.Reader, req *Request) error {
 		return fmt.Errorf("%w: %q", ErrUnsupportedProto, proto)
 	}
 	req.Method = internMethod(line[:sp1])
-	req.Target = string(rest[:sp2])
+	req.Target = p.target(rest[:sp2])
 	req.Path, req.Query, _ = strings.Cut(req.Target, "?")
 
 	if err := readHeaderInto(br, &req.Header, &req.TraceID, nil, &req.Deadline); err != nil {
@@ -444,6 +472,17 @@ func ReadRequestInto(br *bufio.Reader, req *Request) error {
 		}
 	}
 	return nil
+}
+
+// target returns the string for a request-target: the resolver's when it
+// holds one, else a copy.
+func (p *Pools) target(b []byte) string {
+	if p.Targets != nil {
+		if s, ok := p.Targets(b); ok {
+			return s
+		}
+	}
+	return string(b)
 }
 
 // grow returns b resized to n bytes, reusing its backing array when large

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -296,6 +297,102 @@ func TestPipelinedRequests(t *testing.T) {
 	r2, err := ReadRequest(br)
 	if err != nil || r2.Path != "/b" {
 		t.Fatalf("second: %v %+v", err, r2)
+	}
+}
+
+// requestStreams are the request inputs of this package's parser tests, as
+// keep-alive streams, so every case is also parsed into a Request that
+// held the previous one.
+var requestStreams = []string{
+	"GET /docs/a.html?x=1 HTTP/1.1\r\nHost: example\r\n\r\n",
+	"GET / HTTP/1.0\nHost: h\n\n",
+	"POST /cgi-bin/f.cgi HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
+	"POST /asp/p.asp?q=2 HTTP/1.1\r\nHost: h\r\nX-Test: yes\r\nContent-Length: 7\r\n\r\npayload",
+	"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n",
+	"POST /a HTTP/1.1\r\nHost: h\r\nContent-Length: 3\r\n\r\nabc" +
+		"GET /b HTTP/1.1\r\nHost: h\r\n\r\n",
+	"GET /docs/a.html HTTP/1.1\r\nHost: bench.example\r\nUser-Agent: webbench\r\n\r\n" +
+		"GET /docs/a.html HTTP/1.1\r\nHost: bench.example\r\nUser-Agent: webbench\r\n\r\n" +
+		"GET /docs//a.html HTTP/1.1\r\nhost: bench.example\r\nConnection: close\r\n\r\n",
+	"GET /x HTTP/1.1\r\nX-Dist-Trace: feedc0dedeadbeef\r\nX-Dist-Deadline: 1700000000000000000\r\nX-Dist-Class: batch\r\n\r\n" +
+		"HEAD /x HTTP/1.0\r\nConnection: keep-alive\r\nIf-None-Match: \"v1\"\r\n\r\n",
+}
+
+// placed resolves the targets a URL table would hold for the streams.
+func placed(target []byte) (string, bool) {
+	for _, p := range []string{"/docs/a.html", "/a", "/b", "/x", "/", "/asp/p.asp?q=2"} {
+		if p == string(target) {
+			return p, true
+		}
+	}
+	return "", false
+}
+
+// Parsing with a target resolver gives the same requests, field for field,
+// as parsing without one.
+func TestReadRequestIntoResolverDifferential(t *testing.T) {
+	resolving := NewPools()
+	resolving.Targets = placed
+	for _, raw := range requestStreams {
+		plainBR := bufio.NewReader(strings.NewReader(raw))
+		resBR := bufio.NewReader(strings.NewReader(raw))
+		plain := &Request{Header: make(Header, 0, 8)}
+		res := &Request{Header: make(Header, 0, 8)}
+		for i := 0; ; i++ {
+			perr := ReadRequestInto(plainBR, plain)
+			rerr := resolving.ReadRequestInto(resBR, res)
+			if (perr == nil) != (rerr == nil) {
+				t.Fatalf("%q request %d: plain err %v, resolving err %v", raw, i, perr, rerr)
+			}
+			if perr != nil {
+				break
+			}
+			if !reflect.DeepEqual(plain, res) {
+				t.Fatalf("%q request %d:\nplain     %+v\nresolving %+v", raw, i, plain, res)
+			}
+		}
+	}
+}
+
+// A keep-alive request repeating its predecessor reuses its strings; a
+// value or key that changed is read fresh.
+func TestReadRequestIntoReusesRepeatedFields(t *testing.T) {
+	const first = "GET /docs/a.html HTTP/1.1\r\nHost: bench.example\r\nX-V: one\r\n\r\n"
+	p := NewPools()
+	p.Targets = placed
+	req := p.AcquireRequest()
+	defer p.ReleaseRequest(req)
+	src := strings.NewReader(first)
+	br := bufio.NewReader(src)
+	if err := p.ReadRequestInto(br, req); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(first)
+		br.Reset(src)
+		if err := p.ReadRequestInto(br, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("repeated request for a placed path: %.1f allocations, want 0", allocs)
+	}
+	for _, next := range []string{
+		"GET /docs/a.html HTTP/1.1\r\nHost: bench.example\r\nX-V: two\r\n\r\n",
+		"GET /docs/a.html HTTP/1.1\r\nHost: bench.example\r\nX-W: one\r\n\r\n",
+		"GET /docs/a.html HTTP/1.1\r\nX-V: one\r\nHost: bench.example\r\n\r\n",
+	} {
+		src.Reset(first + next)
+		br.Reset(src)
+		for i := 0; i < 2; i++ {
+			if err := p.ReadRequestInto(br, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := parse(t, next)
+		if !reflect.DeepEqual(req.Header, want.Header) {
+			t.Fatalf("after %q:\nheader %+v\nwant   %+v", next, req.Header, want.Header)
+		}
 	}
 }
 

@@ -30,6 +30,13 @@ const (
 // package-level Acquire/Release functions. Values acquired from a Pools
 // are released back to the same Pools.
 type Pools struct {
+	// Targets, when set, resolves a request-target's bytes to a string the
+	// caller already holds (the distributor's URL-table paths), so parsing
+	// a request for one allocates no target string. It reports false for
+	// anything it does not hold, and must not retain or alias the bytes.
+	// Set it before the pools parse; the package default has none.
+	Targets func(target []byte) (string, bool)
+
 	readers  sync.Pool
 	requests sync.Pool
 	copyBufs sync.Pool

@@ -238,6 +238,18 @@ func (c *Cache) Get(path string) (*Entry, State) {
 	return e, Stale
 }
 
+// Peek returns path's entry if it is fresh, recording nothing: no hit or
+// miss, no sketch bump, no recency change. A miss leader's double-check
+// uses it, so the request its Get already counted is not counted twice.
+func (c *Cache) Peek(path string) *Entry {
+	h := hashKey(path)
+	e := c.shardFor(h).peek(path)
+	if e == nil || c.opts.Clock().UnixNano() > e.expires.Load() {
+		return nil
+	}
+	return e
+}
+
 // Put stores the entry for path, subject to size and frequency admission.
 // Returns whether the entry was admitted.
 func (c *Cache) Put(path string, e *Entry) bool {

@@ -128,6 +128,17 @@ func (s *shard) get(key string, hash uint64, nowNanos int64, staleTTL int64) *En
 	return n.entry
 }
 
+// peek returns key's entry, if resident, touching neither the sketch nor
+// recency.
+func (s *shard) peek(key string) *Entry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n, ok := s.items[key]; ok {
+		return n.entry
+	}
+	return nil
+}
+
 // put inserts or replaces the entry, applying TinyLFU admission when the
 // shard is full: the candidate is dropped unless the sketch estimates it
 // at least as popular as each probation victim it would evict. Returns

@@ -240,38 +240,31 @@ func splitPath(p string) ([]string, error) {
 }
 
 // findPath walks root to the entry for path without allocating, segmenting
-// the string in place. It returns the entry (nil when absent), the number
-// of segments walked, and ErrBadPath for non-absolute or empty paths.
-func findPath(root *node, path string) (*entry, int, error) {
-	if !strings.HasPrefix(path, "/") {
-		return nil, 0, fmt.Errorf("%w: %q", ErrBadPath, path)
+// it in place; a []byte path indexes the maps without a string copy. It
+// returns the entry (nil when absent) and the number of segments walked,
+// 0 for a non-absolute or empty path.
+func findPath[P string | []byte](root *node, path P) (*entry, int) {
+	if len(path) == 0 || path[0] != '/' {
+		return nil, 0
 	}
 	cur := root
 	depth := 0
-	for start := 1; start <= len(path); {
-		var seg string
-		if end := strings.IndexByte(path[start:], '/'); end < 0 {
-			seg = path[start:]
-			start = len(path) + 1
-		} else {
-			seg = path[start : start+end]
-			start += end + 1
-		}
-		if seg == "" {
+	for start, i := 1, 1; i <= len(path); i++ {
+		if i < len(path) && path[i] != '/' {
 			continue
 		}
-		depth++
-		if cur != nil {
-			cur = cur.children[seg]
+		if i > start {
+			depth++
+			if cur != nil {
+				cur = cur.children[string(path[start:i])]
+			}
 		}
+		start = i + 1
 	}
-	if depth == 0 {
-		return nil, 0, fmt.Errorf("%w: %q has no segments", ErrBadPath, path)
+	if cur == nil || depth == 0 {
+		return nil, depth
 	}
-	if cur == nil {
-		return nil, depth, nil
-	}
-	return cur.leaf, depth, nil
+	return cur.leaf, depth
 }
 
 // findSegs walks root by pre-split segments (the mutator path).
@@ -399,15 +392,32 @@ func (t *Table) Insert(obj content.Object, locations ...config.NodeID) error {
 func (t *Table) lookupEntry(path string) (*entry, error) {
 	h := fnv32(path)
 	t.lookups.add(h, 1)
-	e, depth, err := findPath(t.root.Load(), path)
-	if err != nil {
-		return nil, err
+	e, depth := findPath(t.root.Load(), path)
+	if depth == 0 {
+		if !strings.HasPrefix(path, "/") {
+			return nil, fmt.Errorf("%w: %q", ErrBadPath, path)
+		}
+		return nil, fmt.Errorf("%w: %q has no segments", ErrBadPath, path)
 	}
 	t.walkDepths.add(h, int64(depth))
 	if e == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, path)
 	}
 	return e, nil
+}
+
+// PlacedPath returns the path string of the entry whose path is
+// byte-for-byte target, and false when there is none — including a target
+// that only routes to an entry, with a doubled or trailing '/' or a query.
+// The string is the entry's own (immutable, already on the heap), so a
+// request parser can adopt it instead of copying target. PlacedPath walks
+// the current root lock-free and counts nothing: no hit, no lookup.
+func (t *Table) PlacedPath(target []byte) (string, bool) {
+	e, _ := findPath(t.root.Load(), target)
+	if e == nil || e.path != string(target) {
+		return "", false
+	}
+	return e.path, true
 }
 
 // Hint is an empty placeholder.

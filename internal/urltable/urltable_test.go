@@ -292,11 +292,21 @@ func TestStatsCountLookups(t *testing.T) {
 	}
 }
 
-// A mutation that has returned is visible to the very next Route: nothing
-// sits between the caller and the current root.
+// A mutation that has returned is visible to the very next Route and
+// PlacedPath: nothing sits between the caller and the current root.
 func TestMutationVisibleToNextRoute(t *testing.T) {
 	tbl := newTable(t)
+	placed := func(p string) bool {
+		_, ok := tbl.PlacedPath([]byte(p))
+		return ok
+	}
+	if placed("/a") {
+		t.Fatal("PlacedPath found /a before its Insert")
+	}
 	_ = tbl.Insert(obj("/a", 1), "n1")
+	if !placed("/a") {
+		t.Fatal("PlacedPath missed /a after its Insert")
+	}
 	route := func() (Record, error) { return tbl.Route("/a") }
 	if rec, err := route(); err != nil || len(rec.Locations) != 1 {
 		t.Fatalf("route = %+v, %v", rec, err)
@@ -317,13 +327,64 @@ func TestMutationVisibleToNextRoute(t *testing.T) {
 	if _, err := route(); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("renamed-away path still routes: %v", err)
 	}
+	if placed("/a") || !placed("/b") {
+		t.Fatalf("PlacedPath after Rename(/a, /b): /a %v, /b %v", placed("/a"), placed("/b"))
+	}
 	_ = tbl.Rename("/b", "/a")
 	_ = tbl.Remove("/a")
 	if _, err := route(); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("removed path still routes: %v", err)
 	}
+	if placed("/a") {
+		t.Fatal("PlacedPath found /a after its Remove")
+	}
 	if err := tbl.SetSize("/a", 1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("SetSize on a removed path = %v", err)
+	}
+}
+
+// PlacedPath hands back the entry's own string for an exact byte match and
+// nothing else, never aliases the caller's buffer, counts nothing and
+// allocates nothing.
+func TestPlacedPath(t *testing.T) {
+	tbl := newTable(t)
+	_ = tbl.Insert(obj("/docs/a.html", 1), "n1")
+	_ = tbl.Insert(obj("/docs", 1), "n1")
+	_, _ = tbl.Route("/docs/a.html")
+	before := tbl.Stats()
+	rec, _ := tbl.Lookup("/docs/a.html")
+	hits := rec.Hits
+	before.Lookups++ // the Lookup just above
+
+	buf := []byte("/docs/a.html")
+	got, ok := tbl.PlacedPath(buf)
+	if !ok || got != "/docs/a.html" {
+		t.Fatalf("PlacedPath(%q) = %q, %v", buf, got, ok)
+	}
+	copy(buf, "/XXXX/X.XXXX")
+	if got != "/docs/a.html" {
+		t.Fatalf("PlacedPath's string aliases the caller's buffer: now %q", got)
+	}
+	for _, miss := range []string{
+		"/docs//a.html", "//docs/a.html", "/docs/a.html/", "/docs/", "/docs/a.html?v=1",
+		"/docs/a.htm", "/docs/a.html.bak", "/docs/b.html", "docs/a.html", "", "/", "*",
+	} {
+		if got, ok := tbl.PlacedPath([]byte(miss)); ok || got != "" {
+			t.Errorf("PlacedPath(%q) = %q, %v; want no match", miss, got, ok)
+		}
+	}
+	if got, ok := tbl.PlacedPath([]byte("/docs")); !ok || got != "/docs" {
+		t.Errorf("PlacedPath(/docs) = %q, %v", got, ok)
+	}
+	if after := tbl.Stats(); after != before {
+		t.Fatalf("PlacedPath moved Stats: %+v → %+v", before, after)
+	}
+	if rec, _ := tbl.Lookup("/docs/a.html"); rec.Hits != hits {
+		t.Fatalf("PlacedPath counted a hit: %d → %d", hits, rec.Hits)
+	}
+	target := []byte("/docs/a.html")
+	if n := testing.AllocsPerRun(100, func() { _, _ = tbl.PlacedPath(target) }); n != 0 {
+		t.Fatalf("PlacedPath allocates %.1f times per call", n)
 	}
 }
 
