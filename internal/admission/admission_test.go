@@ -47,10 +47,10 @@ func TestClassify(t *testing.T) {
 	}{
 		{"batch", "/api/checkout", Batch}, // header wins over rules
 		{"critical", "/feeds/all", Critical},
-		{"", "/api/checkout", Critical},      // prefix rule
-		{"", "/api/export/dump", Batch},      // longest prefix wins
-		{"", "/feeds/all", Batch},            //
-		{"", "/index.html", Interactive},     // default
+		{"", "/api/checkout", Critical},          // prefix rule
+		{"", "/api/export/dump", Batch},          // longest prefix wins
+		{"", "/feeds/all", Batch},                //
+		{"", "/index.html", Interactive},         // default
 		{"nonsense", "/index.html", Interactive}, // bad header falls through to rules/default
 		{"nonsense", "/feeds/all", Batch},
 	}

@@ -478,6 +478,47 @@ func TestPoolAcquireReleaseAllocFree(t *testing.T) {
 	}
 }
 
+// A back-end connection's reader is its own: made at dial with room for a
+// small response whole, kept through Discard and Close — no pool takes it
+// back to hand to another connection — and a dial after a discard makes a
+// fresh one.
+func TestPoolConnOwnsItsReader(t *testing.T) {
+	addr, _, cleanup := poolServer(t)
+	defer cleanup()
+	p := NewPool(testDialer(addr), 1, 1)
+	defer func() { _ = p.Close() }()
+	if err := p.Prefork([]config.NodeID{"n1"}); err != nil {
+		t.Fatal(err)
+	}
+	a, err := p.Acquire("n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra := a.Reader
+	if ra == nil || ra.Size() != backendReaderSize {
+		t.Fatalf("dialed connection's reader: %v, want %d bytes", ra, backendReaderSize)
+	}
+	p.Discard(a)
+	if a.Reader != ra {
+		t.Fatal("Discard took the connection's reader back")
+	}
+	b, err := p.Acquire("n1") // the discard freed the only slot: a new dial
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Reader == ra || b.Reader.Size() != backendReaderSize {
+		t.Fatal("a dial after a discard reused the discarded connection's reader")
+	}
+	p.Release(b)
+	rb := b.Reader
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if b.Reader != rb {
+		t.Fatal("Close took the idle connection's reader back")
+	}
+}
+
 // The per-node fault points keep their names: pool.checkout/<node> and
 // pool.dial/<node> refuse exactly that node.
 func TestPoolFaultPoints(t *testing.T) {

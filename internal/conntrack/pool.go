@@ -9,7 +9,6 @@ import (
 
 	"webcluster/internal/config"
 	"webcluster/internal/faults"
-	"webcluster/internal/httpx"
 )
 
 // ErrPoolClosed reports use of a closed pool.
@@ -20,9 +19,8 @@ type Dialer func(node config.NodeID) (net.Conn, error)
 
 // PooledConn is one pre-forked persistent connection to a back end. It
 // carries a buffered reader so response parsing never loses bytes across
-// requests on the same connection. The reader comes from the shared httpx
-// pool and is returned to it when the connection is discarded, so a churn
-// of back-end connections does not churn 4 KiB read buffers.
+// requests on the same connection. The reader is the connection's own:
+// made at dial, backendReaderSize bytes, and dropped with the connection.
 type PooledConn struct {
 	Node   config.NodeID
 	Conn   net.Conn
@@ -148,6 +146,14 @@ func (p *Pool) Prefork(nodes []config.NodeID) error {
 	return errors.Join(errs...)
 }
 
+// backendReaderSize is a back-end connection's read buffer. The content
+// model's small objects top out at 8 KiB, so a small response — header
+// plus body, which a back end sends in one write — fits whole with room to
+// spare: one read(2) takes it off the socket and the relay sends it on in
+// one writev(2). Client-side and back-end-server readers stay at httpx's
+// pooled 4 KiB: requests are small and idle keep-alive clients are many.
+const backendReaderSize = 16 << 10
+
 // dialNode opens one new connection to np's node.
 func (p *Pool) dialNode(np *nodePool) (*PooledConn, error) {
 	in := p.injector()
@@ -159,16 +165,7 @@ func (p *Pool) dialNode(np *nodePool) (*PooledConn, error) {
 		return nil, fmt.Errorf("dialing %s: %w", np.node, err)
 	}
 	conn = in.Conn(np.connPoint, conn)
-	return &PooledConn{Node: np.node, Conn: conn, Reader: httpx.AcquireReader(conn)}, nil
-}
-
-// releaseReader returns pc's buffered reader to the shared pool. Only safe
-// once pc's connection is closed (any buffered bytes are dead).
-func releaseReader(pc *PooledConn) {
-	if pc.Reader != nil {
-		httpx.ReleaseReader(pc.Reader)
-		pc.Reader = nil
-	}
+	return &PooledConn{Node: np.node, Conn: conn, Reader: bufio.NewReaderSize(conn, backendReaderSize)}, nil
 }
 
 // Acquire checks out a connection to node, preferring an idle pre-forked
@@ -220,14 +217,12 @@ func (p *Pool) Release(pc *PooledConn) {
 	np, err := p.nodeFor(pc.Node)
 	if err != nil {
 		_ = pc.Conn.Close()
-		releaseReader(pc)
 		return
 	}
 	np.mu.Lock()
 	defer np.mu.Unlock()
 	if np.closed {
 		_ = pc.Conn.Close()
-		releaseReader(pc)
 		return
 	}
 	pc.Uses++
@@ -238,7 +233,6 @@ func (p *Pool) Release(pc *PooledConn) {
 // Discard drops a broken connection, freeing its slot.
 func (p *Pool) Discard(pc *PooledConn) {
 	_ = pc.Conn.Close()
-	releaseReader(pc)
 	np, err := p.nodeFor(pc.Node)
 	if err != nil {
 		return
@@ -293,7 +287,6 @@ func (p *Pool) Close() error {
 			if err := pc.Conn.Close(); err != nil {
 				errs = append(errs, err)
 			}
-			releaseReader(pc)
 		}
 		np.idle = nil
 		np.cond.Broadcast()

@@ -343,7 +343,8 @@ func (d *Distributor) serveClient(client net.Conn) {
 	defer d.pools.ReleaseReader(br)
 	req := d.pools.AcquireRequest()
 	defer d.pools.ReleaseRequest(req)
-	x := exchange{d: d, client: client, key: key, req: req}
+	x := exchange{d: d, client: client, key: key, req: req,
+		cands: make([]loadbal.NodeState, 0, len(d.cluster.Nodes))}
 	clean := false
 	for {
 		err := x.parse(br)
@@ -357,6 +358,13 @@ func (d *Distributor) serveClient(client net.Conn) {
 			// The request line and headers parsed; the body was refused
 			// unread, so the stream cannot carry another request.
 			x.replyError(413, "request body too large\n", outTooLarge)
+			break
+		}
+		if errors.Is(err, httpx.ErrTransferEncoding) {
+			// The request line parsed, but nothing says where its body
+			// ends: forwarding it framed by Content-Length alone would
+			// desynchronize the back-end connection.
+			x.replyError(501, "transfer-encoding not implemented\n", outNotImplemented)
 			break
 		}
 		if err != nil {
@@ -394,18 +402,19 @@ func idempotent(req *httpx.Request) bool {
 }
 
 // exchangeStart sends req over a pre-forked connection to node and parses
-// the response header, leaving the body unread on the returned connection
-// (the caller streams it with httpx.RelayResponse). Each attempt runs
-// under the exchange deadline so a stalled or slow-loris back end surfaces
-// as a timeout instead of hanging the relay goroutine; failed attempts
-// discard the connection and retry (bounded, with doubling backoff) — a
-// stale keep-alive connection is the common recoverable case. Retries only
-// happen for idempotent requests: a non-idempotent body was already sent
-// on the wire once, so a second send could apply its effect twice.
+// the response header into resp, leaving the body unread on the returned
+// connection (the caller streams it with httpx.RelayResponse). Each
+// attempt runs under the exchange deadline so a stalled or slow-loris back
+// end surfaces as a timeout instead of hanging the relay goroutine; failed
+// attempts discard the connection and retry (bounded, with doubling
+// backoff) — a stale keep-alive connection is the common recoverable case.
+// Retries only happen for idempotent requests: a non-idempotent body was
+// already sent on the wire once, so a second send could apply its effect
+// twice.
 //
 // On success the exchange deadline is still armed; the caller clears it
 // after relaying the body.
-func (d *Distributor) exchangeStart(node config.NodeID, req *httpx.Request) (*conntrack.PooledConn, *httpx.Response, error) {
+func (d *Distributor) exchangeStart(node config.NodeID, req *httpx.Request, resp *httpx.Response) (*conntrack.PooledConn, error) {
 	// In flight against node for as long as the header exchange runs; the
 	// pickers and the admission pressure signal read this.
 	active := d.active[node]
@@ -425,37 +434,35 @@ func (d *Distributor) exchangeStart(node config.NodeID, req *httpx.Request) (*co
 		}
 		pc, err := d.pool.Acquire(node)
 		if err != nil {
-			return nil, nil, fmt.Errorf("acquiring connection to %s: %w", node, err)
+			return nil, fmt.Errorf("acquiring connection to %s: %w", node, err)
 		}
-		resp, err := d.attemptStart(pc, req)
-		if err != nil {
+		if err := d.attemptStart(pc, req, resp); err != nil {
 			d.pool.Discard(pc)
 			lastErr = fmt.Errorf("exchange with %s: %w", node, err)
 			continue
 		}
-		return pc, resp, nil
+		return pc, nil
 	}
-	return nil, nil, lastErr
+	return nil, lastErr
 }
 
 // attemptStart arms the exchange deadline, forwards req (as HTTP/1.1,
 // Connection dropped on the wire — no clone; head and body leave in one
-// vectored write) and parses the response header. The deadline is left
-// armed: it also bounds the body relay.
-func (d *Distributor) attemptStart(pc *conntrack.PooledConn, req *httpx.Request) (*httpx.Response, error) {
+// vectored write) and parses the response header into resp. The deadline
+// is left armed: it also bounds the body relay.
+func (d *Distributor) attemptStart(pc *conntrack.PooledConn, req *httpx.Request, resp *httpx.Response) error {
 	if d.exchangeTimeout > 0 {
 		if err := pc.Conn.SetDeadline(time.Now().Add(d.exchangeTimeout)); err != nil {
-			return nil, fmt.Errorf("arming deadline: %w", err)
+			return fmt.Errorf("arming deadline: %w", err)
 		}
 	}
 	if err := d.pools.WriteProxyRequest(pc.Conn, req); err != nil {
-		return nil, fmt.Errorf("forwarding: %w", err)
+		return fmt.Errorf("forwarding: %w", err)
 	}
-	resp, err := httpx.ReadResponseHeader(pc.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("reading: %w", err)
+	if err := httpx.ReadResponseHeaderInto(pc.Reader, resp); err != nil {
+		return fmt.Errorf("reading: %w", err)
 	}
-	return resp, nil
+	return nil
 }
 
 // SetAvailable marks a node up or down for routing. The monitor calls
@@ -499,9 +506,10 @@ func (d *Distributor) nodeLoad(node config.NodeID) float64 {
 }
 
 // pickReplica chooses among the available nodes holding rec, excluding
-// exclude (a node that just failed an exchange for this request).
-func (d *Distributor) pickReplica(rec urltable.Record, exclude config.NodeID) (config.NodeID, error) {
-	candidates := make([]loadbal.NodeState, 0, len(rec.Locations))
+// exclude (a node that just failed an exchange for this request). The
+// candidate list is built in candidates' storage; no Picker keeps it.
+func (d *Distributor) pickReplica(rec urltable.Record, exclude config.NodeID, candidates []loadbal.NodeState) (config.NodeID, error) {
+	candidates = candidates[:0]
 	for _, id := range rec.Locations {
 		if id == exclude || !d.Available(id) {
 			continue

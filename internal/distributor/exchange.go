@@ -24,6 +24,7 @@ import (
 	"webcluster/internal/content"
 	"webcluster/internal/httpx"
 	"webcluster/internal/journal"
+	"webcluster/internal/loadbal"
 	"webcluster/internal/respcache"
 	"webcluster/internal/telemetry"
 	"webcluster/internal/trace"
@@ -34,15 +35,16 @@ var errNoRoute = errors.New("distributor: no route")
 
 // Span outcomes: how a request ended.
 const (
-	outRelayed    = "relayed"
-	outCached     = "cached"
-	outNoRoute    = "no-route"
-	outNoReplica  = "no-replica"
-	outBadGateway = "bad-gateway"
-	outShed       = "shed"
-	outRelayError = "relay-error"
-	outParseError = "parse-error"
-	outTooLarge   = "body-too-large"
+	outRelayed        = "relayed"
+	outCached         = "cached"
+	outNoRoute        = "no-route"
+	outNoReplica      = "no-replica"
+	outBadGateway     = "bad-gateway"
+	outShed           = "shed"
+	outRelayError     = "relay-error"
+	outParseError     = "parse-error"
+	outTooLarge       = "body-too-large"
+	outNotImplemented = "not-implemented"
 )
 
 // exchange is the state of one client connection's current request. It
@@ -55,6 +57,12 @@ type exchange struct {
 	client net.Conn
 	key    conntrack.ClientKey
 	req    *httpx.Request
+	// resp and cands are the back-end leg's storage, reused by every
+	// exchange the connection makes with a back end — relay, miss leader,
+	// revalidation, failover: the parsed response header and the replica
+	// picker's candidate list.
+	resp  httpx.Response
+	cands []loadbal.NodeState
 
 	requestState
 }
@@ -93,10 +101,10 @@ func (x *exchange) parse(br *bufio.Reader) error {
 	err := x.d.pools.ReadRequestInto(br, x.req)
 	x.start = time.Now()
 	x.span.MarkParse()
-	if err != nil && !errors.Is(err, httpx.ErrBodyTooLarge) {
+	if err != nil && !errors.Is(err, httpx.ErrBodyTooLarge) && !errors.Is(err, httpx.ErrTransferEncoding) {
 		return err
 	}
-	// A refused body leaves the request line and headers parsed, so its
+	// A refused body or framing leaves the request line parsed, so its
 	// records name the request like any other's.
 	x.span.AdoptTrace(x.req.TraceID)
 	x.span.SetRequest(x.req.Method, x.req.Path)
@@ -129,19 +137,18 @@ func (x *exchange) serve() bool {
 		}
 	}
 	var (
-		pc   *conntrack.PooledConn
-		resp *httpx.Response
-		err  error
+		pc  *conntrack.PooledConn
+		err error
 	)
 	if x.stale != nil {
-		pc, resp, err = x.revalidate()
+		pc, err = x.revalidate()
 	} else {
-		pc, resp, err = x.fetch(x.req)
+		pc, err = x.fetch(x.req)
 	}
 	if err != nil {
 		return x.fail(err)
 	}
-	return x.reply(pc, resp)
+	return x.reply(pc)
 }
 
 // admit classifies the request (X-Dist-Class header, then URL-prefix
@@ -236,7 +243,7 @@ func (x *exchange) lookup() (*respcache.Entry, string) {
 
 // revalidate is fetch for an expired entry: a conditional GET carrying the
 // stored validator, so a 304 means the body never moves again.
-func (x *exchange) revalidate() (*conntrack.PooledConn, *httpx.Response, error) {
+func (x *exchange) revalidate() (*conntrack.PooledConn, error) {
 	rr := x.d.pools.AcquireRequest()
 	defer x.d.pools.ReleaseRequest(rr)
 	rr.Method = "GET"
@@ -250,47 +257,48 @@ func (x *exchange) revalidate() (*conntrack.PooledConn, *httpx.Response, error) 
 
 // fetch is the back-end leg, shared by the plain relay, the miss leader
 // and the revalidation leader: route req's path, pick a replica, send req
-// over a pre-forked connection and parse the response header. The body is
-// left unread on the returned connection, whose exchange deadline stays
-// armed so a back end that stalls mid-body cannot pin this goroutine. The
-// error is errNoRoute or wraps ErrNoBackend when no exchange was attempted.
-func (x *exchange) fetch(req *httpx.Request) (*conntrack.PooledConn, *httpx.Response, error) {
+// over a pre-forked connection and parse the response header into x.resp.
+// The body is left unread on the returned connection, whose exchange
+// deadline stays armed so a back end that stalls mid-body cannot pin this
+// goroutine. The error is errNoRoute or wraps ErrNoBackend when no
+// exchange was attempted.
+func (x *exchange) fetch(req *httpx.Request) (*conntrack.PooledConn, error) {
 	d := x.d
 	rec, err := d.table.Route(req.Path)
 	if err != nil {
 		x.span.MarkRoute()
-		return nil, nil, errNoRoute
+		return nil, errNoRoute
 	}
-	node, err := d.pickReplica(rec, "")
+	node, err := d.pickReplica(rec, "", x.cands)
 	x.routeCost = time.Since(x.start)
 	x.span.MarkRoute()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	pc, resp, err := d.exchangeStart(node, req)
+	pc, err := d.exchangeStart(node, req, &x.resp)
 	if err != nil && idempotent(req) {
 		// The chosen back end failed before any response header arrived:
 		// fail over to another replica once before giving up. Only safe
 		// for idempotent methods — re-sending a POST could apply its
 		// effect twice. Nothing has been written to the client yet.
-		if alt, altErr := d.pickReplica(rec, node); altErr == nil {
+		if alt, altErr := d.pickReplica(rec, node, x.cands); altErr == nil {
 			// The failover decision itself is journal-worthy: which
 			// node failed, which replica took over, and the incident
 			// trace that links this to the fault and the monitor's
 			// down transition.
 			x.journalBackend(journal.KindFailover, node, string(alt))
 			node = alt
-			pc, resp, err = d.exchangeStart(alt, req)
+			pc, err = d.exchangeStart(alt, req, &x.resp)
 		}
 	}
 	x.span.MarkBackend()
 	if err != nil {
 		x.journalBackend(journal.KindRetryExhausted, node, err.Error())
-		return nil, nil, err
+		return nil, err
 	}
 	x.node = node
-	x.span.SetBackend(string(node), resp.SpanID)
-	return pc, resp, nil
+	x.span.SetBackend(string(node), x.resp.SpanID)
+	return pc, nil
 }
 
 // journalBackend records a back-end failure decision under failed's
@@ -342,14 +350,14 @@ func (x *exchange) fail(err error) bool {
 	}
 }
 
-// reply delivers a fetched response. A plain relay streams it; a flight
-// leader settles the flight first — refreshing the revalidated entry on a
-// 304, buffering a cacheable body into a new entry — and streams only
-// what the cache cannot store.
-func (x *exchange) reply(pc *conntrack.PooledConn, resp *httpx.Response) bool {
-	d, f := x.d, x.flight
+// reply delivers the fetched response, x.resp. A plain relay streams it;
+// a flight leader settles the flight first — refreshing the revalidated
+// entry on a 304, buffering a cacheable body into a new entry — and
+// streams only what the cache cannot store.
+func (x *exchange) reply(pc *conntrack.PooledConn) bool {
+	d, f, resp := x.d, x.flight, &x.resp
 	if f == nil {
-		return x.stream(pc, resp)
+		return x.stream(pc)
 	}
 	if resp.StatusCode == 304 && x.stale != nil {
 		if err := d.settleConn(pc, resp); err != nil {
@@ -366,7 +374,7 @@ func (x *exchange) reply(pc *conntrack.PooledConn, resp *httpx.Response) bool {
 	}
 	if !cacheableResponse(resp, d.cache.MaxEntryBytes()) {
 		f.Finish(nil, nil)
-		return x.stream(pc, resp)
+		return x.stream(pc)
 	}
 	e, err := d.bufferEntry(pc, resp)
 	if err != nil {
@@ -376,11 +384,11 @@ func (x *exchange) reply(pc *conntrack.PooledConn, resp *httpx.Response) bool {
 	return x.replyCached(e, "MISS")
 }
 
-// stream relays resp's body from the pooled back-end connection to the
+// stream relays x.resp's body from the pooled back-end connection to the
 // client through a pooled buffer, with the mapping entry bound to the
 // back end for as long as the two connections are spliced (§2.2).
-func (x *exchange) stream(pc *conntrack.PooledConn, resp *httpx.Response) bool {
-	d, req := x.d, x.req
+func (x *exchange) stream(pc *conntrack.PooledConn) bool {
+	d, req, resp := x.d, x.req, &x.resp
 	// The entry was installed by this goroutine and only this goroutine
 	// advances it, so the bookkeeping transitions cannot fail here.
 	_ = d.mapping.Bind(x.key, x.node)
@@ -448,8 +456,8 @@ func (x *exchange) replyCached(e *respcache.Entry, verdict string) bool {
 	return err == nil && req.KeepAlive()
 }
 
-// replyError writes a locally generated answer — the 400/404/413/502/503
-// family — and reports whether the client connection remains usable.
+// replyError writes a locally generated answer — the 400/404/413/501/502/
+// 503 family — and reports whether the client connection remains usable.
 func (x *exchange) replyError(status int, body, outcome string) bool {
 	resp := httpx.NewResponse(x.req.Proto, status, []byte(body))
 	if outcome == outShed {

@@ -139,6 +139,8 @@ func TestEveryExitEmitsOneRecord(t *testing.T) {
 		{name: "parse-error", raw: "NOT HTTP AT ALL\r\n\r\n", status: 400, outcome: outParseError},
 		{name: "body-too-large", raw: "POST " + path + " HTTP/1.1\r\nHost: c\r\nContent-Length: 9223372036854775807\r\n\r\n",
 			status: 413, outcome: outTooLarge},
+		{name: "not-implemented", raw: "POST " + path + " HTTP/1.1\r\nHost: c\r\nTransfer-Encoding: chunked\r\n\r\n",
+			status: 501, outcome: outNotImplemented},
 	}
 	for _, c := range cases {
 		c := c

@@ -12,6 +12,8 @@ import (
 	"webcluster/internal/content"
 	"webcluster/internal/faults"
 	"webcluster/internal/httpx"
+	"webcluster/internal/journal"
+	"webcluster/internal/telemetry"
 	"webcluster/internal/testutil"
 	"webcluster/internal/urltable"
 )
@@ -245,5 +247,117 @@ func TestNonIdempotentRequestNotRetried(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	if n := len(attempts); n != 1 {
 		t.Fatalf("non-idempotent request sent %d times, want 1", n)
+	}
+}
+
+// cannedBackend is a raw-TCP back end that answers every request on a
+// connection — a head with no body — with response, in one write. Past
+// the connection's own read buffer it allocates nothing, so an
+// allocation count taken around a relay through it is the distributor's.
+func cannedBackend(t *testing.T, response []byte) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer func() { _ = conn.Close() }()
+				endOfHead := []byte("\r\n\r\n")
+				buf := make([]byte, 4096)
+				n := 0
+				for {
+					m, err := conn.Read(buf[n:])
+					if err != nil {
+						return
+					}
+					if n += m; !bytes.HasSuffix(buf[:n], endOfHead) {
+						if n == len(buf) {
+							return
+						}
+						continue
+					}
+					n = 0
+					if _, err := conn.Write(response); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return l.Addr().String()
+}
+
+// withCannedNode adds a node named id served by cannedBackend(response).
+func withCannedNode(t *testing.T, id config.NodeID, response []byte) func(*Options) {
+	return func(o *Options) {
+		o.Cluster.Nodes = append(o.Cluster.Nodes, config.NodeSpec{
+			ID: id, CPUMHz: 350, MemoryMB: 64,
+			Disk: config.DiskSCSI, Platform: config.LinuxApache,
+			Addr: cannedBackend(t, response),
+		})
+	}
+}
+
+// A keep-alive relay of a small response allocates nothing in the
+// distributor, with telemetry and the journal attached as core.Attach
+// wires them: the back-end connection's own reader takes the response off
+// the socket, the exchange's Response and candidate list are reused, and
+// the repeated header values keep the previous response's strings. The
+// back end answers a pre-rendered response (header plus 8 KiB body in one
+// write); the client writes a pre-rendered request and reads the
+// known-length reply into a fixed buffer.
+func TestRelayAllocFree(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector makes sync.Pool drop Puts, so pooled state is reallocated")
+	}
+	body := bytes.Repeat([]byte("r"), 8<<10)
+	canned := append([]byte("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 8192\r\n\r\n"), body...)
+	tc := startClusterOpts(t, 0, func(o *Options) {
+		o.Telemetry = telemetry.New(telemetry.Options{Node: "distributor"})
+		o.Journal = journal.New(journal.Options{Node: "front"})
+		withCannedNode(t, "c1", canned)(o)
+	})
+	obj := content.Object{Path: "/docs/small.html", Size: int64(len(body)), Class: content.ClassHTML}
+	if err := tc.table.Insert(obj, "c1"); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", tc.front)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	get := []byte("GET /docs/small.html HTTP/1.1\r\nHost: cluster.example\r\nUser-Agent: webbench\r\n\r\n")
+	var raw bytes.Buffer
+	for i := 0; i < 2; i++ {
+		raw.Reset()
+		if _, err := conn.Write(get); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := httpx.ReadResponse(bufio.NewReader(io.TeeReader(conn, &raw)))
+		if err != nil || resp.StatusCode != 200 || !bytes.Equal(resp.Body, body) {
+			t.Fatalf("warm-up relay %d: %v", i, err)
+		}
+	}
+	buf := make([]byte, raw.Len())
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := conn.Write(get); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(buf, raw.Bytes()) {
+		t.Fatalf("a measured relay answered differently:\n%q\nwant\n%q", buf, raw.Bytes())
+	}
+	if allocs != 0 {
+		t.Fatalf("relay: %.1f allocations, want 0", allocs)
 	}
 }

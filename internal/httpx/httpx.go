@@ -12,8 +12,8 @@
 // insertion-ordered slices rather than maps (no sort on write, no clone on
 // forward), every message is serialized into a pooled staging buffer and
 // leaves with its body in one vectored write (writev.go), and response
-// bodies can be streamed (ReadResponseHeader + CopyBody) instead of
-// buffered. See DESIGN.md §2 for the pooling and aliasing invariants.
+// bodies can be streamed (ReadResponseHeaderInto + RelayResponse) instead
+// of buffered. See DESIGN.md §2 for the pooling and aliasing invariants.
 package httpx
 
 import (
@@ -43,6 +43,10 @@ var (
 	// ErrBodyTooLarge reports a Content-Length beyond the bound for its
 	// kind of message. Nothing of the body has been read.
 	ErrBodyTooLarge = errors.New("httpx: body too large")
+	// ErrTransferEncoding reports a message carrying Transfer-Encoding.
+	// Content-Length is the only framing this package implements, so such
+	// a message cannot be framed at all and the stream is lost.
+	ErrTransferEncoding = errors.New("httpx: transfer-encoding not implemented")
 )
 
 // Body bounds, checked before a declared length sizes an allocation.
@@ -350,7 +354,9 @@ func canonFieldKey(b []byte, prev string) string {
 // The in-band tracing and deadline headers are diverted into the
 // trace/span/deadline sinks when provided (never materialized as header
 // strings — the zero-alloc keep-alive path depends on that); with a nil
-// sink they land in h like any other field.
+// sink they land in h like any other field. Ambiguous framing is refused
+// (RFC 9112 §6.3): any Transfer-Encoding, and a Content-Length that
+// contradicts an earlier one; a repeated identical Content-Length stands.
 func readHeaderInto(br *bufio.Reader, h *Header, trace, span *uint64, deadline *int64) error {
 	for i := 0; ; i++ {
 		if i >= maxHeaderLines {
@@ -382,6 +388,14 @@ func readHeaderInto(br *bufio.Reader, h *Header, trace, span *uint64, deadline *
 			continue
 		}
 		val := bytes.TrimSpace(line[idx+1:])
+		switch key {
+		case "Transfer-Encoding":
+			return fmt.Errorf("%w: %q", ErrTransferEncoding, val)
+		case "Content-Length":
+			if cl := h.Get(key); cl != "" && cl != string(val) {
+				return fmt.Errorf("%w: content-length %q contradicts %q", ErrMalformedRequest, val, cl)
+			}
+		}
 		if key == prev.Key && string(val) == prev.Value {
 			h.setCanonical(key, prev.Value)
 		} else {
@@ -568,6 +582,8 @@ func statusText(code int) string {
 		return "Content Too Large"
 	case 500:
 		return "Internal Server Error"
+	case 501:
+		return "Not Implemented"
 	case 502:
 		return "Bad Gateway"
 	case 503:
@@ -676,30 +692,44 @@ func parseDecimal(b []byte) (int64, bool) {
 	return n, true
 }
 
-// ReadResponseHeader parses the status line and header section from br,
-// leaving the body unread on the connection — the streaming half of the
-// relay fast path. The caller owns reading exactly ContentLength further
-// bytes (CopyBody) before the connection can carry another exchange.
+// ReadResponseHeader parses the status line and header section from br
+// into a new Response; see ReadResponseHeaderInto.
 func ReadResponseHeader(br *bufio.Reader) (*Response, error) {
+	resp := &Response{Header: make(Header, 0, 8)}
+	if err := ReadResponseHeaderInto(br, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// ReadResponseHeaderInto parses the status line and header section from br
+// into resp, leaving the body unread on the connection — the streaming
+// half of the relay fast path. It reuses resp's header storage the way
+// ReadRequestInto reuses a Request's: a field repeating the previous
+// response's on resp keeps its strings. The caller owns reading exactly
+// ContentLength further bytes (CopyBody) before the connection can carry
+// another exchange. io.EOF is returned unwrapped when the connection
+// closes cleanly before any byte of a response.
+func ReadResponseHeaderInto(br *bufio.Reader, resp *Response) error {
+	*resp = Response{Header: resp.Header[:0]}
 	line, err := readLineBytes(br)
 	if err != nil {
 		if err == io.EOF && len(line) == 0 {
-			return nil, io.EOF
+			return io.EOF
 		}
-		return nil, fmt.Errorf("reading status line: %w", err)
+		return fmt.Errorf("reading status line: %w", err)
 	}
 	sp1 := bytes.IndexByte(line, ' ')
 	if sp1 <= 0 {
-		return nil, fmt.Errorf("%w: status line %q", ErrMalformedRequest, line)
+		return fmt.Errorf("%w: status line %q", ErrMalformedRequest, line)
 	}
-	resp := &Response{Header: make(Header, 0, 8)}
 	switch string(line[:sp1]) {
 	case Proto11:
 		resp.Proto = Proto11
 	case Proto10:
 		resp.Proto = Proto10
 	default:
-		return nil, fmt.Errorf("%w: status line %q", ErrMalformedRequest, line)
+		return fmt.Errorf("%w: status line %q", ErrMalformedRequest, line)
 	}
 	rest := line[sp1+1:]
 	codeBytes := rest
@@ -709,26 +739,27 @@ func ReadResponseHeader(br *bufio.Reader) (*Response, error) {
 	}
 	code, ok := parseDecimal(codeBytes)
 	if !ok {
-		return nil, fmt.Errorf("%w: status code %q", ErrMalformedRequest, codeBytes)
+		return fmt.Errorf("%w: status code %q", ErrMalformedRequest, codeBytes)
 	}
 	resp.StatusCode = int(code)
 	if err := readHeaderInto(br, &resp.Header, &resp.TraceID, &resp.SpanID, nil); err != nil {
-		return nil, err
+		return err
 	}
 	if cl := resp.Header.Get("Content-Length"); cl != "" {
 		n, err := strconv.ParseInt(cl, 10, 64)
 		if err != nil || n < 0 {
-			return nil, fmt.Errorf("%w: content-length %q", ErrMalformedRequest, cl)
+			return fmt.Errorf("%w: content-length %q", ErrMalformedRequest, cl)
 		}
 		resp.ContentLength = n
 	}
-	return resp, nil
+	return nil
 }
 
 // ReadResponse parses one response from br, requiring Content-Length
 // framing (the only framing this system's servers emit) and buffering the
 // whole body. The management, NFS and test-client paths use this; the
-// distributor's relay streams instead (ReadResponseHeader + CopyBody).
+// distributor's relay streams instead (ReadResponseHeaderInto +
+// RelayResponse).
 func ReadResponse(br *bufio.Reader) (*Response, error) {
 	resp, err := ReadResponseHeader(br)
 	if err != nil {

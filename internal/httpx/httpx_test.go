@@ -479,3 +479,124 @@ func TestBodyBoundsCheckedBeforeAllocation(t *testing.T) {
 		}
 	}
 }
+
+// responseStreams are keep-alive streams of back-end responses: the
+// status lines, header shapes and in-band trace fields this system's
+// servers emit, and the malformed ones the relay must refuse.
+var responseStreams = []string{
+	"HTTP/1.1 200 OK\r\nX-Served-By: n1\r\nContent-Length: 5\r\n\r\nhello",
+	"HTTP/1.0 404 Not Found\nContent-Length: 0\n\n",
+	"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 3\r\n\r\nabc" +
+		"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 3\r\n\r\nabc" +
+		"HTTP/1.1 200 OK\r\nContent-Type: image/gif\r\nContent-Length: 4\r\n\r\nGIF8",
+	"HTTP/1.1 304 Not Modified\r\nEtag: \"v1\"\r\nDate: Tue, 14 Nov 2023 22:13:20 GMT\r\n\r\n" +
+		"HTTP/1.1 200 OK\r\nEtag: \"v2\"\r\nContent-Length: 2\r\nConnection: close\r\n\r\nv2",
+	"HTTP/1.1 200 OK\r\nX-Dist-Trace: feedc0dedeadbeef\r\nX-Dist-Span: 2a\r\nContent-Length: 1\r\n\r\nx" +
+		"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 0\r\n\r\n",
+	"HTTP/1.1 200\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nok",
+	"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok" + "HTTP/3.0 200 OK\r\n\r\n",
+	"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc",
+	"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+}
+
+// Parsing into a reused Response gives the same responses, field for
+// field and error for error, as parsing each into a new one.
+func TestReadResponseHeaderIntoDifferential(t *testing.T) {
+	for _, raw := range responseStreams {
+		freshBR := bufio.NewReader(strings.NewReader(raw))
+		reusedBR := bufio.NewReader(strings.NewReader(raw))
+		reused := &Response{Header: make(Header, 0, 8)}
+		for i := 0; ; i++ {
+			fresh, ferr := ReadResponseHeader(freshBR)
+			rerr := ReadResponseHeaderInto(reusedBR, reused)
+			if (ferr == nil) != (rerr == nil) || (ferr != nil && ferr.Error() != rerr.Error()) {
+				t.Fatalf("%q response %d: fresh err %v, reused err %v", raw, i, ferr, rerr)
+			}
+			if ferr != nil {
+				break
+			}
+			if !reflect.DeepEqual(fresh, reused) {
+				t.Fatalf("%q response %d:\nfresh  %+v\nreused %+v", raw, i, fresh, reused)
+			}
+			for _, br := range []*bufio.Reader{freshBR, reusedBR} {
+				if _, err := br.Discard(int(fresh.ContentLength)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// A reused Response reads a repeated response without allocating; a value
+// that changed is read fresh, and strings taken from the earlier response
+// keep their values.
+func TestReadResponseHeaderIntoReusesRepeatedFields(t *testing.T) {
+	const first = "HTTP/1.1 200 OK\r\nEtag: \"a\"\r\nX-Served-By: n1\r\nContent-Length: 5\r\n\r\n"
+	src := strings.NewReader(first)
+	br := bufio.NewReader(src)
+	var resp Response
+	if err := ReadResponseHeaderInto(br, &resp); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		src.Reset(first)
+		br.Reset(src)
+		if err := ReadResponseHeaderInto(br, &resp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("repeated response: %.1f allocations, want 0", allocs)
+	}
+	etag, length := resp.Header.Get("Etag"), resp.Header.Get("Content-Length")
+	src.Reset("HTTP/1.1 200 OK\r\nEtag: \"b\"\r\nX-Served-By: n1\r\nContent-Length: 12\r\n\r\n")
+	br.Reset(src)
+	if err := ReadResponseHeaderInto(br, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if got := resp.Header.Get("Etag"); got != `"b"` || resp.ContentLength != 12 || resp.Header.Get("Content-Length") != "12" {
+		t.Fatalf("second response read as Etag %s, length %d", got, resp.ContentLength)
+	}
+	if etag != `"a"` || length != "5" {
+		t.Fatalf("strings from the first response changed to %s, %s", etag, length)
+	}
+}
+
+// Framing a message two ways is refused (RFC 9112 §6.3): a Content-Length
+// contradicting an earlier one is malformed, and Transfer-Encoding — which
+// this package does not implement — is refused outright. Repeating one
+// Content-Length is not ambiguous.
+func TestAmbiguousFramingRefused(t *testing.T) {
+	cases := []struct {
+		head string
+		want error
+	}{
+		{"Content-Length: 5\r\nContent-Length: 100\r\n", ErrMalformedRequest},
+		{"Content-Length: 100\r\nHost: h\r\nContent-Length: 5\r\n", ErrMalformedRequest},
+		{"Transfer-Encoding: chunked\r\n", ErrTransferEncoding},
+		{"Content-Length: 5\r\ntransfer-encoding: identity\r\n", ErrTransferEncoding},
+		{"Content-Length: 5\r\nContent-Length: 5\r\n", nil},
+	}
+	for _, c := range cases {
+		for _, raw := range []string{"POST /f.cgi HTTP/1.1\r\n", "HTTP/1.1 200 OK\r\n"} {
+			raw += c.head + "\r\nhello"
+			br := bufio.NewReader(strings.NewReader(raw))
+			var err error
+			var length int64
+			if strings.HasPrefix(raw, "HTTP/") {
+				var resp *Response
+				if resp, err = ReadResponse(br); err == nil {
+					length = int64(len(resp.Body))
+				}
+			} else {
+				var req *Request
+				if req, err = ReadRequest(br); err == nil {
+					length = int64(len(req.Body))
+				}
+			}
+			if !errors.Is(err, c.want) || (c.want == nil && length != 5) {
+				t.Errorf("%q: err %v, body %d bytes; want %v", raw, err, length, c.want)
+			}
+		}
+	}
+}

@@ -73,8 +73,10 @@ func CopyBody(dst io.Writer, src io.Reader, n int64) (int64, error) {
 // so a response that fits one copy buffer costs one write syscall instead
 // of header-flush-plus-body. The remaining body — exactly
 // resp.ContentLength bytes in total — streams through the same pooled
-// buffer. resp must come from ReadResponseHeader with its body still
-// unread on src.
+// buffer. When src's buffer already holds the whole body — a back-end
+// connection's reader takes a small response off the socket in one read —
+// the response leaves in that one write. resp must come from
+// ReadResponseHeaderInto with its body still unread on src.
 //
 // The returned count is the number of body bytes that reached the client.
 // On error the exchange is unrecoverable: the header section (and

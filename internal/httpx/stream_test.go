@@ -191,3 +191,47 @@ func TestHeaderPreservesInsertionOrder(t *testing.T) {
 		t.Fatalf("insertion order not preserved: %q", wire)
 	}
 }
+
+// countingReader counts the Read calls that reach the source — the
+// read(2)s a socket would see.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// A small response the back end sends whole — header plus 8 KiB body —
+// crosses a back-end-sized (16 KiB) reader in one source read; the pooled
+// 4 KiB reader needs two. The client gets the same bytes either way.
+func TestSmallResponseOneRead(t *testing.T) {
+	body := bytes.Repeat([]byte("s"), 8<<10)
+	raw := "HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 8192\r\n\r\n" + string(body)
+	relay := func(size int) (reads int, wire []byte) {
+		src := &countingReader{r: strings.NewReader(raw)}
+		br := bufio.NewReaderSize(src, size)
+		var resp Response
+		if err := ReadResponseHeaderInto(br, &resp); err != nil {
+			t.Fatal(err)
+		}
+		var client bytes.Buffer
+		if n, err := RelayResponse(&client, &resp, br, Proto11, false); err != nil || n != int64(len(body)) {
+			t.Fatalf("%d-byte reader: relayed %d, %v", size, n, err)
+		}
+		return src.reads, client.Bytes()
+	}
+	reads, wire := relay(16 << 10)
+	if reads != 1 {
+		t.Fatalf("16 KiB reader: %d source reads, want 1", reads)
+	}
+	pooledReads, pooledWire := relay(readerBufSize)
+	if pooledReads != 2 {
+		t.Fatalf("%d-byte reader: %d source reads, want 2", readerBufSize, pooledReads)
+	}
+	if !bytes.Equal(wire, pooledWire) || !bytes.HasSuffix(wire, body) {
+		t.Fatalf("the two readers relayed different bytes:\n%q\n%q", wire, pooledWire)
+	}
+}

@@ -219,8 +219,8 @@ func (m *Module) computeSummary(fn *types.Func, d decl) *Summary {
 		case *ast.ReturnStmt:
 			// Only direct returns count: `return v` / `return acquire()`.
 			// Wrapping the value in a composite literal transfers ownership
-			// to the wrapper's own lifecycle (the conntrack PooledConn
-			// pattern), which stays a per-function concern.
+			// to the wrapper's own lifecycle, which stays a per-function
+			// concern.
 			for _, res := range v.Results {
 				e := ast.Unparen(res)
 				if ta, ok := e.(*ast.TypeAssertExpr); ok {

@@ -60,14 +60,12 @@ var auditMutations = []auditMutation{
 			d.pools.ReleaseRequest(req)
 			break
 `},
-	{"PE5", "pooledescape", "internal/conntrack/pool.go",
-		`	pc.Uses++
-	np.idle = append(np.idle, pc)
+	{"PE5", "pooledescape", "internal/distributor/distributor.go",
+		`	if err := httpx.ReadResponseHeaderInto(pc.Reader, resp); err != nil {
 `,
-		`	pc.Uses++
-	br := httpx.AcquireReader(pc.Conn)
+		`	br := d.pools.AcquireReader(pc.Conn)
 	pc.Reader = br
-	np.idle = append(np.idle, pc)
+	if err := httpx.ReadResponseHeaderInto(pc.Reader, resp); err != nil {
 `},
 	{"CW1", "cowdiscipline", "internal/urltable/urltable.go",
 		`	t.root.Store(replaceAt(root, segs, ne))

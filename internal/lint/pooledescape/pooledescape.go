@@ -5,8 +5,7 @@
 // must be released exactly once, and must not be stored into a struct
 // that outlives the call. Returning the value, or building it into a
 // returned composite literal, transfers ownership to the caller and is
-// allowed — that is how conntrack hands a pooled bufio.Reader to
-// PooledConn.
+// allowed.
 //
 // The lifecycle is tracked across call boundaries through the analysis
 // module's summaries: `v := helperThatReturnsPooled()` starts the same
@@ -366,7 +365,7 @@ func (c *checker) handleAssign(st *ast.AssignStmt) {
 			switch {
 			case inCompositeLit(rhs, obj):
 				// Built into a new value — that value is the owner now
-				// (returned-struct transfer, the conntrack pattern).
+				// (returned-struct transfer).
 				tv.st = escaped
 			case c.escapingStore(lhs):
 				c.pass.Reportf(st.Pos(), "pooled value %q stored into a struct that outlives the call", tv.name)
@@ -421,8 +420,7 @@ func (c *checker) escapingStore(lhs ast.Expr) bool {
 		}
 		// A field of a function-local value stays in the frame; if the
 		// local itself escapes by being returned, the return transfers
-		// ownership of the whole structure (the conntrack PooledConn
-		// pattern).
+		// ownership of the whole structure.
 		return false
 	}
 	return false
