@@ -21,7 +21,7 @@ BENCH_ADMISSION = BenchmarkAdmissionDecision
 # their MB/s is what the frame codec and the copy-once data path bought.
 BENCH_MGMT = BenchmarkMgmtInsert|BenchmarkMgmtReplicate
 
-.PHONY: all vet lint lint-audit build test race stress chaos sim bench bench-check allocguard loc ci
+.PHONY: all vet lint lint-audit build test race stress chaos sim bench bench-check allocguard loc e2e ci
 
 all: ci
 
@@ -152,5 +152,15 @@ bench-check: export GOTMPDIR = $(CURDIR)/.bench_build/tmp
 bench-check:
 	mkdir -p $(GOCACHE) $(GOTMPDIR)
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# End-to-end pairs: the benchmark workload W at commit BASE against the
+# working tree, PAIRS alternating runs from seed SEED, then bench's
+# -compare (scripts/e2e.sh). Results stay under .bench_build/e2e/.
+BASE ?= HEAD
+W ?= relay_small
+PAIRS ?= 10
+SEED ?= 1
+e2e:
+	bash scripts/e2e.sh $(BASE) $(W) $(PAIRS) $(SEED)
 
 ci: vet lint lint-audit build test bench-check race allocguard

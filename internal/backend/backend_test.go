@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -309,6 +310,19 @@ func TestHandleHead(t *testing.T) {
 	resp := srv.Handle(req)
 	if resp.StatusCode != 200 || len(resp.Body) != 0 {
 		t.Fatalf("HEAD resp = %d, %d bytes", resp.StatusCode, len(resp.Body))
+	}
+	// The header is a GET's: the representation's length and, for a
+	// conditional request, its validator.
+	var wire bytes.Buffer
+	if err := httpx.WriteResponse(&wire, resp); err != nil {
+		t.Fatal(err)
+	}
+	if out := wire.String(); !strings.Contains(out, "Content-Length: 7\r\n") || !strings.HasSuffix(out, "\r\n\r\n") {
+		t.Fatalf("HEAD on the wire:\n%q", out)
+	}
+	req.Header.Set("If-None-Match", `"other"`)
+	if resp := srv.Handle(req); resp.Header.Get("Etag") != httpx.StrongETag([]byte("content")) || resp.ContentLength != 7 || len(resp.Body) != 0 {
+		t.Fatalf("conditional HEAD = %d, Etag %q, length %d, %d body bytes", resp.StatusCode, resp.Header.Get("Etag"), resp.ContentLength, len(resp.Body))
 	}
 }
 

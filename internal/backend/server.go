@@ -189,6 +189,10 @@ func (s *Server) Handle(req *httpx.Request) *httpx.Response {
 	defer s.done.Inc()
 	start := time.Now()
 	resp := s.serve(req)
+	if req.Method == "HEAD" {
+		// The header a GET would get, Content-Length included; no body.
+		resp.Body = nil
+	}
 	class := content.Classify(req.Path).String()
 	cs := s.stats.Class(class)
 	cs.Requests.Inc()
@@ -269,9 +273,6 @@ func (s *Server) serve(req *httpx.Request) *httpx.Response {
 			resp.Header.Set("X-Served-By", string(s.spec.ID))
 			return resp
 		}
-	}
-	if req.Method == "HEAD" {
-		body = nil
 	}
 	resp := httpx.NewResponse(req.Proto, 200, body)
 	resp.Header.Set("X-Served-By", string(s.spec.ID))

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 
@@ -25,6 +26,11 @@ type PooledConn struct {
 	Node   config.NodeID
 	Conn   net.Conn
 	Reader *bufio.Reader
+	// Rest reads Conn past Reader: the relay moves the part of a body
+	// Reader has not buffered through it (httpx.RelayOptions.Conn), in the
+	// kernel when Conn is bare TCP. It lives as long as the connection, so
+	// a relay through it allocates nothing.
+	Rest io.LimitedReader
 	// Uses counts requests relayed over this connection.
 	Uses int
 }
@@ -165,7 +171,12 @@ func (p *Pool) dialNode(np *nodePool) (*PooledConn, error) {
 		return nil, fmt.Errorf("dialing %s: %w", np.node, err)
 	}
 	conn = in.Conn(np.connPoint, conn)
-	return &PooledConn{Node: np.node, Conn: conn, Reader: bufio.NewReaderSize(conn, backendReaderSize)}, nil
+	return &PooledConn{
+		Node:   np.node,
+		Conn:   conn,
+		Reader: bufio.NewReaderSize(conn, backendReaderSize),
+		Rest:   io.LimitedReader{R: conn},
+	}, nil
 }
 
 // Acquire checks out a connection to node, preferring an idle pre-forked

@@ -384,16 +384,24 @@ func (x *exchange) reply(pc *conntrack.PooledConn) bool {
 	return x.replyCached(e, "MISS")
 }
 
-// stream relays x.resp's body from the pooled back-end connection to the
-// client through a pooled buffer, with the mapping entry bound to the
-// back end for as long as the two connections are spliced (§2.2).
+// stream relays x.resp from the pooled back-end connection to the client,
+// with the mapping entry bound to the back end for as long as the two
+// connections are spliced (§2.2): the header leaves with what the
+// connection's reader holds, and the rest of the body moves in the kernel
+// when both connections are bare TCP. A response to HEAD is its header
+// alone.
 func (x *exchange) stream(pc *conntrack.PooledConn) bool {
 	d, req, resp := x.d, x.req, &x.resp
 	// The entry was installed by this goroutine and only this goroutine
 	// advances it, so the bookkeeping transitions cannot fail here.
 	_ = d.mapping.Bind(x.key, x.node)
 	_, _ = d.mapping.Advance(x.key, conntrack.EventRequestBound)
-	relayed, err := d.pools.RelayResponse(x.client, resp, pc.Reader, req.Proto, !req.KeepAlive())
+	relayed, err := d.pools.Relay(x.client, resp, pc.Reader, httpx.RelayOptions{
+		Proto:      req.Proto,
+		ForceClose: !req.KeepAlive(),
+		Head:       req.Method == "HEAD",
+		Conn:       &pc.Rest,
+	})
 	if err != nil {
 		// The header already reached the client, so the exchange cannot
 		// be retried; the back-end connection has lost framing either

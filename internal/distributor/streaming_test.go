@@ -3,7 +3,9 @@ package distributor
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -294,38 +296,166 @@ func cannedBackend(t *testing.T, response []byte) string {
 	return l.Addr().String()
 }
 
-// withCannedNode adds a node named id served by cannedBackend(response).
-func withCannedNode(t *testing.T, id config.NodeID, response []byte) func(*Options) {
+// withRawNode adds a node named id at addr, a raw-TCP back end.
+func withRawNode(id config.NodeID, addr string) func(*Options) {
 	return func(o *Options) {
 		o.Cluster.Nodes = append(o.Cluster.Nodes, config.NodeSpec{
 			ID: id, CPUMHz: 350, MemoryMB: 64,
 			Disk: config.DiskSCSI, Platform: config.LinuxApache,
-			Addr: cannedBackend(t, response),
+			Addr: addr,
 		})
 	}
 }
 
-// A keep-alive relay of a small response allocates nothing in the
-// distributor, with telemetry and the journal attached as core.Attach
-// wires them: the back-end connection's own reader takes the response off
-// the socket, the exchange's Response and candidate list are reused, and
-// the repeated header values keep the previous response's strings. The
-// back end answers a pre-rendered response (header plus 8 KiB body in one
-// write); the client writes a pre-rendered request and reads the
-// known-length reply into a fixed buffer.
+// withCannedNode adds a node named id served by cannedBackend(response).
+func withCannedNode(t *testing.T, id config.NodeID, response []byte) func(*Options) {
+	return withRawNode(id, cannedBackend(t, response))
+}
+
+// A keep-alive relay allocates nothing in the distributor, with telemetry
+// and the journal attached as core.Attach wires them: the back-end
+// connection's own reader takes a small response off the socket, a large
+// body's remainder moves in the kernel through the connection's own
+// limiter, the exchange's Response and candidate list are reused, and the
+// repeated header values keep the previous response's strings. The back
+// end answers a pre-rendered response (header plus body in one write); the
+// client writes a pre-rendered request and reads the known-length reply
+// into a fixed buffer.
 func TestRelayAllocFree(t *testing.T) {
 	if raceBuild() {
 		t.Skip("the race detector makes sync.Pool drop Puts, so pooled state is reallocated")
 	}
-	body := bytes.Repeat([]byte("r"), 8<<10)
-	canned := append([]byte("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 8192\r\n\r\n"), body...)
+	for _, size := range []int{8 << 10, 1 << 20} {
+		t.Run(fmt.Sprintf("%dKiB", size>>10), func(t *testing.T) {
+			body := bytes.Repeat([]byte("r"), size)
+			canned := append([]byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: %d\r\n\r\n", size)), body...)
+			tc := startClusterOpts(t, 0, func(o *Options) {
+				o.Telemetry = telemetry.New(telemetry.Options{Node: "distributor"})
+				o.Journal = journal.New(journal.Options{Node: "front"})
+				withCannedNode(t, "c1", canned)(o)
+			})
+			obj := content.Object{Path: "/docs/page.html", Size: int64(len(body)), Class: content.ClassHTML}
+			if err := tc.table.Insert(obj, "c1"); err != nil {
+				t.Fatal(err)
+			}
+			conn, err := net.Dial("tcp", tc.front)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = conn.Close() }()
+			get := []byte("GET /docs/page.html HTTP/1.1\r\nHost: cluster.example\r\nUser-Agent: webbench\r\n\r\n")
+			var raw bytes.Buffer
+			for i := 0; i < 2; i++ {
+				raw.Reset()
+				if _, err := conn.Write(get); err != nil {
+					t.Fatal(err)
+				}
+				resp, err := httpx.ReadResponse(bufio.NewReader(io.TeeReader(conn, &raw)))
+				if err != nil || resp.StatusCode != 200 || !bytes.Equal(resp.Body, body) {
+					t.Fatalf("warm-up relay %d: %v", i, err)
+				}
+			}
+			buf := make([]byte, raw.Len())
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, err := conn.Write(get); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.ReadFull(conn, buf); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if !bytes.Equal(buf, raw.Bytes()) {
+				t.Fatalf("a measured relay answered differently:\n%q\nwant\n%q", buf[:200], raw.Bytes()[:200])
+			}
+			if allocs != 0 {
+				t.Fatalf("relay: %.1f allocations, want 0", allocs)
+			}
+		})
+	}
+}
+
+// A body past what the back-end reader buffers moves in the kernel when
+// both connections are bare TCP: a 1 MiB object arrives byte-identical, and
+// the back-end connection keeps its framing — it goes back to the pool, the
+// next request on it is answered, and no overflow connection is dialed.
+func TestLargeRelayKernelPath(t *testing.T) {
+	tc := startClusterOpts(t, 1, func(o *Options) { o.PreforkPerNode = 1 })
+	big := make([]byte, 1<<20)
+	_, _ = rand.New(rand.NewSource(1)).Read(big)
+	after := []byte("next on the same connection")
+	tc.place(t, "/big.bin", big, "n1")
+	tc.place(t, "/after.html", after, "n1")
+
+	conn, err := net.Dial("tcp", tc.front)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	for _, get := range []struct {
+		path string
+		want []byte
+	}{{"/big.bin", big}, {"/after.html", after}, {"/big.bin", big}} {
+		req := &httpx.Request{Method: "GET", Target: get.path, Path: get.path, Proto: httpx.Proto11, Header: httpx.NewHeader("Host", "c")}
+		if err := httpx.WriteRequest(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := httpx.ReadResponse(br)
+		if err != nil || resp.StatusCode != 200 || !bytes.Equal(resp.Body, get.want) {
+			t.Fatalf("GET %s: %v; body matches: %v", get.path, err, resp != nil && bytes.Equal(resp.Body, get.want))
+		}
+	}
+	if n := tc.dist.pool.OverflowDials(); n != 0 {
+		t.Fatalf("%d overflow dials: a relay lost the back-end connection's framing", n)
+	}
+	if n := tc.dist.RelayTruncations(); n != 0 {
+		t.Fatalf("%d truncations on complete relays", n)
+	}
+}
+
+// resettingBackend is a raw-TCP back end that answers each request with
+// the header and half the body of a size-byte response, then resets the
+// connection (SO_LINGER 0).
+func resettingBackend(t *testing.T, size int) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	half := append([]byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", size)), bytes.Repeat([]byte("h"), size/2)...)
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer func() { _ = conn.Close() }()
+				if _, err := conn.Read(make([]byte, 4096)); err != nil {
+					return
+				}
+				if _, err := conn.Write(half); err != nil {
+					return
+				}
+				_ = conn.(*net.TCPConn).SetLinger(0)
+			}()
+		}
+	}()
+	return l.Addr().String()
+}
+
+// A back end that resets mid-body, past what the back-end reader buffers
+// (so on the kernel path), counts as exactly one truncation and resets the
+// client's mapping entry.
+func TestKernelRelayBackendReset(t *testing.T) {
 	tc := startClusterOpts(t, 0, func(o *Options) {
-		o.Telemetry = telemetry.New(telemetry.Options{Node: "distributor"})
-		o.Journal = journal.New(journal.Options{Node: "front"})
-		withCannedNode(t, "c1", canned)(o)
+		// started in the tweak, so the leak check runs after it closes
+		withRawNode("rst", resettingBackend(t, 1<<20))(o)
 	})
-	obj := content.Object{Path: "/docs/small.html", Size: int64(len(body)), Class: content.ClassHTML}
-	if err := tc.table.Insert(obj, "c1"); err != nil {
+	obj := content.Object{Path: "/reset.bin", Size: 1 << 20, Class: content.Classify("/reset.bin")}
+	if err := tc.table.Insert(obj, "rst"); err != nil {
 		t.Fatal(err)
 	}
 	conn, err := net.Dial("tcp", tc.front)
@@ -333,31 +463,57 @@ func TestRelayAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	get := []byte("GET /docs/small.html HTTP/1.1\r\nHost: cluster.example\r\nUser-Agent: webbench\r\n\r\n")
-	var raw bytes.Buffer
-	for i := 0; i < 2; i++ {
-		raw.Reset()
-		if _, err := conn.Write(get); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := httpx.ReadResponse(bufio.NewReader(io.TeeReader(conn, &raw)))
-		if err != nil || resp.StatusCode != 200 || !bytes.Equal(resp.Body, body) {
-			t.Fatalf("warm-up relay %d: %v", i, err)
-		}
+	req := &httpx.Request{
+		Method: "GET", Target: "/reset.bin", Path: "/reset.bin",
+		Proto: httpx.Proto11, Header: httpx.NewHeader("Connection", "close"),
 	}
-	buf := make([]byte, raw.Len())
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := conn.Write(get); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.ReadFull(conn, buf); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if !bytes.Equal(buf, raw.Bytes()) {
-		t.Fatalf("a measured relay answered differently:\n%q\nwant\n%q", buf, raw.Bytes())
+	if err := httpx.WriteRequest(conn, req); err != nil {
+		t.Fatal(err)
 	}
-	if allocs != 0 {
-		t.Fatalf("relay: %.1f allocations, want 0", allocs)
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := httpx.ReadResponseHeader(bufio.NewReader(conn))
+	if err != nil || resp.ContentLength != 1<<20 {
+		t.Fatalf("the header did not reach the client: %v", err)
+	}
+	testutil.Eventually(t, 2*time.Second, func() bool {
+		installed, deleted, _ := tc.dist.Mapping().Counts()
+		return tc.dist.RelayTruncations() == 1 && installed >= 1 && deleted == installed
+	}, "truncations = %d, mapping not reset", tc.dist.RelayTruncations())
+}
+
+// With the cache off, a HEAD relayed from a back end carries the object's
+// length and no body, and both connections keep their framing: a GET after
+// it on the same client connection gets the object.
+func TestRelayedHEADKeepsLength(t *testing.T) {
+	tc := startClusterOpts(t, 1, func(o *Options) { o.PreforkPerNode = 1 })
+	body := bytes.Repeat([]byte("head"), 16<<10)
+	tc.place(t, "/head.bin", body, "n1")
+	conn, err := net.Dial("tcp", tc.front)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	if _, err := io.WriteString(conn, "HEAD /head.bin HTTP/1.1\r\nHost: c\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	head, err := httpx.ReadResponseHeader(br)
+	if err != nil || head.StatusCode != 200 {
+		t.Fatalf("HEAD: %v", err)
+	}
+	if head.ContentLength != int64(len(body)) {
+		t.Fatalf("HEAD says Content-Length %d, want the object's %d", head.ContentLength, len(body))
+	}
+	// No body follows: the next bytes on the connection are the GET's answer.
+	if _, err := io.WriteString(conn, "GET /head.bin HTTP/1.1\r\nHost: c\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	get, err := httpx.ReadResponse(br)
+	if err != nil || !bytes.Equal(get.Body, body) {
+		t.Fatalf("GET after HEAD: %v", err)
+	}
+	if n := tc.dist.pool.OverflowDials(); n != 0 {
+		t.Fatalf("%d overflow dials: the HEAD cost the back-end connection its framing", n)
 	}
 }

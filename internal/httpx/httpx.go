@@ -12,8 +12,11 @@
 // insertion-ordered slices rather than maps (no sort on write, no clone on
 // forward), every message is serialized into a pooled staging buffer and
 // leaves with its body in one vectored write (writev.go), and response
-// bodies can be streamed (ReadResponseHeaderInto + RelayResponse) instead
-// of buffered. See DESIGN.md §2 for the pooling and aliasing invariants.
+// bodies can be streamed (ReadResponseHeaderInto + Relay) instead of
+// buffered, the part past the reader's buffer in the kernel. The L4
+// router's stream splice shares that relay's bare-TCP rule and fallback
+// buffer pool (stream.go). See DESIGN.md §2 for the pooling and aliasing
+// invariants.
 package httpx
 
 import (
@@ -635,17 +638,23 @@ func NewResponse(proto string, code int, body []byte) *Response {
 	return resp
 }
 
-// WriteResponse serializes resp to w, forcing a correct Content-Length.
-// Headers go out in insertion order (any stale Content-Length field is
-// skipped, not cloned around), and the body — typically an aliased slice
-// of the backend's page cache — is written without copying.
+// WriteResponse serializes resp to w, forcing a correct Content-Length:
+// the body's length, or — for a response with no body, such as a reply to
+// HEAD — its ContentLength, the length a GET would carry. Headers go out
+// in insertion order (any stale Content-Length field is skipped, not
+// cloned around), and the body — typically an aliased slice of the
+// backend's page cache — is written without copying.
 func WriteResponse(w io.Writer, resp *Response) error {
 	hb := defaultPools.acquireHeaderBuf()
 	defer defaultPools.releaseHeaderBuf(hb)
 	head := appendStatusLine((*hb)[:0], resp.Proto, resp.StatusCode, resp.Status)
 	head = resp.Header.appendFields(head, "Content-Length", "")
 	head = appendTraceFields(head, resp)
-	head = appendContentLength(head, int64(len(resp.Body)))
+	cl := int64(len(resp.Body))
+	if cl == 0 {
+		cl = resp.ContentLength
+	}
+	head = appendContentLength(head, cl)
 	*hb = head[:0]
 	if _, err := defaultPools.writeVectored(w, head, resp.Body); err != nil {
 		return fmt.Errorf("writing response: %w", err)

@@ -9,11 +9,12 @@ import (
 
 // Pool sizing. Reader buffers are sized for this system's messages
 // (request lines plus a handful of headers fit in 4 KiB); copy buffers are
-// 256 KiB so a large body relay moves data in a handful of syscalls
-// without large per-request allocations.
+// 256 KiB so a relay that cannot move bytes in the kernel moves them in a
+// handful of syscalls without large per-request allocations.
 const (
 	readerBufSize = 4 << 10
-	// CopyBufSize is the size of the pooled buffers CopyBody relays with.
+	// CopyBufSize is the size of the pooled buffers CopyBody, Relay's
+	// copy loop and SpliceStreams' fallback relay with.
 	CopyBufSize = 256 << 10
 	// headerBufSize is the staging capacity for a serialized header
 	// section (writeVectored); oversized sections grow the slice and the

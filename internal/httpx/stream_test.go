@@ -193,15 +193,18 @@ func TestHeaderPreservesInsertionOrder(t *testing.T) {
 }
 
 // countingReader counts the Read calls that reach the source — the
-// read(2)s a socket would see.
+// read(2)s a socket would see — and the bytes they return.
 type countingReader struct {
 	r     io.Reader
 	reads int
+	bytes int64
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	c.reads++
-	return c.r.Read(p)
+	n, err := c.r.Read(p)
+	c.bytes += int64(n)
+	return n, err
 }
 
 // A small response the back end sends whole — header plus 8 KiB body —

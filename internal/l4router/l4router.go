@@ -16,8 +16,8 @@ import (
 	"time"
 
 	"webcluster/internal/config"
-	"webcluster/internal/conntrack"
 	"webcluster/internal/faults"
+	"webcluster/internal/httpx"
 	"webcluster/internal/lifecycle"
 	"webcluster/internal/loadbal"
 )
@@ -155,17 +155,18 @@ func (r *Router) proxy(client net.Conn) {
 	// With no fault injector both ends are bare *net.TCPConn values, so
 	// SpliceStreams moves bytes via the kernel splice(2) fast path; a
 	// wrapped end ("l4router.server") takes the pooled-buffer fallback
-	// so injected faults stay observable.
+	// so injected faults stay observable. The rule and the buffer pool
+	// are the distributor's relay's own.
 	done := make(chan struct{}, 2)
 	go func() {
-		_, _ = conntrack.SpliceStreams(server, client)
+		_, _ = httpx.SpliceStreams(server, client)
 		if tc, ok := server.(*net.TCPConn); ok {
 			_ = tc.CloseWrite()
 		}
 		done <- struct{}{}
 	}()
 	go func() {
-		_, _ = conntrack.SpliceStreams(client, server)
+		_, _ = httpx.SpliceStreams(client, server)
 		if tc, ok := client.(*net.TCPConn); ok {
 			_ = tc.CloseWrite()
 		}
