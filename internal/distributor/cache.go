@@ -57,15 +57,18 @@ func cacheableResponse(resp *httpx.Response, maxBytes int64) bool {
 	return resp.StatusCode == 200 && resp.ContentLength >= 0 && resp.ContentLength <= maxBytes
 }
 
-// bufferEntry drains the response body from the pooled connection into a
-// new cache entry, settling the connection back into the pool.
+// bufferEntry drains the response body from the pooled connection into
+// an entry from the cache's free lists, settling the connection back into
+// the pool. The entry is the caller's reference.
 func (d *Distributor) bufferEntry(pc *conntrack.PooledConn, resp *httpx.Response) (*respcache.Entry, error) {
-	body := make([]byte, resp.ContentLength)
-	if _, err := io.ReadFull(pc.Reader, body); err != nil {
+	e := d.cache.AcquireEntry(int(resp.ContentLength))
+	if _, err := io.ReadFull(pc.Reader, e.Stored.Body); err != nil {
 		d.pool.Discard(pc)
+		d.cache.Release(e)
 		return nil, fmt.Errorf("buffering cacheable body: %w", err)
 	}
 	if err := d.settleConn(pc, resp); err != nil {
+		d.cache.Release(e)
 		return nil, err
 	}
 	st := httpx.Stored{
@@ -74,17 +77,17 @@ func (d *Distributor) bufferEntry(pc *conntrack.PooledConn, resp *httpx.Response
 		ETag:         resp.Header.Get("Etag"),
 		LastModified: resp.Header.Get("Last-Modified"),
 		Date:         resp.Header.Get("Date"),
-		Body:         body,
 	}
 	// back ends that predate validators still get strong ones here, so
 	// client conditionals and later revalidation work for every entry
 	if st.ETag == "" {
-		st.ETag = httpx.StrongETag(body)
+		st.ETag = httpx.StrongETag(e.Stored.Body)
 	}
 	if st.Date == "" {
 		st.Date = httpx.CurrentDate()
 	}
-	return respcache.NewEntry(st, d.cache.Now(), d.cache.FreshFor()), nil
+	e.Fill(st, d.cache.Now(), d.cache.FreshFor())
+	return e, nil
 }
 
 // settleConn clears the exchange deadline and returns the pooled

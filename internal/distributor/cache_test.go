@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"runtime/debug"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"webcluster/internal/backend"
+	"webcluster/internal/content"
 	"webcluster/internal/httpx"
 	"webcluster/internal/journal"
 	"webcluster/internal/respcache"
@@ -424,5 +426,268 @@ func TestCacheDynamicBypassed(t *testing.T) {
 		if v := resp.Header.Get("X-Dist-Cache"); v != "" {
 			t.Fatalf("dynamic response cached: verdict %q", v)
 		}
+	}
+}
+
+// A 304 revalidation refreshes the resident entry in place: it is not a
+// fill, so cache-stats and the admission reject ratio count only the
+// bodies that really entered the cache.
+func TestCacheRevalidationCountsNoFill(t *testing.T) {
+	rc := respcache.New(respcache.Options{FreshTTL: 50 * time.Millisecond, StaleTTL: time.Hour})
+	tc := startClusterOpts(t, 1, withCache(rc))
+	tc.place(t, "/reval.html", []byte("<html>unchanged upstream</html>"), "n1")
+
+	fetch(t, tc.front, "/reval.html", httpx.Proto11) // fill
+	for i := 0; i < 2; i++ {
+		time.Sleep(120 * time.Millisecond) // let freshness lapse
+		if v := fetch(t, tc.front, "/reval.html", httpx.Proto11).Header.Get("X-Dist-Cache"); v != "REVALIDATED" {
+			t.Fatalf("revalidation %d verdict = %q", i, v)
+		}
+	}
+	if st := rc.Stats(); st.Fills != 1 || st.Revalidated != 2 || st.Entries != 1 {
+		t.Fatalf("after one fill and two revalidations: fills=%d revalidated=%d entries=%d, want 1, 2, 1",
+			st.Fills, st.Revalidated, st.Entries)
+	}
+}
+
+// A keep-alive cache miss allocates at most one object in the
+// distributor when the cache is full and cycling more paths than fit: the
+// flight is reused, the body goes into an entry an earlier release left
+// on its size class's free list, and the one allocation is the strong
+// ETag string the distributor derives because the back end sent none. A
+// miss TinyLFU rejects hands its entry straight back to the free list; an
+// admitted one evicts a victim whose release does the same. The back end
+// answers each path with its own pre-rendered response, whose body starts
+// with the path, so every fill reads bytes the entry's memory did not
+// hold before; the client writes pre-rendered requests and reads the
+// known-length reply into a fixed buffer.
+func TestCacheMissAllocFree(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector makes sync.Pool drop Puts, so pooled state is reallocated")
+	}
+	const size = 1 << 10
+	head := []byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"+
+		"Date: Tue, 14 Nov 2023 22:13:20 GMT\r\nContent-Length: %d\r\n\r\n", size))
+	miss := []byte("X-Dist-Cache: MISS")
+	epoch := time.Unix(1_700_000_000, 0)
+
+	// setup starts a cluster whose cache fits four entries and places n
+	// paths on the answering node; get(i) answers path i.
+	setup := func(t *testing.T, n int) (rc *respcache.Cache, get func(i int) []byte, measure func(runs int, path func(run int) int) float64) {
+		rc = respcache.New(respcache.Options{
+			MaxBytes: 4 * 1350, Shards: 1, FreshTTL: time.Hour,
+			Clock: func() time.Time { return epoch },
+		})
+		paths := make([]string, n)
+		bodies := make([][]byte, n)
+		answers := make(map[string][]byte, n)
+		for i := range paths {
+			paths[i] = fmt.Sprintf("/docs/m%03d.html", i)
+			bodies[i] = bytes.Repeat([]byte("m"), size)
+			copy(bodies[i], paths[i])
+			answers["GET "+paths[i]] = append(append([]byte(nil), head...), bodies[i]...)
+		}
+		tc := startClusterOpts(t, 0, func(o *Options) {
+			o.Cache = rc
+			o.Telemetry = telemetry.New(telemetry.Options{Node: "distributor"})
+			o.Journal = journal.New(journal.Options{Node: "front"})
+			withRawNode("c1", answeringBackend(t, func(req []byte) []byte {
+				line, _, _ := bytes.Cut(req, []byte(" HTTP/"))
+				return answers[string(line)]
+			}))(o)
+		})
+		reqs := make([][]byte, n)
+		for i, p := range paths {
+			if err := tc.table.Insert(content.Object{Path: p, Size: size, Class: content.ClassHTML}, "c1"); err != nil {
+				t.Fatal(err)
+			}
+			reqs[i] = []byte("GET " + p + " HTTP/1.1\r\nHost: cluster.example\r\nUser-Agent: webbench\r\n\r\n")
+		}
+		conn, err := net.Dial("tcp", tc.front)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+		var raw bytes.Buffer
+		get = func(i int) []byte {
+			raw.Reset()
+			if _, err := conn.Write(reqs[i]); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := httpx.ReadResponse(bufio.NewReader(io.TeeReader(conn, &raw)))
+			if err != nil || resp.StatusCode != 200 || !bytes.Equal(resp.Body, bodies[i]) {
+				t.Fatalf("warm-up GET %d: %v", i, err)
+			}
+			return raw.Bytes()
+		}
+		measure = func(runs int, path func(run int) int) float64 {
+			warm := get(path(0))
+			if !bytes.Contains(warm, miss) {
+				t.Fatalf("the warm-up of the measured stream was not a miss:\n%q", warm)
+			}
+			// every path's reply has the same length: the same header
+			// fields, and derived tags of one length for one body size
+			buf := make([]byte, len(warm))
+			run, wrong := 1, -1
+			allocs := testing.AllocsPerRun(runs, func() {
+				i := path(run)
+				run++
+				if _, err := conn.Write(reqs[i]); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.ReadFull(conn, buf); err != nil {
+					t.Fatal(err)
+				}
+				if wrong < 0 && (!bytes.Contains(buf, miss) || !bytes.HasSuffix(buf, bodies[i])) {
+					wrong = i
+				}
+			})
+			if wrong >= 0 {
+				t.Fatalf("a measured miss for %s was not that path's fresh body", paths[wrong])
+			}
+			return allocs
+		}
+		return rc, get, measure
+	}
+
+	t.Run("rejected", func(t *testing.T) {
+		rc, get, measure := setup(t, 256)
+		// four hot residents: TinyLFU prefers each to any newcomer
+		for round := 0; round < 20; round++ {
+			for i := 0; i < 4; i++ {
+				get(i)
+			}
+		}
+		before := rc.Stats()
+		allocs := measure(100, func(run int) int { return 4 + run%252 })
+		st := rc.Stats()
+		if fills, rejected := st.Fills-before.Fills, st.Rejected-before.Rejected; fills != 0 || rejected != 102 {
+			t.Fatalf("cold misses: %d fills, %d rejected, want 0 and 102", fills, rejected)
+		}
+		if allocs > 1 {
+			t.Fatalf("rejected miss: %.1f allocations, want at most 1 (a derived validator)", allocs)
+		}
+	})
+
+	t.Run("admitted", func(t *testing.T) {
+		rc, get, measure := setup(t, 8)
+		// eight paths round-robin through a cache of four: each request
+		// misses, ties its victim in the sketch and displaces it
+		for round := 0; round < 3; round++ {
+			for i := 0; i < 8; i++ {
+				get(i)
+			}
+		}
+		before := rc.Stats()
+		allocs := measure(100, func(run int) int { return run % 8 })
+		st := rc.Stats()
+		if fills, evicted := st.Fills-before.Fills, st.Evictions-before.Evictions; fills < 90 || evicted < 90 {
+			t.Fatalf("cycling misses: %d fills, %d evictions of 102 requests, want each ≥ 90", fills, evicted)
+		}
+		if allocs > 1 {
+			t.Fatalf("admitted miss: %.1f allocations, want at most 1 (a derived validator)", allocs)
+		}
+	})
+}
+
+// Recycled entries never serve another path's bytes. A cache of three
+// entries takes concurrent hits and misses on many paths — every body
+// names its own path — while invalidations and purges pull entries out
+// from under the readers, so entries are evicted, rejected and reused
+// constantly. Under -race an entry released before its last use (the
+// memory goes to the next fill while a reply still reads it) is a
+// reported race or a wrong body.
+func TestCacheRecycleSafety(t *testing.T) {
+	const (
+		paths   = 48
+		clients = 6
+	)
+	requests := 300
+	if testing.Short() {
+		requests = 100
+	}
+	pathOf := func(i int) string { return fmt.Sprintf("/docs/r%03d.html", i) }
+	bodyOf := func(i int) []byte { return bytes.Repeat([]byte(fmt.Sprintf("<%03d>", i)), 200) }
+	rc := respcache.New(respcache.Options{MaxBytes: 3 * 1400, Shards: 1, FreshTTL: time.Hour})
+	tc := startClusterOpts(t, 2, withCache(rc))
+	for i := 0; i < paths; i++ {
+		tc.place(t, pathOf(i), bodyOf(i), "n1", "n2")
+	}
+
+	stop := make(chan struct{})
+	purged := make(chan struct{})
+	go func() {
+		defer close(purged)
+		r := rand.New(rand.NewSource(99))
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			case <-time.After(200 * time.Microsecond):
+			}
+			if n%16 == 15 {
+				rc.InvalidateAll()
+			} else {
+				rc.Invalidate(pathOf(r.Intn(paths)))
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", tc.front)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer func() { _ = conn.Close() }()
+			_ = conn.SetDeadline(time.Now().Add(time.Minute))
+			br := bufio.NewReader(conn)
+			r := rand.New(rand.NewSource(int64(c)))
+			for n := 0; n < requests; n++ {
+				i := r.Intn(paths)
+				if r.Intn(2) == 0 {
+					i = r.Intn(4) // a hot few, so hits mix with misses
+				}
+				method := "GET"
+				if r.Intn(8) == 0 {
+					method = "HEAD"
+				}
+				req := &httpx.Request{Method: method, Target: pathOf(i), Path: pathOf(i), Proto: httpx.Proto11, Header: httpx.NewHeader("Host", "c")}
+				if err := httpx.WriteRequest(conn, req); err != nil {
+					errs <- err
+					return
+				}
+				read := httpx.ReadResponse
+				if method == "HEAD" {
+					read = httpx.ReadResponseHeader // a HEAD reply is its header
+				}
+				resp, err := read(br)
+				if err == nil && method == "HEAD" {
+					if resp.StatusCode != 200 || resp.ContentLength != int64(len(bodyOf(i))) {
+						err = fmt.Errorf("HEAD %s: status %d, length %d", pathOf(i), resp.StatusCode, resp.ContentLength)
+					}
+				} else if err == nil && (resp.StatusCode != 200 || !bytes.Equal(resp.Body, bodyOf(i))) {
+					err = fmt.Errorf("GET %s (%s): status %d, body %.24q…", pathOf(i), resp.Header.Get("X-Dist-Cache"), resp.StatusCode, resp.Body)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	<-purged
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if st := rc.Stats(); st.Fills == 0 || st.Rejected+st.Evictions == 0 {
+		t.Fatalf("the cache never turned over: %+v", st)
 	}
 }

@@ -6,10 +6,16 @@ package distributor
 //	parse → admit → cache → fetch → reply → finish
 //
 // as methods on one exchange value: serveClient calls parse and serve,
-// serve calls admit, lookup and fetch, and every reply (stream,
-// replyCached, replyError) ends in finish. finish is the only emitter of
-// per-request records, so a new exit cannot forget the access log, the
-// span, the per-class stats or the load tracker.
+// serve calls admit and then cached or relay, both of which call fetch,
+// and every reply (stream, replyCached, replyError) ends in finish. finish
+// is the only emitter of per-request records, so a new exit cannot forget
+// the access log, the span, the per-class stats or the load tracker.
+//
+// A response-cache entry is a counted reference (respcache.Entry): the
+// stage that obtains one — Get, Peek, a flight's Wait, the miss leader's
+// fill — releases it with a defer beside the call, so it outlives the
+// reply and its finish, and distlint's pooledescape checks each one is
+// released exactly once on every path.
 
 import (
 	"bufio"
@@ -79,10 +85,6 @@ type requestState struct {
 	routeCost time.Duration
 	// node is the back end that answered fetch; empty until one has.
 	node config.NodeID
-	// flight is set when this request leads the path's coalesced fetch,
-	// stale when that fetch revalidates an expired entry.
-	flight *respcache.Flight
-	stale  *respcache.Entry
 }
 
 // parse reads the next request off the connection. Tracing starts after
@@ -132,23 +134,18 @@ func (x *exchange) serve() bool {
 		defer d.adm.Release(x.class)
 	}
 	if d.cache != nil && cacheEligible(x.req) {
-		if e, verdict := x.lookup(); e != nil {
-			return x.replyCached(e, verdict)
-		}
+		return x.cached()
 	}
-	var (
-		pc  *conntrack.PooledConn
-		err error
-	)
-	if x.stale != nil {
-		pc, err = x.revalidate()
-	} else {
-		pc, err = x.fetch(x.req)
-	}
+	return x.relay()
+}
+
+// relay is the path without the cache: fetch and stream.
+func (x *exchange) relay() bool {
+	pc, err := x.fetch(x.req)
 	if err != nil {
 		return x.fail(err)
 	}
-	return x.reply(pc)
+	return x.stream(pc)
 }
 
 // admit classifies the request (X-Dist-Class header, then URL-prefix
@@ -178,6 +175,7 @@ func (x *exchange) admit() admission.Verdict {
 func (x *exchange) shed(verdict admission.Verdict) bool {
 	if c := x.d.cache; verdict == admission.ShedStale && c != nil && cacheEligible(x.req) {
 		e, state := c.Get(x.req.Path)
+		defer c.Release(e)
 		x.span.MarkCache()
 		switch state {
 		case respcache.Fresh:
@@ -191,59 +189,134 @@ func (x *exchange) shed(verdict admission.Verdict) bool {
 	return x.replyError(503, "overloaded\n", outShed)
 }
 
-// lookup is the cache stage. It returns the entry to answer from and its
-// X-Dist-Cache verdict, or nil when the request needs a back end: as the
-// leader of the path's coalesced fetch (x.flight set, x.stale the expired
-// entry to revalidate, if there is one) or, where the cache declines, as a
-// plain relay. The leader performs one back-end exchange and every
-// concurrent requester shares its result.
-func (x *exchange) lookup() (*respcache.Entry, string) {
+// cached is the cache stage. A fresh entry answers the request; otherwise
+// it leads the path's coalesced fetch (lead), revalidating the expired
+// entry if there is one, or waits on the leader's (follow). A HEAD the
+// cache cannot answer is relayed.
+func (x *exchange) cached() bool {
 	c, path := x.d.cache, x.req.Path
 	e, state := c.Get(path)
+	defer c.Release(e)
 	x.span.MarkCache()
 	if state == respcache.Fresh {
-		return e, "HIT"
+		return x.replyCached(e, "HIT")
 	}
 	if x.req.Method == "HEAD" {
 		// HEAD carries no body either way; the relay path is cheap
 		// and avoids leading a GET fetch for it
-		return nil, ""
+		return x.relay()
 	}
 	f, leader := c.BeginFlight(path)
 	if !leader {
-		led, err := f.Wait()
-		x.span.MarkCache() // waited on the flight leader
-		switch {
-		case led != nil && err == nil:
-			return led, "HIT"
-		case err != nil && e != nil:
-			// no replica answered the leader; the entry is still within
-			// its stale window (Get classified it Stale), so degrade
-			c.CountStale()
-			return e, "STALE"
-		}
-		// uncacheable or failed upstream response: relay. The wait was the
-		// leader's exchange; this request's own service starts over, so the
-		// back end it reaches is not charged for it.
-		x.start = time.Now()
-		return nil, ""
+		return x.follow(f, e)
 	}
 	if state == respcache.Miss {
 		// double-check after winning the flight: a previous leader may have
 		// filled the entry between our Get miss and BeginFlight; Peek, so
 		// the miss is counted (and the sketch bumped) once
-		if e := c.Peek(path); e != nil {
-			f.Finish(e, nil)
-			return e, "HIT"
+		if p := c.Peek(path); p != nil {
+			defer c.Release(p)
+			f.Finish(p, nil)
+			return x.replyCached(p, "HIT")
 		}
 	}
-	x.flight, x.stale = f, e
-	return nil, ""
+	return x.lead(f, e)
+}
+
+// follow answers a request that joined another's fetch with the leader's
+// result, or stale — the expired entry its Get found, if any — when no
+// replica answered the leader, or by relaying when the leader got nothing
+// the cache could store.
+func (x *exchange) follow(f *respcache.Flight, stale *respcache.Entry) bool {
+	c := x.d.cache
+	led, err := f.Wait()
+	defer c.Release(led)
+	x.span.MarkCache() // waited on the flight leader
+	switch {
+	case led != nil && err == nil:
+		return x.replyCached(led, "HIT")
+	case err != nil && stale != nil:
+		// the entry is still within its stale window (Get classified it
+		// Stale), so degrade
+		c.CountStale()
+		return x.replyCached(stale, "STALE")
+	}
+	// uncacheable or failed upstream response: relay. The wait was the
+	// leader's exchange; this request's own service starts over, so the
+	// back end it reaches is not charged for it.
+	x.start = time.Now()
+	return x.relay()
+}
+
+// lead performs the path's coalesced fetch and settles the flight with
+// its result: a conditional GET when stale — an expired entry — exists,
+// whose 304 refreshes it without moving the body again; otherwise a GET
+// whose cacheable body is buffered into a new entry. What the cache
+// cannot store is streamed.
+func (x *exchange) lead(f *respcache.Flight, stale *respcache.Entry) bool {
+	d, resp := x.d, &x.resp
+	var (
+		pc  *conntrack.PooledConn
+		err error
+	)
+	if stale != nil {
+		pc, err = x.revalidate(stale)
+	} else {
+		pc, err = x.fetch(x.req)
+	}
+	if err != nil {
+		return x.abandon(f, stale, err)
+	}
+	if resp.StatusCode == 304 && stale != nil {
+		if err := d.settleConn(pc, resp); err != nil {
+			return x.abandon(f, stale, err)
+		}
+		// skip the refresh if an invalidation raced the exchange: the
+		// waiting requesters still get the body they asked for before the
+		// mutation, but the entry must not outlive the purge
+		if !f.Doomed() {
+			d.cache.Refresh(stale)
+		}
+		f.Finish(stale, nil)
+		return x.replyCached(stale, "REVALIDATED")
+	}
+	if !cacheableResponse(resp, d.cache.MaxEntryBytes()) {
+		f.Finish(nil, nil)
+		return x.stream(pc)
+	}
+	e, err := d.bufferEntry(pc, resp)
+	if err != nil {
+		return x.abandon(f, stale, err)
+	}
+	defer d.cache.Release(e)
+	f.Finish(e, nil)
+	return x.replyCached(e, "MISS")
+}
+
+// abandon resolves a flight whose fetch produced nothing, so waiting
+// requesters stop waiting, and answers the request: from stale when an
+// expired copy exists and the path still routes, else as fail does.
+func (x *exchange) abandon(f *respcache.Flight, stale *respcache.Entry, err error) bool {
+	if err == errNoRoute {
+		// not an outage: followers relay and get their own 404; the path
+		// left the table, so never resurrect a stale entry
+		f.Finish(nil, nil)
+		return x.fail(err)
+	}
+	f.Finish(nil, err)
+	if stale == nil {
+		return x.fail(err)
+	}
+	// stale-on-error: an expired copy within its stale window beats a 5xx
+	// when no replica can answer
+	x.node = "" // no back end gets credit for an exchange that broke
+	x.d.cache.CountStale()
+	return x.replyCached(stale, "STALE")
 }
 
 // revalidate is fetch for an expired entry: a conditional GET carrying the
 // stored validator, so a 304 means the body never moves again.
-func (x *exchange) revalidate() (*conntrack.PooledConn, error) {
+func (x *exchange) revalidate(stale *respcache.Entry) (*conntrack.PooledConn, error) {
 	rr := x.d.pools.AcquireRequest()
 	defer x.d.pools.ReleaseRequest(rr)
 	rr.Method = "GET"
@@ -251,7 +324,7 @@ func (x *exchange) revalidate() (*conntrack.PooledConn, error) {
 	rr.Path = x.req.Path
 	rr.Proto = httpx.Proto11
 	rr.TraceID = x.req.TraceID
-	rr.Header.Set("If-None-Match", x.stale.Stored.ETag)
+	rr.Header.Set("If-None-Match", stale.Stored.ETag)
 	return x.fetch(rr)
 }
 
@@ -321,67 +394,19 @@ func (x *exchange) journalBackend(kind journal.Kind, failed config.NodeID, detai
 	})
 }
 
-// fail answers a request whose fetch produced nothing to relay, resolving
-// the flight it led (if any) so waiting requesters stop waiting.
+// fail answers a request whose fetch produced nothing to relay.
 func (x *exchange) fail(err error) bool {
 	// no back end gets credit for an exchange that broke
 	x.node = ""
-	if x.flight != nil {
-		if err == errNoRoute {
-			x.flight.Finish(nil, nil) // not an outage: followers relay and get their own 404
-		} else {
-			x.flight.Finish(nil, err)
-		}
-	}
 	switch {
 	case err == errNoRoute:
-		// the path left the table; never resurrect a stale entry
 		return x.replyError(404, "no route: "+x.req.Path+"\n", outNoRoute)
-	case x.stale != nil:
-		// stale-on-error: an expired copy within its stale window beats
-		// a 5xx when no replica can answer
-		x.d.cache.CountStale()
-		return x.replyCached(x.stale, "STALE")
 	case errors.Is(err, ErrNoBackend):
 		return x.replyError(503, "no backend available\n", outNoReplica)
 	default:
 		x.replyError(502, "backend error\n", outBadGateway)
 		return false
 	}
-}
-
-// reply delivers the fetched response, x.resp. A plain relay streams it;
-// a flight leader settles the flight first — refreshing the revalidated
-// entry on a 304, buffering a cacheable body into a new entry — and
-// streams only what the cache cannot store.
-func (x *exchange) reply(pc *conntrack.PooledConn) bool {
-	d, f, resp := x.d, x.flight, &x.resp
-	if f == nil {
-		return x.stream(pc)
-	}
-	if resp.StatusCode == 304 && x.stale != nil {
-		if err := d.settleConn(pc, resp); err != nil {
-			return x.fail(err)
-		}
-		// skip the refresh if an invalidation raced the exchange: the
-		// waiting requesters still get the body they asked for before the
-		// mutation, but the entry must not outlive the purge
-		if !f.Doomed() {
-			d.cache.Refresh(x.stale)
-		}
-		f.Finish(x.stale, nil)
-		return x.replyCached(x.stale, "REVALIDATED")
-	}
-	if !cacheableResponse(resp, d.cache.MaxEntryBytes()) {
-		f.Finish(nil, nil)
-		return x.stream(pc)
-	}
-	e, err := d.bufferEntry(pc, resp)
-	if err != nil {
-		return x.fail(err)
-	}
-	f.Finish(e, nil)
-	return x.replyCached(e, "MISS")
 }
 
 // stream relays x.resp from the pooled back-end connection to the client,

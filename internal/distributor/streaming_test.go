@@ -258,6 +258,13 @@ func TestNonIdempotentRequestNotRetried(t *testing.T) {
 // allocation count taken around a relay through it is the distributor's.
 func cannedBackend(t *testing.T, response []byte) string {
 	t.Helper()
+	return answeringBackend(t, func([]byte) []byte { return response })
+}
+
+// answeringBackend is cannedBackend with the reply chosen per request:
+// answer gets each request's header block and returns the bytes to write.
+func answeringBackend(t *testing.T, answer func(head []byte) []byte) string {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -285,10 +292,10 @@ func cannedBackend(t *testing.T, response []byte) string {
 						}
 						continue
 					}
-					n = 0
-					if _, err := conn.Write(response); err != nil {
+					if _, err := conn.Write(answer(buf[:n])); err != nil {
 						return
 					}
+					n = 0
 				}
 			}()
 		}

@@ -562,6 +562,74 @@ func TestReadResponseHeaderIntoReusesRepeatedFields(t *testing.T) {
 	}
 }
 
+// fuzzResponse is the one Response FuzzReadResponseHeaderInto parses
+// every input into, so each input is read over the strings the previous
+// one left behind — the reuse the distributor's exchange relies on.
+var fuzzResponse = Response{Header: make(Header, 0, 8)}
+
+// FuzzReadResponseHeaderInto: whatever a back end sends, parsing it into
+// a reused Response gives what parsing it into a new one gives, field for
+// field and error for error, and a header it accepts is a fixed point of
+// write → parse → write: what WriteResponse renders from it parses back
+// to a response that renders the same bytes again, with the status, the
+// framing, the trace fields and every other header unchanged.
+func FuzzReadResponseHeaderInto(f *testing.F) {
+	for _, raw := range responseStreams {
+		f.Add([]byte(raw))
+	}
+	f.Add([]byte("HTTP/1.1 200 OK\r\nEtag: \"a\"\r\nX-Served-By: n1\r\nContent-Length: 5\r\n\r\nhello" +
+		"HTTP/1.1 200 OK\r\nEtag: \"b\"\r\nX-Served-By: n1\r\nContent-Length: 12\r\n\r\nhello, again"))
+	f.Add([]byte("HTTP/1.1 200\nx-dist-trace: zz\ncontent-length: +3\nVary:  \n\nabc"))
+	render := func(t *testing.T, resp *Response) []byte {
+		var b bytes.Buffer
+		if err := WriteResponse(&b, resp); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		freshBR := bufio.NewReader(bytes.NewReader(wire))
+		reusedBR := bufio.NewReader(bytes.NewReader(wire))
+		resp := &fuzzResponse
+		for i := 0; i < 8; i++ {
+			fresh, ferr := ReadResponseHeader(freshBR)
+			rerr := ReadResponseHeaderInto(reusedBR, resp)
+			if (ferr == nil) != (rerr == nil) || (ferr != nil && ferr.Error() != rerr.Error()) {
+				t.Fatalf("response %d: fresh err %v, reused err %v", i, ferr, rerr)
+			}
+			if ferr != nil {
+				return
+			}
+			if !reflect.DeepEqual(fresh, resp) {
+				t.Fatalf("response %d:\nfresh  %+v\nreused %+v", i, fresh, resp)
+			}
+			once := render(t, resp)
+			again, err := ReadResponseHeader(bufio.NewReader(bytes.NewReader(once)))
+			if err != nil {
+				t.Fatalf("response %d: re-reading %q: %v", i, once, err)
+			}
+			if twice := render(t, again); !bytes.Equal(once, twice) {
+				t.Fatalf("response %d: not a fixed point:\n%q\n%q", i, once, twice)
+			}
+			if again.Proto != resp.Proto || again.StatusCode != resp.StatusCode || again.ContentLength != resp.ContentLength ||
+				again.TraceID != resp.TraceID || again.SpanID != resp.SpanID {
+				t.Fatalf("response %d changed across the round trip:\n%+v\n%+v", i, resp, again)
+			}
+			for _, fl := range resp.Header {
+				if fl.Key != "Content-Length" && again.Header.Get(fl.Key) != fl.Value {
+					t.Fatalf("response %d: %s %q came back as %q", i, fl.Key, fl.Value, again.Header.Get(fl.Key))
+				}
+			}
+			// the body is the caller's to consume before the next response
+			for _, br := range []*bufio.Reader{freshBR, reusedBR} {
+				if _, err := br.Discard(int(min(resp.ContentLength, int64(len(wire))))); err != nil {
+					return
+				}
+			}
+		}
+	})
+}
+
 // Framing a message two ways is refused (RFC 9112 §6.3): a Content-Length
 // contradicting an earlier one is malformed, and Transfer-Encoding — which
 // this package does not implement — is refused outright. Repeating one

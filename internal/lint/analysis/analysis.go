@@ -18,7 +18,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
+	"webcluster/internal/lint/lintutil"
 	"webcluster/internal/lint/load"
 )
 
@@ -79,4 +81,56 @@ func (m *Module) Run(a *Analyzer, pkg *load.Package) ([]Diagnostic, error) {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)
 	}
 	return pass.diagnostics, nil
+}
+
+// MarkedTypes collects the named types whose declaration doc carries
+// marker (a `distlint:…` word), in the pass's package and in every module
+// package it imports, keyed "pkgpath.Name". A doc comment lives only in
+// the declaring package's syntax, so each import's is read from the
+// module: a type marked in respcache is known to a caller in the
+// distributor.
+func (p *Pass) MarkedTypes(marker string) map[string]bool {
+	marked := make(map[string]bool)
+	collect := func(pkgPath string, files []*ast.File) {
+		for _, file := range files {
+			for _, decl := range file.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok {
+						continue
+					}
+					doc := ts.Doc
+					if doc == nil {
+						doc = gd.Doc
+					}
+					if doc != nil && strings.Contains(doc.Text(), marker) {
+						marked[pkgPath+"."+ts.Name.Name] = true
+					}
+				}
+			}
+		}
+	}
+	collect(p.Pkg.Path(), p.Files)
+	for _, imp := range p.Pkg.Imports() {
+		if lp := p.Module.Package(imp.Path()); lp != nil {
+			collect(imp.Path(), lp.Files)
+		}
+	}
+	return marked
+}
+
+// IsMarked reports whether t, or the type t points to, is one of marked.
+func IsMarked(t types.Type, marked map[string]bool) bool {
+	if t == nil {
+		return false
+	}
+	n, ok := lintutil.Deref(t).(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return false
+	}
+	return marked[n.Obj().Pkg().Path()+"."+n.Obj().Name()]
 }

@@ -37,7 +37,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	marked := markedTypes(pass)
+	marked := pass.MarkedTypes("distlint:cow")
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -48,56 +48,6 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
-}
-
-// markedTypes collects the named types whose declaration doc carries a
-// `distlint:cow` marker, in this package and in every module package it
-// imports. A doc comment lives only in the declaring package's syntax, so
-// each import's is read from the analysis module: a snapshot type defined
-// in urltable is protected when a caller in the distributor writes
-// through it.
-func markedTypes(pass *analysis.Pass) map[string]bool {
-	marked := make(map[string]bool)
-	collect := func(pkgPath string, files []*ast.File) {
-		for _, file := range files {
-			for _, decl := range file.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					doc := ts.Doc
-					if doc == nil {
-						doc = gd.Doc
-					}
-					if doc != nil && strings.Contains(doc.Text(), "distlint:cow") {
-						marked[pkgPath+"."+ts.Name.Name] = true
-					}
-				}
-			}
-		}
-	}
-	collect(pass.Pkg.Path(), pass.Files)
-	for _, imp := range pass.Pkg.Imports() {
-		if lp := pass.Module.Package(imp.Path()); lp != nil {
-			collect(imp.Path(), lp.Files)
-		}
-	}
-	return marked
-}
-
-// cowMarked reports whether t (or *t) is a type carrying the
-// distlint:cow marker.
-func cowMarked(t types.Type, marked map[string]bool) bool {
-	n, ok := lintutil.Deref(t).(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
-		return false
-	}
-	return marked[n.Obj().Pkg().Path()+"."+n.Obj().Name()]
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, marked map[string]bool) {
@@ -113,7 +63,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, marked map[string]bool) {
 					continue
 				}
 				t := lintutil.TypeOf(pass.TypesInfo, field.Type)
-				if t != nil && cowMarked(t, marked) {
+				if t != nil && analysis.IsMarked(t, marked) {
 					tainted[name.Obj] = true
 				}
 			}
@@ -177,7 +127,7 @@ func mutationSite(pass *analysis.Pass, fd *ast.FuncDecl, marked map[string]bool)
 		return true
 	}
 	if fd.Recv != nil && len(fd.Recv.List) == 1 {
-		if t := lintutil.TypeOf(pass.TypesInfo, fd.Recv.List[0].Type); t != nil && cowMarked(t, marked) {
+		if t := lintutil.TypeOf(pass.TypesInfo, fd.Recv.List[0].Type); t != nil && analysis.IsMarked(t, marked) {
 			return true
 		}
 	}

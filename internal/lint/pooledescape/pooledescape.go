@@ -11,11 +11,24 @@
 // module's summaries: `v := helperThatReturnsPooled()` starts the same
 // obligation as a direct Get, and `releaseHelper(v)` discharges it, no
 // matter which package the helper lives in or what it is named.
+//
+// Reference-counted values are held to the same rule. A call returning a
+// pointer to a type whose doc carries `distlint:refcounted` (the response
+// cache's Entry) hands the caller a reference, whatever the call is named
+// — `e, state := cache.Get(p)` and `led, err := flight.Wait()` included —
+// and a Release*(v) gives it back. Releasing one before its last use lets
+// another goroutine recycle the memory under a reader, so a use after
+// release is reported like a pooled one. A package that releases no
+// reference at all only borrows: its references fall to the garbage
+// collector, which costs garbage but can never recycle memory under a
+// reader, so the rule holds the packages that release (the distributor,
+// respcache itself) and leaves readers such as the benchmark harness be.
 package pooledescape
 
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 
 	"webcluster/internal/lint/analysis"
@@ -55,6 +68,8 @@ type checker struct {
 	pass  *analysis.Pass
 	vars  map[*ast.Object]*tracked
 	conds int // nesting depth of conditional acquisition (loops)
+	// refcounted are the distlint:refcounted types visible to the package.
+	refcounted map[string]bool
 }
 
 type tracked struct {
@@ -69,21 +84,28 @@ type tracked struct {
 	// outlives the branch it was acquired in, so joins adopt it into
 	// the enclosing state instead of reporting at the branch end.
 	outer bool
+	// errObj is the error result acquired beside the value (`v, err :=
+	// f()`); by Go convention v is nil where err is not.
+	errObj *ast.Object
 }
 
 func run(pass *analysis.Pass) error {
+	refcounted := pass.MarkedTypes("distlint:refcounted")
+	if !releasesRef(pass, refcounted) {
+		refcounted = nil
+	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkFunc(pass, fd.Body)
+			checkFunc(pass, fd.Body, refcounted)
 			// Function literals manage their own pooled values; analyze
 			// each body independently.
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if fl, ok := n.(*ast.FuncLit); ok {
-					checkFunc(pass, fl.Body)
+					checkFunc(pass, fl.Body, refcounted)
 				}
 				return true
 			})
@@ -92,8 +114,29 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
-	c := &checker{pass: pass, vars: make(map[*ast.Object]*tracked)}
+// releasesRef reports whether the package releases a reference of a
+// refcounted type anywhere: a Release*/release* call whose first argument
+// has one.
+func releasesRef(pass *analysis.Pass, refcounted map[string]bool) bool {
+	found := false
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || found || len(call.Args) == 0 {
+				return !found
+			}
+			name := lintutil.CalleeName(call)
+			if strings.HasPrefix(name, "Release") || strings.HasPrefix(name, "release") {
+				found = analysis.IsMarked(pass.TypesInfo.TypeOf(call.Args[0]), refcounted)
+			}
+			return !found
+		})
+	}
+	return found
+}
+
+func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, refcounted map[string]bool) {
+	c := &checker{pass: pass, vars: make(map[*ast.Object]*tracked), refcounted: refcounted}
 	term := c.walkBlock(body)
 	if !term {
 		// Falling off the end of a function is a return path too.
@@ -133,14 +176,17 @@ func (c *checker) walkStmt(s ast.Stmt) (terminated bool) {
 		elseC := c.fork()
 		// Nil guards carry lifecycle information: inside `if v == nil`
 		// (and in the else of `if v != nil`) a conditionally acquired
-		// value was never acquired, so that path has no obligation.
-		if obj, eq := c.nilCheck(st.Cond); obj != nil {
+		// value was never acquired, so that path has no obligation. The
+		// same holds where the error acquired beside it is non-nil.
+		if obj, eq, isErr := c.nilCheck(st.Cond); obj != nil {
 			nilSide := thenC
-			if !eq {
+			if eq == isErr {
 				nilSide = elseC
 			}
-			if tv := nilSide.vars[obj]; tv != nil && tv.st == live {
-				tv.st = escaped
+			for vobj, tv := range nilSide.vars {
+				if (vobj == obj || isErr && tv.errObj == obj) && tv.st == live {
+					tv.st = escaped
+				}
 			}
 		}
 		thenTerm := thenC.walkBlock(st.Body)
@@ -259,7 +305,7 @@ func (c *checker) walkClauses(s ast.Stmt) {
 }
 
 func (c *checker) fork() *checker {
-	nc := &checker{pass: c.pass, vars: make(map[*ast.Object]*tracked, len(c.vars)), conds: c.conds}
+	nc := &checker{pass: c.pass, vars: make(map[*ast.Object]*tracked, len(c.vars)), conds: c.conds, refcounted: c.refcounted}
 	for k, v := range c.vars {
 		cp := *v
 		nc.vars[k] = &cp
@@ -321,27 +367,33 @@ func (c *checker) join(a *checker, aTerm bool, b *checker, bTerm bool) {
 }
 
 // nilCheck matches a `v == nil` / `v != nil` condition over a tracked
-// variable, returning its object and whether the operator is ==.
-func (c *checker) nilCheck(cond ast.Expr) (*ast.Object, bool) {
+// variable, or over the error acquired beside one (isErr), returning the
+// compared object and whether the operator is ==.
+func (c *checker) nilCheck(cond ast.Expr) (obj *ast.Object, eq, isErr bool) {
 	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
 	if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-		return nil, false
+		return nil, false, false
 	}
 	x, y := ast.Unparen(be.X), ast.Unparen(be.Y)
 	if isNilIdent(x) {
 		x, y = y, x
 	}
 	if !isNilIdent(y) {
-		return nil, false
+		return nil, false, false
 	}
 	id, ok := x.(*ast.Ident)
 	if !ok || id.Obj == nil {
-		return nil, false
+		return nil, false, false
 	}
-	if _, tracked := c.vars[id.Obj]; !tracked {
-		return nil, false
+	if _, tracked := c.vars[id.Obj]; tracked {
+		return id.Obj, be.Op == token.EQL, false
 	}
-	return id.Obj, be.Op == token.EQL
+	for _, tv := range c.vars {
+		if tv.errObj == id.Obj {
+			return id.Obj, be.Op == token.EQL, true
+		}
+	}
+	return nil, false, false
 }
 
 func isNilIdent(e ast.Expr) bool {
@@ -377,8 +429,10 @@ func (c *checker) handleAssign(st *ast.AssignStmt) {
 			}
 		}
 	}
-	// Acquire side: only direct `v := acquire()` forms are tracked.
+	// Acquire side: `v := acquire()`, and the reference-counted results
+	// of a multi-value call (`e, state := cache.Get(p)`).
 	if len(st.Lhs) != len(st.Rhs) {
+		c.trackResults(st)
 		return
 	}
 	for i, lhs := range st.Lhs {
@@ -386,21 +440,64 @@ func (c *checker) handleAssign(st *ast.AssignStmt) {
 		if !ok || id.Name == "_" || id.Obj == nil {
 			continue
 		}
-		if tv, ok := c.vars[id.Obj]; ok {
-			// Reassignment replaces the tracked value; the old one must
-			// already be resolved.
-			if tv.st == live && !tv.reported {
-				c.pass.Reportf(st.Pos(), "pooled value %q overwritten while still live", tv.name)
-				tv.reported = true
-			}
-			delete(c.vars, id.Obj)
+		pos, ok := c.isAcquire(st.Rhs[i])
+		c.assign(st, id, pos, ok)
+	}
+}
+
+// trackResults handles `a, b := call()`: each result of a
+// distlint:refcounted type is a reference, and an error result beside it
+// is remembered for the nil guard.
+func (c *checker) trackResults(st *ast.AssignStmt) {
+	var results *types.Tuple
+	if call, ok := ast.Unparen(st.Rhs[0]).(*ast.CallExpr); ok {
+		results, _ = c.pass.TypesInfo.TypeOf(call).(*types.Tuple)
+	}
+	var errObj *ast.Object
+	var acquired []*tracked
+	for i, lhs := range st.Lhs {
+		id, ok := lhs.(*ast.Ident)
+		if !ok || id.Name == "_" || id.Obj == nil {
+			continue
 		}
-		if pos, ok := c.isAcquire(st.Rhs[i]); ok {
-			// Plain `=` writes into a variable declared before this
-			// statement, so the value survives any enclosing branch.
-			c.vars[id.Obj] = &tracked{name: id.Name, st: live, acquire: pos, outer: st.Tok == token.ASSIGN}
+		var t types.Type
+		if results != nil && i < results.Len() {
+			t = results.At(i).Type()
+		}
+		if t != nil && types.Identical(t, errorType) {
+			errObj = id.Obj
+		}
+		if tv := c.assign(st, id, st.Rhs[0].Pos(), analysis.IsMarked(t, c.refcounted)); tv != nil {
+			acquired = append(acquired, tv)
 		}
 	}
+	for _, tv := range acquired {
+		tv.errObj = errObj
+	}
+}
+
+var errorType = types.Universe.Lookup("error").Type()
+
+// assign resolves a write of a new value to id: the value it held must
+// already be resolved, and an acquisition starts tracking the new one.
+func (c *checker) assign(st *ast.AssignStmt, id *ast.Ident, pos token.Pos, acquired bool) *tracked {
+	if tv, ok := c.vars[id.Obj]; ok {
+		// Reassignment replaces the tracked value; the old one must
+		// already be resolved.
+		if tv.st == live && !tv.reported {
+			c.pass.Reportf(st.Pos(), "pooled value %q overwritten while still live", tv.name)
+			tv.reported = true
+		}
+		delete(c.vars, id.Obj)
+	}
+	if !acquired {
+		return nil
+	}
+	// Plain `=` writes into a variable declared before this statement,
+	// so the value survives any enclosing branch.
+	tv := &tracked{name: id.Name, st: live, acquire: pos, outer: st.Tok == token.ASSIGN}
+	c.vars[id.Obj] = tv
+	return tv
 }
 
 // escapingStore reports whether lhs denotes storage that outlives the
@@ -427,8 +524,9 @@ func (c *checker) escapingStore(lhs ast.Expr) bool {
 }
 
 // isAcquire reports whether e acquires a pooled value: a call to an
-// Acquire*/acquire* helper, sync.Pool.Get (possibly type-asserted), or
-// any function whose summary says it returns a pooled value.
+// Acquire*/acquire* helper, sync.Pool.Get (possibly type-asserted), any
+// function whose summary says it returns a pooled value, or any call
+// returning a reference to a distlint:refcounted type.
 func (c *checker) isAcquire(e ast.Expr) (token.Pos, bool) {
 	e = ast.Unparen(e)
 	if ta, ok := e.(*ast.TypeAssertExpr); ok {
@@ -450,6 +548,9 @@ func (c *checker) isAcquire(e ast.Expr) (token.Pos, bool) {
 		}
 	}
 	if s := c.pass.Module.Summary(analysis.CalleeFunc(c.pass.TypesInfo, call)); s != nil && s.ReturnsPooled {
+		return call.Pos(), true
+	}
+	if analysis.IsMarked(c.pass.TypesInfo.TypeOf(call), c.refcounted) {
 		return call.Pos(), true
 	}
 	return token.NoPos, false
@@ -545,22 +646,39 @@ func (c *checker) handleDefer(st *ast.DeferStmt) {
 	}
 }
 
-// handleReturn resolves the function exit: values named in the return
-// expression transfer to the caller; everything still live leaks.
+// handleReturn resolves the function exit: values the return hands over
+// — named directly, or built into a composite literal — transfer to the
+// caller; everything still live leaks. A value only passed to a call in
+// the return expression stays the caller's to release: the callee
+// borrows it.
 func (c *checker) handleReturn(st *ast.ReturnStmt) {
 	for obj, tv := range c.vars {
 		for _, res := range st.Results {
-			if usesObj(res, obj) {
-				if tv.st == released {
-					c.pass.Reportf(st.Pos(), "use of pooled value %q after release", tv.name)
-				}
-				if tv.st == live {
-					tv.st = escaped
-				}
+			if !usesObj(res, obj) {
+				continue
+			}
+			if tv.st == released {
+				c.pass.Reportf(st.Pos(), "use of pooled value %q after release", tv.name)
+			}
+			if tv.st == live && handsOver(res, obj) {
+				tv.st = escaped
 			}
 		}
 	}
 	c.checkLeaks(st.Pos())
+}
+
+// handsOver reports whether the returned expression res gives the caller
+// obj itself (possibly type-asserted) or a composite literal holding it.
+func handsOver(res ast.Expr, obj *ast.Object) bool {
+	e := ast.Unparen(res)
+	if ta, ok := e.(*ast.TypeAssertExpr); ok {
+		e = ast.Unparen(ta.X)
+	}
+	if id, ok := e.(*ast.Ident); ok && id.Obj == obj {
+		return true
+	}
+	return inCompositeLit(res, obj)
 }
 
 func (c *checker) checkLeaks(pos token.Pos) {

@@ -49,18 +49,35 @@ func (s State) String() string {
 	}
 }
 
-// entryOverhead approximates per-entry bookkeeping (node, map slot,
-// headers) charged against the byte budget on top of the body.
+// entryOverhead approximates per-entry bookkeeping (the entry itself with
+// its list node, the map slot) charged against the byte budget on top of
+// the body's capacity and the header strings.
 const entryOverhead = 256
 
 // Entry is one cached response. The Stored payload and its size are
-// immutable after construction; freshness fields are atomics so a
-// revalidation can extend an entry's life while other goroutines serve
+// immutable once the entry is published; freshness fields are atomics so
+// a revalidation can extend an entry's life while other goroutines serve
 // from it.
+//
+// Every pointer to an entry the cache hands out is a counted reference:
+// Get, Peek, Flight.Wait and AcquireEntry each return one, and its holder
+// gives it back with Release after its last use of the entry. The cache
+// holds one more of its own while the entry is resident. The last release
+// of an entry AcquireEntry allocated returns its memory — body, strings
+// slot, list node — to the free list of its size class, where the next
+// fill of that class picks it up. A reference never released only leaves
+// the entry to the garbage collector, so a forgotten Release costs
+// garbage, never wrong bytes; a Release too early or twice does risk
+// them, which is why distlint's pooledescape tracks entry references like
+// pooled values.
 //
 // distlint:cow — entries are shared snapshots once published; the
 // cowdiscipline analyzer rejects field assignments through them
-// (freshness updates go through the atomic setters).
+// (freshness updates go through the atomic setters, recycling through
+// Entry's own methods).
+//
+// distlint:refcounted — every *Entry a call returns is a reference that
+// pooledescape holds to one Release, after its last use, on every path.
 type Entry struct {
 	Stored httpx.Stored
 	// storedAt is the unix-nano time the response was stored or last
@@ -69,19 +86,60 @@ type Entry struct {
 	// expires is the unix-nano end of the freshness lifetime.
 	expires atomic.Int64
 	size    int64
+	refs    atomic.Int64
+	// class indexes sizeClasses for an entry AcquireEntry allocated; -1
+	// marks NewEntry's, which is never recycled.
+	class int
+	elem  node
 }
 
 // NewEntry builds an entry from a stored response, fresh for ttl from now.
+// The entry keeps the caller's bytes and is never recycled: the caller
+// holds one reference and may Release it or simply drop the entry.
 func NewEntry(s httpx.Stored, now time.Time, ttl time.Duration) *Entry {
-	e := &Entry{
-		Stored: s,
-		size: int64(len(s.Body)+len(s.ContentType)+len(s.ETag)+
-			len(s.LastModified)+len(s.Date)) + entryOverhead,
-	}
-	e.storedAt.Store(now.UnixNano())
-	e.expires.Store(now.Add(ttl).UnixNano())
+	e := &Entry{class: -1}
+	e.elem.entry = e
+	e.refs.Store(1)
+	e.seal(s, now, ttl)
 	return e
 }
+
+// Fill stamps an entry from AcquireEntry, whose Stored.Body the caller
+// has read the response into, with the response's status and header
+// fields (st.Body is ignored) and starts its freshness lifetime at now.
+// It is the last write before the entry is published with Put or shared
+// through a Flight.
+func (e *Entry) Fill(st httpx.Stored, now time.Time, ttl time.Duration) {
+	st.Body = e.Stored.Body
+	e.seal(st, now, ttl)
+}
+
+func (e *Entry) seal(s httpx.Stored, now time.Time, ttl time.Duration) {
+	e.Stored = s
+	e.size = int64(cap(s.Body)+len(s.ContentType)+len(s.ETag)+
+		len(s.LastModified)+len(s.Date)) + entryOverhead
+	e.storedAt.Store(now.UnixNano())
+	e.expires.Store(now.Add(ttl).UnixNano())
+}
+
+// open readies a spare entry for a fill of n bytes, with one reference
+// for the caller.
+func (e *Entry) open(n int) {
+	e.Stored.Body = e.Stored.Body[:n]
+	e.refs.Store(1)
+}
+
+// node is the entry's list element.
+func (e *Entry) node() *node { return &e.elem }
+
+// link names the entry's list element for key before it is linked.
+func (e *Entry) link(key string, hash uint64) *node {
+	e.elem.key, e.elem.hash = key, hash
+	return &e.elem
+}
+
+// held is what the entry's memory weighs on a free list.
+func (e *Entry) held() int64 { return int64(cap(e.Stored.Body)) + entryOverhead }
 
 // AgeSeconds is the RFC 7234 Age of the entry at now: seconds since it
 // was stored or last revalidated.
@@ -93,12 +151,16 @@ func (e *Entry) AgeSeconds(now time.Time) int64 {
 	return age
 }
 
-// Size is the budget charge for this entry.
+// Size is the budget charge for this entry: its body's capacity, its
+// header strings and a fixed overhead.
 func (e *Entry) Size() int64 { return e.size }
 
 // Options configures a Cache.
 type Options struct {
-	// MaxBytes is the total byte budget across shards (default 64 MiB).
+	// MaxBytes is the total byte budget across shards (default 64 MiB),
+	// charged by what resident entries hold. Released entries kept for
+	// reuse add at most an eighth of it, or two MaxEntryBytes bodies if
+	// that is more.
 	MaxBytes int64
 	// Shards is the shard count, rounded up to a power of two
 	// (default 8).
@@ -109,7 +171,8 @@ type Options struct {
 	// StaleTTL is how long past expiry an entry remains usable for
 	// revalidation and stale-on-error (default 30s).
 	StaleTTL time.Duration
-	// MaxEntryBytes caps a single cacheable body (default 1 MiB).
+	// MaxEntryBytes caps a single cacheable body (default and at most
+	// 1 MiB, the largest size class entries are recycled by).
 	MaxEntryBytes int64
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
@@ -138,9 +201,11 @@ type Cache struct {
 	shards    []*shard
 	shardMask uint64
 	opts      Options
+	free      *freeLists
 
 	flightMu sync.Mutex
 	flights  map[string]*Flight
+	spare    *Flight // finished flights no follower saw, for reuse
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -172,8 +237,8 @@ func New(opts Options) *Cache {
 	if opts.StaleTTL <= 0 {
 		opts.StaleTTL = 30 * time.Second
 	}
-	if opts.MaxEntryBytes <= 0 {
-		opts.MaxEntryBytes = 1 << 20
+	if opts.MaxEntryBytes <= 0 || opts.MaxEntryBytes > maxEntryLimit {
+		opts.MaxEntryBytes = maxEntryLimit
 	}
 	if opts.MaxEntryBytes > opts.MaxBytes {
 		opts.MaxEntryBytes = opts.MaxBytes
@@ -185,6 +250,7 @@ func New(opts Options) *Cache {
 		shards:    make([]*shard, shards),
 		shardMask: uint64(shards - 1),
 		opts:      opts,
+		free:      newFreeLists(max(opts.MaxBytes/freeShare, 2*opts.MaxEntryBytes)),
 		flights:   make(map[string]*Flight),
 	}
 	perShard := opts.MaxBytes / int64(shards)
@@ -192,10 +258,18 @@ func New(opts Options) *Cache {
 	// plausibly hold (4 KiB average object)
 	sketchKeys := int(perShard / 4096)
 	for i := range c.shards {
-		c.shards[i] = newShard(perShard, sketchKeys)
+		c.shards[i] = newShard(perShard, sketchKeys, c.free)
 	}
 	return c
 }
+
+// maxEntryLimit is the default and largest MaxEntryBytes.
+const maxEntryLimit = 1 << 20
+
+// freeShare is the fraction of MaxBytes, as a divisor, that released
+// entries kept for reuse may hold — or room for two of the largest
+// cacheable bodies, if that is more, so a small cache recycles too.
+const freeShare = 8
 
 // hashKey is FNV-1a over the path.
 func hashKey(key string) uint64 {
@@ -223,6 +297,7 @@ func (c *Cache) MaxEntryBytes() int64 { return c.opts.MaxEntryBytes }
 
 // Get looks the path up, recording the access in the frequency sketch
 // either way, and classifies the result by freshness at the cache clock.
+// A non-nil entry is a reference the caller releases.
 func (c *Cache) Get(path string) (*Entry, State) {
 	h := hashKey(path)
 	now := c.opts.Clock().UnixNano()
@@ -241,17 +316,16 @@ func (c *Cache) Get(path string) (*Entry, State) {
 // Peek returns path's entry if it is fresh, recording nothing: no hit or
 // miss, no sketch bump, no recency change. A miss leader's double-check
 // uses it, so the request its Get already counted is not counted twice.
+// A non-nil entry is a reference the caller releases.
 func (c *Cache) Peek(path string) *Entry {
 	h := hashKey(path)
-	e := c.shardFor(h).peek(path)
-	if e == nil || c.opts.Clock().UnixNano() > e.expires.Load() {
-		return nil
-	}
-	return e
+	return c.shardFor(h).peek(path, c.opts.Clock().UnixNano())
 }
 
 // Put stores the entry for path, subject to size and frequency admission.
-// Returns whether the entry was admitted.
+// Returns whether the entry is resident afterwards. Storing an entry that
+// is already resident under path does nothing and counts no fill; a
+// rejected entry stays the caller's, to release like any other reference.
 func (c *Cache) Put(path string, e *Entry) bool {
 	if int64(len(e.Stored.Body)) > c.opts.MaxEntryBytes {
 		c.rejected.Add(1)
@@ -259,14 +333,44 @@ func (c *Cache) Put(path string, e *Entry) bool {
 	}
 	h := hashKey(path)
 	var ev int64
-	ok := c.shardFor(h).put(path, h, e, &ev)
+	res := c.shardFor(h).put(path, h, e, &ev)
 	c.evictions.Add(ev)
-	if ok {
+	switch res {
+	case putInserted:
 		c.fills.Add(1)
-	} else {
+	case putRejected:
 		c.rejected.Add(1)
 	}
-	return ok
+	return res != putRejected
+}
+
+// AcquireEntry returns an unpublished entry whose Stored.Body is n bytes
+// long, n at most MaxEntryBytes, for the caller to read a response body
+// into and Fill. Its memory is a spare of n's size class when the free
+// lists hold one. The caller holds the entry's one reference.
+func (c *Cache) AcquireEntry(n int) *Entry {
+	if int64(n) > c.opts.MaxEntryBytes {
+		panic("respcache: AcquireEntry past MaxEntryBytes")
+	}
+	class := classOf(n)
+	if e := c.free.take(class); e != nil {
+		e.open(n)
+		return e
+	}
+	e := &Entry{class: class}
+	e.elem.entry = e
+	e.Stored.Body = make([]byte, n, sizeClasses[class])
+	e.refs.Store(1)
+	return e
+}
+
+// Release gives back one reference to e (nil is a no-op). The last
+// release of an entry AcquireEntry allocated recycles its memory, so the
+// caller must not touch e afterwards.
+func (c *Cache) Release(e *Entry) {
+	if e != nil {
+		c.free.release(e)
+	}
 }
 
 // Refresh extends e's freshness lifetime from now (a 304 revalidation
@@ -354,25 +458,42 @@ func (c *Cache) Stats() Stats {
 // returned to the requesters that were already waiting (it was valid when
 // they asked) but it is not stored, and the flight is detached so later
 // requesters refetch.
+//
+// An uncontended flight costs no allocation: the wake-up channel is made
+// when the first follower joins, and a flight no follower joined is
+// reused by a later BeginFlight once its leader has finished it.
 type Flight struct {
-	c      *Cache
-	key    string
-	done   chan struct{}
-	doomed atomic.Bool
-	entry  *Entry
-	err    error
+	c       *Cache
+	key     string
+	done    chan struct{} // nil until a follower joins
+	waiters int64         // followers joined, under flightMu
+	doomed  atomic.Bool
+	entry   *Entry
+	err     error
+	next    *Flight // Cache.spare chain
 }
 
 // BeginFlight joins or creates the in-flight fetch for path. leader is
-// true when the caller created the flight and must Finish it.
+// true when the caller created the flight and must Finish it; a follower
+// must Wait on it once.
 func (c *Cache) BeginFlight(path string) (f *Flight, leader bool) {
 	c.flightMu.Lock()
 	defer c.flightMu.Unlock()
 	if f, ok := c.flights[path]; ok {
 		c.coalesced.Add(1)
+		if f.done == nil {
+			f.done = make(chan struct{})
+		}
+		f.waiters++
 		return f, false
 	}
-	f = &Flight{c: c, key: path, done: make(chan struct{})}
+	if f = c.spare; f != nil {
+		c.spare, f.next = f.next, nil
+		f.key, f.done, f.waiters, f.entry, f.err = path, nil, 0, nil, nil
+		f.doomed.Store(false)
+	} else {
+		f = &Flight{c: c, key: path}
+	}
 	c.flights[path] = f
 	return f, true
 }
@@ -381,28 +502,48 @@ func (c *Cache) BeginFlight(path string) (f *Flight, leader bool) {
 func (f *Flight) Doomed() bool { return f.doomed.Load() }
 
 // Finish resolves the flight: detaches it, stores the entry (unless the
-// flight was doomed or errored), and wakes the followers. Exactly one
-// call, by the leader.
+// flight was doomed or errored, or the entry is already resident — a
+// revalidated or double-checked entry the leader found in the cache is
+// not a new fill), hands each follower a reference to it and wakes them.
+// Exactly one call, by the leader, which keeps its own reference to e and
+// must not use f afterwards.
 func (f *Flight) Finish(e *Entry, err error) {
+	c := f.c
 	f.entry, f.err = e, err
-	f.c.flightMu.Lock()
+	c.flightMu.Lock()
 	// an Invalidate may already have detached us; only remove our own
 	// registration, never a successor flight
-	if cur, ok := f.c.flights[f.key]; ok && cur == f {
-		delete(f.c.flights, f.key)
+	if cur, ok := c.flights[f.key]; ok && cur == f {
+		delete(c.flights, f.key)
 	}
 	// doomed-check and store happen under flightMu, which Invalidate also
 	// holds across its doom+remove: the two are serialized, so a response
 	// read before a purge cannot land in the cache after it
 	if e != nil && err == nil && !f.doomed.Load() {
-		f.c.Put(f.key, e)
+		c.Put(f.key, e)
 	}
-	f.c.flightMu.Unlock()
-	close(f.done)
+	// detached, so no follower can join any more: the count is final
+	if e != nil {
+		e.refs.Add(f.waiters)
+	}
+	done := f.done
+	if done == nil {
+		// no follower reads the result, and a spare must not keep an
+		// entry reachable outside the budget and the free lists
+		f.entry, f.err = nil, nil
+		f.next, c.spare = c.spare, f
+	}
+	c.flightMu.Unlock()
+	if done != nil {
+		close(done)
+	}
 }
 
-// Wait blocks until the leader finishes and returns the shared result.
+// Wait blocks until the leader finishes and returns the shared result. A
+// non-nil entry is the follower's own reference, to release.
 func (f *Flight) Wait() (*Entry, error) {
-	<-f.done
+	if f.done != nil {
+		<-f.done
+	}
 	return f.entry, f.err
 }

@@ -1,7 +1,9 @@
 package respcache
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -326,6 +328,7 @@ func TestFlightErrorShared(t *testing.T) {
 func TestInvalidateDoomsFlight(t *testing.T) {
 	c, _ := testCache(1 << 20)
 	f, _ := c.BeginFlight("/doomed")
+	waiter, _ := c.BeginFlight("/doomed")
 	c.Invalidate("/doomed")
 	if !f.Doomed() {
 		t.Fatal("invalidation did not doom the in-flight fetch")
@@ -340,7 +343,7 @@ func TestInvalidateDoomsFlight(t *testing.T) {
 	// stored, and finishing must not unregister the successor flight
 	e := NewEntry(storedBody(100), c.Now(), c.FreshFor())
 	f.Finish(e, nil)
-	if got, err := f.Wait(); got != e || err != nil {
+	if got, err := waiter.Wait(); got != e || err != nil {
 		t.Fatalf("doomed flight Wait = (%v, %v)", got, err)
 	}
 	if _, st := c.Get("/doomed"); st != Miss {
@@ -407,5 +410,289 @@ func TestConcurrentAccess(t *testing.T) {
 	st := c.Stats()
 	if st.Bytes > st.MaxBytes {
 		t.Fatalf("budget blown under concurrency: %d > %d", st.Bytes, st.MaxBytes)
+	}
+}
+
+// Finish stores only an entry its flight produced: re-finishing with the
+// resident entry a leader's double-check Peek found, or with the entry a
+// 304 revalidated, counts no fill and takes no second cache reference; a
+// revalidated entry evicted meanwhile is re-inserted and counted once.
+func TestFinishStoresOnlyNewFills(t *testing.T) {
+	c, clk := testCache(1 << 20)
+	e := place(t, c, "/p", 100)
+	fills := func() int64 { return c.Stats().Fills }
+
+	f, leader := c.BeginFlight("/p")
+	if !leader {
+		t.Fatal("no leader")
+	}
+	peeked := c.Peek("/p")
+	if peeked != e {
+		t.Fatalf("Peek = %v, want the resident entry", peeked)
+	}
+	f.Finish(peeked, nil)
+	c.Release(peeked)
+	if got := fills(); got != 1 {
+		t.Fatalf("double-check re-finish: fills = %d, want 1", got)
+	}
+
+	clk.advance(11 * time.Second) // expire; the stale window keeps it
+	stale, st := c.Get("/p")
+	if st != Stale {
+		t.Fatalf("state = %v, want stale", st)
+	}
+	f, _ = c.BeginFlight("/p")
+	c.Refresh(stale)
+	f.Finish(stale, nil)
+	if got := fills(); got != 1 {
+		t.Fatalf("304 revalidation: fills = %d, want 1", got)
+	}
+	// the caller's reference, the cache's own, and NewEntry's
+	if got := stale.refs.Load(); got != 3 {
+		t.Fatalf("refs after revalidation = %d, want 3", got)
+	}
+
+	// evicted while the revalidation was in flight (not invalidated,
+	// which would doom the flight): Finish puts it back, once
+	f, _ = c.BeginFlight("/p")
+	if !c.shardFor(hashKey("/p")).invalidate("/p") {
+		t.Fatal("entry was not resident")
+	}
+	c.Refresh(stale)
+	f.Finish(stale, nil)
+	if got := fills(); got != 2 {
+		t.Fatalf("revalidated after eviction: fills = %d, want 2", got)
+	}
+	if got, st := c.Get("/p"); got != stale || st != Fresh {
+		t.Fatalf("re-inserted entry: (%v, %v)", got, st)
+	}
+}
+
+// fillEntry acquires an entry for body, fills it the way the distributor
+// does and returns it with the caller's one reference.
+func fillEntry(c *Cache, body string) *Entry {
+	e := c.AcquireEntry(len(body))
+	copy(e.Stored.Body, body)
+	e.Fill(httpx.Stored{StatusCode: 200, ContentType: "text/html"}, c.Now(), c.FreshFor())
+	return e
+}
+
+// An entry AcquireEntry allocated comes back to its size class when its
+// last reference goes, and not before; one NewEntry built never does. The
+// budget is charged by the capacity the entry holds.
+func TestEntryRecycling(t *testing.T) {
+	c, _ := testCache(1 << 20)
+	e := fillEntry(c, strings.Repeat("a", 1000))
+	if cap(e.Stored.Body) != 1024 {
+		t.Fatalf("body capacity %d, want the 1024-byte class", cap(e.Stored.Body))
+	}
+	if want := int64(1024+len("text/html")) + entryOverhead; e.Size() != want {
+		t.Fatalf("Size = %d, want %d (capacity, not length)", e.Size(), want)
+	}
+	if !c.Put("/a", e) {
+		t.Fatal("Put rejected")
+	}
+	hit, _ := c.Get("/a")
+	c.Invalidate("/a") // the cache lets go; the fill and the hit still hold it
+	if other := c.AcquireEntry(900); other == e {
+		t.Fatal("an entry still referenced was handed out again")
+	}
+	c.Release(e)
+	c.Release(hit)
+	reused := c.AcquireEntry(900)
+	if reused != e {
+		t.Fatal("a released entry was not reused by the next fill of its class")
+	}
+	if len(reused.Stored.Body) != 900 || cap(reused.Stored.Body) != 1024 {
+		t.Fatalf("reused body len %d cap %d, want 900 and 1024", len(reused.Stored.Body), cap(reused.Stored.Body))
+	}
+	if got := reused.refs.Load(); got != 1 {
+		t.Fatalf("reused entry refs = %d, want the caller's 1", got)
+	}
+	c.Release(reused)
+
+	caller := NewEntry(storedBody(1000), c.Now(), c.FreshFor())
+	c.Put("/b", caller)
+	c.Release(caller)
+	c.Invalidate("/b")
+	if got := c.AcquireEntry(1000); got == caller {
+		t.Fatal("an entry built from caller bytes was recycled")
+	}
+}
+
+// Every way out of the cache releases the cache's reference: eviction,
+// replacement, expiry, invalidation and purge each return an entry
+// nobody else holds to the free lists.
+func TestEveryRemovalReleases(t *testing.T) {
+	c, clk := testCache(4096)
+	resident := func(path string) *Entry {
+		c.Get(path)
+		e := fillEntry(c, strings.Repeat("x", 1000))
+		if !c.Put(path, e) {
+			t.Fatalf("Put(%s) rejected", path)
+		}
+		c.Release(e)
+		return e
+	}
+	freed := func(e *Entry, how string) {
+		t.Helper()
+		if got := e.refs.Load(); got != 0 {
+			t.Fatalf("%s: refs = %d, want 0", how, got)
+		}
+		if got := c.AcquireEntry(1000); got != e {
+			t.Fatalf("%s: the entry did not reach the free list", how)
+		}
+		c.Release(e)
+	}
+	a := resident("/a")
+	c.Invalidate("/a")
+	freed(a, "invalidate")
+
+	a = resident("/a")
+	c.InvalidateAll()
+	freed(a, "purge")
+
+	a = resident("/a")
+	b := fillEntry(c, strings.Repeat("y", 1000))
+	c.Put("/a", b)
+	c.Release(b)
+	freed(a, "replacement")
+	c.InvalidateAll()
+
+	a = resident("/a")
+	clk.advance(31 * time.Second) // past the stale horizon
+	if _, st := c.Get("/a"); st != Miss {
+		t.Fatalf("expired entry state %v", st)
+	}
+	freed(a, "expiry")
+
+	victim := resident("/a") // the probation tail
+	resident("/b")
+	resident("/c")
+	for i := 0; i < 8; i++ {
+		c.Get("/hot")
+	}
+	resident("/hot")
+	if st := c.Stats(); st.Evictions == 0 {
+		t.Fatalf("nothing evicted: %+v", st)
+	}
+	freed(victim, "eviction")
+}
+
+// Finish hands each follower its own reference to the result.
+func TestFlightFollowersHoldReferences(t *testing.T) {
+	c, _ := testCache(1 << 20)
+	f, _ := c.BeginFlight("/p")
+	var wg sync.WaitGroup
+	got := make([]*Entry, 2)
+	for i := range got {
+		if g, leader := c.BeginFlight("/p"); leader || g != f {
+			t.Fatal("follower did not join")
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = f.Wait()
+		}(i)
+	}
+	e := fillEntry(c, "body")
+	f.Finish(e, nil)
+	wg.Wait()
+	if got[0] != e || got[1] != e {
+		t.Fatalf("followers got %v", got)
+	}
+	// the leader's, the cache's, one per follower
+	if n := e.refs.Load(); n != 4 {
+		t.Fatalf("refs = %d, want 4", n)
+	}
+	c.Release(got[0])
+	c.Release(got[1])
+	c.Release(e)
+	if n := e.refs.Load(); n != 1 {
+		t.Fatalf("refs after the readers left = %d, want the cache's 1", n)
+	}
+}
+
+// A finished flight no follower joined waits for reuse holding nothing:
+// its entry, evicted or rejected, must not stay reachable from it.
+func TestSpareFlightHoldsNoEntry(t *testing.T) {
+	c, _ := testCache(1 << 20)
+	f, _ := c.BeginFlight("/p")
+	e := fillEntry(c, "body")
+	f.Finish(e, errors.New("late"))
+	c.Release(e)
+	if c.spare != f {
+		t.Fatal("the finished flight is not the spare")
+	}
+	if f.entry != nil || f.err != nil {
+		t.Fatalf("spare flight keeps entry %p, err %v", f.entry, f.err)
+	}
+}
+
+// An uncontended miss allocates nothing in the cache: the flight no
+// follower joined is reused, the entry comes off the free list, and the
+// admission duel the candidate loses hands it straight back.
+func TestUncontendedMissAllocFree(t *testing.T) {
+	c, _ := testCache(4096)
+	for _, p := range []string{"/a", "/b", "/c"} {
+		c.Get(p)
+		e := fillEntry(c, strings.Repeat("h", 1000))
+		c.Put(p, e)
+		c.Release(e)
+		for i := 0; i < 5; i++ {
+			c.Get(p)
+		}
+	}
+	paths := make([]string, 64)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/cold/%d", i)
+	}
+	body := strings.Repeat("c", 1000)
+	i := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		p := paths[i%len(paths)]
+		i++
+		c.Get(p)
+		f, _ := c.BeginFlight(p)
+		e := c.AcquireEntry(len(body))
+		copy(e.Stored.Body, body)
+		e.Fill(httpx.Stored{StatusCode: 200}, c.Now(), c.FreshFor())
+		f.Finish(e, nil)
+		c.Release(e)
+	})
+	if allocs != 0 {
+		t.Fatalf("uncontended miss: %.1f allocations, want 0", allocs)
+	}
+	if st := c.Stats(); st.Rejected == 0 {
+		t.Fatalf("no candidate lost its duel: %+v", st)
+	}
+}
+
+// Up to 32 KiB the size classes are the allocator's own: a body made at
+// a class's capacity occupies exactly that, so recycling by class holds
+// no memory a fresh allocation would not.
+func TestSizeClassesMatchAllocator(t *testing.T) {
+	for i, class := range sizeClasses {
+		if i > 0 && class <= sizeClasses[i-1] {
+			t.Fatalf("classes not ascending at %d: %d after %d", i, class, sizeClasses[i-1])
+		}
+		if class > 32<<10 {
+			if class%(8<<10) != 0 {
+				t.Fatalf("class %d is not whole pages", class)
+			}
+			continue
+		}
+		if got := cap(append([]byte(nil), make([]byte, class)...)); got != class {
+			t.Fatalf("class %d: the allocator rounds it to %d", class, got)
+		}
+	}
+	for _, n := range []int{1, 8, 9, 1000, 1024, 1025, 32 << 10, 33 << 10, maxEntryLimit} {
+		c := classOf(n)
+		if sizeClasses[c] < n || (c > 0 && sizeClasses[c-1] >= n) {
+			t.Fatalf("classOf(%d) = %d", n, c)
+		}
+	}
+	if last := sizeClasses[len(sizeClasses)-1]; last != maxEntryLimit {
+		t.Fatalf("largest class %d, want the largest cacheable body %d", last, maxEntryLimit)
 	}
 }

@@ -7,11 +7,20 @@ package respcache
 // frequency sketch says the candidate is the hotter key (TinyLFU
 // admission). Protected overflow demotes back to probation rather than
 // straight to eviction, which is what gives SLRU its scan resistance.
+//
+// The list elements are embedded in the entries, so storing an entry
+// allocates nothing, and the shard holds one reference to every entry it
+// links: unlinking one — eviction, invalidation, expiry, replacement,
+// purge — releases it.
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
-// node is an intrusive doubly-linked list element in one of the two
-// recency segments.
+// node is an intrusive doubly-linked list element, embedded in its entry:
+// in one of the two recency segments while the entry is resident, on its
+// size class's free list (next only) after its last release.
 type node struct {
 	key        string
 	hash       uint64
@@ -70,16 +79,18 @@ type shard struct {
 	probation lruList
 	protected lruList
 	sketch    *sketch
-	bytes     int64 // bytes used across both segments
+	free      *freeLists // where an unlinked entry's last release goes
+	bytes     int64      // bytes used across both segments
 	maxBytes  int64
 	protBytes int64 // bytes in the protected segment
 	protCap   int64
 }
 
-func newShard(maxBytes int64, sketchKeys int) *shard {
+func newShard(maxBytes int64, sketchKeys int, free *freeLists) *shard {
 	s := &shard{
 		items:    make(map[string]*node),
 		sketch:   newSketch(sketchKeys),
+		free:     free,
 		maxBytes: maxBytes,
 		protCap:  int64(float64(maxBytes) * protectedShare),
 	}
@@ -88,11 +99,11 @@ func newShard(maxBytes int64, sketchKeys int) *shard {
 	return s
 }
 
-// get returns the live entry for key, recording the lookup in the
-// frequency sketch (for hits and misses both) and adjusting recency: a
-// probation hit promotes to protected, a protected hit refreshes
-// recency. Entries past the stale horizon are removed and reported as
-// absent.
+// get returns the live entry for key with a reference for the caller,
+// recording the lookup in the frequency sketch (for hits and misses both)
+// and adjusting recency: a probation hit promotes to protected, a
+// protected hit refreshes recency. Entries past the stale horizon are
+// removed and reported as absent.
 func (s *shard) get(key string, hash uint64, nowNanos int64, staleTTL int64) *Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -125,55 +136,83 @@ func (s *shard) get(key string, hash uint64, nowNanos int64, staleTTL int64) *En
 			s.protBytes -= v.entry.size
 		}
 	}
+	// the shard's own reference keeps the count above zero while the
+	// lock is held, so this never revives a released entry
+	n.entry.refs.Add(1)
 	return n.entry
 }
 
-// peek returns key's entry, if resident, touching neither the sketch nor
-// recency.
-func (s *shard) peek(key string) *Entry {
+// peek returns key's entry, with a reference for the caller, if it is
+// resident and fresh at nowNanos, touching neither the sketch nor recency.
+func (s *shard) peek(key string, nowNanos int64) *Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n, ok := s.items[key]; ok {
-		return n.entry
+	n, ok := s.items[key]
+	if !ok || nowNanos > n.entry.expires.Load() {
+		return nil
 	}
-	return nil
+	n.entry.refs.Add(1)
+	return n.entry
 }
 
-// put inserts or replaces the entry, applying TinyLFU admission when the
+// putResult is what put did with a candidate.
+type putResult int
+
+const (
+	putRejected putResult = iota
+	putInserted           // linked, replacing any other entry under the key
+	putResident           // already linked under the key: nothing to do
+)
+
+// put links the entry under key, applying TinyLFU admission when the
 // shard is full: the candidate is dropped unless the sketch estimates it
-// at least as popular as each probation victim it would evict. Returns
-// false when admission rejected the entry.
-func (s *shard) put(key string, hash uint64, e *Entry, evictions *int64) bool {
+// at least as popular as each probation victim it would evict. Linking
+// takes the shard's reference; a rejected candidate stays the caller's
+// alone.
+func (s *shard) put(key string, hash uint64, e *Entry, evictions *int64) putResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.items[key]; ok {
-		// replacement keeps the node's segment but counts as a touch, so
-		// a reclaim triggered by a grown body victimizes colder keys first
-		s.bytes += e.size - old.entry.size
-		if old.protected {
-			s.protBytes += e.size - old.entry.size
-			s.protected.moveFront(old)
-		} else {
-			s.probation.moveFront(old)
-		}
-		old.entry = e
+	n := e.node()
+	old, ok := s.items[key]
+	if ok && old == n {
+		return putResident
+	}
+	if ok {
+		// replacement keeps the old entry's segment but counts as a
+		// touch, so a reclaim triggered by a grown body victimizes colder
+		// keys first
+		protected := old.protected
+		s.removeLocked(old)
+		s.linkLocked(e.link(key, hash), protected)
 		s.reclaimLocked(hash, true, evictions)
-		return true
+		return putInserted
 	}
 	if e.size > s.maxBytes {
-		return false
+		return putRejected
 	}
 	if !s.reclaimNeededLocked(e.size) {
 		// full: admission duel against the probation victim
 		if !s.admitLocked(hash, e.size, evictions) {
-			return false
+			return putRejected
 		}
 	}
-	n := &node{key: key, hash: hash, entry: e}
-	s.items[key] = n
-	s.probation.pushFront(n)
-	s.bytes += e.size
-	return true
+	s.linkLocked(e.link(key, hash), false)
+	return putInserted
+}
+
+// linkLocked makes n resident at the front of a segment, taking the
+// shard's reference to its entry.
+func (s *shard) linkLocked(n *node, protected bool) {
+	n.entry.refs.Add(1)
+	s.items[n.key] = n
+	n.protected = protected
+	if protected {
+		s.protected.pushFront(n)
+		s.protBytes += n.entry.size
+	} else {
+		s.probation.pushFront(n)
+	}
+	s.bytes += n.entry.size
 }
 
 // reclaimNeededLocked reports whether size fits without eviction.
@@ -226,7 +265,8 @@ func (s *shard) reclaimLocked(self uint64, force bool, evictions *int64) {
 	}
 }
 
-// removeLocked unlinks n from whichever segment holds it.
+// removeLocked unlinks n from whichever segment holds it and releases the
+// shard's reference to its entry.
 func (s *shard) removeLocked(n *node) {
 	if n.protected {
 		s.protected.remove(n)
@@ -236,6 +276,7 @@ func (s *shard) removeLocked(n *node) {
 	}
 	delete(s.items, n.key)
 	s.bytes -= n.entry.size
+	s.free.release(n.entry)
 }
 
 // invalidate removes key, reporting whether an entry was present.
@@ -255,7 +296,11 @@ func (s *shard) purgeAll() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	dropped := len(s.items)
-	s.items = make(map[string]*node)
+	for _, n := range s.items {
+		n.prev, n.next = nil, nil
+		s.free.release(n.entry)
+	}
+	clear(s.items)
 	s.probation.init()
 	s.protected.init()
 	s.bytes = 0
@@ -268,4 +313,83 @@ func (s *shard) usage() (entries int, bytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.items), s.bytes
+}
+
+// sizeClasses are the body capacities entries are recycled by, ascending.
+// Up to 32 KiB they are the Go allocator's own size classes — make
+// already rounds a body up to one, so recycling by them costs no memory a
+// fresh allocation would not — and past that eight steps per doubling in
+// whole 8 KiB pages, up to maxEntryLimit, the largest cacheable body.
+var sizeClasses = func() []int {
+	classes := []int{
+		8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224,
+		240, 256, 288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768,
+		896, 1024, 1152, 1280, 1408, 1536, 1792, 2048, 2304, 2688, 3072, 3200,
+		3456, 4096, 4864, 5376, 6144, 6528, 6784, 6912, 8192, 9472, 9728,
+		10240, 10880, 12288, 13568, 14336, 16384, 18432, 19072, 20480, 21760,
+		24576, 27264, 28672, 32768,
+	}
+	for base := 32 << 10; base < maxEntryLimit; base <<= 1 {
+		step := max(8<<10, base/8)
+		for c := base + step; c <= 2*base; c += step {
+			classes = append(classes, c)
+		}
+	}
+	return classes
+}()
+
+// classOf returns the index of the smallest class holding n bytes, which
+// are at most maxEntryLimit.
+func classOf(n int) int {
+	i, _ := slices.BinarySearch(sizeClasses, n)
+	return i
+}
+
+// freeLists holds entries whose last reference was released, by size
+// class, for the next fill of that class to reuse. It keeps at most max
+// bytes of them; a release past that is left to the garbage collector.
+type freeLists struct {
+	mu    sync.Mutex
+	heads []*node // per class, chained through node.next
+	bytes int64
+	max   int64
+}
+
+func newFreeLists(max int64) *freeLists {
+	return &freeLists{heads: make([]*node, len(sizeClasses)), max: max}
+}
+
+// take pops a spare entry of the class, nil when there is none.
+func (f *freeLists) take(class int) *Entry {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := f.heads[class]
+	if n == nil {
+		return nil
+	}
+	f.heads[class], n.next = n.next, nil
+	f.bytes -= n.entry.held()
+	return n.entry
+}
+
+// release drops one reference to e. The last one returns an entry the
+// cache allocated to its class's free list; an entry NewEntry built from
+// caller bytes is left alone.
+func (f *freeLists) release(e *Entry) {
+	refs := e.refs.Add(-1)
+	if refs < 0 {
+		panic("respcache: entry released more often than it was referenced")
+	}
+	if refs > 0 || e.class < 0 {
+		return
+	}
+	held := e.held()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.bytes+held > f.max {
+		return
+	}
+	n := e.node()
+	n.next, f.heads[e.class] = f.heads[e.class], n
+	f.bytes += held
 }
