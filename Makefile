@@ -74,12 +74,16 @@ race:
 # internal/core is in because Cluster.Close and NodeHandle.Close are the
 # shutdown order of the deployed binaries; internal/mgmt because a broker
 # holds client connections to its peers as well as serving its own. The
-# last line is the response cache's recycling under the race detector: an
+# third line is the response cache's recycling under the race detector: an
 # entry reference released before its last use is a reported race there.
+# The last is the raw socket's preemption tick (DESIGN.md §2.1): a one-P
+# server whose handler spins must still answer a second exchange within
+# 50 ms, with the test's own side at one and at two Ps.
 stress:
 	GOMAXPROCS=2 $(GO) test -count=5 ./internal/lifecycle ./internal/backend ./internal/distributor ./internal/conntrack ./internal/core ./internal/mgmt ./internal/nfs ./internal/l4router ./internal/monitor
 	GOMAXPROCS=2 $(GO) test -count=5 -run TestServerLifecycle .
 	GOMAXPROCS=2 $(GO) test -race -count=3 -run TestCacheRecycleSafety ./internal/distributor
+	$(GO) test -count=3 -cpu 1,2 -run TestRawPreemption ./internal/httpx
 
 # Non-test Go outside bench/ and testdata/: the figure the ROADMAP's
 # deletion target and every simplicity PR's before/after are quoted in.

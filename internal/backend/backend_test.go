@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"net"
 	"os"
@@ -774,5 +775,54 @@ func TestDeadlineCancelsMidWork(t *testing.T) {
 	}
 	if srv.Stats().Counter("backend_deadline_canceled").Value() != 1 {
 		t.Fatal("cancellation not counted")
+	}
+}
+
+// A keep-alive connection's static hit allocates nothing in the server:
+// the connection owns its reader, request and response, and the fault
+// point names are built once in NewServer.
+func TestBackendServeAllocFree(t *testing.T) {
+	store := &MemStore{}
+	body := bytes.Repeat([]byte("b"), 4096)
+	_ = store.Put("/docs/a.html", body)
+	srv := newTestServer(t, store)
+	addr := startServer(t, srv)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	var wire bytes.Buffer
+	if err := httpx.WriteRequest(&wire, get("/docs/a.html")); err != nil {
+		t.Fatal(err)
+	}
+	req := wire.Bytes()
+	exchange := func() []byte {
+		if _, err := conn.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		resp := make([]byte, 0, 8192)
+		for !bytes.HasSuffix(resp, body) {
+			n, err := conn.Read(resp[len(resp):cap(resp)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp = resp[:len(resp)+n]
+		}
+		return resp
+	}
+	exchange()        // a page-cache miss
+	hit := exchange() // what every later request gets
+	buf := make([]byte, len(hit))
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := conn.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a static hit allocates %.2f times per request, want 0", allocs)
 	}
 }

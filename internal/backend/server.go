@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"webcluster/internal/cache"
@@ -73,6 +74,11 @@ type Server struct {
 	stats *telemetry.Registry
 
 	life lifecycle.Group
+	// The fault points, named once: serving a connection builds no string.
+	acceptPoint, connPoint string
+	// pools parse requests; their target resolver is the page cache, so a
+	// request for a cached path adopts the cache's string for it.
+	pools *httpx.Pools
 
 	// active tracks in-flight requests, the L4 routers' "connections"
 	// load signal.
@@ -122,8 +128,13 @@ func NewServer(opts ServerOptions) (*Server, error) {
 
 		deadlineRejected: stats.Counter("backend_deadline_rejected"),
 		deadlineCanceled: stats.Counter("backend_deadline_canceled"),
+
+		acceptPoint: "backend.accept/" + string(opts.Spec.ID),
+		connPoint:   "backend.conn/" + string(opts.Spec.ID),
+		pools:       httpx.NewPools(),
 	}
-	s.life.Wrap = func(c net.Conn) net.Conn { return s.faults.Conn("backend.conn/"+string(s.spec.ID), c) }
+	s.pools.Targets = s.pageCache.Key
+	s.life.Wrap = func(c net.Conn) net.Conn { return s.faults.Conn(s.connPoint, c) }
 	return s, nil
 }
 
@@ -183,12 +194,20 @@ func (s *Server) lookupHandler(path string) (DynamicHandler, bool) {
 
 // Handle serves one parsed request and returns the response. This is the
 // request path shared by the network front end and in-process callers
-// (tests, the simulator's real-logic cross-checks).
+// (tests, the simulator's real-logic cross-checks); the front end answers
+// into the one Response its connection owns.
 func (s *Server) Handle(req *httpx.Request) *httpx.Response {
+	resp := new(httpx.Response)
+	s.handle(req, resp)
+	return resp
+}
+
+// handle serves req into resp and accounts for it.
+func (s *Server) handle(req *httpx.Request, resp *httpx.Response) {
 	s.active.Inc()
 	defer s.done.Inc()
 	start := time.Now()
-	resp := s.serve(req)
+	s.serve(req, resp)
 	if req.Method == "HEAD" {
 		// The header a GET would get, Content-Length included; no body.
 		resp.Body = nil
@@ -201,36 +220,39 @@ func (s *Server) Handle(req *httpx.Request) *httpx.Response {
 	if resp.StatusCode >= 400 {
 		cs.Errors.Inc()
 	}
-	return resp
 }
 
-// serve produces the response for req.
-func (s *Server) serve(req *httpx.Request) *httpx.Response {
+// serve produces the response for req in resp.
+func (s *Server) serve(req *httpx.Request, resp *httpx.Response) {
 	if req.Method != "GET" && req.Method != "POST" && req.Method != "HEAD" {
-		return httpx.NewResponse(req.Proto, 400, []byte("unsupported method\n"))
+		resp.Reset(req.Proto, 400, []byte("unsupported method\n"))
+		return
 	}
 	// In-band deadline (X-Dist-Deadline): work the client has already
 	// abandoned is refused before costing anything.
 	deadline := req.DeadlineTime()
 	if req.DeadlineExpired(time.Now()) {
 		s.deadlineRejected.Inc()
-		return s.deadlineExceeded(req)
+		s.deadlineExceeded(req, resp)
+		return
 	}
 	class := content.Classify(req.Path)
 
 	if h, ok := s.lookupHandler(req.Path); ok {
 		body, cpuCost, err := h(req)
 		if err != nil {
-			return httpx.NewResponse(req.Proto, 500, []byte(err.Error()+"\n"))
+			resp.Reset(req.Proto, 500, []byte(err.Error()+"\n"))
+			return
 		}
 		if !s.sleepFor(ServedRequest{Class: class, Size: int64(len(body)), CPUCost: cpuCost}, deadline) {
 			s.deadlineCanceled.Inc()
-			return s.deadlineExceeded(req)
+			s.deadlineExceeded(req, resp)
+			return
 		}
-		resp := httpx.NewResponse(req.Proto, 200, body)
+		resp.Reset(req.Proto, 200, body)
 		resp.Header.Set("Content-Type", "text/html")
 		resp.Header.Set("X-Served-By", string(s.spec.ID))
-		return resp
+		return
 	}
 
 	// Static path: page cache first, then the store ("disk").
@@ -248,16 +270,19 @@ func (s *Server) serve(req *httpx.Request) *httpx.Response {
 		data, err := s.store.Fetch(req.Path)
 		if err != nil {
 			if errors.Is(err, ErrNotStored) {
-				return httpx.NewResponse(req.Proto, 404, []byte("not found: "+req.Path+"\n"))
+				resp.Reset(req.Proto, 404, []byte("not found: "+req.Path+"\n"))
+				return
 			}
-			return httpx.NewResponse(req.Proto, 500, []byte(err.Error()+"\n"))
+			resp.Reset(req.Proto, 500, []byte(err.Error()+"\n"))
+			return
 		}
 		body = data
 		s.pageCache.Put(req.Path, cache.Bytes(data))
 	}
 	if !s.sleepFor(ServedRequest{Class: class, Size: int64(len(body)), CacheHit: hit}, deadline) {
 		s.deadlineCanceled.Inc()
-		return s.deadlineExceeded(req)
+		s.deadlineExceeded(req, resp)
+		return
 	}
 	// Conditional requests (the distributor revalidating a cached entry,
 	// or a client with a cached copy): the validator is computed only when
@@ -268,19 +293,22 @@ func (s *Server) serve(req *httpx.Request) *httpx.Response {
 	if req.Header.Get("If-None-Match") != "" || req.Header.Get("If-Modified-Since") != "" {
 		etag = httpx.StrongETag(body)
 		if httpx.NotModified(req.Header, etag, time.Time{}) {
-			resp := httpx.NewResponse(req.Proto, 304, nil)
+			resp.Reset(req.Proto, 304, nil)
 			resp.Header.Set("Etag", etag)
 			resp.Header.Set("X-Served-By", string(s.spec.ID))
-			return resp
+			return
 		}
 	}
-	resp := httpx.NewResponse(req.Proto, 200, body)
+	resp.Reset(req.Proto, 200, body)
 	resp.Header.Set("X-Served-By", string(s.spec.ID))
-	resp.Header.Set("X-Cache", map[bool]string{true: "HIT", false: "MISS"}[hit])
+	if hit {
+		resp.Header.Set("X-Cache", "HIT")
+	} else {
+		resp.Header.Set("X-Cache", "MISS")
+	}
 	if etag != "" {
 		resp.Header.Set("Etag", etag)
 	}
-	return resp
 }
 
 // SetDelay replaces the emulated service-time function at runtime.
@@ -321,11 +349,10 @@ func (s *Server) sleepFor(r ServedRequest, deadline time.Time) bool {
 	return true
 }
 
-// deadlineExceeded is the terminal response for overdue work.
-func (s *Server) deadlineExceeded(req *httpx.Request) *httpx.Response {
-	resp := httpx.NewResponse(req.Proto, 503, []byte("deadline exceeded\n"))
+// deadlineExceeded makes resp the terminal response for overdue work.
+func (s *Server) deadlineExceeded(req *httpx.Request, resp *httpx.Response) {
+	resp.Reset(req.Proto, 503, []byte("deadline exceeded\n"))
 	resp.Header.Set("X-Served-By", string(s.spec.ID))
-	return resp
 }
 
 // Start listens on addr and serves in the background, returning the bound
@@ -340,22 +367,24 @@ func (s *Server) Start(addr string) (string, error) {
 
 // serveConn runs the keep-alive request loop for one connection.
 func (s *Server) serveConn(conn net.Conn) {
-	if s.faults.Fail("backend.accept/"+string(s.spec.ID)) != nil {
+	if s.faults.Fail(s.acceptPoint) != nil {
 		return // refused: the peer sees an immediate close
 	}
-	// Pooled reader and request: the keep-alive loop parses every request
-	// on this connection without allocating, and response bodies are
-	// aliased slices of the page cache / store (WriteResponse does not
+	// Pooled reader and request, and one Response the connection owns:
+	// the keep-alive loop parses and answers a page-cache hit without
+	// allocating (its target adopts the cache's key), and response bodies
+	// are aliased slices of the page cache / store (WriteResponse does not
 	// copy them), so a static hit is served with zero per-request copies.
-	br := httpx.AcquireReader(conn)
-	defer httpx.ReleaseReader(br)
-	req := httpx.AcquireRequest()
-	defer httpx.ReleaseRequest(req)
+	br := s.pools.AcquireReader(conn)
+	defer s.pools.ReleaseReader(br)
+	req := s.pools.AcquireRequest()
+	defer s.pools.ReleaseRequest(req)
+	resp := &httpx.Response{}
 	for {
-		err := httpx.ReadRequestInto(br, req)
+		err := s.pools.ReadRequestInto(br, req)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !isClosedConn(err) {
-				resp := httpx.NewResponse(httpx.Proto10, 400, []byte("bad request\n"))
+				resp.Reset(httpx.Proto10, 400, []byte("bad request\n"))
 				_ = httpx.WriteResponse(conn, resp)
 			}
 			return
@@ -368,7 +397,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			sp = s.tel.StartSpan(req.TraceID)
 			sp.SetRequest(req.Method, req.Path)
 		}
-		resp := s.Handle(req)
+		s.handle(req, resp)
 		if sp != nil {
 			sp.MarkBackend()
 			sp.SetClass(content.Classify(req.Path).String())
@@ -400,10 +429,10 @@ func (s *Server) serveConn(conn net.Conn) {
 // goroutines. Safe to call multiple times.
 func (s *Server) Close() error { return s.life.Close() }
 
-// isClosedConn reports whether err is the use-of-closed-connection error
-// raised when the listener or a peer shuts mid-read.
+// isClosedConn reports whether err is a connection the listener or a peer
+// shut mid-read: closed here, reset, or a broken pipe.
 func isClosedConn(err error) bool {
 	return errors.Is(err, net.ErrClosed) ||
-		strings.Contains(err.Error(), "connection reset by peer") ||
-		strings.Contains(err.Error(), "broken pipe")
+		errors.Is(err, syscall.ECONNRESET) ||
+		errors.Is(err, syscall.EPIPE)
 }

@@ -93,6 +93,19 @@ func (c *LRU) Contains(key string) bool {
 	return ok
 }
 
+// Key returns the cache's own string for the key spelled by b, without
+// promoting it or touching hit/miss accounting: a parser that resolves a
+// request target through it holds no copy of a key the cache has.
+func (c *LRU) Key(b []byte) (string, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[string(b)]
+	if !ok {
+		return "", false
+	}
+	return el.Value.(*lruEntry).key, true
+}
+
 // Put inserts or replaces the value for key and evicts least-recently-used
 // entries until the cache fits its capacity. Values larger than the whole
 // capacity are not cached at all (matching the behaviour of an OS page cache

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 
@@ -26,11 +25,6 @@ type PooledConn struct {
 	Node   config.NodeID
 	Conn   net.Conn
 	Reader *bufio.Reader
-	// Rest reads Conn past Reader: the relay moves the part of a body
-	// Reader has not buffered through it (httpx.RelayOptions.Conn), in the
-	// kernel when Conn is bare TCP. It lives as long as the connection, so
-	// a relay through it allocates nothing.
-	Rest io.LimitedReader
 	// Uses counts requests relayed over this connection.
 	Uses int
 }
@@ -175,7 +169,6 @@ func (p *Pool) dialNode(np *nodePool) (*PooledConn, error) {
 		Node:   np.node,
 		Conn:   conn,
 		Reader: bufio.NewReaderSize(conn, backendReaderSize),
-		Rest:   io.LimitedReader{R: conn},
 	}, nil
 }
 

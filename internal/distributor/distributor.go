@@ -233,7 +233,11 @@ func New(opts Options) (*Distributor, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: unknown node %s", ErrNoBackend, node)
 		}
-		return net.DialTimeout("tcp", addr, 2*time.Second)
+		c, err := net.DialTimeout("tcp", addr, 2*time.Second)
+		if err != nil {
+			return nil, err
+		}
+		return httpx.WrapTCP(c), nil
 	}, prefork, maxConns)
 	d.pool.SetFaults(opts.Faults)
 	if opts.Admission != nil {

@@ -425,7 +425,7 @@ func (x *exchange) stream(pc *conntrack.PooledConn) bool {
 		Proto:      req.Proto,
 		ForceClose: !req.KeepAlive(),
 		Head:       req.Method == "HEAD",
-		Conn:       &pc.Rest,
+		Src:        pc.Conn,
 	})
 	if err != nil {
 		// The header already reached the client, so the exchange cannot

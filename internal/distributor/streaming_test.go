@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"webcluster/internal/backend"
 	"webcluster/internal/config"
 	"webcluster/internal/content"
 	"webcluster/internal/faults"
@@ -322,8 +323,8 @@ func withCannedNode(t *testing.T, id config.NodeID, response []byte) func(*Optio
 // A keep-alive relay allocates nothing in the distributor, with telemetry
 // and the journal attached as core.Attach wires them: the back-end
 // connection's own reader takes a small response off the socket, a large
-// body's remainder moves in the kernel through the connection's own
-// limiter, the exchange's Response and candidate list are reused, and the
+// body's remainder moves in the kernel through a pooled pipe, the
+// exchange's Response and candidate list are reused, and the
 // repeated header values keep the previous response's strings. The back
 // end answers a pre-rendered response (header plus body in one write); the
 // client writes a pre-rendered request and reads the known-length reply
@@ -382,7 +383,7 @@ func TestRelayAllocFree(t *testing.T) {
 }
 
 // A body past what the back-end reader buffers moves in the kernel when
-// both connections are bare TCP: a 1 MiB object arrives byte-identical, and
+// both connections are raw TCP: a 1 MiB object arrives byte-identical, and
 // the back-end connection keeps its framing — it goes back to the pool, the
 // next request on it is answered, and no overflow connection is dialed.
 func TestLargeRelayKernelPath(t *testing.T) {
@@ -522,5 +523,93 @@ func TestRelayedHEADKeepsLength(t *testing.T) {
 	}
 	if n := tc.dist.pool.OverflowDials(); n != 0 {
 		t.Fatalf("%d overflow dials: the HEAD cost the back-end connection its framing", n)
+	}
+}
+
+// Fault injection stays on the data path: the raw connection sits under
+// the fault wrappers, never beside them. A rule at the back end's
+// accepted connection (backend.conn/<id>) or at the distributor's pooled
+// one (pool.conn/<node>) still fires, and a wrapped pooled connection
+// makes the relay copy the body through the wrapper instead of splicing
+// past it.
+func TestFaultsStayOnTheDataPath(t *testing.T) {
+	body := bytes.Repeat([]byte("f"), 1<<20)
+	for _, tt := range []struct {
+		point string
+		rule  faults.Rule
+		// whole: the client gets every byte; otherwise one truncation
+		whole bool
+		// minFired: the rule must fire at least this often
+		minFired int64
+	}{
+		// 1 MiB through 256 KiB copy buffers is at least four body reads
+		// and the header's: a splice would have fired once.
+		{"pool.conn/n1", faults.Rule{ReadStall: time.Millisecond}, true, 5},
+		{"pool.conn/n1", faults.Rule{DropAfterBytes: 256 << 10}, false, 1},
+		{"backend.conn/n1", faults.Rule{ReadStall: time.Millisecond}, true, 1},
+		// The back end writes a response in one call; the drop counts
+		// what a write carried only after it, so chunk the writes.
+		{"backend.conn/n1", faults.Rule{DropAfterBytes: 256 << 10, MaxWriteChunk: 64 << 10}, false, 1},
+	} {
+		name := fmt.Sprintf("%s stall=%v drop=%d", tt.point, tt.rule.ReadStall, tt.rule.DropAfterBytes)
+		t.Run(name, func(t *testing.T) {
+			in := faults.New(1)
+			in.Set(tt.point, tt.rule)
+			var srv *backend.Server
+			tc := startClusterOpts(t, 0, func(o *Options) {
+				var err error
+				srv, err = backend.NewServer(backend.ServerOptions{
+					Spec: config.NodeSpec{
+						ID: "n1", CPUMHz: 350, MemoryMB: 64,
+						Disk: config.DiskSCSI, Platform: config.LinuxApache,
+					},
+					Store:  &backend.MemStore{},
+					Faults: in,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				addr, err := srv.Start("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = srv.Close() })
+				withRawNode("n1", addr)(o)
+				o.Faults = in
+				o.PreforkPerNode = 1
+				o.RetryBackoff = time.Millisecond
+			})
+			if err := srv.Store().Put("/f.bin", body); err != nil {
+				t.Fatal(err)
+			}
+			obj := content.Object{Path: "/f.bin", Size: int64(len(body)), Class: content.Classify("/f.bin")}
+			if err := tc.table.Insert(obj, "n1"); err != nil {
+				t.Fatal(err)
+			}
+			conn, err := net.Dial("tcp", tc.front)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = conn.Close() }()
+			_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+			if _, err := io.WriteString(conn, "GET /f.bin HTTP/1.1\r\nHost: c\r\nConnection: close\r\n\r\n"); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := httpx.ReadResponse(bufio.NewReader(conn))
+			if tt.whole {
+				if err != nil || !bytes.Equal(resp.Body, body) {
+					t.Fatalf("the client did not get the whole body: %v", err)
+				}
+			} else {
+				if err == nil && bytes.Equal(resp.Body, body) {
+					t.Fatal("the client got the whole body through a drop rule")
+				}
+				testutil.Eventually(t, 2*time.Second, func() bool { return tc.dist.RelayTruncations() == 1 },
+					"truncations = %d, want 1", tc.dist.RelayTruncations())
+			}
+			if n := in.Fired(tt.point); n < tt.minFired {
+				t.Fatalf("the rule fired %d times, want at least %d", n, tt.minFired)
+			}
+		})
 	}
 }

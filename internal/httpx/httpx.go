@@ -627,15 +627,18 @@ func (r *Response) KeepAlive() bool {
 // NewResponse builds a response with the given status and body, framed with
 // a Content-Length so it can be carried on a persistent connection.
 func NewResponse(proto string, code int, body []byte) *Response {
-	resp := &Response{
-		Proto:         proto,
-		StatusCode:    code,
-		Header:        make(Header, 0, 4),
-		Body:          body,
-		ContentLength: int64(len(body)),
-	}
+	resp := &Response{Header: make(Header, 0, 4)}
+	resp.Reset(proto, code, body)
 	resp.Header.Set("Content-Length", strconv.Itoa(len(body)))
 	return resp
+}
+
+// Reset makes r a code response carrying body, as NewResponse would,
+// keeping r's header storage and leaving Content-Length to ContentLength
+// (WriteResponse writes it from there), so a server that answers every
+// request on a connection with one Response allocates nothing for it.
+func (r *Response) Reset(proto string, code int, body []byte) {
+	*r = Response{Proto: proto, StatusCode: code, Header: r.Header[:0], Body: body, ContentLength: int64(len(body))}
 }
 
 // WriteResponse serializes resp to w, forcing a correct Content-Length:

@@ -630,6 +630,72 @@ func FuzzReadResponseHeaderInto(f *testing.F) {
 	})
 }
 
+// fuzzRequest and fuzzResolved are the Requests FuzzReadRequest parses
+// every input into, one per parse path, so each input is read over the
+// strings the previous one left behind — a keep-alive loop's reuse.
+var (
+	fuzzRequest  = Request{Header: make(Header, 0, 8)}
+	fuzzResolved = Request{Header: make(Header, 0, 8)}
+	fuzzPools    = func() *Pools { p := NewPools(); p.Targets = placed; return p }()
+)
+
+// FuzzReadRequest: whatever a client sends, the default parse and the
+// parse that resolves targets through Pools.Targets (the distributor's
+// URL-table path) give the same request, field for field and error for
+// error, and a request they accept is a fixed point of parse → write →
+// parse: what WriteRequest renders from it parses back to a request that
+// renders the same bytes, with method, target, body, trace and deadline
+// fields and every header unchanged.
+func FuzzReadRequest(f *testing.F) {
+	for _, raw := range requestStreams {
+		f.Add([]byte(raw))
+	}
+	f.Add([]byte("GET /docs/a.html HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc"))
+	f.Add([]byte("GET /b?x HTTP/1.0\nX-Dist-Trace: zz\nX-Dist-Deadline: -1\nhost:  h \n\n"))
+	render := func(t *testing.T, req *Request) []byte {
+		var b bytes.Buffer
+		if err := WriteRequest(&b, req); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		plainBR := bufio.NewReader(bytes.NewReader(wire))
+		resBR := bufio.NewReader(bytes.NewReader(wire))
+		req, res := &fuzzRequest, &fuzzResolved
+		for i := 0; i < 8; i++ {
+			perr := ReadRequestInto(plainBR, req)
+			rerr := fuzzPools.ReadRequestInto(resBR, res)
+			if (perr == nil) != (rerr == nil) || (perr != nil && perr.Error() != rerr.Error()) {
+				t.Fatalf("request %d: default err %v, resolving err %v", i, perr, rerr)
+			}
+			if perr != nil {
+				return
+			}
+			if !reflect.DeepEqual(req, res) {
+				t.Fatalf("request %d:\ndefault   %+v\nresolving %+v", i, req, res)
+			}
+			once := render(t, req)
+			again, err := ReadRequest(bufio.NewReader(bytes.NewReader(once)))
+			if err != nil {
+				t.Fatalf("request %d: re-reading %q: %v", i, once, err)
+			}
+			if twice := render(t, again); !bytes.Equal(once, twice) {
+				t.Fatalf("request %d: not a fixed point:\n%q\n%q", i, once, twice)
+			}
+			if again.Method != req.Method || again.Target != req.Target || again.Proto != req.Proto ||
+				!bytes.Equal(again.Body, req.Body) || again.TraceID != req.TraceID || again.Deadline != req.Deadline {
+				t.Fatalf("request %d changed across the round trip:\n%+v\n%+v", i, req, again)
+			}
+			for _, fl := range req.Header {
+				if fl.Key != "Content-Length" && again.Header.Get(fl.Key) != fl.Value {
+					t.Fatalf("request %d: %s %q came back as %q", i, fl.Key, fl.Value, again.Header.Get(fl.Key))
+				}
+			}
+		}
+	})
+}
+
 // Framing a message two ways is refused (RFC 9112 §6.3): a Content-Length
 // contradicting an earlier one is malformed, and Transfer-Encoding — which
 // this package does not implement — is refused outright. Repeating one

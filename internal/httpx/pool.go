@@ -3,7 +3,6 @@ package httpx
 import (
 	"bufio"
 	"io"
-	"net"
 	"sync"
 )
 
@@ -25,7 +24,7 @@ const (
 
 // Pools is one independent set of the buffer pools the message fast path
 // draws from: bufio readers, reusable Requests, relay copy
-// buffers, header staging buffers and writev vectors. The distributor owns
+// buffers and header staging buffers. The distributor owns
 // one for its data plane (sync.Pool is already per-P, so one set serves
 // every connection); everything else uses the package default via the
 // package-level Acquire/Release functions. Values acquired from a Pools
@@ -42,7 +41,6 @@ type Pools struct {
 	requests sync.Pool
 	copyBufs sync.Pool
 	headers  sync.Pool
-	bufvecs  sync.Pool
 }
 
 // NewPools returns an independent pool set.
@@ -57,10 +55,6 @@ func NewPools() *Pools {
 	p.headers.New = func() any {
 		b := make([]byte, 0, headerBufSize)
 		return &b
-	}
-	p.bufvecs.New = func() any {
-		v := make(net.Buffers, 0, 2)
-		return &v
 	}
 	return p
 }

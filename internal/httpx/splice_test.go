@@ -7,13 +7,22 @@ import (
 	"io"
 	"net"
 	"strconv"
+	"sync/atomic"
 	"testing"
-
-	"webcluster/internal/faults"
 )
 
-// tcpPair returns the two ends of a loopback TCP connection.
-func tcpPair(t *testing.T) (*net.TCPConn, *net.TCPConn) {
+// tcpPair returns the two ends of a loopback TCP connection, raw.
+func tcpPair(t *testing.T) (*TCPConn, *TCPConn) {
+	t.Helper()
+	a, b := plainPair(t)
+	ra, rb := WrapTCP(a).(*TCPConn), WrapTCP(b).(*TCPConn)
+	t.Cleanup(func() { _ = ra.Close(); _ = rb.Close() })
+	return ra, rb
+}
+
+// plainPair returns the two ends of a loopback TCP connection as the net
+// package makes them.
+func plainPair(t *testing.T) (*net.TCPConn, *net.TCPConn) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -42,18 +51,37 @@ func tcpPair(t *testing.T) (*net.TCPConn, *net.TCPConn) {
 	return client.(*net.TCPConn), r.c.(*net.TCPConn)
 }
 
+// wrappedConn stands for a fault-injection wrapper: it hides the
+// connection's type and counts the bytes read through it.
+type wrappedConn struct {
+	net.Conn
+	read atomic.Int64
+}
+
+func (w *wrappedConn) Read(p []byte) (int, error) {
+	n, err := w.Conn.Read(p)
+	w.read.Add(int64(n))
+	return n, err
+}
+
 func TestBareTCP(t *testing.T) {
 	a, b := tcpPair(t)
 	if _, _, ok := bareTCP(a, b); !ok {
-		t.Fatal("two direct TCP conns should be spliceable")
+		t.Fatal("two raw TCP conns should be spliceable")
 	}
-	in := faults.New(1)
-	wrapped := in.Conn("test.conn", a)
+	wrapped := &wrappedConn{Conn: a}
 	if _, _, ok := bareTCP(wrapped, b); ok {
-		t.Fatal("a fault-wrapped destination must not pass — unwrapping would bypass injection")
+		t.Fatal("a wrapped destination must not pass — unwrapping would bypass injection")
 	}
 	if _, _, ok := bareTCP(b, wrapped); ok {
-		t.Fatal("a fault-wrapped source must not pass — unwrapping would bypass injection")
+		t.Fatal("a wrapped source must not pass — unwrapping would bypass injection")
+	}
+	if WrapTCP(wrapped) != net.Conn(wrapped) {
+		t.Fatal("WrapTCP must leave a wrapped connection as it is")
+	}
+	pa, pb := plainPair(t)
+	if _, _, ok := bareTCP(pa, pb); ok {
+		t.Fatal("only the raw type takes the kernel path")
 	}
 	p1, p2 := net.Pipe()
 	defer func() { _ = p1.Close(); _ = p2.Close() }()
@@ -102,26 +130,28 @@ func TestSpliceStreamsTCPPath(t *testing.T) {
 	}
 }
 
-// TestSpliceStreamsFallback wraps the source in the fault injector (so
-// it is no longer a *net.TCPConn) and checks the buffered fallback moves
-// the same bytes — and that the wrapper's rules still apply, proving the
-// fast path never unwrapped it.
+// TestSpliceStreamsFallback wraps the source (so it is no longer a
+// *TCPConn) and checks the buffered fallback moves the same bytes, every
+// one of them through the wrapper: the fast path never unwrapped it.
 func TestSpliceStreamsFallback(t *testing.T) {
-	in := faults.New(7)
-	in.Set("splice.src", faults.Rule{MaxWriteChunk: 11}) // exercises chunked I/O through the wrapper
 	payload := bytes.Repeat([]byte("f"), CopyBufSize+4096)
+	var w *wrappedConn
 	got := relayChain(t, payload, func(c net.Conn) net.Conn {
-		return in.Conn("splice.src", c)
+		w = &wrappedConn{Conn: c}
+		return w
 	})
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("fallback path moved %d bytes, want %d", len(got), len(payload))
+	}
+	if n := w.read.Load(); n != int64(len(payload)) {
+		t.Fatalf("the wrapper read %d bytes, want %d", n, len(payload))
 	}
 }
 
 // kernelRelay is one relay the way the distributor runs it: the back end
 // writes wire on its end of a TCP pair, the relay parses the header
 // through a 16 KiB reader over its end and relays to a client TCP pair
-// with Conn set. It returns the bytes relayed, the bytes the back-end
+// with Src set. It returns the bytes relayed, the bytes the back-end
 // reader took through user space, the reader for whatever follows, and
 // the relay's error.
 func kernelRelay(t *testing.T, wire []byte, client net.Conn) (int64, int64, *bufio.Reader, error) {
@@ -134,8 +164,7 @@ func kernelRelay(t *testing.T, wire []byte, client net.Conn) (int64, int64, *buf
 	if err := ReadResponseHeaderInto(br, &resp); err != nil {
 		t.Fatal(err)
 	}
-	rest := io.LimitedReader{R: upstream}
-	n, err := NewPools().Relay(client, &resp, br, RelayOptions{Proto: Proto11, Conn: &rest})
+	n, err := NewPools().Relay(client, &resp, br, RelayOptions{Proto: Proto11, Src: upstream})
 	return n, src.bytes, br, err
 }
 
@@ -176,7 +205,7 @@ func TestRelayKernelPath(t *testing.T) {
 }
 
 // A back end that resets mid-body is a truncation; a client that leaves
-// mid-body is not, though Go's splice error names neither socket.
+// mid-body is not: the drain and the pump fail separately.
 func TestRelayKernelFailureAttribution(t *testing.T) {
 	body := bytes.Repeat([]byte("t"), 1<<20)
 	t.Run("source resets", func(t *testing.T) {
@@ -197,8 +226,7 @@ func TestRelayKernelFailureAttribution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rest := io.LimitedReader{R: upstream}
-		n, err := NewPools().Relay(relay, &resp, br, RelayOptions{Proto: Proto11, Conn: &rest})
+		n, err := NewPools().Relay(relay, &resp, br, RelayOptions{Proto: Proto11, Src: upstream})
 		if !errors.Is(err, ErrBodyTruncated) || n >= int64(len(body)) {
 			t.Fatalf("relayed %d, %v; want a truncation", n, err)
 		}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"time"
 )
 
 // ErrBodyTruncated reports that a peer delivered fewer body bytes than its
@@ -18,26 +16,29 @@ var ErrBodyTruncated = errors.New("httpx: body truncated")
 
 // bareTCP is the one rule both relays — the distributor's response relay
 // and the L4 router's stream splice — apply before moving bytes in the
-// kernel: dst and src must both be *net.TCPConn values, for which
-// (*net.TCPConn).ReadFrom uses splice(2) and the payload never enters user
-// space. A wrapped connection (fault injection, TLS, a test double) fails
-// the rule on purpose: unwrapping it would move bytes the wrapper never
-// sees and bypass injected faults. Such a pair takes the copy loop through
-// a pooled CopyBufSize buffer, the one fallback pool both relays share.
-func bareTCP(dst io.Writer, src io.Reader) (*net.TCPConn, *net.TCPConn, bool) {
-	tdst, dok := dst.(*net.TCPConn)
-	tsrc, sok := src.(*net.TCPConn)
+// kernel: dst and src must both be *TCPConn values, whose splice runs on
+// the raw path and never brings the payload into user space. A wrapped
+// connection (fault injection, TLS, a test double) fails the rule on
+// purpose: unwrapping it would move bytes the wrapper never sees and
+// bypass injected faults. Such a pair takes the copy loop through a pooled
+// CopyBufSize buffer, the one fallback pool both relays share.
+func bareTCP(dst io.Writer, src io.Reader) (*TCPConn, *TCPConn, bool) {
+	tdst, dok := dst.(*TCPConn)
+	tsrc, sok := src.(*TCPConn)
 	return tdst, tsrc, dok && sok
 }
 
 // SpliceStreams relays src into dst until EOF or error, returning the
 // bytes moved: one direction of the L4 router's connection splice. A bare
-// TCP pair moves in the kernel; any other pairing copies through a pooled
-// buffer, with both ends wrapped in bare structs so io.CopyBuffer cannot
-// bypass it through their own ReaderFrom/WriterTo.
+// TCP pair moves in the kernel through a pooled pipe; any other pairing
+// copies through a pooled buffer, with both ends wrapped in bare structs
+// so io.CopyBuffer cannot bypass it through their own ReaderFrom/WriterTo.
 func SpliceStreams(dst io.Writer, src io.Reader) (int64, error) {
 	if tdst, tsrc, ok := bareTCP(dst, src); ok {
-		return tdst.ReadFrom(tsrc)
+		if p := acquirePipe(); p != nil {
+			defer releasePipe(p)
+			return spliceStream(tdst, tsrc, p)
+		}
 	}
 	bufp := defaultPools.acquireCopyBuf()
 	defer defaultPools.releaseCopyBuf(bufp)
@@ -107,13 +108,10 @@ type RelayOptions struct {
 	// the response answers a HEAD request, so no body follows it on either
 	// connection (RFC 9112 §6.3, rule 1).
 	Head bool
-	// Conn, when set, is a limiter whose R is the connection src buffers;
-	// Relay sets its N. When src has nothing buffered left and Conn.R and
-	// dst are both bare TCP, the rest of the body moves in the kernel
-	// through Conn. A limiter kept with the connection makes that
-	// allocation-free. dst must carry no deadline: a kernel relay that
-	// misses one is charged to the source.
-	Conn *io.LimitedReader
+	// Src, when set, is the connection src buffers. When src has nothing
+	// buffered left and Src and dst both pass bareTCP, the rest of the
+	// body moves in the kernel, straight from Src.
+	Src net.Conn
 }
 
 // Relay streams resp from a back-end connection to the client: the status
@@ -124,7 +122,7 @@ type RelayOptions struct {
 // already holds the whole body — a back-end connection's reader takes a
 // small response off the socket in one read — the response leaves in that
 // one write. The rest of the body, to resp.ContentLength bytes in total,
-// moves in the kernel when o.Conn allows it (see RelayOptions) and through
+// moves in the kernel when o.Src allows it (see RelayOptions) and through
 // the same pooled buffer otherwise. resp must come from
 // ReadResponseHeaderInto with its body still unread on src.
 //
@@ -173,64 +171,28 @@ func (p *Pools) Relay(dst io.Writer, resp *Response, src io.Reader, o RelayOptio
 	if written >= total {
 		return written, nil
 	}
-	if tdst, tsrc, ok := spliceable(dst, src, o.Conn); ok {
-		m, err := spliceBody(tdst, tsrc, o.Conn, total-written, total)
-		return written + m, err
+	if tdst, tsrc, ok := spliceable(dst, src, o.Src); ok {
+		if p := acquirePipe(); p != nil {
+			defer releasePipe(p)
+			m, err := spliceBody(tdst, tsrc, p, total-written, total)
+			return written + m, err
+		}
 	}
 	m, err := copyBodyBuf(dst, src, total-written, buf)
 	return written + m, err
 }
 
 // spliceable reports whether the rest of a body src is relaying may move
-// in the kernel: conn reads the connection under src, src has nothing
-// buffered left to hand over, and dst and conn.R pass bareTCP.
-func spliceable(dst io.Writer, src io.Reader, conn *io.LimitedReader) (*net.TCPConn, *net.TCPConn, bool) {
+// in the kernel: conn is the connection under src, src has nothing
+// buffered left to hand over, and dst and conn pass bareTCP.
+func spliceable(dst io.Writer, src io.Reader, conn net.Conn) (*TCPConn, *TCPConn, bool) {
 	if conn == nil {
 		return nil, nil, false
 	}
 	if b, ok := src.(interface{ Buffered() int }); !ok || b.Buffered() > 0 {
 		return nil, nil, false
 	}
-	return bareTCP(dst, conn.R)
-}
-
-// spliceBody moves the last n of a body's total bytes from src to dst in
-// the kernel, reading through conn (whose R is src). Go's splice error
-// does not say which socket failed, so the error path attributes it: a
-// short count with no error is the source's EOF; a missed deadline is the
-// source's, since only it carries one; anything else is the source's if
-// src no longer answers (alive). The success path costs nothing extra.
-func spliceBody(dst, src *net.TCPConn, conn *io.LimitedReader, n, total int64) (int64, error) {
-	conn.N = n
-	m, err := dst.ReadFrom(conn)
-	if m == n {
-		return m, nil
-	}
-	if err == nil || errors.Is(err, os.ErrDeadlineExceeded) || !alive(src) {
-		if err == nil {
-			err = io.ErrUnexpectedEOF
-		}
-		return m, fmt.Errorf("%w after %d/%d bytes: %v", ErrBodyTruncated, total-n+m, total, err)
-	}
-	return m, fmt.Errorf("relaying body: %w", err)
-}
-
-// aliveWait bounds alive's read: a live back end with nothing left to send
-// makes it wait this long.
-const aliveWait = time.Millisecond
-
-// alive reports whether c, a back-end connection a kernel relay just
-// failed on, still works: one read that returns a byte or times out finds
-// it alive, EOF or a reset finds it dead. The read overwrites c's deadline
-// and may consume a byte, so c must be discarded afterwards — as it is
-// after any failed relay.
-func alive(c *net.TCPConn) bool {
-	if err := c.SetReadDeadline(time.Now().Add(aliveWait)); err != nil {
-		return false
-	}
-	var b [1]byte
-	_, err := c.Read(b[:])
-	return err == nil || errors.Is(err, os.ErrDeadlineExceeded)
+	return bareTCP(dst, conn)
 }
 
 // RelayResponse is Relay with no direct connection read: the whole body

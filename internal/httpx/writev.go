@@ -2,14 +2,13 @@ package httpx
 
 import (
 	"io"
-	"net"
 	"strconv"
 )
 
 // This file is the package's one serializer: every message's header
 // section is staged into a pooled byte slice with the append helpers below
 // and handed to the kernel together with the body (or its first chunk) as
-// one writev(2) via net.Buffers. strconv's Append functions write into the
+// one writev(2) on a TCPConn. strconv's Append functions write into the
 // staging buffer's existing capacity, so the hot path allocates nothing.
 
 // appendField appends one "Key: value\r\n" line.
@@ -120,27 +119,15 @@ func appendRequestHead(b []byte, req *Request, proto string) []byte {
 	return append(b, "\r\n"...)
 }
 
-// writeVectored writes head then body as one logical write. On a real
-// *net.TCPConn both segments go out in a single writev(2) (net.Buffers;
-// the runtime loops over partial writevs internally). Any other writer —
-// fault-injection wrappers, test doubles, TLS — takes a sequential path
-// that retries short writes per segment, so a writer returning n < len(p)
-// with a nil error (the fault injector's MaxWriteChunk does) can never
-// reorder or drop bytes the way net.Buffers' generic fallback would.
+// writeVectored writes head then body as one logical write. On a
+// *TCPConn both segments go out in one raw writev(2), looped over partial
+// writes. Any other writer — fault-injection wrappers, test doubles, TLS —
+// takes a sequential path that retries short writes per segment, so a
+// writer returning n < len(p) with a nil error (the fault injector's
+// MaxWriteChunk does) can never reorder or drop bytes.
 func (p *Pools) writeVectored(w io.Writer, head, body []byte) (int64, error) {
-	if tc, ok := w.(*net.TCPConn); ok && len(body) > 0 {
-		vp := p.bufvecs.Get().(*net.Buffers)
-		full := append((*vp)[:0], head, body)
-		*vp = full
-		// WriteTo consumes the vector (advances *vp as segments drain), so
-		// restore the full backing array — with the segment references
-		// dropped, so pooling the vector doesn't pin the buffers — before
-		// putting it back.
-		n, err := vp.WriteTo(tc)
-		full[0], full[1] = nil, nil
-		*vp = full[:0]
-		p.bufvecs.Put(vp)
-		return n, err
+	if tc, ok := w.(*TCPConn); ok {
+		return tc.writev(head, body)
 	}
 	var n int64
 	for _, seg := range [2][]byte{head, body} {

@@ -102,9 +102,9 @@ func TestWriteRequestShortWriteWriter(t *testing.T) {
 	}
 }
 
-// TestRelayResponseVectoredTCP sends a large response over a real TCP
-// pair so writeVectored takes the net.Buffers/writev path (the runtime
-// loops over partial writevs internally) and verifies the exact bytes.
+// TestRelayResponseVectoredTCP sends a large response over a raw TCP
+// pair so writeVectored takes the writev path, looping over partial
+// writevs, and verifies the exact bytes.
 func TestRelayResponseVectoredTCP(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -119,6 +119,7 @@ func TestRelayResponseVectoredTCP(t *testing.T) {
 			done <- err
 			return
 		}
+		conn = WrapTCP(conn)
 		defer func() { _ = conn.Close() }()
 		p := NewPools()
 		resp := &Response{

@@ -131,7 +131,7 @@ func (r *Router) proxy(client net.Conn) {
 		r.failed.Add(1)
 		return
 	}
-	server = r.faults.Conn("l4router.server", server)
+	server = r.faults.Conn("l4router.server", httpx.WrapTCP(server))
 	// The splice is intentionally deadline-free: an idle but healthy
 	// client may hold its connection open indefinitely, and lifetime
 	// is bounded by Close/CloseWrite propagation from either side.
@@ -152,28 +152,33 @@ func (r *Router) proxy(client net.Conn) {
 
 	// Bidirectional splice; each direction half-closes when its source
 	// reaches EOF, mirroring TCP FIN propagation through a L4 device.
-	// With no fault injector both ends are bare *net.TCPConn values, so
-	// SpliceStreams moves bytes via the kernel splice(2) fast path; a
-	// wrapped end ("l4router.server") takes the pooled-buffer fallback
-	// so injected faults stay observable. The rule and the buffer pool
-	// are the distributor's relay's own.
+	// With no fault injector both ends are raw httpx.TCPConn values (the
+	// accept loop and the dial above wrap them), so SpliceStreams moves
+	// bytes via the kernel splice(2) fast path; a wrapped end
+	// ("l4router.server") takes the pooled-buffer fallback so injected
+	// faults stay observable. The rule and the buffer pool are the
+	// distributor's relay's own.
 	done := make(chan struct{}, 2)
 	go func() {
 		_, _ = httpx.SpliceStreams(server, client)
-		if tc, ok := server.(*net.TCPConn); ok {
-			_ = tc.CloseWrite()
-		}
+		closeWrite(server)
 		done <- struct{}{}
 	}()
 	go func() {
 		_, _ = httpx.SpliceStreams(client, server)
-		if tc, ok := client.(*net.TCPConn); ok {
-			_ = tc.CloseWrite()
-		}
+		closeWrite(client)
 		done <- struct{}{}
 	}()
 	<-done
 	<-done
+}
+
+// closeWrite half-closes c when it is a TCP connection, passing its
+// source's EOF on; a wrapped connection is left to its full close.
+func closeWrite(c net.Conn) {
+	if tc, ok := c.(interface{ CloseWrite() error }); ok {
+		_ = tc.CloseWrite()
+	}
 }
 
 // Active returns the instantaneous connection count for node.

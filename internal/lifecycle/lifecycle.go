@@ -11,6 +11,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"webcluster/internal/httpx"
 )
 
 // ErrClosed is returned by Listen on a Group that Close has already run on.
@@ -37,7 +39,9 @@ var ErrClosed = errors.New("lifecycle: closed")
 //     Every starts nothing.
 type Group struct {
 	// Wrap, when set, replaces each accepted connection before it is
-	// tracked and served (fault injection). Set it before Listen.
+	// tracked and served (fault injection). Set it before Listen. It is
+	// handed the raw httpx.TCPConn the accept loop makes of a bare TCP
+	// connection, so a wrapper always sits outside the raw socket.
 	Wrap func(net.Conn) net.Conn
 
 	mu       sync.Mutex
@@ -117,6 +121,7 @@ func (g *Group) acceptLoop(l net.Listener, serve func(net.Conn)) {
 			}
 		}
 		backoff = 0
+		conn = httpx.WrapTCP(conn)
 		if g.Wrap != nil {
 			conn = g.Wrap(conn)
 		}

@@ -36,11 +36,13 @@ var auditMutations = []auditMutation{
 `,
 		`	rr := x.d.pools.AcquireRequest()
 `},
-	{"PE2", "pooledescape", "internal/httpx/writev.go",
-		`		*vp = full[:0]
-		p.bufvecs.Put(vp)
+	{"PE2", "pooledescape", "internal/httpx/stream.go",
+		`		if p := acquirePipe(); p != nil {
+			defer releasePipe(p)
+			m, err := spliceBody(tdst, tsrc, p, total-written, total)
 `,
-		`		*vp = full[:0]
+		`		if p := acquirePipe(); p != nil {
+			m, err := spliceBody(tdst, tsrc, p, total-written, total)
 `},
 	{"PE3", "pooledescape", "internal/distributor/exchange.go",
 		`	defer x.d.pools.ReleaseRequest(rr)
@@ -139,9 +141,9 @@ var auditMutations = []auditMutation{
 	code, sent := e.Stored.StatusCode, int64(len(e.Stored.Body))
 `},
 	{"DC2", "deadlinecheck", "internal/distributor/distributor.go",
-		`		return net.DialTimeout("tcp", addr, 2*time.Second)
+		`		c, err := net.DialTimeout("tcp", addr, 2*time.Second)
 `,
-		`		return net.Dial("tcp", addr)
+		`		c, err := net.Dial("tcp", addr)
 `},
 	{"DC3", "deadlinecheck", "internal/core/core.go",
 		`	defer func() { _ = conn.Close() }()
@@ -176,13 +178,14 @@ var auditMutations = []auditMutation{
 		r.failed.Add(1)
 		return
 	}
-	server = r.faults.Conn("l4router.server", server)
+	server = r.faults.Conn("l4router.server", httpx.WrapTCP(server))
 `,
 		`	server, err := net.DialTimeout("tcp", backend.Addr, dialTimeout)
 	if err != nil {
 		r.failed.Add(1)
 		return
 	}
+	server = httpx.WrapTCP(server)
 `},
 	{"FH4", "faulthook", "internal/l4router/l4router.go",
 		`	for _, b := range backends {
