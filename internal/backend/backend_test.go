@@ -548,6 +548,41 @@ func TestServeMalformedRequest(t *testing.T) {
 	}
 }
 
+// A client streaming 8 MiB with no LF is answered 431 once the header
+// section outgrows its bound, and the server reads no further.
+func TestServeUnboundedHeaderLine(t *testing.T) {
+	srv := newTestServer(t, nil)
+	conn, err := net.Dial("tcp", startServer(t, srv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	sent := make(chan int64, 1)
+	go func() {
+		n, _ := io.WriteString(conn, "GET / HTTP/1.1\r\nX-Long: ")
+		chunk := bytes.Repeat([]byte("a"), 64<<10)
+		total := int64(n)
+		for total < 8<<20 {
+			n, err := conn.Write(chunk)
+			total += int64(n)
+			if err != nil {
+				break
+			}
+		}
+		sent <- total
+	}()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := httpx.ReadResponse(bufio.NewReader(conn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 431 {
+		t.Fatalf("status = %d, want 431", resp.StatusCode)
+	}
+	_ = conn.Close()
+	<-sent
+}
+
 func TestCloseUnblocksOpenConnections(t *testing.T) {
 	srv := newTestServer(t, nil)
 	addr := startServer(t, srv)
@@ -780,49 +815,67 @@ func TestDeadlineCancelsMidWork(t *testing.T) {
 
 // A keep-alive connection's static hit allocates nothing in the server:
 // the connection owns its reader, request and response, and the fault
-// point names are built once in NewServer.
+// point names are built once in NewServer. A large hit's memfd is filled
+// on the first hit, so the second and later ones allocate nothing either.
 func TestBackendServeAllocFree(t *testing.T) {
-	store := &MemStore{}
-	body := bytes.Repeat([]byte("b"), 4096)
-	_ = store.Put("/docs/a.html", body)
-	srv := newTestServer(t, store)
-	addr := startServer(t, srv)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
-	var wire bytes.Buffer
-	if err := httpx.WriteRequest(&wire, get("/docs/a.html")); err != nil {
-		t.Fatal(err)
-	}
-	req := wire.Bytes()
-	exchange := func() []byte {
-		if _, err := conn.Write(req); err != nil {
-			t.Fatal(err)
-		}
-		resp := make([]byte, 0, 8192)
-		for !bytes.HasSuffix(resp, body) {
-			n, err := conn.Read(resp[len(resp):cap(resp)])
+	for _, size := range []int{4 << 10, 256 << 10} {
+		t.Run(fmt.Sprintf("%dKiB", size>>10), func(t *testing.T) {
+			store := &MemStore{}
+			body := bytes.Repeat([]byte("b"), size)
+			_ = store.Put("/docs/a.html", body)
+			srv := newTestServer(t, store)
+			conn, err := net.Dial("tcp", startServer(t, srv))
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp = resp[:len(resp)+n]
-		}
-		return resp
+			defer func() { _ = conn.Close() }()
+			var wire bytes.Buffer
+			if err := httpx.WriteRequest(&wire, get("/docs/a.html")); err != nil {
+				t.Fatal(err)
+			}
+			req := wire.Bytes()
+			exchange := func() []byte {
+				if _, err := conn.Write(req); err != nil {
+					t.Fatal(err)
+				}
+				resp := make([]byte, 0, size+1024)
+				for !bytes.HasSuffix(resp, body) {
+					n, err := conn.Read(resp[len(resp):cap(resp)])
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp = resp[:len(resp)+n]
+				}
+				return resp
+			}
+			exchange() // a page-cache miss
+			before := bodyFiles(t)
+			hit := exchange() // the first hit, which fills a large body's memfd
+			if got, want := len(opened(t, before)), btoi(size >= sendfileMin); got != want {
+				t.Fatalf("the first hit opened %d body memfds, want %d", got, want)
+			}
+			buf := make([]byte, len(hit))
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, err := conn.Write(req); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := io.ReadFull(conn, buf); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("a static hit allocates %.2f times per request, want 0", allocs)
+			}
+			if !bytes.Equal(buf, hit) {
+				t.Fatal("a later hit differs from the first")
+			}
+		})
 	}
-	exchange()        // a page-cache miss
-	hit := exchange() // what every later request gets
-	buf := make([]byte, len(hit))
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := conn.Write(req); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.ReadFull(conn, buf); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("a static hit allocates %.2f times per request, want 0", allocs)
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
 	}
+	return 0
 }

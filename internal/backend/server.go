@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -134,6 +135,11 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		pools:       httpx.NewPools(),
 	}
 	s.pools.Targets = s.pageCache.Key
+	s.pageCache.SetEvictFunc(func(_ string, v cache.Sizer) {
+		if pg, ok := v.(*page); ok {
+			pg.drop()
+		}
+	})
 	s.life.Wrap = func(c net.Conn) net.Conn { return s.faults.Conn(s.connPoint, c) }
 	return s, nil
 }
@@ -192,6 +198,66 @@ func (s *Server) lookupHandler(path string) (DynamicHandler, bool) {
 	return nil, false
 }
 
+// sendfileMin is the smallest page-cache hit a raw connection sends from
+// its sealed memfd by sendfile(2) instead of by writev(2) from the store's
+// bytes. BenchmarkSendBody places it (EXPERIMENTS.md): the sender's CPU
+// per response crosses over between 16 and 32 KiB, and 64 KiB is the
+// smallest size where every sendfile run beat every writev run.
+const sendfileMin = 64 << 10
+
+// page is a page-cache entry. body aliases the store's immutable slice,
+// and SizeBytes is its length, so the cache accounts for the store's bytes
+// alone. file holds the same bytes sealed into a memfd, made on the
+// entry's first hit that goes out by sendfile: a body served once pays one
+// copy either way, and a fill on the miss would add the page allocation
+// to it.
+type page struct {
+	body  []byte
+	file  atomic.Pointer[httpx.BodyFile]
+	tried atomic.Bool
+
+	mu      sync.Mutex // orders a fill's publication against drop
+	dropped bool
+}
+
+func (p *page) SizeBytes() int64 { return int64(len(p.body)) }
+
+// sendable returns p's memfd, filling it on the first call. It returns nil
+// when the fill failed, is another connection's and still running, or
+// found p gone from the cache: the caller writes body instead.
+func (p *page) sendable() *httpx.BodyFile {
+	if f := p.file.Load(); f != nil {
+		return f
+	}
+	if p.tried.Swap(true) {
+		return nil
+	}
+	f, err := httpx.NewBodyFile(p.body)
+	if err != nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.dropped {
+		_ = f.Close()
+		return nil
+	}
+	p.file.Store(f)
+	return f
+}
+
+// drop closes p's memfd as p leaves the page cache: evicted, invalidated,
+// or displaced by a Put. A send in flight keeps the descriptor open until
+// it completes; one that starts later writes body instead.
+func (p *page) drop() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.dropped = true
+	if f := p.file.Load(); f != nil {
+		_ = f.Close()
+	}
+}
+
 // Handle serves one parsed request and returns the response. This is the
 // request path shared by the network front end and in-process callers
 // (tests, the simulator's real-logic cross-checks); the front end answers
@@ -202,12 +268,13 @@ func (s *Server) Handle(req *httpx.Request) *httpx.Response {
 	return resp
 }
 
-// handle serves req into resp and accounts for it.
-func (s *Server) handle(req *httpx.Request, resp *httpx.Response) {
+// handle serves req into resp and accounts for it, returning serve's
+// page-cache entry.
+func (s *Server) handle(req *httpx.Request, resp *httpx.Response) *page {
 	s.active.Inc()
 	defer s.done.Inc()
 	start := time.Now()
-	s.serve(req, resp)
+	pg := s.serve(req, resp)
 	if req.Method == "HEAD" {
 		// The header a GET would get, Content-Length included; no body.
 		resp.Body = nil
@@ -220,13 +287,15 @@ func (s *Server) handle(req *httpx.Request, resp *httpx.Response) {
 	if resp.StatusCode >= 400 {
 		cs.Errors.Inc()
 	}
+	return pg
 }
 
-// serve produces the response for req in resp.
-func (s *Server) serve(req *httpx.Request, resp *httpx.Response) {
+// serve produces the response for req in resp. A 200 answered from the
+// page cache also returns the entry, whose body is resp's.
+func (s *Server) serve(req *httpx.Request, resp *httpx.Response) *page {
 	if req.Method != "GET" && req.Method != "POST" && req.Method != "HEAD" {
 		resp.Reset(req.Proto, 400, []byte("unsupported method\n"))
-		return
+		return nil
 	}
 	// In-band deadline (X-Dist-Deadline): work the client has already
 	// abandoned is refused before costing anything.
@@ -234,7 +303,7 @@ func (s *Server) serve(req *httpx.Request, resp *httpx.Response) {
 	if req.DeadlineExpired(time.Now()) {
 		s.deadlineRejected.Inc()
 		s.deadlineExceeded(req, resp)
-		return
+		return nil
 	}
 	class := content.Classify(req.Path)
 
@@ -242,47 +311,42 @@ func (s *Server) serve(req *httpx.Request, resp *httpx.Response) {
 		body, cpuCost, err := h(req)
 		if err != nil {
 			resp.Reset(req.Proto, 500, []byte(err.Error()+"\n"))
-			return
+			return nil
 		}
 		if !s.sleepFor(ServedRequest{Class: class, Size: int64(len(body)), CPUCost: cpuCost}, deadline) {
 			s.deadlineCanceled.Inc()
 			s.deadlineExceeded(req, resp)
-			return
+			return nil
 		}
 		resp.Reset(req.Proto, 200, body)
 		resp.Header.Set("Content-Type", "text/html")
 		resp.Header.Set("X-Served-By", string(s.spec.ID))
-		return
+		return nil
 	}
 
 	// Static path: page cache first, then the store ("disk").
-	var (
-		body []byte
-		hit  bool
-	)
-	if v, ok := s.pageCache.Get(req.Path); ok {
-		b, okb := v.(cache.Bytes)
-		if okb {
-			body, hit = []byte(b), true
-		}
-	}
-	if !hit {
+	var body []byte
+	v, _ := s.pageCache.Get(req.Path)
+	pg, hit := v.(*page)
+	if hit {
+		body = pg.body
+	} else {
 		data, err := s.store.Fetch(req.Path)
 		if err != nil {
 			if errors.Is(err, ErrNotStored) {
 				resp.Reset(req.Proto, 404, []byte("not found: "+req.Path+"\n"))
-				return
+				return nil
 			}
 			resp.Reset(req.Proto, 500, []byte(err.Error()+"\n"))
-			return
+			return nil
 		}
 		body = data
-		s.pageCache.Put(req.Path, cache.Bytes(data))
+		s.pageCache.Put(req.Path, &page{body: data})
 	}
 	if !s.sleepFor(ServedRequest{Class: class, Size: int64(len(body)), CacheHit: hit}, deadline) {
 		s.deadlineCanceled.Inc()
 		s.deadlineExceeded(req, resp)
-		return
+		return nil
 	}
 	// Conditional requests (the distributor revalidating a cached entry,
 	// or a client with a cached copy): the validator is computed only when
@@ -296,7 +360,7 @@ func (s *Server) serve(req *httpx.Request, resp *httpx.Response) {
 			resp.Reset(req.Proto, 304, nil)
 			resp.Header.Set("Etag", etag)
 			resp.Header.Set("X-Served-By", string(s.spec.ID))
-			return
+			return nil
 		}
 	}
 	resp.Reset(req.Proto, 200, body)
@@ -309,6 +373,7 @@ func (s *Server) serve(req *httpx.Request, resp *httpx.Response) {
 	if etag != "" {
 		resp.Header.Set("Etag", etag)
 	}
+	return pg
 }
 
 // SetDelay replaces the emulated service-time function at runtime.
@@ -372,9 +437,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	// Pooled reader and request, and one Response the connection owns:
 	// the keep-alive loop parses and answers a page-cache hit without
-	// allocating (its target adopts the cache's key), and response bodies
-	// are aliased slices of the page cache / store (WriteResponse does not
-	// copy them), so a static hit is served with zero per-request copies.
+	// allocating (its target adopts the cache's key). Response bodies are
+	// aliased slices of the page cache / store, so the only copy of a body
+	// is the kernel's: writev(2) copies it into the socket, and a large
+	// page-cache hit on a raw connection skips even that (bodyFile).
+	raw, _ := conn.(*httpx.TCPConn)
 	br := s.pools.AcquireReader(conn)
 	defer s.pools.ReleaseReader(br)
 	req := s.pools.AcquireRequest()
@@ -384,7 +451,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		err := s.pools.ReadRequestInto(br, req)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !isClosedConn(err) {
-				resp.Reset(httpx.Proto10, 400, []byte("bad request\n"))
+				if errors.Is(err, httpx.ErrHeaderTooLarge) {
+					resp.Reset(httpx.Proto10, 431, []byte("request header fields too large\n"))
+				} else {
+					resp.Reset(httpx.Proto10, 400, []byte("bad request\n"))
+				}
 				_ = httpx.WriteResponse(conn, resp)
 			}
 			return
@@ -397,7 +468,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			sp = s.tel.StartSpan(req.TraceID)
 			sp.SetRequest(req.Method, req.Path)
 		}
-		s.handle(req, resp)
+		pg := s.handle(req, resp)
 		if sp != nil {
 			sp.MarkBackend()
 			sp.SetClass(content.Classify(req.Path).String())
@@ -411,7 +482,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		if !keep {
 			resp.Header.Set("Connection", "close")
 		}
-		werr := httpx.WriteResponse(conn, resp)
+		var werr error
+		if f := bodyFile(raw, req, pg); f != nil {
+			werr = httpx.WriteResponseFile(raw, resp, f)
+		} else {
+			werr = httpx.WriteResponse(conn, resp)
+		}
 		if sp != nil {
 			sp.MarkReply()
 			s.tel.FinishSpan(sp)
@@ -423,6 +499,17 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
+}
+
+// bodyFile returns the sealed memfd a response leaves from by sendfile(2),
+// or nil for writev(2). The kernel path takes a page-cache hit of at least
+// sendfileMin bytes answering a GET, on a raw connection: bareTCP's rule,
+// so a fault wrapper still sees every byte it injects into.
+func bodyFile(raw *httpx.TCPConn, req *httpx.Request, pg *page) *httpx.BodyFile {
+	if raw == nil || pg == nil || req.Method != "GET" || len(pg.body) < sendfileMin {
+		return nil
+	}
+	return pg.sendable()
 }
 
 // Close stops accepting, closes the listener and joins the connection

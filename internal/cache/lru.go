@@ -8,6 +8,7 @@ package cache
 
 import (
 	"container/list"
+	"reflect"
 	"sync"
 )
 
@@ -26,8 +27,9 @@ func (b Bytes) SizeBytes() int64 { return int64(len(b)) }
 
 var _ Sizer = Bytes(nil)
 
-// EvictFunc observes an eviction. It runs while the cache lock is held, so
-// it must not call back into the cache.
+// EvictFunc observes a value leaving the cache: an eviction, a Remove, or
+// a Put that displaces a different value under the same key. It runs
+// while the cache lock is held, so it must not call back into the cache.
 type EvictFunc func(key string, value Sizer)
 
 // LRU is a thread-safe, byte-capacity-bounded least-recently-used cache.
@@ -61,7 +63,8 @@ func NewLRU(capacity int64) *LRU {
 	}
 }
 
-// SetEvictFunc registers a callback invoked for each evicted entry.
+// SetEvictFunc registers a callback invoked for each value that leaves the
+// cache (see EvictFunc).
 func (c *LRU) SetEvictFunc(fn EvictFunc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -111,7 +114,8 @@ func (c *LRU) Key(b []byte) (string, bool) {
 // capacity are not cached at all (matching the behaviour of an OS page cache
 // asked to hold a file bigger than memory: it thrashes rather than pins, so
 // we model it as an unconditional miss). It reports whether the value was
-// retained.
+// retained. A value it displaces goes to the evict func, unless it is the
+// value being put.
 func (c *LRU) Put(key string, value Sizer) bool {
 	size := value.SizeBytes()
 	c.mu.Lock()
@@ -125,10 +129,14 @@ func (c *LRU) Put(key string, value Sizer) bool {
 	}
 	if el, ok := c.items[key]; ok {
 		ent, _ := el.Value.(*lruEntry)
+		old := ent.value
 		c.used += size - ent.size
 		ent.value = value
 		ent.size = size
 		c.ll.MoveToFront(el)
+		if c.onEvict != nil && !sameValue(old, value) {
+			c.onEvict(key, old)
+		}
 	} else {
 		el := c.ll.PushFront(&lruEntry{key: key, value: value, size: size})
 		c.items[key] = el
@@ -138,6 +146,12 @@ func (c *LRU) Put(key string, value Sizer) bool {
 		c.removeElement(c.ll.Back())
 	}
 	return true
+}
+
+// sameValue reports whether a and b are one value. Values of an
+// uncomparable type, such as Bytes, never are.
+func sameValue(a, b Sizer) bool {
+	return reflect.TypeOf(a) == reflect.TypeOf(b) && reflect.TypeOf(a).Comparable() && a == b
 }
 
 // Remove deletes key from the cache, reporting whether it was present.

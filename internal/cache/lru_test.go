@@ -102,6 +102,43 @@ func TestRemove(t *testing.T) {
 	}
 }
 
+// sized is a pointer value: a Put of the same pointer displaces nothing.
+type sized struct{ n int64 }
+
+func (s *sized) SizeBytes() int64 { return s.n }
+
+// A Put over an existing key hands the value it displaces to the evict
+// func, which is where a value holding a resource lets go of it.
+func TestPutReportsDisplacedValue(t *testing.T) {
+	same := &sized{n: 2}
+	for _, tc := range []struct {
+		name       string
+		old, new   Sizer
+		wantReport bool
+	}{
+		{"different bytes", Bytes("ab"), Bytes("cd"), true},
+		{"different pointer", &sized{n: 2}, &sized{n: 3}, true},
+		{"same pointer", same, same, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewLRU(10)
+			var got []Sizer
+			c.SetEvictFunc(func(_ string, v Sizer) { got = append(got, v) })
+			c.Put("k", tc.old)
+			c.Put("k", tc.new)
+			if tc.wantReport != (len(got) == 1) || len(got) > 1 {
+				t.Fatalf("evict func saw %d values, want report %v", len(got), tc.wantReport)
+			}
+			if tc.wantReport && got[0].SizeBytes() != tc.old.SizeBytes() {
+				t.Fatalf("evict func saw %v, want the displaced %v", got[0], tc.old)
+			}
+			if v, _ := c.Get("k"); v.SizeBytes() != tc.new.SizeBytes() || c.UsedBytes() != tc.new.SizeBytes() {
+				t.Fatalf("after the Put: value %v, used %d", v, c.UsedBytes())
+			}
+		})
+	}
+}
+
 func TestClear(t *testing.T) {
 	c := NewLRU(10)
 	evictions := 0

@@ -371,6 +371,15 @@ func (d *Distributor) serveClient(client net.Conn) {
 			x.replyError(501, "transfer-encoding not implemented\n", outNotImplemented)
 			break
 		}
+		if errors.Is(err, httpx.ErrHeaderTooLarge) {
+			// The header section outgrew its bound and the rest of it is
+			// unread, so the stream cannot carry another request.
+			if req.Proto == "" {
+				req.Proto = httpx.Proto10
+			}
+			x.replyError(431, "request header fields too large\n", outHeaderTooLarge)
+			break
+		}
 		if err != nil {
 			// What the client meant is unknown; answer in the one protocol
 			// every client reads.

@@ -50,6 +50,7 @@ const (
 	outRelayError     = "relay-error"
 	outParseError     = "parse-error"
 	outTooLarge       = "body-too-large"
+	outHeaderTooLarge = "header-too-large"
 	outNotImplemented = "not-implemented"
 )
 
@@ -103,11 +104,12 @@ func (x *exchange) parse(br *bufio.Reader) error {
 	err := x.d.pools.ReadRequestInto(br, x.req)
 	x.start = time.Now()
 	x.span.MarkParse()
-	if err != nil && !errors.Is(err, httpx.ErrBodyTooLarge) && !errors.Is(err, httpx.ErrTransferEncoding) {
+	if err != nil && !errors.Is(err, httpx.ErrBodyTooLarge) && !errors.Is(err, httpx.ErrTransferEncoding) &&
+		!errors.Is(err, httpx.ErrHeaderTooLarge) {
 		return err
 	}
-	// A refused body or framing leaves the request line parsed, so its
-	// records name the request like any other's.
+	// A refused body, framing or header section leaves what parsed of the
+	// request named, so its records name the request like any other's.
 	x.span.AdoptTrace(x.req.TraceID)
 	x.span.SetRequest(x.req.Method, x.req.Path)
 	if x.span != nil {
@@ -489,8 +491,8 @@ func (x *exchange) replyCached(e *respcache.Entry, verdict string) bool {
 	return err == nil && req.KeepAlive()
 }
 
-// replyError writes a locally generated answer — the 400/404/413/501/502/
-// 503 family — and reports whether the client connection remains usable.
+// replyError writes a locally generated answer — the 400/404/413/431/501/
+// 502/503 family — and reports whether the client connection remains usable.
 func (x *exchange) replyError(status int, body, outcome string) bool {
 	resp := httpx.NewResponse(x.req.Proto, status, []byte(body))
 	if outcome == outShed {

@@ -1,6 +1,7 @@
 package distributor
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"net"
@@ -139,6 +140,8 @@ func TestEveryExitEmitsOneRecord(t *testing.T) {
 		{name: "parse-error", raw: "NOT HTTP AT ALL\r\n\r\n", status: 400, outcome: outParseError},
 		{name: "body-too-large", raw: "POST " + path + " HTTP/1.1\r\nHost: c\r\nContent-Length: 9223372036854775807\r\n\r\n",
 			status: 413, outcome: outTooLarge},
+		{name: "header-too-large", raw: "GET " + path + " HTTP/1.1\r\nX-Long: " + strings.Repeat("a", 96<<10) + "\r\n\r\n",
+			status: 431, outcome: outHeaderTooLarge},
 		{name: "not-implemented", raw: "POST " + path + " HTTP/1.1\r\nHost: c\r\nTransfer-Encoding: chunked\r\n\r\n",
 			status: 501, outcome: outNotImplemented},
 	}
@@ -264,6 +267,47 @@ func TestOversizedBodyRefused(t *testing.T) {
 		strings.Repeat("x", httpx.MaxRequestBody)
 	if status, _, _ := rawExchange(t, tc.front, raw); status == 413 {
 		t.Fatal("a body of exactly MaxRequestBody bytes was refused")
+	}
+}
+
+// TestUnboundedHeaderLineRefused: a client streaming 8 MiB with no LF, in
+// the request line or a header line, is answered 431 once the header
+// section outgrows its bound; the connection closes and the next one is
+// served.
+func TestUnboundedHeaderLineRefused(t *testing.T) {
+	tc := startCluster(t, 1)
+	tc.place(t, "/a.html", []byte("still here"), "n1")
+	for _, head := range []string{"GET /", "GET /a.html HTTP/1.1\r\nX-Long: "} {
+		conn, err := net.Dial("tcp", tc.front)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if _, err := io.WriteString(conn, head); err != nil {
+				return
+			}
+			chunk := bytes.Repeat([]byte("a"), 64<<10)
+			for sent := 0; sent < 8<<20; sent += len(chunk) {
+				if _, err := conn.Write(chunk); err != nil {
+					return
+				}
+			}
+		}()
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		resp, err := httpx.ReadResponse(bufio.NewReader(conn))
+		_ = conn.Close()
+		<-done
+		if err != nil {
+			t.Fatalf("%q: %v", head, err)
+		}
+		if resp.StatusCode != 431 {
+			t.Fatalf("%q: status %d, want 431", head, resp.StatusCode)
+		}
+	}
+	if resp := fetch(t, tc.front, "/a.html", httpx.Proto11); resp.StatusCode != 200 || string(resp.Body) != "still here" {
+		t.Fatalf("after the refusals: %d %q", resp.StatusCode, resp.Body)
 	}
 }
 

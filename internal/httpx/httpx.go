@@ -63,9 +63,14 @@ const (
 	maxBufferedResponse = 256 << 20
 )
 
-// maxHeaderLines bounds the header section to keep a malicious client from
-// holding distributor memory hostage.
-const maxHeaderLines = 128
+// maxHeaderLines and maxHeaderBytes bound the header section, request or
+// status line included, to keep a malicious peer from holding memory
+// hostage: the lines by count, and their bytes in total, so a line with
+// no LF cannot grow a buffer past maxHeaderBytes.
+const (
+	maxHeaderLines = 128
+	maxHeaderBytes = 64 << 10
+)
 
 // Field is one header name/value pair. Keys are stored canonicalized by
 // textproto rules (Content-Length, Host, ...).
@@ -360,12 +365,13 @@ func canonFieldKey(b []byte, prev string) string {
 // sink they land in h like any other field. Ambiguous framing is refused
 // (RFC 9112 §6.3): any Transfer-Encoding, and a Content-Length that
 // contradicts an earlier one; a repeated identical Content-Length stands.
-func readHeaderInto(br *bufio.Reader, h *Header, trace, span *uint64, deadline *int64) error {
+// budget is what is left of maxHeaderBytes after the first line.
+func readHeaderInto(br *bufio.Reader, budget *int, h *Header, trace, span *uint64, deadline *int64) error {
 	for i := 0; ; i++ {
 		if i >= maxHeaderLines {
 			return ErrHeaderTooLarge
 		}
-		line, err := readLineBytes(br)
+		line, err := readLineBytes(br, budget)
 		if err != nil {
 			return fmt.Errorf("reading header: %w", err)
 		}
@@ -442,7 +448,8 @@ func ReadRequestInto(br *bufio.Reader, req *Request) error {
 // any byte of a new request.
 func (p *Pools) ReadRequestInto(br *bufio.Reader, req *Request) error {
 	req.reset()
-	line, err := readLineBytes(br)
+	budget := maxHeaderBytes
+	line, err := readLineBytes(br, &budget)
 	if err != nil {
 		if err == io.EOF && len(line) == 0 {
 			return io.EOF
@@ -471,7 +478,7 @@ func (p *Pools) ReadRequestInto(br *bufio.Reader, req *Request) error {
 	req.Target = p.target(rest[:sp2])
 	req.Path, req.Query, _ = strings.Cut(req.Target, "?")
 
-	if err := readHeaderInto(br, &req.Header, &req.TraceID, nil, &req.Deadline); err != nil {
+	if err := readHeaderInto(br, &budget, &req.Header, &req.TraceID, nil, &req.Deadline); err != nil {
 		return err
 	}
 
@@ -583,6 +590,8 @@ func statusText(code int) string {
 		return "Not Found"
 	case 413:
 		return "Content Too Large"
+	case 431:
+		return "Request Header Fields Too Large"
 	case 500:
 		return "Internal Server Error"
 	case 501:
@@ -650,19 +659,45 @@ func (r *Response) Reset(proto string, code int, body []byte) {
 func WriteResponse(w io.Writer, resp *Response) error {
 	hb := defaultPools.acquireHeaderBuf()
 	defer defaultPools.releaseHeaderBuf(hb)
-	head := appendStatusLine((*hb)[:0], resp.Proto, resp.StatusCode, resp.Status)
-	head = resp.Header.appendFields(head, "Content-Length", "")
-	head = appendTraceFields(head, resp)
-	cl := int64(len(resp.Body))
-	if cl == 0 {
-		cl = resp.ContentLength
-	}
-	head = appendContentLength(head, cl)
+	head := appendServedHeader((*hb)[:0], resp)
 	*hb = head[:0]
 	if _, err := defaultPools.writeVectored(w, head, resp.Body); err != nil {
 		return fmt.Errorf("writing response: %w", err)
 	}
 	return nil
+}
+
+// WriteResponseFile is WriteResponse for a response whose body f holds
+// byte for byte: the header goes out by send(2) and the body by
+// sendfile(2) from f, so no body byte enters user space. An f closed
+// before the send began falls back to WriteResponse's writev from
+// resp.Body.
+func WriteResponseFile(c *TCPConn, resp *Response, f *BodyFile) error {
+	hb := defaultPools.acquireHeaderBuf()
+	defer defaultPools.releaseHeaderBuf(hb)
+	head := appendServedHeader((*hb)[:0], resp)
+	*hb = head[:0]
+	_, err := c.sendFile(head, f)
+	if err == errFileClosed {
+		_, err = c.writev(head, resp.Body)
+	}
+	if err != nil {
+		return fmt.Errorf("writing response: %w", err)
+	}
+	return nil
+}
+
+// appendServedHeader stages the header section a server writes for resp,
+// with the Content-Length WriteResponse documents.
+func appendServedHeader(b []byte, resp *Response) []byte {
+	b = appendStatusLine(b, resp.Proto, resp.StatusCode, resp.Status)
+	b = resp.Header.appendFields(b, "Content-Length", "")
+	b = appendTraceFields(b, resp)
+	cl := int64(len(resp.Body))
+	if cl == 0 {
+		cl = resp.ContentLength
+	}
+	return appendContentLength(b, cl)
 }
 
 // parseHex parses an unsigned hex value from wire bytes without
@@ -724,7 +759,8 @@ func ReadResponseHeader(br *bufio.Reader) (*Response, error) {
 // closes cleanly before any byte of a response.
 func ReadResponseHeaderInto(br *bufio.Reader, resp *Response) error {
 	*resp = Response{Header: resp.Header[:0]}
-	line, err := readLineBytes(br)
+	budget := maxHeaderBytes
+	line, err := readLineBytes(br, &budget)
 	if err != nil {
 		if err == io.EOF && len(line) == 0 {
 			return io.EOF
@@ -754,7 +790,7 @@ func ReadResponseHeaderInto(br *bufio.Reader, resp *Response) error {
 		return fmt.Errorf("%w: status code %q", ErrMalformedRequest, codeBytes)
 	}
 	resp.StatusCode = int(code)
-	if err := readHeaderInto(br, &resp.Header, &resp.TraceID, &resp.SpanID, nil); err != nil {
+	if err := readHeaderInto(br, &budget, &resp.Header, &resp.TraceID, &resp.SpanID, nil); err != nil {
 		return err
 	}
 	if cl := resp.Header.Get("Content-Length"); cl != "" {
@@ -792,16 +828,21 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 // readLineBytes reads a CRLF- or LF-terminated line, returning it without
 // the terminator. The returned slice aliases br's buffer and is only valid
 // until the next read; lines longer than the buffer spill into an owned
-// allocation.
-func readLineBytes(br *bufio.Reader) ([]byte, error) {
+// allocation. The line's bytes come off *budget, and a line that would
+// overdraw it is ErrHeaderTooLarge, read no further than the buffer past
+// the budget.
+func readLineBytes(br *bufio.Reader, budget *int) ([]byte, error) {
 	line, err := br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		owned := append([]byte(nil), line...)
-		for err == bufio.ErrBufferFull {
+		for err == bufio.ErrBufferFull && len(owned) <= *budget {
 			line, err = br.ReadSlice('\n')
 			owned = append(owned, line...)
 		}
 		line = owned
+	}
+	if *budget -= len(line); *budget < 0 {
+		return nil, ErrHeaderTooLarge
 	}
 	if err != nil {
 		return line, err

@@ -95,6 +95,55 @@ func TestReadRequestTooManyHeaders(t *testing.T) {
 	}
 }
 
+// noLF streams n bytes that never end a line.
+type noLF struct{ n int }
+
+func (r *noLF) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	k := min(len(p), r.n)
+	for i := range p[:k] {
+		p[i] = 'a'
+	}
+	r.n -= k
+	return k, nil
+}
+
+// A request or header line with no LF is refused once the header section
+// outgrows maxHeaderBytes: the parser reads a bounded prefix of an 8 MiB
+// stream and allocates a bounded amount for it, on the pooled reader the
+// servers use.
+func TestHeaderSectionBoundedByBytes(t *testing.T) {
+	const stream = 8 << 20
+	for _, tc := range []struct {
+		name string
+		head string
+	}{
+		{"request line", "GET /"},
+		{"header line", "GET / HTTP/1.1\r\nX-Long: "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := &noLF{n: stream}
+			br := NewPools().AcquireReader(io.MultiReader(strings.NewReader(tc.head), src))
+			var req Request
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := ReadRequestInto(br, &req)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrHeaderTooLarge) {
+				t.Fatalf("err = %v, want ErrHeaderTooLarge", err)
+			}
+			if read := stream - src.n; read > 2*maxHeaderBytes {
+				t.Fatalf("read %d bytes of a line with no LF, want at most %d", read, 2*maxHeaderBytes)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*maxHeaderBytes {
+				t.Fatalf("allocated %d bytes refusing the stream, want at most %d", alloc, 8*maxHeaderBytes)
+			}
+		})
+	}
+}
+
 func TestKeepAliveRules(t *testing.T) {
 	cases := []struct {
 		proto, conn string
@@ -652,6 +701,8 @@ func FuzzReadRequest(f *testing.F) {
 	}
 	f.Add([]byte("GET /docs/a.html HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc"))
 	f.Add([]byte("GET /b?x HTTP/1.0\nX-Dist-Trace: zz\nX-Dist-Deadline: -1\nhost:  h \n\n"))
+	// A line with no LF past the header section's byte bound.
+	f.Add(append([]byte("GET / HTTP/1.1\r\nX-Long: "), bytes.Repeat([]byte("a"), 2*maxHeaderBytes)...))
 	render := func(t *testing.T, req *Request) []byte {
 		var b bytes.Buffer
 		if err := WriteRequest(&b, req); err != nil {

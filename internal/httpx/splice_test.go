@@ -12,7 +12,7 @@ import (
 )
 
 // tcpPair returns the two ends of a loopback TCP connection, raw.
-func tcpPair(t *testing.T) (*TCPConn, *TCPConn) {
+func tcpPair(t testing.TB) (*TCPConn, *TCPConn) {
 	t.Helper()
 	a, b := plainPair(t)
 	ra, rb := WrapTCP(a).(*TCPConn), WrapTCP(b).(*TCPConn)
@@ -22,7 +22,7 @@ func tcpPair(t *testing.T) (*TCPConn, *TCPConn) {
 
 // plainPair returns the two ends of a loopback TCP connection as the net
 // package makes them.
-func plainPair(t *testing.T) (*net.TCPConn, *net.TCPConn) {
+func plainPair(t testing.TB) (*net.TCPConn, *net.TCPConn) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -15,7 +15,8 @@ import (
 )
 
 // This file is the tree's one raw socket: the only place that imports
-// unsafe or calls RawSyscall. Linux only (splice(2)).
+// unsafe or calls RawSyscall. Linux only (splice(2), sendfile(2),
+// memfd_create(2)).
 //
 // Why it exists. Every syscall.Syscall runs the runtime's entersyscall
 // (runtime/proc.go). On a process whose only P has just been idle, that
@@ -29,12 +30,12 @@ import (
 // block returns EAGAIN and the goroutine parks in the netpoller, and
 // deadlines and Close wake it exactly as they wake a *net.TCPConn.
 
-// TCPConn is a *net.TCPConn whose Read, vectored write and body splice
-// enter the kernel without the runtime's syscall hand-off. Everything
-// else — deadlines, Close, CloseWrite, addresses — is the embedded
-// connection's. Its errors are the ones a *net.TCPConn returns: io.EOF,
-// a *net.OpError wrapping os.ErrDeadlineExceeded (Timeout reports true),
-// net.ErrClosed, or an *os.SyscallError holding the syscall.Errno.
+// TCPConn is a *net.TCPConn whose Read, vectored write, body splice and
+// body sendfile enter the kernel without the runtime's syscall hand-off.
+// Everything else — deadlines, Close, CloseWrite, addresses — is the
+// embedded connection's. Its errors are the ones a *net.TCPConn returns:
+// io.EOF, a *net.OpError wrapping os.ErrDeadlineExceeded (Timeout reports
+// true), net.ErrClosed, or an *os.SyscallError holding the syscall.Errno.
 // Build one with WrapTCP; bareTCP accepts only this type.
 type TCPConn struct {
 	*net.TCPConn
@@ -51,15 +52,22 @@ type TCPConn struct {
 	readFn  func(fd uintptr) bool
 	drainFn func(fd uintptr) bool
 
-	// The write side: writev and a splice's pump step, under wmu.
+	// The write side: writev, a splice's pump step and sendFile, under
+	// wmu. sendFile sends wsegs[0] ahead of the file's bytes.
 	wmu     sync.Mutex
 	wsegs   [2][]byte
 	iov     [2]syscall.Iovec
 	wpipe   *pipe
+	wfile   *BodyFile
+	wfd     uintptr
+	woff    int64
 	wn      int64
 	werrno  syscall.Errno
+	werr    error
 	writeFn func(fd uintptr) bool
 	pumpFn  func(fd uintptr) bool
+	sendFn  func(fd uintptr) bool
+	holdFn  func(fd uintptr)
 
 	closed atomic.Bool
 }
@@ -79,6 +87,7 @@ func WrapTCP(c net.Conn) net.Conn {
 	r := &TCPConn{TCPConn: tc, rc: rc}
 	r.readFn, r.drainFn = r.read, r.drain
 	r.writeFn, r.pumpFn = r.write, r.pump
+	r.sendFn, r.holdFn = r.send, r.hold
 	holdTick()
 	return r
 }
@@ -382,6 +391,155 @@ func spliceStream(dst, src *TCPConn, p *pipe) (int64, error) {
 			return moved, err
 		}
 	}
+}
+
+// BodyFile is a response body sealed into a memfd, which TCPConn's
+// sendFile moves to a socket by sendfile(2) without the body entering user
+// space. The seal is what makes that safe: the socket holds references to
+// the file's pages rather than a snapshot of them, so the kernel must
+// refuse any write, shrink or grow while bytes are in flight.
+type BodyFile struct {
+	f  *os.File
+	rc syscall.RawConn
+	n  int64
+}
+
+// memfd_create(2) flags and fcntl(2) sealing (linux/memfd.h, fcntl.h).
+const (
+	mfdCloexec      = 0x1
+	mfdAllowSealing = 0x2
+	fAddSeals       = 1033
+	fSealSeal       = 0x1
+	fSealShrink     = 0x2
+	fSealGrow       = 0x4
+	fSealWrite      = 0x8
+)
+
+// sysMemfdCreate and sysSendto are memfd_create(2) and sendto(2) by
+// number: the syscall package names the first on arm64 alone and the
+// second not on 386. 0 is an architecture without the kernel body path.
+var sysMemfdCreate, sysSendto = func() (uintptr, uintptr) {
+	switch runtime.GOARCH {
+	case "amd64":
+		return 319, 44
+	case "arm64":
+		return 279, 206
+	}
+	return 0, 0
+}()
+
+// memfdName is the name every body memfd shows in /proc/<pid>/fd.
+var memfdName = [...]byte{'h', 't', 't', 'p', 'x', '-', 'b', 'o', 'd', 'y', 0}
+
+// NewBodyFile copies body into a new memfd and seals it. The file is
+// opened blocking, so it never joins the netpoller and Close never waits
+// on a send in flight: the send's reference keeps the descriptor open
+// until the send returns.
+func NewBodyFile(body []byte) (*BodyFile, error) {
+	if sysMemfdCreate == 0 {
+		return nil, errors.ErrUnsupported
+	}
+	fd, _, e := syscall.Syscall(sysMemfdCreate, uintptr(unsafe.Pointer(&memfdName[0])), mfdCloexec|mfdAllowSealing, 0)
+	if e != 0 {
+		return nil, os.NewSyscallError("memfd_create", e)
+	}
+	f := os.NewFile(fd, "httpx-body")
+	b := &BodyFile{f: f, n: int64(len(body))}
+	if _, err := f.Write(body); err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	if _, _, e := syscall.Syscall(syscall.SYS_FCNTL, fd, fAddSeals, fSealSeal|fSealShrink|fSealGrow|fSealWrite); e != 0 {
+		_ = f.Close()
+		return nil, os.NewSyscallError("fcntl", e)
+	}
+	rc, err := f.SyscallConn()
+	if err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	b.rc = rc
+	return b, nil
+}
+
+// Close closes the memfd. A send already in flight completes; one that
+// starts after reports errFileClosed.
+func (b *BodyFile) Close() error { return b.f.Close() }
+
+// errFileClosed is sendFile's error for a BodyFile closed before the send
+// began: nothing went out, so the caller may still write the body itself.
+var errFileClosed = errors.New("httpx: body file closed")
+
+// send(2) flags (linux/socket.h).
+const (
+	msgNoSignal = 0x4000
+	msgMore     = 0x8000
+)
+
+// sendFile writes head and then all of f: the header by send(2) with
+// MSG_MORE, so header and body share segments, and the body by
+// sendfile(2). It returns the bytes written.
+func (c *TCPConn) sendFile(head []byte, f *BodyFile) (int64, error) {
+	c.wmu.Lock()
+	c.wsegs[0], c.wfile, c.woff = head, f, 0
+	c.wn, c.werrno, c.werr = 0, 0, nil
+	cerr := f.rc.Control(c.holdFn)
+	n, errno, err := c.wn, c.werrno, c.werr
+	c.wsegs[0], c.wfile, c.werr = nil, nil, nil
+	c.wmu.Unlock()
+	if cerr != nil {
+		return 0, errFileClosed
+	}
+	if err != nil || errno != 0 {
+		return n, c.opError("sendfile", err, errno)
+	}
+	return n, nil
+}
+
+// hold is sendFile's step under the memfd's Control: the file's
+// descriptor is fd, and stays open until hold returns whatever Close does
+// meanwhile, so the socket's readiness loop runs inside it.
+func (c *TCPConn) hold(fd uintptr) {
+	c.wfd = fd
+	c.werr = c.rc.Write(c.sendFn)
+}
+
+// send is the readiness loop's callback: the header, then the file from
+// woff, advancing past partial sends, and asking to wait when the socket
+// buffer is full.
+func (c *TCPConn) send(fd uintptr) bool {
+	for head := c.wsegs[0]; len(head) > 0; head = c.wsegs[0] {
+		n, _, e := syscall.RawSyscall6(sysSendto, fd, uintptr(unsafe.Pointer(&head[0])), uintptr(len(head)), msgMore|msgNoSignal, 0, 0)
+		switch e {
+		case 0:
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		default:
+			c.werrno = e
+			return true
+		}
+		c.wn += int64(n)
+		c.wsegs[0] = head[n:]
+	}
+	for c.woff < c.wfile.n {
+		n, _, e := syscall.RawSyscall6(syscall.SYS_SENDFILE, fd, c.wfd, uintptr(unsafe.Pointer(&c.woff)), uintptr(c.wfile.n-c.woff), 0, 0)
+		switch {
+		case e == syscall.EINTR:
+		case e == syscall.EAGAIN:
+			return false
+		case e != 0:
+			c.werrno = e
+			return true
+		case n == 0:
+			c.werrno = syscall.EIO // a sealed file that ends early
+			return true
+		default:
+			c.wn += int64(n) // sendfile advanced woff
+		}
+	}
+	return true
 }
 
 // The preemption tick. sysmon, the runtime thread that preempts a
