@@ -32,7 +32,7 @@ func main() {
 	brokerAddr := flag.String("broker", "127.0.0.1:0", "broker listen address")
 	nfsAddr := flag.String("nfs", "", "shared file server address (configuration 2)")
 	docroot := flag.String("docroot", "", "serve content from this directory instead of memory")
-	adminAddr := flag.String("admin", "", "serve /metrics, /debug/traces, /healthz on this address; empty = off")
+	adminAddr := flag.String("admin", "", "serve /metrics, /debug/traces, /healthz and /debug/pprof/ on this address; empty = off")
 	flag.Parse()
 
 	opts := core.NodeOptions{

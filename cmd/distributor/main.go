@@ -19,8 +19,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof" // registered on the -pprof server's mux only
 	"os"
 	"os/signal"
 	"strconv"
@@ -59,25 +57,13 @@ func run() error {
 	cacheStale := flag.Duration("cache-stale", 30*time.Second, "response-cache stale-on-error window")
 	tableFile := flag.String("table", "", "URL-table checkpoint: loaded at start if present, saved on shutdown")
 	accessLog := flag.String("accesslog", "", "append Common Log Format access log to this file")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6061); empty = off")
-	adminAddr := flag.String("admin", "", "serve /metrics, /debug/traces, /healthz on this address; empty = off")
+	adminAddr := flag.String("admin", "", "serve /metrics, /debug/traces, /healthz and /debug/pprof/ on this address; empty = off")
 	admit := flag.Bool("admit", false, "enable SLO-class admission control (overload shedding + deadline propagation)")
 	admitMax := flag.Int("admit-max", 0, "admission concurrency budget across classes (0 = default 256)")
 	admitTarget := flag.Duration("admit-target", 0, "admission queue-delay target before shedding engages (0 = default 5ms)")
 	flightDir := flag.String("flight-dir", "", "write flight-recorder bundles to this directory; empty = recorder off")
 	flightBudgets := flag.String("flight-budgets", "", "SLO burn-rate triggers as class:errRate:p99 (p99 a duration, either limit may be empty), comma-separated, e.g. html:0.05:250ms")
 	flag.Parse()
-	if *pprofAddr != "" {
-		// Process-lifetime by design: the pprof listener dies with main.
-		go func() {
-			// DefaultServeMux carries the pprof handlers from the blank
-			// import; nothing else registers on it in this process.
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "distributor: pprof:", err)
-			}
-		}()
-		fmt.Printf("pprof at http://%s/debug/pprof/\n", *pprofAddr)
-	}
 	budgets, err := parseBudgets(*flightBudgets)
 	if err != nil {
 		return err

@@ -530,21 +530,22 @@ func TestServeHTTP10Closes(t *testing.T) {
 func TestServeMalformedRequest(t *testing.T) {
 	srv := newTestServer(t, nil)
 	addr := startServer(t, srv)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
-	if _, err := conn.Write([]byte("NONSENSE\r\n\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	resp, err := httpx.ReadResponse(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 400 {
-		t.Fatalf("status = %d", resp.StatusCode)
+	for _, raw := range []string{"NONSENSE\r\n\r\n", "GET / HTTP/1.1\nHost: a\n\n", "GET / HTTP/1.1\r\nHost: a\n\r\n"} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write([]byte(raw)); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := httpx.ReadResponse(bufio.NewReader(conn))
+		_ = conn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 400 {
+			t.Fatalf("%q: status = %d, want 400", raw, resp.StatusCode)
+		}
 	}
 }
 

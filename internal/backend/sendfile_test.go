@@ -274,6 +274,20 @@ func TestSendfileInvalidateInFlight(t *testing.T) {
 	}
 }
 
+// Close empties the page cache through its evict func, so no body memfd
+// outlives the server waiting for a collection to find its page.
+func TestCloseClosesBodyFiles(t *testing.T) {
+	body := pattern(256<<10, 9)
+	srv, _, addr := largeServer(t, body, ServerOptions{})
+	dial(t, addr).warm(body)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if left := bodyFiles(t); len(left) != 0 {
+		t.Fatalf("%d body memfds open after Close: %v", len(left), left)
+	}
+}
+
 // HEAD and 304 answers carry no body, so they never take the kernel path:
 // they fill no memfd, and the first GET hit after them does.
 func TestSendfileSkipsHeadAnd304(t *testing.T) {

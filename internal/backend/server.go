@@ -513,8 +513,14 @@ func bodyFile(raw *httpx.TCPConn, req *httpx.Request, pg *page) *httpx.BodyFile 
 }
 
 // Close stops accepting, closes the listener and joins the connection
-// goroutines. Safe to call multiple times.
-func (s *Server) Close() error { return s.life.Close() }
+// goroutines, then empties the page cache through its evict func, so
+// every body memfd closes now rather than when the GC finds it. Safe to
+// call multiple times.
+func (s *Server) Close() error {
+	err := s.life.Close()
+	s.pageCache.Purge()
+	return err
+}
 
 // isClosedConn reports whether err is a connection the listener or a peer
 // shut mid-read: closed here, reset, or a broken pipe.

@@ -177,6 +177,16 @@ func (c *LRU) removeElement(el *list.Element) {
 	}
 }
 
+// Purge drops every entry, handing each to the evict func, least recently
+// used first.
+func (c *LRU) Purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.ll.Len() > 0 {
+		c.removeElement(c.ll.Back())
+	}
+}
+
 // Clear drops every entry without invoking the eviction callback.
 func (c *LRU) Clear() {
 	c.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -151,6 +152,22 @@ func TestClear(t *testing.T) {
 	}
 	if evictions != 0 {
 		t.Fatal("Clear invoked the eviction callback")
+	}
+}
+
+func TestPurge(t *testing.T) {
+	c := NewLRU(10)
+	var evicted []string
+	c.SetEvictFunc(func(k string, _ Sizer) { evicted = append(evicted, k) })
+	c.Put("a", Bytes("x"))
+	c.Put("b", Bytes("y"))
+	c.Get("a")
+	c.Purge()
+	if c.Len() != 0 || c.UsedBytes() != 0 {
+		t.Fatal("Purge left residue")
+	}
+	if strings.Join(evicted, ",") != "b,a" {
+		t.Fatalf("evict func saw %v, want every entry, least recently used first", evicted)
 	}
 }
 

@@ -138,6 +138,7 @@ func TestEveryExitEmitsOneRecord(t *testing.T) {
 			status: 503, outcome: outShed},
 		{name: "relay-error", path: "/liar.gif", status: 200, outcome: outRelayError},
 		{name: "parse-error", raw: "NOT HTTP AT ALL\r\n\r\n", status: 400, outcome: outParseError},
+		{name: "parse-error-bare-LF", raw: "GET " + path + " HTTP/1.1\nHost: c\n\n", status: 400, outcome: outParseError},
 		{name: "body-too-large", raw: "POST " + path + " HTTP/1.1\r\nHost: c\r\nContent-Length: 9223372036854775807\r\n\r\n",
 			status: 413, outcome: outTooLarge},
 		{name: "header-too-large", raw: "GET " + path + " HTTP/1.1\r\nX-Long: " + strings.Repeat("a", 96<<10) + "\r\n\r\n",

@@ -46,22 +46,24 @@ func TestExchangeTimeoutFailsOverStalledBackend(t *testing.T) {
 }
 
 // A request the edge cannot frame one way never reaches a back end:
-// conflicting Content-Lengths are a 400, any Transfer-Encoding a 501. A
-// repeated identical Content-Length is no ambiguity. A back end that
-// answers framed either way has sent a malformed header: the fetch fails
-// over to a replica whose answer frames, or answers 502 when none does.
+// conflicting Content-Lengths are a 400, any Transfer-Encoding a 501, a
+// line ended by LF alone a 400. A repeated identical Content-Length is no
+// ambiguity. A back end that answers framed either way, or with a bare LF,
+// has sent a malformed header: the fetch fails over to a replica whose
+// answer frames, or answers 502 when none does.
 func TestAmbiguousFramingRefused(t *testing.T) {
 	tc := startClusterOpts(t, 1, func(o *Options) {
 		o.RetryBackoff = time.Millisecond
 		withCannedNode(t, "te", []byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n"))(o)
 		withCannedNode(t, "cl", []byte("HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\nabc"))(o)
+		withCannedNode(t, "lf", []byte("HTTP/1.1 200 OK\r\nContent-Length: 2\n\r\nok"))(o)
 	})
 	tc.place(t, "/ok.cgi", []byte("fine"), "n1")
 	if err := tc.backends["n1"].Store().Put("/both.html", []byte("framed")); err != nil {
 		t.Fatal(err)
 	}
 	for path, nodes := range map[string][]config.NodeID{
-		"/te.html": {"te"}, "/cl.html": {"cl"}, "/both.html": {"te", "n1"},
+		"/te.html": {"te"}, "/cl.html": {"cl"}, "/lf.html": {"lf"}, "/both.html": {"te", "n1"},
 	} {
 		obj := content.Object{Path: path, Size: 6, Class: content.ClassHTML}
 		if err := tc.table.Insert(obj, nodes...); err != nil {
@@ -81,6 +83,8 @@ func TestAmbiguousFramingRefused(t *testing.T) {
 		{post("Content-Length: 5\r\nContent-Length: 5\r\n"), 200, ""},
 		{get11("/te.html"), 502, "backend error\n"},
 		{get11("/cl.html"), 502, "backend error\n"},
+		{get11("/lf.html"), 502, "backend error\n"},
+		{"POST /ok.cgi HTTP/1.1\r\nHost: c\nContent-Length: 5\r\n\r\nhello", 400, "bad request\n"},
 		{get11("/both.html"), 200, "framed"},
 	} {
 		status, header, body := rawExchange(t, tc.front, c.raw)

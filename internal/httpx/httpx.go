@@ -588,6 +588,8 @@ func statusText(code int) string {
 		return "Bad Request"
 	case 404:
 		return "Not Found"
+	case 405:
+		return "Method Not Allowed"
 	case 413:
 		return "Content Too Large"
 	case 431:
@@ -825,12 +827,17 @@ func ReadResponse(br *bufio.Reader) (*Response, error) {
 	return resp, nil
 }
 
-// readLineBytes reads a CRLF- or LF-terminated line, returning it without
-// the terminator. The returned slice aliases br's buffer and is only valid
-// until the next read; lines longer than the buffer spill into an owned
-// allocation. The line's bytes come off *budget, and a line that would
-// overdraw it is ErrHeaderTooLarge, read no further than the buffer past
-// the budget.
+// errBareLF reports a line ended by LF alone. RFC 9112 §2.2 lets a
+// recipient accept one, but a front end that did while a back end or a
+// cache behind it did not would read a different message than they do.
+var errBareLF = fmt.Errorf("%w: line ends in a bare LF", ErrMalformedRequest)
+
+// readLineBytes reads a CRLF-terminated line, returning it without the
+// terminator; a line ended by LF alone is errBareLF. The returned slice
+// aliases br's buffer and is only valid until the next read; lines longer
+// than the buffer spill into an owned allocation. The line's bytes come
+// off *budget, and a line that would overdraw it is ErrHeaderTooLarge,
+// read no further than the buffer past the budget.
 func readLineBytes(br *bufio.Reader, budget *int) ([]byte, error) {
 	line, err := br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
@@ -847,9 +854,9 @@ func readLineBytes(br *bufio.Reader, budget *int) ([]byte, error) {
 	if err != nil {
 		return line, err
 	}
-	line = line[:len(line)-1]
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
+	n := len(line)
+	if n < 2 || line[n-2] != '\r' {
+		return nil, errBareLF
 	}
-	return line, nil
+	return line[:n-2], nil
 }

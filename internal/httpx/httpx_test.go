@@ -37,12 +37,36 @@ func TestReadRequestBasic(t *testing.T) {
 	}
 }
 
+// A line ended by LF alone is malformed wherever it sits — the request or
+// status line, a header line, or the empty line ending the section — so
+// the edge never reads a message differently from a peer that insists on
+// CRLF.
 func TestReadRequestLFOnly(t *testing.T) {
-	req := parse(t, "GET / HTTP/1.0\nHost: h\n\n")
-	if req.Proto != Proto10 || req.Header.Get("Host") != "h" {
-		t.Fatalf("parsed %+v", req)
+	for _, raw := range bareLFRequests {
+		if _, err := ReadRequest(bufio.NewReader(strings.NewReader(raw))); !errors.Is(err, ErrMalformedRequest) {
+			t.Errorf("ReadRequest(%q): err = %v, want ErrMalformedRequest", raw, err)
+		}
+	}
+	for _, raw := range bareLFResponses {
+		if _, err := ReadResponseHeader(bufio.NewReader(strings.NewReader(raw))); !errors.Is(err, ErrMalformedRequest) {
+			t.Errorf("ReadResponseHeader(%q): err = %v, want ErrMalformedRequest", raw, err)
+		}
 	}
 }
+
+// bareLFRequests and bareLFResponses end one line each with LF alone.
+var (
+	bareLFRequests = []string{
+		"GET / HTTP/1.0\nHost: h\n\n",
+		"GET / HTTP/1.1\r\nHost: h\n\r\n",
+		"GET / HTTP/1.1\r\nHost: h\r\n\n",
+	}
+	bareLFResponses = []string{
+		"HTTP/1.1 200 OK\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\n\r\nok",
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\nok",
+	}
+)
 
 func TestReadRequestBody(t *testing.T) {
 	req := parse(t, "POST /cgi-bin/f.cgi HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello")
@@ -354,7 +378,7 @@ func TestPipelinedRequests(t *testing.T) {
 // held the previous one.
 var requestStreams = []string{
 	"GET /docs/a.html?x=1 HTTP/1.1\r\nHost: example\r\n\r\n",
-	"GET / HTTP/1.0\nHost: h\n\n",
+	"GET / HTTP/1.0\r\nHost: h\r\n\r\n",
 	"POST /cgi-bin/f.cgi HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
 	"POST /asp/p.asp?q=2 HTTP/1.1\r\nHost: h\r\nX-Test: yes\r\nContent-Length: 7\r\n\r\npayload",
 	"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n",
@@ -534,7 +558,7 @@ func TestBodyBoundsCheckedBeforeAllocation(t *testing.T) {
 // servers emit, and the malformed ones the relay must refuse.
 var responseStreams = []string{
 	"HTTP/1.1 200 OK\r\nX-Served-By: n1\r\nContent-Length: 5\r\n\r\nhello",
-	"HTTP/1.0 404 Not Found\nContent-Length: 0\n\n",
+	"HTTP/1.0 404 Not Found\r\nContent-Length: 0\r\n\r\n",
 	"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 3\r\n\r\nabc" +
 		"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 3\r\n\r\nabc" +
 		"HTTP/1.1 200 OK\r\nContent-Type: image/gif\r\nContent-Length: 4\r\n\r\nGIF8",
@@ -628,7 +652,10 @@ func FuzzReadResponseHeaderInto(f *testing.F) {
 	}
 	f.Add([]byte("HTTP/1.1 200 OK\r\nEtag: \"a\"\r\nX-Served-By: n1\r\nContent-Length: 5\r\n\r\nhello" +
 		"HTTP/1.1 200 OK\r\nEtag: \"b\"\r\nX-Served-By: n1\r\nContent-Length: 12\r\n\r\nhello, again"))
-	f.Add([]byte("HTTP/1.1 200\nx-dist-trace: zz\ncontent-length: +3\nVary:  \n\nabc"))
+	f.Add([]byte("HTTP/1.1 200\r\nx-dist-trace: zz\r\ncontent-length: +3\r\nVary:  \r\n\r\nabc"))
+	for _, raw := range bareLFResponses {
+		f.Add([]byte(raw))
+	}
 	render := func(t *testing.T, resp *Response) []byte {
 		var b bytes.Buffer
 		if err := WriteResponse(&b, resp); err != nil {
@@ -700,9 +727,12 @@ func FuzzReadRequest(f *testing.F) {
 		f.Add([]byte(raw))
 	}
 	f.Add([]byte("GET /docs/a.html HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\nabc"))
-	f.Add([]byte("GET /b?x HTTP/1.0\nX-Dist-Trace: zz\nX-Dist-Deadline: -1\nhost:  h \n\n"))
+	f.Add([]byte("GET /b?x HTTP/1.0\r\nX-Dist-Trace: zz\r\nX-Dist-Deadline: -1\r\nhost:  h \r\n\r\n"))
 	// A line with no LF past the header section's byte bound.
 	f.Add(append([]byte("GET / HTTP/1.1\r\nX-Long: "), bytes.Repeat([]byte("a"), 2*maxHeaderBytes)...))
+	for _, raw := range bareLFRequests {
+		f.Add([]byte(raw))
+	}
 	render := func(t *testing.T, req *Request) []byte {
 		var b bytes.Buffer
 		if err := WriteRequest(&b, req); err != nil {

@@ -1,106 +1,148 @@
 package telemetry
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"net/http"
+	"net/url"
+	"os"
 	"sort"
 	"strconv"
-	"sync"
+	"strings"
 	"time"
 
+	"webcluster/internal/httpx"
 	"webcluster/internal/lifecycle"
+)
+
+// The admin server's per-connection bounds: a request, keep-alive idle
+// time included, must arrive within adminReadTimeout, and its answer must
+// be written — a profile's duration included — within adminWriteTimeout.
+const (
+	adminReadTimeout  = 10 * time.Second
+	adminWriteTimeout = 30 * time.Second
 )
 
 // AdminServer is the node-local observability endpoint: GET /metrics
 // (Prometheus text exposition), /debug/traces (recent spans oldest-first
-// by start time, ?limit=N), and /healthz. It serves read-only views —
-// the node's decision journal and the merged cluster statistics are on
-// the management console.
+// by start time, ?limit=N), /healthz, and the runtime's profiles under
+// /debug/pprof/ (pprof.go). It serves read-only views — the node's
+// decision journal and the merged cluster statistics are on the
+// management console. Like every other listener in the tree it runs on a
+// lifecycle.Group and the httpx parser and serializer, so a process
+// links one HTTP stack.
 type AdminServer struct {
-	tel *Telemetry
-	mux *http.ServeMux
-
-	// mu orders Start against Close: a server starts at most once and
-	// never after Close, the lifecycle.Group contract every other
-	// listener in the tree keeps. net/http owns the connections.
-	mu     sync.Mutex
-	srv    *http.Server
-	closed bool
-	// wg joins the serve goroutine so Close does not return while it is
-	// still running (it previously leaked past Close).
-	wg sync.WaitGroup
+	tel  *Telemetry
+	life lifecycle.Group
 }
 
 // NewAdmin builds an admin server over t.
 func NewAdmin(t *Telemetry) *AdminServer {
-	a := &AdminServer{tel: t, mux: http.NewServeMux()}
-	a.mux.HandleFunc("/metrics", a.handleMetrics)
-	a.mux.HandleFunc("/debug/traces", a.handleTraces)
-	a.mux.HandleFunc("/healthz", a.handleHealthz)
-	return a
+	return &AdminServer{tel: t}
 }
 
 // Start listens on addr and serves in the background; returns the bound
-// address. Read/write timeouts bound every accepted connection so a
-// wedged scraper can't pin a goroutine. Start after Close, or a second
-// Start, fails and leaves no listener.
+// address. Start after Close, or a second Start, fails and leaves no
+// listener.
 func (a *AdminServer) Start(addr string) (string, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.closed {
-		return "", fmt.Errorf("admin: listen: %w", lifecycle.ErrClosed)
-	}
-	if a.srv != nil {
-		return "", errors.New("admin: listen: already listening")
-	}
-	ln, err := net.Listen("tcp", addr)
+	bound, err := a.life.Listen(addr, a.serveConn)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("admin: listen: %w", err)
 	}
-	srv := &http.Server{
-		Handler:      a.mux,
-		ReadTimeout:  10 * time.Second,
-		WriteTimeout: 30 * time.Second,
-	}
-	a.srv = srv
-	a.wg.Add(1)
-	go func() {
-		defer a.wg.Done()
-		_ = srv.Serve(ln)
-	}()
-	return ln.Addr().String(), nil
+	return bound, nil
 }
 
-// Close stops the listener and any in-flight handlers, then waits for
-// the serve goroutine to exit. It is idempotent and safe before Start.
-func (a *AdminServer) Close() error {
-	a.mu.Lock()
-	a.closed = true
-	srv := a.srv
-	a.mu.Unlock()
-	if srv == nil {
-		return nil
+// Close stops the listener, closes every connection, ends a profile in
+// flight and waits for the connection goroutines. It is idempotent and
+// safe before Start.
+func (a *AdminServer) Close() error { return a.life.Close() }
+
+// serveConn runs the keep-alive request loop for one connection, as the
+// back end's serveConn does: one reader, one Request, one Response and
+// one body buffer for every exchange on it.
+func (a *AdminServer) serveConn(conn net.Conn) {
+	br := bufio.NewReader(conn)
+	req := &httpx.Request{}
+	resp := &httpx.Response{}
+	var body bytes.Buffer
+	for {
+		_ = conn.SetReadDeadline(time.Now().Add(adminReadTimeout))
+		err := httpx.ReadRequestInto(br, req)
+		if err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, os.ErrDeadlineExceeded) || errors.Is(err, net.ErrClosed) {
+				return
+			}
+			_ = conn.SetWriteDeadline(time.Now().Add(adminWriteTimeout))
+			if errors.Is(err, httpx.ErrHeaderTooLarge) {
+				resp.Reset(httpx.Proto10, 431, []byte("request header fields too large\n"))
+			} else {
+				resp.Reset(httpx.Proto10, 400, []byte("bad request\n"))
+			}
+			_ = httpx.WriteResponse(conn, resp)
+			return
+		}
+		_ = conn.SetWriteDeadline(time.Now().Add(adminWriteTimeout))
+		body.Reset()
+		code, ctype := a.route(req, &body)
+		resp.Reset(req.Proto, code, body.Bytes())
+		resp.Header.Set("Content-Type", ctype)
+		if code == 405 {
+			resp.Header.Set("Allow", "GET")
+		}
+		keep := req.KeepAlive()
+		if !keep {
+			resp.Header.Set("Connection", "close")
+		}
+		if httpx.WriteResponse(conn, resp) != nil || !keep {
+			return
+		}
 	}
-	err := srv.Close()
-	a.wg.Wait()
-	return err
 }
 
-func (a *AdminServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = a.tel.Registry().WritePrometheus(w)
+// textPlain is the content type of every plain-text answer but /metrics.
+const textPlain = "text/plain; charset=utf-8"
+
+// route writes req's answer into w and returns its status and content
+// type.
+func (a *AdminServer) route(req *httpx.Request, w *bytes.Buffer) (int, string) {
+	if req.Method != "GET" {
+		w.WriteString("method not allowed\n")
+		return 405, textPlain
+	}
+	q, err := url.ParseQuery(req.Query)
+	if err != nil {
+		w.WriteString("bad query\n")
+		return 400, textPlain
+	}
+	switch req.Path {
+	case "/metrics":
+		_ = a.tel.Registry().WritePrometheus(w)
+		return 200, "text/plain; version=0.0.4; charset=utf-8"
+	case "/debug/traces":
+		return a.traces(q, w)
+	case "/healthz":
+		w.WriteString("ok\n")
+		return 200, "text/plain"
+	}
+	if name, ok := strings.CutPrefix(req.Path, "/debug/pprof/"); ok {
+		return a.pprof(name, q, w)
+	}
+	w.WriteString("404 page not found\n")
+	return 404, textPlain
 }
 
-func (a *AdminServer) handleTraces(w http.ResponseWriter, r *http.Request) {
+// traces answers /debug/traces?limit=N.
+func (a *AdminServer) traces(q url.Values, w *bytes.Buffer) (int, string) {
 	limit := 0
-	if s := r.URL.Query().Get("limit"); s != "" {
+	if s := q.Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
+			w.WriteString("bad limit\n")
+			return 400, textPlain
 		}
 		limit = n
 	}
@@ -111,13 +153,8 @@ func (a *AdminServer) handleTraces(w http.ResponseWriter, r *http.Request) {
 	sort.SliceStable(spans, func(i, j int) bool {
 		return spans[i].StartUnixNano < spans[j].StartUnixNano
 	})
-	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(spans)
-}
-
-func (a *AdminServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain")
-	_, _ = w.Write([]byte("ok\n"))
+	return 200, "application/json"
 }

@@ -1,11 +1,7 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -171,49 +167,5 @@ func TestReportAndMergeSpans(t *testing.T) {
 	}
 	if merged[1].Path != "/other" {
 		t.Fatalf("merge order wrong: %v, want /other second", merged)
-	}
-}
-
-func TestAdminEndpoints(t *testing.T) {
-	tel := New(Options{Node: "front"})
-	tel.Registry().Class("html").Requests.Inc()
-	sp := tel.StartSpan(0)
-	sp.SetRequest("GET", "/a")
-	tel.FinishSpan(sp)
-
-	admin := NewAdmin(tel)
-	addr, err := admin.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = admin.Close() }()
-
-	get := func(path string) (int, string) {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer func() { _ = resp.Body.Close() }()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body)
-	}
-
-	if code, body := get("/healthz"); code != 200 || body != "ok\n" {
-		t.Fatalf("/healthz = %d %q", code, body)
-	}
-	if code, body := get("/metrics"); code != 200 ||
-		!strings.Contains(body, `webcluster_class_requests_total{node="front",class="html"} 1`) {
-		t.Fatalf("/metrics = %d %q", code, body)
-	}
-	code, body := get("/debug/traces?limit=5")
-	if code != 200 {
-		t.Fatalf("/debug/traces = %d", code)
-	}
-	var spans []Span
-	if err := json.Unmarshal([]byte(body), &spans); err != nil {
-		t.Fatalf("/debug/traces not JSON: %v", err)
-	}
-	if len(spans) != 1 || spans[0].Path != "/a" {
-		t.Fatalf("/debug/traces = %+v", spans)
 	}
 }

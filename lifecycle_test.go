@@ -1,7 +1,11 @@
 package webcluster
 
 import (
+	"io"
 	"net"
+	"net/http"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,12 +77,10 @@ func closes(s listener) bool {
 }
 
 // TestServerLifecycle holds every networked component to the contract
-// written on lifecycle.Group — the admin server too, which keeps it
-// without a Group because net/http owns its connections. The racing
-// rounds pin the register-after-sweep
-// hang: a connection accepted just before Close must not enter the
-// connection set after Close has swept it, or it idles in its read forever
-// and Close never joins it.
+// written on lifecycle.Group. The racing rounds pin the
+// register-after-sweep hang: a connection accepted just before Close must
+// not enter the connection set after Close has swept it, or it idles in
+// its read forever and Close never joins it.
 func TestServerLifecycle(t *testing.T) {
 	rows := []struct {
 		name string
@@ -144,6 +146,18 @@ func TestServerLifecycle(t *testing.T) {
 				closeBounded(t, s, "second Close")
 			})
 
+			if busy := lifecycleBusy[row.name]; busy != nil {
+				t.Run("close ends work in flight", func(t *testing.T) {
+					s := row.make(t, web)
+					addr, err := s.Start("127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					busy(t, addr)
+					closeBounded(t, s, "busy")
+				})
+			}
+
 			t.Run("start after close", func(t *testing.T) {
 				s := row.make(t, web)
 				addr, err := s.Start("127.0.0.1:0")
@@ -163,4 +177,54 @@ func TestServerLifecycle(t *testing.T) {
 			})
 		})
 	}
+}
+
+// lifecycleBusy holds, by row, what leaves work in flight on a started
+// component at addr, returning once it is; Close must end it within its
+// bound.
+var lifecycleBusy = map[string]func(t *testing.T, addr string){"admin": adminBusy}
+
+// adminBusy leaves an idle keep-alive connection after a /metrics scrape
+// and a CPU profile of 5 s in flight. Close must end both at once: the
+// profile well inside its 5 s, so closes' bound is not what ends it.
+func adminBusy(t *testing.T, addr string) {
+	client := &http.Client{Transport: &http.Transport{}}
+	t.Cleanup(client.CloseIdleConnections)
+	resp, err := client.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
+
+	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := io.WriteString(conn, "GET /debug/pprof/profile?seconds=5 HTTP/1.1\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	testutil.Eventually(t, 5*time.Second, func() bool {
+		buf := make([]byte, 1<<20)
+		return strings.Contains(string(buf[:runtime.Stack(buf, true)]), "(*AdminServer).timed")
+	}, "the profile never started")
+	start := time.Now()
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		_, _ = io.Copy(io.Discard, conn)
+	}()
+	t.Cleanup(func() {
+		select {
+		case <-ended:
+		case <-time.After(10 * time.Second):
+			t.Error("the profile's connection never ended")
+			return
+		}
+		if d := time.Since(start); d > 4*time.Second {
+			t.Errorf("the profile ran %v after Close: Close did not end it", d)
+		}
+	})
 }
