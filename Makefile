@@ -129,8 +129,10 @@ bench:
 # so its gate has no slack too; besides that and the client's it counts
 # the in-process back end's, a fraction of one per request, so it runs
 # 2000 iterations, enough that the start-up allocations cannot round the
-# average up a whole one. The
-# throughput (MB/s) gate on the large-body relay runs at the default
+# average up a whole one. The relay and traced relay gates have no slack
+# and run 2000 iterations for the same reason: one allocation added per
+# request fails them. The large-body relay's allocs gate has no slack
+# either; its throughput (MB/s) gate runs at the default
 # benchtime so the number is meaningful, and fails when mb_per_sec drops
 # more than 10% below the archived snapshot. The management insert
 # crosses six sockets and two more goroutine hand-offs per operation
@@ -140,12 +142,12 @@ bench:
 # catch — file bytes going back into the JSON envelope — is a 13x drop
 # at 1 MiB.
 allocguard:
-	$(GO) test -run '^$$' -bench 'BenchmarkDistributorRelay$$' -benchtime=100x -benchmem . \
-		| $(GO) run ./cmd/benchguard -snapshot BENCH_relay.json
-	$(GO) test -run '^$$' -bench 'BenchmarkDistributorRelayTraced$$' -benchtime=100x -benchmem . \
-		| $(GO) run ./cmd/benchguard -snapshot BENCH_telemetry.json
+	$(GO) test -run '^$$' -bench 'BenchmarkDistributorRelay$$' -benchtime=2000x -benchmem . \
+		| $(GO) run ./cmd/benchguard -snapshot BENCH_relay.json -tolerance 0
+	$(GO) test -run '^$$' -bench 'BenchmarkDistributorRelayTraced$$' -benchtime=2000x -benchmem . \
+		| $(GO) run ./cmd/benchguard -snapshot BENCH_telemetry.json -tolerance 0
 	$(GO) test -run '^$$' -bench 'BenchmarkDistributorRelayLarge' -benchmem . \
-		| $(GO) run ./cmd/benchguard -snapshot BENCH_relay.json
+		| $(GO) run ./cmd/benchguard -snapshot BENCH_relay.json -tolerance 0
 	$(GO) test -run '^$$' -bench 'BenchmarkDistributorCacheHit$$' -benchtime=100x -benchmem . \
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_cache.json -tolerance 0
 	$(GO) test -run '^$$' -bench 'BenchmarkDistributorCacheColdMiss$$' -benchtime=2000x -benchmem . \

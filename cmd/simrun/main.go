@@ -18,12 +18,22 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"webcluster/internal/admission"
 	"webcluster/internal/sim"
 	"webcluster/internal/workload"
 )
+
+// surgeShares is the critical:interactive:batch split simrun gives the
+// admission budget. At the default -admit-max of 24 it yields per-class
+// limits of 20/3/1, the setting that holds the surge scenario's critical
+// p99 within 2x of steady state. The distributor runs admission's default
+// 3:2:1 split, which fails that surge (EXPERIMENTS.md, "One admission
+// ladder").
+var surgeShares = [admission.NumClasses]int{20, 3, 1}
 
 func main() {
 	scenario := flag.String("scenario", "day", "built-in scenario name (day|flash-crowd|surge)")
@@ -36,46 +46,37 @@ func main() {
 	scheme := flag.String("scheme", "partition", "placement scheme (partition|full-replication|nfs)")
 	autobalance := flag.Bool("autobalance", true, "run the auto-replication planner each interval")
 	admit := flag.Bool("admit", false, "enable SLO-class admission control at the front end")
-	admitMax := flag.Int("admit-max", 10, "admission concurrency budget (with -admit)")
-	admitHeadroom := flag.Float64("admit-headroom", 4, "critical-class borrow factor over its share (with -admit)")
+	admitMax := flag.Int("admit-max", 24, "admission concurrency budget (with -admit)")
 	quiet := flag.Bool("q", false, "suppress the summary on stderr")
 	flag.Parse()
 
-	var adm *sim.AdmissionParams
-	if *admit {
-		adm = &sim.AdmissionParams{MaxConcurrent: *admitMax, CriticalHeadroom: *admitHeadroom}
-	}
-	if err := run(*scenario, *specFile, *out, *journalCSV, *seed, *timeScale, *interval, *scheme, *autobalance, adm, *quiet); err != nil {
+	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "simrun:", err)
 		os.Exit(1)
 	}
-}
-
-func run(scenario, specFile, out, journalCSV string, seed int64, timeScale float64, interval time.Duration, scheme string, autobalance bool, adm *sim.AdmissionParams, quiet bool) error {
 	var spec *workload.Spec
 	var err error
-	if specFile != "" {
-		spec, err = workload.LoadSpec(specFile)
+	if *specFile != "" {
+		spec, err = workload.LoadSpec(*specFile)
 	} else {
-		spec, err = workload.BuiltinScenario(scenario)
+		spec, err = workload.BuiltinScenario(*scenario)
 	}
 	if err != nil {
-		return err
+		fail(err)
 	}
-	if seed != 0 {
-		spec.Seed = seed
+	if *seed != 0 {
+		spec.Seed = *seed
 	}
-	if timeScale > 0 {
-		spec.TimeScale = timeScale
+	if *timeScale > 0 {
+		spec.TimeScale = *timeScale
 	}
-	if interval > 0 {
-		spec.Interval = workload.Duration(interval)
+	if *interval > 0 {
+		spec.Interval = workload.Duration(*interval)
 	}
 
 	opts := sim.DefaultScenarioOptions()
-	opts.AutoBalance = autobalance
-	opts.Admission = adm
-	switch scheme {
+	opts.AutoBalance = *autobalance
+	switch *scheme {
 	case "partition":
 		opts.Scheme = sim.SchemePartition
 	case "full-replication":
@@ -83,9 +84,19 @@ func run(scenario, specFile, out, journalCSV string, seed int64, timeScale float
 	case "nfs":
 		opts.Scheme = sim.SchemeNFS
 	default:
-		return fmt.Errorf("unknown scheme %q (want partition|full-replication|nfs)", scheme)
+		fail(fmt.Errorf("unknown scheme %q (want partition|full-replication|nfs)", *scheme))
 	}
+	if *admit {
+		opts.Admission = &admission.Options{MaxConcurrent: *admitMax, Shares: surgeShares}
+	}
+	if err := run(spec, opts, *out, *journalCSV, *quiet); err != nil {
+		fail(err)
+	}
+}
 
+// run replays spec and writes the timeline to out and, when journalCSV is
+// set, the planner decisions beside it ("-" is stdout for either).
+func run(spec *workload.Spec, opts sim.ScenarioOptions, out, journalCSV string, quiet bool) error {
 	wallStart := time.Now()
 	timeline, err := sim.RunScenario(spec, opts)
 	if err != nil {
@@ -93,29 +104,11 @@ func run(scenario, specFile, out, journalCSV string, seed int64, timeScale float
 	}
 	wall := time.Since(wallStart)
 
-	w := os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = f.Close() }()
-		w = f
-	}
-	if err := timeline.WriteCSV(w); err != nil {
+	if err := writeTo(out, timeline.WriteCSV); err != nil {
 		return err
 	}
 	if journalCSV != "" {
-		jw := os.Stdout
-		if journalCSV != "-" {
-			f, err := os.Create(journalCSV)
-			if err != nil {
-				return err
-			}
-			defer func() { _ = f.Close() }()
-			jw = f
-		}
-		if err := timeline.WriteDecisionsCSV(jw); err != nil {
+		if err := writeTo(journalCSV, timeline.WriteDecisionsCSV); err != nil {
 			return err
 		}
 	}
@@ -131,4 +124,20 @@ func run(scenario, specFile, out, journalCSV string, seed int64, timeScale float
 		}
 	}
 	return nil
+}
+
+// writeTo runs write against the file at path, or stdout for "-".
+func writeTo(path string, write func(io.Writer) error) error {
+	if path == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		_ = f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -21,7 +21,6 @@
 package admission
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,21 +136,22 @@ type Options struct {
 	// X-Dist-Class header is present; replaceable at runtime with
 	// SetRules.
 	Rules []Rule
-	// RetryAfterSeconds is the Retry-After hint on rejects; default 1.
-	RetryAfterSeconds int
 	// Registry receives the per-class admission counters and gauges
 	// (offered/admitted/shed/stale, in-flight, queue-delay quantiles).
 	// Nil creates a private registry.
 	Registry *telemetry.Registry
-	// Clock injects time for tests; default time.Now. Never called on
-	// the fast path.
+	// Clock injects time: tests pin it, and the simulator reads its
+	// virtual clock through it. Default time.Now. Never called on the
+	// fast path.
 	Clock func() time.Time
 }
 
-// waiter is one queued request.
-type waiter struct {
-	ch  chan struct{} // closed when a slot is handed over
-	enq time.Time
+// Waiter is an arrival Offer queued for a slot. Release hands it one, or
+// Expire settles it once its class's MaxWait has run out.
+type Waiter struct {
+	class Class
+	enq   time.Time
+	wake  func() // runs once a handoff has claimed and counted the slot
 }
 
 // classState is one class's gate: an atomic in-flight count checked
@@ -168,7 +168,7 @@ type classState struct {
 	verdict  Verdict // the ladder rung this class sheds to
 
 	mu    sync.Mutex
-	queue []*waiter
+	queue []*Waiter
 
 	// CoDel state: the minimum sojourn observed in the current window
 	// (-1 = none), the window's start instant, and the drop flag the
@@ -198,8 +198,6 @@ type Controller struct {
 	rules   atomic.Pointer[[]Rule]
 	clock   func() time.Time
 
-	retryAfter string
-
 	// pressure, when set, reports external (back-end) load as
 	// (in-flight, capacity); batch arrivals that miss the fast path are
 	// shed without queueing while in-flight >= capacity. The distributor
@@ -216,13 +214,11 @@ var defaultMaxWait = [NumClasses]time.Duration{100 * time.Millisecond, 50 * time
 // defaultBudgets are the per-class downstream deadlines.
 var defaultBudgets = [NumClasses]time.Duration{2 * time.Second, 5 * time.Second, 10 * time.Second}
 
-// Limits splits a concurrency budget of total slots across the classes in
+// limits splits a concurrency budget of total slots across the classes in
 // proportion to shares, by integer division: a non-positive total means
 // 256, all-zero shares mean 3:2:1, a non-positive share counts as 1, and
-// no class gets fewer than one slot. New sizes the live gates with it and
-// the simulator's front-end model (internal/sim) sizes its own, so a
-// scenario and the deployed controller agree on every class limit.
-func Limits(total int, shares [NumClasses]int) [NumClasses]int64 {
+// no class gets fewer than one slot.
+func limits(total int, shares [NumClasses]int) [NumClasses]int64 {
 	if total <= 0 {
 		total = 256
 	}
@@ -248,7 +244,7 @@ func Limits(total int, shares [NumClasses]int) [NumClasses]int64 {
 
 // New builds a Controller.
 func New(opts Options) *Controller {
-	limits := Limits(opts.MaxConcurrent, opts.Shares)
+	limit := limits(opts.MaxConcurrent, opts.Shares)
 	target := opts.QueueTarget
 	if target <= 0 {
 		target = 5 * time.Millisecond
@@ -265,19 +261,13 @@ func New(opts Options) *Controller {
 	if reg == nil {
 		reg = telemetry.NewRegistry("admission")
 	}
-	retryAfter := opts.RetryAfterSeconds
-	if retryAfter <= 0 {
-		retryAfter = 1
-	}
 
-	c := &Controller{clock: clock, retryAfter: strconv.Itoa(retryAfter)}
-	rules := append([]Rule(nil), opts.Rules...)
-	sortRules(rules)
-	c.rules.Store(&rules)
+	c := &Controller{clock: clock}
+	c.SetRules(opts.Rules)
 	for i := range c.classes {
 		cs := &c.classes[i]
 		class := Class(i)
-		cs.limit = limits[i]
+		cs.limit = limit[i]
 		cs.maxQueue = opts.MaxQueue[i]
 		if cs.maxQueue <= 0 {
 			cs.maxQueue = int(2 * cs.limit)
@@ -345,12 +335,13 @@ func (c *Controller) SetPressure(fn func() (inflight, capacity int64)) {
 	c.pressure.Store(&fn)
 }
 
-// RetryAfter returns the Retry-After header value for rejects (whole
-// seconds, precomputed so sheds do not format integers).
-func (c *Controller) RetryAfter() string { return c.retryAfter }
+// RetryAfter returns the Retry-After header value for rejects, in whole
+// seconds.
+func (c *Controller) RetryAfter() string { return "1" }
 
-// Limit returns the class's concurrency share.
-func (c *Controller) Limit(class Class) int64 { return c.classes[class].limit }
+// MaxWait returns how long a queued arrival of class waits for a slot
+// before Expire sheds it.
+func (c *Controller) MaxWait(class Class) time.Duration { return c.classes[class].maxWait }
 
 // InFlight returns the class's current admitted count.
 func (c *Controller) InFlight(class Class) int64 { return c.classes[class].inflight.Load() }
@@ -383,21 +374,63 @@ func (c *Controller) Classify(header, path string) Class {
 	return Interactive
 }
 
-// Admit runs the admission decision for one request of the given class.
-// Admitted grants a slot the caller must Release exactly once; the shed
-// verdicts grant nothing. The uncontended path (class under limit, no
-// queue) performs no allocation and never reads the clock.
+// Admit runs the admission decision for one request of the given class,
+// waiting up to the class's MaxWait when it must queue. Admitted grants a
+// slot the caller must Release exactly once; the shed verdicts grant
+// nothing. The uncontended path (class under limit, no queue) performs no
+// allocation and never reads the clock.
 func (c *Controller) Admit(class Class) Verdict {
 	cs := &c.classes[class]
-	cs.offered.Inc()
-	if cs.queued.Load() == 0 {
-		if cs.inflight.Add(1) <= cs.limit {
-			cs.admitted.Inc()
-			return Admitted
-		}
-		cs.inflight.Add(-1)
+	if cs.fast() {
+		return Admitted
 	}
-	return c.admitSlow(cs, class)
+	ch := make(chan struct{})
+	v, w := c.offerSlow(cs, class, func() { close(ch) })
+	if w == nil {
+		return v
+	}
+	t := time.NewTimer(cs.maxWait)
+	defer t.Stop()
+	select {
+	case <-ch:
+		return Admitted
+	case <-t.C:
+		return c.Expire(w)
+	}
+}
+
+// Offer decides one arrival of class without blocking. It returns a
+// non-nil Waiter when the arrival is queued, and the final verdict
+// otherwise. A queued arrival is settled one of two ways: a Release hands
+// it a slot, already claimed and counted as admitted, and then runs wake;
+// or the caller passes it to Expire once the class's MaxWait has run out.
+// Either way an admission must be Released exactly once.
+func (c *Controller) Offer(class Class, wake func()) (Verdict, *Waiter) {
+	cs := &c.classes[class]
+	if cs.fast() {
+		return Admitted, nil
+	}
+	return c.offerSlow(cs, class, wake)
+}
+
+// fast counts an arrival and admits it when the class is under its limit
+// with nobody queued (waiters go first: FIFO fairness).
+func (cs *classState) fast() bool {
+	cs.offered.Inc()
+	if cs.queued.Load() == 0 && cs.claim() {
+		cs.admitted.Inc()
+		return true
+	}
+	return false
+}
+
+// claim takes a slot if the class is under its limit.
+func (cs *classState) claim() bool {
+	if cs.inflight.Add(1) <= cs.limit {
+		return true
+	}
+	cs.inflight.Add(-1)
+	return false
 }
 
 // Release returns a slot for class and hands it to the head of the
@@ -408,92 +441,79 @@ func (c *Controller) Release(class Class) {
 	if cs.queued.Load() == 0 {
 		return
 	}
-	cs.wake()
+	c.handoff(cs)
 }
 
-// wake hands free slots to queued waiters in FIFO order. The slot is
-// claimed (inflight incremented) on the waiter's behalf before its
-// channel is closed, so the transfer is settled by the time the waiter
-// observes it — the timed-out-but-handed-over race resolves by queue
-// membership under the lock, never by a second channel wait.
-func (cs *classState) wake() {
-	cs.mu.Lock()
-	for len(cs.queue) > 0 {
-		if cs.inflight.Add(1) > cs.limit {
-			cs.inflight.Add(-1)
-			break
+// handoff gives free slots to queued waiters in FIFO order. Each slot is
+// claimed (inflight incremented) and the waiter popped under the lock,
+// so a racing Expire decides by queue membership alone; the admission is
+// counted before the waiter's wake runs, outside the lock, so wake may
+// itself Release.
+func (c *Controller) handoff(cs *classState) {
+	for {
+		cs.mu.Lock()
+		if len(cs.queue) == 0 || !cs.claim() {
+			cs.mu.Unlock()
+			return
 		}
 		w := cs.queue[0]
-		n := copy(cs.queue, cs.queue[1:])
-		cs.queue[n] = nil
-		cs.queue = cs.queue[:n]
-		cs.queued.Add(-1)
-		close(w.ch)
+		cs.remove(w)
+		cs.mu.Unlock()
+		cs.observeSojourn(c.clock().Sub(w.enq))
+		cs.admitted.Inc()
+		w.wake()
 	}
-	cs.mu.Unlock()
 }
 
-// admitSlow is the contended path: consult the CoDel drop state and
-// back-end pressure, then queue with a bounded wait.
-func (c *Controller) admitSlow(cs *classState, class Class) Verdict {
+// offerSlow is the contended path: consult the CoDel drop state and
+// back-end pressure, then queue behind the class's bounded FIFO.
+func (c *Controller) offerSlow(cs *classState, class Class, wake func()) (Verdict, *Waiter) {
 	now := c.clock()
 	cs.codelTick(now.UnixNano())
-	if cs.dropping.Load() {
-		return cs.shedVerdict()
-	}
-	if class == Batch && c.backendsSaturated() {
-		return cs.shedVerdict()
+	if cs.dropping.Load() || class == Batch && c.backendsSaturated() {
+		return cs.shedVerdict(), nil
 	}
 
-	w := &waiter{ch: make(chan struct{}), enq: now}
 	cs.mu.Lock()
 	// Recheck under the lock: a Release may have drained the queue and
 	// freed slots between the fast path and here.
-	if len(cs.queue) == 0 {
-		if cs.inflight.Add(1) <= cs.limit {
-			cs.mu.Unlock()
-			cs.admitted.Inc()
-			return Admitted
-		}
-		cs.inflight.Add(-1)
+	if len(cs.queue) == 0 && cs.claim() {
+		cs.mu.Unlock()
+		cs.admitted.Inc()
+		return Admitted, nil
 	}
 	if len(cs.queue) >= cs.maxQueue {
 		cs.mu.Unlock()
-		return cs.shedVerdict()
+		return cs.shedVerdict(), nil
 	}
+	w := &Waiter{class: class, enq: now, wake: wake}
 	cs.queue = append(cs.queue, w)
 	cs.queued.Add(1)
 	cs.mu.Unlock()
+	return Admitted, w
+}
 
-	t := time.NewTimer(cs.maxWait)
-	select {
-	case <-w.ch:
-		t.Stop()
-		cs.observeSojourn(c.clock().Sub(w.enq))
-		cs.admitted.Inc()
+// Expire settles a queued waiter whose class's MaxWait has run out. It
+// returns Admitted when a Release handed the waiter a slot first (its
+// wake has run or is running), else the class's shed rung, recorded as a
+// wait timeout.
+func (c *Controller) Expire(w *Waiter) Verdict {
+	cs := &c.classes[w.class]
+	cs.mu.Lock()
+	removed := cs.remove(w)
+	cs.mu.Unlock()
+	if !removed {
 		return Admitted
-	case <-t.C:
-		cs.mu.Lock()
-		removed := cs.remove(w)
-		cs.mu.Unlock()
-		if !removed {
-			// wake popped us before the timer fired: the slot is already
-			// ours (claimed under the lock), so this is an admission —
-			// just a slow one; its full sojourn feeds the CoDel signal.
-			cs.observeSojourn(c.clock().Sub(w.enq))
-			cs.admitted.Inc()
-			return Admitted
-		}
-		// A timed-out wait is a sojourn above any reasonable target.
-		cs.observeSojourn(cs.maxWait)
-		cs.timeouts.Inc()
-		return cs.shedVerdict()
 	}
+	// A timed-out wait is a sojourn above any reasonable target.
+	cs.observeSojourn(cs.maxWait)
+	cs.timeouts.Inc()
+	return cs.shedVerdict()
 }
 
 // remove deletes w from the queue, reporting whether it was still
 // queued. Caller holds cs.mu.
-func (cs *classState) remove(w *waiter) bool {
+func (cs *classState) remove(w *Waiter) bool {
 	for i, q := range cs.queue {
 		if q == w {
 			n := copy(cs.queue[i:], cs.queue[i+1:])
@@ -563,11 +583,6 @@ func (cs *classState) codelTick(nowNs int64) {
 	}
 	min := cs.minSojourn.Swap(-1)
 	cs.dropping.Store(min >= 0 && min > cs.target)
-}
-
-// Dropping reports whether the class is currently in CoDel drop state.
-func (c *Controller) Dropping(class Class) bool {
-	return c.classes[class].dropping.Load()
 }
 
 // ClassCounters returns the class's ledger. offered == admitted + shed

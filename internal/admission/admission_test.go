@@ -74,24 +74,24 @@ func TestSetRulesReplacesTable(t *testing.T) {
 
 func TestSharesSplitLimits(t *testing.T) {
 	c := New(Options{MaxConcurrent: 60}) // default 3:2:1
-	if c.Limit(Critical) != 30 || c.Limit(Interactive) != 20 || c.Limit(Batch) != 10 {
+	if c.classes[Critical].limit != 30 || c.classes[Interactive].limit != 20 || c.classes[Batch].limit != 10 {
 		t.Fatalf("limits = %d/%d/%d, want 30/20/10",
-			c.Limit(Critical), c.Limit(Interactive), c.Limit(Batch))
+			c.classes[Critical].limit, c.classes[Interactive].limit, c.classes[Batch].limit)
 	}
 	// Tiny budgets still give every class at least one slot.
 	c = New(Options{MaxConcurrent: 1})
 	for _, cl := range []Class{Critical, Interactive, Batch} {
-		if c.Limit(cl) < 1 {
+		if c.classes[cl].limit < 1 {
 			t.Fatalf("class %v got zero slots", cl)
 		}
 	}
-	// The split itself, as the simulator calls it: defaults for a zero
-	// budget, a non-positive share counted as one.
-	if got := Limits(0, [NumClasses]int{}); got != [NumClasses]int64{128, 85, 42} {
-		t.Fatalf("Limits(0, default) = %v", got)
+	// The split itself: defaults for a zero budget, a non-positive share
+	// counted as one.
+	if got := limits(0, [NumClasses]int{}); got != [NumClasses]int64{128, 85, 42} {
+		t.Fatalf("limits(0, default) = %v", got)
 	}
-	if got := Limits(12, [NumClasses]int{0, -1, 2}); got != [NumClasses]int64{3, 3, 6} {
-		t.Fatalf("Limits(12, {0,-1,2}) = %v", got)
+	if got := limits(12, [NumClasses]int{0, -1, 2}); got != [NumClasses]int64{3, 3, 6} {
+		t.Fatalf("limits(12, {0,-1,2}) = %v", got)
 	}
 }
 
@@ -182,6 +182,45 @@ func TestQueueHandoff(t *testing.T) {
 	c.Release(Critical)
 }
 
+// TestOfferWakeAndExpire drives the non-blocking API the simulator steps
+// in virtual time: a queued offer's wake runs inside Release with its
+// slot already claimed and counted, and Expire settles a waiter by queue
+// membership alone.
+func TestOfferWakeAndExpire(t *testing.T) {
+	c := New(Options{MaxConcurrent: 3, Shares: [NumClasses]int{1, 1, 1}})
+	if v, w := c.Offer(Batch, nil); v != Admitted || w != nil {
+		t.Fatalf("seed offer: %v, waiter %v", v, w)
+	}
+	woken := false
+	_, first := c.Offer(Batch, func() {
+		woken = true
+		if _, admitted, _, _ := c.ClassCounters(Batch); admitted != 2 || c.InFlight(Batch) != 1 {
+			t.Errorf("woken with admitted %d, inflight %d: the slot is not settled", admitted, c.InFlight(Batch))
+		}
+	})
+	_, second := c.Offer(Batch, func() { t.Error("second waiter woken without a slot") })
+	if first == nil || second == nil {
+		t.Fatal("offers against a full class should queue")
+	}
+	c.Release(Batch)
+	if !woken {
+		t.Fatal("Release did not hand the freed slot to the head waiter")
+	}
+	if v := c.Expire(first); v != Admitted {
+		t.Fatalf("expiring a waiter the handoff reached: %v, want Admitted", v)
+	}
+	if v := c.Expire(second); v != ShedReject {
+		t.Fatalf("expiring a waiter still queued: %v, want ShedReject", v)
+	}
+	c.Release(Batch)
+	if off, adm, shed, stale := c.ClassCounters(Batch); off != 3 || adm != 2 || shed != 1 || stale != 0 {
+		t.Fatalf("ledger %d/%d/%d/%d, want 3 offered = 2 admitted + 1 shed", off, adm, shed, stale)
+	}
+	if cs := &c.classes[Batch]; cs.timeouts.Value() != 1 || cs.queued.Load() != 0 || cs.inflight.Load() != 0 {
+		t.Fatalf("timeouts %d, queued %d, inflight %d", cs.timeouts.Value(), cs.queued.Load(), cs.inflight.Load())
+	}
+}
+
 func TestWaitTimeoutSheds(t *testing.T) {
 	c := New(Options{
 		MaxConcurrent: 3,
@@ -235,7 +274,7 @@ func TestCoDelDropState(t *testing.T) {
 	if v := c.Admit(Batch); v != ShedReject {
 		t.Fatalf("drop-state arrival: %v", v)
 	}
-	if !c.Dropping(Batch) {
+	if !c.classes[Batch].dropping.Load() {
 		t.Fatal("expected drop state after standing-queue window")
 	}
 	if q := c.classes[Batch].queued.Load(); q != 0 {
@@ -246,7 +285,7 @@ func TestCoDelDropState(t *testing.T) {
 	// timeout, with drop state off.
 	advance(20 * time.Millisecond)
 	c.Admit(Batch)
-	if c.Dropping(Batch) {
+	if c.classes[Batch].dropping.Load() {
 		t.Fatal("drop state should clear after an idle window")
 	}
 	c.Release(Batch)

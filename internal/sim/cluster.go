@@ -58,10 +58,28 @@ type Frontend struct {
 	// §3.3 load tracking.
 	observer RequestObserver
 
-	// adm, when non-nil, gates arrivals through the simulated SLO-class
-	// admission ladder (EnableAdmission); nil routes every request.
-	adm *frontAdmission
+	// adm, when non-nil, is the distributor's own admission controller
+	// (EnableAdmission), stepped in virtual time; nil routes every
+	// request.
+	adm *admission.Controller
 }
+
+// RouteOutcome is the terminal disposition of one simulated request.
+type RouteOutcome uint8
+
+// Outcomes.
+const (
+	// RouteOK: routed, served by a back end, relayed.
+	RouteOK RouteOutcome = iota
+	// RouteError: no route / no live replica.
+	RouteError
+	// RouteShed: refused by admission control (the 503 + Retry-After
+	// rung).
+	RouteShed
+	// RouteStale: degraded to a front-end cached answer; the client got
+	// bytes, no back end was touched.
+	RouteStale
+)
 
 // RequestObserver receives each completed request's routing outcome.
 type RequestObserver func(node config.NodeID, class content.Class, procTime time.Duration)
@@ -107,6 +125,100 @@ func (f *Frontend) Route(obj content.Object, done func(ok bool)) {
 	f.RouteSLO(obj, admission.Interactive, func(o RouteOutcome) {
 		done(o == RouteOK || o == RouteStale)
 	})
+}
+
+// EnableAdmission gates arrivals through an admission.Controller built
+// from opts, the one the distributor runs, with its clock reading the
+// engine's virtual time. Call before traffic starts.
+func (f *Frontend) EnableAdmission(opts admission.Options) {
+	opts.Clock = func() time.Time { return time.Unix(0, 0).Add(f.eng.Now()) }
+	f.adm = admission.New(opts)
+}
+
+// RouteSLO sends one classified request through the front end: the
+// admission decision first (when enabled), then route, serve and relay.
+// A queued arrival is served the instant a Release hands it a slot, or
+// takes its class's shed rung when MaxWait runs out first. done receives
+// the terminal outcome after the last relayed byte (for served and stale
+// answers) or at the shed decision (nothing is relayed for a reject).
+// With admission disabled only RouteOK and RouteError occur.
+func (f *Frontend) RouteSLO(obj content.Object, slo admission.Class, done func(RouteOutcome)) {
+	var decisionCost = f.hw.L4ForwardCPU
+	if f.kind == FrontContentAware {
+		decisionCost = f.hw.RouteLookupCPU
+	}
+	f.CPU.Enqueue(decisionCost, func() {
+		if f.adm == nil {
+			f.serve(obj, slo, done)
+			return
+		}
+		v, w := f.adm.Offer(slo, func() { f.serve(obj, slo, done) })
+		if w != nil {
+			f.eng.Schedule(f.adm.MaxWait(slo), func() {
+				if v := f.adm.Expire(w); v != admission.Admitted {
+					f.shed(obj, v, done)
+				}
+			})
+			return
+		}
+		if v != admission.Admitted {
+			f.shed(obj, v, done)
+			return
+		}
+		f.serve(obj, slo, done)
+	})
+}
+
+// shed answers a request admission turned away. A reject costs only the
+// decision CPU already paid; a stale answer comes from the front end's
+// own cache, so its bytes still cross the NIC but no back end is touched.
+func (f *Frontend) shed(obj content.Object, v admission.Verdict, done func(RouteOutcome)) {
+	if v != admission.ShedStale {
+		done(RouteShed)
+		return
+	}
+	f.relay(obj, func() { done(RouteStale) })
+}
+
+// serve routes an admitted request to a back end and relays the response
+// back through the front end. The admission slot covers the back-end
+// service; the relay runs on the NIC after release.
+func (f *Frontend) serve(obj content.Object, slo admission.Class, done func(RouteOutcome)) {
+	node, err := f.pick(obj)
+	if err != nil {
+		f.release(slo)
+		done(RouteError)
+		return
+	}
+	started := f.eng.Now()
+	node.Serve(obj, func(ok bool) {
+		f.release(slo)
+		if f.observer != nil {
+			f.observer(node.Spec.ID, obj.Class, f.eng.Now()-started)
+		}
+		f.relay(obj, func() {
+			if ok {
+				done(RouteOK)
+			} else {
+				done(RouteError)
+			}
+		})
+	})
+}
+
+// relay sends obj's bytes through the front end's NIC, chunked for fair
+// link sharing, and calls done after the last one.
+func (f *Frontend) relay(obj content.Object, done func()) {
+	d := bytesTime(obj.Size, f.hw.FrontendRelayBytesPerSec)
+	chunk := bytesTime(64<<10, f.hw.FrontendRelayBytesPerSec)
+	f.NIC.EnqueueChunked(d, chunk, done)
+}
+
+// release returns an admitted request's class slot.
+func (f *Frontend) release(c admission.Class) {
+	if f.adm != nil {
+		f.adm.Release(c)
+	}
 }
 
 // pick selects the back end per the front end's mechanism.

@@ -4,9 +4,9 @@
 // working sets, CPU-speed heterogeneity for dynamic requests, and
 // head-of-line blocking between long and short requests — so the
 // benchmarks run the placement schemes and front ends against simulated
-// nodes parameterized with the §5.1 testbed's hardware. Routing reuses the
-// real urltable and loadbal code, keeping the simulated control path
-// identical to the live one.
+// nodes parameterized with the §5.1 testbed's hardware. Routing and
+// admission reuse the real urltable, loadbal and admission code, keeping
+// the simulated control path identical to the live one.
 package sim
 
 import (

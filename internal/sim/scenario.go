@@ -43,10 +43,12 @@ type ScenarioOptions struct {
 	AutoBalance bool
 	// Planner tunes the auto-replication planner.
 	Planner loadbal.PlannerOptions
-	// Admission, when non-nil, arms the front end's simulated SLO-class
-	// admission gate: each workload class maps to its sloClass and the
-	// shedding ladder engages under overload. Nil routes everything.
-	Admission *AdmissionParams
+	// Admission, when non-nil, puts the distributor's admission
+	// controller, built from these options, in front of the back ends:
+	// each workload class maps to its sloClass and the shedding ladder
+	// engages under overload. Clock is replaced by the engine's. Nil
+	// routes everything.
+	Admission *admission.Options
 }
 
 // DefaultScenarioOptions returns the standard scenario deployment: the

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"webcluster/internal/admission"
 	"webcluster/internal/config"
 	"webcluster/internal/content"
 	"webcluster/internal/urltable"
@@ -712,6 +713,100 @@ func TestFrontendObserver(t *testing.T) {
 	eng.Run(time.Minute)
 	if done != 5 || observed != 5 {
 		t.Fatalf("done=%d observed=%d", done, observed)
+	}
+}
+
+// The front end's admission gate is the distributor's controller stepped
+// in virtual time: a request queued behind a full class starts the
+// instant a slot is released, one that never gets a slot resolves exactly
+// MaxWait after its decision with its class's rung, and the ledger
+// reconciles afterwards.
+func TestAdmissionInVirtualTime(t *testing.T) {
+	eng := &Engine{}
+	hw := DefaultHardware()
+	n := NewNode(eng, hw, testNodeSpec("n1", 350, 128, config.DiskSCSI))
+	n.SetAllContent()
+	f, err := NewFrontend(eng, hw, FrontL4WLC, []*Node{n}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxWait := [admission.NumClasses]time.Duration{time.Second, 50 * time.Millisecond, 10 * time.Millisecond}
+	f.EnableAdmission(admission.Options{
+		MaxConcurrent: 3,
+		Shares:        [admission.NumClasses]int{1, 1, 1},
+		MaxWait:       maxWait,
+	})
+	adm := f.adm
+	// A zero-byte object: a stale answer relays nothing, so it resolves
+	// at its shed decision.
+	obj := content.Object{Path: "/a.html", Class: content.ClassHTML}
+	decide := hw.L4ForwardCPU
+
+	// Two critical arrivals at t=0 against one critical slot: the second
+	// is decided while the first is still at the back end, so it queues.
+	type served struct{ start, release time.Duration }
+	var log []served
+	f.SetObserver(func(_ config.NodeID, _ content.Class, proc time.Duration) {
+		log = append(log, served{eng.Now() - proc, eng.Now()})
+	})
+	var outcomes []RouteOutcome
+	for i := 0; i < 2; i++ {
+		f.RouteSLO(obj, admission.Critical, func(o RouteOutcome) { outcomes = append(outcomes, o) })
+	}
+	eng.Run(time.Second)
+	if len(log) != 2 || len(outcomes) != 2 || outcomes[0] != RouteOK || outcomes[1] != RouteOK {
+		t.Fatalf("critical pair: served %v, outcomes %v", log, outcomes)
+	}
+	if log[0].release <= 2*decide {
+		t.Fatalf("first critical released at %v, before the second was decided at %v: nothing queued", log[0].release, 2*decide)
+	}
+	if log[1].start != log[0].release {
+		t.Fatalf("queued critical started at %v, want the release instant %v", log[1].start, log[0].release)
+	}
+
+	// Hold the batch and interactive slots for good: one arrival of each
+	// must wait out its MaxWait and take its rung at exactly that instant.
+	for _, c := range []admission.Class{admission.Batch, admission.Interactive} {
+		if v := adm.Admit(c); v != admission.Admitted {
+			t.Fatalf("%v holder: %v", c, v)
+		}
+	}
+	type resolved struct {
+		at time.Duration
+		o  RouteOutcome
+	}
+	var got [admission.NumClasses]resolved
+	at := eng.Now()
+	for i, c := range []admission.Class{admission.Batch, admission.Interactive} {
+		decided := at + time.Duration(i+1)*decide
+		f.RouteSLO(obj, c, func(o RouteOutcome) { got[c] = resolved{eng.Now() - decided, o} })
+	}
+	eng.Run(at + time.Second)
+	if want := (resolved{maxWait[admission.Batch], RouteShed}); got[admission.Batch] != want {
+		t.Fatalf("batch resolved %+v, want %+v", got[admission.Batch], want)
+	}
+	if want := (resolved{maxWait[admission.Interactive], RouteStale}); got[admission.Interactive] != want {
+		t.Fatalf("interactive resolved %+v, want %+v", got[admission.Interactive], want)
+	}
+	adm.Release(admission.Batch)
+	adm.Release(admission.Interactive)
+
+	want := map[admission.Class][4]int64{ // offered, admitted, shed, stale
+		admission.Critical:    {2, 2, 0, 0},
+		admission.Interactive: {2, 1, 0, 1},
+		admission.Batch:       {2, 1, 1, 0},
+	}
+	for c, w := range want {
+		off, admitted, shed, stale := adm.ClassCounters(c)
+		if got := [4]int64{off, admitted, shed, stale}; got != w {
+			t.Errorf("%v ledger %v, want %v", c, got, w)
+		}
+		if off != admitted+shed+stale {
+			t.Errorf("%v: offered %d != admitted %d + shed %d + stale %d", c, off, admitted, shed, stale)
+		}
+		if adm.InFlight(c) != 0 {
+			t.Errorf("%v: %d still in flight", c, adm.InFlight(c))
+		}
 	}
 }
 

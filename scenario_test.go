@@ -12,11 +12,11 @@ import (
 	"webcluster/internal/workload"
 )
 
-// renderCSV replays spec and returns the timeline plus its exact CSV
-// bytes.
-func renderCSV(t *testing.T, spec *workload.Spec) (*sim.Timeline, []byte) {
+// renderCSV replays spec against opts and returns the timeline plus its
+// exact CSV bytes.
+func renderCSV(t *testing.T, spec *workload.Spec, opts sim.ScenarioOptions) (*sim.Timeline, []byte) {
 	t.Helper()
-	tl, err := sim.RunScenario(spec, sim.DefaultScenarioOptions())
+	tl, err := sim.RunScenario(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,24 +30,38 @@ func renderCSV(t *testing.T, spec *workload.Spec) (*sim.Timeline, []byte) {
 // Determinism regression: the scenario layer promises that one (spec,
 // seed) pair replays to a byte-identical timeline CSV — the property the
 // whole golden-file methodology and CHAOS_SEED-style replay debugging
-// rest on. Run under -race in CI to also prove the replay is data-race
-// free.
+// rest on. The surge input runs the admission controller in the loop, so
+// its queue, CoDel window and handoffs must replay too. Run under -race
+// in CI to also prove the replay is data-race free.
 func TestScenarioDeterministicReplay(t *testing.T) {
-	spec := workload.FlashCrowdScenario()
-	spec.TimeScale = 16 // 2.5 min virtual: quick enough to replay three times under -race
+	admitted := sim.DefaultScenarioOptions()
+	admitted.Admission = &admission.Options{MaxConcurrent: 24, Shares: [admission.NumClasses]int{20, 3, 1}}
+	// Time scales quick enough to replay each input three times under
+	// -race: 2.5 min of flash crowd, 30 s of surge.
+	for _, tc := range []struct {
+		spec  func() *workload.Spec
+		scale float64
+		opts  sim.ScenarioOptions
+	}{
+		{workload.FlashCrowdScenario, 16, sim.DefaultScenarioOptions()},
+		{workload.SurgeScenario, 60, admitted},
+	} {
+		spec := tc.spec()
+		spec.TimeScale = tc.scale
 
-	_, first := renderCSV(t, spec)
-	_, second := renderCSV(t, spec)
-	if !bytes.Equal(first, second) {
-		t.Fatalf("same spec and seed produced different timelines:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", first, second)
-	}
+		_, first := renderCSV(t, spec, tc.opts)
+		_, second := renderCSV(t, spec, tc.opts)
+		if !bytes.Equal(first, second) {
+			t.Fatalf("%s: same spec and seed produced different timelines:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", spec.Name, first, second)
+		}
 
-	reseeded := workload.FlashCrowdScenario()
-	reseeded.TimeScale = 16
-	reseeded.Seed = spec.Seed + 1
-	_, third := renderCSV(t, reseeded)
-	if bytes.Equal(first, third) {
-		t.Fatal("different seeds produced byte-identical timelines — the seed is not reaching the random streams")
+		reseeded := tc.spec()
+		reseeded.TimeScale = tc.scale
+		reseeded.Seed = spec.Seed + 1
+		_, third := renderCSV(t, reseeded, tc.opts)
+		if bytes.Equal(first, third) {
+			t.Fatalf("%s: different seeds produced byte-identical timelines — the seed is not reaching the random streams", spec.Name)
+		}
 	}
 }
 
@@ -61,7 +75,7 @@ func TestScenarioFlashCrowdRecovery(t *testing.T) {
 	spec := workload.FlashCrowdScenario()
 	spec.TimeScale = 2 // rates (and therefore saturation) are preserved; only exposure shrinks
 
-	tl, csv := renderCSV(t, spec)
+	tl, csv := renderCSV(t, spec, sim.DefaultScenarioOptions())
 	if len(tl.Points) != 20 {
 		t.Fatalf("40m at 2m intervals should yield 20 points, got %d", len(tl.Points))
 	}
@@ -118,7 +132,7 @@ func TestScenarioDayLong(t *testing.T) {
 		t.Skip("day-long scenario skipped in -short mode")
 	}
 	start := time.Now()
-	tl, csv := renderCSV(t, workload.DayScenario())
+	tl, csv := renderCSV(t, workload.DayScenario(), sim.DefaultScenarioOptions())
 	wall := time.Since(start)
 
 	if wall > 60*time.Second {
@@ -178,7 +192,7 @@ func TestChaosSurgeGracefulDegradation(t *testing.T) {
 	spec.TimeScale = 2 // rates — and therefore overload — are preserved; only exposure shrinks
 
 	opts := sim.DefaultScenarioOptions()
-	opts.Admission = &sim.AdmissionParams{MaxConcurrent: 10, CriticalHeadroom: 4}
+	opts.Admission = &admission.Options{MaxConcurrent: 24, Shares: [admission.NumClasses]int{20, 3, 1}}
 	tl, err := sim.RunScenario(spec, opts)
 	if err != nil {
 		t.Fatal(err)
