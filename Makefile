@@ -80,7 +80,7 @@ race:
 # server whose handler spins must still answer a second exchange within
 # 50 ms, with the test's own side at one and at two Ps.
 stress:
-	GOMAXPROCS=2 $(GO) test -count=5 ./internal/lifecycle ./internal/backend ./internal/distributor ./internal/conntrack ./internal/core ./internal/mgmt ./internal/nfs ./internal/l4router ./internal/monitor
+	GOMAXPROCS=2 $(GO) test -count=5 ./internal/lifecycle ./internal/backend ./internal/distributor ./internal/conntrack ./internal/core ./internal/mgmt ./internal/nfs ./internal/monitor
 	GOMAXPROCS=2 $(GO) test -count=5 -run TestServerLifecycle .
 	GOMAXPROCS=2 $(GO) test -race -count=3 -run TestCacheRecycleSafety ./internal/distributor
 	$(GO) test -count=3 -cpu 1,2 -run TestRawPreemption ./internal/httpx
@@ -129,10 +129,10 @@ bench:
 # so its gate has no slack too; besides that and the client's it counts
 # the in-process back end's, a fraction of one per request, so it runs
 # 2000 iterations, enough that the start-up allocations cannot round the
-# average up a whole one. The relay and traced relay gates have no slack
-# and run 2000 iterations for the same reason: one allocation added per
-# request fails them. The large-body relay's allocs gate has no slack
-# either; its throughput (MB/s) gate runs at the default
+# average up a whole one. The relay, traced relay and parallel relay gates
+# have no slack and run 2000 iterations for the same reason: one
+# allocation added per request fails them. The large-body relay's allocs
+# gate has no slack either; its throughput (MB/s) gate runs at the default
 # benchtime so the number is meaningful, and fails when mb_per_sec drops
 # more than 10% below the archived snapshot. The management insert
 # crosses six sockets and two more goroutine hand-offs per operation
@@ -146,6 +146,8 @@ allocguard:
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_relay.json -tolerance 0
 	$(GO) test -run '^$$' -bench 'BenchmarkDistributorRelayTraced$$' -benchtime=2000x -benchmem . \
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_telemetry.json -tolerance 0
+	$(GO) test -run '^$$' -bench 'BenchmarkDistributorRelayParallel$$' -benchtime=2000x -benchmem . \
+		| $(GO) run ./cmd/benchguard -snapshot BENCH_relay.json -tolerance 0
 	$(GO) test -run '^$$' -bench 'BenchmarkDistributorRelayLarge' -benchmem . \
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_relay.json -tolerance 0
 	$(GO) test -run '^$$' -bench 'BenchmarkDistributorCacheHit$$' -benchtime=100x -benchmem . \

@@ -5,7 +5,7 @@
 //	Figure 2 (Workload A)    → BenchmarkFigure2*
 //	Figure 3 (Workload B)    → BenchmarkFigure3*
 //	Figure 4 (segregation)   → BenchmarkFigure4
-//	distributor relay cost   → BenchmarkDistributorRelay, BenchmarkL4RouterRelay
+//	distributor relay cost   → BenchmarkDistributorRelay
 //	ablations                → BenchmarkReplicaSelection*, BenchmarkConnPool
 //
 // The simulation benchmarks report the figure's metric (requests/second)
@@ -31,7 +31,6 @@ import (
 	"webcluster/internal/distributor"
 	"webcluster/internal/httpx"
 	"webcluster/internal/journal"
-	"webcluster/internal/l4router"
 	"webcluster/internal/loadbal"
 	"webcluster/internal/mgmt"
 	"webcluster/internal/respcache"
@@ -637,60 +636,6 @@ func BenchmarkDistributorCacheCoalescedMiss(b *testing.B) {
 	b.StopTimer()
 	st := rc.Stats()
 	b.ReportMetric(float64(st.Coalesced)/float64(b.N), "coalesced/op")
-}
-
-// BenchmarkL4RouterRelay is the baseline: one request through the
-// content-blind layer-4 router (fresh connection per request, as L4
-// semantics require for correct WLC counting).
-func BenchmarkL4RouterRelay(b *testing.B) {
-	store := &backend.MemStore{}
-	_ = store.Put("/bench.html", backend.SynthesizeBody("/bench.html", 4096))
-	srv, err := backend.NewServer(backend.ServerOptions{
-		Spec: config.NodeSpec{
-			ID: "n1", CPUMHz: 350, MemoryMB: 64,
-			Disk: config.DiskSCSI, Platform: config.LinuxApache,
-		},
-		Store: store,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	router, err := l4router.New(loadbal.WeightedLeastConn{}, []l4router.Backend{
-		{ID: "n1", Weight: 1, Addr: addr},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = router.Close() }()
-	front, err := router.Start("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := &httpx.Request{
-		Method: "GET", Target: "/bench.html", Path: "/bench.html",
-		Proto: httpx.Proto11, Header: httpx.NewHeader("Connection", "close"),
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conn, err := net.Dial("tcp", front)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := httpx.WriteRequest(conn, req); err != nil {
-			b.Fatal(err)
-		}
-		resp, err := httpx.ReadResponse(bufio.NewReader(conn))
-		if err != nil || resp.StatusCode != 200 {
-			b.Fatalf("resp %v %v", resp, err)
-		}
-		_ = conn.Close()
-	}
 }
 
 // mgmtBenchController returns a controller managing one in-memory broker

@@ -292,7 +292,7 @@ func runPartitionWithPicker(p sim.ExperimentParams, picker loadbal.Picker) (sim.
 		return sim.Result{}, err
 	}
 	eng := &sim.Engine{}
-	table, err := sim.PartitionSite(site, p.Spec, p.Placement)
+	table, err := sim.PartitionTable(site, p.Spec, p.Placement)
 	if err != nil {
 		return sim.Result{}, err
 	}

@@ -69,7 +69,7 @@ func run(addr string, args []string) error {
 	objects := sub.Int("objects", 500, "loadsite: object count")
 	seed := sub.Int64("seed", 1, "loadsite: seed")
 	wl := sub.String("workload", "A", "loadsite: workload A|B")
-	policy := sub.String("policy", "type", "loadsite: placement policy type|all|rr")
+	policy := sub.String("policy", "type", "loadsite: placement policy type (partition by content type) or all (every node)")
 	limit := sub.Int("limit", 0, "traces/journal/explain: max entries to show (0 = server default)")
 	follow := sub.Bool("follow", false, "journal: poll and print new events until interrupted")
 

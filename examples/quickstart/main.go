@@ -9,6 +9,7 @@ import (
 
 	"webcluster/internal/content"
 	"webcluster/internal/core"
+	"webcluster/internal/loadbal"
 )
 
 func main() {
@@ -27,9 +28,9 @@ func run() error {
 	}
 	defer func() { _ = cluster.Close() }()
 
-	// 2. Generate a small synthetic site and place it by type: CGI/ASP
+	// 2. Generate a small synthetic site and partition it by type: CGI/ASP
 	// on the fast node, video on the big-disk node, statics spread over
-	// the slower nodes, critical pages replicated.
+	// the slower nodes by memory, the hottest and critical pages replicated.
 	site, err := content.GenerateSite(content.GenParams{
 		Objects:          200,
 		Seed:             42,
@@ -41,7 +42,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := cluster.PlaceSite(site, core.PlaceByType()); err != nil {
+	holders, err := loadbal.Partition(site, cluster.Spec, loadbal.DefaultPlacementOptions())
+	if err != nil {
+		return err
+	}
+	if err := cluster.PlaceSite(site, holders); err != nil {
 		return err
 	}
 	fmt.Println("cluster up —")

@@ -37,86 +37,6 @@ import (
 	"webcluster/internal/workload"
 )
 
-// PlacementFunc decides which nodes hold an object at site-load time. The
-// returned slice must name at least one node of the cluster spec.
-type PlacementFunc func(obj content.Object, spec config.ClusterSpec) []config.NodeID
-
-// PlaceAll replicates every object on every node (the traditional full-
-// replication scheme, §1.1).
-func PlaceAll(_ content.Object, spec config.ClusterSpec) []config.NodeID {
-	return spec.NodeIDs()
-}
-
-// PlaceRoundRobin spreads objects one-per-node in rank order (a minimal
-// partitioning baseline). The zero value is not usable; construct with
-// NewPlaceRoundRobin.
-type PlaceRoundRobin struct {
-	next int
-}
-
-// NewPlaceRoundRobin returns a fresh round-robin placer.
-func NewPlaceRoundRobin() *PlaceRoundRobin { return &PlaceRoundRobin{} }
-
-// Place implements PlacementFunc semantics as a method.
-func (p *PlaceRoundRobin) Place(_ content.Object, spec config.ClusterSpec) []config.NodeID {
-	ids := spec.NodeIDs()
-	id := ids[p.next%len(ids)]
-	p.next++
-	return []config.NodeID{id}
-}
-
-// PlaceByType returns the paper's recommended policy (§1.2, §4): dynamic
-// content on the fastest-CPU nodes, video on the largest-disk nodes,
-// static content round-robined over the remaining nodes (or all nodes if
-// the split would leave a group empty), with priority content replicated
-// everywhere static lives.
-func PlaceByType() PlacementFunc {
-	var staticNext, dynNext, videoNext int
-	return func(obj content.Object, spec config.ClusterSpec) []config.NodeID {
-		maxMHz, maxDisk := 0, 0
-		for _, n := range spec.Nodes {
-			if n.CPUMHz > maxMHz {
-				maxMHz = n.CPUMHz
-			}
-			if n.DiskGB > maxDisk {
-				maxDisk = n.DiskGB
-			}
-		}
-		var fast, rest, bigDisk []config.NodeID
-		for _, n := range spec.Nodes {
-			if n.CPUMHz == maxMHz {
-				fast = append(fast, n.ID)
-			} else {
-				rest = append(rest, n.ID)
-			}
-			if n.DiskGB == maxDisk {
-				bigDisk = append(bigDisk, n.ID)
-			}
-		}
-		if len(rest) == 0 {
-			rest = spec.NodeIDs()
-		}
-		switch {
-		case obj.Class.Dynamic():
-			id := fast[dynNext%len(fast)]
-			dynNext++
-			return []config.NodeID{id}
-		case obj.Class == content.ClassVideo:
-			id := bigDisk[videoNext%len(bigDisk)]
-			videoNext++
-			return []config.NodeID{id}
-		case obj.Priority > 0:
-			// Critical content is replicated across the static group
-			// for availability (§3.2).
-			return append([]config.NodeID(nil), rest...)
-		default:
-			id := rest[staticNext%len(rest)]
-			staticNext++
-			return []config.NodeID{id}
-		}
-	}
-}
-
 // Options configures Launch and Attach: one struct describes a front end
 // (and, for Launch, the nodes behind it); cmd/distributor only fills it
 // from flags.
@@ -455,18 +375,16 @@ func (c *Cluster) classStats() []journal.ClassStats {
 	return out
 }
 
-// PlaceSite loads a site through the controller using the placement
-// policy, so every object is stored on its nodes (via store-file agents)
-// and registered in the URL table.
-func (c *Cluster) PlaceSite(site *content.Site, place PlacementFunc) error {
-	if place == nil {
-		place = PlaceAll
+// PlaceSite loads a site through the controller: every object is stored
+// on the nodes holders[rank] names for its rank (via store-file agents)
+// and registered in the URL table. loadbal.Partition computes the paper's
+// placement in that shape.
+func (c *Cluster) PlaceSite(site *content.Site, holders [][]config.NodeID) error {
+	if len(holders) != site.Len() {
+		return fmt.Errorf("core: %d holder lists for %d objects", len(holders), site.Len())
 	}
-	for _, obj := range site.Objects() {
-		nodes := place(obj, c.Spec)
-		if len(nodes) == 0 {
-			return fmt.Errorf("core: placement returned no nodes for %s", obj.Path)
-		}
+	for rank, nodes := range holders {
+		obj := site.ByRank(rank)
 		var data []byte
 		if !obj.Class.Dynamic() {
 			data = backend.SynthesizeBody(obj.Path, obj.Size)
@@ -497,18 +415,23 @@ func (c *Cluster) consoleSiteLoader(req mgmt.ConsoleRequest) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var place PlacementFunc
+	var holders [][]config.NodeID
 	switch req.Policy {
 	case "", "type":
-		place = PlaceByType()
+		holders, err = loadbal.Partition(site, c.Spec, loadbal.DefaultPlacementOptions())
+		if err != nil {
+			return "", err
+		}
 	case "all":
-		place = PlaceAll
-	case "rr":
-		place = NewPlaceRoundRobin().Place
+		all := c.Spec.NodeIDs()
+		holders = make([][]config.NodeID, site.Len())
+		for rank := range holders {
+			holders[rank] = all
+		}
 	default:
 		return "", fmt.Errorf("core: unknown policy %q", req.Policy)
 	}
-	if err := c.PlaceSite(site, place); err != nil {
+	if err := c.PlaceSite(site, holders); err != nil {
 		return "", err
 	}
 	return fmt.Sprintf("placed %d objects (workload %s, policy %s)",

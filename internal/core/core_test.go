@@ -43,6 +43,18 @@ func smallSite(t *testing.T) *content.Site {
 	return site
 }
 
+// placeByType partitions site with the planner and places it.
+func placeByType(t *testing.T, cluster *Cluster, site *content.Site) {
+	t.Helper()
+	holders, err := loadbal.Partition(site, cluster.Spec, loadbal.DefaultPlacementOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.PlaceSite(site, holders); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLaunchDefaults(t *testing.T) {
 	cluster := launch(t, Options{})
 	if len(cluster.Nodes) != 3 {
@@ -59,9 +71,7 @@ func TestLaunchDefaults(t *testing.T) {
 func TestPlaceSiteAndGet(t *testing.T) {
 	cluster := launch(t, Options{})
 	site := smallSite(t)
-	if err := cluster.PlaceSite(site, PlaceByType()); err != nil {
-		t.Fatal(err)
-	}
+	placeByType(t, cluster, site)
 	if cluster.Table.Len() != site.Len() {
 		t.Fatalf("table has %d of %d", cluster.Table.Len(), site.Len())
 	}
@@ -89,9 +99,7 @@ func TestPlaceSiteAndGet(t *testing.T) {
 func TestPlaceByTypePolicy(t *testing.T) {
 	cluster := launch(t, Options{})
 	site := smallSite(t)
-	if err := cluster.PlaceSite(site, PlaceByType()); err != nil {
-		t.Fatal(err)
-	}
+	placeByType(t, cluster, site)
 	// Dynamic content only on the fastest node; critical replicated.
 	for _, obj := range site.Objects() {
 		rec, err := cluster.Table.Lookup(obj.Path)
@@ -121,7 +129,11 @@ func TestPlaceAllPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.PlaceSite(site, PlaceAll); err != nil {
+	all := make([][]config.NodeID, site.Len())
+	for rank := range all {
+		all[rank] = cluster.Spec.NodeIDs()
+	}
+	if err := cluster.PlaceSite(site, all); err != nil {
 		t.Fatal(err)
 	}
 	rec, err := cluster.Table.Lookup(site.ByRank(0).Path)
@@ -130,24 +142,6 @@ func TestPlaceAllPolicy(t *testing.T) {
 	}
 	if len(rec.Locations) != 3 {
 		t.Fatalf("full replication produced %v", rec.Locations)
-	}
-}
-
-func TestPlaceRoundRobinPolicy(t *testing.T) {
-	p := NewPlaceRoundRobin()
-	spec := DefaultSpec()
-	seen := map[config.NodeID]int{}
-	for i := 0; i < 9; i++ {
-		locs := p.Place(content.Object{Path: "/x"}, spec)
-		if len(locs) != 1 {
-			t.Fatalf("locs = %v", locs)
-		}
-		seen[locs[0]]++
-	}
-	for _, n := range spec.NodeIDs() {
-		if seen[n] != 3 {
-			t.Fatalf("uneven RR: %v", seen)
-		}
 	}
 }
 
@@ -179,7 +173,7 @@ func TestConsoleIntegration(t *testing.T) {
 
 	// loadsite through the console, then fetch through the front end.
 	resp, err := console.Do(mgmt.ConsoleRequest{
-		Op: "loadsite", Objects: 50, Workload: "A", Policy: "rr", Seed: 3,
+		Op: "loadsite", Objects: 50, Workload: "A", Policy: "type", Seed: 3,
 	})
 	if err != nil {
 		t.Fatalf("loadsite: %v (%+v)", err, resp)
@@ -209,9 +203,7 @@ func TestAutoBalancerLoopRuns(t *testing.T) {
 func TestSummary(t *testing.T) {
 	cluster := launch(t, Options{})
 	site := smallSite(t)
-	if err := cluster.PlaceSite(site, PlaceByType()); err != nil {
-		t.Fatal(err)
-	}
+	placeByType(t, cluster, site)
 	s := cluster.Summary()
 	if !strings.Contains(s, "fast-1") || !strings.Contains(s, "URL table") {
 		t.Fatalf("summary = %q", s)
@@ -245,9 +237,7 @@ func TestLaunchRejectsBadSpec(t *testing.T) {
 func TestWorkloadAgainstCore(t *testing.T) {
 	cluster := launch(t, Options{})
 	site := smallSite(t)
-	if err := cluster.PlaceSite(site, PlaceByType()); err != nil {
-		t.Fatal(err)
-	}
+	placeByType(t, cluster, site)
 	report, err := workload.RunClientPool(workload.ClientPoolOptions{
 		Addr:      cluster.FrontAddr,
 		Clients:   4,

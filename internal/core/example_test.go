@@ -6,6 +6,7 @@ import (
 
 	"webcluster/internal/content"
 	"webcluster/internal/core"
+	"webcluster/internal/loadbal"
 )
 
 // Example launches a complete in-process cluster, partitions a generated
@@ -23,7 +24,11 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := cluster.PlaceSite(site, core.PlaceByType()); err != nil {
+	holders, err := loadbal.Partition(site, cluster.Spec, loadbal.DefaultPlacementOptions())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := cluster.PlaceSite(site, holders); err != nil {
 		log.Fatal(err)
 	}
 

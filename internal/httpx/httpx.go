@@ -669,6 +669,10 @@ func WriteResponse(w io.Writer, resp *Response) error {
 	return nil
 }
 
+// errFileClosed is sendFile's error for a BodyFile closed before the send
+// began: nothing went out, so the caller may still write the body itself.
+var errFileClosed = errors.New("httpx: body file closed")
+
 // WriteResponseFile is WriteResponse for a response whose body f holds
 // byte for byte: the header goes out by send(2) and the body by
 // sendfile(2) from f, so no body byte enters user space. An f closed

@@ -12,8 +12,8 @@ import (
 // handful of syscalls without large per-request allocations.
 const (
 	readerBufSize = 4 << 10
-	// CopyBufSize is the size of the pooled buffers CopyBody, Relay's
-	// copy loop and SpliceStreams' fallback relay with.
+	// CopyBufSize is the size of the pooled buffers CopyBody and Relay's
+	// copy loop relay with.
 	CopyBufSize = 256 << 10
 	// headerBufSize is the staging capacity for a serialized header
 	// section (writeVectored); oversized sections grow the slice and the

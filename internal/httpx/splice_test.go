@@ -1,3 +1,5 @@
+//go:build linux
+
 package httpx
 
 import (
@@ -87,64 +89,6 @@ func TestBareTCP(t *testing.T) {
 	defer func() { _ = p1.Close(); _ = p2.Close() }()
 	if _, _, ok := bareTCP(p1, p2); ok {
 		t.Fatal("net.Pipe ends are not TCP")
-	}
-}
-
-// relayChain pushes payload through SpliceStreams across two TCP hops
-// (client → relay → sink), with optional wrapping of the relay's source
-// side, and returns what the sink received.
-func relayChain(t *testing.T, payload []byte, wrap func(net.Conn) net.Conn) []byte {
-	t.Helper()
-	upClient, upServer := tcpPair(t)
-	downClient, downServer := tcpPair(t)
-
-	src := net.Conn(upServer)
-	if wrap != nil {
-		src = wrap(src)
-	}
-	relayDone := make(chan error, 1)
-	go func() {
-		_, err := SpliceStreams(downClient, src)
-		_ = downClient.CloseWrite()
-		relayDone <- err
-	}()
-	go func() {
-		_, _ = upClient.Write(payload)
-		_ = upClient.CloseWrite()
-	}()
-	got, err := io.ReadAll(downServer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-relayDone; err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
-func TestSpliceStreamsTCPPath(t *testing.T) {
-	payload := bytes.Repeat([]byte("s"), 2*CopyBufSize+7)
-	got := relayChain(t, payload, nil)
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("TCP splice path moved %d bytes, want %d", len(got), len(payload))
-	}
-}
-
-// TestSpliceStreamsFallback wraps the source (so it is no longer a
-// *TCPConn) and checks the buffered fallback moves the same bytes, every
-// one of them through the wrapper: the fast path never unwrapped it.
-func TestSpliceStreamsFallback(t *testing.T) {
-	payload := bytes.Repeat([]byte("f"), CopyBufSize+4096)
-	var w *wrappedConn
-	got := relayChain(t, payload, func(c net.Conn) net.Conn {
-		w = &wrappedConn{Conn: c}
-		return w
-	})
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("fallback path moved %d bytes, want %d", len(got), len(payload))
-	}
-	if n := w.read.Load(); n != int64(len(payload)) {
-		t.Fatalf("the wrapper read %d bytes, want %d", n, len(payload))
 	}
 }
 

@@ -14,35 +14,17 @@ import (
 // (client went away).
 var ErrBodyTruncated = errors.New("httpx: body truncated")
 
-// bareTCP is the one rule both relays — the distributor's response relay
-// and the L4 router's stream splice — apply before moving bytes in the
-// kernel: dst and src must both be *TCPConn values, whose splice runs on
-// the raw path and never brings the payload into user space. A wrapped
+// bareTCP is the rule the response relay applies before moving bytes in
+// the kernel: dst and src must both be *TCPConn values, whose splice runs
+// on the raw path and never brings the payload into user space. A wrapped
 // connection (fault injection, TLS, a test double) fails the rule on
 // purpose: unwrapping it would move bytes the wrapper never sees and
 // bypass injected faults. Such a pair takes the copy loop through a pooled
-// CopyBufSize buffer, the one fallback pool both relays share.
+// CopyBufSize buffer.
 func bareTCP(dst io.Writer, src io.Reader) (*TCPConn, *TCPConn, bool) {
 	tdst, dok := dst.(*TCPConn)
 	tsrc, sok := src.(*TCPConn)
 	return tdst, tsrc, dok && sok
-}
-
-// SpliceStreams relays src into dst until EOF or error, returning the
-// bytes moved: one direction of the L4 router's connection splice. A bare
-// TCP pair moves in the kernel through a pooled pipe; any other pairing
-// copies through a pooled buffer, with both ends wrapped in bare structs
-// so io.CopyBuffer cannot bypass it through their own ReaderFrom/WriterTo.
-func SpliceStreams(dst io.Writer, src io.Reader) (int64, error) {
-	if tdst, tsrc, ok := bareTCP(dst, src); ok {
-		if p := acquirePipe(); p != nil {
-			defer releasePipe(p)
-			return spliceStream(tdst, tsrc, p)
-		}
-	}
-	bufp := defaultPools.acquireCopyBuf()
-	defer defaultPools.releaseCopyBuf(bufp)
-	return io.CopyBuffer(struct{ io.Writer }{dst}, struct{ io.Reader }{src}, *bufp)
 }
 
 // copyBodyBuf is the relay loop: it copies exactly n bytes from src to dst

@@ -1,3 +1,5 @@
+//go:build linux
+
 package httpx
 
 import (
@@ -377,22 +379,6 @@ func spliceBody(dst, src *TCPConn, p *pipe, n, total int64) (int64, error) {
 	return moved, nil
 }
 
-// spliceStream moves src into dst in the kernel until src's EOF.
-func spliceStream(dst, src *TCPConn, p *pipe) (int64, error) {
-	var moved int64
-	for {
-		got, err := src.drainTo(p, p.size)
-		if err != nil || got == 0 {
-			return moved, err
-		}
-		m, err := dst.pumpFrom(p)
-		moved += m
-		if err != nil {
-			return moved, err
-		}
-	}
-}
-
 // BodyFile is a response body sealed into a memfd, which TCPConn's
 // sendFile moves to a socket by sendfile(2) without the body entering user
 // space. The seal is what makes that safe: the socket holds references to
@@ -465,10 +451,6 @@ func NewBodyFile(body []byte) (*BodyFile, error) {
 // Close closes the memfd. A send already in flight completes; one that
 // starts after reports errFileClosed.
 func (b *BodyFile) Close() error { return b.f.Close() }
-
-// errFileClosed is sendFile's error for a BodyFile closed before the send
-// began: nothing went out, so the caller may still write the body itself.
-var errFileClosed = errors.New("httpx: body file closed")
 
 // send(2) flags (linux/socket.h).
 const (

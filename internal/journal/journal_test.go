@@ -338,6 +338,68 @@ func TestRecorderNeverOverwritesABundle(t *testing.T) {
 	}
 }
 
+// A bundle's name appears only once all its bytes are written: a reader
+// racing the dumps (the glob a test or an operator runs, a successor after
+// a crash) never parses a torn or empty bundle.
+func TestRecorderBundlesAppearWhole(t *testing.T) {
+	dir := t.TempDir()
+	r, err := NewRecorder(RecorderOptions{Journal: New(Options{Node: "front"}), Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A large source makes each write take long enough to be caught
+	// half done.
+	big := strings.Repeat("x", 1<<20)
+	r.AddSource("big", func() any { return big })
+	const dumps = 20
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < dumps; i++ {
+			if _, err := r.Dump("race"); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	defer func() { <-done }() // a failed read still waits for the writer
+	parsed := map[string]bool{}
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true // one more pass sees the last bundles
+		default:
+		}
+		paths, err := filepath.Glob(filepath.Join(dir, "flight-*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range paths {
+			if parsed[p] {
+				continue
+			}
+			b, err := ReadBundle(p)
+			if err != nil {
+				t.Fatalf("read a bundle as it appeared: %v", err)
+			}
+			if b.Reason != "race" {
+				t.Fatalf("bundle %s has reason %q", p, b.Reason)
+			}
+			parsed[p] = true
+		}
+	}
+	if len(parsed) != dumps {
+		t.Fatalf("parsed %d bundles, want %d", len(parsed), dumps)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != dumps {
+		t.Fatalf("%d files in the directory, want %d bundles and no temporaries", len(files), dumps)
+	}
+}
+
 func TestSanitize(t *testing.T) {
 	cases := map[string]string{
 		"":                       "manual",

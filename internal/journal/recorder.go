@@ -200,26 +200,41 @@ func (r *Recorder) Dump(reason string) (string, error) {
 // write stores a bundle under the first flight-NNN-<name>.json not yet
 // in the directory. The counter starts at 1 in every process, and a
 // restarted distributor or a promoted backup shares the directory of the
-// one before it, so a taken name is skipped, never overwritten.
+// one before it, so a taken name is skipped, never overwritten. The bytes
+// go to a temporary file first, and the bundle's name is a hard link to
+// it made once they are all written: a reader (a glob, an operator, the
+// successor after a crash) sees a whole bundle or none.
 func (r *Recorder) write(name string, data []byte) (string, error) {
+	f, err := os.CreateTemp(r.dir, ".flight-*.tmp")
+	if err != nil {
+		return "", err
+	}
+	tmp := f.Name()
+	defer func() { _ = os.Remove(tmp) }()
+	err = f.Chmod(0o644) // CreateTemp's 0600 would hide bundles from operators
+	if err == nil {
+		_, err = f.Write(data)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return "", err
+	}
 	for {
 		r.mu.Lock()
 		r.dumps++
 		n := r.dumps
 		r.mu.Unlock()
 		path := filepath.Join(r.dir, fmt.Sprintf("flight-%03d-%s.json", n, name))
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		err := os.Link(tmp, path)
 		if errors.Is(err, fs.ErrExist) {
 			continue
 		}
 		if err != nil {
 			return "", err
 		}
-		_, err = f.Write(data)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		return path, err
+		return path, nil
 	}
 }
 

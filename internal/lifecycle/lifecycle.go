@@ -35,8 +35,8 @@ var ErrClosed = errors.New("lifecycle: closed")
 //   - A connection is registered under the lock Close sweeps under, with
 //     the closed flag re-checked, so none can register after the sweep and
 //     idle in a read nobody will interrupt.
-//   - After Close, Listen fails and leaves no listener, Track refuses and
-//     Every starts nothing.
+//   - After Close, Listen fails and leaves no listener, an accepted
+//     connection is closed unserved, and Every starts nothing.
 type Group struct {
 	// Wrap, when set, replaces each accepted connection before it is
 	// tracked and served (fault injection). Set it before Listen. It is
@@ -125,7 +125,7 @@ func (g *Group) acceptLoop(l net.Listener, serve func(net.Conn)) {
 		if g.Wrap != nil {
 			conn = g.Wrap(conn)
 		}
-		release, ok := g.Track(conn)
+		release, ok := g.track(conn)
 		if !ok {
 			return
 		}
@@ -138,10 +138,9 @@ func (g *Group) acceptLoop(l net.Listener, serve func(net.Conn)) {
 	}
 }
 
-// Track registers a connection a serve function dialed itself, so Close
-// closes it too; release closes it and forgets it. After Close, Track
-// closes c and reports false.
-func (g *Group) Track(c net.Conn) (release func(), ok bool) {
+// track registers an accepted connection, so Close closes it too; release
+// closes it and forgets it. After Close, track closes c and reports false.
+func (g *Group) track(c net.Conn) (release func(), ok bool) {
 	g.lock()
 	if g.closed {
 		g.mu.Unlock()

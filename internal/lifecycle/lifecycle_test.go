@@ -115,9 +115,9 @@ func TestTrack(t *testing.T) {
 	var g Group
 	a, b := net.Pipe()
 	defer func() { _ = b.Close() }()
-	release, ok := g.Track(a)
+	release, ok := g.track(a)
 	if !ok {
-		t.Fatal("Track refused on an open group")
+		t.Fatal("track refused on an open group")
 	}
 	release()
 	if _, err := a.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
@@ -126,8 +126,8 @@ func TestTrack(t *testing.T) {
 
 	swept, peer := net.Pipe()
 	defer func() { _ = peer.Close() }()
-	if _, ok := g.Track(swept); !ok {
-		t.Fatal("Track refused on an open group")
+	if _, ok := g.track(swept); !ok {
+		t.Fatal("track refused on an open group")
 	}
 	closeWithin(t, &g, time.Second)
 	if _, err := swept.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
@@ -136,8 +136,8 @@ func TestTrack(t *testing.T) {
 
 	late, peer2 := net.Pipe()
 	defer func() { _ = peer2.Close() }()
-	if _, ok := g.Track(late); ok {
-		t.Fatal("Track accepted a connection after Close")
+	if _, ok := g.track(late); ok {
+		t.Fatal("track accepted a connection after Close")
 	}
 	if _, err := late.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("a refused connection was left open: write error %v", err)

@@ -168,43 +168,40 @@ var auditMutations = []auditMutation{
 		return fmt.Errorf("backup: connecting to primary: %w", err)
 	}
 `},
-	{"FH3", "faulthook", "internal/l4router/l4router.go",
-		`	if err := r.faults.Fail("l4router.dial"); err != nil {
-		r.failed.Add(1)
-		return
+	{"FH3", "faulthook", "internal/nfs/nfs.go",
+		`	timeout, in := c.timeout, c.faults
+	if n := len(c.free); n > 0 {
+		cc := c.free[n-1]
+		c.free = c.free[:n-1]
+		c.mu.Unlock()
+		return cc, nil
 	}
-	server, err := net.DialTimeout("tcp", backend.Addr, dialTimeout)
-	if err != nil {
-		r.failed.Add(1)
-		return
+	c.mu.Unlock()
+	if err := in.Fail("nfs.dial"); err != nil {
+		return nil, fmt.Errorf("nfs: dial %s: %w", c.addr, err)
 	}
-	server = r.faults.Conn("l4router.server", httpx.WrapTCP(server))
 `,
-		`	server, err := net.DialTimeout("tcp", backend.Addr, dialTimeout)
-	if err != nil {
-		r.failed.Add(1)
-		return
+		`	timeout := c.timeout
+	if n := len(c.free); n > 0 {
+		cc := c.free[n-1]
+		c.free = c.free[:n-1]
+		c.mu.Unlock()
+		return cc, nil
 	}
-	server = httpx.WrapTCP(server)
+	c.mu.Unlock()
 `},
-	{"FH4", "faulthook", "internal/l4router/l4router.go",
-		`	for _, b := range backends {
-		if b.ID == id {
-			return b, nil
-		}
-	}
+	{"FH4", "faulthook", "internal/distributor/distributor.go",
+		`	for _, n := range opts.Cluster.Nodes {
+		addrs[n.ID] = n.Addr
 `,
-		`	for _, b := range backends {
-		if b.ID == id {
-			// refuse a back end that no longer accepts connections
-			c, err := net.DialTimeout("tcp", b.Addr, dialTimeout)
-			if err != nil {
-				return Backend{}, err
-			}
-			_ = c.Close()
-			return b, nil
+		`	for _, n := range opts.Cluster.Nodes {
+		// refuse a back end that does not accept connections
+		c, err := net.DialTimeout("tcp", n.Addr, 2*time.Second)
+		if err != nil {
+			return nil, err
 		}
-	}
+		_ = c.Close()
+		addrs[n.ID] = n.Addr
 `},
 	{"LS1", "lockscope", "internal/nfs/nfs.go",
 		`	c.mu.Lock()

@@ -63,7 +63,7 @@ func Suite() []*analysis.Analyzer {
 // one, "pkg/file.go") it applies to; an analyzer with no entry applies
 // everywhere. deadlinecheck and faulthook are scoped to the layers that
 // own outbound connections: the paper's data plane
-// (distributor/conntrack/backend/nfs/l4router) plus, for deadlines, the
+// (distributor/conntrack/backend/nfs) plus, for deadlines, the
 // management plane and monitor whose wedged calls the chaos suite
 // exercises, and for fault points the backup's dial to its primary — the
 // one management dial the chaos suite breaks.
@@ -73,7 +73,6 @@ var scopes = map[string][]string{
 		"internal/mgmt",
 		"internal/monitor",
 		"internal/conntrack",
-		"internal/l4router",
 		"internal/nfs",
 		"internal/core",
 	},
@@ -82,7 +81,6 @@ var scopes = map[string][]string{
 		"internal/conntrack",
 		"internal/backend",
 		"internal/nfs",
-		"internal/l4router",
 		"internal/mgmt/replication.go",
 	},
 }

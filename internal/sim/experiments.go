@@ -7,6 +7,7 @@ import (
 
 	"webcluster/internal/config"
 	"webcluster/internal/content"
+	"webcluster/internal/loadbal"
 	"webcluster/internal/workload"
 )
 
@@ -30,7 +31,7 @@ type ExperimentParams struct {
 	// Run overrides the per-point run parameters' windows.
 	Warmup, Measure time.Duration
 	// Placement tunes configuration 3.
-	Placement PlacementOptions
+	Placement loadbal.PlacementOptions
 }
 
 // DefaultExperimentParams returns the standard evaluation setup.
@@ -44,7 +45,7 @@ func DefaultExperimentParams() ExperimentParams {
 		Seed:              1,
 		Warmup:            8 * time.Second,
 		Measure:           20 * time.Second,
-		Placement:         DefaultPlacementOptions(),
+		Placement:         loadbal.DefaultPlacementOptions(),
 	}
 }
 

@@ -37,7 +37,7 @@ type ScenarioOptions struct {
 	// Scheme selects the placement scheme (default SchemePartition).
 	Scheme Scheme
 	// Placement tunes SchemePartition.
-	Placement PlacementOptions
+	Placement loadbal.PlacementOptions
 	// AutoBalance runs the §3.3 auto-replication planner at every
 	// timeline interval (content-aware schemes only).
 	AutoBalance bool
@@ -58,7 +58,7 @@ func DefaultScenarioOptions() ScenarioOptions {
 		Cluster:     config.PaperTestbed(),
 		Hardware:    DefaultHardware(),
 		Scheme:      SchemePartition,
-		Placement:   DefaultPlacementOptions(),
+		Placement:   loadbal.DefaultPlacementOptions(),
 		AutoBalance: true,
 		Planner: loadbal.PlannerOptions{
 			Threshold:         0.25,

@@ -9,6 +9,7 @@ import (
 	"webcluster/internal/admission"
 	"webcluster/internal/config"
 	"webcluster/internal/content"
+	"webcluster/internal/loadbal"
 	"webcluster/internal/urltable"
 	"webcluster/internal/workload"
 )
@@ -329,108 +330,12 @@ func smallSite(t *testing.T, kind workload.Kind, objects int) *content.Site {
 	return site
 }
 
-func TestPartitionSitePlacesEverything(t *testing.T) {
-	site := smallSite(t, workload.KindB, 2000)
-	spec := config.PaperTestbed()
-	table, err := PartitionSite(site, spec, DefaultPlacementOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table.Len() != site.Len() {
-		t.Fatalf("placed %d of %d", table.Len(), site.Len())
-	}
-	fast := map[config.NodeID]bool{}
-	slow := map[config.NodeID]bool{}
-	bigDisk := map[config.NodeID]bool{}
-	for _, n := range spec.Nodes {
-		if n.CPUMHz == 350 {
-			fast[n.ID] = true
-		} else {
-			slow[n.ID] = true
-		}
-		if n.DiskGB == 8 {
-			bigDisk[n.ID] = true
-		}
-	}
-	table.Walk(func(r urltable.Record) {
-		if len(r.Locations) == 0 {
-			t.Errorf("%s has no locations", r.Path)
-			return
-		}
-		switch {
-		case r.Class == content.ClassCGI || r.Class == content.ClassASP:
-			for _, loc := range r.Locations {
-				if !fast[loc] {
-					t.Errorf("dynamic %s on slow node %s", r.Path, loc)
-				}
-			}
-		case r.Class == content.ClassVideo:
-			for _, loc := range r.Locations {
-				if !bigDisk[loc] {
-					t.Errorf("video %s on small-disk node %s", r.Path, loc)
-				}
-			}
-		default:
-			// Segregated statics avoid the dynamic (fast) group.
-			for _, loc := range r.Locations {
-				if fast[loc] {
-					t.Errorf("static %s on dynamic node %s", r.Path, loc)
-				}
-			}
-		}
-	})
-}
-
-func TestPartitionSiteWorkloadAUsesAllNodes(t *testing.T) {
-	site := smallSite(t, workload.KindA, 1000)
-	spec := config.PaperTestbed()
-	table, err := PartitionSite(site, spec, DefaultPlacementOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	used := map[config.NodeID]bool{}
-	table.Walk(func(r urltable.Record) {
-		for _, loc := range r.Locations {
-			used[loc] = true
-		}
-	})
-	if len(used) != len(spec.Nodes) {
-		t.Fatalf("static-only site uses %d of %d nodes", len(used), len(spec.Nodes))
-	}
-}
-
-func TestPartitionSiteHotReplicas(t *testing.T) {
-	site := smallSite(t, workload.KindA, 1000)
-	spec := config.PaperTestbed()
-	opts := DefaultPlacementOptions()
-	table, err := PartitionSite(site, spec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The hottest static object must be multi-copy.
-	for rank := 0; rank < site.Len(); rank++ {
-		obj := site.ByRank(rank)
-		if obj.Class != content.ClassHTML && obj.Class != content.ClassImage {
-			continue
-		}
-		rec, err := table.Lookup(obj.Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rec.Locations) != opts.HotReplicas {
-			t.Fatalf("hottest static %s has %d copies, want %d",
-				obj.Path, len(rec.Locations), opts.HotReplicas)
-		}
-		break
-	}
-}
-
 func TestBuildDeploymentSchemes(t *testing.T) {
 	site := smallSite(t, workload.KindA, 300)
 	spec := config.PaperTestbed()
 	for _, scheme := range []Scheme{SchemeFullReplication, SchemeNFS, SchemePartition} {
 		eng := &Engine{}
-		cluster, err := BuildDeployment(eng, DefaultHardware(), spec, site, scheme, DefaultPlacementOptions())
+		cluster, err := BuildDeployment(eng, DefaultHardware(), spec, site, scheme, loadbal.DefaultPlacementOptions())
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
@@ -448,7 +353,7 @@ func TestBuildDeploymentSchemes(t *testing.T) {
 			}
 		}
 	}
-	if _, err := BuildDeployment(&Engine{}, DefaultHardware(), spec, site, Scheme(9), DefaultPlacementOptions()); err == nil {
+	if _, err := BuildDeployment(&Engine{}, DefaultHardware(), spec, site, Scheme(9), loadbal.DefaultPlacementOptions()); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
 }
@@ -458,7 +363,7 @@ func runSmall(t *testing.T, kind workload.Kind, scheme Scheme, clients int) Resu
 	t.Helper()
 	site := smallSite(t, kind, 800)
 	eng := &Engine{}
-	cluster, err := BuildDeployment(eng, DefaultHardware(), config.PaperTestbed(), site, scheme, DefaultPlacementOptions())
+	cluster, err := BuildDeployment(eng, DefaultHardware(), config.PaperTestbed(), site, scheme, loadbal.DefaultPlacementOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +423,7 @@ func TestRunMoreClientsMoreThroughputUntilSaturation(t *testing.T) {
 func TestRunValidation(t *testing.T) {
 	site := smallSite(t, workload.KindA, 100)
 	eng := &Engine{}
-	cluster, err := BuildDeployment(eng, DefaultHardware(), config.PaperTestbed(), site, SchemePartition, DefaultPlacementOptions())
+	cluster, err := BuildDeployment(eng, DefaultHardware(), config.PaperTestbed(), site, SchemePartition, loadbal.DefaultPlacementOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +435,7 @@ func TestRunValidation(t *testing.T) {
 func TestBuildCustomPicker(t *testing.T) {
 	site := smallSite(t, workload.KindA, 300)
 	spec := config.PaperTestbed()
-	table, err := PartitionSite(site, spec, DefaultPlacementOptions())
+	table, err := PartitionTable(site, spec, loadbal.DefaultPlacementOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -625,7 +530,7 @@ func TestPropertyPlacementCovers(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		table, err := PartitionSite(site, spec, DefaultPlacementOptions())
+		table, err := PartitionTable(site, spec, loadbal.DefaultPlacementOptions())
 		if err != nil {
 			return false
 		}
@@ -689,7 +594,7 @@ func TestAutoBalanceExperimentValidation(t *testing.T) {
 func TestFrontendObserver(t *testing.T) {
 	site := smallSite(t, workload.KindA, 100)
 	spec := config.PaperTestbed()
-	table, err := PartitionSite(site, spec, DefaultPlacementOptions())
+	table, err := PartitionTable(site, spec, loadbal.DefaultPlacementOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"webcluster/internal/backend"
 	"webcluster/internal/config"
 	"webcluster/internal/distributor"
-	"webcluster/internal/l4router"
 	"webcluster/internal/mgmt"
 	"webcluster/internal/nfs"
 	"webcluster/internal/telemetry"
@@ -20,7 +19,7 @@ import (
 	"webcluster/internal/urltable"
 )
 
-// listener is what the eight networked components have in common.
+// listener is what the seven networked components have in common.
 type listener interface {
 	Start(addr string) (string, error)
 	Close() error
@@ -100,13 +99,6 @@ func TestServerLifecycle(t *testing.T) {
 			return mgmt.NewConsoleServer(mgmt.NewController(urltable.New(urltable.Options{})), nil)
 		}},
 		{"nfs", func(*testing.T, string) listener { return nfs.NewServer(&backend.MemStore{}) }},
-		{"l4router", func(t *testing.T, web string) listener {
-			r, err := l4router.New(nil, []l4router.Backend{{ID: "n1", Weight: 1, Addr: web}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r
-		}},
 		{"admin", func(*testing.T, string) listener {
 			return telemetry.NewAdmin(telemetry.New(telemetry.Options{Node: "front"}))
 		}},
