@@ -1,7 +1,7 @@
 GO ?= go
 
 # Benchmarks covered by `make bench` — the relay/routing fast path.
-BENCH_HOT = BenchmarkDistributorRelay$$|BenchmarkDistributorRelayLarge|BenchmarkDistributorRelayParallel|BenchmarkURLTableLookup|BenchmarkHTTPParse|BenchmarkConnPool|BenchmarkMappingTable
+BENCH_HOT = BenchmarkDistributorRelay$$|BenchmarkDistributorRelayLarge|BenchmarkDistributorRelayParallel|BenchmarkURLTableLookup|BenchmarkHTTPParse|BenchmarkConnPool
 
 # Response-cache benchmarks, archived separately (BENCH_cache.json): hit,
 # cold miss, and coalesced miss through the live distributor.
@@ -21,7 +21,7 @@ BENCH_ADMISSION = BenchmarkAdmissionDecision
 # their MB/s is what the frame codec and the copy-once data path bought.
 BENCH_MGMT = BenchmarkMgmtInsert|BenchmarkMgmtReplicate
 
-.PHONY: all vet lint lint-audit build test race stress chaos sim bench bench-check allocguard loc e2e ci
+.PHONY: all vet lint lint-audit build test race stress chaos sim bench bench-check allocguard loc e2e e2e-aa ci
 
 all: ci
 
@@ -179,5 +179,12 @@ PAIRS ?= 10
 SEED ?= 1
 e2e:
 	bash scripts/e2e.sh $(BASE) $(W) $(PAIRS) $(SEED)
+
+# The A/A noise floor of workload W: HEAD against itself through the same
+# loop, both sides unpacked from HEAD. It writes W's per-metric pair
+# differences, their spread and the host (cores, Go, CPU model) into the
+# committed E2E_NOISE.json, and make e2e prints each row against it.
+e2e-aa:
+	E2E_AA=1 bash scripts/e2e.sh HEAD $(W) $(PAIRS) $(SEED)
 
 ci: vet lint lint-audit build test bench-check race allocguard

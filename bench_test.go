@@ -120,27 +120,6 @@ func BenchmarkURLTableInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkMappingTable measures the distributor's per-connection state
-// machine: install, handshake, bind, request, teardown.
-func BenchmarkMappingTable(b *testing.B) {
-	mt := conntrack.NewMappingTable()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key := conntrack.ClientKey{IP: "10.0.0.1", Port: i & 0xffff}
-		if _, err := mt.Install(key, uint32(i), 0); err != nil {
-			b.Fatal(err)
-		}
-		_, _ = mt.Advance(key, conntrack.EventHandshakeDone)
-		_ = mt.Bind(key, "n1")
-		_, _ = mt.Advance(key, conntrack.EventRequestBound)
-		_, _ = mt.Advance(key, conntrack.EventRequestDone)
-		_, _ = mt.Advance(key, conntrack.EventClientFin)
-		_, _ = mt.Advance(key, conntrack.EventFinAcked)
-		_, _ = mt.Advance(key, conntrack.EventLastAck)
-	}
-}
-
 // BenchmarkConnPool measures pre-forked connection checkout/return.
 func BenchmarkConnPool(b *testing.B) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")

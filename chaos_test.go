@@ -10,7 +10,7 @@ package webcluster
 //     response header had reached the client when the fault began — see
 //     TestChaosSlowReplicaFailover);
 //   - takeover completes under replication-stream truncation/corruption;
-//   - the mapping table drains to CLOSED after traffic stops;
+//   - every client connection is released after traffic stops;
 //   - no goroutine outlives its test (testutil.NoLeaks).
 
 import (
@@ -176,13 +176,19 @@ func driveWorkloadA(t *testing.T, front string, site *content.Site, d time.Durat
 	return report
 }
 
-// assertMappingDrains: after traffic ends, every tracked client
-// connection must walk to CLOSED and be deleted.
-func assertMappingDrains(t *testing.T, d *distributor.Distributor) {
+// clientConns reads d's distributor_client_conns gauge: how many client
+// connections it is serving.
+func clientConns(d *distributor.Distributor) int {
+	return int(d.Stats().Snapshot().Gauges["distributor_client_conns"])
+}
+
+// assertClientConnsDrain: after traffic ends, every client connection must
+// be closed and leave the distributor's registry.
+func assertClientConnsDrain(t *testing.T, d *distributor.Distributor) {
 	t.Helper()
 	testutil.Eventually(t, 3*time.Second, func() bool {
-		return d.Mapping().Len() == 0
-	}, "mapping table did not drain to CLOSED: %d entries live", d.Mapping().Len())
+		return clientConns(d) == 0
+	}, "client connections did not drain: %d live", clientConns(d))
 }
 
 // TestChaosSlowReplicaFailover: mid-run, every distributor connection to
@@ -242,7 +248,7 @@ func TestChaosSlowReplicaFailover(t *testing.T) {
 		t.Fatal("schedule never hit the fault point — scenario exercised nothing")
 	}
 	h.In.Clear("pool.conn/n1")
-	assertMappingDrains(t, cc.dist)
+	assertClientConnsDrain(t, cc.dist)
 }
 
 // TestChaosReplicationStreamTakeover: the backup must still take over
@@ -346,10 +352,8 @@ func promoteDistributor(addr string, successor **distributor.Distributor) mgmt.P
 
 // TestTakeoverCarriesNoDeadConnections: a keep-alive client connected to
 // the primary while a snapshot replicates is not carried over to the
-// successor. Its TCP connection died with the primary; a restored entry
-// for it would never reach CLOSED, and the client reconnecting from the
-// same ip:port would be refused as a duplicate. The successor's mapping
-// table drains to empty.
+// successor. Its TCP connection died with the primary, so the successor
+// serves no client connection once it has taken over.
 func TestTakeoverCarriesNoDeadConnections(t *testing.T) {
 	cc := startChaosCluster(t, nil, 1)
 	site := chaosSite(t, cc, 5, 404)
@@ -369,7 +373,7 @@ func TestTakeoverCarriesNoDeadConnections(t *testing.T) {
 	if resp, err := httpx.ReadResponse(bufio.NewReader(client)); err != nil || resp.StatusCode != 200 {
 		t.Fatalf("keep-alive GET = %v, %v", resp, err)
 	}
-	if n := cc.dist.Mapping().Len(); n != 1 {
+	if n := clientConns(cc.dist); n != 1 {
 		t.Fatalf("primary tracks %d connections, want the keep-alive client", n)
 	}
 
@@ -392,13 +396,13 @@ func TestTakeoverCarriesNoDeadConnections(t *testing.T) {
 		t.Fatalf("takeover = %v, %v", promoted, err)
 	}
 	defer func() { _ = successor.Close() }()
-	assertMappingDrains(t, successor)
+	assertClientConnsDrain(t, successor)
 }
 
 // TestChaosBackendCrashRestartUnderLoad: one node crashes mid-run and
 // later restarts on the same address while Workload-A traffic flows.
 // Every request must be absorbed by the surviving replica (zero errors),
-// and the mapping table must drain afterwards.
+// and every client connection must be released afterwards.
 func TestChaosBackendCrashRestartUnderLoad(t *testing.T) {
 	h := faults.NewHarness(faults.Seed(303), t.Logf)
 	cc := startChaosCluster(t, h.In, 2)
@@ -448,7 +452,7 @@ func TestChaosBackendCrashRestartUnderLoad(t *testing.T) {
 		t.Fatalf("lost %d of %d requests across crash/restart (seed %d)",
 			report.Errors, report.Requests, h.In.Seed())
 	}
-	assertMappingDrains(t, cc.dist)
+	assertClientConnsDrain(t, cc.dist)
 }
 
 // TestChaosProberBlackhole: black-holing one node's health probes in a
@@ -565,7 +569,7 @@ func TestChaosStaleOnError(t *testing.T) {
 	if st := rc.Stats(); st.StaleServed == 0 || st.Revalidated == 0 {
 		t.Fatalf("cache stats after scenario: %+v", st)
 	}
-	assertMappingDrains(t, cc.dist)
+	assertClientConnsDrain(t, cc.dist)
 }
 
 // TestChaosFlightRecorderCausalChain: killing a replica mid-traffic must

@@ -1,3 +1,5 @@
+//go:build linux
+
 package backend
 
 import (
@@ -56,6 +58,25 @@ func opened(t *testing.T, before map[uint64]string) []string {
 		}
 	}
 	return out
+}
+
+// firstHit runs a static hit's first exchange and checks that it filled one
+// body memfd exactly when the body is large enough to leave by sendfile(2).
+func firstHit(t *testing.T, size int, exchange func() []byte) []byte {
+	t.Helper()
+	before := bodyFiles(t)
+	hit := exchange()
+	if got, want := len(opened(t, before)), btoi(size >= sendfileMin); got != want {
+		t.Fatalf("the first hit opened %d body memfds, want %d", got, want)
+	}
+	return hit
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // pattern returns n bytes that differ from any shift of themselves, so a

@@ -2,227 +2,16 @@ package conntrack
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"webcluster/internal/config"
 	"webcluster/internal/faults"
 	"webcluster/internal/testutil"
 )
-
-func TestStateStrings(t *testing.T) {
-	want := map[State]string{
-		StateSynReceived: "SYN_RECEIVED",
-		StateEstablished: "ESTABLISHED",
-		StateBound:       "BOUND",
-		StateFinReceived: "FIN_RECEIVED",
-		StateHalfClosed:  "HALF_CLOSED",
-		StateClosed:      "CLOSED",
-	}
-	for s, str := range want {
-		if s.String() != str {
-			t.Errorf("%d.String() = %q, want %q", s, s.String(), str)
-		}
-	}
-}
-
-func TestHappyPathLifecycle(t *testing.T) {
-	// The §2.2 teardown: SYN → ESTABLISHED → BOUND → ... → CLOSED.
-	steps := []struct {
-		ev   Event
-		want State
-	}{
-		{EventHandshakeDone, StateEstablished},
-		{EventRequestBound, StateBound},
-		{EventRequestDone, StateEstablished},
-		{EventRequestBound, StateBound}, // keep-alive: second request
-		{EventRequestDone, StateEstablished},
-		{EventClientFin, StateFinReceived},
-		{EventFinAcked, StateHalfClosed},
-		{EventLastAck, StateClosed},
-	}
-	s := StateSynReceived
-	for i, step := range steps {
-		next, err := Next(s, step.ev)
-		if err != nil {
-			t.Fatalf("step %d (%v in %v): %v", i, step.ev, s, err)
-		}
-		if next != step.want {
-			t.Fatalf("step %d: %v, want %v", i, next, step.want)
-		}
-		s = next
-	}
-}
-
-func TestFinWhileBound(t *testing.T) {
-	s, err := Next(StateBound, EventClientFin)
-	if err != nil || s != StateFinReceived {
-		t.Fatalf("FIN in BOUND → %v, %v", s, err)
-	}
-}
-
-func TestResetFromEveryLiveState(t *testing.T) {
-	for _, s := range []State{StateSynReceived, StateEstablished, StateBound, StateFinReceived, StateHalfClosed} {
-		next, err := Next(s, EventReset)
-		if err != nil || next != StateClosed {
-			t.Errorf("reset from %v → %v, %v", s, next, err)
-		}
-	}
-	if _, err := Next(StateClosed, EventReset); err == nil {
-		t.Error("reset from CLOSED accepted")
-	}
-}
-
-// TestPropertyInvalidTransitionsRejected: exhaustively check that every
-// (state, event) pair either transitions to a valid state or returns
-// ErrBadTransition with the pair recorded.
-func TestExhaustiveTransitionTable(t *testing.T) {
-	states := []State{StateSynReceived, StateEstablished, StateBound, StateFinReceived, StateHalfClosed, StateClosed}
-	events := []Event{EventHandshakeDone, EventRequestBound, EventRequestDone, EventClientFin, EventFinAcked, EventLastAck, EventReset}
-	valid := 0
-	for _, s := range states {
-		for _, ev := range events {
-			next, err := Next(s, ev)
-			if err != nil {
-				var bad *ErrBadTransition
-				if !errors.As(err, &bad) {
-					t.Fatalf("error type %T", err)
-				}
-				if bad.From != s || bad.Event != ev {
-					t.Fatalf("error fields %+v for (%v,%v)", bad, s, ev)
-				}
-				if next != s {
-					t.Fatalf("failed transition moved state %v → %v", s, next)
-				}
-				continue
-			}
-			valid++
-			if next < StateSynReceived || next > StateClosed {
-				t.Fatalf("transition to invalid state %d", next)
-			}
-		}
-	}
-	// Happy-path transitions plus FIN-from-BOUND plus 5 resets.
-	if valid != 12 {
-		t.Fatalf("valid transition count = %d, want 12", valid)
-	}
-}
-
-func TestMappingInstallAdvance(t *testing.T) {
-	mt := NewMappingTable()
-	key := ClientKey{IP: "10.0.0.1", Port: 1234}
-	e, err := mt.Install(key, 100, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.State != StateSynReceived || e.Seq != 100 || e.Ack != 200 {
-		t.Fatalf("entry = %+v", e)
-	}
-	if _, err := mt.Install(key, 1, 2); !errors.Is(err, ErrEntryExists) {
-		t.Fatalf("duplicate install: %v", err)
-	}
-	if mt.Len() != 1 {
-		t.Fatalf("len = %d", mt.Len())
-	}
-	if _, err := mt.Advance(key, EventHandshakeDone); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := mt.Get(key)
-	if !ok || got.State != StateEstablished {
-		t.Fatalf("entry after advance = %+v %v", got, ok)
-	}
-}
-
-func TestMappingCloseDeletesEntry(t *testing.T) {
-	mt := NewMappingTable()
-	key := ClientKey{IP: "1.2.3.4", Port: 80}
-	_, _ = mt.Install(key, 0, 0)
-	for _, ev := range []Event{EventHandshakeDone, EventClientFin, EventFinAcked, EventLastAck} {
-		if _, err := mt.Advance(key, ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if mt.Len() != 0 {
-		t.Fatal("closed entry not deleted")
-	}
-	installed, deleted, live := mt.Counts()
-	if installed != 1 || deleted != 1 || live != 0 {
-		t.Fatalf("counts = %d %d %d", installed, deleted, live)
-	}
-	if _, err := mt.Advance(key, EventReset); !errors.Is(err, ErrEntryNotFound) {
-		t.Fatalf("advance after delete: %v", err)
-	}
-}
-
-func TestMappingBindAndRequests(t *testing.T) {
-	mt := NewMappingTable()
-	key := ClientKey{IP: "9.9.9.9", Port: 999}
-	_, _ = mt.Install(key, 0, 0)
-	_, _ = mt.Advance(key, EventHandshakeDone)
-	if err := mt.Bind(key, config.NodeID("n7")); err != nil {
-		t.Fatal(err)
-	}
-	_, _ = mt.Advance(key, EventRequestBound)
-	_, _ = mt.Advance(key, EventRequestDone)
-	_, _ = mt.Advance(key, EventRequestBound)
-	e, _ := mt.Get(key)
-	if e.Backend != "n7" || e.Requests != 2 {
-		t.Fatalf("entry = %+v", e)
-	}
-	if err := mt.Bind(ClientKey{IP: "x"}, "n1"); !errors.Is(err, ErrEntryNotFound) {
-		t.Fatalf("bind missing: %v", err)
-	}
-}
-
-func TestMappingBadTransitionKeepsEntry(t *testing.T) {
-	mt := NewMappingTable()
-	key := ClientKey{IP: "1.1.1.1", Port: 1}
-	_, _ = mt.Install(key, 0, 0)
-	if _, err := mt.Advance(key, EventLastAck); err == nil {
-		t.Fatal("invalid event accepted")
-	}
-	if mt.Len() != 1 {
-		t.Fatal("entry dropped on invalid event")
-	}
-}
-
-func TestClientKeyString(t *testing.T) {
-	k := ClientKey{IP: "1.2.3.4", Port: 80}
-	if k.String() != "1.2.3.4:80" {
-		t.Fatalf("String = %q", k.String())
-	}
-}
-
-// TestPropertyMappingNeverNegative: random event sequences never corrupt
-// the live count (len == installed - deleted).
-func TestPropertyMappingAccounting(t *testing.T) {
-	f := func(ops []uint8) bool {
-		mt := NewMappingTable()
-		events := []Event{EventHandshakeDone, EventRequestBound, EventRequestDone,
-			EventClientFin, EventFinAcked, EventLastAck, EventReset}
-		for i, op := range ops {
-			key := ClientKey{IP: "k", Port: int(op % 8)}
-			if op%5 == 0 {
-				_, _ = mt.Install(key, uint32(i), 0)
-			} else {
-				_, _ = mt.Advance(key, events[int(op)%len(events)])
-			}
-			installed, deleted, live := mt.Counts()
-			if int64(live) != installed-deleted || live < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // poolServer accepts and holds connections for pool tests.
 func poolServer(t *testing.T) (addr string, accepted *atomic.Int32, cleanup func()) {
@@ -519,6 +308,44 @@ func TestPoolConnOwnsItsReader(t *testing.T) {
 	}
 }
 
+// Dial never hands out an idle connection: under the maximum it dials
+// beside the idle ones, at the maximum it closes one and dials in its slot.
+func TestPoolDialSkipsIdle(t *testing.T) {
+	addr, accepted, cleanup := poolServer(t)
+	defer cleanup()
+	p := NewPool(testDialer(addr), 1, 2)
+	defer func() { _ = p.Close() }()
+	if err := p.Prefork([]config.NodeID{"n1"}); err != nil {
+		t.Fatal(err)
+	}
+	idle, err := p.Acquire("n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release(idle)
+	a, err := p.Dial("n1") // under the maximum: a second connection
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == idle || p.IdleCount("n1") != 1 {
+		t.Fatalf("Dial under the maximum took the idle connection (idle left %d)", p.IdleCount("n1"))
+	}
+	b, err := p.Dial("n1") // at the maximum: the idle one gives its slot
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b == idle || p.IdleCount("n1") != 0 {
+		t.Fatalf("Dial at the maximum took the idle connection (idle left %d)", p.IdleCount("n1"))
+	}
+	if _, err := idle.Conn.Write([]byte("x")); err == nil {
+		t.Fatal("the idle connection whose slot was dialed is still open")
+	}
+	testutil.Eventually(t, 5*time.Second, func() bool { return accepted.Load() == 3 },
+		"server accepted %d connections, want 3 (prefork + two dials)", accepted.Load())
+	p.Release(a)
+	p.Release(b)
+}
+
 // The per-node fault points keep their names: pool.checkout/<node> and
 // pool.dial/<node> refuse exactly that node.
 func TestPoolFaultPoints(t *testing.T) {
@@ -574,13 +401,4 @@ func TestPoolConcurrentAcquireRelease(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestEventStrings(t *testing.T) {
-	for _, ev := range []Event{EventHandshakeDone, EventRequestBound, EventRequestDone,
-		EventClientFin, EventFinAcked, EventLastAck, EventReset} {
-		if s := ev.String(); s == "" || s == fmt.Sprintf("Event(%d)", int(ev)) {
-			t.Errorf("event %d has no name", ev)
-		}
-	}
 }

@@ -1,3 +1,7 @@
+// Package conntrack holds the distributor's pool of pre-forked persistent
+// connections to the back-end nodes (§2.2). A client connection's binding
+// to a node lives in the goroutine that serves it; the distributor's
+// lifecycle.Group is the one registry of live client connections.
 package conntrack
 
 import (
@@ -176,6 +180,20 @@ func (p *Pool) dialNode(np *nodePool) (*PooledConn, error) {
 // one, dialing a fresh one when under the per-node maximum, and otherwise
 // blocking until a connection is released.
 func (p *Pool) Acquire(node config.NodeID) (*PooledConn, error) {
+	return p.acquire(node, false)
+}
+
+// Dial checks out a newly dialed connection to node, never an idle one: the
+// retry after a pooled connection failed, when the idle ones are likely
+// broken alike (a back end that restarted broke them all). At the per-node
+// maximum an idle connection is closed to make room; with none idle it
+// blocks until a connection is released.
+func (p *Pool) Dial(node config.NodeID) (*PooledConn, error) {
+	return p.acquire(node, true)
+}
+
+// acquire is Acquire, or Dial when fresh.
+func (p *Pool) acquire(node config.NodeID, fresh bool) (*PooledConn, error) {
 	np, err := p.nodeFor(node)
 	if err != nil {
 		return nil, err
@@ -189,31 +207,42 @@ func (p *Pool) Acquire(node config.NodeID) (*PooledConn, error) {
 			np.mu.Unlock()
 			return nil, ErrPoolClosed
 		}
-		if n := len(np.idle); n > 0 {
+		if n := len(np.idle); n > 0 && (!fresh || np.total == np.max) {
 			pc := np.idle[n-1]
 			np.idle[n-1] = nil
 			np.idle = np.idle[:n-1]
 			np.mu.Unlock()
-			return pc, nil
+			if !fresh {
+				return pc, nil
+			}
+			// the idle connection's slot is the one dialed
+			_ = pc.Conn.Close()
+			return p.dialSlot(np)
 		}
 		if np.total < np.max {
 			np.total++
 			np.mu.Unlock()
-			pc, err := p.dialNode(np)
-			if err != nil {
-				np.mu.Lock()
-				np.total--
-				np.cond.Signal()
-				np.mu.Unlock()
-				return nil, err
-			}
-			p.mu.Lock()
-			p.overflow++
-			p.mu.Unlock()
-			return pc, nil
+			return p.dialSlot(np)
 		}
 		np.cond.Wait()
 	}
+}
+
+// dialSlot dials into a slot of np's maximum the caller has counted in
+// np.total, giving the slot back if the dial fails.
+func (p *Pool) dialSlot(np *nodePool) (*PooledConn, error) {
+	pc, err := p.dialNode(np)
+	if err != nil {
+		np.mu.Lock()
+		np.total--
+		np.cond.Signal()
+		np.mu.Unlock()
+		return nil, err
+	}
+	p.mu.Lock()
+	p.overflow++
+	p.mu.Unlock()
+	return pc, nil
 }
 
 // Release returns a healthy connection to the idle list.

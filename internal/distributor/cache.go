@@ -8,8 +8,7 @@ package distributor
 // the body again), misses are fetched once per path no matter how many
 // clients are waiting (singleflight), and when every replica of a path is
 // down an expired copy within the stale window is served rather than a
-// 502. Cache hits never touch the mapping table — no back-end connection
-// is bound — so the client connection simply stays ESTABLISHED.
+// 502. A cache hit binds no back-end connection.
 
 import (
 	"fmt"

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -106,7 +105,6 @@ type Distributor struct {
 	cluster config.ClusterSpec
 	picker  loadbal.Picker
 	pool    *conntrack.Pool
-	mapping *conntrack.MappingTable
 	// pools holds the data plane's reusable readers, requests and relay
 	// buffers.
 	pools   *httpx.Pools
@@ -141,8 +139,8 @@ type Distributor struct {
 	noRoute atomic.Int64
 	relayNs atomic.Int64 // summed relay overhead (routing decision time)
 	// truncations counts relays where the back end delivered fewer body
-	// bytes than its Content-Length promised; each one resets the client
-	// mapping (the client saw a short response).
+	// bytes than its Content-Length promised; each one closes the client
+	// connection (the client saw a short response).
 	truncations atomic.Int64
 
 	logMu     sync.Mutex
@@ -206,7 +204,6 @@ func New(opts Options) (*Distributor, error) {
 		table:     opts.Table,
 		cluster:   opts.Cluster,
 		picker:    picker,
-		mapping:   conntrack.NewMappingTable(),
 		pools:     httpx.NewPools(),
 		cache:     opts.Cache,
 		tel:       opts.Telemetry,
@@ -240,6 +237,8 @@ func New(opts Options) (*Distributor, error) {
 		return httpx.WrapTCP(c), nil
 	}, prefork, maxConns)
 	d.pool.SetFaults(opts.Faults)
+	// The client connections being served: d.life is their one registry.
+	stats.GaugeFunc("distributor_client_conns", func() float64 { return float64(d.life.Conns()) })
 	if opts.Admission != nil {
 		admOpts := *opts.Admission
 		admOpts.Registry = stats
@@ -272,9 +271,6 @@ func (d *Distributor) Table() *urltable.Table { return d.table }
 
 // Tracker returns the §3.3 load tracker fed by completed requests.
 func (d *Distributor) Tracker() *loadbal.Tracker { return d.tracker }
-
-// Mapping returns the connection mapping table.
-func (d *Distributor) Mapping() *conntrack.MappingTable { return d.mapping }
 
 // Stats returns per-class statistics observed at the front end.
 func (d *Distributor) Stats() *telemetry.Registry { return d.stats }
@@ -313,33 +309,13 @@ func (d *Distributor) Start(addr string) (string, error) {
 	return bound, nil
 }
 
-// clientKey derives the mapping-table key from the connection's remote
-// address.
-func clientKey(conn net.Conn) conntrack.ClientKey {
-	host, portStr, err := net.SplitHostPort(conn.RemoteAddr().String())
-	if err != nil {
-		return conntrack.ClientKey{IP: conn.RemoteAddr().String()}
-	}
-	port, _ := strconv.Atoi(portStr)
-	return conntrack.ClientKey{IP: host, Port: port}
-}
-
-// serveClient runs the §2.2 lifecycle for one client connection: install a
-// mapping entry at "SYN" (accept), walk the state machine through request
-// binding and teardown, and run every request the connection carries
-// through the pipeline in exchange.go. Pipelined HTTP/1.1 requests drain
-// in-loop — buffered bytes from the same read feed the next iteration
-// directly.
+// serveClient runs every request one client connection carries through
+// the pipeline in exchange.go. Pipelined HTTP/1.1 requests drain in-loop —
+// buffered bytes from the same read feed the next iteration directly. The
+// connection is registered with d.life from its accept until this returns,
+// and the node serving its current request is x.node: the paper's §2.2
+// mapping table, without a table (the kernel keeps the TCP state).
 func (d *Distributor) serveClient(client net.Conn) {
-	key := clientKey(client)
-	// The accept completing stands in for the SYN/ACK exchange; Go hands
-	// us the connection post-handshake, so install then mark established.
-	if _, err := d.mapping.Install(key, 0, 0); err != nil {
-		return
-	}
-	if _, err := d.mapping.Advance(key, conntrack.EventHandshakeDone); err != nil {
-		return
-	}
 	// Reader and request come from the pools and are reused across
 	// every keep-alive request on this connection, so steady-state parsing
 	// allocates nothing.
@@ -347,15 +323,13 @@ func (d *Distributor) serveClient(client net.Conn) {
 	defer d.pools.ReleaseReader(br)
 	req := d.pools.AcquireRequest()
 	defer d.pools.ReleaseRequest(req)
-	x := exchange{d: d, client: client, key: key, req: req,
+	x := exchange{d: d, client: client, req: req,
 		cands: make([]loadbal.NodeState, 0, len(d.cluster.Nodes))}
-	clean := false
 	for {
 		err := x.parse(br)
 		if errors.Is(err, io.EOF) {
 			// Client FIN with no request in flight.
 			x.closeSpan("client-fin")
-			clean = true
 			break
 		}
 		if errors.Is(err, httpx.ErrBodyTooLarge) {
@@ -393,17 +367,8 @@ func (d *Distributor) serveClient(client net.Conn) {
 		if !req.KeepAlive() {
 			// HTTP/1.0 close: distributor sets FIN toward the client
 			// after the last relayed packet (§2.2).
-			clean = true
 			break
 		}
-	}
-	if !clean {
-		_, _ = d.mapping.Advance(key, conntrack.EventReset)
-		return
-	}
-	if _, err := d.mapping.Advance(key, conntrack.EventClientFin); err == nil {
-		_, _ = d.mapping.Advance(key, conntrack.EventFinAcked)
-		_, _ = d.mapping.Advance(key, conntrack.EventLastAck)
 	}
 }
 
@@ -419,8 +384,9 @@ func idempotent(req *httpx.Request) bool {
 // connection (the caller streams it with httpx.RelayResponse). Each
 // attempt runs under the exchange deadline so a stalled or slow-loris back
 // end surfaces as a timeout instead of hanging the relay goroutine; failed
-// attempts discard the connection and retry (bounded, with doubling
-// backoff) — a stale keep-alive connection is the common recoverable case.
+// attempts discard the connection and retry on a newly dialed one
+// (bounded, with doubling backoff) — a stale keep-alive connection is the
+// common recoverable case.
 // Retries only happen for idempotent requests: a non-idempotent body was
 // already sent on the wire once, so a second send could apply its effect
 // twice.
@@ -445,7 +411,16 @@ func (d *Distributor) exchangeStart(node config.NodeID, req *httpx.Request, resp
 				backoff *= 2
 			}
 		}
-		pc, err := d.pool.Acquire(node)
+		var pc *conntrack.PooledConn
+		var err error
+		if attempt == 0 {
+			pc, err = d.pool.Acquire(node)
+		} else {
+			// The last connection broke. The idle ones to the same node
+			// are likely broken alike (a back end that restarted broke
+			// them all), so the retry dials.
+			pc, err = d.pool.Dial(node)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("acquiring connection to %s: %w", node, err)
 		}

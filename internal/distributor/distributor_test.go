@@ -78,6 +78,12 @@ func startClusterOpts(t *testing.T, n int, tweak func(*Options)) *testCluster {
 	return &testCluster{table: table, dist: dist, front: front, backends: backends, spec: spec}
 }
 
+// clientConns reads the distributor_client_conns gauge: how many client
+// connections the distributor is serving.
+func clientConns(d *Distributor) int {
+	return int(d.Stats().Snapshot().Gauges["distributor_client_conns"])
+}
+
 // place puts an object on specific nodes and registers it.
 func (tc *testCluster) place(t *testing.T, path string, body []byte, nodes ...config.NodeID) {
 	t.Helper()
@@ -210,10 +216,9 @@ func TestKeepAliveMultipleRequests(t *testing.T) {
 			t.Fatalf("GET %s → %d", path, resp.StatusCode)
 		}
 	}
-	// One client connection, one mapping entry, three bound requests.
-	installed, _, _ := tc.dist.Mapping().Counts()
-	if installed != 1 {
-		t.Fatalf("mapping installs = %d", installed)
+	// One client connection carried all three requests and is still open.
+	if n := clientConns(tc.dist); n != 1 {
+		t.Fatalf("client connections = %d, want the one keep-alive connection", n)
 	}
 }
 
@@ -244,10 +249,10 @@ func TestHTTP10ClosesAfterResponse(t *testing.T) {
 	if _, err := br.ReadByte(); err == nil {
 		t.Fatal("distributor held the connection open")
 	}
-	// Mapping entry cleaned up.
+	// The connection left the distributor's registry.
 	testutil.Eventually(t, time.Second, func() bool {
-		return tc.dist.Mapping().Len() == 0
-	}, "mapping entries leaked: %d", tc.dist.Mapping().Len())
+		return clientConns(tc.dist) == 0
+	}, "client connections leaked: %d", clientConns(tc.dist))
 }
 
 func TestMappingCleanupOnEOF(t *testing.T) {
@@ -257,15 +262,25 @@ func TestMappingCleanupOnEOF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Send nothing; close immediately (client FIN with no request).
+	// One keep-alive exchange, so the connection is known to be served.
+	req := &httpx.Request{
+		Method: "GET", Target: "/a.html", Path: "/a.html",
+		Proto: httpx.Proto11, Header: httpx.NewHeader("Host", "c"),
+	}
+	if err := httpx.WriteRequest(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := httpx.ReadResponse(bufio.NewReader(conn)); err != nil || resp.StatusCode != 200 {
+		t.Fatalf("GET = %v, %v", resp, err)
+	}
+	if n := clientConns(tc.dist); n != 1 {
+		t.Fatalf("client connections = %d, want the keep-alive client", n)
+	}
+	// Then close with no request in flight (client FIN).
 	_ = conn.Close()
 	testutil.Eventually(t, time.Second, func() bool {
-		if tc.dist.Mapping().Len() != 0 {
-			return false
-		}
-		installed, deleted, _ := tc.dist.Mapping().Counts()
-		return installed >= 1 && deleted == installed
-	}, "mapping not cleaned after client EOF")
+		return clientConns(tc.dist) == 0
+	}, "client connection not released after client EOF: %d", clientConns(tc.dist))
 }
 
 func TestTrackerRecordsLoad(t *testing.T) {

@@ -62,7 +62,6 @@ type exchange struct {
 	// Fixed for the connection.
 	d      *Distributor
 	client net.Conn
-	key    conntrack.ClientKey
 	req    *httpx.Request
 	// resp and cands are the back-end leg's storage, reused by every
 	// exchange the connection makes with a back end — relay, miss leader,
@@ -412,17 +411,13 @@ func (x *exchange) fail(err error) bool {
 }
 
 // stream relays x.resp from the pooled back-end connection to the client,
-// with the mapping entry bound to the back end for as long as the two
-// connections are spliced (§2.2): the header leaves with what the
+// the client bound to x.node for as long as the two connections are
+// spliced (§2.2): the header leaves with what the
 // connection's reader holds, and the rest of the body moves in the kernel
 // when both connections are bare TCP. A response to HEAD is its header
 // alone.
 func (x *exchange) stream(pc *conntrack.PooledConn) bool {
 	d, req, resp := x.d, x.req, &x.resp
-	// The entry was installed by this goroutine and only this goroutine
-	// advances it, so the bookkeeping transitions cannot fail here.
-	_ = d.mapping.Bind(x.key, x.node)
-	_, _ = d.mapping.Advance(x.key, conntrack.EventRequestBound)
 	relayed, err := d.pools.Relay(x.client, resp, pc.Reader, httpx.RelayOptions{
 		Proto:      req.Proto,
 		ForceClose: !req.KeepAlive(),
@@ -432,7 +427,7 @@ func (x *exchange) stream(pc *conntrack.PooledConn) bool {
 	if err != nil {
 		// The header already reached the client, so the exchange cannot
 		// be retried; the back-end connection has lost framing either
-		// way. Drop both connections (the caller resets the mapping).
+		// way. Drop both connections (the caller closes the client's).
 		d.pool.Discard(pc)
 		if errors.Is(err, httpx.ErrBodyTruncated) {
 			d.truncations.Add(1)
@@ -443,15 +438,13 @@ func (x *exchange) stream(pc *conntrack.PooledConn) bool {
 	// A failure to settle costs only the pooled connection (settleConn
 	// discards it); the client already has the whole response.
 	_ = d.settleConn(pc, resp)
-	_, _ = d.mapping.Advance(x.key, conntrack.EventRequestDone)
 	x.finish(resp.StatusCode, relayed, outRelayed)
 	return true
 }
 
 // replyCached replays e to the client, honoring client conditionals
 // (If-None-Match / If-Modified-Since → 304) and emitting Age plus the
-// X-Dist-Cache verdict. No back-end connection is bound, so the mapping
-// entry simply stays ESTABLISHED.
+// X-Dist-Cache verdict. No back-end connection is bound.
 func (x *exchange) replyCached(e *respcache.Entry, verdict string) bool {
 	req, cache := x.req, x.d.cache
 	if x.node == "" {
@@ -551,8 +544,13 @@ func (x *exchange) logAccess(status int, bytes int64) {
 	if d.accessLog == nil {
 		return
 	}
+	// The client's address is parsed here, only when a line is written.
+	ip := x.client.RemoteAddr().String()
+	if host, _, err := net.SplitHostPort(ip); err == nil {
+		ip = host
+	}
 	entry := trace.Entry{
-		ClientIP: x.key.IP,
+		ClientIP: ip,
 		Time:     time.Now(),
 		Method:   x.req.Method,
 		Path:     x.req.Target,

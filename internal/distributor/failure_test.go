@@ -82,7 +82,7 @@ func failoverToSecondReplica(t *testing.T, rc *respcache.Cache) {
 	// Every request must succeed: picks of n1 fail over to n2 within
 	// the same request.
 	if ok != 10 {
-		t.Fatalf("only %d/10 requests survived the node failure", ok)
+		t.Fatalf("only %d/10 requests survived the node failure; back-end decisions:%s", ok, backendDecisions(jnl))
 	}
 	for _, ev := range jnl.Snapshot("", 0) {
 		if ev.Kind == journal.KindFailover && ev.Node == "n1" && ev.Detail == "n2" && ev.Path == "/dual.html" {
@@ -90,6 +90,41 @@ func failoverToSecondReplica(t *testing.T, rc *respcache.Cache) {
 		}
 	}
 	t.Fatalf("no failover n1→n2 in the journal: %v", jnl.Snapshot("", 0))
+}
+
+// A back end restarted on the same address breaks every pooled connection
+// to it at once. The retry after the first broken one must dial, not take
+// the next broken one, so a path with no other replica is still served.
+func TestRetryDialsAfterBackendRestart(t *testing.T) {
+	tc := startCluster(t, 1)
+	tc.place(t, "/only.html", []byte("back"), "n1")
+	addr := tc.spec.Nodes[0].Addr
+	store := tc.backends["n1"].Store()
+	_ = tc.backends["n1"].Close()
+	srv, err := backend.NewServer(backend.ServerOptions{Spec: tc.spec.Nodes[0], Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Start(addr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	resp := fetch(t, tc.front, "/only.html", httpx.Proto11)
+	if resp.StatusCode != 200 || string(resp.Body) != "back" {
+		t.Fatalf("after the restart: %d %q", resp.StatusCode, resp.Body)
+	}
+}
+
+// backendDecisions lists the journal's failover and retry-exhausted
+// records, one a line: what a lost request's back-end leg decided.
+func backendDecisions(jnl *journal.Journal) string {
+	var b strings.Builder
+	for _, ev := range jnl.Snapshot("", 0) {
+		if ev.Kind == journal.KindFailover || ev.Kind == journal.KindRetryExhausted {
+			fmt.Fprintf(&b, "\n  %s node=%s path=%s %s", ev.Kind, ev.Node, ev.Path, ev.Detail)
+		}
+	}
+	return b.String()
 }
 
 func TestDeadSoleReplica502(t *testing.T) {

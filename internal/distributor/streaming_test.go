@@ -24,8 +24,8 @@ import (
 // TestRelayTruncationOnContentLengthMismatch: a back end that advertises
 // more body than it delivers must surface as a relay truncation — the
 // client connection is cut (it already saw the too-long Content-Length),
-// the truncation counter increments, and the mapping entry is torn down
-// through EventReset rather than leaking.
+// the truncation counter increments, and the connection leaves the
+// distributor's registry rather than leaking.
 func TestRelayTruncationOnContentLengthMismatch(t *testing.T) {
 	testutil.NoLeaks(t)
 	table := urltable.New(urltable.Options{})
@@ -72,9 +72,8 @@ func TestRelayTruncationOnContentLengthMismatch(t *testing.T) {
 		if dist.RelayTruncations() != 1 {
 			return false
 		}
-		installed, deleted, _ := dist.Mapping().Counts()
-		return installed >= 1 && deleted == installed
-	}, "truncations = %d, mapping not reset", dist.RelayTruncations())
+		return clientConns(dist) == 0
+	}, "truncations = %d, client connection not released", dist.RelayTruncations())
 }
 
 // TestClientDisconnectMidBody: a client that walks away while a large
@@ -105,12 +104,11 @@ func TestClientDisconnectMidBody(t *testing.T) {
 	}
 	_ = conn.Close()
 
-	// The write failure tears down the client mapping but is not a
+	// The write failure releases the client connection but is not a
 	// back-end truncation.
 	testutil.Eventually(t, 5*time.Second, func() bool {
-		installed, deleted, _ := tc.dist.Mapping().Counts()
-		return installed >= 1 && deleted == installed
-	}, "mapping not cleaned after client disconnect")
+		return clientConns(tc.dist) == 0
+	}, "client connection not released after client disconnect")
 	if n := tc.dist.RelayTruncations(); n != 0 {
 		t.Fatalf("client disconnect counted as %d backend truncations", n)
 	}
@@ -122,8 +120,8 @@ func TestClientDisconnectMidBody(t *testing.T) {
 
 // TestFaultInjectedDropMidBodyResetsMapping: a drop-after-N-bytes fault on
 // the pooled back-end connection truncates the stream after the header but
-// before the body completes; the error must propagate to the mapping-table
-// state machine (EventReset → entry deleted) and count as a truncation.
+// before the body completes; the error must close the client connection
+// (it leaves the distributor's registry) and count as a truncation.
 func TestFaultInjectedDropMidBodyResetsMapping(t *testing.T) {
 	in := faults.New(7)
 	tc := startClusterOpts(t, 1, func(o *Options) {
@@ -161,9 +159,8 @@ func TestFaultInjectedDropMidBodyResetsMapping(t *testing.T) {
 		if tc.dist.RelayTruncations() == 0 {
 			return false
 		}
-		installed, deleted, _ := tc.dist.Mapping().Counts()
-		return installed >= 1 && deleted == installed
-	}, "truncation not propagated to mapping state machine (truncations=%d)",
+		return clientConns(tc.dist) == 0
+	}, "truncation did not release the client connection (truncations=%d)",
 		tc.dist.RelayTruncations())
 }
 
@@ -455,8 +452,8 @@ func resettingBackend(t *testing.T, size int) string {
 }
 
 // A back end that resets mid-body, past what the back-end reader buffers
-// (so on the kernel path), counts as exactly one truncation and resets the
-// client's mapping entry.
+// (so on the kernel path), counts as exactly one truncation and releases
+// the client connection.
 func TestKernelRelayBackendReset(t *testing.T) {
 	tc := startClusterOpts(t, 0, func(o *Options) {
 		// started in the tweak, so the leak check runs after it closes
@@ -484,9 +481,8 @@ func TestKernelRelayBackendReset(t *testing.T) {
 		t.Fatalf("the header did not reach the client: %v", err)
 	}
 	testutil.Eventually(t, 2*time.Second, func() bool {
-		installed, deleted, _ := tc.dist.Mapping().Counts()
-		return tc.dist.RelayTruncations() == 1 && installed >= 1 && deleted == installed
-	}, "truncations = %d, mapping not reset", tc.dist.RelayTruncations())
+		return tc.dist.RelayTruncations() == 1 && clientConns(tc.dist) == 0
+	}, "truncations = %d, client connection not released", tc.dist.RelayTruncations())
 }
 
 // With the cache off, a HEAD relayed from a back end carries the object's

@@ -157,6 +157,14 @@ func (g *Group) track(c net.Conn) (release func(), ok bool) {
 	}, true
 }
 
+// Conns returns how many accepted connections are being served: each one
+// counts from its accept until its serve function returns and it is closed.
+func (g *Group) Conns() int {
+	g.lock()
+	defer g.mu.Unlock()
+	return len(g.conns)
+}
+
 // Every runs fn once per interval on a goroutine of its own until Close.
 func (g *Group) Every(interval time.Duration, fn func()) {
 	g.lock()

@@ -119,7 +119,13 @@ func TestTrack(t *testing.T) {
 	if !ok {
 		t.Fatal("track refused on an open group")
 	}
+	if n := g.Conns(); n != 1 {
+		t.Fatalf("Conns = %d with one connection tracked", n)
+	}
 	release()
+	if n := g.Conns(); n != 0 {
+		t.Fatalf("Conns = %d after release", n)
+	}
 	if _, err := a.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("release left the connection open: write error %v", err)
 	}
@@ -142,6 +148,29 @@ func TestTrack(t *testing.T) {
 	if _, err := late.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("a refused connection was left open: write error %v", err)
 	}
+}
+
+// TestConnsCountsServedConnections: a connection counts from its accept
+// until its serve function returns, and not after.
+func TestConnsCountsServedConnections(t *testing.T) {
+	testutil.NoLeaks(t)
+	var g Group
+	release := make(chan struct{})
+	addr, err := g.Listen("127.0.0.1:0", func(net.Conn) { <-release })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeWithin(t, &g, time.Second)
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	testutil.Eventually(t, 5*time.Second, func() bool { return g.Conns() == 1 },
+		"Conns = %d while one connection is served", g.Conns())
+	close(release)
+	testutil.Eventually(t, 5*time.Second, func() bool { return g.Conns() == 0 },
+		"Conns = %d after its serve function returned", g.Conns())
 }
 
 func TestEvery(t *testing.T) {
