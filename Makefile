@@ -4,8 +4,8 @@ GO ?= go
 BENCH_HOT = BenchmarkDistributorRelay$$|BenchmarkDistributorRelayLarge|BenchmarkDistributorRelayParallel|BenchmarkURLTableLookup|BenchmarkHTTPParse|BenchmarkConnPool
 
 # Response-cache benchmarks, archived separately (BENCH_cache.json): hit,
-# cold miss, and coalesced miss through the live distributor.
-BENCH_CACHE = BenchmarkDistributorCacheHit|BenchmarkDistributorCacheColdMiss|BenchmarkDistributorCacheCoalescedMiss
+# cold miss, refused miss and coalesced miss through the live distributor.
+BENCH_CACHE = BenchmarkDistributorCacheHit|BenchmarkDistributorCacheColdMiss|BenchmarkDistributorCacheRefusedMiss|BenchmarkDistributorCacheCoalescedMiss
 
 # Telemetry benchmarks (BENCH_telemetry.json): the lock-free metrics core
 # and the fully-traced relay, which must add 0 allocs/op over the
@@ -129,7 +129,9 @@ bench:
 # so its gate has no slack too; besides that and the client's it counts
 # the in-process back end's, a fraction of one per request, so it runs
 # 2000 iterations, enough that the start-up allocations cannot round the
-# average up a whole one. The relay, traced relay and parallel relay gates
+# average up a whole one. A miss the full cache refuses is relayed
+# unbuffered and allocates nothing in the distributor; its gate has no
+# slack and runs 2000 iterations for the same reason. The relay, traced relay and parallel relay gates
 # have no slack and run 2000 iterations for the same reason: one
 # allocation added per request fails them. The large-body relay's allocs
 # gate has no slack either; its throughput (MB/s) gate runs at the default
@@ -153,6 +155,8 @@ allocguard:
 	$(GO) test -run '^$$' -bench 'BenchmarkDistributorCacheHit$$' -benchtime=100x -benchmem . \
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_cache.json -tolerance 0
 	$(GO) test -run '^$$' -bench 'BenchmarkDistributorCacheColdMiss$$' -benchtime=2000x -benchmem . \
+		| $(GO) run ./cmd/benchguard -snapshot BENCH_cache.json -tolerance 0
+	$(GO) test -run '^$$' -bench 'BenchmarkDistributorCacheRefusedMiss$$' -benchtime=2000x -benchmem . \
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_cache.json -tolerance 0
 	$(GO) test -run '^$$' -bench 'BenchmarkAdmissionDecision$$' -benchtime=100x -benchmem . \
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_admission.json -tolerance 0

@@ -567,6 +567,60 @@ func BenchmarkDistributorCacheColdMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkDistributorCacheRefusedMiss measures a miss the full cache
+// refuses: one shard holds the two small objects, each requested fifteen
+// times, and the 1 MiB candidate would displace both, so no estimate it
+// can reach outdraws their sum. The leader asks the cache at the response
+// header and relays the body (X-Dist-Cache: MISS) without buffering or
+// hashing it. The client drains the body like BenchmarkDistributorRelayLarge.
+func BenchmarkDistributorCacheRefusedMiss(b *testing.B) {
+	rc := respcache.New(respcache.Options{MaxBytes: 1<<20 + 2<<10, Shards: 1, FreshTTL: time.Hour})
+	front, cleanup := liveCluster(b, func(o *distributor.Options) { o.Cache = rc })
+	defer cleanup()
+	conn, err := net.Dial("tcp", front)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	br := httpx.AcquireReader(conn)
+	defer httpx.ReleaseReader(br)
+	get := func(path, verdict string) {
+		req := &httpx.Request{
+			Method: "GET", Target: path, Path: path,
+			Proto: httpx.Proto11, Header: httpx.NewHeader("Host", "c"),
+		}
+		if err := httpx.WriteRequest(conn, req); err != nil {
+			b.Fatal(err)
+		}
+		resp, err := httpx.ReadResponseHeader(br)
+		if err != nil || resp.StatusCode != 200 {
+			b.Fatalf("GET %s: %v %v", path, resp, err)
+		}
+		if v := resp.Header.Get("X-Dist-Cache"); verdict != "" && v != verdict {
+			b.Fatalf("GET %s: X-Dist-Cache %q, want %s", path, v, verdict)
+		}
+		if _, err := httpx.CopyBody(io.Discard, br, resp.ContentLength); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 15; i++ {
+		get("/bench.html", "")
+		get("/bench64k", "")
+	}
+	get("/bench1m", "MISS")
+	before := rc.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get("/bench1m", "")
+	}
+	b.StopTimer()
+	if st := rc.Stats(); st.Fills != before.Fills || st.Rejected-before.Rejected != int64(b.N) {
+		b.Fatalf("%d fills, %d refusals in %d misses: not measuring the refused miss",
+			st.Fills-before.Fills, st.Rejected-before.Rejected, b.N)
+	}
+}
+
 // BenchmarkDistributorCacheCoalescedMiss measures a miss under fan-in:
 // four clients request the purged path at once, the singleflight leader
 // fetches it, and everyone shares the result. The reported time is the

@@ -23,7 +23,8 @@ import (
 
 // registerCacheMetrics exposes the response cache's counters through the
 // telemetry registry so /metrics and the cluster stats plane
-// include cache behaviour (hit/miss/stale/coalesce rates, residency).
+// include cache behaviour (hit/miss/stale/coalesce rates, fills and
+// admission refusals, residency).
 func registerCacheMetrics(reg *telemetry.Registry, cache *respcache.Cache) {
 	views := map[string]func(respcache.Stats) float64{
 		"respcache_hits":         func(s respcache.Stats) float64 { return float64(s.Hits) },
@@ -31,6 +32,8 @@ func registerCacheMetrics(reg *telemetry.Registry, cache *respcache.Cache) {
 		"respcache_revalidated":  func(s respcache.Stats) float64 { return float64(s.Revalidated) },
 		"respcache_stale_served": func(s respcache.Stats) float64 { return float64(s.StaleServed) },
 		"respcache_coalesced":    func(s respcache.Stats) float64 { return float64(s.Coalesced) },
+		"respcache_fills":        func(s respcache.Stats) float64 { return float64(s.Fills) },
+		"respcache_rejected":     func(s respcache.Stats) float64 { return float64(s.Rejected) },
 		"respcache_evictions":    func(s respcache.Stats) float64 { return float64(s.Evictions) },
 		"respcache_entries":      func(s respcache.Stats) float64 { return float64(s.Entries) },
 		"respcache_bytes":        func(s respcache.Stats) float64 { return float64(s.Bytes) },

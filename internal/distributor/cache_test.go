@@ -410,6 +410,43 @@ func TestCacheUncacheableStreams(t *testing.T) {
 	}
 }
 
+// A miss the cache would refuse is relayed, not buffered: the leader
+// asks the cache at the response header, streams the body with the MISS
+// verdict a buffered miss carries, and the refusal shows on /metrics
+// beside the fills.
+func TestCacheRefusedMissRelayed(t *testing.T) {
+	rc := respcache.New(respcache.Options{MaxBytes: 2048, Shards: 1, FreshTTL: time.Hour})
+	tc := startClusterOpts(t, 1, withCache(rc))
+	hot := bytes.Repeat([]byte("h"), 1000)
+	cold := bytes.Repeat([]byte("c"), 1000)
+	tc.place(t, "/hot.html", hot, "n1")
+	tc.place(t, "/cold.html", cold, "n1")
+	for i := 0; i < 5; i++ {
+		fetch(t, tc.front, "/hot.html", httpx.Proto11)
+	}
+	for i := 0; i < 2; i++ {
+		resp := fetch(t, tc.front, "/cold.html", httpx.Proto11)
+		if resp.StatusCode != 200 || !bytes.Equal(resp.Body, cold) {
+			t.Fatalf("refused miss %d: status %d, %d bytes", i, resp.StatusCode, len(resp.Body))
+		}
+		if v := resp.Header.Get("X-Dist-Cache"); v != "MISS" {
+			t.Fatalf("refused miss %d carried verdict %q, want MISS", i, v)
+		}
+	}
+	if got := tc.backendRequests(); got != 3 {
+		t.Fatalf("backend round trips = %d, want 3 (one fill, two refused misses)", got)
+	}
+	var metrics bytes.Buffer
+	if err := tc.dist.Stats().WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`respcache_fills{node="distributor"} 1`, `respcache_rejected{node="distributor"} 2`} {
+		if !strings.Contains(metrics.String(), want+"\n") {
+			t.Errorf("/metrics lacks %s:\n%s", want, metrics.String())
+		}
+	}
+}
+
 func TestCacheDynamicBypassed(t *testing.T) {
 	rc := respcache.New(respcache.Options{FreshTTL: time.Hour})
 	tc := startClusterOpts(t, 1, withCache(rc))
@@ -451,12 +488,14 @@ func TestCacheRevalidationCountsNoFill(t *testing.T) {
 }
 
 // A keep-alive cache miss allocates at most one object in the
-// distributor when the cache is full and cycling more paths than fit: the
-// flight is reused, the body goes into an entry an earlier release left
-// on its size class's free list, and the one allocation is the strong
-// ETag string the distributor derives because the back end sent none. A
-// miss TinyLFU rejects hands its entry straight back to the free list; an
-// admitted one evicts a victim whose release does the same. The back end
+// distributor when the cache is full and cycling more paths than fit. A
+// miss the cache refuses allocates none: the flight is reused and the
+// body is relayed at the response header, never buffered, so no ETag is
+// derived for it, and the relay still marks it MISS. An admitted miss
+// reads its body into an entry an earlier release left on its size
+// class's free list and evicts a victim whose release does the same; its
+// one allocation is the strong ETag string the distributor derives
+// because the back end sent none. The back end
 // answers each path with its own pre-rendered response, whose body starts
 // with the path, so every fill reads bytes the entry's memory did not
 // hold before; the client writes pre-rendered requests and reads the
@@ -564,8 +603,8 @@ func TestCacheMissAllocFree(t *testing.T) {
 		if fills, rejected := st.Fills-before.Fills, st.Rejected-before.Rejected; fills != 0 || rejected != 102 {
 			t.Fatalf("cold misses: %d fills, %d rejected, want 0 and 102", fills, rejected)
 		}
-		if allocs > 1 {
-			t.Fatalf("rejected miss: %.1f allocations, want at most 1 (a derived validator)", allocs)
+		if allocs != 0 {
+			t.Fatalf("refused miss: %.1f allocations, want 0", allocs)
 		}
 	})
 

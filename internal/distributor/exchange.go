@@ -146,7 +146,7 @@ func (x *exchange) relay() bool {
 	if err != nil {
 		return x.fail(err)
 	}
-	return x.stream(pc)
+	return x.stream(pc, "")
 }
 
 // admit classifies the request (X-Dist-Class header, then URL-prefix
@@ -253,7 +253,8 @@ func (x *exchange) follow(f *respcache.Flight, stale *respcache.Entry) bool {
 // its result: a conditional GET when stale — an expired entry — exists,
 // whose 304 refreshes it without moving the body again; otherwise a GET
 // whose cacheable body is buffered into a new entry. What the cache
-// cannot store is streamed.
+// cannot store, or would refuse, is streamed: the decision is taken at
+// the response header, so a refused body is never buffered or hashed.
 func (x *exchange) lead(f *respcache.Flight, stale *respcache.Entry) bool {
 	d, resp := x.d, &x.resp
 	var (
@@ -283,7 +284,11 @@ func (x *exchange) lead(f *respcache.Flight, stale *respcache.Entry) bool {
 	}
 	if !cacheableResponse(resp, d.cache.MaxEntryBytes()) {
 		f.Finish(nil, nil)
-		return x.stream(pc)
+		return x.stream(pc, "")
+	}
+	if !d.cache.Admits(x.req.Path, resp.ContentLength) {
+		f.Finish(nil, nil)
+		return x.stream(pc, "MISS")
 	}
 	e, err := d.bufferEntry(pc, resp)
 	if err != nil {
@@ -415,15 +420,20 @@ func (x *exchange) fail(err error) bool {
 // spliced (§2.2): the header leaves with what the
 // connection's reader holds, and the rest of the body moves in the kernel
 // when both connections are bare TCP. A response to HEAD is its header
-// alone.
-func (x *exchange) stream(pc *conntrack.PooledConn) bool {
+// alone. A non-empty verdict is the response cache's, sent as
+// X-Dist-Cache: a miss the cache refused is relayed as a MISS.
+func (x *exchange) stream(pc *conntrack.PooledConn, verdict string) bool {
 	d, req, resp := x.d, x.req, &x.resp
 	relayed, err := d.pools.Relay(x.client, resp, pc.Reader, httpx.RelayOptions{
-		Proto:      req.Proto,
-		ForceClose: !req.KeepAlive(),
-		Head:       req.Method == "HEAD",
-		Src:        pc.Conn,
+		Proto:       req.Proto,
+		ForceClose:  !req.KeepAlive(),
+		Head:        req.Method == "HEAD",
+		Src:         pc.Conn,
+		CacheStatus: verdict,
 	})
+	if verdict != "" {
+		x.span.SetCache(verdict)
+	}
 	if err != nil {
 		// The header already reached the client, so the exchange cannot
 		// be retried; the back-end connection has lost framing either

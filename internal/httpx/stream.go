@@ -94,6 +94,9 @@ type RelayOptions struct {
 	// buffered left and Src and dst both pass bareTCP, the rest of the
 	// body moves in the kernel, straight from Src.
 	Src net.Conn
+	// CacheStatus adds an X-Dist-Cache field when non-empty (a miss the
+	// front-end cache would not store is relayed as MISS).
+	CacheStatus string
 }
 
 // Relay streams resp from a back-end connection to the client: the status
@@ -117,7 +120,7 @@ type RelayOptions struct {
 func (p *Pools) Relay(dst io.Writer, resp *Response, src io.Reader, o RelayOptions) (int64, error) {
 	hb := p.acquireHeaderBuf()
 	defer p.releaseHeaderBuf(hb)
-	head := appendResponseHeader((*hb)[:0], resp, o.Proto, o.ForceClose)
+	head := appendResponseHeader((*hb)[:0], resp, o)
 	*hb = head[:0] // keep any growth pooled
 	total := resp.ContentLength
 	if total <= 0 || o.Head {

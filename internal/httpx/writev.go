@@ -62,17 +62,20 @@ func appendTraceFields(b []byte, resp *Response) []byte {
 
 // appendResponseHeader stages the full relayed header section: status
 // line, forwarded fields (Connection and Content-Length rewritten, resp
-// not mutated), trace fields, and the recomputed Content-Length with the
-// terminating blank line.
-func appendResponseHeader(b []byte, resp *Response, clientProto string, forceClose bool) []byte {
-	b = appendStatusLine(b, clientProto, resp.StatusCode, resp.Status)
+// not mutated), trace fields, the cache verdict if any, and the
+// recomputed Content-Length with the terminating blank line.
+func appendResponseHeader(b []byte, resp *Response, o RelayOptions) []byte {
+	b = appendStatusLine(b, o.Proto, resp.StatusCode, resp.Status)
 	b = resp.Header.appendFields(b, "Connection", "Content-Length")
-	if forceClose {
+	if o.ForceClose {
 		b = append(b, "Connection: close\r\n"...)
 	} else if c := resp.Header.Get("Connection"); c != "" {
 		b = appendField(b, "Connection", c)
 	}
 	b = appendTraceFields(b, resp)
+	if o.CacheStatus != "" {
+		b = appendField(b, "X-Dist-Cache", o.CacheStatus)
+	}
 	return appendContentLength(b, resp.ContentLength)
 }
 

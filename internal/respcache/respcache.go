@@ -1,15 +1,16 @@
 // Package respcache is the distributor-side hot-content cache: a sharded
-// segmented-LRU response store with TinyLFU frequency admission,
-// singleflight miss coalescing, and explicit management-plane
+// segmented-LRU response store with size-aware TinyLFU frequency
+// admission, singleflight miss coalescing, and explicit management-plane
 // invalidation.
 //
 // The paper's content-aware front end (§2.2) relays every request to a
 // back end, so even the hottest static objects pay a full backend round
 // trip. This package lets the distributor answer cacheable GET/HEAD
 // requests itself: responses are stored under a byte budget, admission is
-// gated on a count-min frequency sketch so one-hit-wonders cannot evict
-// hot objects, concurrent misses on one path coalesce into a single
-// backend fetch, and every management-plane mutation that changes content
+// gated on a count-min frequency sketch, weighed against every victim a
+// candidate's bytes displace, so one-hit-wonders cannot evict hot objects
+// and one large body cannot evict many small hot ones, concurrent misses
+// on one path coalesce into a single backend fetch, and every management-plane mutation that changes content
 // or placement synchronously purges the affected entries — the cache
 // never serves what the doctree no longer holds. Expired entries remain
 // usable for conditional revalidation and, within a stale window, for
@@ -255,8 +256,9 @@ func New(opts Options) *Cache {
 	}
 	perShard := opts.MaxBytes / int64(shards)
 	// size each sketch for the number of small entries the shard could
-	// plausibly hold (4 KiB average object)
-	sketchKeys := int(perShard / 4096)
+	// hold (1 KiB per object): admission ranks the tail it evicts, so the
+	// sketch must tell those keys apart, not only the hot ones
+	sketchKeys := int(perShard / 1024)
 	for i := range c.shards {
 		c.shards[i] = newShard(perShard, sketchKeys, c.free)
 	}
@@ -320,6 +322,24 @@ func (c *Cache) Get(path string) (*Entry, State) {
 func (c *Cache) Peek(path string) *Entry {
 	h := hashKey(path)
 	return c.shardFor(h).peek(path, c.opts.Clock().UnixNano())
+}
+
+// Admits reports whether Put would now store a fresh body of
+// contentLength bytes for path, so a miss leader can relay a body the
+// cache would refuse instead of buffering it. It applies Put's rule under
+// the shard lock and evicts nothing; the charge it weighs is the body's
+// size class and the fixed overhead, without the header strings the entry
+// will carry. A refusal counts as rejected, as Put's does.
+func (c *Cache) Admits(path string, contentLength int64) bool {
+	if contentLength <= c.opts.MaxEntryBytes {
+		h := hashKey(path)
+		charge := int64(sizeClasses[classOf(int(contentLength))]) + entryOverhead
+		if c.shardFor(h).admits(path, h, charge) {
+			return true
+		}
+	}
+	c.rejected.Add(1)
+	return false
 }
 
 // Put stores the entry for path, subject to size and frequency admission.

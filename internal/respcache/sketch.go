@@ -3,7 +3,7 @@ package respcache
 // TinyLFU-style frequency sketch: a 4-bit count-min sketch with periodic
 // aging. The cache records every lookup's key here — hits and misses alike
 // — so at admission time it can compare how often the candidate has been
-// requested against the eviction victim and keep whichever is hotter.
+// requested against the victims its bytes would displace, together.
 // One-hit-wonder bodies never displace a popular object because their
 // estimated frequency stays at 1.
 //

@@ -3,10 +3,13 @@ package respcache
 // Sharded segmented-LRU store. Each shard owns a map plus two intrusive
 // recency lists — probation for entries seen once, protected for entries
 // hit again — under a per-shard byte budget. Eviction always claims the
-// probation tail first, and a candidate only displaces it when the
-// frequency sketch says the candidate is the hotter key (TinyLFU
-// admission). Protected overflow demotes back to probation rather than
-// straight to eviction, which is what gives SLRU its scan resistance.
+// probation tail first, then the protected tail, and a candidate only
+// displaces the victims its bytes need when the frequency sketch
+// estimates it at least as often requested as all of them together
+// (size-aware TinyLFU admission: the cache keeps what saves the most
+// back-end requests per byte). Protected overflow demotes back to
+// probation rather than straight to eviction, which is what gives SLRU
+// its scan resistance.
 //
 // The list elements are embedded in the entries, so storing an entry
 // allocates nothing, and the shard holds one reference to every entry it
@@ -164,11 +167,9 @@ const (
 	putResident           // already linked under the key: nothing to do
 )
 
-// put links the entry under key, applying TinyLFU admission when the
-// shard is full: the candidate is dropped unless the sketch estimates it
-// at least as popular as each probation victim it would evict. Linking
-// takes the shard's reference; a rejected candidate stays the caller's
-// alone.
+// put links the entry under key, applying admission (winsLocked) when the
+// shard is full. Linking takes the shard's reference; a rejected
+// candidate stays the caller's alone.
 func (s *shard) put(key string, hash uint64, e *Entry, evictions *int64) putResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -187,17 +188,26 @@ func (s *shard) put(key string, hash uint64, e *Entry, evictions *int64) putResu
 		s.reclaimLocked(hash, true, evictions)
 		return putInserted
 	}
-	if e.size > s.maxBytes {
+	if !s.winsLocked(hash, e.size) {
 		return putRejected
 	}
-	if !s.reclaimNeededLocked(e.size) {
-		// full: admission duel against the probation victim
-		if !s.admitLocked(hash, e.size, evictions) {
-			return putRejected
-		}
+	for s.bytes+e.size > s.maxBytes {
+		s.removeLocked(s.victimLocked())
+		*evictions++
 	}
 	s.linkLocked(e.link(key, hash), false)
 	return putInserted
+}
+
+// admits reports whether put would link a new entry of size bytes under
+// key now, evicting nothing: a resident key is replaced without a duel.
+func (s *shard) admits(key string, hash uint64, size int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.items[key]; ok {
+		return true
+	}
+	return s.winsLocked(hash, size)
 }
 
 // linkLocked makes n resident at the front of a segment, taking the
@@ -215,31 +225,42 @@ func (s *shard) linkLocked(n *node, protected bool) {
 	s.bytes += n.entry.size
 }
 
-// reclaimNeededLocked reports whether size fits without eviction.
-func (s *shard) reclaimNeededLocked(size int64) bool {
-	return s.bytes+size <= s.maxBytes
+// winsLocked reports whether a candidate of size bytes, not resident,
+// may be linked: it fits in the shard at all, and it fits beside the
+// residents or the sketch estimates it at least as often requested as
+// the sum of the victims its bytes would displace, taken in eviction
+// order. An 8 KiB body must so outdraw the ten or so 512 B bodies it
+// pushes out together, not each in turn. It evicts nothing, so a lost
+// duel leaves the shard as it was.
+func (s *shard) winsLocked(hash uint64, size int64) bool {
+	if size > s.maxBytes {
+		return false
+	}
+	need := s.bytes + size - s.maxBytes
+	if need <= 0 {
+		return true
+	}
+	budget := int(s.sketch.estimate(hash))
+	for _, l := range [2]*lruList{&s.probation, &s.protected} {
+		for v := l.root.prev; v != &l.root; v = v.prev {
+			if budget -= int(s.sketch.estimate(v.hash)); budget < 0 {
+				return false
+			}
+			if need -= v.entry.size; need <= 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
-// admitLocked makes room for a candidate of the given frequency and size,
-// evicting probation victims only while the candidate's estimated
-// frequency is at least each victim's. Returns whether the candidate won.
-func (s *shard) admitLocked(hash uint64, size int64, evictions *int64) bool {
-	candFreq := s.sketch.estimate(hash)
-	for s.bytes+size > s.maxBytes {
-		v := s.probation.back()
-		if v == nil {
-			v = s.protected.back()
-		}
-		if v == nil {
-			return false
-		}
-		if s.sketch.estimate(v.hash) > candFreq {
-			return false
-		}
-		s.removeLocked(v)
-		*evictions++
+// victimLocked returns the next entry to evict: the probation tail, else
+// the protected tail, nil when the shard is empty.
+func (s *shard) victimLocked() *node {
+	if v := s.probation.back(); v != nil {
+		return v
 	}
-	return true
+	return s.protected.back()
 }
 
 // reclaimLocked evicts unconditionally until the budget holds (used after
@@ -247,10 +268,7 @@ func (s *shard) admitLocked(hash uint64, size int64, evictions *int64) bool {
 // admission does not apply, but it must not blow the budget).
 func (s *shard) reclaimLocked(self uint64, force bool, evictions *int64) {
 	for s.bytes > s.maxBytes {
-		v := s.probation.back()
-		if v == nil {
-			v = s.protected.back()
-		}
+		v := s.victimLocked()
 		if v == nil || (v.hash == self && !force) {
 			return
 		}
