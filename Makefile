@@ -97,10 +97,12 @@ chaos:
 	$(GO) test -race -run 'TestChaos' -v .
 
 # Scenario smoke: the compressed flash-crowd recovery check plus the
-# byte-determinism replay, both under the race detector. The day-long
-# acceptance run stays in plain `make test` (it needs no -race).
+# byte-determinism replay, both under the race detector, and the golden
+# digests of simrun's -time-scale 60 outputs and the benchfigs balance
+# table (amd64 only). The day-long acceptance run stays in plain
+# `make test` (it needs no -race).
 sim:
-	$(GO) test -race -run 'TestScenarioDeterministicReplay|TestScenarioFlashCrowdRecovery|TestExampleScenarioFilesMatchBuiltins' -v .
+	$(GO) test -race -run 'TestScenarioDeterministicReplay|TestScenarioFlashCrowdRecovery|TestExampleScenarioFilesMatchBuiltins|TestSimGoldenDigests' -v .
 
 # Hot-path benchmarks with allocation counts, archived as JSON so runs can
 # be diffed across commits (BENCH_relay.json and BENCH_cache.json are the

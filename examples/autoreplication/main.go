@@ -83,10 +83,10 @@ func run() error {
 	fmt.Printf("phase 1 (hot spot): %s\n", report)
 
 	// Close the load interval and apply the planner's actions.
-	actions := cluster.Balancer.RunOnce()
-	fmt.Printf("balancer planned %d actions:\n", len(actions))
-	for _, a := range actions {
-		fmt.Println("  ", a)
+	decs := cluster.Balancer.RunOnce()
+	fmt.Printf("balancer planned %d actions:\n", len(decs))
+	for _, d := range decs {
+		fmt.Printf("   %v: %s\n", d.Action, d.Outcome())
 	}
 
 	// Show the new placement of the hottest objects.

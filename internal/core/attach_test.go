@@ -116,6 +116,58 @@ func (s *loadSpy) Pick(candidates []loadbal.NodeState) (config.NodeID, error) {
 	return candidates[0].ID, nil
 }
 
+// TestBalanceRoundSkipsDownNode: a node the monitor marked down holds
+// nothing for the §3.3 round. No decision targets it or copies from it,
+// and no offload leaves it as a path's only other holder, though the
+// table still lists its copies.
+func TestBalanceRoundSkipsDownNode(t *testing.T) {
+	cluster := attach(t, Options{Spec: startNodes(t, "n1", "n2", "n3")})
+	for path, locs := range map[string][]config.NodeID{"/a.html": {"n1", "n2"}, "/b.html": {"n1"}} {
+		obj := content.Object{Path: path, Size: 4, Class: content.ClassHTML}
+		if err := cluster.Controller.Insert(obj, []byte("hot\n"), locs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cluster.Distributor.SetAvailable("n2", false)
+	before := map[string][]config.NodeID{}
+	for _, path := range []string{"/a.html", "/b.html"} {
+		for i := 0; i < 50; i++ {
+			_, _ = cluster.Table.Route(path)
+			cluster.Distributor.Tracker().Record("n1", content.ClassHTML, 10*time.Millisecond)
+		}
+		rec, err := cluster.Table.Lookup(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[path] = rec.Locations
+	}
+
+	decs := cluster.Balancer.RunOnce()
+	if len(decs) == 0 {
+		t.Fatal("no decisions for a hot spot on n1 beside an idle n3")
+	}
+	for _, d := range decs {
+		if d.Target == "n2" || d.Source == "n2" {
+			t.Fatalf("decision involves the down node: %v", d.Action)
+		}
+		if d.Err != nil {
+			t.Fatalf("%v: %v", d.Action, d.Err)
+		}
+		if d.Kind != loadbal.ActionOffload {
+			continue
+		}
+		live := 0
+		for _, id := range before[d.Path] {
+			if id != d.Target && id != "n2" {
+				live++
+			}
+		}
+		if live == 0 {
+			t.Fatalf("%v leaves the down n2 as the only other holder of %v", d.Action, before[d.Path])
+		}
+	}
+}
+
 // TestBalancerPublishesLoads: the balancer Attach wires hands each
 // interval's L_j to the distributor, so a load-aware picker sees them.
 // (cmd/distributor used to build its own balancer without the

@@ -287,8 +287,15 @@ func Attach(opts Options) (cluster *Cluster, err error) {
 	if balOpts == (loadbal.PlannerOptions{}) {
 		balOpts = loadbal.DefaultPlannerOptions()
 	}
-	c.Balancer = mgmt.NewAutoBalancer(c.Controller, c.Distributor.Tracker(), spec.Nodes, balOpts, opts.BalanceInterval)
-	c.Balancer.SetOnLoads(c.Distributor.UpdateLoads)
+	// The round plans over the nodes the distributor routes to, and hands
+	// its picker each interval's L_j.
+	c.Balancer = mgmt.NewAutoBalancer(c.Controller, loadbal.Round{
+		Tracker: c.Distributor.Tracker(),
+		Nodes:   spec.Nodes,
+		Live:    c.Distributor.Available,
+		Planner: balOpts,
+		Publish: c.Distributor.UpdateLoads,
+	}, opts.BalanceInterval)
 	if opts.BalanceInterval > 0 {
 		c.Balancer.Start()
 	}

@@ -192,12 +192,18 @@ func TestConsoleIntegration(t *testing.T) {
 	}
 }
 
+// Each round closes the tracker's interval: a recorded request vanishes
+// from the counts once the loop has run, twice over.
 func TestAutoBalancerLoopRuns(t *testing.T) {
 	cluster := launch(t, Options{BalanceInterval: 30 * time.Millisecond})
-	testutil.Eventually(t, 2*time.Second, func() bool {
-		rounds, _ := cluster.Balancer.Rounds()
-		return rounds >= 2
-	}, "balancer loop did not run")
+	tracker := cluster.Distributor.Tracker()
+	node := cluster.Spec.Nodes[0].ID
+	for round := 1; round <= 2; round++ {
+		tracker.Record(node, content.ClassHTML, time.Millisecond)
+		testutil.Eventually(t, 2*time.Second, func() bool {
+			return tracker.Requests()[node] == 0
+		}, "balancer loop did not run round %d", round)
+	}
 }
 
 func TestSummary(t *testing.T) {

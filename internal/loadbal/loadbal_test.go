@@ -3,6 +3,7 @@ package loadbal
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -267,7 +268,7 @@ func TestPlanReplicatesToUnderutilized(t *testing.T) {
 		map[string]int64{"/hot.html": 100, "/warm.html": 50, "/cold.html": 1},
 	)
 	loads := map[config.NodeID]float64{"busy": 10, "idle": 0}
-	actions := Plan(loads, tbl, PlannerOptions{Threshold: 0.25, MaxActionsPerNode: 2, MinHits: 10})
+	actions := PlanDecisions(loads, tbl, PlannerOptions{Threshold: 0.25, MaxActionsPerNode: 2, MinHits: 10})
 	if len(actions) == 0 {
 		t.Fatal("no actions planned")
 	}
@@ -298,7 +299,7 @@ func TestPlanOffloadsMultiCopyContent(t *testing.T) {
 		map[string]int64{"/hot.html": 100},
 	)
 	loads := map[config.NodeID]float64{"over": 10, "other": 4, "third": 4}
-	actions := Plan(loads, tbl, PlannerOptions{Threshold: 0.25, MaxActionsPerNode: 2, MinHits: 10})
+	actions := PlanDecisions(loads, tbl, PlannerOptions{Threshold: 0.25, MaxActionsPerNode: 2, MinHits: 10})
 	found := false
 	for _, a := range actions {
 		if a.Kind == ActionOffload && a.Path == "/hot.html" && a.Target == "over" {
@@ -316,11 +317,11 @@ func TestPlanStagesSoleCopyReplication(t *testing.T) {
 		map[string]int64{"/hot.html": 100},
 	)
 	loads := map[config.NodeID]float64{"over": 10, "cold": 3.99} // cold is balanced-ish
-	actions := Plan(loads, tbl, PlannerOptions{Threshold: 0.5, MaxActionsPerNode: 2, MinHits: 10})
+	actions := PlanDecisions(loads, tbl, PlannerOptions{Threshold: 0.5, MaxActionsPerNode: 2, MinHits: 10})
 	// "over" is overloaded (10 > 7×1.5=10.49? avg=6.995, over>10.49 — no).
 	// Use a clearer spread:
 	loads = map[config.NodeID]float64{"over": 20, "cold": 1}
-	actions = Plan(loads, tbl, PlannerOptions{Threshold: 0.5, MaxActionsPerNode: 2, MinHits: 10})
+	actions = PlanDecisions(loads, tbl, PlannerOptions{Threshold: 0.5, MaxActionsPerNode: 2, MinHits: 10})
 	var staged bool
 	for _, a := range actions {
 		if a.Kind == ActionReplicate && a.Path == "/hot.html" && a.Source == "over" {
@@ -335,7 +336,7 @@ func TestPlanStagesSoleCopyReplication(t *testing.T) {
 func TestPlanIdleClusterNoActions(t *testing.T) {
 	tbl := newTableWith(t, map[string][]config.NodeID{"/a.html": {"n1"}}, nil)
 	loads := map[config.NodeID]float64{"n1": 0, "n2": 0}
-	if actions := Plan(loads, tbl, DefaultPlannerOptions()); len(actions) != 0 {
+	if actions := PlanDecisions(loads, tbl, DefaultPlannerOptions()); len(actions) != 0 {
 		t.Fatalf("idle cluster planned %v", actions)
 	}
 }
@@ -350,7 +351,7 @@ func TestPlanRespectsMaxActions(t *testing.T) {
 	}
 	tbl := newTableWith(t, entries, hits)
 	loads := map[config.NodeID]float64{"busy": 10, "idle": 0}
-	actions := Plan(loads, tbl, PlannerOptions{Threshold: 0.25, MaxActionsPerNode: 3, MinHits: 10})
+	actions := PlanDecisions(loads, tbl, PlannerOptions{Threshold: 0.25, MaxActionsPerNode: 3, MinHits: 10})
 	replicas := 0
 	for _, a := range actions {
 		if a.Kind == ActionReplicate && a.Target == "idle" {
@@ -432,7 +433,7 @@ func TestPlanSkipsPinnedContent(t *testing.T) {
 		_, _ = tbl.Route("/mutable.html")
 	}
 	loads := map[config.NodeID]float64{"busy": 10, "idle": 0}
-	actions := Plan(loads, tbl, PlannerOptions{Threshold: 0.25, MaxActionsPerNode: 3, MinHits: 10})
+	actions := PlanDecisions(loads, tbl, PlannerOptions{Threshold: 0.25, MaxActionsPerNode: 3, MinHits: 10})
 	for _, a := range actions {
 		if a.Path == "/mutable.html" {
 			t.Fatalf("planner moved pinned content: %v", a)
@@ -448,7 +449,7 @@ func TestPlanPriorityFloorReplicates(t *testing.T) {
 	}
 	// No load at all: the availability floor still applies.
 	loads := map[config.NodeID]float64{"n1": 0, "n2": 0, "n3": 0}
-	actions := Plan(loads, tbl, PlannerOptions{
+	actions := PlanDecisions(loads, tbl, PlannerOptions{
 		Threshold: 0.25, MaxActionsPerNode: 3, MinHits: 10, PriorityMinCopies: 3,
 	})
 	targets := map[config.NodeID]bool{}
@@ -469,7 +470,7 @@ func TestPlanPriorityFloorSkipsPinned(t *testing.T) {
 	_ = tbl.Insert(crit, "n1")
 	_ = tbl.SetPinned("/shop/cart.html", true)
 	loads := map[config.NodeID]float64{"n1": 0, "n2": 0}
-	actions := Plan(loads, tbl, PlannerOptions{
+	actions := PlanDecisions(loads, tbl, PlannerOptions{
 		Threshold: 0.25, MaxActionsPerNode: 3, MinHits: 10, PriorityMinCopies: 2,
 	})
 	if len(actions) != 0 {
@@ -482,8 +483,126 @@ func TestPlanPriorityFloorSatisfiedNoop(t *testing.T) {
 	crit := content.Object{Path: "/shop/cart.html", Size: 100, Class: content.ClassHTML, Priority: 1}
 	_ = tbl.Insert(crit, "n1", "n2")
 	loads := map[config.NodeID]float64{"n1": 0, "n2": 0, "n3": 0}
-	actions := Plan(loads, tbl, DefaultPlannerOptions())
+	actions := PlanDecisions(loads, tbl, DefaultPlannerOptions())
 	if len(actions) != 0 {
 		t.Fatalf("satisfied floor still planned %v", actions)
 	}
+}
+
+// Two overloaded nodes share a two-copy path: only one may shed its copy,
+// or the second offload would remove the last one and fail.
+func TestPlanOffloadKeepsALiveCopy(t *testing.T) {
+	tbl := newTableWith(t,
+		map[string][]config.NodeID{"/x.html": {"a", "b"}},
+		map[string]int64{"/x.html": 100},
+	)
+	loads := map[config.NodeID]float64{"a": 10, "b": 10, "c": 0, "d": 0}
+	decs := PlanDecisions(loads, tbl, PlannerOptions{Threshold: 0.25, MaxActionsPerNode: 3, MinHits: 10})
+	offloads := 0
+	for _, d := range decs {
+		if d.Kind == ActionOffload {
+			offloads++
+		}
+	}
+	if offloads != 1 {
+		t.Fatalf("%d offloads of a two-copy path, want 1: %v", offloads, decs)
+	}
+	for _, d := range decs {
+		var err error
+		if d.Kind == ActionOffload {
+			err = tbl.RemoveLocation(d.Path, d.Target)
+		} else {
+			err = tbl.AddLocation(d.Path, d.Target)
+		}
+		if err != nil {
+			t.Fatalf("applying %v: %v", d.Action, err)
+		}
+	}
+}
+
+// A node without a load reading is down: its copies hold nothing for the
+// planner, yet the availability floor still counts them.
+func TestPlanIgnoresCopiesOutsideLiveSet(t *testing.T) {
+	tbl := newTableWith(t,
+		map[string][]config.NodeID{
+			"/a.html": {"n1", "n2"},
+			"/b.html": {"n1"},
+		},
+		map[string]int64{"/a.html": 50, "/b.html": 40},
+	)
+	for path, locs := range map[string][]config.NodeID{"/crit.html": {"n1", "n2"}, "/crit2.html": {"n2"}} {
+		obj := content.Object{Path: path, Size: 100, Class: content.ClassHTML, Priority: 1}
+		if err := tbl.Insert(obj, locs...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loads := map[config.NodeID]float64{"n1": 10, "n3": 0} // n2 is down
+	decs := PlanDecisions(loads, tbl, PlannerOptions{
+		Threshold: 0.25, MaxActionsPerNode: 3, MinHits: 10, PriorityMinCopies: 2,
+	})
+	if len(decs) == 0 {
+		t.Fatal("no decisions for a hot spot beside a cold node")
+	}
+	for _, d := range decs {
+		if d.Target == "n2" || d.Source == "n2" {
+			t.Fatalf("decision involves the down node: %v", d.Action)
+		}
+		for _, r := range d.Rejected {
+			if strings.HasPrefix(r, "n2") {
+				t.Fatalf("down node listed as a source alternative: %v %v", d.Action, d.Rejected)
+			}
+		}
+		if d.Kind == ActionOffload && d.Path == "/a.html" {
+			t.Fatalf("offload leaves the down node as /a.html's only other holder: %v", d.Action)
+		}
+		if d.Path == "/crit.html" || d.Path == "/crit2.html" {
+			t.Fatalf("availability floor moved %s although the table records two copies or no live one: %v", d.Path, d.Action)
+		}
+	}
+}
+
+// A round plans over the nodes Live reports up, applies every decision in
+// order, keeps each applier answer and resets the interval's hits.
+func TestRoundPlansOverLiveNodes(t *testing.T) {
+	tbl := newTableWith(t,
+		map[string][]config.NodeID{"/hot.html": {"busy"}, "/warm.html": {"busy"}},
+		map[string]int64{"/hot.html": 100, "/warm.html": 50},
+	)
+	tr := NewTracker(PaperWeights())
+	tr.Record("busy", content.ClassHTML, time.Second)
+	refused := errors.New("refused")
+	var applied []string
+	round := Round{
+		Tracker: tr,
+		Nodes:   []config.NodeSpec{{ID: "busy"}, {ID: "down"}, {ID: "idle"}},
+		Live:    func(id config.NodeID) bool { return id != "down" },
+		Table:   tbl,
+		Planner: PlannerOptions{Threshold: 0.25, MaxActionsPerNode: 3, MinHits: 10},
+	}
+	loads, decs := round.Run(func(d Decision) error {
+		applied = append(applied, d.Path)
+		if d.Path == "/warm.html" {
+			return refused
+		}
+		return nil
+	})
+	if _, ok := loads["down"]; ok || len(loads) != 2 {
+		t.Fatalf("loads = %v, want busy and idle only", loads)
+	}
+	if len(decs) != 2 || len(applied) != 2 {
+		t.Fatalf("decisions %v, applied %v; want both paths replicated to idle", decs, applied)
+	}
+	for i, d := range decs {
+		if d.Target != "idle" || d.Path != applied[i] {
+			t.Fatalf("decision %d = %v, applied %s", i, d.Action, applied[i])
+		}
+		if want := d.Path == "/warm.html"; (d.Err != nil) != want {
+			t.Fatalf("%s: Err = %v", d.Path, d.Err)
+		}
+	}
+	tbl.Walk(func(r urltable.Record) {
+		if r.Hits != 0 {
+			t.Fatalf("%s keeps %d hits after the round", r.Path, r.Hits)
+		}
+	})
 }

@@ -103,26 +103,32 @@ type Decision struct {
 	// candidate source replicas with their loads for replications,
 	// sole-copy paths that could not be shed for offloads.
 	Rejected []string
+	// Err is what applying the decision came to in Round.Run: nil once
+	// applied. PlanDecisions leaves it nil.
+	Err error
 }
 
-// Plan computes the interval's placement actions from per-node loads and
-// the URL table (§3.3): underutilized nodes receive replicas of the most
-// popular content they lack; overloaded nodes shed copies of their hottest
-// content that is also held elsewhere. When an overloaded node holds sole
-// copies only, the planner first replicates its hottest object to the
-// least-loaded node so a later interval can complete the offload.
-func Plan(loads map[config.NodeID]float64, table *urltable.Table, opts PlannerOptions) []Action {
-	decs := PlanDecisions(loads, table, opts)
-	actions := make([]Action, len(decs))
-	for i, d := range decs {
-		actions[i] = d.Action
+// Outcome reads Err for operators: "applied", or the error.
+func (d Decision) Outcome() string {
+	if d.Err != nil {
+		return d.Err.Error()
 	}
-	return actions
+	return "applied"
 }
 
-// PlanDecisions is Plan with its working shown: the same actions in
-// the same order, each carrying the load CV, demand reading, chosen
-// node loads, branch reason, and rejected alternatives.
+// PlanDecisions computes the interval's placement decisions from per-node
+// loads and the URL table (§3.3): underutilized nodes receive replicas of
+// the most popular content they lack; overloaded nodes shed copies of
+// their hottest content that another live node also holds, and when they
+// hold sole copies only, the planner first replicates the hottest one to
+// the least-loaded node so a later interval can complete the offload.
+//
+// loads' keys are the live set. A copy on a node outside it counts as no
+// holder — never a replication source, never the copy an offload leaves
+// behind — and such a node is never a target. The availability floor
+// alone counts every recorded copy: a copy on a node that is down for
+// maintenance still exists, and re-replicating critical content whenever
+// a holder misses a probe would churn.
 func PlanDecisions(loads map[config.NodeID]float64, table *urltable.Table, opts PlannerOptions) []Decision {
 	if opts.MaxActionsPerNode <= 0 {
 		opts.MaxActionsPerNode = 3
@@ -184,6 +190,11 @@ func PlanDecisions(loads map[config.NodeID]float64, table *urltable.Table, opts 
 		return underReplicated[i].Path < underReplicated[j].Path
 	})
 	for _, r := range underReplicated {
+		live := liveHolders(r.Locations, loads)
+		if len(live) == 0 {
+			continue // no live copy to seed a replica from
+		}
+		source := leastLoadedOf(live, loads)
 		need := opts.PriorityMinCopies - len(r.Locations)
 		for _, target := range order {
 			if need <= 0 {
@@ -192,7 +203,6 @@ func PlanDecisions(loads map[config.NodeID]float64, table *urltable.Table, opts 
 			if r.HasLocation(target) {
 				continue
 			}
-			source := leastLoadedOf(r.Locations, loads)
 			if add(Decision{
 				Action: Action{
 					Kind:   ActionReplicate,
@@ -202,7 +212,7 @@ func PlanDecisions(loads map[config.NodeID]float64, table *urltable.Table, opts 
 				},
 				Hits:     r.Hits,
 				Reason:   "availability-floor",
-				Rejected: rejectedSources(r.Locations, source, loads),
+				Rejected: rejectedSources(live, source, loads),
 			}) {
 				need--
 			}
@@ -220,10 +230,14 @@ func PlanDecisions(loads map[config.NodeID]float64, table *urltable.Table, opts 
 			if n >= opts.MaxActionsPerNode {
 				break
 			}
-			if r.HasLocation(id) || len(r.Locations) == 0 {
+			if r.HasLocation(id) {
 				continue
 			}
-			source := leastLoadedOf(r.Locations, loads)
+			live := liveHolders(r.Locations, loads)
+			if len(live) == 0 {
+				continue
+			}
+			source := leastLoadedOf(live, loads)
 			if add(Decision{
 				Action: Action{
 					Kind:   ActionReplicate,
@@ -233,7 +247,7 @@ func PlanDecisions(loads map[config.NodeID]float64, table *urltable.Table, opts 
 				},
 				Hits:     r.Hits,
 				Reason:   "replicate-hot-to-cold",
-				Rejected: rejectedSources(r.Locations, source, loads),
+				Rejected: rejectedSources(live, source, loads),
 			}) {
 				n++
 			}
@@ -241,6 +255,9 @@ func PlanDecisions(loads map[config.NodeID]float64, table *urltable.Table, opts 
 	}
 
 	// Offload the hottest multi-copy content from each overloaded node.
+	// holders counts each path's live copies still standing after the
+	// offloads planned so far.
+	holders := make(map[string]int)
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		if levels[id] != LevelOverloaded {
@@ -261,7 +278,11 @@ func PlanDecisions(loads map[config.NodeID]float64, table *urltable.Table, opts 
 			if r.Pinned {
 				continue
 			}
-			if len(r.Locations) < 2 {
+			left, seen := holders[r.Path]
+			if !seen {
+				left = len(liveHolders(r.Locations, loads))
+			}
+			if left < 2 {
 				if soleHot == "" {
 					soleHot = r.Path
 					soleHits = r.Hits
@@ -277,6 +298,7 @@ func PlanDecisions(loads map[config.NodeID]float64, table *urltable.Table, opts 
 				Reason:   "offload-hot",
 				Rejected: soleSkipped,
 			}) {
+				holders[r.Path] = left - 1
 				n++
 			}
 		}
@@ -351,6 +373,17 @@ func sortByHits(recs []urltable.Record) {
 		}
 		return recs[i].Path < recs[j].Path
 	})
+}
+
+// liveHolders returns the locations in the live set (loads' keys).
+func liveHolders(locs []config.NodeID, loads map[config.NodeID]float64) []config.NodeID {
+	var live []config.NodeID
+	for _, id := range locs {
+		if _, up := loads[id]; up {
+			live = append(live, id)
+		}
+	}
+	return live
 }
 
 // leastLoadedOf returns the location with the smallest load (replication

@@ -331,10 +331,10 @@ func (s *ConsoleServer) handle(req ConsoleRequest) ConsoleResponse {
 		if s.balancer == nil {
 			return fail(fmt.Errorf("console: no balancer configured"))
 		}
-		actions := s.balancer.RunOnce()
-		out := make([]string, len(actions))
-		for i, a := range actions {
-			out[i] = a.String()
+		decs := s.balancer.RunOnce()
+		out := make([]string, len(decs))
+		for i, d := range decs {
+			out[i] = d.Action.String() + ": " + d.Outcome()
 		}
 		return ConsoleResponse{OK: true, Actions: out}
 	default:

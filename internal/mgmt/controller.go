@@ -680,143 +680,80 @@ func (c *Controller) Ping(node config.NodeID) error {
 	return err
 }
 
-// ApplyActions executes the load balancer's placement actions (§3.3),
-// returning how many succeeded. Individual failures are journaled and
-// skipped: a missed rebalance is recoverable next interval.
-func (c *Controller) ApplyActions(actions []loadbal.Action) (int, error) {
-	decs := make([]loadbal.Decision, len(actions))
-	for i, a := range actions {
-		decs[i] = loadbal.Decision{Action: a, Reason: "manual"}
+// applyDecision executes one planner decision, journaling it with the
+// inputs that produced it (demand, load CV, branch reason, rejected
+// alternatives) before applying it, all under trace so repairs planned
+// during an incident stay linked to the fault that started it.
+func (c *Controller) applyDecision(d loadbal.Decision, trace uint64) error {
+	kind := journal.KindPlanReplicate
+	if d.Kind == loadbal.ActionOffload {
+		kind = journal.KindPlanOffload
 	}
-	return c.ApplyDecisions(decs, 0)
+	detail := d.Reason
+	if len(d.Rejected) > 0 {
+		detail = d.Reason + " rejected=" + strings.Join(d.Rejected, ",")
+	}
+	c.journalView().Record(journal.Event{
+		Actor:  journal.ActorPlanner,
+		Kind:   kind,
+		Trace:  trace,
+		Node:   string(d.Target),
+		Path:   d.Path,
+		Detail: detail,
+		A:      d.Hits,
+		F:      d.LoadCV,
+	})
+	switch d.Kind {
+	case loadbal.ActionReplicate:
+		return c.replicate(d.Path, d.Source, d.Target, trace)
+	case loadbal.ActionOffload:
+		return c.offload(d.Path, d.Target, trace)
+	default:
+		return fmt.Errorf("controller: unknown action kind %v", d.Kind)
+	}
 }
 
-// ApplyDecisions executes the planner's decisions, journaling each one
-// with the inputs that produced it (demand, load CV, branch reason,
-// rejected alternatives) before applying it, all under trace so
-// repairs planned during an incident stay linked to the fault that
-// started it. Returns how many applied; individual failures are
-// journaled and skipped.
-func (c *Controller) ApplyDecisions(decs []loadbal.Decision, trace uint64) (int, error) {
-	j := c.journalView()
-	applied := 0
-	var errs []error
-	for _, d := range decs {
-		kind := journal.KindPlanReplicate
-		if d.Kind == loadbal.ActionOffload {
-			kind = journal.KindPlanOffload
-		}
-		detail := d.Reason
-		if len(d.Rejected) > 0 {
-			detail = d.Reason + " rejected=" + strings.Join(d.Rejected, ",")
-		}
-		node := string(d.Target)
-		j.Record(journal.Event{
-			Actor:  journal.ActorPlanner,
-			Kind:   kind,
-			Trace:  trace,
-			Node:   node,
-			Path:   d.Path,
-			Detail: detail,
-			A:      d.Hits,
-			F:      d.LoadCV,
-		})
-		var err error
-		switch d.Kind {
-		case loadbal.ActionReplicate:
-			err = c.replicate(d.Path, d.Source, d.Target, trace)
-		case loadbal.ActionOffload:
-			err = c.offload(d.Path, d.Target, trace)
-		default:
-			err = fmt.Errorf("controller: unknown action kind %v", d.Kind)
-		}
-		if err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", d.Action, err))
-			continue
-		}
-		applied++
-	}
-	return applied, errors.Join(errs...)
-}
-
-// AutoBalancer periodically closes a load interval, plans placement
-// changes and applies them — the §3.3 auto-replication facility. Construct
-// with NewAutoBalancer; Start launches the loop; Close joins it.
+// AutoBalancer periodically runs the §3.3 round on the controller's table
+// and applies its decisions through the controller — the auto-replication
+// facility. Construct with NewAutoBalancer; Start launches the loop; Close
+// joins it.
 type AutoBalancer struct {
 	controller *Controller
-	tracker    *loadbal.Tracker
-	specs      []config.NodeSpec
-	opts       loadbal.PlannerOptions
+	round      loadbal.Round
 	interval   time.Duration
-
-	mu      sync.Mutex
-	rounds  int
-	applied int
-	onLoads func(map[config.NodeID]float64)
 
 	life lifecycle.Group
 }
 
-// NewAutoBalancer wires the balancing loop. interval defaults to 2s when
-// non-positive.
-func NewAutoBalancer(controller *Controller, tracker *loadbal.Tracker, specs []config.NodeSpec, opts loadbal.PlannerOptions, interval time.Duration) *AutoBalancer {
+// NewAutoBalancer wires the balancing loop. The round plans over the
+// controller's table (round.Table is ignored); interval defaults to 2s
+// when non-positive.
+func NewAutoBalancer(controller *Controller, round loadbal.Round, interval time.Duration) *AutoBalancer {
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
+	round.Table = controller.Table()
 	return &AutoBalancer{
 		controller: controller,
-		tracker:    tracker,
-		specs:      append([]config.NodeSpec(nil), specs...),
-		opts:       opts,
+		round:      round,
 		interval:   interval,
 	}
-}
-
-// SetOnLoads registers a callback receiving each interval's per-node
-// loads (the distributor subscribes so its load-aware picker sees fresh
-// L_j values). Call before Start.
-func (ab *AutoBalancer) SetOnLoads(fn func(map[config.NodeID]float64)) {
-	ab.mu.Lock()
-	defer ab.mu.Unlock()
-	ab.onLoads = fn
 }
 
 // Start launches the periodic loop.
 func (ab *AutoBalancer) Start() { ab.life.Every(ab.interval, func() { ab.RunOnce() }) }
 
-// RunOnce closes the current interval and applies the planned actions,
-// returning them (tests and the console's balance-now command call this
+// RunOnce runs one round and returns its decisions, each with the outcome
+// of applying it (the console's balance-now command and tests call this
 // directly).
-func (ab *AutoBalancer) RunOnce() []loadbal.Action {
-	loads := ab.tracker.IntervalLoads(ab.specs)
-	ab.mu.Lock()
-	onLoads := ab.onLoads
-	ab.mu.Unlock()
-	if onLoads != nil {
-		onLoads(loads)
-	}
-	decs := loadbal.PlanDecisions(loads, ab.controller.Table(), ab.opts)
+func (ab *AutoBalancer) RunOnce() []loadbal.Decision {
 	// Decisions made while a node incident is open are part of that
 	// incident's causal story: journal them under its trace.
 	trace := ab.controller.journalView().AnyIncident()
-	applied, _ := ab.controller.ApplyDecisions(decs, trace)
-	ab.controller.Table().ResetHits()
-	actions := make([]loadbal.Action, len(decs))
-	for i, d := range decs {
-		actions[i] = d.Action
-	}
-	ab.mu.Lock()
-	ab.rounds++
-	ab.applied += applied
-	ab.mu.Unlock()
-	return actions
-}
-
-// Rounds reports completed balancing intervals and applied actions.
-func (ab *AutoBalancer) Rounds() (rounds, applied int) {
-	ab.mu.Lock()
-	defer ab.mu.Unlock()
-	return ab.rounds, ab.applied
+	_, decs := ab.round.Run(func(d loadbal.Decision) error {
+		return ab.controller.applyDecision(d, trace)
+	})
+	return decs
 }
 
 // Close stops the loop and joins it.

@@ -345,17 +345,49 @@ func TestControllerStatusAndPing(t *testing.T) {
 	}
 }
 
-func TestControllerApplyActions(t *testing.T) {
+// hotRound drives n hits on path into the table and n 10 ms requests on
+// node into the tracker, so the next round sees a hot spot there.
+func hotRound(ctl *Controller, tracker *loadbal.Tracker, path string, node config.NodeID, n int) {
+	for i := 0; i < n; i++ {
+		_, _ = ctl.Table().Route(path)
+		tracker.Record(node, content.ClassHTML, 10e6)
+	}
+}
+
+// newBalancer wires an AutoBalancer over ctl's nodes, every node up.
+func newBalancer(ctl *Controller, tracker *loadbal.Tracker) *AutoBalancer {
+	var specs []config.NodeSpec
+	for _, id := range ctl.Nodes() {
+		specs = append(specs, config.NodeSpec{ID: id, CPUMHz: 350, MemoryMB: 128})
+	}
+	return NewAutoBalancer(ctl, loadbal.Round{
+		Tracker: tracker,
+		Nodes:   specs,
+		Planner: loadbal.DefaultPlannerOptions(),
+	}, 0)
+}
+
+// Two rounds over a sole copy on an overloaded node: the first stages a
+// replica on the idle node, the second sheds the overloaded node's copy.
+// Both apply through the controller.
+func TestAutoBalancerAppliesReplicateThenOffload(t *testing.T) {
 	ctl, _ := newController(t, "n1", "n2")
 	obj := content.Object{Path: "/hot.html", Size: 1, Class: content.ClassHTML}
 	_ = ctl.Insert(obj, []byte("x"), "n1")
-	actions := []loadbal.Action{
-		{Kind: loadbal.ActionReplicate, Path: "/hot.html", Source: "n1", Target: "n2"},
-		{Kind: loadbal.ActionOffload, Path: "/hot.html", Target: "n1"},
+	tracker := loadbal.NewTracker(loadbal.PaperWeights())
+	ab := newBalancer(ctl, tracker)
+	var applied []string
+	for round := 0; round < 2; round++ {
+		hotRound(ctl, tracker, "/hot.html", "n1", 50)
+		for _, d := range ab.RunOnce() {
+			if d.Err != nil {
+				t.Fatalf("round %d: %v: %v", round, d.Action, d.Err)
+			}
+			applied = append(applied, d.Action.String())
+		}
 	}
-	applied, err := ctl.ApplyActions(actions)
-	if err != nil || applied != 2 {
-		t.Fatalf("applied = %d, %v", applied, err)
+	if want := []string{"replicate /hot.html n1→n2", "offload /hot.html from n1"}; !slices.Equal(applied, want) {
+		t.Fatalf("applied = %q, want %q", applied, want)
 	}
 	rec, _ := ctl.Table().Lookup("/hot.html")
 	if rec.HasLocation("n1") || !rec.HasLocation("n2") {
@@ -363,20 +395,73 @@ func TestControllerApplyActions(t *testing.T) {
 	}
 }
 
-func TestControllerApplyActionsPartialFailure(t *testing.T) {
-	ctl, _ := newController(t, "n1", "n2")
-	obj := content.Object{Path: "/a.html", Size: 1, Class: content.ClassHTML}
-	_ = ctl.Insert(obj, []byte("x"), "n1")
-	actions := []loadbal.Action{
-		{Kind: loadbal.ActionOffload, Path: "/a.html", Target: "n1"}, // last copy → fails
-		{Kind: loadbal.ActionReplicate, Path: "/a.html", Source: "n1", Target: "n2"},
+// controllerWithDeadBroker is newController with n3's broker closed after
+// the controller connected: every dispatch to n3 fails.
+func controllerWithDeadBroker(t *testing.T) *Controller {
+	t.Helper()
+	ctl, brokers := newController(t, "n1", "n2", "n3")
+	if err := brokers["n3"].Close(); err != nil {
+		t.Fatal(err)
 	}
-	applied, err := ctl.ApplyActions(actions)
-	if err == nil {
-		t.Fatal("expected partial failure error")
+	obj := content.Object{Path: "/a.html", Size: 1, Class: content.ClassHTML}
+	if err := ctl.Insert(obj, []byte("x"), "n1"); err != nil {
+		t.Fatal(err)
+	}
+	return ctl
+}
+
+// A decision that fails is skipped and reported; the rest of the round
+// still applies.
+func TestAutoBalancerPartialFailure(t *testing.T) {
+	ctl := controllerWithDeadBroker(t)
+	tracker := loadbal.NewTracker(loadbal.PaperWeights())
+	hotRound(ctl, tracker, "/a.html", "n1", 50)
+	decs := newBalancer(ctl, tracker).RunOnce()
+	if len(decs) != 2 {
+		t.Fatalf("decisions = %v, want /a.html replicated to n2 and n3", decs)
+	}
+	applied := 0
+	for _, d := range decs {
+		if d.Err == nil {
+			applied++
+		} else if d.Target != "n3" {
+			t.Fatalf("%v failed: %v", d.Action, d.Err)
+		}
 	}
 	if applied != 1 {
 		t.Fatalf("applied = %d, want 1", applied)
+	}
+	rec, _ := ctl.Table().Lookup("/a.html")
+	if !rec.HasLocation("n2") || rec.HasLocation("n3") {
+		t.Fatalf("locations = %v, want n1 and n2", rec.Locations)
+	}
+}
+
+// console balance prints each decision with its outcome: a replicate to
+// an unreachable broker reads as its error, not as done.
+func TestConsoleBalanceReportsOutcomes(t *testing.T) {
+	ctl := controllerWithDeadBroker(t)
+	tracker := loadbal.NewTracker(loadbal.PaperWeights())
+	hotRound(ctl, tracker, "/a.html", "n1", 50)
+	srv := NewConsoleServer(ctl, newBalancer(ctl, tracker))
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	console, err := DialConsole(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = console.Close() }()
+	resp, err := console.Do(ConsoleRequest{Op: "balance"})
+	if err != nil {
+		t.Fatalf("balance: %v", err)
+	}
+	if len(resp.Actions) != 2 || resp.Actions[0] != "replicate /a.html n1→n2: applied" ||
+		!strings.HasPrefix(resp.Actions[1], "replicate /a.html n1→n3: ") ||
+		strings.HasSuffix(resp.Actions[1], ": applied") {
+		t.Fatalf("balance printed %q, want n2 applied and n3's error", resp.Actions)
 	}
 }
 
@@ -396,21 +481,16 @@ func TestAutoBalancerRunOnce(t *testing.T) {
 	obj := content.Object{Path: "/hot.html", Size: 1, Class: content.ClassHTML}
 	_ = ctl.Insert(obj, []byte("x"), "busy")
 	// Drive hits so the planner sees popularity.
-	for i := 0; i < 50; i++ {
-		_, _ = ctl.Table().Route("/hot.html")
-	}
 	tracker := loadbal.NewTracker(loadbal.PaperWeights())
-	specs := []config.NodeSpec{
-		{ID: "busy", CPUMHz: 350, MemoryMB: 128},
-		{ID: "idle", CPUMHz: 350, MemoryMB: 128},
-	}
-	for i := 0; i < 50; i++ {
-		tracker.Record("busy", content.ClassHTML, 10e6) // 10ms
-	}
-	ab := NewAutoBalancer(ctl, tracker, specs, loadbal.DefaultPlannerOptions(), 0)
-	actions := ab.RunOnce()
-	if len(actions) == 0 {
+	hotRound(ctl, tracker, "/hot.html", "busy", 50)
+	decs := newBalancer(ctl, tracker).RunOnce()
+	if len(decs) == 0 {
 		t.Fatal("no balancing actions for a hot spot")
+	}
+	for _, d := range decs {
+		if d.Err != nil {
+			t.Fatalf("%v: %v", d.Action, d.Err)
+		}
 	}
 	rec, _ := ctl.Table().Lookup("/hot.html")
 	if len(rec.Locations) < 2 {
@@ -419,10 +499,6 @@ func TestAutoBalancerRunOnce(t *testing.T) {
 	// Hits reset after the interval.
 	if rec.Hits != 0 {
 		t.Fatalf("hits not reset: %d", rec.Hits)
-	}
-	rounds, applied := ab.Rounds()
-	if rounds != 1 || applied == 0 {
-		t.Fatalf("rounds = %d applied = %d", rounds, applied)
 	}
 }
 
@@ -809,19 +885,9 @@ func TestExplainPlannerDecision(t *testing.T) {
 	if err := ctl.Insert(obj, []byte("x"), "busy"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
-		_, _ = ctl.Table().Route("/hot.html")
-	}
 	tracker := loadbal.NewTracker(loadbal.PaperWeights())
-	specs := []config.NodeSpec{
-		{ID: "busy", CPUMHz: 350, MemoryMB: 128},
-		{ID: "idle", CPUMHz: 350, MemoryMB: 128},
-	}
-	for i := 0; i < 50; i++ {
-		tracker.Record("busy", content.ClassHTML, 10e6)
-	}
-	ab := NewAutoBalancer(ctl, tracker, specs, loadbal.DefaultPlannerOptions(), 0)
-	if actions := ab.RunOnce(); len(actions) == 0 {
+	hotRound(ctl, tracker, "/hot.html", "busy", 50)
+	if decs := newBalancer(ctl, tracker).RunOnce(); len(decs) == 0 {
 		t.Fatal("planner produced no actions for a hot spot")
 	}
 

@@ -12,10 +12,12 @@ import (
 
 // replayMiss is the distributor's miss leader in miniature: ask Admits at
 // the response header, and only then acquire, fill and Put the body, with
-// the header strings a back end's response leaves on the entry.
-func replayMiss(c *Cache, path string, size int) {
+// the header strings a back end's response leaves on the entry. It
+// reports a body Admits passed and Put then refused: one buffered for
+// nothing.
+func replayMiss(c *Cache, path string, size int) (wasted bool) {
 	if !c.Admits(path, int64(size)) {
-		return
+		return false
 	}
 	e := c.AcquireEntry(size)
 	e.Fill(httpx.Stored{
@@ -24,8 +26,9 @@ func replayMiss(c *Cache, path string, size int) {
 		ETag:        `"0123456789abcdef"`,
 		Date:        "Tue, 14 Nov 2023 22:13:20 GMT",
 	}, c.Now(), c.FreshFor())
-	c.Put(path, e)
+	wasted = !c.Put(path, e)
 	c.Release(e)
+	return wasted
 }
 
 // A request stream of churn_mixed's shape, replayed through the cache:
@@ -48,6 +51,7 @@ func TestReplayHitRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wasted := 0
 	request := func() bool {
 		r := z.Next()
 		e, state := c.Get(paths[r])
@@ -55,7 +59,9 @@ func TestReplayHitRatio(t *testing.T) {
 		if state == Fresh {
 			return true
 		}
-		replayMiss(c, paths[r], ladder[r%len(ladder)])
+		if replayMiss(c, paths[r], ladder[r%len(ladder)]) {
+			wasted++
+		}
 		return false
 	}
 	// a churn_mixed run serves about three million requests; the first
@@ -77,6 +83,11 @@ func TestReplayHitRatio(t *testing.T) {
 	}
 	if st := c.Stats(); st.Bytes > st.MaxBytes {
 		t.Fatalf("budget blown: %d > %d", st.Bytes, st.MaxBytes)
+	}
+	// Admits weighs the charge Put does, so on one goroutine no body it
+	// passed is refused after buffering.
+	if wasted != 0 {
+		t.Fatalf("Put refused %d bodies Admits had passed", wasted)
 	}
 }
 
@@ -113,8 +124,8 @@ func TestLostDuelEvictsNothing(t *testing.T) {
 
 // Admits predicts Put: over a seeded stream of gets, misses, refills of
 // resident paths, bodies too large for a shard and invalidations, every
-// Put of an entry without header strings — whose charge is exactly what
-// Admits weighs — agrees with the Admits asked just before it.
+// Put of an entry filled with a back end's header strings agrees with the
+// Admits asked just before it.
 func TestAdmitsAgreesWithPut(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -136,7 +147,12 @@ func TestAdmitsAgreesWithPut(t *testing.T) {
 				n := sizes[rng.Intn(len(sizes))]
 				want := c.Admits(p, int64(n))
 				fill := c.AcquireEntry(n)
-				fill.Fill(httpx.Stored{StatusCode: 200}, c.Now(), c.FreshFor())
+				fill.Fill(httpx.Stored{
+					StatusCode:  200,
+					ContentType: "text/html",
+					ETag:        `"0123456789abcdef"`,
+					Date:        "Tue, 14 Nov 2023 22:13:20 GMT",
+				}, c.Now(), c.FreshFor())
 				if got := c.Put(p, fill); got != want {
 					t.Fatalf("request %d: Admits(%s, %d) = %v, Put = %v", i, p, n, want, got)
 				}

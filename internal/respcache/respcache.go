@@ -51,9 +51,14 @@ func (s State) String() string {
 }
 
 // entryOverhead approximates per-entry bookkeeping (the entry itself with
-// its list node, the map slot) charged against the byte budget on top of
-// the body's capacity and the header strings.
+// its list node, the map slot, its few short header strings) charged
+// against the byte budget on top of the body's capacity.
 const entryOverhead = 256
+
+// charge is what an entry whose body has capacity bodyCap weighs against
+// the byte budget, resident or on a free list. Admits weighs a body's
+// charge before it is read and Put the filled entry's, so the two agree.
+func charge(bodyCap int) int64 { return int64(bodyCap) + entryOverhead }
 
 // Entry is one cached response. The Stored payload and its size are
 // immutable once the entry is published; freshness fields are atomics so
@@ -117,8 +122,7 @@ func (e *Entry) Fill(st httpx.Stored, now time.Time, ttl time.Duration) {
 
 func (e *Entry) seal(s httpx.Stored, now time.Time, ttl time.Duration) {
 	e.Stored = s
-	e.size = int64(cap(s.Body)+len(s.ContentType)+len(s.ETag)+
-		len(s.LastModified)+len(s.Date)) + entryOverhead
+	e.size = charge(cap(s.Body))
 	e.storedAt.Store(now.UnixNano())
 	e.expires.Store(now.Add(ttl).UnixNano())
 }
@@ -140,7 +144,7 @@ func (e *Entry) link(key string, hash uint64) *node {
 }
 
 // held is what the entry's memory weighs on a free list.
-func (e *Entry) held() int64 { return int64(cap(e.Stored.Body)) + entryOverhead }
+func (e *Entry) held() int64 { return charge(cap(e.Stored.Body)) }
 
 // AgeSeconds is the RFC 7234 Age of the entry at now: seconds since it
 // was stored or last revalidated.
@@ -152,8 +156,8 @@ func (e *Entry) AgeSeconds(now time.Time) int64 {
 	return age
 }
 
-// Size is the budget charge for this entry: its body's capacity, its
-// header strings and a fixed overhead.
+// Size is the budget charge for this entry: its body's capacity and a
+// fixed overhead.
 func (e *Entry) Size() int64 { return e.size }
 
 // Options configures a Cache.
@@ -327,14 +331,12 @@ func (c *Cache) Peek(path string) *Entry {
 // Admits reports whether Put would now store a fresh body of
 // contentLength bytes for path, so a miss leader can relay a body the
 // cache would refuse instead of buffering it. It applies Put's rule under
-// the shard lock and evicts nothing; the charge it weighs is the body's
-// size class and the fixed overhead, without the header strings the entry
-// will carry. A refusal counts as rejected, as Put's does.
+// the shard lock and evicts nothing, weighing the charge Put will: that of
+// the body's size class. A refusal counts as rejected, as Put's does.
 func (c *Cache) Admits(path string, contentLength int64) bool {
 	if contentLength <= c.opts.MaxEntryBytes {
 		h := hashKey(path)
-		charge := int64(sizeClasses[classOf(int(contentLength))]) + entryOverhead
-		if c.shardFor(h).admits(path, h, charge) {
+		if c.shardFor(h).admits(path, h, charge(sizeClasses[classOf(int(contentLength))])) {
 			return true
 		}
 	}

@@ -486,7 +486,7 @@ func TestEntryRecycling(t *testing.T) {
 	if cap(e.Stored.Body) != 1024 {
 		t.Fatalf("body capacity %d, want the 1024-byte class", cap(e.Stored.Body))
 	}
-	if want := int64(1024+len("text/html")) + entryOverhead; e.Size() != want {
+	if want := int64(1024) + entryOverhead; e.Size() != want {
 		t.Fatalf("Size = %d, want %d (capacity, not length)", e.Size(), want)
 	}
 	if !c.Put("/a", e) {

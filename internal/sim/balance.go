@@ -122,27 +122,15 @@ func AutoBalanceExperiment(p BalanceParams) (BalanceData, error) {
 
 	// Per-request load tracking with virtual processing times.
 	tracker := loadbal.NewTracker(loadbal.PaperWeights())
-	cluster.Frontend.SetObserver(func(node config.NodeID, class content.Class, procTime time.Duration) {
-		tracker.Record(node, class, procTime)
-	})
+	cluster.Frontend.SetObserver(tracker.Record)
+	bal := loadbal.Round{Tracker: tracker, Nodes: p.Spec.Nodes, Table: table, Planner: p.Planner}
 
-	// Closed-loop clients.
-	var completed int64
-	for i := 0; i < p.Clients; i++ {
-		gen, err := workload.NewGenerator(site, workload.DefaultZipfS, p.Seed+int64(i)*7919)
-		if err != nil {
-			return BalanceData{}, err
-		}
-		var issue func()
-		issue = func() {
-			obj := gen.Next()
-			cluster.Frontend.Route(obj, func(bool) {
-				completed++
-				issue()
-			})
-		}
-		start := time.Duration(i) * time.Second / time.Duration(p.Clients)
-		eng.Schedule(start, issue)
+	// Closed-loop clients, counting every request finished by the last
+	// interval's end.
+	res := Result{PerClass: make(map[content.Class]ClassResult)}
+	clients := RunParams{Clients: p.Clients, Measure: time.Duration(p.Rounds) * p.Interval, Seed: p.Seed}
+	if _, err := startClients(cluster, site, clients, &res); err != nil {
+		return BalanceData{}, err
 	}
 
 	var data BalanceData
@@ -151,33 +139,18 @@ func AutoBalanceExperiment(p BalanceParams) (BalanceData, error) {
 		end := time.Duration(round+1) * p.Interval
 		eng.Run(end)
 
-		loads := tracker.IntervalLoads(p.Spec.Nodes)
-		actions := loadbal.Plan(loads, table, p.Planner)
+		loads, decs := bal.Run(cluster.Apply)
 		applied := 0
-		for _, a := range actions {
-			switch a.Kind {
-			case loadbal.ActionReplicate:
-				if err := table.AddLocation(a.Path, a.Target); err == nil {
-					if n, ok := cluster.NodeByID(a.Target); ok {
-						n.Place(a.Path)
-					}
-					applied++
-				}
-			case loadbal.ActionOffload:
-				if err := table.RemoveLocation(a.Path, a.Target); err == nil {
-					if n, ok := cluster.NodeByID(a.Target); ok {
-						n.Unplace(a.Path)
-					}
-					applied++
-				}
+		for _, d := range decs {
+			if d.Err == nil {
+				applied++
 			}
 		}
-		table.ResetHits()
 
 		replicas := 0
 		table.Walk(func(r urltable.Record) { replicas += len(r.Locations) })
-		intervalReqs := completed - prevCompleted
-		prevCompleted = completed
+		intervalReqs := res.Requests - prevCompleted
+		prevCompleted = res.Requests
 		data.Points = append(data.Points, BalancePoint{
 			At:         end,
 			Throughput: float64(intervalReqs) / p.Interval.Seconds(),

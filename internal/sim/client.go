@@ -100,14 +100,6 @@ func Run(cluster *Cluster, site *content.Site, scheme Scheme, p RunParams) (Resu
 	if p.Clients <= 0 {
 		return Result{}, fmt.Errorf("sim: non-positive client count")
 	}
-	zipfS := p.ZipfS
-	if zipfS == 0 {
-		zipfS = workload.DefaultZipfS
-	}
-	eng := cluster.Engine
-	warmupEnd := eng.Now() + p.Warmup
-	end := warmupEnd + p.Measure
-
 	res := Result{
 		Scheme:   scheme,
 		Clients:  p.Clients,
@@ -115,40 +107,11 @@ func Run(cluster *Cluster, site *content.Site, scheme Scheme, p RunParams) (Resu
 		PerClass: make(map[content.Class]ClassResult, 5),
 	}
 
-	// One generator per client, offset seeds (as WebBench's independent
-	// client processes).
-	for i := 0; i < p.Clients; i++ {
-		gen, err := workload.NewGenerator(site, zipfS, p.Seed+int64(i)*7919)
-		if err != nil {
-			return Result{}, err
-		}
-		client := &simClient{
-			eng:       eng,
-			cluster:   cluster,
-			gen:       gen,
-			think:     p.ThinkTime,
-			warmupEnd: warmupEnd,
-			end:       end,
-			res:       &res,
-		}
-		// Stagger client starts across the first virtual second to
-		// avoid a synchronized thundering herd at t=0.
-		start := time.Duration(i) * time.Second / time.Duration(p.Clients)
-		eng.Schedule(start, client.issue)
+	end, err := startClients(cluster, site, p, &res)
+	if err != nil {
+		return Result{}, err
 	}
-
-	// Reset cache counters at warmup end so hit rates reflect steady
-	// state only.
-	eng.ScheduleAt(warmupEnd, func() {
-		for _, n := range cluster.Nodes {
-			n.pageCache.ResetStats()
-		}
-		if cluster.NFS != nil {
-			cluster.NFS.pageCache.ResetStats()
-		}
-	})
-
-	eng.Run(end)
+	cluster.Engine.Run(end)
 
 	// Aggregate steady-state cache hit rate weighted by lookups.
 	var hits, misses int64
@@ -167,6 +130,51 @@ func Run(cluster *Cluster, site *content.Site, scheme Scheme, p RunParams) (Resu
 		res.CacheHitRate = float64(hits) / float64(hits+misses)
 	}
 	return res, nil
+}
+
+// startClients schedules p.Clients closed-loop clients on cluster's
+// engine, each with its own generator over site (seed p.Seed+i*7919, as
+// WebBench's independent client processes), and returns the end of the
+// measurement window, p.Warmup+p.Measure from now. The clients issue
+// requests until then and count into res every request that starts after
+// the warmup and finishes by the end; the page-cache counters restart at
+// the warmup's end, so hit rates reflect steady state only.
+func startClients(cluster *Cluster, site *content.Site, p RunParams, res *Result) (time.Duration, error) {
+	zipfS := p.ZipfS
+	if zipfS == 0 {
+		zipfS = workload.DefaultZipfS
+	}
+	eng := cluster.Engine
+	warmupEnd := eng.Now() + p.Warmup
+	end := warmupEnd + p.Measure
+	for i := 0; i < p.Clients; i++ {
+		gen, err := workload.NewGenerator(site, zipfS, p.Seed+int64(i)*7919)
+		if err != nil {
+			return 0, err
+		}
+		client := &simClient{
+			eng:       eng,
+			cluster:   cluster,
+			gen:       gen,
+			think:     p.ThinkTime,
+			warmupEnd: warmupEnd,
+			end:       end,
+			res:       res,
+		}
+		// Stagger client starts across the first virtual second to
+		// avoid a synchronized thundering herd at t=0.
+		start := time.Duration(i) * time.Second / time.Duration(p.Clients)
+		eng.Schedule(start, client.issue)
+	}
+	eng.ScheduleAt(warmupEnd, func() {
+		for _, n := range cluster.Nodes {
+			n.pageCache.ResetStats()
+		}
+		if cluster.NFS != nil {
+			cluster.NFS.pageCache.ResetStats()
+		}
+	})
+	return end, nil
 }
 
 // simClient is one closed-loop client inside the simulation.

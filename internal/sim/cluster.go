@@ -284,3 +284,26 @@ func (c *Cluster) NodeByID(id config.NodeID) (*Node, bool) {
 	}
 	return nil, false
 }
+
+// Apply carries out one §3.3 decision on the deployment, the table first
+// and then the target's local set: the simulator's applier for
+// loadbal.Round.Run. Copies are instantaneous at the interval scale (a
+// ~10 KB object).
+func (c *Cluster) Apply(d loadbal.Decision) error {
+	n, ok := c.NodeByID(d.Target)
+	if !ok {
+		return fmt.Errorf("sim: no node %s", d.Target)
+	}
+	if d.Kind == loadbal.ActionOffload {
+		if err := c.Table.RemoveLocation(d.Path, d.Target); err != nil {
+			return err
+		}
+		n.Unplace(d.Path)
+		return nil
+	}
+	if err := c.Table.AddLocation(d.Path, d.Target); err != nil {
+		return err
+	}
+	n.Place(d.Path)
+	return nil
+}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"webcluster/internal/admission"
@@ -118,6 +117,20 @@ func RunScenario(spec *workload.Spec, opts ScenarioOptions) (*Timeline, error) {
 		return nil, fmt.Errorf("sim: duration %v collapses to zero at time scale %g", spec.Duration.D(), scale)
 	}
 
+	tracker := loadbal.NewTracker(loadbal.PaperWeights())
+	cluster.Frontend.SetObserver(tracker.Record)
+	// A down node is out of the round: the planner neither targets it nor
+	// counts its idleness as imbalance.
+	round := loadbal.Round{
+		Tracker: tracker,
+		Nodes:   opts.Cluster.Nodes,
+		Live: func(id config.NodeID) bool {
+			n, ok := cluster.NodeByID(id)
+			return ok && !n.Down()
+		},
+		Table:   cluster.Table,
+		Planner: opts.Planner,
+	}
 	r := &scenarioRun{
 		spec:       spec,
 		opts:       opts,
@@ -125,15 +138,12 @@ func RunScenario(spec *workload.Spec, opts ScenarioOptions) (*Timeline, error) {
 		cluster:    cluster,
 		site:       site,
 		perm:       perm,
-		tracker:    loadbal.NewTracker(loadbal.PaperWeights()),
+		round:      round,
 		scale:      scale,
 		end:        end,
 		interval:   interval,
 		globalMult: 1,
 	}
-	cluster.Frontend.SetObserver(func(node config.NodeID, class content.Class, procTime time.Duration) {
-		r.tracker.Record(node, class, procTime)
-	})
 	if opts.Admission != nil {
 		cluster.Frontend.EnableAdmission(*opts.Admission)
 	}
@@ -201,7 +211,7 @@ type scenarioRun struct {
 	cluster *Cluster
 	site    *content.Site
 	perm    *workload.Permutation
-	tracker *loadbal.Tracker
+	round   loadbal.Round
 
 	scale    float64
 	end      time.Duration
@@ -371,15 +381,16 @@ func (r *scenarioRun) closeInterval(at time.Duration) {
 		hitRate = float64(dh) / float64(dh+dm)
 	}
 
-	// Per-node loads for this interval; down nodes are excluded so the
-	// planner neither targets them nor counts their idleness as
-	// imbalance.
-	allLoads := r.tracker.IntervalLoads(r.opts.Cluster.Nodes)
-	loads := make(map[config.NodeID]float64, len(allLoads))
-	for _, n := range r.cluster.Nodes {
-		if !n.Down() {
-			loads[n.Spec.ID] = allLoads[n.Spec.ID]
-		}
+	// The point counts the copies the interval ran with, before this
+	// round's placement changes. Every boundary but the scenario's end
+	// runs the §3.3 round when balancing is on.
+	replicas := r.replicaCount()
+	var loads map[config.NodeID]float64
+	var decs []loadbal.Decision
+	if at < r.end && r.opts.AutoBalance && r.cluster.Table != nil {
+		loads, decs = r.round.Run(r.cluster.Apply)
+	} else {
+		loads = r.round.Loads()
 	}
 
 	width := at - r.intervalStart
@@ -393,7 +404,7 @@ func (r *scenarioRun) closeInterval(at time.Duration) {
 		P50:          p50,
 		P99:          p99,
 		LoadCV:       loadbal.LoadCV(loads),
-		Replicas:     r.replicaCount(),
+		Replicas:     replicas,
 		CacheHitRate: hitRate,
 		DownNodes:    r.downNodes,
 		ClassShed:    r.classShed,
@@ -415,57 +426,12 @@ func (r *scenarioRun) closeInterval(at time.Duration) {
 	r.classShed = [admission.NumClasses]int64{}
 	r.staleSrv = 0
 
-	if at >= r.end {
-		r.finished = true
-		return
-	}
-	if r.opts.AutoBalance && r.cluster.Table != nil {
-		r.applyPlan(loads, at, point.Index)
-	}
-}
-
-// applyPlan runs the §3.3 planner on the interval loads and applies its
-// placement actions to the table and nodes (copies are instantaneous at
-// this scale, as in AutoBalanceExperiment). Every decision — applied or
-// not — is appended to the replay's decision journal with the planner
-// inputs that produced it.
-func (r *scenarioRun) applyPlan(loads map[config.NodeID]float64, at time.Duration, interval int) {
-	decs := loadbal.PlanDecisions(loads, r.cluster.Table, r.opts.Planner)
+	r.finished = at >= r.end
+	// Every decision, applied or not, joins the replay's decision
+	// journal with the planner inputs that produced it.
 	for _, d := range decs {
-		applied := false
-		switch d.Kind {
-		case loadbal.ActionReplicate:
-			if err := r.cluster.Table.AddLocation(d.Path, d.Target); err == nil {
-				applied = true
-				if n, ok := r.cluster.NodeByID(d.Target); ok {
-					n.Place(d.Path)
-				}
-			}
-		case loadbal.ActionOffload:
-			if err := r.cluster.Table.RemoveLocation(d.Path, d.Target); err == nil {
-				applied = true
-				if n, ok := r.cluster.NodeByID(d.Target); ok {
-					n.Unplace(d.Path)
-				}
-			}
-		}
-		r.decisions = append(r.decisions, DecisionPoint{
-			Interval:   interval,
-			At:         at,
-			Kind:       d.Kind.String(),
-			Path:       d.Path,
-			Source:     string(d.Source),
-			Target:     string(d.Target),
-			Hits:       d.Hits,
-			LoadCV:     d.LoadCV,
-			SourceLoad: d.SourceLoad,
-			TargetLoad: d.TargetLoad,
-			Reason:     d.Reason,
-			Rejected:   strings.Join(d.Rejected, ";"),
-			Applied:    applied,
-		})
+		r.decisions = append(r.decisions, DecisionPoint{Interval: point.Index, At: at, Decision: d})
 	}
-	r.cluster.Table.ResetHits()
 }
 
 // applyEvent executes one timeline event.

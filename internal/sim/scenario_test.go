@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"webcluster/internal/admission"
+	"webcluster/internal/loadbal"
+	"webcluster/internal/urltable"
 	"webcluster/internal/workload"
 )
 
@@ -145,13 +147,14 @@ func TestTimelineCSVGolden(t *testing.T) {
 func TestDecisionsCSVGolden(t *testing.T) {
 	tl := &Timeline{
 		Decisions: []DecisionPoint{
-			{Interval: 3, At: 8 * time.Minute, Kind: "replicate", Path: "/d/hot.html",
-				Source: "n1", Target: "n4", Hits: 420, LoadCV: 0.6123,
-				SourceLoad: 0.22, TargetLoad: 0.05,
-				Reason: "replicate-hot-to-cold", Rejected: "n2(0.800);n3(0.750)", Applied: true},
-			{Interval: 4, At: 10 * time.Minute, Kind: "offload", Path: "/d/warm.html",
-				Target: "n2", Hits: 77, LoadCV: 0.31,
-				TargetLoad: 0.91, Reason: "offload-hot"},
+			{Interval: 3, At: 8 * time.Minute, Decision: loadbal.Decision{
+				Action: loadbal.Action{Kind: loadbal.ActionReplicate, Path: "/d/hot.html", Source: "n1", Target: "n4"},
+				Hits:   420, LoadCV: 0.6123, SourceLoad: 0.22, TargetLoad: 0.05,
+				Reason: "replicate-hot-to-cold", Rejected: []string{"n2(0.800)", "n3(0.750)"}}},
+			{Interval: 4, At: 10 * time.Minute, Decision: loadbal.Decision{
+				Action: loadbal.Action{Kind: loadbal.ActionOffload, Path: "/d/warm.html", Target: "n2"},
+				Hits:   77, LoadCV: 0.31, TargetLoad: 0.91,
+				Reason: "offload-hot", Err: urltable.ErrNoLocation}},
 		},
 	}
 	var b strings.Builder
@@ -179,10 +182,10 @@ func TestScenarioRecordsDecisions(t *testing.T) {
 	}
 	applied := 0
 	for _, d := range tl.Decisions {
-		if d.Kind == "" || d.Reason == "" || d.Path == "" {
+		if d.Kind == 0 || d.Reason == "" || d.Path == "" {
 			t.Fatalf("decision missing fields: %+v", d)
 		}
-		if d.Applied {
+		if d.Err == nil {
 			applied++
 		}
 	}

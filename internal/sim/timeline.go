@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"webcluster/internal/admission"
+	"webcluster/internal/loadbal"
 )
 
 // TimelinePoint is one aggregation interval of a scenario replay.
@@ -43,32 +44,15 @@ type TimelinePoint struct {
 }
 
 // DecisionPoint is one planner decision taken during a replay, with the
-// planner inputs that produced it — the simulated counterpart of the
-// live cluster's decision journal.
+// planner inputs that produced it and what applying it came to — the
+// simulated counterpart of the live cluster's decision journal.
 type DecisionPoint struct {
 	// Interval is the index of the interval whose close triggered the
 	// planning round.
 	Interval int
 	// At is the virtual time of the round.
 	At time.Duration
-	// Kind is "replicate" or "offload".
-	Kind string
-	// Path is the document moved.
-	Path string
-	// Source and Target are the chosen nodes ("" where not applicable).
-	Source, Target string
-	// Hits is the document's interval demand reading.
-	Hits int64
-	// LoadCV is the cluster imbalance the planner ran against.
-	LoadCV float64
-	// SourceLoad and TargetLoad are the chosen nodes' load readings.
-	SourceLoad, TargetLoad float64
-	// Reason names the planner branch that produced the decision.
-	Reason string
-	// Rejected joins the alternatives passed over with ";".
-	Rejected string
-	// Applied reports whether the table mutation succeeded.
-	Applied bool
+	loadbal.Decision
 }
 
 // Timeline is the full per-interval series of one scenario replay.
@@ -139,7 +123,7 @@ func (t *Timeline) WriteDecisionsCSV(w io.Writer) error {
 	fmt.Fprintln(bw, DecisionsCSVHeader)
 	for _, d := range t.Decisions {
 		applied := 0
-		if d.Applied {
+		if d.Err == nil {
 			applied = 1
 		}
 		fmt.Fprintf(bw, "%d,%.3f,%s,%s,%s,%s,%d,%.4f,%.4f,%.4f,%s,%s,%d\n",
@@ -152,7 +136,7 @@ func (t *Timeline) WriteDecisionsCSV(w io.Writer) error {
 			d.LoadCV,
 			d.SourceLoad, d.TargetLoad,
 			d.Reason,
-			d.Rejected,
+			strings.Join(d.Rejected, ";"),
 			applied,
 		)
 	}

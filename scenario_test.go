@@ -2,7 +2,13 @@ package webcluster
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -270,5 +276,74 @@ func TestExampleScenarioFilesMatchBuiltins(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Fatalf("%s drifted from its built-in:\nfile:    %+v\nbuiltin: %+v", tc.path, got, tc.want)
 		}
+	}
+}
+
+// The simulator's outputs are pinned byte for byte: simrun's timeline and
+// planner journal CSVs at -time-scale 60 for the built-in scenarios, and
+// the §3.3 convergence table benchfigs prints. A change meant to alter
+// one updates its digest here and says why in CHANGES.md; any other diff
+// is a regression. The digests were taken on amd64, where Go fuses no
+// floating-point operations; other architectures may round differently,
+// so the test skips there.
+func TestSimGoldenDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests are taken on amd64, not %s", runtime.GOARCH)
+	}
+	if testing.Short() {
+		t.Skip("builds simrun and benchfigs")
+	}
+	bin := t.TempDir()
+	build := exec.Command("go", "build", "-o", bin, "./cmd/simrun", "./cmd/benchfigs")
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("building simrun and benchfigs: %v", err)
+	}
+	digest := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+
+	for _, tc := range []struct {
+		name              string
+		args              []string
+		timeline, journal string
+	}{
+		{"day", []string{"-scenario", "day"},
+			"8329a845962f8a2b7b39c490bf0ecf997f0973966bfc2c5af56db93bc7def010",
+			"79c4d0ab193119259dfcd4c0378b821bc7322b6743e8e41a4553c5fd6f521afc"},
+		{"flash-crowd", []string{"-scenario", "flash-crowd"},
+			"7a9c2be4aaf89076359ee43f963942f0ffa1b583769e55f69c66649a70261da3",
+			"2816c4c8ee82f47ca837b7909616c91cf7357f045d7318bc193cfe01a32d7eba"},
+		{"surge", []string{"-scenario", "surge"},
+			"ac3efbc34ce680616164eaea3b971b7cc9fc51d6b9357ffb970de0e9f61bea5b",
+			"7d23f0d6f85aee729ddc65588548405eb8bdcb611750d7699cc8972a42ba8937"},
+		{"surge -admit", []string{"-scenario", "surge", "-admit"},
+			"b647be97de27665b2bdab1eb63d59de6e43461006a7bba6050a780600823cd47",
+			"0f09b2ba000dcc8333966ba20313885321d04ff934fec69d47d8816dbd3aa57b"},
+	} {
+		dir := t.TempDir()
+		timeline, journal := filepath.Join(dir, "timeline.csv"), filepath.Join(dir, "journal.csv")
+		args := append(tc.args, "-time-scale", "60", "-q", "-out", timeline, "-journal-csv", journal)
+		if out, err := exec.Command(filepath.Join(bin, "simrun"), args...).CombinedOutput(); err != nil {
+			t.Fatalf("simrun %s: %v\n%s", tc.name, err, out)
+		}
+		for _, f := range []struct{ path, want string }{{timeline, tc.timeline}, {journal, tc.journal}} {
+			b, err := os.ReadFile(f.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(b); got != f.want {
+				t.Errorf("simrun %s %s: sha256 %s, want %s", tc.name, filepath.Base(f.path), got, f.want)
+			}
+		}
+	}
+
+	out, err := exec.Command(filepath.Join(bin, "benchfigs"), "-fast", "-exp", "balance").Output()
+	if err != nil {
+		t.Fatalf("benchfigs -fast -exp balance: %v", err)
+	}
+	if got, want := digest(out), "f8a4d0e1421d3eed550e94154712fe297b95b42144bc30d9a6bb697959b85623"; got != want {
+		t.Errorf("benchfigs -fast -exp balance: sha256 %s, want %s\n%s", got, want, out)
 	}
 }
