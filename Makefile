@@ -76,14 +76,17 @@ race:
 # holds client connections to its peers as well as serving its own. The
 # third line is the response cache's recycling under the race detector: an
 # entry reference released before its last use is a reported race there.
-# The last is the raw socket's preemption tick (DESIGN.md §2.1): a one-P
-# server whose handler spins must still answer a second exchange within
-# 50 ms, with the test's own side at one and at two Ps.
+# The last two are the raw socket's preemption tick (DESIGN.md §2.1): a
+# one-P server whose handler spins must still answer a second exchange
+# within 50 ms, with the test's own side at one and at two Ps, and a one-P
+# front end rendering a 50 000-object tree for a console, its collector
+# off, must still relay a GET within 100 ms.
 stress:
 	GOMAXPROCS=2 $(GO) test -count=5 ./internal/lifecycle ./internal/backend ./internal/distributor ./internal/conntrack ./internal/core ./internal/mgmt ./internal/nfs ./internal/monitor
 	GOMAXPROCS=2 $(GO) test -count=5 -run TestServerLifecycle .
 	GOMAXPROCS=2 $(GO) test -race -count=3 -run TestCacheRecycleSafety ./internal/distributor
 	$(GO) test -count=3 -cpu 1,2 -run TestRawPreemption ./internal/httpx
+	$(GO) test -count=3 -run TestConsolePreemption ./internal/core
 
 # Non-test Go outside bench/, testdata/ and .bench_build/ (where make e2e
 # unpacks its base checkout): the figure the ROADMAP's deletion target and
@@ -144,7 +147,12 @@ bench:
 # swings 3x between a quiet minute and a busy one; the gate is
 # therefore wide (fail below 15% of the snapshot). What it exists to
 # catch — file bytes going back into the JSON envelope — is a 13x drop
-# at 1 MiB.
+# at 1 MiB. Their allocs gate allows 2: with no encoding/json on a
+# content operation's envelopes the counts repeat exactly at the default
+# benchtime (57, 59, 42 and 43), and CI's -benchtime=100x spreads a
+# connection's first frames over fewer operations, reading up to 2 more
+# (61 and 45 at 1 MiB) in 20 of 20 runs. The JSON codec's pooled encoder
+# state used to let them drift by up to 9.
 allocguard:
 	$(GO) test -run '^$$' -bench 'BenchmarkDistributorRelay$$' -benchtime=2000x -benchmem . \
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_relay.json -tolerance 0
@@ -165,7 +173,7 @@ allocguard:
 	$(GO) test -run '^$$' -bench 'BenchmarkJournalRecord$$' -benchtime=100x -benchmem . \
 		| $(GO) run ./cmd/benchguard -snapshot BENCH_telemetry.json -tolerance 0
 	$(GO) test -run '^$$' -bench '$(BENCH_MGMT)' -benchmem . \
-		| $(GO) run ./cmd/benchguard -snapshot BENCH_mgmt.json -tolerance 8 -mbps-tolerance 0.85
+		| $(GO) run ./cmd/benchguard -snapshot BENCH_mgmt.json -tolerance 2 -mbps-tolerance 0.85
 
 # The end-to-end harness in bench/ is its own module and compiles against
 # this one's packages, so nothing above builds it. Vet and test it with

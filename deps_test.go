@@ -1,9 +1,14 @@
 package webcluster
 
 import (
+	"go/types"
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"webcluster/internal/lint/load"
 )
 
 // The distributor and the back end link one HTTP stack, the tree's own
@@ -25,5 +30,62 @@ func TestBinariesLinkOneHTTPStack(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// No code writes through net.Buffers but the off-Linux raw connection
+// stand-in. On an *httpx.TCPConn, net.Buffers.WriteTo finds the embedded
+// *net.TCPConn's writev and takes it, and with it the runtime's syscall
+// hand-off the raw socket exists to avoid — silently, the bytes are the
+// same. httpx.WriteVectored is the vectored write that keeps the raw
+// path. The check is type-checked, so an alias or a method value is
+// caught as surely as the spelled type.
+func TestNoNetBuffersWriter(t *testing.T) {
+	root, modPath, err := load.FindModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loader := load.NewLoader(root, modPath)
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if name := d.Name(); path != root && (name == "testdata" || name == "bench" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		matches, _ := filepath.Glob(filepath.Join(path, "*.go"))
+		hasSource := false
+		for _, m := range matches {
+			hasSource = hasSource || !strings.HasSuffix(m, "_test.go")
+		}
+		if !hasSource {
+			return nil
+		}
+		pkg, err := loader.LoadDir(path, strings.TrimSuffix(modPath+"/"+filepath.ToSlash(rel), "/."))
+		if err != nil {
+			if strings.Contains(err.Error(), "no Go files") {
+				return nil // every file is for another platform
+			}
+			return err
+		}
+		for id, obj := range pkg.Info.Uses {
+			if obj.Pkg() == nil || obj.Pkg().Path() != "net" {
+				continue
+			}
+			named := obj.Name() == "Buffers"
+			if fn, ok := obj.(*types.Func); ok {
+				recv := fn.Type().(*types.Signature).Recv()
+				named = recv != nil && strings.HasSuffix(recv.Type().String(), "net.Buffers")
+			}
+			pos := pkg.Fset.Position(id.Pos())
+			if named && filepath.Base(pos.Filename) != "tcpconn_other.go" {
+				t.Errorf("%s: uses net.%s; write vectored through httpx.WriteVectored", pos, obj.Name())
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -549,7 +549,7 @@ func (p *Pools) writeRequest(w io.Writer, req *Request, proto, doing string) err
 	defer p.releaseHeaderBuf(hb)
 	head := appendRequestHead((*hb)[:0], req, proto)
 	*hb = head[:0]
-	if _, err := p.writeVectored(w, head, req.Body); err != nil {
+	if _, err := WriteVectored(w, head, req.Body); err != nil {
 		return fmt.Errorf("%s: %w", doing, err)
 	}
 	return nil
@@ -663,7 +663,7 @@ func WriteResponse(w io.Writer, resp *Response) error {
 	defer defaultPools.releaseHeaderBuf(hb)
 	head := appendServedHeader((*hb)[:0], resp)
 	*hb = head[:0]
-	if _, err := defaultPools.writeVectored(w, head, resp.Body); err != nil {
+	if _, err := WriteVectored(w, head, resp.Body); err != nil {
 		return fmt.Errorf("writing response: %w", err)
 	}
 	return nil

@@ -16,7 +16,7 @@ const (
 	// copy loop relay with.
 	CopyBufSize = 256 << 10
 	// headerBufSize is the staging capacity for a serialized header
-	// section (writeVectored); oversized sections grow the slice and the
+	// section (WriteVectored); oversized sections grow the slice and the
 	// release path drops outliers.
 	headerBufSize    = 4 << 10
 	maxHeaderBufSize = 16 << 10

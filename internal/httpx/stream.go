@@ -124,7 +124,7 @@ func (p *Pools) Relay(dst io.Writer, resp *Response, src io.Reader, o RelayOptio
 	*hb = head[:0] // keep any growth pooled
 	total := resp.ContentLength
 	if total <= 0 || o.Head {
-		if _, err := p.writeVectored(dst, head, nil); err != nil {
+		if _, err := WriteVectored(dst, head, nil); err != nil {
 			return 0, fmt.Errorf("writing response header: %w", err)
 		}
 		return 0, nil
@@ -139,7 +139,7 @@ func (p *Pools) Relay(dst io.Writer, resp *Response, src io.Reader, o RelayOptio
 	// One read before the header goes out: whatever src already buffered
 	// rides the same writev as the header section.
 	rn, rerr := src.Read(buf[:chunk])
-	wn, werr := p.writeVectored(dst, head, buf[:rn])
+	wn, werr := WriteVectored(dst, head, buf[:rn])
 	written := wn - int64(len(head))
 	if written < 0 {
 		written = 0

@@ -147,9 +147,9 @@ func TestTCPConnConformance(t *testing.T) {
 					}
 					got <- buf.Bytes()
 				}()
-				n, err := NewPools().writeVectored(a, head, body)
+				n, err := WriteVectored(a, head, body)
 				if err != nil || n != int64(len(head)+len(body)) {
-					t.Fatalf("writeVectored = %d, %v", n, err)
+					t.Fatalf("WriteVectored = %d, %v", n, err)
 				}
 				if want := append(head, body...); !bytes.Equal(<-got, want) {
 					t.Fatal("the reader got different bytes, or out of order")
@@ -248,10 +248,9 @@ func lingerZero(c net.Conn) error {
 // A raw exchange allocates nothing: the callbacks are bound at wrap time.
 func TestTCPConnAllocFree(t *testing.T) {
 	a, b := tcpPair(t)
-	p := NewPools()
 	head, body, buf := []byte("head"), []byte("body"), make([]byte, 16)
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := p.writeVectored(a, head, body); err != nil {
+		if _, err := WriteVectored(a, head, body); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := io.ReadFull(b, buf[:8]); err != nil {

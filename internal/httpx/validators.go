@@ -237,7 +237,7 @@ func ServeStored(w io.Writer, s *Stored, o ServeOptions) error {
 	}
 	head = appendContentLength(head, cl)
 	*hb = head[:0]
-	if _, err := defaultPools.writeVectored(w, head, body); err != nil {
+	if _, err := WriteVectored(w, head, body); err != nil {
 		return fmt.Errorf("serving stored response: %w", err)
 	}
 	return nil

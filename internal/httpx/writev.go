@@ -122,13 +122,15 @@ func appendRequestHead(b []byte, req *Request, proto string) []byte {
 	return append(b, "\r\n"...)
 }
 
-// writeVectored writes head then body as one logical write. On a
+// WriteVectored writes head then body as one logical write. On a
 // *TCPConn both segments go out in one raw writev(2), looped over partial
-// writes. Any other writer — fault-injection wrappers, test doubles, TLS —
+// writes: the one vectored write every caller in the tree uses, since
+// net.Buffers.WriteTo on a *TCPConn would take the embedded
+// *net.TCPConn's writev and the runtime's syscall hand-off with it. Any other writer — fault-injection wrappers, test doubles, TLS —
 // takes a sequential path that retries short writes per segment, so a
 // writer returning n < len(p) with a nil error (the fault injector's
 // MaxWriteChunk does) can never reorder or drop bytes.
-func (p *Pools) writeVectored(w io.Writer, head, body []byte) (int64, error) {
+func WriteVectored(w io.Writer, head, body []byte) (int64, error) {
 	if tc, ok := w.(*TCPConn); ok {
 		return tc.writev(head, body)
 	}

@@ -13,7 +13,7 @@ import (
 // error with the short count — the same contract as the fault injector's
 // MaxWriteChunk rule. The net.Buffers generic fallback mishandles this
 // shape (it treats n < len(p) with nil error as complete), so
-// writeVectored's sequential path must retry until every byte lands.
+// WriteVectored's sequential path must retry until every byte lands.
 type chunkWriter struct {
 	buf   bytes.Buffer
 	chunk int
@@ -27,11 +27,10 @@ func (w *chunkWriter) Write(p []byte) (int, error) {
 }
 
 func TestWriteVectoredShortWrites(t *testing.T) {
-	p := NewPools()
 	head := []byte("HTTP/1.1 200 OK\r\nContent-Length: 26\r\n\r\n")
 	body := []byte("abcdefghijklmnopqrstuvwxyz")
 	w := &chunkWriter{chunk: 3}
-	n, err := p.writeVectored(w, head, body)
+	n, err := WriteVectored(w, head, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +41,8 @@ func TestWriteVectoredShortWrites(t *testing.T) {
 }
 
 func TestWriteVectoredZeroByteWriter(t *testing.T) {
-	p := NewPools()
 	w := &chunkWriter{chunk: 0} // accepts nothing: must not spin forever
-	_, err := p.writeVectored(w, []byte("head"), []byte("body"))
+	_, err := WriteVectored(w, []byte("head"), []byte("body"))
 	if err != io.ErrShortWrite {
 		t.Fatalf("err = %v, want ErrShortWrite", err)
 	}
@@ -103,7 +101,7 @@ func TestWriteRequestShortWriteWriter(t *testing.T) {
 }
 
 // TestRelayResponseVectoredTCP sends a large response over a raw TCP
-// pair so writeVectored takes the writev path, looping over partial
+// pair so WriteVectored takes the writev path, looping over partial
 // writevs, and verifies the exact bytes.
 func TestRelayResponseVectoredTCP(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -157,13 +157,13 @@ var auditMutations = []auditMutation{
 		`	if err := b.faults.Fail("backup.dial"); err != nil {
 		return fmt.Errorf("backup: connecting to primary: %w", err)
 	}
-	conn, err := net.DialTimeout("tcp", b.replAddr, b.timeout)
+	conn, err := dialRaw(b.replAddr, b.timeout)
 	if err != nil {
 		return fmt.Errorf("backup: connecting to primary: %w", err)
 	}
 	conn = b.faults.Conn("backup.conn", conn)
 `,
-		`	conn, err := net.DialTimeout("tcp", b.replAddr, b.timeout)
+		`	conn, err := dialRaw(b.replAddr, b.timeout)
 	if err != nil {
 		return fmt.Errorf("backup: connecting to primary: %w", err)
 	}
@@ -239,12 +239,12 @@ var auditMutations = []auditMutation{
 `},
 	{"LS3", "lockscope", "internal/mgmt/replication.go",
 		`func (b *Backup) Stop() {
-	b.stopOnce.Do(func() { close(b.stopped) })
+	b.stopOnce.Do(func() { close(b.stopped); b.closeConn() })
 `,
 		`func (b *Backup) Stop() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.stopOnce.Do(func() { close(b.stopped) })
+	b.stopOnce.Do(func() { close(b.stopped); b.closeConn() })
 `},
 }
 

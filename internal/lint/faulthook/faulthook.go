@@ -21,6 +21,7 @@ package faulthook
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"webcluster/internal/lint/analysis"
@@ -71,10 +72,12 @@ func check(pass *analysis.Pass, body *ast.BlockStmt) {
 	}
 }
 
-// helperDialSites finds calls to functions in other packages whose
-// summary carries an unhooked reachable dial. Same-package helpers are
-// skipped: their own bodies are checked directly by this pass, so the
-// dial is already reported where it lives.
+// helperDialSites finds calls to helpers whose summary carries an
+// unhooked reachable dial. A helper declared in the caller's own file is
+// skipped: this pass checks its body directly, so the dial is already
+// reported where it lives. One in another file — of another package, or
+// of this one, where the file may lie outside the analyzer's scope (in
+// internal/mgmt only replication.go is in it) — is flagged at the call.
 func helperDialSites(pass *analysis.Pass, n ast.Node, scope *ast.BlockStmt, dialerLits map[*ast.FuncLit]bool) []dialSite {
 	var out []dialSite
 	ast.Inspect(n, func(x ast.Node) bool {
@@ -88,7 +91,7 @@ func helperDialSites(pass *analysis.Pass, n ast.Node, scope *ast.BlockStmt, dial
 			}
 		case *ast.CallExpr:
 			fn := analysis.CalleeFunc(pass.TypesInfo, v)
-			if fn == nil || fn.Pkg() == pass.Pkg {
+			if fn == nil || fn.Pkg() == pass.Pkg && fileOf(pass, fn.Pos()) == fileOf(pass, v.Pos()) {
 				return true
 			}
 			if s := pass.Module.Summary(fn); s != nil && s.DialsUnhooked {
@@ -98,6 +101,16 @@ func helperDialSites(pass *analysis.Pass, n ast.Node, scope *ast.BlockStmt, dial
 		return true
 	})
 	return out
+}
+
+// fileOf returns the file of the package being checked that holds pos.
+func fileOf(pass *analysis.Pass, pos token.Pos) *ast.File {
+	for _, f := range pass.Files {
+		if f.FileStart <= pos && pos <= f.FileEnd {
+			return f
+		}
+	}
+	return nil
 }
 
 // collectDialerLits finds function literals used where a named Dialer

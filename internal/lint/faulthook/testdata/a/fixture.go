@@ -86,3 +86,16 @@ func (p *pool) get(addr string) (net.Conn, error) {
 	}
 	return p.in.Conn("pool.conn", conn), nil
 }
+
+// --- a same-package helper in another file ---
+
+func helperInAnotherFile(addr string) (net.Conn, error) {
+	return dialHelper(addr) // want `call reaches an unhooked dial`
+}
+
+func (s *server) helperInAnotherFileHooked(addr string) (net.Conn, error) {
+	if err := s.faults.Fail("fixture.dial"); err != nil {
+		return nil, err
+	}
+	return dialHelper(addr)
+}

@@ -66,9 +66,10 @@ func (b *Broker) Start(addr string) (string, error) {
 // serveConn handles one controller connection's request stream.
 func (b *Broker) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
+	var f framer
 	for {
 		var req request
-		payload, err := readFrame(br, &req)
+		payload, err := f.read(br, &req, nil)
 		if err != nil {
 			refuseMismatch(conn, err)
 			return
@@ -82,7 +83,7 @@ func (b *Broker) serveConn(conn net.Conn) {
 			data = resp.Result.Data
 			resp.Payload = data != nil
 		}
-		if err := writeFrame(conn, resp, data); err != nil {
+		if err := f.write(conn, &resp, data); err != nil {
 			return
 		}
 	}
@@ -195,6 +196,7 @@ type BrokerClient struct {
 	// redial, and after Close.
 	conn    net.Conn
 	br      *bufio.Reader
+	f       framer
 	closed  bool
 	nextID  int64
 	timeout time.Duration
@@ -205,7 +207,7 @@ type BrokerClient struct {
 
 // DialBroker connects to a broker at addr.
 func DialBroker(addr string) (*BrokerClient, error) {
-	conn, err := net.DialTimeout("tcp", addr, DefaultBrokerTimeout)
+	conn, err := dialRaw(addr, DefaultBrokerTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("mgmt: dialing broker %s: %w", addr, err)
 	}
@@ -259,7 +261,7 @@ func (c *BrokerClient) redial(deadline time.Time) error {
 	if !deadline.IsZero() {
 		timeout = time.Until(deadline)
 	}
-	conn, err := net.DialTimeout("tcp", c.addr, timeout)
+	conn, err := dialRaw(c.addr, timeout)
 	if c.onRedial != nil {
 		c.onRedial(err)
 	}
@@ -280,11 +282,11 @@ func (c *BrokerClient) exchange(req request, deadline time.Time) (response, erro
 		data = req.Args.Data
 		req.Payload = data != nil
 	}
-	if err := writeFrame(c.conn, req, data); err != nil {
+	if err := c.f.write(c.conn, &req, data); err != nil {
 		return response{}, err
 	}
 	var resp response
-	payload, err := readFrame(c.br, &resp)
+	payload, err := c.f.read(c.br, &resp, nil)
 	if err != nil {
 		return response{}, fmt.Errorf("mgmt: reading broker response: %w", err)
 	}

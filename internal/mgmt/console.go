@@ -126,16 +126,17 @@ var staging sync.Pool // of *[]byte
 // serveConn handles one console session.
 func (s *ConsoleServer) serveConn(conn net.Conn) {
 	br := bufio.NewReader(conn)
-	for s.serveRequest(conn, br) {
+	var f framer
+	for s.serveRequest(conn, br, &f) {
 	}
 }
 
 // serveRequest reads one command, executes it and writes the reply; false
 // ends the session.
-func (s *ConsoleServer) serveRequest(conn net.Conn, br *bufio.Reader) bool {
+func (s *ConsoleServer) serveRequest(conn net.Conn, br *bufio.Reader, f *framer) bool {
 	var env consoleEnvelope
 	var buf *[]byte
-	payload, err := readFrameInto(br, &env, func(n int) []byte {
+	payload, err := f.read(br, &env, func(n int) []byte {
 		if buf, _ = staging.Get().(*[]byte); buf == nil || cap(*buf) < n {
 			fresh := make([]byte, n)
 			buf = &fresh
@@ -152,7 +153,8 @@ func (s *ConsoleServer) serveRequest(conn net.Conn, br *bufio.Reader) bool {
 	if env.Payload {
 		env.Data = payload
 	}
-	return writeFrame(conn, s.handle(env.ConsoleRequest), nil) == nil
+	resp := s.handle(env.ConsoleRequest)
+	return f.write(conn, &resp, nil) == nil
 }
 
 // handle executes one console command.
@@ -354,12 +356,13 @@ type Console struct {
 	mu      sync.Mutex
 	conn    net.Conn
 	br      *bufio.Reader
+	f       framer
 	timeout time.Duration
 }
 
 // DialConsole connects to a console server at addr.
 func DialConsole(addr string) (*Console, error) {
-	conn, err := net.DialTimeout("tcp", addr, DefaultConsoleTimeout)
+	conn, err := dialRaw(addr, DefaultConsoleTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("console: dialing %s: %w", addr, err)
 	}
@@ -390,9 +393,10 @@ func (c *Console) Do(req ConsoleRequest) (ConsoleResponse, error) {
 	}
 	defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
 	var resp ConsoleResponse
-	err := writeFrame(c.conn, consoleEnvelope{req, req.Data != nil}, req.Data)
+	env := consoleEnvelope{req, req.Data != nil}
+	err := c.f.write(c.conn, &env, req.Data)
 	if err == nil {
-		_, err = readFrame(c.br, &resp)
+		_, err = c.f.read(c.br, &resp, nil)
 	}
 	if err != nil {
 		// A frame cut short leaves the stream at an unknown offset:

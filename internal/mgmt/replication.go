@@ -88,6 +88,7 @@ func (rs *ReplicationServer) Start(addr string) (string, error) {
 // draining (slow-loris reader) gets its stream cut instead of wedging the
 // feed goroutine.
 func (rs *ReplicationServer) feed(conn net.Conn) {
+	var f framer
 	send := func(snapshot bool) error {
 		hdr, payload := replHeader{Type: "hb"}, []byte(nil)
 		if snapshot {
@@ -100,7 +101,7 @@ func (rs *ReplicationServer) feed(conn net.Conn) {
 		if err := conn.SetWriteDeadline(time.Now().Add(rs.writeTimeout)); err != nil {
 			return err
 		}
-		return writeFrame(conn, hdr, payload)
+		return f.write(conn, hdr, payload)
 	}
 	ticker := time.NewTicker(rs.interval)
 	defer ticker.Stop()
@@ -145,6 +146,8 @@ type Backup struct {
 	table   *urltable.Table
 	cluster config.ClusterSpec
 	err     error
+	// conn is the stream from the primary, nil until Start dials it.
+	conn net.Conn
 
 	done     chan struct{}
 	stopOnce sync.Once
@@ -181,11 +184,14 @@ func (b *Backup) Start() error {
 	if err := b.faults.Fail("backup.dial"); err != nil {
 		return fmt.Errorf("backup: connecting to primary: %w", err)
 	}
-	conn, err := net.DialTimeout("tcp", b.replAddr, b.timeout)
+	conn, err := dialRaw(b.replAddr, b.timeout)
 	if err != nil {
 		return fmt.Errorf("backup: connecting to primary: %w", err)
 	}
 	conn = b.faults.Conn("backup.conn", conn)
+	b.mu.Lock()
+	b.conn = conn
+	b.mu.Unlock()
 	b.wg.Add(1)
 	go func() {
 		defer b.wg.Done()
@@ -199,6 +205,7 @@ func (b *Backup) Start() error {
 func (b *Backup) monitor(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	br := bufio.NewReader(conn)
+	var f framer
 	for {
 		select {
 		case <-b.stopped:
@@ -207,7 +214,7 @@ func (b *Backup) monitor(conn net.Conn) {
 		}
 		err := conn.SetReadDeadline(time.Now().Add(b.timeout))
 		if err == nil {
-			err = b.receive(br)
+			err = b.receive(br, &f)
 		}
 		if err != nil {
 			// Stream broken, heartbeat missed or state undecodable: the
@@ -219,9 +226,9 @@ func (b *Backup) monitor(conn net.Conn) {
 }
 
 // receive reads one frame and keeps the state a snapshot carries.
-func (b *Backup) receive(br *bufio.Reader) error {
+func (b *Backup) receive(br *bufio.Reader, f *framer) error {
 	var hdr replHeader
-	payload, err := readFrame(br, &hdr)
+	payload, err := f.read(br, &hdr, nil)
 	if err != nil {
 		return err
 	}
@@ -294,8 +301,19 @@ func (b *Backup) Promoted(d time.Duration) (bool, error) {
 	return b.err == nil, b.err
 }
 
+// closeConn closes the stream, so a monitor waiting out its read
+// deadline wakes now.
+func (b *Backup) closeConn() {
+	b.mu.Lock()
+	conn := b.conn
+	b.mu.Unlock()
+	if conn != nil {
+		_ = conn.Close()
+	}
+}
+
 // Stop ends monitoring without promoting.
 func (b *Backup) Stop() {
-	b.stopOnce.Do(func() { close(b.stopped) })
+	b.stopOnce.Do(func() { close(b.stopped); b.closeConn() })
 	b.wg.Wait()
 }
